@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FieldMismatchError, ShapeError
-from .linalg import Matrix, is_zero_vec
+from .linalg import Matrix, basis_vec
 from .report import Report
 from .scalars import Field
 
@@ -100,15 +100,6 @@ class StructureAlgebra:
 
     # -- element-level operations -----------------------------------------
 
-    def mul_entry(self, i: int, j: int, k: int):
-        for idx, c in self.mul.get((i, j), ()):
-            if idx == k:
-                return c
-        return self.field.zero()
-
-    def product_basis(self, i: int, j: int) -> SparseRow:
-        return self.mul.get((i, j), ())
-
     def multiply(self, a: Sequence, b: Sequence) -> tuple:
         if len(a) != self.dim or len(b) != self.dim:
             raise ShapeError("vector length mismatch")
@@ -146,15 +137,15 @@ class StructureAlgebra:
 
     def left_mult_matrix(self, a: Sequence) -> Matrix:
         """Matrix of x -> a*x in the structure basis (columns are a*e_j)."""
-        cols = [self.multiply(a, _basis(self.field, self.dim, j)) for j in range(self.dim)]
+        cols = [self.multiply(a, basis_vec(self.field, self.dim, j)) for j in range(self.dim)]
         return Matrix.from_columns(self.field, cols)
 
     def right_mult_matrix(self, a: Sequence) -> Matrix:
-        cols = [self.multiply(_basis(self.field, self.dim, j), a) for j in range(self.dim)]
+        cols = [self.multiply(basis_vec(self.field, self.dim, j), a) for j in range(self.dim)]
         return Matrix.from_columns(self.field, cols)
 
     def basis_vector(self, i: int) -> tuple:
-        return _basis(self.field, self.dim, i)
+        return basis_vec(self.field, self.dim, i)
 
     def dense_mul(self) -> tuple:
         z = self.field.zero()
@@ -202,11 +193,6 @@ class StructureAlgebra:
         return f"StructureAlgebra(dim={self.dim}, field={self.field!r})"
 
 
-def _basis(field: Field, dim: int, i: int) -> tuple:
-    z, o = field.zero(), field.one()
-    return tuple(o if j == i else z for j in range(dim))
-
-
 # -- axioms -----------------------------------------------------------------
 
 
@@ -217,7 +203,7 @@ def verify_algebra(A: StructureAlgebra, title: str = "algebra axioms") -> Report
 
     bad_unit = None
     for i in range(dim):
-        e = _basis(field, dim, i)
+        e = basis_vec(field, dim, i)
         if A.multiply(A.unit, e) != e:
             bad_unit = ("left", i)
             break
@@ -282,6 +268,26 @@ def is_augmentation(A: StructureAlgebra, eps: Sequence) -> bool:
     return True
 
 
+def multiplicative_failure(
+    src: StructureAlgebra, dst: StructureAlgebra, phi: Matrix
+) -> Optional[tuple]:
+    """First basis pair (i, j) with phi(e_i e_j) != phi(e_i) phi(e_j), or None
+    when the linear map phi: src -> dst (columns are the images of the src
+    basis vectors) is multiplicative."""
+    field = dst.field
+    z = field.zero()
+    cols = [phi.col(j) for j in range(src.dim)]
+    for i in range(src.dim):
+        for j in range(src.dim):
+            acc = [z] * dst.dim
+            for k, c in src.mul.get((i, j), ()):
+                for r, x in enumerate(cols[k]):
+                    acc[r] = acc[r] + c * x
+            if tuple(field.normalize(x) for x in acc) != dst.multiply(cols[i], cols[j]):
+                return (i, j)
+    return None
+
+
 # -- constructions -----------------------------------------------------------
 
 
@@ -310,7 +316,3 @@ def tensor_algebra(A: StructureAlgebra, B: StructureAlgebra) -> StructureAlgebra
     )
     names = tuple(f"{na}⊗{nb}" for na in A.basis_names for nb in B.basis_names)
     return StructureAlgebra(field, dim, table, unit, names)
-
-
-def element_is_zero(A: StructureAlgebra, v: Sequence) -> bool:
-    return is_zero_vec(A.field, v)

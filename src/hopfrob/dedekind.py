@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconclusiveSearchError, InternalCheckError, InvalidInputError
+from .linalg import Matrix
 from .report import Report
+from .scalars import QQ
 
 _BEZOUT_BOUND = 10
 
@@ -300,10 +302,6 @@ class QuadraticIdeal:
                 return g
         return None
 
-    @property
-    def is_principal(self) -> bool:
-        return self.principal_generator() is not None
-
     def __str__(self) -> str:
         g1, g2 = self.generators()
         return f"<{g1}, {g2}>"
@@ -363,28 +361,6 @@ class SteinitzData:
     matrix: tuple[tuple[QuadElement, QuadElement], tuple[QuadElement, QuadElement]]
     square_generator: QuadElement
     bezout: tuple[QuadElement, QuadElement] | None
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    m = [row[:] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c] != 0:
-                f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-    return det
 
 
 def _fmt_matrix(C) -> str:
@@ -472,7 +448,7 @@ def verify_steinitz(ideal: QuadraticIdeal, matrix) -> Report:
             [Fraction(p.a), Fraction(p.b), Fraction(q.a), Fraction(q.b)]
             for p, q in images
         ]
-        d = _det(coords)
+        d = Matrix.from_rows(QQ, coords).det()
         rep.add(
             "integer change of basis is unimodular",
             d in (Fraction(1), Fraction(-1)),
@@ -626,7 +602,7 @@ def module_transport_report(
             [Fraction(z) for x in (img[0][0], img[0][1], img[1][0], img[1][1]) for z in (x.a, x.b)]
             for img in images
         ]
-        d = _det(coords)
+        d = Matrix.from_rows(QQ, coords).det()
         bij = d in (Fraction(1), Fraction(-1))
         detail = f"8x8 coordinate determinant = {d}"
     else:

@@ -32,21 +32,6 @@ class DoubleReport:
     unimodular: bool
 
 
-def _delta2(H: HopfAlgebra, i: int):
-    """Triples (r, s, t, c) of the twice-iterated coproduct of e_i."""
-    field = H.field
-    out: dict = {}
-    for r, m, c1 in H.comul.get(i, ()):
-        for s, t, c2 in H.comul.get(m, ()):
-            key = (r, s, t)
-            out[key] = out.get(key, field.zero()) + c1 * c2
-    return [
-        (r, s, t, c)
-        for (r, s, t), c in out.items()
-        if field.normalize(c) != field.zero()
-    ]
-
-
 def _sandwich_table(H: HopfAlgebra):
     """pe2[(u, w)][b] = [(v, c), ...] with c the e_b-coefficient of
     e_u e_v e_w."""
@@ -76,7 +61,7 @@ def _straighten_table(H: HopfAlgebra):
     zero = field.zero()
     sbar = H.antipode_inv()
     pe2 = _sandwich_table(H)
-    d2 = {i: _delta2(H, i) for i in range(H.dim)}
+    d2 = {i: H.delta2_row(i) for i in range(H.dim)}
     table = []
     for i in range(H.dim):
         per_b = []
@@ -108,7 +93,7 @@ def _straighten_direct(H: HopfAlgebra, i: int, b: int):
     zero = field.zero()
     sbar = H.antipode_inv()
     acc: dict = {}
-    for r, s, t, c in _delta2(H, i):
+    for r, s, t, c in H.delta2_row(i):
         left = sbar.col(t)
         for v in range(H.dim):
             w = H.alg.multiply(left, H.alg.basis_vector(v))

@@ -18,21 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import is_augmentation
+from .algebra import is_augmentation, multiplicative_failure
 from .errors import InternalCheckError, InvalidInputError, SingularError
 from .hopfcore import (
     HopfAlgebra,
+    _outer_sum,
     act_left,
     act_right,
     convolution,
     dual_hopf,
     dual_left_integral_space,
     eval_cov,
+    integral_space,
     is_grouplike,
     left_integral_space,
     pairing_matrix,
 )
-from .linalg import Matrix, basis_vec, is_zero_vec, iterated_kernel_sparse, matrix_order
+from .linalg import Matrix, basis_vec, is_zero_vec, matrix_order
 from .report import Report
 
 
@@ -85,23 +87,7 @@ class OrderData:
 def dual_integrals(H: HopfAlgebra) -> tuple:
     """Canonical bases of the left and the right integrals in H*."""
     left = dual_left_integral_space(H)
-
-    buckets: dict = {i: [] for i in range(H.dim)}
-    for k in range(H.dim):
-        for u, v, c in H.comul.get(k, ()):
-            buckets[v].append((k, u, c))
-
-    def constraints():
-        for i in range(H.dim):
-            sp: dict = {}
-            for k, u, c in buckets[i]:
-                sp[(k, u)] = sp.get((k, u), H.field.zero()) + c
-            u_i = H.unit[i]
-            for d in range(H.dim):
-                sp[(d, d)] = sp.get((d, d), H.field.zero()) - u_i
-            yield sp
-
-    right = iterated_kernel_sparse(H.field, H.dim, constraints())
+    right = integral_space(H, "right", dual=True)
     if len(left) != 1 or len(right) != 1:
         raise InvalidInputError(
             f"integral spaces not rank one (left {len(left)}, right {len(right)})"
@@ -213,15 +199,22 @@ def dual_basis_identities_hold(alg, psi, xs, ys):
     return True, ""
 
 
-def frobenius_system_from_norm(H: HopfAlgebra, data: IntegralData) -> FrobeniusSystem:
-    """Dual bases read off the coproduct of the norm, Nakayama solved from
-    the Gram matrix; all identities verified before returning."""
+def _dual_bases_from_coproduct(H: HopfAlgebra, t: Sequence) -> tuple:
+    """x_i = c e_k and y_i = Sbar(e_j), one pair per term c e_j (x) e_k of
+    Delta(t), in sorted order."""
     field = H.field
     sbar = H.antipode_inv()
     xs, ys = [], []
-    for (j, k), c in sorted(H.delta_vec(data.norm).items()):
+    for (j, k), c in sorted(H.delta_vec(t).items()):
         xs.append(tuple(field.normalize(c * v) for v in basis_vec(field, H.dim, k)))
         ys.append(sbar.col(j))
+    return tuple(xs), tuple(ys)
+
+
+def frobenius_system_from_norm(H: HopfAlgebra, data: IntegralData) -> FrobeniusSystem:
+    """Dual bases read off the coproduct of the norm, Nakayama solved from
+    the Gram matrix; all identities verified before returning."""
+    xs, ys = _dual_bases_from_coproduct(H, data.norm)
     ok, detail = dual_basis_identities_hold(H.alg, data.psi, xs, ys)
     if not ok:
         raise InternalCheckError(f"dual basis identities fail: {detail}")
@@ -231,39 +224,20 @@ def frobenius_system_from_norm(H: HopfAlgebra, data: IntegralData) -> FrobeniusS
     if nu is None:
         raise InvalidInputError("Gram matrix singular: algebra is not Frobenius")
     _check_automorphism(H, nu)
-    one = field.one()
-    return FrobeniusSystem(data.psi, tuple(xs), tuple(ys), nu, one, one)
+    one = H.field.one()
+    return FrobeniusSystem(data.psi, xs, ys, nu, one, one)
 
 
 def _check_automorphism(H: HopfAlgebra, nu: Matrix) -> None:
-    field = H.field
     try:
         nu.inverse()
     except SingularError as exc:
         raise InternalCheckError("Nakayama matrix is singular") from exc
     if nu.apply(H.unit) != H.unit:
         raise InternalCheckError("Nakayama does not fix the identity")
-    for i in range(H.dim):
-        vi = nu.col(i)
-        for j in range(H.dim):
-            prod = H.alg.multiply(vi, nu.col(j))
-            want = nu.apply(
-                tuple(
-                    field.normalize(c)
-                    for c in _row_as_vec(field, H.dim, H.alg.mul.get((i, j), ()))
-                )
-            )
-            if prod != want:
-                raise InternalCheckError(
-                    f"Nakayama is not multiplicative at pair {(i, j)}"
-                )
-
-
-def _row_as_vec(field, dim, row):
-    v = [field.zero()] * dim
-    for k, c in row:
-        v[k] = c
-    return tuple(v)
+    bad = multiplicative_failure(H.alg, H.alg, nu)
+    if bad is not None:
+        raise InternalCheckError(f"Nakayama is not multiplicative at pair {bad}")
 
 
 def nakayama_closed_form(H: HopfAlgebra, data: IntegralData) -> Matrix:
@@ -288,20 +262,24 @@ def nakayama_closed_form(H: HopfAlgebra, data: IntegralData) -> Matrix:
 # -- system comparison and transformation -------------------------------------------
 
 
+def translate_functional(H: HopfAlgebra, psi: Sequence, d: Sequence) -> tuple:
+    """The translate (psi d)(x) = psi(d x), as a covector."""
+    return tuple(
+        eval_cov(H.field, psi, H.alg.multiply(d, H.alg.basis_vector(t)))
+        for t in range(H.dim)
+    )
+
+
 def translate_system(H: HopfAlgebra, sys: FrobeniusSystem, d: Sequence) -> FrobeniusSystem:
     """The system for the translated functional (psi d)(x) = psi(d x):
     same xs, ys replaced by d^{-1} y_i, Nakayama conjugated by d."""
-    field = H.field
     L = H.alg.left_mult_matrix(d)
     try:
         Linv = L.inverse()
     except SingularError as exc:
         raise InvalidInputError("translation element is not invertible") from exc
     d_inv = Linv.apply(H.unit)
-    psi2 = tuple(
-        eval_cov(field, sys.psi, H.alg.multiply(d, H.alg.basis_vector(t)))
-        for t in range(H.dim)
-    )
+    psi2 = translate_functional(H, sys.psi, d)
     ys2 = tuple(H.alg.multiply(d_inv, y) for y in sys.ys)
     R = H.alg.right_mult_matrix(d)
     nu2 = R.mul(Linv).mul(sys.nakayama)
@@ -329,36 +307,15 @@ def compare_systems(
     d_inv = Linv.apply(H.unit)
 
     rep = Report("system comparison")
-    psi_d = tuple(
-        eval_cov(field, sys.psi, H.alg.multiply(d, H.alg.basis_vector(t)))
-        for t in range(H.dim)
+    rep.add(
+        "functional translates by the derivative",
+        translate_functional(H, sys.psi, d) == sys2.psi,
     )
-    rep.add("functional translates by the derivative", psi_d == sys2.psi)
-
-    z = field.zero()
-    t_new: dict = {}
-    for x, y in zip(sys2.xs, sys2.ys):
-        for a, ca in enumerate(x):
-            if ca == z:
-                continue
-            for bb, cb in enumerate(y):
-                if cb == z:
-                    continue
-                t_new[(a, bb)] = t_new.get((a, bb), z) + ca * cb
-    t_old: dict = {}
-    for x, y in zip(sys.xs, sys.ys):
-        dy = H.alg.multiply(d_inv, y)
-        for a, ca in enumerate(x):
-            if ca == z:
-                continue
-            for bb, cb in enumerate(dy):
-                if cb == z:
-                    continue
-                t_old[(a, bb)] = t_old.get((a, bb), z) + ca * cb
-    clean = lambda t: {
-        k: c for k, c in ((k, field.normalize(v)) for k, v in t.items()) if c != z
-    }
-    rep.add("dual basis tensors match", clean(t_new) == clean(t_old))
+    t_new = _outer_sum(field, zip(sys2.xs, sys2.ys))
+    t_old = _outer_sum(
+        field, ((x, H.alg.multiply(d_inv, y)) for x, y in zip(sys.xs, sys.ys))
+    )
+    rep.add("dual basis tensors match", t_new == t_old)
 
     R = H.alg.right_mult_matrix(d)
     rep.add(
@@ -401,12 +358,10 @@ def antipode_shift_check(H: HopfAlgebra, data: IntegralData) -> Report:
     field = H.field
     rep = Report("antipode shift of the integral")
     sbar = H.antipode_inv()
-    lhs = sbar.transpose().apply(data.psi)
-    rhs = tuple(
-        eval_cov(field, data.psi, H.alg.multiply(data.modular_elt, H.alg.basis_vector(t)))
-        for t in range(H.dim)
+    rep.add(
+        "functional composed with inverse antipode equals its b-translate",
+        sbar.transpose().apply(data.psi) == translate_functional(H, data.psi, data.modular_elt),
     )
-    rep.add("functional composed with inverse antipode equals its b-translate", lhs == rhs)
     rep.add(
         "normalization psi(Sbar(N)) = 1",
         eval_cov(field, data.psi, sbar.apply(data.norm)) == field.one(),
@@ -445,8 +400,9 @@ def verify_radford(H: HopfAlgebra, data: IntegralData) -> Report:
     return rep
 
 
-def orders(H: HopfAlgebra, data: IntegralData) -> OrderData:
-    nu = frobenius_system_from_norm(H, data).nakayama
+def orders(H: HopfAlgebra, nu: Matrix) -> OrderData:
+    """Orders of S, S^2 and the Nakayama automorphism nu, each searched up to
+    the bound it must divide (4 dim H for S, 2 dim H for nu)."""
     cap_s = 4 * H.dim
     cap_nu = 2 * H.dim
     ord_s = matrix_order(H.antipode, cap_s)
@@ -475,15 +431,9 @@ def dual_frobenius_check(H: HopfAlgebra, data: IntegralData) -> Report:
     rep = Report("dual Frobenius structure")
     K = dual_hopf(H)
 
-    n_cov = data.norm  # evaluation at N, as a covector on H*
-    sbar_k = K.antipode_inv()
-    xs, ys = [], []
-    for (j, k), c in sorted(K.delta_vec(data.psi).items()):
-        xs.append(
-            tuple(field.normalize(c * v) for v in basis_vec(field, K.dim, k))
-        )
-        ys.append(sbar_k.col(j))
-    ok, detail = dual_basis_identities_hold(K.alg, n_cov, xs, ys)
+    # evaluation at N is data.norm as a covector on H*
+    xs, ys = _dual_bases_from_coproduct(K, data.psi)
+    ok, detail = dual_basis_identities_hold(K.alg, data.norm, xs, ys)
     rep.add("norm evaluation is Frobenius for the dual", ok, detail)
 
     one_vec = act_left(H, data.psi, data.norm)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .algebra import (
     StructureAlgebra,
     is_augmentation,
-    row_to_vec,
+    multiplicative_failure,
     vec_to_row,
     verify_algebra,
 )
@@ -157,9 +157,6 @@ class HopfAlgebra:
     def counit_of(self, v: Sequence):
         return eval_cov(self.field, self.counit, v)
 
-    def antipode_vec(self, v: Sequence) -> tuple:
-        return self.antipode.apply(v)
-
     def antipode_inv(self) -> Matrix:
         if self._sbar is None:
             try:
@@ -167,19 +164,6 @@ class HopfAlgebra:
             except SingularError as exc:
                 raise InvalidInputError("antipode matrix is singular") from exc
         return self._sbar
-
-    def antipode_inv_vec(self, v: Sequence) -> tuple:
-        return self.antipode_inv().apply(v)
-
-    def dense_comul(self) -> tuple:
-        z = self.field.zero()
-        out = []
-        for i in range(self.dim):
-            plane = [[z] * self.dim for _ in range(self.dim)]
-            for j, k, c in self.comul.get(i, ()):
-                plane[j][k] = c
-            out.append(tuple(tuple(r) for r in plane))
-        return tuple(out)
 
     def __eq__(self, other):
         return (
@@ -203,6 +187,21 @@ def _clean_tensor(field: Field, acc: dict) -> dict:
         if c != z:
             out[key] = c
     return out
+
+
+def _outer_sum(field: Field, pairs) -> dict:
+    """sum_i x_i (x) y_i as a sparse tensor {(j, k): c}."""
+    t: dict = {}
+    zero = field.zero()
+    for x, y in pairs:
+        for i, ci in enumerate(x):
+            if ci == zero:
+                continue
+            for j, cj in enumerate(y):
+                if cj == zero:
+                    continue
+                t[(i, j)] = t.get((i, j), zero) + ci * cj
+    return _clean_tensor(field, t)
 
 
 def eval_cov(field: Field, f: Sequence, v: Sequence):
@@ -292,60 +291,50 @@ def is_grouplike(H: HopfAlgebra, v: Sequence) -> bool:
 # -- integrals ----------------------------------------------------------------
 
 
-def left_integral_space(H: HopfAlgebra) -> tuple:
-    """Canonical basis of the left integrals in H: a t = eps(a) t for all a."""
+def integral_space(H: HopfAlgebra, side: str, dual: bool = False) -> tuple:
+    """Canonical basis of the left integrals (side "left": a t = eps(a) t for
+    all a) or the right integrals (t a = eps(a) t) in H, or in H* if dual.
+
+    One sparse operator x -> e_i x - eps(e_i) x (mirrored on the right) per
+    basis vector.  H* multiplies by the transpose of Delta and has the unit
+    of H as its counit.
+    """
+    if dual:
+        table: dict = {}
+        for k, terms in H.comul.items():
+            for u, v, c in terms:
+                table.setdefault((u, v), []).append((k, c))
+        eps = H.unit
+    else:
+        table, eps = H.alg.mul, H.counit
+    z = H.field.zero()
 
     def constraints():
         for i in range(H.dim):
             sp: dict = {}
             for j in range(H.dim):
-                for k, c in H.alg.mul.get((i, j), ()):
-                    sp[(k, j)] = sp.get((k, j), H.field.zero()) + c
-            eps_i = H.counit[i]
+                for k, c in table.get((i, j) if side == "left" else (j, i), ()):
+                    sp[(k, j)] = sp.get((k, j), z) + c
             for d in range(H.dim):
-                sp[(d, d)] = sp.get((d, d), H.field.zero()) - eps_i
+                sp[(d, d)] = sp.get((d, d), z) - eps[i]
             yield sp
 
     return iterated_kernel_sparse(H.field, H.dim, constraints())
+
+
+def left_integral_space(H: HopfAlgebra) -> tuple:
+    """Canonical basis of the left integrals in H: a t = eps(a) t for all a."""
+    return integral_space(H, "left")
 
 
 def right_integral_space(H: HopfAlgebra) -> tuple:
     """Canonical basis of the right integrals in H: t a = eps(a) t for all a."""
-
-    def constraints():
-        for i in range(H.dim):
-            sp: dict = {}
-            for j in range(H.dim):
-                for k, c in H.alg.mul.get((j, i), ()):
-                    sp[(k, j)] = sp.get((k, j), H.field.zero()) + c
-            eps_i = H.counit[i]
-            for d in range(H.dim):
-                sp[(d, d)] = sp.get((d, d), H.field.zero()) - eps_i
-            yield sp
-
-    return iterated_kernel_sparse(H.field, H.dim, constraints())
+    return integral_space(H, "right")
 
 
 def dual_left_integral_space(H: HopfAlgebra) -> tuple:
     """Canonical basis of the left integrals in H*: f*lam = f(1) lam."""
-
-    # bucket the comul tensor by its first tensor index
-    buckets: dict = {i: [] for i in range(H.dim)}
-    for k in range(H.dim):
-        for u, v, c in H.comul.get(k, ()):
-            buckets[u].append((k, v, c))
-
-    def constraints():
-        for i in range(H.dim):
-            sp: dict = {}
-            for k, v, c in buckets[i]:
-                sp[(k, v)] = sp.get((k, v), H.field.zero()) + c
-            u_i = H.unit[i]
-            for d in range(H.dim):
-                sp[(d, d)] = sp.get((d, d), H.field.zero()) - u_i
-            yield sp
-
-    return iterated_kernel_sparse(H.field, H.dim, constraints())
+    return integral_space(H, "left", dual=True)
 
 
 def pairing_matrix(H: HopfAlgebra, psi: Sequence) -> Matrix:
@@ -412,41 +401,34 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
     )
 
 
+def comultiplicative_failure(
+    src: HopfAlgebra, dst: HopfAlgebra, phi: Matrix
+) -> Optional[int]:
+    """First basis index i with Delta(phi(e_i)) != (phi x phi)(Delta(e_i)), or
+    None when the linear map phi: src -> dst is comultiplicative."""
+    cols = [phi.col(j) for j in range(src.dim)]
+    for i in range(src.dim):
+        pushed = _outer_sum(
+            src.field,
+            ((tuple(c * x for x in cols[j]), cols[k]) for j, k, c in src.comul.get(i, ())),
+        )
+        if pushed != dst.delta_vec(cols[i]):
+            return i
+    return None
+
+
 def is_hopf_morphism(src: HopfAlgebra, dst: HopfAlgebra, phi: Matrix) -> bool:
     """Exact check that the linear map phi: src -> dst (columns are images of
     src basis vectors) respects unit, counit, products, coproducts and the
     antipodes."""
-    field = src.field
-    if field != dst.field:
-        return False
-    if phi.apply(src.unit) != dst.unit:
-        return False
-    cols = [phi.col(j) for j in range(src.dim)]
-    for i in range(src.dim):
-        if eval_cov(field, dst.counit, cols[i]) != src.counit[i]:
-            return False
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = phi.apply(
-                row_to_vec(field, src.dim, src.alg.mul.get((i, j), ()))
-            )
-            if lhs != dst.alg.multiply(cols[i], cols[j]):
-                return False
-    for i in range(src.dim):
-        pushed: dict = {}
-        z = field.zero()
-        for j, k, c in src.comul.get(i, ()):
-            for m, cm in enumerate(cols[j]):
-                if cm == z:
-                    continue
-                for n, cn in enumerate(cols[k]):
-                    if cn == z:
-                        continue
-                    key = (m, n)
-                    pushed[key] = pushed.get(key, z) + c * cm * cn
-        if _clean_tensor(field, pushed) != dst.delta_vec(cols[i]):
-            return False
-    return phi.mul(src.antipode) == dst.antipode.mul(phi)
+    return (
+        src.field == dst.field
+        and phi.apply(src.unit) == dst.unit
+        and phi.transpose().apply(dst.counit) == src.counit
+        and multiplicative_failure(src.alg, dst.alg, phi) is None
+        and comultiplicative_failure(src, dst, phi) is None
+        and phi.mul(src.antipode) == dst.antipode.mul(phi)
+    )
 
 
 # -- axiom verification --------------------------------------------------------
@@ -466,22 +448,21 @@ def verify_hopf(
     generators only, after verifying that the certificate writes every basis
     vector as a product of two generators; "auto" picks certified when
     generators are supplied, the dimension is large, and the field is a
-    prime field (the certified path runs on integer sparse matrices).
+    prime field below 2^31 (the certified path runs on int64 sparse
+    matrices).  Forcing "certified" over any other field is invalid input.
     """
     rep = Report(title or f"hopf axioms: {H.name or 'unnamed'}")
     field = H.field
     dim = H.dim
 
-    use_cert = False
-    if strategy == "certified":
-        use_cert = True
-    elif strategy == "auto":
-        use_cert = (
-            generators is not None
-            and dim > _CERTIFIED_DIM
-            and isinstance(field, PrimeField)
-            and field.p < 2**31
+    certifiable = isinstance(field, PrimeField) and field.p < 2**31
+    if strategy == "certified" and not certifiable:
+        raise InvalidInputError(
+            f"certified verification needs a prime field below 2^31, not {field!r}"
         )
+    use_cert = strategy == "certified" or (
+        strategy == "auto" and generators is not None and dim > _CERTIFIED_DIM and certifiable
+    )
     if use_cert and (generators is None or certificate is None):
         raise InvalidInputError("certified verification needs generators and certificate")
 

@@ -33,8 +33,6 @@ Parse errors carry "label:line:" positions and raise InvalidInputError.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .algebra import StructureAlgebra
 from .errors import InvalidInputError
 from .hopfcore import HopfAlgebra

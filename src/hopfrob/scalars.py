@@ -63,9 +63,6 @@ class Field:
     def neg(self, x):
         return self.normalize(-x)
 
-    def is_element(self, x) -> bool:
-        raise NotImplementedError
-
     def parse(self, text: str):
         raise NotImplementedError
 
@@ -100,9 +97,6 @@ class RationalField(Field):
         if not x:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(x)
-
-    def is_element(self, x) -> bool:
-        return isinstance(x, (Fraction, int))
 
     def parse(self, text: str):
         try:
@@ -156,9 +150,6 @@ class PrimeField(Field):
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(x, self.p - 2, self.p)
-
-    def is_element(self, x) -> bool:
-        return isinstance(x, int) and 0 <= x < self.p
 
     def parse(self, text: str):
         try:

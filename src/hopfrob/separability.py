@@ -18,7 +18,7 @@ from .frobenius import (
     build_integral_data,
     frobenius_system_from_norm,
 )
-from .hopfcore import HopfAlgebra, dual_hopf, eval_cov
+from .hopfcore import HopfAlgebra, _clean_tensor, _outer_sum, dual_hopf, eval_cov
 from .linalg import Matrix
 from .report import Report
 
@@ -35,15 +35,6 @@ class SeparabilityCertificate:
 def is_unit(field, c) -> bool:
     """Invertibility of a scalar; over a field this is being nonzero."""
     return field.normalize(c) != field.zero()
-
-
-def _clean_tensor(field, t: dict) -> dict:
-    out = {}
-    for k, v in t.items():
-        v = field.normalize(v)
-        if v != field.zero():
-            out[k] = v
-    return out
 
 
 def tensor_transpose(t: dict) -> dict:
@@ -99,20 +90,6 @@ def check_kanzaki_certificate(A: StructureAlgebra, e: dict):
         if _act_tensor(A, e, a, "lr") != _act_tensor(A, e, a, "rl"):
             return False, f"middle crossing fails at basis {a}"
     return True, ""
-
-
-def _outer_sum(field, pairs) -> dict:
-    t: dict = {}
-    zero = field.zero()
-    for x, y in pairs:
-        for i, ci in enumerate(x):
-            if ci == zero:
-                continue
-            for j, cj in enumerate(y):
-                if cj == zero:
-                    continue
-                t[(i, j)] = t.get((i, j), zero) + ci * cj
-    return _clean_tensor(field, t)
 
 
 # -- separability of a Hopf algebra ---------------------------------------------------
@@ -239,7 +216,9 @@ def idempotent_exists_by_solve(A: StructureAlgebra) -> Optional[bool]:
 # -- involutivity from two-sided separability ------------------------------------------
 
 
-def etingof_gelaki_check(H: HopfAlgebra, data: IntegralData) -> Report:
+def etingof_gelaki_check(
+    H: HopfAlgebra, data: IntegralData, sys: FrobeniusSystem
+) -> Report:
     """If H and its dual are both separable, the antipode must be an
     involution; separability alone already forces the trivial modular pair."""
     field = H.field
@@ -247,7 +226,7 @@ def etingof_gelaki_check(H: HopfAlgebra, data: IntegralData) -> Report:
     if field.characteristic == 2:
         rep.add("characteristic 2 flagged", True, "2 is a zero divisor here")
 
-    sep, _ = is_separable_hopf(H, data)
+    sep, _ = is_separable_hopf(H, data, sys)
     K = dual_hopf(H)
     cosep, _ = is_separable_hopf(K, build_integral_data(K))
     rep.add("separability decided", True, f"separable={sep}, coseparable={cosep}")

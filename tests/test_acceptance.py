@@ -140,9 +140,9 @@ def test_criterion_03_nakayama_closed_form(capfd):
 def test_criterion_04_fourth_antipode_power(capfd):
     def body():
         for key in ALL_KEYS:
-            H, data, _ = integral_of(key)
+            H, data, sys_ = integral_of(key)
             assert verify_radford(H, data).passed, key
-            ords = orders(H, data)
+            ords = orders(H, sys_.nakayama)
             assert ords.antipode_divides, key
             assert ords.nakayama_divides, key
         D = double_of("sweedler")
@@ -151,10 +151,10 @@ def test_criterion_04_fourth_antipode_power(capfd):
             H = entry(key).hopf
             s4 = H.antipode.pow_(4)
             assert s4 != Matrix.identity(H.field, H.dim), key
-        H, data, _ = integral_of("sweedler")
-        assert orders(H, data).antipode_order == 4
-        H, data, _ = integral_of("taft-3-7-2")
-        assert orders(H, data).antipode_order == 6
+        H, _, sys_ = integral_of("sweedler")
+        assert orders(H, sys_.nakayama).antipode_order == 4
+        H, _, sys_ = integral_of("taft-3-7-2")
+        assert orders(H, sys_.nakayama).antipode_order == 6
 
     _verdict(capfd, 4, "fourth power of the antipode as conjugation", body)
 

@@ -3,6 +3,7 @@ and the pipelines behind each subcommand."""
 
 import pytest
 
+from hopfrob import frobenius, subext
 from hopfrob.catalog import entry, names
 from hopfrob.cli import main
 from hopfrob.errors import InvalidInputError
@@ -327,3 +328,50 @@ def test_machine_report_on_failure_lists_fail_lines(tmp_path, capsys):
     assert "antipode-law FAIL" in content
     assert content[-1] == "overall FAIL"
     capsys.readouterr()
+
+
+# -- each derived object is built once per job ------------------------------------
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# _check_automorphism is called by frobenius_system_from_norm alone, so it
+# counts the Frobenius systems built
+
+
+def test_frobenius_builds_the_system_once(tmp_path, monkeypatch):
+    path = emit(tmp_path, "sweedler")
+    built = _count_calls(monkeypatch, frobenius, "_check_automorphism")
+    assert main(["frobenius", str(path)]) == 0
+    assert len(built) == 1
+
+
+def test_separable_builds_one_system_for_the_algebra_and_one_for_its_dual(
+    tmp_path, monkeypatch
+):
+    assert entry("qc2").expected["separable"]
+    path = emit(tmp_path, "qc2")
+    built = _count_calls(monkeypatch, frobenius, "_check_automorphism")
+    assert main(["separable", str(path)]) == 0
+    assert len(built) == 2
+
+
+def test_subcheck_builds_the_extension_data_once(tmp_path, monkeypatch):
+    h4 = emit(tmp_path, "sweedler")
+    qc2 = emit(tmp_path, "qc2")
+    iota = tmp_path / "iota.mat"
+    iota.write_text(IOTA_QC2_IN_SWEEDLER)
+    # twisted_bimodule_maps is called by beta_frobenius_structure alone
+    built = _count_calls(monkeypatch, subext, "twisted_bimodule_maps")
+    assert main(["subcheck", str(h4), str(qc2), "--iota", str(iota)]) == 0
+    assert len(built) == 1

@@ -277,7 +277,7 @@ def test_nakayama_sends_left_integrals_to_right_integrals(key):
 def test_orders_divide_dimension_bounds(key):
     H = entry(key).hopf
     data = build_integral_data(H)
-    o = orders(H, data)
+    o = orders(H, frobenius_system_from_norm(H, data).nakayama)
     assert o.antipode_order is not None and o.antipode_divides
     assert o.nakayama_order is not None and o.nakayama_divides
     assert o.antipode_sq_order is not None

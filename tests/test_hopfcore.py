@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hopfrob import GF, QQ, InvalidInputError
 from hopfrob.catalog import entry, group_algebra, cyclic_table
+from hopfrob.double import double_generators, drinfeld_double
 from hopfrob.hopfcore import (
     HopfAlgebra,
     act_left,
@@ -325,3 +326,21 @@ def test_inverse_antipode_flipped_law():
                 acc = [a + c * t for a, t in zip(acc, term)]
             expected = tuple(F.normalize(H.counit[i] * u) for u in H.unit)
             assert tuple(F.normalize(a) for a in acc) == expected, key
+
+
+
+def test_certified_strategy_needs_a_prime_field_below_two_to_the_31():
+    H = entry("qc2").hopf  # over the rationals
+    D = drinfeld_double(H)
+    dgens, dcert = double_generators(H)
+    with pytest.raises(InvalidInputError, match="prime field below 2"):
+        verify_hopf(D, generators=dgens, certificate=dcert, strategy="certified")
+    F = GF(2147483659)  # the least prime above 2^31
+    big = group_algebra(cyclic_table(2), F)
+    gens = (basis_vec(F, 2, 0), basis_vec(F, 2, 1))
+    cert = ((0, 0), (0, 1))
+    with pytest.raises(InvalidInputError, match="prime field below 2"):
+        verify_hopf(big, generators=gens, certificate=cert, strategy="certified")
+    # "auto" runs the full check on both
+    assert verify_hopf(D, generators=dgens, certificate=dcert).passed
+    assert verify_hopf(big, generators=gens, certificate=cert).passed

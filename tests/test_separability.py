@@ -179,8 +179,8 @@ def test_separable_implies_trivial_modular_pair(key):
 
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_involutivity_report(key):
-    H, data, _ = _data_and_system(key)
-    rep = etingof_gelaki_check(H, data)
+    H, data, sys_ = _data_and_system(key)
+    rep = etingof_gelaki_check(H, data, sys_)
     assert rep.passed, str(rep)
     titles = {it.name: it for it in rep.items}
     if entry(key).expected["separable"]:
@@ -190,8 +190,8 @@ def test_involutivity_report(key):
 
 
 def test_involutivity_characteristic_two_flagged():
-    H, data, _ = _data_and_system("f2c2")
-    rep = etingof_gelaki_check(H, data)
+    H, data, sys_ = _data_and_system("f2c2")
+    rep = etingof_gelaki_check(H, data, sys_)
     assert any(it.name == "characteristic 2 flagged" for it in rep.items)
 
 

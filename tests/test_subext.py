@@ -382,7 +382,7 @@ def test_transport_check_rejects_non_modules():
 
 @pytest.mark.parametrize("key", PAIRS)
 def test_extension_report_passes(key):
-    rep = extension_report(embedding_of(key))
+    rep, _ = extension_report(embedding_of(key))
     assert rep.passed, "\n".join(rep.summary_lines())
     names = [it.name for it in rep.items]
     assert "two computations of the relative twist agree" in names

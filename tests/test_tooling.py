@@ -1,0 +1,77 @@
+"""Checks on the code base itself: the benchmark's trace targets still exist,
+and the package carries no unused imports."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hopfrob"
+
+
+def _load_bench_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_span_targets_resolve():
+    """bench/spans.py wraps functions by module and name; a renamed target
+    would break the traced benchmark run."""
+    spans = _load_bench_spans()
+    targets = [(mod, attr) for mod, attr, _ in spans.SPANNED + spans.COUNTED]
+    assert targets
+    missing = []
+    for modname, attr in targets:
+        owner = importlib.import_module(f"hopfrob.{modname}")
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls, None)
+        # methods are wrapped through the class __dict__, as spans.install does
+        found = vars(owner).get(name) if owner is not None else None
+        if not callable(found):
+            missing.append(f"{modname}.{attr}")
+    assert not missing, f"trace targets not found in hopfrob: {missing}"
+
+
+def _names_in_annotation(node) -> set:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            node = ast.parse(node.value, mode="eval")
+        except SyntaxError:
+            return set()
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _names_in_annotation(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _names_in_annotation(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _names_in_annotation(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_package_has_no_unused_imports():
+    unused = [msg for path in sorted(PACKAGE.glob("*.py")) for msg in _unused_imports(path)]
+    assert not unused, "unused imports:\n" + "\n".join(unused)
