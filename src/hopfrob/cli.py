@@ -209,7 +209,7 @@ def cmd_double(args) -> int:
         f"dim {D.dim}",
     )
     _merge(rep, verify_hopf(D, generators=gens, certificate=cert))
-    _merge(rep, double_fh_check(H, D).report)
+    _merge(rep, double_fh_check(D).report)
     if args.out:
         write_hopf_file(args.out, D)
         print(f"wrote {D.name} (dim {D.dim}) to {args.out}")

@@ -9,7 +9,6 @@ flattened row-major as a*dim(H) + i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .algebra import StructureAlgebra
 from .errors import InternalCheckError
@@ -106,11 +105,11 @@ def _straighten_direct(H: HopfAlgebra, i: int, b: int):
     }
 
 
-def drinfeld_double(H: HopfAlgebra, cross_check: bool = True) -> HopfAlgebra:
+def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     """The double as a Hopf algebra on dim(H)^2 structure constants.
 
-    cross_check replays every straightening entry through the direct
-    sandwich evaluation; a mismatch is a construction bug, not bad input.
+    Every straightening entry is replayed through the direct sandwich
+    evaluation; a mismatch is a construction bug, not bad input.
     """
     field = H.field
     n = H.dim
@@ -118,14 +117,13 @@ def drinfeld_double(H: HopfAlgebra, cross_check: bool = True) -> HopfAlgebra:
     zero = field.zero()
 
     straighten = _straighten_table(H)
-    if cross_check:
-        for i in range(n):
-            for b in range(n):
-                got = {(v, s): c for v, s, c in straighten[i][b]}
-                if got != _straighten_direct(H, i, b):
-                    raise InternalCheckError(
-                        f"straightening forms disagree at pair {(i, b)}"
-                    )
+    for i in range(n):
+        for b in range(n):
+            got = {(v, s): c for v, s, c in straighten[i][b]}
+            if got != _straighten_direct(H, i, b):
+                raise InternalCheckError(
+                    f"straightening forms disagree at pair {(i, b)}"
+                )
 
     # dual algebra rows: (f_a f_v)_k read off the coproduct of e_k
     dual_rows: dict = {}
@@ -293,11 +291,9 @@ def check_embeddings(H: HopfAlgebra, D: HopfAlgebra) -> Report:
     return rep
 
 
-def double_fh_check(H: HopfAlgebra, D: Optional[HopfAlgebra] = None) -> DoubleReport:
-    """The double always has a one-dimensional space of left integrals in its
-    dual; its own integral dimension and unimodularity are reported."""
-    if D is None:
-        D = drinfeld_double(H)
+def double_fh_check(D: HopfAlgebra) -> DoubleReport:
+    """The double D always has a one-dimensional space of left integrals in
+    its dual; its own integral dimension and unimodularity are reported."""
     rep = Report(f"integral structure of {D.name}")
 
     dual_ints = dual_left_integral_space(D)

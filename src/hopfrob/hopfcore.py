@@ -11,8 +11,10 @@ certificate expressing each basis vector as a product of two generators.
 Checking associativity and multiplicativity of Delta on the generators alone
 then suffices: both properties propagate through products, and the
 certificate pins every basis vector as such a product.  The quantified
-checks on generators run as exact integer matrix identities (scipy.sparse)
-over prime fields.
+checks on generators run as sparse int64 matrix identities mod p, so they
+run exactly when linalg.machine_prime admits the field; every product goes
+through linalg.mulmod, which keeps it exact.  Over any other field every
+axiom is checked on the whole basis.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .algebra import (
     verify_algebra,
 )
 from .errors import InvalidInputError, ShapeError, SingularError
-from .linalg import Matrix, basis_vec, iterated_kernel_sparse
+from .linalg import Matrix, basis_vec, iterated_kernel_sparse, machine_prime, mulmod
 from .report import Report
-from .scalars import Field, PrimeField
+from .scalars import Field
 
 # full pairwise axiom checks above this dimension get slow in pure python
 _CERTIFIED_DIM = 40
@@ -439,36 +441,32 @@ def verify_hopf(
     title: Optional[str] = None,
     generators: Optional[Sequence] = None,
     certificate: Optional[Sequence] = None,
-    strategy: str = "auto",
 ) -> Report:
     """Exact check of every Hopf axiom.
 
-    strategy: "full" quantifies over all basis tuples; "certified" checks the
-    two quadratic axioms (associativity, Delta multiplicative) on the given
-    generators only, after verifying that the certificate writes every basis
-    vector as a product of two generators; "auto" picks certified when
-    generators are supplied, the dimension is large, and the field is a
-    prime field below 2^31 (the certified path runs on int64 sparse
-    matrices).  Forcing "certified" over any other field is invalid input.
+    The two quadratic axioms (associativity, Delta multiplicative) are
+    checked on the generators only, after verifying that the certificate
+    writes every basis vector as a product of two generators, exactly when
+    generators and certificate are both given, dim > _CERTIFIED_DIM, and
+    linalg.machine_prime admits the field (the certified kernels run on
+    int64 sparse matrices).  Otherwise every axiom quantifies over all basis
+    tuples.
     """
     rep = Report(title or f"hopf axioms: {H.name or 'unnamed'}")
     field = H.field
     dim = H.dim
 
-    certifiable = isinstance(field, PrimeField) and field.p < 2**31
-    if strategy == "certified" and not certifiable:
-        raise InvalidInputError(
-            f"certified verification needs a prime field below 2^31, not {field!r}"
-        )
-    use_cert = strategy == "certified" or (
-        strategy == "auto" and generators is not None and dim > _CERTIFIED_DIM and certifiable
-    )
-    if use_cert and (generators is None or certificate is None):
-        raise InvalidInputError("certified verification needs generators and certificate")
+    p = None
+    if generators is not None and certificate is not None and dim > _CERTIFIED_DIM:
+        p = machine_prime(field, dim)
 
     # multiplication axioms
-    if use_cert:
-        _certified_mult_checks(H, generators, certificate, rep)
+    if p is not None:
+        entries = [(i, j, k, c) for (i, j), row in H.alg.mul.items() for k, c in row]
+        # M maps e_i (x) e_j to e_i e_j; row u of Mu is L_{e_u} = M[:, u*dim:(u+1)*dim]
+        M = _csr((dim, dim * dim), ((k, i * dim + j, c) for i, j, k, c in entries))
+        Mu = _csr((dim, dim * dim), ((i, k * dim + j, c) for i, j, k, c in entries))
+        _certified_mult_checks(H, generators, certificate, M, Mu, p, rep)
     else:
         rep.items.extend(verify_algebra(H.alg).items)
 
@@ -496,15 +494,7 @@ def verify_hopf(
     bad = None
     for i in range(dim):
         e_i = basis_vec(field, dim, i)
-        lhs = [field.zero()] * dim
-        rhs = [field.zero()] * dim
-        for j, k, c in H.comul.get(i, ()):
-            lhs[k] = lhs[k] + c * H.counit[j]
-            rhs[j] = rhs[j] + c * H.counit[k]
-        if tuple(field.normalize(x) for x in lhs) != e_i:
-            bad = i
-            break
-        if tuple(field.normalize(x) for x in rhs) != e_i:
+        if not act_left(H, H.counit, e_i) == e_i == act_right(H, e_i, H.counit):
             bad = i
             break
     rep.add("counit law", bad is None, "" if bad is None else f"fails at basis {bad}")
@@ -514,8 +504,8 @@ def verify_hopf(
     rep.add("coproduct and counit of identity", unit_ok)
 
     # Delta is an algebra map
-    if use_cert:
-        _certified_delta_checks(H, generators, rep)
+    if p is not None:
+        _certified_delta_checks(H, generators, Mu, p, rep)
     else:
         bad = None
         delta_rows = {i: dict(((j, k), c) for j, k, c in H.comul.get(i, ())) for i in range(dim)}
@@ -576,9 +566,13 @@ def verify_hopf(
 
 
 # -- certified checks (generators + certificate) -------------------------------
+#
+# Sparse int64 identities mod p.  Every product goes through linalg.mulmod and
+# sums at most dim products (checked by the machine_prime gate); the only other
+# sums add at most dim residues, far below 2^63.
 
 
-def _certified_mult_checks(H, generators, certificate, rep) -> None:
+def _certified_mult_checks(H, generators, certificate, M, Mu, p, rep) -> None:
     field = H.field
     alg = H.alg
     dim = H.dim
@@ -607,21 +601,14 @@ def _certified_mult_checks(H, generators, certificate, rep) -> None:
         "" if bad is None else f"certificate fails at basis {bad}",
     )
 
-    # associativity on generators: L_g M = M (L_g x I) over the prime field
-    import numpy as np
+    # associativity on generators: L_g M = M (L_g x I)
     import scipy.sparse as sp
 
-    p = field.p
-    M = _mult_csr(alg)
-    eye = sp.identity(dim, dtype=np.int64, format="csr")
+    eye = sp.identity(dim, dtype=M.dtype, format="csr")
     bad = None
     for gi, g in enumerate(generators):
-        Lg = _left_mult_csr(alg, vec_to_row(field, g))
-        lhs = Lg @ M
-        lhs.data %= p
-        rhs = M @ sp.kron(Lg, eye, format="csr")
-        rhs.data %= p
-        if not _csr_equal_modp(lhs, rhs, p):
+        Lg = _left_mult(Mu, g, p)
+        if (mulmod(Lg, M, p) != mulmod(M, sp.kron(Lg, eye, format="csr"), p)).nnz:
             bad = gi
             break
     rep.add(
@@ -631,39 +618,30 @@ def _certified_mult_checks(H, generators, certificate, rep) -> None:
     )
 
 
-def _certified_delta_checks(H, generators, rep) -> None:
-    """Delta(g x) = Delta(g) Delta(x) for generators g and all basis x,
-    as the sparse integer matrix identity  Dmat L_g = LDelta(g) Dmat."""
-    import numpy as np
+def _certified_delta_checks(H, generators, Mu, p, rep) -> None:
+    """Delta(g x) = Delta(g) Delta(x) for generators g and all basis x, as
+    the sparse identity  Dmat L_g = sum_u (L_{e_u} x L_{w_u}) Dmat  where
+    Delta(g) = sum_u e_u (x) w_u."""
     import scipy.sparse as sp
 
     field = H.field
     dim = H.dim
-    p = field.p
-    alg = H.alg
-
-    Dmat = _comul_csr(H)
-    lbasis_cache: dict = {}
-
-    def lbasis(u: int):
-        if u not in lbasis_cache:
-            lbasis_cache[u] = _left_mult_csr(alg, ((u, field.one()),))
-        return lbasis_cache[u]
-
+    Dmat = _csr(
+        (dim * dim, dim),
+        ((j * dim + k, i, c) for i in range(dim) for j, k, c in H.comul.get(i, ())),
+    )
     bad = None
     for gi, g in enumerate(generators):
-        Lg = _left_mult_csr(alg, vec_to_row(field, g))
-        lhs = Dmat @ Lg
-        lhs.data %= p
-        rhs = None
+        halves: dict = {}
         for (u, v), c in H.delta_vec(g).items():
-            term = _kron_apply(lbasis(u), lbasis(v), Dmat, dim)
-            term = term * int(c)
-            rhs = term if rhs is None else rhs + term
-        if rhs is None:
-            rhs = sp.csr_matrix((dim * dim, dim), dtype=np.int64)
+            halves.setdefault(u, [field.zero()] * dim)[v] = c
+        rhs = sp.csr_matrix(Dmat.shape, dtype=Dmat.dtype)
+        for u, w in halves.items():
+            rhs = rhs + _kron_apply(
+                _left_mult(Mu, basis_vec(field, dim, u), p), _left_mult(Mu, w, p), Dmat, dim, p
+            )
         rhs.data %= p
-        if not _csr_equal_modp(lhs, rhs, p):
+        if (mulmod(Dmat, _left_mult(Mu, g, p), p) != rhs).nnz:
             bad = gi
             break
     rep.add(
@@ -673,60 +651,26 @@ def _certified_delta_checks(H, generators, rep) -> None:
     )
 
 
-def _mult_csr(alg: StructureAlgebra):
-    """Multiplication as a dim x dim^2 integer matrix, pair columns row-major."""
+def _csr(shape, triples):
+    """int64 CSR matrix with the given (row, col, residue) entries."""
     import numpy as np
     import scipy.sparse as sp
 
-    dim = alg.dim
-    rows, cols, data = [], [], []
-    for (i, j), row in alg.mul.items():
-        col = i * dim + j
-        for k, c in row:
-            rows.append(k)
-            cols.append(col)
-            data.append(int(c))
-    return sp.csr_matrix(
-        (np.array(data, dtype=np.int64), (rows, cols)), shape=(dim, dim * dim)
-    )
+    t = np.array([(r, c, int(v)) for r, c, v in triples], dtype=np.int64).reshape(-1, 3)
+    return sp.csr_matrix((t[:, 2], (t[:, 0], t[:, 1])), shape=shape)
 
 
-def _left_mult_csr(alg: StructureAlgebra, arow):
-    import numpy as np
-    import scipy.sparse as sp
-
-    dim = alg.dim
-    rows, cols, data = [], [], []
-    for j in range(dim):
-        for k, c in alg.multiply_rows(arow, ((j, alg.field.one()),)):
-            rows.append(k)
-            cols.append(j)
-            data.append(int(c))
-    return sp.csr_matrix(
-        (np.array(data, dtype=np.int64), (rows, cols)), shape=(dim, dim)
-    )
+def _left_mult(Mu, g, p):
+    """L_g = sum_u g_u L_{e_u}: the column blocks of M combined by g."""
+    dim = len(g)
+    row = _csr((1, dim), ((0, u, c) for u, c in enumerate(g) if c))
+    return mulmod(row, Mu, p).reshape((dim, dim)).tocsr()
 
 
-def _comul_csr(H: HopfAlgebra):
-    """Comultiplication as a dim^2 x dim integer matrix (rows are (j,k) pairs)."""
-    import numpy as np
-    import scipy.sparse as sp
-
-    dim = H.dim
-    rows, cols, data = [], [], []
-    for i in range(dim):
-        for j, k, c in H.comul.get(i, ()):
-            rows.append(j * dim + k)
-            cols.append(i)
-            data.append(int(c))
-    return sp.csr_matrix(
-        (np.array(data, dtype=np.int64), (rows, cols)), shape=(dim * dim, dim)
-    )
-
-
-def _kron_apply(A, B, T, n: int):
-    """(A x B) @ T for sparse n x n factors and sparse n^2 x m input, without
-    materializing the Kronecker product: reshape, multiply, reshape back."""
+def _kron_apply(A, B, T, n: int, p: int):
+    """(A x B) @ T mod p for sparse n x n factors and sparse n^2 x m input,
+    without materializing the Kronecker product: reshape, multiply, reshape
+    back."""
     import scipy.sparse as sp
 
     m = T.shape[1]
@@ -735,20 +679,13 @@ def _kron_apply(A, B, T, n: int):
     Y = sp.csr_matrix(
         (tc.data, (tc.row // n, (tc.row % n) * m + tc.col)), shape=(n, n * m)
     )
-    Z = (A @ Y).tocoo()
+    Z = mulmod(A, Y, p).tocoo()
     # Z[r1, (s2 i)] viewed as W[s2, (r1 i)]
     W = sp.csr_matrix(
         (Z.data, (Z.col // m, Z.row * m + Z.col % m)), shape=(n, n * m)
     )
-    V = (B @ W).tocoo()
+    V = mulmod(B, W, p).tocoo()
     # V[r2, (r1 i)] back to out[(r1 r2), i]
     return sp.csr_matrix(
         (V.data, ((V.col // m) * n + V.row, V.col % m)), shape=(n * n, m)
     )
-
-
-def _csr_equal_modp(A, B, p: int) -> bool:
-    D = (A - B).tocoo()
-    if D.nnz == 0:
-        return True
-    return bool(((D.data % p) == 0).all())

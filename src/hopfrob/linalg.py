@@ -5,9 +5,12 @@ row tuples with a field tag.  Elimination uses first-nonzero pivoting and
 produces reduced echelon forms, so kernels, solutions and inverses are
 canonical: the same input always yields byte-identical output.
 
-Over a prime field, large eliminations switch to an int64 numpy backend.
-All numpy arithmetic stays in machine integers reduced mod p, so results
-are exact and identical to the generic path (property-tested).
+Two arithmetic engines exist, and machine_prime chooses between them: over
+GF(p) with p < 2^31 large eliminations, iterated kernels and the certified
+sparse checks in hopfcore run on int64 numpy/scipy arrays, everything else
+on Python scalars.  Every int64 sum of
+products goes through mulmod, whose docstring bounds its intermediates, so
+results are exact and identical to the generic path (property-tested).
 """
 
 from __future__ import annotations
@@ -20,6 +23,68 @@ from .scalars import Field, PrimeField
 
 # beyond this many cells, prime-field elimination goes through numpy
 _NUMPY_CELLS = 4096
+# mulmod splits into 16-bit limbs; with p < 2^31 that sums up to 2^16 products
+_LIMB_BITS = 16
+
+
+def machine_prime(field: Field, terms: int = 1) -> Optional[int]:
+    """The engine gate: p when field is GF(p) with p < 2^31 and mulmod can
+    sum `terms` products exactly, None when the generic Python-scalar engine
+    must run instead.
+
+    Below 2^31 a residue, and a product of two residues ((p-1)^2 < 2^62),
+    fits int64; sums of products are exact through mulmod up to 2^16 terms.
+    """
+    if isinstance(field, PrimeField) and field.p < 2**31 and terms <= 2**_LIMB_BITS:
+        return field.p
+    return None
+
+
+def mulmod(A, B, p: int):
+    """A @ B mod p, exact, for int64 operands with entries in [0, p), both
+    dense numpy arrays or both scipy.sparse matrices (a sparse result comes
+    back with its zeros eliminated).
+
+    Bound: an entry of A @ B sums at most `terms` products, where terms is
+    the inner dimension for dense operands and, for sparse ones, the smaller
+    of the largest row count of A and the largest column count of B.  When
+    (p-1)^2 * terms < 2^63 the plain int64 product is exact and is reduced
+    once.  Otherwise B = B_hi * 2^16 + B_lo is split into 16-bit limbs, and
+    each partial sum stays below 2^31 * 2^16 * 2^16 = 2^63 for up to 2^16
+    terms when p < 2^31.  Beyond that it raises OverflowError rather than
+    wrap; machine_prime keeps its callers below it.
+    """
+    import numpy as np
+
+    dense = isinstance(A, np.ndarray)
+    if dense:
+        terms = A.shape[1]
+    else:
+        terms = int(min(A.getnnz(axis=1).max(initial=0), B.getnnz(axis=0).max(initial=0)))
+    if (p - 1) ** 2 * terms < 2**63:
+        return _reduce(A @ B, p)
+    if p >= 2**31 or terms > 2**_LIMB_BITS:
+        raise OverflowError(f"mulmod: {terms} products mod {p} exceed int64")
+    mask = (1 << _LIMB_BITS) - 1
+    if dense:
+        hi, lo = B >> _LIMB_BITS, B & mask
+    else:
+        hi, lo = B.copy(), B.copy()
+        hi.data >>= _LIMB_BITS
+        lo.data &= mask
+    return _reduce(_reduce(A @ hi, p) * (1 << _LIMB_BITS) + _reduce(A @ lo, p), p)
+
+
+def _reduce(C, p: int):
+    """C mod p for a dense array, or in place for a sparse result."""
+    import numpy as np
+
+    if isinstance(C, np.ndarray):
+        return C % p
+    C = C.tocsr()
+    C.data %= p
+    C.eliminate_zeros()
+    return C
 
 
 def zero_vec(field: Field, n: int) -> tuple:
@@ -326,8 +391,7 @@ def iterated_kernel_sparse(field: Field, dim: int, constraints) -> tuple[tuple, 
     dim^2-row system is never materialized; over a machine-word prime field
     the refinement runs on int64 numpy arrays.
     """
-    # gate keeps every int64 accumulation p^2 * dim well below 2^63
-    if isinstance(field, PrimeField) and field.p < 2**24 and dim < 2**14:
+    if machine_prime(field, dim) is not None:
         return _iterated_kernel_modp(field, dim, constraints)
     # columns of K span the current candidate subspace
     K = [basis_vec(field, dim, i) for i in range(dim)]
@@ -372,7 +436,7 @@ def _iterated_kernel_modp(field: PrimeField, dim: int, constraints) -> tuple[tup
         C = np.zeros((dim, dim), dtype=np.int64)
         for (r, c), val in sp.items():
             C[r, c] = (C[r, c] + int(val)) % p
-        CK = (C @ K) % p
+        CK = mulmod(C, K, p)
         rows, pivots = _rref_modp_numpy([list(map(int, r)) for r in CK], p)
         k = K.shape[1]
         free = [j for j in range(k) if j not in pivots]
@@ -383,7 +447,7 @@ def _iterated_kernel_modp(field: PrimeField, dim: int, constraints) -> tuple[tup
             N[f, idx] = 1
             for r, pc in enumerate(pivots):
                 N[pc, idx] = (-rows[r][f]) % p
-        K = (K @ N) % p
+        K = mulmod(K, N, p)
     vecs = [tuple(int(x) for x in K[:, j]) for j in range(K.shape[1])]
     return canonical_basis(field, vecs)
 
@@ -394,13 +458,10 @@ def _iterated_kernel_modp(field: PrimeField, dim: int, constraints) -> tuple[tup
 def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     if not rows or not rows[0]:
         return rows, []
-    # int64 stays exact: worst intermediate is (p-1)^2 < 2^62 when p < 2^31
-    if (
-        isinstance(field, PrimeField)
-        and field.p < 2**31
-        and len(rows) * len(rows[0]) >= _NUMPY_CELLS
-    ):
-        return _rref_modp_numpy(rows, field.p)
+    # int64 stays exact: a row update is one product, at most (p-1)^2 < 2^62
+    p = machine_prime(field)
+    if p is not None and len(rows) * len(rows[0]) >= _NUMPY_CELLS:
+        return _rref_modp_numpy(rows, p)
     return _rref_generic(field, rows)
 
 

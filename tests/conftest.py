@@ -3,7 +3,7 @@ reports) are built exactly once across test modules."""
 
 import functools
 
-from hopfrob.catalog import entry
+from hopfrob.catalog import entry, taft
 from hopfrob.double import double_generators, drinfeld_double
 from hopfrob.frobenius import build_integral_data, frobenius_system_from_norm
 from hopfrob.hopfcore import verify_hopf
@@ -28,6 +28,16 @@ def double_report_of(key: str):
     D = double_of(key)
     gens, cert = double_generators(H)
     return D, verify_hopf(D, generators=gens, certificate=cert)
+
+
+@functools.lru_cache(maxsize=None)
+def taft_over(n: int, p: int):
+    """taft(n, p, q) for the first q = g^((p-1)/n) of multiplicative order n."""
+    for g in range(2, p):
+        q = pow(g, (p - 1) // n, p)
+        if all(pow(q, d, p) != 1 for d in range(1, n)):
+            return taft(n, p, q)
+    raise ValueError(f"no element of order {n} mod {p}")
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from conftest import taft_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrob import GF, QQ, InvalidInputError
+from hopfrob import GF, QQ, InvalidInputError, hopfcore
+from hopfrob.algebra import StructureAlgebra
 from hopfrob.catalog import entry, group_algebra, cyclic_table
 from hopfrob.double import double_generators, drinfeld_double
 from hopfrob.hopfcore import (
@@ -329,18 +331,67 @@ def test_inverse_antipode_flipped_law():
 
 
 
-def test_certified_strategy_needs_a_prime_field_below_two_to_the_31():
+def test_certified_strategy_needs_a_prime_field_below_two_to_the_31(monkeypatch):
+    """Generators and certificate switch to the int64 certified kernels only
+    over GF(p) with p < 2^31; over QQ or a larger prime every axiom is
+    checked on the whole basis."""
+    monkeypatch.setattr(hopfcore, "_CERTIFIED_DIM", 0)
     H = entry("qc2").hopf  # over the rationals
     D = drinfeld_double(H)
     dgens, dcert = double_generators(H)
-    with pytest.raises(InvalidInputError, match="prime field below 2"):
-        verify_hopf(D, generators=dgens, certificate=dcert, strategy="certified")
     F = GF(2147483659)  # the least prime above 2^31
     big = group_algebra(cyclic_table(2), F)
     gens = (basis_vec(F, 2, 0), basis_vec(F, 2, 1))
     cert = ((0, 0), (0, 1))
-    with pytest.raises(InvalidInputError, match="prime field below 2"):
-        verify_hopf(big, generators=gens, certificate=cert, strategy="certified")
-    # "auto" runs the full check on both
-    assert verify_hopf(D, generators=dgens, certificate=dcert).passed
-    assert verify_hopf(big, generators=gens, certificate=cert).passed
+    small = entry("f7c3").hopf
+    sgens, scert = double_generators(small)
+    for K, g, c, certified in (
+        (D, dgens, dcert, False),
+        (big, gens, cert, False),
+        (drinfeld_double(small), sgens, scert, True),
+    ):
+        rep = verify_hopf(K, generators=g, certificate=c)
+        assert rep.passed, str(rep)
+        assert any("certified" in it.name for it in rep.items) == certified
+
+
+def _corrupted(D, kind):
+    """D with one structure constant moved off by one: the middle mul entry,
+    or the first comul term of basis vector 40."""
+    F = D.field
+    if kind == "mul":
+        mul = dict(D.alg.mul)
+        key = sorted(mul)[len(mul) // 2]
+        (k, c), *rest = mul[key]
+        mul[key] = ((k, F.normalize(c + 1)), *rest)
+        alg = StructureAlgebra.from_sparse(F, D.dim, mul, D.alg.unit, D.alg.basis_names)
+        return HopfAlgebra.from_sparse(alg, D.comul, D.counit, D.antipode)
+    comul = dict(D.comul)
+    (j, k, c), *rest = comul[40]
+    comul[40] = ((j, k, F.normalize(c + 1)), *rest)
+    return HopfAlgebra.from_sparse(D.alg, comul, D.counit, D.antipode)
+
+
+@pytest.mark.parametrize("kind", ["mul", "comul"])
+@pytest.mark.parametrize("p", [7, 2146560523])
+def test_certified_verdict_fails_closed_on_corrupted_doubles(p, kind):
+    """Full and certified checks both reject a corrupted D(taft(3, p, q)).  Each certified
+    item is a theorem about the input given the items before it: with the
+    certificate in place associativity on generators decides associativity,
+    and with associativity as well, Delta multiplicative on generators
+    decides it on the basis."""
+    H = entry("taft-3-7-2").hopf if p == 7 else taft_over(3, p)
+    gens, cert = double_generators(H)
+    D = _corrupted(drinfeld_double(H), kind)
+    full = {it.name: it.ok for it in verify_hopf(D).items}
+    certified = {it.name: it.ok for it in verify_hopf(D, generators=gens, certificate=cert).items}
+    assert not all(full.values())
+    assert not all(certified.values())
+    assert "comultiplication is multiplicative (generator certified)" in certified
+    assert certified["generation certificate"]  # no generator product is touched
+    assert certified["associativity (generator certified)"] == full["associativity"]
+    if full["associativity"]:
+        assert (
+            certified["comultiplication is multiplicative (generator certified)"]
+            == full["comultiplication is multiplicative"]
+        )

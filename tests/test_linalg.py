@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,8 @@ from hopfrob.linalg import (
     canonical_basis,
     dot,
     kronecker,
+    machine_prime,
+    mulmod,
     reduce_mod_span,
     span_contains,
     span_equal,
@@ -262,3 +266,59 @@ def test_numpy_modp_rref_matches_generic(rows):
     n_rows, n_piv = _rref_modp_numpy([list(r) for r in normalized], 13)
     assert g_rows == n_rows
     assert g_piv == n_piv
+
+
+# -- the int64 engine: gate and exact product ----------------------------------------
+
+MERSENNE_31 = 2**31 - 1
+
+
+def test_machine_prime_gates_on_field_and_term_count():
+    assert machine_prime(F7) == 7
+    assert machine_prime(GF(MERSENNE_31), 2**16) == MERSENNE_31
+    assert machine_prime(GF(2147483659)) is None  # the least prime above 2^31
+    assert machine_prime(QQ) is None
+    assert machine_prime(F7, 2**16 + 1) is None
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_mulmod_worst_case_row_times_column(sparse):
+    p = MERSENNE_31
+    n = 2**16
+    A = np.full((1, n), p - 1, dtype=np.int64)
+    B = np.full((n, 1), p - 1, dtype=np.int64)
+    if sparse:
+        A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+    C = mulmod(A, B, p)
+    got = int(C[0, 0])
+    assert got == (p - 1) ** 2 * n % p
+    with pytest.raises(OverflowError):
+        mulmod(np.ones((1, n + 1), dtype=np.int64), np.ones((n + 1, 1), dtype=np.int64), p)
+
+
+@given(
+    p=st.sampled_from([13, 65521, 2146560523, MERSENNE_31]),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 5)),
+    seed=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_mulmod_matches_python_integers(p, shape, seed, sparse):
+    rng = np.random.default_rng(seed)
+    m, k, n = shape
+
+    def draw(rows, cols):
+        # residues near p - 1 stress the bound; zeros exercise sparsity
+        vals = rng.choice([0, 1, p - 1, p - 2, int(rng.integers(0, p))], size=(rows, cols))
+        return vals.astype(np.int64)
+
+    A, B = draw(m, k), draw(k, n)
+    want = [
+        [sum(int(A[i, t]) * int(B[t, j]) for t in range(k)) % p for j in range(n)]
+        for i in range(m)
+    ]
+    if sparse:
+        got = mulmod(sp.csr_matrix(A), sp.csr_matrix(B), p).toarray()
+    else:
+        got = mulmod(A, B, p)
+    assert got.tolist() == want

@@ -1,5 +1,5 @@
 """Checks on the code base itself: the benchmark's trace targets still exist,
-and the package carries no unused imports."""
+the package carries no unused imports, and one gate picks the int64 engine."""
 
 import ast
 import importlib
@@ -75,3 +75,31 @@ def _unused_imports(path: Path) -> list:
 def test_package_has_no_unused_imports():
     unused = [msg for path in sorted(PACKAGE.glob("*.py")) for msg in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _prime_field_tests(path: Path) -> list:
+    """Qualified scope of each isinstance(..., PrimeField) call in a module."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and "PrimeField" in ast.unparse(node.args[1])
+        ):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_engine_is_chosen_in_one_place():
+    """linalg.machine_prime alone decides whether a field runs on the int64
+    engine; apart from PrimeField's own equality nothing else asks."""
+    found = sorted(s for path in PACKAGE.glob("*.py") for s in _prime_field_tests(path))
+    assert found == ["linalg.machine_prime", "scalars.PrimeField.__eq__"]
