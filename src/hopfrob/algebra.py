@@ -5,6 +5,12 @@ The multiplication tensor is stored sparsely: mul maps a basis-index pair
 zero coefficients omitted and missing keys meaning the zero product.  All
 scalars are stored normalized for the algebra's field, so structural
 equality of two algebras is plain equality of their tables.
+
+The quantified identities (associativity on every basis triple, "phi is an
+algebra map" on every basis pair) have two engines.  Above _SPARSE_DIM, over
+a field that linalg.machine_prime admits, they run as sparse int64
+identities mod p; below it, and over every other field, as Python loops.
+Both report the same first failing index.
 """
 
 from __future__ import annotations
@@ -13,11 +19,16 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FieldMismatchError, ShapeError
-from .linalg import Matrix, basis_vec
+from .linalg import Matrix, basis_vec, machine_prime, mulmod
 from .report import Report
 from .scalars import Field
 
 SparseRow = tuple  # tuple[(basis_index, scalar), ...] sorted by index
+
+# the pairwise Python loops get slow above this dimension
+_SPARSE_DIM = 40
+# entries per int64 array in one block of a sparse kernel, so memory stays flat
+_BLOCK = 1 << 14
 
 
 def _clean_row(field: Field, items: Iterable) -> SparseRow:
@@ -216,7 +227,23 @@ def verify_algebra(A: StructureAlgebra, title: str = "algebra axioms") -> Report
         "" if bad_unit is None else f"{bad_unit[0]} unit fails at basis {bad_unit[1]}",
     )
 
-    bad_triple = None
+    p = sparse_prime(field, dim)
+    if p is not None:
+        bad_triple = _associativity_failure(A, None, p)
+    else:
+        bad_triple = _associativity_failure_loops(A)
+    rep.add(
+        "associativity",
+        bad_triple is None,
+        "" if bad_triple is None else f"fails at triple {bad_triple}",
+    )
+    return rep
+
+
+def _associativity_failure_loops(A: StructureAlgebra) -> Optional[tuple]:
+    """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), or None."""
+    field = A.field
+    dim = A.dim
     rows = A.mul
     z = field.zero()
     for i in range(dim):
@@ -233,20 +260,8 @@ def verify_algebra(A: StructureAlgebra, title: str = "algebra axioms") -> Report
                         rhs[n] = rhs.get(n, z) + c * d
                 for n in set(lhs) | set(rhs):
                     if field.normalize(lhs.get(n, z)) != field.normalize(rhs.get(n, z)):
-                        bad_triple = (i, j, k)
-                        break
-                if bad_triple:
-                    break
-            if bad_triple:
-                break
-        if bad_triple:
-            break
-    rep.add(
-        "associativity",
-        bad_triple is None,
-        "" if bad_triple is None else f"fails at triple {bad_triple}",
-    )
-    return rep
+                        return (i, j, k)
+    return None
 
 
 def is_augmentation(A: StructureAlgebra, eps: Sequence) -> bool:
@@ -274,6 +289,9 @@ def multiplicative_failure(
     """First basis pair (i, j) with phi(e_i e_j) != phi(e_i) phi(e_j), or None
     when the linear map phi: src -> dst (columns are the images of the src
     basis vectors) is multiplicative."""
+    p = sparse_prime(dst.field, max(src.dim, dst.dim))
+    if p is not None:
+        return _multiplicative_failure_modp(src, dst, phi, p)
     field = dst.field
     z = field.zero()
     cols = [phi.col(j) for j in range(src.dim)]
@@ -285,6 +303,150 @@ def multiplicative_failure(
                     acc[r] = acc[r] + c * x
             if tuple(field.normalize(x) for x in acc) != dst.multiply(cols[i], cols[j]):
                 return (i, j)
+    return None
+
+
+# -- sparse int64 kernels mod p ------------------------------------------------
+
+
+def sparse_prime(field: Field, dim: int) -> Optional[int]:
+    """p when the quantified identities of a dim-dimensional algebra run on
+    the sparse int64 kernels, None when the Python loops run."""
+    return machine_prime(field, dim) if dim > _SPARSE_DIM else None
+
+
+def structure_arrays(A: StructureAlgebra) -> tuple:
+    """The mul table as int64 arrays (i, j, k, c): e_i e_j has c at e_k."""
+    import numpy as np
+
+    flat = (x for (i, j), row in A.mul.items() for k, c in row for x in (i, j, k, c))
+    return tuple(np.fromiter(flat, dtype=np.int64).reshape(-1, 4).T)
+
+
+def residue_rows(rows: Optional[Sequence], width: int, p: int):
+    """The vectors of rows (each of length width), reduced mod p, as the rows
+    of an int64 CSR matrix; rows None stands for the basis vectors."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    if rows is None:
+        return sp.identity(width, dtype=np.int64, format="csr")
+    return sp.csr_matrix(np.array(rows, dtype=np.int64).reshape(len(rows), width) % p)
+
+
+def first_difference(lhs, rhs) -> Optional[int]:
+    """Smallest column where two reduced sparse matrices differ, or None."""
+    cols = (lhs != rhs).nonzero()[1]
+    return int(cols.min()) if len(cols) else None
+
+
+def _associativity_failure(
+    A: StructureAlgebra, rows: Optional[Sequence], p: int
+) -> Optional[tuple]:
+    """First (r, j, k) with g_r (e_j e_k) != (g_r e_j) e_k for the elements
+    g_r of rows (None: the basis), or None: the sparse identity L_g M = M (L_g x I) mod p, with
+    M: e_j (x) e_k -> e_j e_k, for a block of rows at a time.  Both sides
+    are laid out as row n, column (r, j, k); the right side contracts the
+    left factor of M with every L_g of the block at once, without forming
+    L_g x I.
+
+    Bound: the three products go through linalg.mulmod and sum at most dim
+    products per entry, which machine_prime(field, dim) admits; L_g is
+    reduced mod p before it enters them.
+    """
+    import numpy as np
+    import scipy.sparse as sp
+
+    dim = A.dim
+    sq = dim * dim
+    i, j, k, c = structure_arrays(A)
+    M = sp.csr_matrix((c, (k, i * dim + j)), shape=(dim, sq))
+    # row u of Mu is L_{e_u}, entry (n, m) at n*dim + m
+    Mu = sp.csr_matrix((c, (i, k * dim + j)), shape=(dim, sq))
+    L = mulmod(residue_rows(rows, dim, p), Mu, p)
+    # a row spans dim rows of the stacked L_g, and its entries times dim entries
+    for r0, r1 in blocks((np.diff(L.indptr) + 1) * dim):
+        shape = (dim, (r1 - r0) * sq)
+        # g_r (e_j e_k): the L_g stacked, rows (r n), times M; to row n, column (r j k)
+        lhs = mulmod(L[r0:r1].reshape(((r1 - r0) * dim, dim)).tocsr(), M, p).tocoo()
+        lhs = sp.csr_matrix(
+            (lhs.data, (lhs.row % dim, (lhs.row // dim) * sq + lhs.col)), shape=shape
+        )
+        # (g_r e_j) e_k: the L_g side by side, transposed to rows (r j), times
+        # the left multiplications Mu; to row n, column (r j k)
+        rhs = mulmod(side_by_side(L[r0:r1], dim).T.tocsr(), Mu, p).tocoo()
+        rhs = sp.csr_matrix(
+            (rhs.data, (rhs.col // dim, rhs.row * dim + rhs.col % dim)), shape=shape
+        )
+        col = first_difference(lhs, rhs)
+        if col is not None:
+            return (r0 + col // sq, *divmod(col % sq, dim))
+    return None
+
+
+def side_by_side(L, dim: int):
+    """The matrices L_{g_r} given as the rows of L (entry (n, j) at
+    n*dim + j), side by side: row n, column r*dim + j holds (g_r e_j)_n."""
+    import scipy.sparse as sp
+
+    L = L.tocoo()
+    return sp.csr_matrix(
+        (L.data, (L.col // dim, L.row * dim + L.col % dim)), shape=(dim, L.shape[0] * dim)
+    )
+
+
+def blocks(sizes):
+    """Consecutive ranges [a, b) of the items, each holding at most _BLOCK
+    in total size, or a single item."""
+    a, total = 0, 0
+    for b, size in enumerate(sizes):
+        if b > a and total + size > _BLOCK:
+            yield a, b
+            a, total = b, 0
+        total += size
+    if a < len(sizes):
+        yield a, len(sizes)
+
+
+def _multiplicative_failure_modp(
+    src: StructureAlgebra, dst: StructureAlgebra, phi: Matrix, p: int
+) -> Optional[tuple]:
+    """multiplicative_failure as the sparse identity phi M_src = M_dst (phi x phi)
+    mod p, without forming phi x phi: the right side contracts the left
+    factor of the dst product with phi, reshapes, and contracts the right
+    factor, for a block of src columns i at a time, sized so that every
+    intermediate holds at most _BLOCK entries unless one column needs more.
+
+    Bound: all three products go through linalg.mulmod and sum at most
+    max(dim src, dim dst) products per entry, which machine_prime admits;
+    each intermediate is reduced mod p before the next product.
+    """
+    import scipy.sparse as sp
+
+    ds, dd = src.dim, dst.dim
+    P = residue_rows(phi.rows, ds, p)
+    i, j, k, c = structure_arrays(src)
+    Msrc = sp.csr_matrix((c, (k, i * ds + j)), shape=(ds, ds * ds))
+    # row k, column n*dd + l: coefficient of e_n in e_k e_l
+    k, l, n, c = structure_arrays(dst)
+    left = sp.csr_matrix((c, (k, n * dd + l)), shape=(dd, dd * dd))
+    width = max(1, _BLOCK // (dd * max(dd, ds)))
+    for i0 in range(0, ds, width):
+        nb = min(width, ds - i0)
+        # T[i, (n l)] = sum_k phi[k, i] c(k, l; n), regrouped as rows (n i), columns l
+        T = mulmod(P[:, i0 : i0 + nb].T.tocsr(), left, p).tocoo()
+        T = sp.csr_matrix(
+            (T.data, ((T.col // dd) * nb + T.row, T.col % dd)), shape=(dd * nb, dd)
+        )
+        # R[(n i), j] = (phi(e_i) phi(e_j))_n, regrouped as row n, column (i j)
+        R = mulmod(T, P, p).tocoo()
+        rhs = sp.csr_matrix(
+            (R.data, (R.row // nb, (R.row % nb) * ds + R.col)), shape=(dd, nb * ds)
+        )
+        lhs = mulmod(P, Msrc[:, i0 * ds : (i0 + nb) * ds], p)
+        col = first_difference(lhs, rhs)
+        if col is not None:
+            return divmod(i0 * ds + col, ds)
     return None
 
 

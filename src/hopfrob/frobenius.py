@@ -439,16 +439,15 @@ def dual_frobenius_check(H: HopfAlgebra, data: IntegralData) -> Report:
     one_vec = act_left(H, data.psi, data.norm)
     rep.add("psi ⇀ N = 1", one_vec == H.unit)
 
+    # (e^a * e^k)(N) is the (a, k) coefficient of Delta(N)
     cols = []
     dpsi = sorted(K.delta_vec(data.psi).items())
+    dnorm = H.delta_vec(data.norm)
     for a in range(H.dim):
-        f = basis_vec(field, H.dim, a)
         out = [field.zero()] * H.dim
         for (j, k), c in dpsi:
-            val = eval_cov(
-                field, convolution(H, f, basis_vec(field, H.dim, k)), data.norm
-            )
-            if val != field.zero():
+            val = dnorm.get((a, k))
+            if val is not None:
                 out[j] = out[j] + c * val
         cols.append(tuple(field.normalize(v) for v in out))
     dual_s = Matrix.from_columns(field, cols)

@@ -6,15 +6,17 @@ H (x) H appear as dicts {(j, k): c}.  Covectors (elements of H*) are plain
 coordinate tuples against the dual basis e^i, e^i(e_j) = delta_ij.
 
 verify_hopf quantifies every axiom over the whole basis.  For large doubles
-that is too expensive, so it also accepts a generating set together with a
-certificate expressing each basis vector as a product of two generators.
-Checking associativity and multiplicativity of Delta on the generators alone
-then suffices: both properties propagate through products, and the
-certificate pins every basis vector as such a product.  The quantified
-checks on generators run as sparse int64 matrix identities mod p, so they
-run exactly when linalg.machine_prime admits the field; every product goes
-through linalg.mulmod, which keeps it exact.  Over any other field every
-axiom is checked on the whole basis.
+it also accepts a generating set together with a certificate expressing
+each basis vector as a product of two generators.  Checking associativity
+and multiplicativity of Delta on the generators alone then suffices: both
+properties propagate through products (Delta's through associative ones),
+and the certificate pins every basis vector as such a product.  Above
+algebra._SPARSE_DIM, over a field that linalg.machine_prime admits, both
+quadratic axioms run as sparse int64 identities mod p, on the generators or
+on the whole basis, like the "is an algebra map" check of
+algebra.multiplicative_failure; every product goes through linalg.mulmod,
+which keeps it exact.  Otherwise they run as Python loops over the whole
+basis.
 """
 
 from __future__ import annotations
@@ -24,19 +26,22 @@ from typing import Optional, Sequence
 
 from .algebra import (
     StructureAlgebra,
+    _associativity_failure,
+    blocks,
+    first_difference,
     is_augmentation,
     multiplicative_failure,
+    residue_rows,
+    side_by_side,
+    sparse_prime,
+    structure_arrays,
     vec_to_row,
     verify_algebra,
 )
 from .errors import InvalidInputError, ShapeError, SingularError
-from .linalg import Matrix, basis_vec, iterated_kernel_sparse, machine_prime, mulmod
+from .linalg import Matrix, basis_vec, iterated_kernel_sparse, mulmod
 from .report import Report
 from .scalars import Field
-
-# full pairwise axiom checks above this dimension get slow in pure python
-_CERTIFIED_DIM = 40
-
 
 @dataclass(eq=False)
 class HopfAlgebra:
@@ -444,29 +449,24 @@ def verify_hopf(
 ) -> Report:
     """Exact check of every Hopf axiom.
 
-    The two quadratic axioms (associativity, Delta multiplicative) are
-    checked on the generators only, after verifying that the certificate
-    writes every basis vector as a product of two generators, exactly when
-    generators and certificate are both given, dim > _CERTIFIED_DIM, and
-    linalg.machine_prime admits the field (the certified kernels run on
-    int64 sparse matrices).  Otherwise every axiom quantifies over all basis
-    tuples.
+    Over a field that algebra.sparse_prime admits at this dimension, the two
+    quadratic axioms (associativity, Delta multiplicative) run as sparse
+    int64 identities mod p, quantified over rows: the generators, after
+    checking that the certificate writes every basis vector as a product of
+    two generators, when generators and certificate are both given, and the
+    whole basis otherwise.  Over any other field or below the dimension
+    threshold they run as Python loops over all basis tuples.
     """
     rep = Report(title or f"hopf axioms: {H.name or 'unnamed'}")
     field = H.field
     dim = H.dim
 
-    p = None
-    if generators is not None and certificate is not None and dim > _CERTIFIED_DIM:
-        p = machine_prime(field, dim)
+    p = sparse_prime(field, dim)
+    certified = p is not None and generators is not None and certificate is not None
 
     # multiplication axioms
-    if p is not None:
-        entries = [(i, j, k, c) for (i, j), row in H.alg.mul.items() for k, c in row]
-        # M maps e_i (x) e_j to e_i e_j; row u of Mu is L_{e_u} = M[:, u*dim:(u+1)*dim]
-        M = _csr((dim, dim * dim), ((k, i * dim + j, c) for i, j, k, c in entries))
-        Mu = _csr((dim, dim * dim), ((i, k * dim + j, c) for i, j, k, c in entries))
-        _certified_mult_checks(H, generators, certificate, M, Mu, p, rep)
+    if certified:
+        assoc_ok = _certified_mult_checks(H, generators, certificate, p, rep)
     else:
         rep.items.extend(verify_algebra(H.alg).items)
 
@@ -503,26 +503,20 @@ def verify_hopf(
     unit_ok = is_grouplike(H, H.unit)
     rep.add("coproduct and counit of identity", unit_ok)
 
-    # Delta is an algebra map
-    if p is not None:
-        _certified_delta_checks(H, generators, Mu, p, rep)
+    # Delta is an algebra map: Delta(g e_j) = Delta(g) Delta(e_j) for every row g
+    if certified:
+        name = "comultiplication is multiplicative (generator certified)"
+        if not assoc_ok:
+            # the reduction to generators assumes associativity
+            rep.add(name, False, "not decided: associativity (generator certified) failed")
+        else:
+            bad = _delta_failure(H, generators, p)
+            rep.add(name, bad is None, "" if bad is None else f"fails for generator {bad[0]}")
     else:
-        bad = None
-        delta_rows = {i: dict(((j, k), c) for j, k, c in H.comul.get(i, ())) for i in range(dim)}
-        for i in range(dim):
-            for j in range(dim):
-                z = field.zero()
-                acc: dict = {}
-                for m, c in H.alg.mul.get((i, j), ()):
-                    for key, d in delta_rows[m].items():
-                        acc[key] = acc.get(key, z) + c * d
-                lhs = _clean_tensor(field, acc)
-                rhs = tensor_mult(H, delta_rows[i], delta_rows[j])
-                if lhs != rhs:
-                    bad = (i, j)
-                    break
-            if bad:
-                break
+        if p is not None:
+            bad = _delta_failure(H, None, p)
+        else:
+            bad = _delta_failure_loops(H)
         rep.add(
             "comultiplication is multiplicative",
             bad is None,
@@ -565,14 +559,9 @@ def verify_hopf(
     return rep
 
 
-# -- certified checks (generators + certificate) -------------------------------
-#
-# Sparse int64 identities mod p.  Every product goes through linalg.mulmod and
-# sums at most dim products (checked by the machine_prime gate); the only other
-# sums add at most dim residues, far below 2^63.
-
-
-def _certified_mult_checks(H, generators, certificate, M, Mu, p, rep) -> None:
+def _certified_mult_checks(H, generators, certificate, p, rep) -> bool:
+    """Unit law, the generation certificate and associativity on the
+    generators; returns whether associativity holds."""
     field = H.field
     alg = H.alg
     dim = H.dim
@@ -595,97 +584,130 @@ def _certified_mult_checks(H, generators, certificate, M, Mu, p, rep) -> None:
         if prod != ((i, one),):
             bad = i
             break
+    else:
+        if len(certificate) < dim:
+            bad = len(certificate)  # the first basis vector it leaves out
     rep.add(
         "generation certificate",
         bad is None,
         "" if bad is None else f"certificate fails at basis {bad}",
     )
 
-    # associativity on generators: L_g M = M (L_g x I)
-    import scipy.sparse as sp
-
-    eye = sp.identity(dim, dtype=M.dtype, format="csr")
-    bad = None
-    for gi, g in enumerate(generators):
-        Lg = _left_mult(Mu, g, p)
-        if (mulmod(Lg, M, p) != mulmod(M, sp.kron(Lg, eye, format="csr"), p)).nnz:
-            bad = gi
-            break
-    rep.add(
+    bad = _associativity_failure(alg, generators, p)
+    return rep.add(
         "associativity (generator certified)",
         bad is None,
-        "" if bad is None else f"fails for generator {bad}",
+        "" if bad is None else f"fails for generator {bad[0]}",
     )
 
 
-def _certified_delta_checks(H, generators, Mu, p, rep) -> None:
-    """Delta(g x) = Delta(g) Delta(x) for generators g and all basis x, as
-    the sparse identity  Dmat L_g = sum_u (L_{e_u} x L_{w_u}) Dmat  where
-    Delta(g) = sum_u e_u (x) w_u."""
-    import scipy.sparse as sp
-
+def _delta_failure_loops(H: HopfAlgebra) -> Optional[tuple]:
+    """First basis pair (i, j) with Delta(e_i e_j) != Delta(e_i) Delta(e_j), or None."""
     field = H.field
-    dim = H.dim
-    Dmat = _csr(
-        (dim * dim, dim),
-        ((j * dim + k, i, c) for i in range(dim) for j, k, c in H.comul.get(i, ())),
-    )
-    bad = None
-    for gi, g in enumerate(generators):
-        halves: dict = {}
-        for (u, v), c in H.delta_vec(g).items():
-            halves.setdefault(u, [field.zero()] * dim)[v] = c
-        rhs = sp.csr_matrix(Dmat.shape, dtype=Dmat.dtype)
-        for u, w in halves.items():
-            rhs = rhs + _kron_apply(
-                _left_mult(Mu, basis_vec(field, dim, u), p), _left_mult(Mu, w, p), Dmat, dim, p
-            )
-        rhs.data %= p
-        if (mulmod(Dmat, _left_mult(Mu, g, p), p) != rhs).nnz:
-            bad = gi
-            break
-    rep.add(
-        "comultiplication is multiplicative (generator certified)",
-        bad is None,
-        "" if bad is None else f"fails for generator {bad}",
-    )
+    z = field.zero()
+    delta_rows = {i: dict(((j, k), c) for j, k, c in H.comul.get(i, ())) for i in range(H.dim)}
+    for i in range(H.dim):
+        for j in range(H.dim):
+            acc: dict = {}
+            for m, c in H.alg.mul.get((i, j), ()):
+                for key, d in delta_rows[m].items():
+                    acc[key] = acc.get(key, z) + c * d
+            if _clean_tensor(field, acc) != tensor_mult(H, delta_rows[i], delta_rows[j]):
+                return (i, j)
+    return None
 
 
-def _csr(shape, triples):
-    """int64 CSR matrix with the given (row, col, residue) entries."""
+def _delta_failure(H: HopfAlgebra, rows: Optional[Sequence], p: int) -> Optional[tuple]:
+    """First (r, j) with Delta(g_r e_j) != Delta(g_r) Delta(e_j) for the
+    elements g_r of rows (None: the basis), or None, mod p in bounded blocks
+    of rows.
+
+    Row r*dim + j of the left side is Delta(g_r e_j), with column a*dim + b
+    for e_a (x) e_b.  The right side sums c d (e_u e_s) (x) (e_v e_t) over
+    the terms c e_u (x) e_v of Delta(g_r) and d e_s (x) e_t of Delta(e_j):
+    one sparse product gives Y_u = (L_{e_u} x id) Delta(e_j) for the u in a
+    chunk of terms, numpy pairs each entry of Y_u with the terms of e_v e_t,
+    and a CSR matrix sums the duplicates.
+
+    Bound: the sparse products go through linalg.mulmod and sum at most dim
+    products per entry, which machine_prime(field, dim) admits; every other
+    product is of two residues (below 2^62) and is reduced at once.  A cell
+    of one chunk's CSR sum adds at most dim residues per term of Delta(g_r),
+    from at most _BLOCK = 2^14 terms, so it stays below 2^31 * 2^14 * 2^16 =
+    2^61; chunks are reduced mod p before they are added.
+    """
     import numpy as np
     import scipy.sparse as sp
 
-    t = np.array([(r, c, int(v)) for r, c, v in triples], dtype=np.int64).reshape(-1, 3)
-    return sp.csr_matrix((t[:, 2], (t[:, 0], t[:, 1])), shape=shape)
-
-
-def _left_mult(Mu, g, p):
-    """L_g = sum_u g_u L_{e_u}: the column blocks of M combined by g."""
-    dim = len(g)
-    row = _csr((1, dim), ((0, u, c) for u, c in enumerate(g) if c))
-    return mulmod(row, Mu, p).reshape((dim, dim)).tocsr()
-
-
-def _kron_apply(A, B, T, n: int, p: int):
-    """(A x B) @ T mod p for sparse n x n factors and sparse n^2 x m input,
-    without materializing the Kronecker product: reshape, multiply, reshape
-    back."""
-    import scipy.sparse as sp
-
-    m = T.shape[1]
-    tc = T.tocoo()
-    # T[(s1 s2), i] viewed as Y[s1, (s2 i)]
-    Y = sp.csr_matrix(
-        (tc.data, (tc.row // n, (tc.row % n) * m + tc.col)), shape=(n, n * m)
+    dim = H.dim
+    sq = dim * dim
+    i, j, k, c = structure_arrays(H.alg)
+    # the mul entries sorted by their pair i*dim + j, and where each pair starts
+    order = np.argsort(i * dim + j, kind="stable")
+    pair_k, pair_c = k[order], c[order]
+    pairs, pair_start, pair_count = np.unique(
+        (i * dim + j)[order], return_index=True, return_counts=True
     )
-    Z = mulmod(A, Y, p).tocoo()
-    # Z[r1, (s2 i)] viewed as W[s2, (r1 i)]
-    W = sp.csr_matrix(
-        (Z.data, (Z.col // m, Z.row * m + Z.col % m)), shape=(n, n * m)
-    )
-    V = mulmod(B, W, p).tocoo()
-    # V[r2, (r1 i)] back to out[(r1 r2), i]
-    return sp.csr_matrix(
-        (V.data, ((V.col // m) * n + V.row, V.col % m)), shape=(n * n, m)
-    )
+    # row u of Mu is L_{e_u}, entry (a, s) at a*dim + s
+    Mu = sp.csr_matrix((c, (i, k * dim + j)), shape=(dim, sq))
+    flat = (x for m, terms in H.comul.items() for u, v, d in terms for x in (m, u, v, d))
+    m, u, v, d = np.fromiter(flat, dtype=np.int64).reshape(-1, 4).T
+    # row m: Delta(e_m), column u*dim + v
+    delta = sp.csr_matrix((d, (m, u * dim + v)), shape=(dim, sq))
+    # row s, column t*dim + j: coefficient of e_s (x) e_t in Delta(e_j)
+    X = sp.csr_matrix((d, (u, v * dim + m)), shape=(dim, sq))
+
+    G = residue_rows(rows, dim, p)
+    terms = mulmod(G, delta, p)  # row r: Delta(g_r), column u*dim + v
+    t_row = np.repeat(np.arange(terms.shape[0]), np.diff(terms.indptr))
+    t_u, t_v = np.divmod(terms.indices.astype(np.int64), dim)
+    # entries of Y_u, at most: sum over the entries (u, a, s) of L_{e_u} of |row s of X|
+    y_bound = np.bincount(i, weights=X.getnnz(axis=1)[j], minlength=dim)[t_u]
+    # a row spans dim rows of either side
+    row_bound = np.bincount(t_row, weights=y_bound, minlength=terms.shape[0]) + dim
+    for r0, r1 in blocks(row_bound):
+        # the products g_r e_j as rows (r j), mapped by Delta
+        lhs = mulmod(side_by_side(mulmod(G[r0:r1], Mu, p), dim).T.tocsr(), delta, p)
+        rhs = sp.csr_matrix(lhs.shape, dtype=np.int64)
+        t0 = terms.indptr[r0]
+        for a0, a1 in blocks(y_bound[t0 : terms.indptr[r1]]):
+            sel = slice(t0 + a0, t0 + a1)
+            us, u_at = np.unique(t_u[sel], return_inverse=True)
+            # row x*dim + a of Y: row a of L_{e_u} for u = us[x], times X
+            Y = mulmod(Mu[us].reshape((len(us) * dim, dim)).tocsr(), X, p)
+            ptr = Y.indptr[::dim].astype(np.int64)
+            src, pos = _gather(ptr[u_at], ptr[u_at + 1])
+            Y = Y.tocoo()
+            t, jj = np.divmod(Y.col[pos].astype(np.int64), dim)
+            # row (r j) and first leg a of the output, coefficient, pair (v, t)
+            out = ((t_row[sel][src] - r0) * dim + jj) * dim + Y.row[pos] % dim
+            coef = terms.data[sel][src] * Y.data[pos] % p
+            key = t_v[sel][src] * dim + t
+            del src, pos, t, jj, Y  # only these three go on: memory stays flat
+            # each times the entries of e_v e_t
+            q = np.searchsorted(pairs, key).clip(max=len(pairs) - 1)
+            count = np.where(pairs[q] == key, pair_count[q], 0)
+            src, pos = _gather(pair_start[q], pair_start[q] + count)
+            out = out[src]
+            chunk = sp.csr_matrix(
+                (coef[src] * pair_c[pos] % p, (out // dim, out % dim * dim + pair_k[pos])),
+                shape=lhs.shape,
+            )
+            rhs = rhs + chunk
+            rhs.data %= p
+        rhs.eliminate_zeros()
+        first = first_difference(lhs.T, rhs.T)
+        if first is not None:
+            return divmod(r0 * dim + first, dim)
+    return None
+
+
+def _gather(start, stop):
+    """Every position start[x] .. stop[x] - 1, flattened, with the x that
+    each one came from: (source, position)."""
+    import numpy as np
+
+    count = stop - start
+    src = np.repeat(np.arange(len(start)), count)
+    pos = np.arange(len(src)) + np.repeat(start - (np.cumsum(count) - count), count)
+    return src, pos

@@ -6,9 +6,9 @@ produces reduced echelon forms, so kernels, solutions and inverses are
 canonical: the same input always yields byte-identical output.
 
 Two arithmetic engines exist, and machine_prime chooses between them: over
-GF(p) with p < 2^31 large eliminations, iterated kernels and the certified
-sparse checks in hopfcore run on int64 numpy/scipy arrays, everything else
-on Python scalars.  Every int64 sum of
+GF(p) with p < 2^31 large eliminations, iterated kernels and the sparse
+identity checks in algebra and hopfcore run on int64 numpy/scipy arrays,
+everything else on Python scalars.  Every int64 sum of
 products goes through mulmod, whose docstring bounds its intermediates, so
 results are exact and identical to the generic path (property-tested).
 """

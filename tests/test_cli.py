@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: exit codes, file formats, round trips,
 and the pipelines behind each subcommand."""
 
-import pytest
+import sys
 
-from hopfrob import frobenius, subext
+import pytest
+from conftest import double_of
+
+from hopfrob import frobenius, hopfcore, subext
 from hopfrob.catalog import entry, names
 from hopfrob.cli import main
 from hopfrob.errors import InvalidInputError
@@ -334,6 +337,8 @@ def test_machine_report_on_failure_lists_fail_lines(tmp_path, capsys):
 
 
 def _count_calls(monkeypatch, module, name) -> list:
+    """Count the calls of module.name, through every hopfrob module that
+    imports it."""
     calls = []
     orig = getattr(module, name)
 
@@ -341,7 +346,9 @@ def _count_calls(monkeypatch, module, name) -> list:
         calls.append(name)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, counted)
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("hopfrob") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
     return calls
 
 
@@ -375,3 +382,30 @@ def test_subcheck_builds_the_extension_data_once(tmp_path, monkeypatch):
     built = _count_calls(monkeypatch, subext, "twisted_bimodule_maps")
     assert main(["subcheck", str(h4), str(qc2), "--iota", str(iota)]) == 0
     assert len(built) == 1
+
+
+# -- the quantified identities of D(taft-3-7-2) run on the sparse kernels ------
+
+
+def _d81(tmp_path):
+    path = tmp_path / "d81.hopf"
+    path.write_text(emit_hopf_text(double_of("taft-3-7-2")))
+    return path
+
+
+def test_verify_d81_runs_no_tensor_loop(tmp_path, monkeypatch):
+    """Delta multiplicative is one sparse identity mod p, not a tensor_mult
+    per basis pair (6,561 calls on the Python loops)."""
+    path = _d81(tmp_path)
+    calls = _count_calls(monkeypatch, hopfcore, "tensor_mult")
+    assert main(["verify", str(path)]) == 0
+    assert calls == []
+
+
+def test_frobenius_d81_convolutions_stay_linear(tmp_path, monkeypatch):
+    """The dual antipode reads Delta(N) instead of one convolution per
+    matrix entry and coproduct term (14,742 calls before)."""
+    path = _d81(tmp_path)
+    calls = _count_calls(monkeypatch, hopfcore, "convolution")
+    assert main(["frobenius", str(path)]) == 0
+    assert len(calls) <= 2 * 81

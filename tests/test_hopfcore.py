@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ from conftest import taft_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrob import GF, QQ, InvalidInputError, hopfcore
-from hopfrob.algebra import StructureAlgebra
+from hopfrob import GF, QQ, InvalidInputError, algebra
+from hopfrob.algebra import StructureAlgebra, multiplicative_failure
 from hopfrob.catalog import entry, group_algebra, cyclic_table
 from hopfrob.double import double_generators, drinfeld_double
 from hopfrob.hopfcore import (
@@ -335,7 +336,7 @@ def test_certified_strategy_needs_a_prime_field_below_two_to_the_31(monkeypatch)
     """Generators and certificate switch to the int64 certified kernels only
     over GF(p) with p < 2^31; over QQ or a larger prime every axiom is
     checked on the whole basis."""
-    monkeypatch.setattr(hopfcore, "_CERTIFIED_DIM", 0)
+    monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
     H = entry("qc2").hopf  # over the rationals
     D = drinfeld_double(H)
     dgens, dcert = double_generators(H)
@@ -357,7 +358,8 @@ def test_certified_strategy_needs_a_prime_field_below_two_to_the_31(monkeypatch)
 
 def _corrupted(D, kind):
     """D with one structure constant moved off by one: the middle mul entry,
-    or the first comul term of basis vector 40."""
+    the first comul term of basis vector 40, or the middle entry of the
+    antipode matrix; or ("unit") D with its unit doubled."""
     F = D.field
     if kind == "mul":
         mul = dict(D.alg.mul)
@@ -366,10 +368,26 @@ def _corrupted(D, kind):
         mul[key] = ((k, F.normalize(c + 1)), *rest)
         alg = StructureAlgebra.from_sparse(F, D.dim, mul, D.alg.unit, D.alg.basis_names)
         return HopfAlgebra.from_sparse(alg, D.comul, D.counit, D.antipode)
+    if kind == "unit":
+        unit = tuple(F.normalize(2 * u) for u in D.alg.unit)
+        alg = StructureAlgebra.from_sparse(F, D.dim, D.alg.mul, unit, D.alg.basis_names)
+        return HopfAlgebra.from_sparse(alg, D.comul, D.counit, D.antipode)
+    if kind == "antipode":
+        rows = [list(r) for r in D.antipode.rows]
+        mid = D.dim // 2
+        rows[mid][mid] = F.normalize(rows[mid][mid] + 1)
+        return HopfAlgebra.from_sparse(D.alg, D.comul, D.counit, Matrix.from_rows(F, rows))
     comul = dict(D.comul)
     (j, k, c), *rest = comul[40]
     comul[40] = ((j, k, F.normalize(c + 1)), *rest)
     return HopfAlgebra.from_sparse(D.alg, comul, D.counit, D.antipode)
+
+
+@functools.lru_cache(maxsize=None)
+def _double_over(p):
+    """D(taft(3, p, q)): D(taft-3-7-2) at p = 7, a prime near 2^31 otherwise."""
+    H = entry("taft-3-7-2").hopf if p == 7 else taft_over(3, p)
+    return H, drinfeld_double(H)
 
 
 @pytest.mark.parametrize("kind", ["mul", "comul"])
@@ -379,19 +397,114 @@ def test_certified_verdict_fails_closed_on_corrupted_doubles(p, kind):
     item is a theorem about the input given the items before it: with the
     certificate in place associativity on generators decides associativity,
     and with associativity as well, Delta multiplicative on generators
-    decides it on the basis."""
-    H = entry("taft-3-7-2").hopf if p == 7 else taft_over(3, p)
+    decides it on the basis; without associativity the Delta item is FAIL,
+    not decided."""
+    H, D = _double_over(p)
     gens, cert = double_generators(H)
-    D = _corrupted(drinfeld_double(H), kind)
+    D = _corrupted(D, kind)
     full = {it.name: it.ok for it in verify_hopf(D).items}
-    certified = {it.name: it.ok for it in verify_hopf(D, generators=gens, certificate=cert).items}
+    certified = {
+        it.name: (it.ok, it.detail)
+        for it in verify_hopf(D, generators=gens, certificate=cert).items
+    }
     assert not all(full.values())
-    assert not all(certified.values())
-    assert "comultiplication is multiplicative (generator certified)" in certified
-    assert certified["generation certificate"]  # no generator product is touched
-    assert certified["associativity (generator certified)"] == full["associativity"]
+    assert not all(ok for ok, _ in certified.values())
+    delta = certified["comultiplication is multiplicative (generator certified)"]
+    assert certified["generation certificate"][0]  # no generator product is touched
+    assert certified["associativity (generator certified)"][0] == full["associativity"]
     if full["associativity"]:
-        assert (
-            certified["comultiplication is multiplicative (generator certified)"]
-            == full["comultiplication is multiplicative"]
-        )
+        assert delta[0] == full["comultiplication is multiplicative"]
+    else:
+        assert delta == (False, "not decided: associativity (generator certified) failed")
+
+
+def test_certificate_must_cover_every_basis_vector():
+    """A certificate that leaves out the last basis vector fails there,
+    even though every product it lists is right."""
+    H, D = _double_over(7)
+    gens, cert = double_generators(H)
+    rep = verify_hopf(D, generators=gens, certificate=cert[:-1])
+    items = {it.name: (it.ok, it.detail) for it in rep.items}
+    assert items["generation certificate"] == (False, f"certificate fails at basis {D.dim - 1}")
+    assert not rep.passed
+
+
+def _generic_engine(monkeypatch):
+    monkeypatch.setattr(algebra, "machine_prime", lambda field, terms=1: None)
+
+
+def _smallest_blocks(monkeypatch):
+    monkeypatch.setattr(algebra, "_BLOCK", 1)
+
+
+def _items(rep):
+    return [(it.name, it.ok, it.detail) for it in rep.items]
+
+
+@pytest.mark.parametrize("kind", [None, "mul", "comul", "unit", "antipode"])
+@pytest.mark.parametrize("p", [7, 2146560523])
+def test_sparse_and_generic_engines_report_the_same_items(p, kind, monkeypatch):
+    """The full check on D(taft(3, p, q)) gives the same items (name, verdict,
+    detail with the first failing index) on the sparse int64 engine and on
+    the Python loops, valid or corrupted, up to p near 2^31."""
+    _, D = _double_over(p)
+    if kind is not None:
+        D = _corrupted(D, kind)
+    assert algebra.sparse_prime(D.field, D.dim) == p
+    sparse = verify_hopf(D)
+    _generic_engine(monkeypatch)
+    assert algebra.sparse_prime(D.field, D.dim) is None
+    generic = verify_hopf(D)
+    assert _items(sparse) == _items(generic)
+    assert sparse.passed == (kind is None)
+
+
+@pytest.mark.parametrize("kind", ["mul", "comul"])
+def test_sparse_verdict_does_not_depend_on_the_block_size(kind, monkeypatch):
+    """One-row blocks and one-term chunks give the items of the default
+    blocks, on the full and on the generator-certified check."""
+    H, D = _double_over(7)
+    D = _corrupted(D, kind)
+    gens, cert = double_generators(H)
+
+    def both():
+        return [_items(verify_hopf(D)), _items(verify_hopf(D, generators=gens, certificate=cert))]
+
+    default = both()
+    _smallest_blocks(monkeypatch)
+    assert both() == default
+
+
+@pytest.mark.parametrize("key, double", [("taft-3-7-2", False), ("f5c5", True)])
+def test_smallest_sparse_blocks_pass_valid_hopf_algebras(key, double, monkeypatch):
+    """With the dimension threshold at 0 and blocks of one row or one term,
+    the sparse kernels pass taft-3-7-2 and D(f5c5) with the items of the
+    loops."""
+    D = drinfeld_double(entry(key).hopf) if double else entry(key).hopf
+    monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
+    _smallest_blocks(monkeypatch)
+    sparse = verify_hopf(D)
+    _generic_engine(monkeypatch)
+    assert sparse.passed
+    assert _items(sparse) == _items(verify_hopf(D))
+
+
+def test_engines_agree_on_the_d81_nakayama_automorphism(monkeypatch):
+    """multiplicative_failure on the Nakayama matrix of D(taft-3-7-2), and on
+    that matrix with one entry off by one: both engines give the same first
+    failing pair."""
+    from hopfrob.frobenius import build_integral_data, frobenius_system_from_norm
+
+    _, D = _double_over(7)
+    nu = frobenius_system_from_norm(D, build_integral_data(D)).nakayama
+    rows = [list(r) for r in nu.rows]
+    rows[1][2] = D.field.normalize(rows[1][2] + 1)
+    moved = Matrix.from_rows(D.field, rows)
+    sparse = [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)]
+    _smallest_blocks(monkeypatch)
+    assert [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)] == sparse
+    _generic_engine(monkeypatch)
+    generic = [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)]
+    assert sparse[0] is None
+    assert sparse[1] is not None
+    assert sparse == generic
