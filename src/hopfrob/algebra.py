@@ -46,13 +46,6 @@ def _clean_row(field: Field, items: Iterable) -> SparseRow:
     return tuple(sorted(acc.items()))
 
 
-def row_to_vec(field: Field, dim: int, row: SparseRow) -> tuple:
-    v = [field.zero()] * dim
-    for k, c in row:
-        v[k] = c
-    return tuple(v)
-
-
 def vec_to_row(field: Field, vec: Sequence) -> SparseRow:
     z = field.zero()
     return tuple((k, c) for k, c in enumerate(vec) if c != z)

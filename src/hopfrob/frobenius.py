@@ -122,7 +122,7 @@ def build_integral_data(H: HopfAlgebra, psi: Optional[Sequence] = None) -> Integ
         if is_zero_vec(field, psi):
             raise InvalidInputError("supplied functional is zero")
 
-    gram = pairing_matrix(H, psi)
+    gram = pairing_matrix(H.alg, psi)
     norm = gram.solve(H.counit)
     if norm is None or gram.rank() < H.dim:
         raise InvalidInputError("Gram matrix singular: algebra is not Frobenius")
@@ -179,22 +179,25 @@ def _check_integral_data(H: HopfAlgebra, data: IntegralData) -> None:
 
 def dual_basis_identities_hold(alg, psi, xs, ys):
     """Both defining identities, checked on every basis vector; returns
-    (ok, first failing detail)."""
-    field = alg.field
-    for t in range(alg.dim):
-        a = alg.basis_vector(t)
-        acc1 = [field.zero()] * alg.dim
-        acc2 = [field.zero()] * alg.dim
-        for x, y in zip(xs, ys):
-            c1 = eval_cov(field, psi, alg.multiply(a, x))
-            if c1 != field.zero():
-                acc1 = [p + c1 * q for p, q in zip(acc1, y)]
-            c2 = eval_cov(field, psi, alg.multiply(y, a))
-            if c2 != field.zero():
-                acc2 = [p + c2 * q for p, q in zip(acc2, x)]
-        if tuple(field.normalize(v) for v in acc1) != a:
+    (ok, first failing detail).
+
+    With G[i][k] = psi(e_i e_k) and T[j][k] the coefficients of
+    sum_i x_i (x) y_i, sum_i psi(e_t x_i) y_i = sum_j G[t][j] T[j] is row t
+    of G T, and sum_i x_i psi(y_i e_t) = sum_k T[.][k] G[k][t] is column t of
+    T G: the identities are G T = 1 = T G.
+    """
+    field, n = alg.field, alg.dim
+    gram = pairing_matrix(alg, psi)
+    t_rows = [[field.zero()] * n for _ in range(n)]
+    for (j, k), c in _outer_sum(field, zip(xs, ys)).items():
+        t_rows[j][k] = c
+    T = Matrix(field, tuple(map(tuple, t_rows)))
+    left, right = gram.mul(T), T.mul(gram)
+    for t in range(n):
+        e = basis_vec(field, n, t)
+        if left.row(t) != e:
             return False, f"sum psi(a x_i) y_i != a at basis {t}"
-        if tuple(field.normalize(v) for v in acc2) != a:
+        if right.col(t) != e:
             return False, f"sum x_i psi(y_i a) != a at basis {t}"
     return True, ""
 
@@ -219,7 +222,7 @@ def frobenius_system_from_norm(H: HopfAlgebra, data: IntegralData) -> FrobeniusS
     if not ok:
         raise InternalCheckError(f"dual basis identities fail: {detail}")
 
-    gram = pairing_matrix(H, data.psi)
+    gram = pairing_matrix(H.alg, data.psi)
     nu = gram.transpose().solve_matrix(gram)
     if nu is None:
         raise InvalidInputError("Gram matrix singular: algebra is not Frobenius")
@@ -244,15 +247,11 @@ def nakayama_closed_form(H: HopfAlgebra, data: IntegralData) -> Matrix:
     """Matrix of a -> Sbar^2(m ⇀ a); the two factor orders must agree."""
     field = H.field
     sbar2 = H.antipode_inv().pow_(2)
-    cols_a = []
-    cols_b = []
-    for j in range(H.dim):
-        e = H.alg.basis_vector(j)
-        cols_a.append(sbar2.apply(act_left(H, data.modular_fn, e)))
-        cols_b.append(act_left(H, data.modular_fn, sbar2.apply(e)))
-    A = Matrix.from_columns(field, cols_a)
-    B = Matrix.from_columns(field, cols_b)
-    if A != B:
+    hit = Matrix.from_columns(
+        field, (act_left(H, data.modular_fn, H.alg.basis_vector(j)) for j in range(H.dim))
+    )
+    A = sbar2.mul(hit)
+    if A != hit.mul(sbar2):
         raise InternalCheckError(
             "the two factorizations of the Nakayama closed form disagree"
         )
@@ -264,10 +263,7 @@ def nakayama_closed_form(H: HopfAlgebra, data: IntegralData) -> Matrix:
 
 def translate_functional(H: HopfAlgebra, psi: Sequence, d: Sequence) -> tuple:
     """The translate (psi d)(x) = psi(d x), as a covector."""
-    return tuple(
-        eval_cov(H.field, psi, H.alg.multiply(d, H.alg.basis_vector(t)))
-        for t in range(H.dim)
-    )
+    return pairing_matrix(H.alg, psi).transpose().apply(d)
 
 
 def translate_system(H: HopfAlgebra, sys: FrobeniusSystem, d: Sequence) -> FrobeniusSystem:
@@ -295,7 +291,7 @@ def compare_systems(
     """Recover the invertible derivative d with psi' = psi d, and verify the
     dual bases and Nakayama transforms it induces."""
     field = H.field
-    gram = pairing_matrix(H, sys.psi)
+    gram = pairing_matrix(H.alg, sys.psi)
     d = gram.transpose().solve(sys2.psi)
     if d is None:
         raise InvalidInputError("systems not comparable: no derivative solves psi' = psi d")

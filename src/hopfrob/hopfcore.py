@@ -344,19 +344,13 @@ def dual_left_integral_space(H: HopfAlgebra) -> tuple:
     return integral_space(H, "left", dual=True)
 
 
-def pairing_matrix(H: HopfAlgebra, psi: Sequence) -> Matrix:
+def pairing_matrix(alg: StructureAlgebra, psi: Sequence) -> Matrix:
     """Gram matrix [psi(e_i e_k)]_(i,k) of the bilinear form induced by psi."""
-    field = H.field
-    rows = []
-    for i in range(H.dim):
-        row = []
-        for k in range(H.dim):
-            acc = field.zero()
-            for m, c in H.alg.mul.get((i, k), ()):
-                acc = acc + c * psi[m]
-            row.append(field.normalize(acc))
-        rows.append(tuple(row))
-    return Matrix(field, tuple(rows))
+    field = alg.field
+    rows = [[field.zero()] * alg.dim for _ in range(alg.dim)]
+    for (i, k), prod in alg.mul.items():
+        rows[i][k] = field.normalize(sum(c * psi[m] for m, c in prod))
+    return Matrix(field, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -373,7 +367,7 @@ def hopf_module_decompose(H: HopfAlgebra) -> HopfModuleDecomposition:
             f"integral space not rank one (dimension {len(coinv)})"
         )
     psi = coinv[0]
-    alpha = pairing_matrix(H, psi).mul(H.antipode)
+    alpha = pairing_matrix(H.alg, psi).mul(H.antipode)
     try:
         beta = alpha.inverse()
     except SingularError as exc:

@@ -6,11 +6,12 @@ produces reduced echelon forms, so kernels, solutions and inverses are
 canonical: the same input always yields byte-identical output.
 
 Two arithmetic engines exist, and machine_prime chooses between them: over
-GF(p) with p < 2^31 large eliminations, iterated kernels and the sparse
-identity checks in algebra and hopfcore run on int64 numpy/scipy arrays,
-everything else on Python scalars.  Every int64 sum of
-products goes through mulmod, whose docstring bounds its intermediates, so
-results are exact and identical to the generic path (property-tested).
+GF(p) with p < 2^31 large eliminations (rref, solve, solve_matrix, inverse),
+large products (Matrix.mul), iterated kernels and the sparse identity checks
+in algebra and hopfcore run on int64 numpy/scipy arrays, everything else on
+Python scalars.  Every int64 sum of products goes through mulmod, whose
+docstring bounds its intermediates, so results are exact and identical to
+the generic path (property-tested).
 """
 
 from __future__ import annotations
@@ -169,15 +170,30 @@ class Matrix:
             raise FieldMismatchError("matrices over different fields")
 
     def mul(self, other: "Matrix") -> "Matrix":
+        """self @ other: one int64 mulmod when machine_prime admits the field
+        and the product has at least _NUMPY_CELLS cells, otherwise a Python
+        sum over the nonzero entries of each row of self and of other."""
         self._check(other)
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        norm = self.field.normalize
-        cols = list(zip(*other.rows)) if other.rows else []
+        field = self.field
+        p = machine_prime(field, self.ncols)
+        if p is not None and self.nrows * other.ncols >= _NUMPY_CELLS:
+            import numpy as np
+
+            a, b = (np.array(m.rows, dtype=np.int64) % p for m in (self, other))
+            return Matrix(field, tuple(map(tuple, mulmod(a, b, p).tolist())))
+        z = field.zero()
+        nonzero = [[(j, b) for j, b in enumerate(r) if b != z] for r in other.rows]
         out = []
         for r in self.rows:
-            out.append(tuple(norm(sum(a * b for a, b in zip(r, c))) for c in cols))
-        return Matrix(self.field, tuple(out))
+            acc = [z] * other.ncols
+            for k, a in enumerate(r):
+                if a != z:
+                    for j, b in nonzero[k]:
+                        acc[j] += a * b
+            out.append(tuple(map(field.normalize, acc)))
+        return Matrix(field, tuple(out))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.mul(other)
@@ -252,44 +268,42 @@ class Matrix:
     def solve(self, rhs: Sequence) -> Optional[tuple]:
         """One exact solution of self @ x = rhs with free variables set to
         zero, or None when the system is inconsistent."""
-        if len(rhs) != self.nrows:
-            raise ShapeError("rhs length mismatch")
-        aug = [list(r) + [self.field.normalize(b)] for r, b in zip(self.rows, rhs)]
-        if not aug:
-            return ()
-        rows, pivots = _rref(self.field, aug)
-        n = self.ncols
-        if n in pivots:
-            return None
-        z = self.field.zero()
-        x = [z] * n
-        for r, pc in enumerate(pivots):
-            x[pc] = rows[r][n]
-        for r in range(len(pivots), len(rows)):
-            if rows[r][n] != z:
-                return None
-        return tuple(x)
+        x = self._solve_rows([(b,) for b in rhs], 1)
+        return None if x is None else tuple(r[0] for r in x)
 
     def solve_matrix(self, rhs: "Matrix") -> Optional["Matrix"]:
-        """Columnwise solve; None if any column is inconsistent."""
-        cols = []
-        for j in range(rhs.ncols):
-            x = self.solve(rhs.col(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix.from_columns(self.field, cols)
+        """One exact solution X of self @ X = rhs with free variables set to
+        zero, or None when any column is inconsistent."""
+        x = self._solve_rows(rhs.rows, rhs.ncols)
+        return None if x is None else Matrix(self.field, x)
+
+    def _solve_rows(self, rhs_rows: Sequence, width: int) -> Optional[tuple]:
+        """Rows of X from one elimination of [self | rhs]: pivot rows read
+        off, free rows zero; None when a pivot lands in the rhs block."""
+        if len(rhs_rows) != self.nrows:
+            raise ShapeError("rhs length mismatch")
+        field, n = self.field, self.ncols
+        aug = [list(r) + [field.normalize(b) for b in s] for r, s in zip(self.rows, rhs_rows)]
+        rows, pivots = _rref(field, aug)
+        if pivots and pivots[-1] >= n:
+            return None
+        x = [zero_vec(field, width)] * n
+        for r, pc in enumerate(pivots):
+            x[pc] = tuple(rows[r][n:])
+        return tuple(x)
 
     def inverse(self) -> "Matrix":
         n = self.nrows
         if n != self.ncols:
             raise ShapeError("inverse of non-square matrix")
-        o, z = self.field.one(), self.field.zero()
-        aug = [list(r) + [o if i == j else z for j in range(n)] for i, r in enumerate(self.rows)]
-        rows, pivots = _rref(self.field, aug)
-        if list(pivots[:n]) != list(range(n)):
+        # a zero row or column is singular without the n x 2n elimination
+        zero_line = any(is_zero_vec(self.field, r) for r in self.rows)
+        if zero_line or any(is_zero_vec(self.field, c) for c in zip(*self.rows)):
             raise SingularError("matrix not invertible")
-        return Matrix(self.field, tuple(tuple(rows[i][n:]) for i in range(n)))
+        x = self._solve_rows(Matrix.identity(self.field, n).rows, n)
+        if x is None:
+            raise SingularError("matrix not invertible")
+        return Matrix(self.field, x)
 
     def det(self):
         n = self.nrows

@@ -7,6 +7,7 @@ import pytest
 from conftest import double_of
 
 from hopfrob import frobenius, hopfcore, subext
+from hopfrob.algebra import StructureAlgebra
 from hopfrob.catalog import entry, names
 from hopfrob.cli import main
 from hopfrob.errors import InvalidInputError
@@ -409,3 +410,17 @@ def test_frobenius_d81_convolutions_stay_linear(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, hopfcore, "convolution")
     assert main(["frobenius", str(path)]) == 0
     assert len(calls) <= 2 * 81
+
+
+def test_d81_dual_basis_check_makes_no_algebra_product(monkeypatch):
+    """The dual-basis identities are G T = 1 = T G, two matrix products,
+    not two algebra products per basis vector and dual-basis pair."""
+    D = double_of("taft-3-7-2")
+    sys_ = frobenius.frobenius_system_from_norm(D, frobenius.build_integral_data(D))
+    calls = []
+    multiply = StructureAlgebra.multiply
+    monkeypatch.setattr(
+        StructureAlgebra, "multiply", lambda *args: calls.append(1) or multiply(*args)
+    )
+    assert frobenius.dual_basis_identities_hold(D.alg, sys_.psi, sys_.xs, sys_.ys) == (True, "")
+    assert calls == []

@@ -7,6 +7,7 @@ import zlib
 from fractions import Fraction
 
 import pytest
+from conftest import double_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,9 +17,11 @@ from hopfrob.errors import InvalidInputError
 from hopfrob.frobenius import (
     ComparisonResult,
     IntegralData,
+    _dual_bases_from_coproduct,
     antipode_shift_check,
     build_integral_data,
     compare_systems,
+    dual_basis_identities_hold,
     dual_frobenius_check,
     dual_integrals,
     frobenius_system_from_norm,
@@ -33,6 +36,7 @@ from hopfrob.hopfcore import (
     HopfAlgebra,
     act_right,
     convolution,
+    dual_hopf,
     dual_left_integral_space,
     eval_cov,
     left_integral_space,
@@ -225,6 +229,65 @@ def test_dual_basis_identities_recomputed(key):
             acc2 = tuple(p + c2 * q for p, q in zip(acc2, x))
         assert tuple(field.normalize(v) for v in acc1) == tuple(a)
         assert tuple(field.normalize(v) for v in acc2) == tuple(a)
+
+
+def _dual_basis_identities_loop(alg, psi, xs, ys):
+    """Reference for dual_basis_identities_hold: one algebra product per basis
+    vector, dual-basis pair and identity."""
+    field = alg.field
+    for t in range(alg.dim):
+        a = alg.basis_vector(t)
+        acc1 = [field.zero()] * alg.dim
+        acc2 = [field.zero()] * alg.dim
+        for x, y in zip(xs, ys):
+            c1 = eval_cov(field, psi, alg.multiply(a, x))
+            if c1 != field.zero():
+                acc1 = [p + c1 * q for p, q in zip(acc1, y)]
+            c2 = eval_cov(field, psi, alg.multiply(y, a))
+            if c2 != field.zero():
+                acc2 = [p + c2 * q for p, q in zip(acc2, x)]
+        if tuple(field.normalize(v) for v in acc1) != a:
+            return False, f"sum psi(a x_i) y_i != a at basis {t}"
+        if tuple(field.normalize(v) for v in acc2) != a:
+            return False, f"sum x_i psi(y_i a) != a at basis {t}"
+    return True, ""
+
+
+def _dual_basis_cases(H):
+    """(algebra, functional, xs, ys) of H's Frobenius system and of the dual
+    check's system on H*, each with copies that must fail: one coefficient
+    of one x_i or of one y_i off by one, and the functional scaled by 2."""
+    field = H.field
+    data = build_integral_data(H)
+    sys = frobenius_system_from_norm(H, data)
+    K = dual_hopf(H)
+    for alg, psi, xs, ys in (
+        (H.alg, sys.psi, sys.xs, sys.ys),
+        (K.alg, data.norm, *_dual_bases_from_coproduct(K, data.psi)),
+    ):
+        yield alg, psi, xs, ys
+        for i in (0, len(xs) // 2, len(xs) - 1):
+            for j in (0, alg.dim // 2, alg.dim - 1):
+                x = list(xs[i])
+                x[j] = field.normalize(x[j] + 1)
+                yield alg, psi, (*xs[:i], tuple(x), *xs[i + 1 :]), ys
+                y = list(ys[i])
+                y[j] = field.normalize(y[j] + 1)
+                yield alg, psi, xs, (*ys[:i], tuple(y), *ys[i + 1 :])
+        yield alg, tuple(field.normalize(2 * c) for c in psi), xs, ys
+
+
+@pytest.mark.parametrize("key", [*ALL_KEYS, "D(taft-3-7-2)"])
+def test_dual_basis_matrix_identities_match_the_loop(key):
+    """G T = 1 = T G reports what the per-basis-vector loop reports, on valid
+    and corrupted systems, and both identities are seen to fail."""
+    H = double_of("taft-3-7-2") if key.startswith("D(") else entry(key).hopf
+    failures = set()
+    for alg, psi, xs, ys in _dual_basis_cases(H):
+        want = _dual_basis_identities_loop(alg, psi, xs, ys)
+        assert dual_basis_identities_hold(alg, psi, xs, ys) == want
+        failures.add(want[1].split(" at ")[0])
+    assert failures == {"", "sum psi(a x_i) y_i != a", "sum x_i psi(y_i a) != a"}
 
 
 @pytest.mark.parametrize("key", ALL_KEYS)

@@ -6,7 +6,7 @@ from conftest import taft_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrob import GF, QQ, InvalidInputError, algebra
+from hopfrob import GF, QQ, InvalidInputError, algebra, linalg
 from hopfrob.algebra import StructureAlgebra, multiplicative_failure
 from hopfrob.catalog import entry, group_algebra, cyclic_table
 from hopfrob.double import double_generators, drinfeld_double
@@ -298,7 +298,7 @@ def test_decompose_alpha_matches_definition():
 def test_pairing_matrix_entries():
     H = H_("qc2")
     psi = dual_left_integral_space(H)[0]
-    G = pairing_matrix(H, psi)
+    G = pairing_matrix(H.alg, psi)
     for i in range(2):
         for k in range(2):
             prod = H.alg.multiply(H.alg.basis_vector(i), H.alg.basis_vector(k))
@@ -427,6 +427,20 @@ def test_certificate_must_cover_every_basis_vector():
     items = {it.name: (it.ok, it.detail) for it in rep.items}
     assert items["generation certificate"] == (False, f"certificate fails at basis {D.dim - 1}")
     assert not rep.passed
+
+
+def test_zero_antipode_is_singular_without_elimination(monkeypatch):
+    """An all-zero antipode fails "antipode invertible" before the n x 2n
+    augmented matrix is built or eliminated."""
+    F, n = GF(7), 300
+    alg = StructureAlgebra.from_sparse(F, n, {}, basis_vec(F, n, 0))
+    H = HopfAlgebra.from_sparse(alg, {}, basis_vec(F, n, 0), Matrix.zeros(F, n, n))
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append(1) or rref(*args))
+    items = {it.name: (it.ok, it.detail) for it in verify_hopf(H).items}
+    assert items["antipode invertible"] == (False, "antipode matrix is singular")
+    assert calls == []
 
 
 def _generic_engine(monkeypatch):

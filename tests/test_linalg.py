@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrob import GF, QQ, ShapeError, SingularError
+from hopfrob import GF, QQ, ShapeError, SingularError, linalg
 from hopfrob.linalg import (
     Matrix,
     basis_vec,
@@ -107,6 +109,40 @@ def test_solve_matrix_columnwise():
     assert M.mul(X) == rhs
 
 
+def _solve_columnwise(A, B):
+    """Reference for solve_matrix: one solve per column of B."""
+    cols = [A.solve(B.col(j)) for j in range(B.ncols)]
+    return None if None in cols else Matrix.from_columns(A.field, cols)
+
+
+@pytest.mark.parametrize("field,n", [(QQ, 5), (F7, 6), (GF(2**31 - 1), 48)])
+def test_solve_matrix_is_columnwise_solve(field, n):
+    """On invertible, rank-deficient and inconsistent systems; at n = 48 the
+    augmented [A | B] runs on the int64 engine, the columnwise solves do not."""
+    rng = random.Random(n)
+
+    def rand(m, k):
+        return Matrix.from_rows(field, [[rng.randint(-9, 9) for _ in range(k)] for _ in range(m)])
+
+    invertible = rand(n, n)
+    while invertible.rank() < n:
+        invertible = rand(n, n)
+    deficient = rand(n, 2).mul(rand(2, n))
+    inconsistent = Matrix(field, (*rand(n - 1, n - 1).rows, basis_vec(field, n - 1, 0)))
+    cases = [
+        (invertible, rand(n, n - 1), True),
+        (deficient, deficient.mul(rand(n, n - 1)), True),
+        (deficient, inconsistent, False),
+    ]
+    for A, B, solvable in cases:
+        want = _solve_columnwise(A, B)
+        assert (want is not None) == solvable
+        assert want is None or A.mul(want) == B
+        assert A.solve_matrix(B) == want
+    with pytest.raises(ShapeError):
+        invertible.solve_matrix(rand(n + 1, 2))
+
+
 # -- kronecker ----------------------------------------------------------------
 
 
@@ -144,6 +180,13 @@ def test_inverse_qq():
 def test_inverse_singular_raises():
     with pytest.raises(SingularError):
         Matrix.from_rows(QQ, [[1, 1], [1, 1]]).inverse()
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [0, 0]], [[1, 0], [2, 0]], [[0] * 80] * 80])
+def test_inverse_of_a_zero_line_raises_before_elimination(rows, monkeypatch):
+    monkeypatch.setattr(linalg, "_rref", None)  # any elimination would raise TypeError
+    with pytest.raises(SingularError):
+        Matrix.from_rows(F7, rows).inverse()
 
 
 def test_det_examples():
@@ -322,3 +365,51 @@ def test_mulmod_matches_python_integers(p, shape, seed, sparse):
     else:
         got = mulmod(A, B, p)
     assert got.tolist() == want
+
+
+def _mul_reference(A, B):
+    """The dense triple sum, normalized once per entry."""
+    norm = A.field.normalize
+    cols = list(zip(*B.rows))
+    return Matrix(
+        A.field,
+        tuple(tuple(norm(sum(a * b for a, b in zip(r, c))) for c in cols) for r in A.rows),
+    )
+
+
+@given(
+    field=st.sampled_from([QQ, GF(2), GF(13), GF(65521), GF(2146560523), GF(MERSENNE_31)]),
+    # result cells on both sides of _NUMPY_CELLS = 4096
+    shape=st.sampled_from(
+        [(1, 1, 1), (3, 4, 2), (63, 5, 65), (64, 3, 64), (1, 2, 4096), (70, 8, 60)]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    density=st.sampled_from([0.05, 0.5, 1.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_matrix_mul_engines_agree(field, shape, seed, density):
+    """Matrix.mul through mulmod (forced by _NUMPY_CELLS = 0) equals the
+    zero-skipping Python sum (forced by machine_prime returning None), the
+    shape-chosen route and the dense triple sum, with Python int entries."""
+    rng = random.Random(seed)
+    m, k, n = shape
+
+    def draw(rows, cols):
+        def entry():
+            if rng.random() >= density:
+                return 0
+            if field == QQ:
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            return rng.choice([1, field.p - 1, field.p - 2, rng.randrange(field.p)])
+
+        return Matrix.from_rows(field, [[entry() for _ in range(cols)] for _ in range(rows)])
+
+    A, B = draw(m, k), draw(k, n)
+    want = _mul_reference(A, B)
+    with mock.patch.object(linalg, "_NUMPY_CELLS", 0):
+        assert A.mul(B) == want
+    with mock.patch.object(linalg, "machine_prime", lambda field, terms=1: None):
+        assert A.mul(B) == want
+    got = A.mul(B)
+    assert got == want
+    assert all(type(x) is type(field.zero()) for r in got.rows for x in r)

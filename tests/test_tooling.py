@@ -1,9 +1,13 @@
 """Checks on the code base itself: the benchmark's trace targets still exist,
-the package carries no unused imports, and one gate picks the int64 engine."""
+the package carries no unused imports, one gate picks the int64 engine, and
+numpy and scipy load only when that engine runs."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,3 +107,14 @@ def test_engine_is_chosen_in_one_place():
     engine; apart from PrimeField's own equality nothing else asks."""
     found = sorted(s for path in PACKAGE.glob("*.py") for s in _prime_field_tests(path))
     assert found == ["linalg.machine_prime", "scalars.PrimeField.__eq__"]
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    """The int64 engine imports numpy and scipy inside the functions that use
+    them, so a run that never reaches it does not pay for their import."""
+    code = "import sys, hopfrob.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
