@@ -7,26 +7,36 @@ scalars are stored normalized for the algebra's field, so structural
 equality of two algebras is plain equality of their tables.
 
 The quantified identities (associativity on every basis triple, "phi is an
-algebra map" on every basis pair) have two engines.  Above _SPARSE_DIM, over
-a field that linalg.machine_prime admits, they run as sparse int64
-identities mod p; below it, and over every other field, as Python loops.
-Both report the same first failing index.
+algebra map" on every basis pair) have two engines.  Above _SPARSE_DIM they
+run as sparse int64 identities mod each prime of linalg.engine_primes: the
+field's p over an admitted GF(p), and over QQ enough primes below 2^31 that
+the identity holds in QQ exactly when it holds mod each of them.  For
+associativity each side sums dim products of two structure constants; for
+phi, dim^2 products of three constants among phi's entries and both tables.
+Below _SPARSE_DIM, and over every other field, they run as Python loops.
+Both report the same first failing index: over QQ the failing set is the
+union of the failing sets mod each prime, so its first item is the smallest
+of the first items mod each prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import FieldMismatchError, ShapeError
-from .linalg import Matrix, basis_vec, machine_prime, mulmod
+from .linalg import Matrix, basis_vec, engine_primes, mulmod, residues
 from .report import Report
 from .scalars import Field
 
 SparseRow = tuple  # tuple[(basis_index, scalar), ...] sorted by index
 
-# the pairwise Python loops get slow above this dimension
-_SPARSE_DIM = 40
+# the warm crossover of a whole verify_hopf: at dim 9 the loops win over GF(p)
+# (taft-3-7-2: 1.7 ms, kernels 4.3 ms), at dim 16 the kernels (D(sweedler)
+# over QQ: 58 ms, kernels 13 ms; taft-4-5-2: 6.4 ms, kernels 5.2 ms); cyclic
+# group algebras cross near dim 9 over QQ and near dim 15 over GF(101)
+_SPARSE_DIM = 12
 # entries per int64 array in one block of a sparse kernel, so memory stays flat
 _BLOCK = 1 << 14
 
@@ -202,27 +212,16 @@ class StructureAlgebra:
 
 def verify_algebra(A: StructureAlgebra, title: str = "algebra axioms") -> Report:
     rep = Report(title)
-    field = A.field
-    dim = A.dim
-
-    bad_unit = None
-    for i in range(dim):
-        e = basis_vec(field, dim, i)
-        if A.multiply(A.unit, e) != e:
-            bad_unit = ("left", i)
-            break
-        if A.multiply(e, A.unit) != e:
-            bad_unit = ("right", i)
-            break
+    bad_unit = unit_failure(A)
     rep.add(
         "unit law",
         bad_unit is None,
         "" if bad_unit is None else f"{bad_unit[0]} unit fails at basis {bad_unit[1]}",
     )
 
-    p = sparse_prime(field, dim)
-    if p is not None:
-        bad_triple = _associativity_failure(A, None, p)
+    primes = sparse_primes(A.field, A.dim, table_constants(A), 2, A.dim)
+    if primes:
+        bad_triple = first_failure(lambda p: _associativity_failure(A, None, p), primes)
     else:
         bad_triple = _associativity_failure_loops(A)
     rep.add(
@@ -231,6 +230,20 @@ def verify_algebra(A: StructureAlgebra, title: str = "algebra axioms") -> Report
         "" if bad_triple is None else f"fails at triple {bad_triple}",
     )
     return rep
+
+
+def unit_failure(A: StructureAlgebra) -> Optional[tuple]:
+    """First (side, i) with 1 e_i != e_i (side "left") or e_i 1 != e_i
+    ("right"), left tested first at each i, or None."""
+    unit = vec_to_row(A.field, A.unit)
+    one = A.field.one()
+    for i in range(A.dim):
+        e = ((i, one),)
+        if A.multiply_rows(unit, e) != e:
+            return ("left", i)
+        if A.multiply_rows(e, unit) != e:
+            return ("right", i)
+    return None
 
 
 def _associativity_failure_loops(A: StructureAlgebra) -> Optional[tuple]:
@@ -282,9 +295,11 @@ def multiplicative_failure(
     """First basis pair (i, j) with phi(e_i e_j) != phi(e_i) phi(e_j), or None
     when the linear map phi: src -> dst (columns are the images of the src
     basis vectors) is multiplicative."""
-    p = sparse_prime(dst.field, max(src.dim, dst.dim))
-    if p is not None:
-        return _multiplicative_failure_modp(src, dst, phi, p)
+    dim = max(src.dim, dst.dim)
+    constants = chain(table_constants(src), table_constants(dst), chain.from_iterable(phi.rows))
+    primes = sparse_primes(dst.field, dim, constants, 3, dim * dim)
+    if primes:
+        return first_failure(lambda p: _multiplicative_failure_modp(src, dst, phi, p), primes)
     field = dst.field
     z = field.zero()
     cols = [phi.col(j) for j in range(src.dim)]
@@ -302,29 +317,49 @@ def multiplicative_failure(
 # -- sparse int64 kernels mod p ------------------------------------------------
 
 
-def sparse_prime(field: Field, dim: int) -> Optional[int]:
-    """p when the quantified identities of a dim-dimensional algebra run on
-    the sparse int64 kernels, None when the Python loops run."""
-    return machine_prime(field, dim) if dim > _SPARSE_DIM else None
+def sparse_primes(field: Field, dim: int, constants, degree: int, count: int) -> tuple:
+    """The primes at which a quantified identity of a dim-dimensional algebra
+    runs on the sparse int64 kernels, () when the Python loops run: the
+    engine_primes of an identity whose sides sum at most count products of
+    at most degree of the constants."""
+    return engine_primes(field, dim, constants, degree, count) if dim > _SPARSE_DIM else ()
 
 
-def structure_arrays(A: StructureAlgebra) -> tuple:
-    """The mul table as int64 arrays (i, j, k, c): e_i e_j has c at e_k."""
+def table_constants(A: StructureAlgebra):
+    """The structure constants of A's mul table."""
+    return (c for row in A.mul.values() for _, c in row)
+
+
+def first_failure(kernel, primes) -> Optional[tuple]:
+    """The smallest of the first failing items kernel(p) over the primes, or
+    None: the first failing item in QQ when primes meet the engine_primes
+    bound, and kernel(p) itself over GF(p)."""
+    return min((bad for p in primes if (bad := kernel(p)) is not None), default=None)
+
+
+def structure_arrays(A: StructureAlgebra, p: int) -> tuple:
+    """The mul table mod p as int64 arrays (i, j, k, c): e_i e_j has c != 0
+    at e_k."""
     import numpy as np
 
-    flat = (x for (i, j), row in A.mul.items() for k, c in row for x in (i, j, k, c))
-    return tuple(np.fromiter(flat, dtype=np.int64).reshape(-1, 4).T)
+    pairs = np.array(list(A.mul), dtype=np.int64).reshape(-1, 2)
+    counts = [len(row) for row in A.mul.values()]
+    i, j = (np.repeat(pairs[:, t], counts) for t in (0, 1))
+    k = np.fromiter((k for row in A.mul.values() for k, _ in row), dtype=np.int64)
+    c = residues(table_constants(A), p)
+    return tuple(x[c != 0] for x in (i, j, k, c))
 
 
 def residue_rows(rows: Optional[Sequence], width: int, p: int):
-    """The vectors of rows (each of length width), reduced mod p, as the rows
-    of an int64 CSR matrix; rows None stands for the basis vectors."""
+    """The vectors of rows (each of length width), reduced mod p exactly, as
+    the rows of an int64 CSR matrix; rows None stands for the basis vectors."""
     import numpy as np
     import scipy.sparse as sp
 
     if rows is None:
         return sp.identity(width, dtype=np.int64, format="csr")
-    return sp.csr_matrix(np.array(rows, dtype=np.int64).reshape(len(rows), width) % p)
+    flat = residues((x for r in rows for x in r), p)
+    return sp.csr_matrix(flat.reshape(len(rows), width))
 
 
 def first_difference(lhs, rhs) -> Optional[int]:
@@ -344,15 +379,15 @@ def _associativity_failure(
     L_g x I.
 
     Bound: the three products go through linalg.mulmod and sum at most dim
-    products per entry, which machine_prime(field, dim) admits; L_g is
-    reduced mod p before it enters them.
+    products per entry, for which engine_primes admitted p; L_g is reduced
+    mod p before it enters them.
     """
     import numpy as np
     import scipy.sparse as sp
 
     dim = A.dim
     sq = dim * dim
-    i, j, k, c = structure_arrays(A)
+    i, j, k, c = structure_arrays(A, p)
     M = sp.csr_matrix((c, (k, i * dim + j)), shape=(dim, sq))
     # row u of Mu is L_{e_u}, entry (n, m) at n*dim + m
     Mu = sp.csr_matrix((c, (i, k * dim + j)), shape=(dim, sq))
@@ -411,17 +446,17 @@ def _multiplicative_failure_modp(
     intermediate holds at most _BLOCK entries unless one column needs more.
 
     Bound: all three products go through linalg.mulmod and sum at most
-    max(dim src, dim dst) products per entry, which machine_prime admits;
-    each intermediate is reduced mod p before the next product.
+    max(dim src, dim dst) products per entry, for which engine_primes
+    admitted p; each intermediate is reduced mod p before the next product.
     """
     import scipy.sparse as sp
 
     ds, dd = src.dim, dst.dim
     P = residue_rows(phi.rows, ds, p)
-    i, j, k, c = structure_arrays(src)
+    i, j, k, c = structure_arrays(src, p)
     Msrc = sp.csr_matrix((c, (k, i * ds + j)), shape=(ds, ds * ds))
     # row k, column n*dd + l: coefficient of e_n in e_k e_l
-    k, l, n, c = structure_arrays(dst)
+    k, l, n, c = structure_arrays(dst, p)
     left = sp.csr_matrix((c, (k, n * dd + l)), shape=(dd, dd * dd))
     width = max(1, _BLOCK // (dd * max(dd, ds)))
     for i0 in range(0, ds, width):

@@ -6,22 +6,26 @@ H (x) H appear as dicts {(j, k): c}.  Covectors (elements of H*) are plain
 coordinate tuples against the dual basis e^i, e^i(e_j) = delta_ij.
 
 verify_hopf quantifies every axiom over the whole basis.  For large doubles
-it also accepts a generating set together with a certificate expressing
-each basis vector as a product of two generators.  Checking associativity
-and multiplicativity of Delta on the generators alone then suffices: both
-properties propagate through products (Delta's through associative ones),
-and the certificate pins every basis vector as such a product.  Above
-algebra._SPARSE_DIM, over a field that linalg.machine_prime admits, both
-quadratic axioms run as sparse int64 identities mod p, on the generators or
-on the whole basis, like the "is an algebra map" check of
+over a prime field it also accepts a generating set together with a
+certificate expressing each basis vector as a product of two generators.
+Checking associativity and multiplicativity of Delta on the generators
+alone then suffices: both properties propagate through products (Delta's
+through associative ones), and the certificate pins every basis vector as
+such a product.  Above algebra._SPARSE_DIM both quadratic axioms run as
+sparse int64 identities mod each prime of linalg.engine_primes, on the
+generators or on the whole basis, like the "is an algebra map" check of
 algebra.multiplicative_failure; every product goes through linalg.mulmod,
-which keeps it exact.  Otherwise they run as Python loops over the whole
-basis.
+which keeps it exact.  Over QQ, Delta(e_i e_j) sums dim products of two
+constants and Delta(e_i) Delta(e_j) at most dim^4 products of four (two
+comul, two mul), so the primes cover 2 (dim^4 + dim) max(A, D)^4 for the
+constants a/D, |a| <= A, of both tables.  Otherwise the axioms run as
+Python loops over the whole basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -29,19 +33,27 @@ from .algebra import (
     _associativity_failure,
     blocks,
     first_difference,
+    first_failure,
     is_augmentation,
     multiplicative_failure,
     residue_rows,
     side_by_side,
-    sparse_prime,
+    sparse_primes,
     structure_arrays,
+    table_constants,
+    unit_failure,
     vec_to_row,
     verify_algebra,
 )
 from .errors import InvalidInputError, ShapeError, SingularError
-from .linalg import Matrix, basis_vec, iterated_kernel_sparse, mulmod
+from .linalg import Matrix, basis_vec, engine_primes, iterated_kernel_sparse, mulmod, residues
 from .report import Report
 from .scalars import Field
+
+# the generator-certified strategy runs above this dimension over an admitted
+# GF(p); it names its own report items, so it keeps its own threshold rather
+# than follow the engine crossover algebra._SPARSE_DIM
+_CERTIFIED_DIM = 40
 
 @dataclass(eq=False)
 class HopfAlgebra:
@@ -443,24 +455,25 @@ def verify_hopf(
 ) -> Report:
     """Exact check of every Hopf axiom.
 
-    Over a field that algebra.sparse_prime admits at this dimension, the two
+    When generators and certificate are both given, dim > _CERTIFIED_DIM
+    and the field is a GF(p) that linalg.engine_primes admits, the two
     quadratic axioms (associativity, Delta multiplicative) run as sparse
-    int64 identities mod p, quantified over rows: the generators, after
-    checking that the certificate writes every basis vector as a product of
-    two generators, when generators and certificate are both given, and the
-    whole basis otherwise.  Over any other field or below the dimension
-    threshold they run as Python loops over all basis tuples.
+    int64 identities mod p on the generators, after checking that the
+    certificate writes every basis vector as a product of two generators.
+    Otherwise they are
+    quantified over the whole basis: mod each prime of algebra.sparse_primes
+    when it gives any, else as Python loops over all basis tuples.
     """
     rep = Report(title or f"hopf axioms: {H.name or 'unnamed'}")
     field = H.field
     dim = H.dim
 
-    p = sparse_prime(field, dim)
-    certified = p is not None and generators is not None and certificate is not None
+    primes = engine_primes(field, dim) if field.characteristic and dim > _CERTIFIED_DIM else ()
+    certified = bool(primes) and generators is not None and certificate is not None
 
     # multiplication axioms
     if certified:
-        assoc_ok = _certified_mult_checks(H, generators, certificate, p, rep)
+        assoc_ok = _certified_mult_checks(H, generators, certificate, primes[0], rep)
     else:
         rep.items.extend(verify_algebra(H.alg).items)
 
@@ -504,11 +517,13 @@ def verify_hopf(
             # the reduction to generators assumes associativity
             rep.add(name, False, "not decided: associativity (generator certified) failed")
         else:
-            bad = _delta_failure(H, generators, p)
+            bad = _delta_failure(H, generators, primes[0])
             rep.add(name, bad is None, "" if bad is None else f"fails for generator {bad[0]}")
     else:
-        if p is not None:
-            bad = _delta_failure(H, None, p)
+        constants = chain(table_constants(H.alg), (c for t in H.comul.values() for *_, c in t))
+        primes = sparse_primes(field, dim, constants, 4, dim**4 + dim)
+        if primes:
+            bad = first_failure(lambda p: _delta_failure(H, None, p), primes)
         else:
             bad = _delta_failure_loops(H)
         rep.add(
@@ -562,13 +577,8 @@ def _certified_mult_checks(H, generators, certificate, p, rep) -> bool:
     one = field.one()
 
     # unit law in full (cheap)
-    bad = None
-    for i in range(dim):
-        e = basis_vec(field, dim, i)
-        if alg.multiply(alg.unit, e) != e or alg.multiply(e, alg.unit) != e:
-            bad = i
-            break
-    rep.add("unit law", bad is None, "" if bad is None else f"fails at basis {bad}")
+    bad = unit_failure(alg)
+    rep.add("unit law", bad is None, "" if bad is None else f"fails at basis {bad[1]}")
 
     # certificate: e_i = G[a] * G[b] exactly
     gen_rows = [vec_to_row(field, g) for g in generators]
@@ -624,7 +634,7 @@ def _delta_failure(H: HopfAlgebra, rows: Optional[Sequence], p: int) -> Optional
     and a CSR matrix sums the duplicates.
 
     Bound: the sparse products go through linalg.mulmod and sum at most dim
-    products per entry, which machine_prime(field, dim) admits; every other
+    products per entry, for which engine_primes admitted p; every other
     product is of two residues (below 2^62) and is reduced at once.  A cell
     of one chunk's CSR sum adds at most dim residues per term of Delta(g_r),
     from at most _BLOCK = 2^14 terms, so it stays below 2^31 * 2^14 * 2^16 =
@@ -635,7 +645,7 @@ def _delta_failure(H: HopfAlgebra, rows: Optional[Sequence], p: int) -> Optional
 
     dim = H.dim
     sq = dim * dim
-    i, j, k, c = structure_arrays(H.alg)
+    i, j, k, c = structure_arrays(H.alg, p)
     # the mul entries sorted by their pair i*dim + j, and where each pair starts
     order = np.argsort(i * dim + j, kind="stable")
     pair_k, pair_c = k[order], c[order]
@@ -644,8 +654,10 @@ def _delta_failure(H: HopfAlgebra, rows: Optional[Sequence], p: int) -> Optional
     )
     # row u of Mu is L_{e_u}, entry (a, s) at a*dim + s
     Mu = sp.csr_matrix((c, (i, k * dim + j)), shape=(dim, sq))
-    flat = (x for m, terms in H.comul.items() for u, v, d in terms for x in (m, u, v, d))
-    m, u, v, d = np.fromiter(flat, dtype=np.int64).reshape(-1, 4).T
+    flat = (x for m, terms in H.comul.items() for u, v, _ in terms for x in (m, u, v))
+    m, u, v = np.fromiter(flat, dtype=np.int64).reshape(-1, 3).T
+    d = residues((d for terms in H.comul.values() for *_, d in terms), p)
+    m, u, v, d = (x[d != 0] for x in (m, u, v, d))
     # row m: Delta(e_m), column u*dim + v
     delta = sp.csr_matrix((d, (m, u * dim + v)), shape=(dim, sq))
     # row s, column t*dim + j: coefficient of e_s (x) e_t in Delta(e_j)

@@ -11,16 +11,20 @@ large products (Matrix.mul), iterated kernels and the sparse identity checks
 in algebra and hopfcore run on int64 numpy/scipy arrays, everything else on
 Python scalars.  Every int64 sum of products goes through mulmod, whose
 docstring bounds its intermediates, so results are exact and identical to
-the generic path (property-tested).
+the generic path (property-tested).  The sparse identity checks also run
+over QQ: engine_primes, built on machine_prime, picks enough primes below
+2^31 that an identity holding mod each of them holds in QQ (the bound is in
+its docstring), and residues reduces each rational exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, ShapeError, SingularError
-from .scalars import Field, PrimeField
+from .scalars import GF, Field, PrimeField, RationalField, _is_prime
 
 # beyond this many cells, prime-field elimination goes through numpy
 _NUMPY_CELLS = 4096
@@ -39,6 +43,57 @@ def machine_prime(field: Field, terms: int = 1) -> Optional[int]:
     if isinstance(field, PrimeField) and field.p < 2**31 and terms <= 2**_LIMB_BITS:
         return field.p
     return None
+
+
+def engine_primes(
+    field: Field, terms: int, constants: Iterable = (), degree: int = 1, count: int = 1
+) -> tuple[int, ...]:
+    """The primes at which an exact identity runs on the int64 engine, each
+    admitted by machine_prime with `terms` summed products: (p,) for GF(p),
+    () when the Python-scalar engine must run, and over QQ the primes
+    p1 > p2 > ... below 2^31 that divide no denominator of `constants`,
+    taken until their product exceeds the bound below.
+
+    Bound: each side of the identity sums at most `count` products of at
+    most `degree` of the rational `constants`.  Over one common denominator
+    D they read a/D with |a| <= A, so a product times D^degree is an integer
+    of absolute value at most max(A, D)^degree, and D^degree (lhs - rhs) is
+    an integer of absolute value at most 2 count max(A, D)^degree.  Mod a
+    prime p that does not divide D, reduction is a ring map on these
+    rationals, so lhs = rhs in QQ gives lhs = rhs mod p; and a nonzero
+    integer smaller than a product of distinct primes is not divisible by
+    all of them, so lhs != rhs in QQ shows mod at least one prime.  The set
+    of failing items in QQ is the union of the sets mod each prime.
+    """
+    if isinstance(field, RationalField):
+        values = set(constants)
+        den = math.lcm(*(c.denominator for c in values))
+        height = max((abs(c.numerator) * (den // c.denominator) for c in values), default=0)
+        bound = 2 * count * max(height, den) ** degree
+        primes, product = [], 1
+        for p in range(2**31 - 1, 1, -1):
+            if product > bound:
+                break
+            if den % p and _is_prime(p):
+                if machine_prime(GF(p), terms) is None:
+                    return ()
+                primes.append(p)
+                product *= p
+        return tuple(primes)
+    p = machine_prime(field, terms)
+    return () if p is None else (p,)
+
+
+def residues(values: Iterable, p: int):
+    """The scalars mod p as an int64 array, exactly: an int n gives n mod p,
+    a Fraction n/d gives n * d^-1 mod p (p must not divide d, as it does not
+    for the primes of engine_primes)."""
+    import numpy as np
+
+    return np.fromiter(
+        (x % p if type(x) is int else x.numerator * pow(x.denominator, -1, p) % p for x in values),
+        dtype=np.int64,
+    )
 
 
 def mulmod(A, B, p: int):

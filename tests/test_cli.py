@@ -403,6 +403,29 @@ def test_verify_d81_runs_no_tensor_loop(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_verify_d36_over_qq_runs_no_tensor_loop(tmp_path, monkeypatch):
+    """Over QQ, Delta multiplicative on D(qs3) is one sparse identity mod
+    each prime the bound asks for, not a tensor_mult per basis pair."""
+    path = tmp_path / "d36.hopf"
+    path.write_text(emit_hopf_text(double_of("qs3")))
+    calls = _count_calls(monkeypatch, hopfcore, "tensor_mult")
+    assert main(["verify", str(path)]) == 0
+    assert calls == []
+
+
+def test_double_of_f5c5_keeps_the_full_basis_items(tmp_path, capsys):
+    """D(f5c5) has dimension 25: the kernels check it, but the generator
+    certified strategy starts only above dimension 40, so its items keep
+    their full-basis names."""
+    path = emit(tmp_path, "f5c5")
+    capsys.readouterr()
+    assert main(["double", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] comultiplication is multiplicative\n" in out
+    assert "[PASS] associativity\n" in out
+    assert "certified" not in out
+
+
 def test_frobenius_d81_convolutions_stay_linear(tmp_path, monkeypatch):
     """The dual antipode reads Delta(N) instead of one convolution per
     matrix entry and coproduct term (14,742 calls before)."""

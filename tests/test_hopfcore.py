@@ -1,14 +1,15 @@
 import functools
+import random
 from fractions import Fraction
 
 import pytest
-from conftest import taft_over
+from conftest import double_of, taft_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrob import GF, QQ, InvalidInputError, algebra, linalg
+from hopfrob import GF, QQ, InvalidInputError, algebra, hopfcore, linalg
 from hopfrob.algebra import StructureAlgebra, multiplicative_failure
-from hopfrob.catalog import entry, group_algebra, cyclic_table
+from hopfrob.catalog import cyclic_table, entry, group_algebra, names
 from hopfrob.double import double_generators, drinfeld_double
 from hopfrob.hopfcore import (
     HopfAlgebra,
@@ -336,7 +337,7 @@ def test_certified_strategy_needs_a_prime_field_below_two_to_the_31(monkeypatch)
     """Generators and certificate switch to the int64 certified kernels only
     over GF(p) with p < 2^31; over QQ or a larger prime every axiom is
     checked on the whole basis."""
-    monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
+    monkeypatch.setattr(hopfcore, "_CERTIFIED_DIM", 0)
     H = entry("qc2").hopf  # over the rationals
     D = drinfeld_double(H)
     dgens, dcert = double_generators(H)
@@ -356,16 +357,17 @@ def test_certified_strategy_needs_a_prime_field_below_two_to_the_31(monkeypatch)
         assert any("certified" in it.name for it in rep.items) == certified
 
 
-def _corrupted(D, kind):
-    """D with one structure constant moved off by one: the middle mul entry,
-    the first comul term of basis vector 40, or the middle entry of the
-    antipode matrix; or ("unit") D with its unit doubled."""
+def _corrupted(D, kind, shift=1):
+    """D with one structure constant moved by shift (default one): the middle
+    mul entry, the first comul term of the middle basis vector (40 in
+    dimension 81), or the middle entry of the antipode matrix; or ("unit") D
+    with its unit doubled."""
     F = D.field
     if kind == "mul":
         mul = dict(D.alg.mul)
         key = sorted(mul)[len(mul) // 2]
         (k, c), *rest = mul[key]
-        mul[key] = ((k, F.normalize(c + 1)), *rest)
+        mul[key] = ((k, F.normalize(c + shift)), *rest)
         alg = StructureAlgebra.from_sparse(F, D.dim, mul, D.alg.unit, D.alg.basis_names)
         return HopfAlgebra.from_sparse(alg, D.comul, D.counit, D.antipode)
     if kind == "unit":
@@ -375,11 +377,12 @@ def _corrupted(D, kind):
     if kind == "antipode":
         rows = [list(r) for r in D.antipode.rows]
         mid = D.dim // 2
-        rows[mid][mid] = F.normalize(rows[mid][mid] + 1)
+        rows[mid][mid] = F.normalize(rows[mid][mid] + shift)
         return HopfAlgebra.from_sparse(D.alg, D.comul, D.counit, Matrix.from_rows(F, rows))
     comul = dict(D.comul)
-    (j, k, c), *rest = comul[40]
-    comul[40] = ((j, k, F.normalize(c + 1)), *rest)
+    mid = D.dim // 2
+    (j, k, c), *rest = comul[mid]
+    comul[mid] = ((j, k, F.normalize(c + shift)), *rest)
     return HopfAlgebra.from_sparse(D.alg, comul, D.counit, D.antipode)
 
 
@@ -444,7 +447,7 @@ def test_zero_antipode_is_singular_without_elimination(monkeypatch):
 
 
 def _generic_engine(monkeypatch):
-    monkeypatch.setattr(algebra, "machine_prime", lambda field, terms=1: None)
+    monkeypatch.setattr(linalg, "machine_prime", lambda field, terms=1: None)
 
 
 def _smallest_blocks(monkeypatch):
@@ -464,13 +467,85 @@ def test_sparse_and_generic_engines_report_the_same_items(p, kind, monkeypatch):
     _, D = _double_over(p)
     if kind is not None:
         D = _corrupted(D, kind)
-    assert algebra.sparse_prime(D.field, D.dim) == p
+    assert linalg.engine_primes(D.field, D.dim) == (p,)
     sparse = verify_hopf(D)
     _generic_engine(monkeypatch)
-    assert algebra.sparse_prime(D.field, D.dim) is None
+    assert linalg.engine_primes(D.field, D.dim) == ()
     generic = verify_hopf(D)
     assert _items(sparse) == _items(generic)
     assert sparse.passed == (kind is None)
+
+
+# D(taft-3-7-2) is the p = 7 case of the test above
+SMALL_DOUBLES = [k for k in names() if entry(k).hopf.dim ** 2 <= 81 and k != "taft-3-7-2"]
+
+
+@pytest.mark.parametrize("kind", [None, "mul", "comul", "unit", "antipode"])
+@pytest.mark.parametrize("key", SMALL_DOUBLES)
+def test_engines_agree_on_every_catalog_double_up_to_dim_81(key, kind, monkeypatch):
+    """With the dimension threshold at 0, the kernels (mod p, or over QQ mod
+    enough primes) and the Python loops give the same items on every
+    catalog double up to dimension 81, valid or corrupted."""
+    monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
+    D = double_of(key)
+    if kind is not None:
+        D = _corrupted(D, kind)
+    assert linalg.engine_primes(D.field, D.dim)
+    kernels = verify_hopf(D)
+    _generic_engine(monkeypatch)
+    assert _items(kernels) == _items(verify_hopf(D))
+    assert kernels.passed == (kind is None)
+
+
+def _rescaled(H, scale):
+    """H in the basis f_i = scale[i] e_i: an isomorphic Hopf algebra whose
+    constants are c s_i s_j / s_k (mul), d s_i / (s_u s_v) (comul),
+    S_ij s_j / s_i (antipode), u_k / s_k (unit) and eps_i s_i (counit)."""
+    F, n = H.field, H.dim
+    mul = {
+        (i, j): [(k, c * scale[i] * scale[j] / scale[k]) for k, c in row]
+        for (i, j), row in H.alg.mul.items()
+    }
+    comul = {
+        i: [(u, v, d * scale[i] / (scale[u] * scale[v])) for u, v, d in terms]
+        for i, terms in H.comul.items()
+    }
+    unit = [u / s for u, s in zip(H.unit, scale)]
+    alg = StructureAlgebra.from_sparse(F, n, mul, unit, H.alg.basis_names)
+    S = [[H.antipode.rows[i][j] * scale[j] / scale[i] for j in range(n)] for i in range(n)]
+    counit = [e * s for e, s in zip(H.counit, scale)]
+    return HopfAlgebra.from_sparse(alg, comul, counit, Matrix.from_rows(F, S))
+
+
+def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(monkeypatch):
+    """D(qs3) in a basis rescaled by rationals of height above 2^40: its
+    constants are large, so the identities need several primes.  A constant
+    moved by the first prime p1 is invisible mod p1 and one moved by 1/p1
+    puts p1 in a denominator; on each copy the kernels and the loops give
+    the same items."""
+    rng = random.Random(2001)
+    D = double_of("qs3")
+    scale = [Fraction(rng.randrange(2**40, 2**41), rng.randrange(2**40, 2**41)) for _ in range(D.dim)]
+    R = _rescaled(D, scale)
+    assoc = linalg.engine_primes(QQ, R.dim, algebra.table_constants(R.alg), 2, R.dim)
+    p1 = assoc[0]
+    assert len(assoc) >= 2
+    variants = {
+        "rescaled": R,
+        "mul + p1": _corrupted(R, "mul", p1),
+        "comul + p1": _corrupted(R, "comul", p1),
+        "mul + 1/p1": _corrupted(R, "mul", Fraction(1, p1)),
+    }
+    moved = algebra.table_constants(variants["mul + 1/p1"].alg)
+    assert p1 not in linalg.engine_primes(QQ, R.dim, moved, 2, R.dim)
+    # the shift by p1 leaves every residue mod p1 as it was
+    assert algebra._associativity_failure(variants["mul + p1"].alg, None, p1) is None
+    assert hopfcore._delta_failure(variants["comul + p1"], None, p1) is None
+    kernels = {name: _items(verify_hopf(H)) for name, H in variants.items()}
+    _generic_engine(monkeypatch)
+    loops = {name: _items(verify_hopf(H)) for name, H in variants.items()}
+    assert kernels == loops
+    assert [all(ok for _, ok, _ in items) for items in loops.values()] == [True, False, False, False]
 
 
 @pytest.mark.parametrize("kind", ["mul", "comul"])
@@ -503,17 +578,17 @@ def test_smallest_sparse_blocks_pass_valid_hopf_algebras(key, double, monkeypatc
     assert _items(sparse) == _items(verify_hopf(D))
 
 
-def test_engines_agree_on_the_d81_nakayama_automorphism(monkeypatch):
-    """multiplicative_failure on the Nakayama matrix of D(taft-3-7-2), and on
-    that matrix with one entry off by one: both engines give the same first
-    failing pair."""
+def _nakayama_engines_agree(D, shift, monkeypatch):
+    """multiplicative_failure on the Nakayama matrix of D, and on that matrix
+    with entry (1, 2) moved by shift, gives the same first failing pair on
+    the default blocks, on one-row blocks and on the Python loops."""
     from hopfrob.frobenius import build_integral_data, frobenius_system_from_norm
 
-    _, D = _double_over(7)
     nu = frobenius_system_from_norm(D, build_integral_data(D)).nakayama
     rows = [list(r) for r in nu.rows]
-    rows[1][2] = D.field.normalize(rows[1][2] + 1)
+    rows[1][2] = D.field.normalize(rows[1][2] + shift)
     moved = Matrix.from_rows(D.field, rows)
+    assert algebra.sparse_primes(D.field, D.dim, (), 3, D.dim**2)
     sparse = [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)]
     _smallest_blocks(monkeypatch)
     assert [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)] == sparse
@@ -522,3 +597,14 @@ def test_engines_agree_on_the_d81_nakayama_automorphism(monkeypatch):
     assert sparse[0] is None
     assert sparse[1] is not None
     assert sparse == generic
+
+
+def test_engines_agree_on_the_d81_nakayama_automorphism(monkeypatch):
+    """D(taft-3-7-2) over GF(7), one entry off by one."""
+    _nakayama_engines_agree(_double_over(7)[1], 1, monkeypatch)
+
+
+def test_engines_agree_on_the_d36_nakayama_automorphism_over_qq(monkeypatch):
+    """D(qs3) over QQ, one entry off by 1/2: a residue that an int64 cast of
+    the Fraction would truncate to 0."""
+    _nakayama_engines_agree(double_of("qs3"), Fraction(1, 2), monkeypatch)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -322,6 +323,38 @@ def test_machine_prime_gates_on_field_and_term_count():
     assert machine_prime(GF(2147483659)) is None  # the least prime above 2^31
     assert machine_prime(QQ) is None
     assert machine_prime(F7, 2**16 + 1) is None
+
+
+def test_engine_primes_meet_the_crt_bound_and_avoid_denominators():
+    """One prime for an admitted GF(p); over QQ the primes below 2^31, largest
+    first, skipping any that divides a denominator, until their product
+    exceeds 2 count max(A, D)^degree; none when machine_prime admits none."""
+    assert linalg.engine_primes(F7, 9) == (7,)
+    assert linalg.engine_primes(GF(2147483659), 9) == ()
+    assert linalg.engine_primes(F7, 2**16 + 1) == ()
+    assert linalg.engine_primes(QQ, 9, [Fraction(3), Fraction(-1)], 2, 9) == (MERSENNE_31,)
+    constants = [Fraction(1, MERSENNE_31), Fraction(5 * 2**40, 3)]
+    primes = linalg.engine_primes(QQ, 9, constants, 3, 81)
+    den = 3 * MERSENNE_31
+    bound = 2 * 81 * (5 * 2**40 * MERSENNE_31) ** 3
+    assert MERSENNE_31 not in primes and all(den % p for p in primes)
+    assert list(primes) == sorted(primes, reverse=True) and primes[0] < 2**31
+    assert math.prod(primes) > bound >= math.prod(primes[:-1])
+    assert linalg.engine_primes(QQ, 2**16 + 1) == ()
+    with mock.patch.object(linalg, "machine_prime", lambda field, terms=1: None):
+        assert linalg.engine_primes(QQ, 9) == linalg.engine_primes(F7, 9) == ()
+
+
+def test_residues_reduce_each_rational_exactly():
+    """1/2 becomes (p + 1)/2, not the 0 that an int64 cast of the Fraction
+    gives; every residue r of n/d satisfies d r = n mod p."""
+    p = MERSENNE_31
+    assert linalg.residues([Fraction(1, 2)], p).tolist() == [(p + 1) // 2]
+    assert np.array([Fraction(1, 2)], dtype=np.int64).tolist() == [0]
+    xs = [Fraction(-3, 7), Fraction(2**80 + 1, 3**40), Fraction(p + 4), 5, -1, 2 * p + 3]
+    out = linalg.residues(xs, p).tolist()
+    assert all(0 <= r < p for r in out)
+    assert all((Fraction(x).denominator * r - Fraction(x).numerator) % p == 0 for x, r in zip(xs, out))
 
 
 @pytest.mark.parametrize("sparse", [False, True])

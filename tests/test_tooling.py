@@ -81,8 +81,8 @@ def test_package_has_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def _prime_field_tests(path: Path) -> list:
-    """Qualified scope of each isinstance(..., PrimeField) call in a module."""
+def _field_tests(path: Path, cls: str) -> list:
+    """Qualified scope of each isinstance(..., cls) call in a module."""
     found = []
 
     def visit(node, scope):
@@ -92,7 +92,7 @@ def _prime_field_tests(path: Path) -> list:
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "isinstance"
-            and "PrimeField" in ast.unparse(node.args[1])
+            and cls in ast.unparse(node.args[1])
         ):
             found.append(scope)
         for child in ast.iter_child_nodes(node):
@@ -103,10 +103,17 @@ def _prime_field_tests(path: Path) -> list:
 
 
 def test_engine_is_chosen_in_one_place():
-    """linalg.machine_prime alone decides whether a field runs on the int64
-    engine; apart from PrimeField's own equality nothing else asks."""
-    found = sorted(s for path in PACKAGE.glob("*.py") for s in _prime_field_tests(path))
-    assert found == ["linalg.machine_prime", "scalars.PrimeField.__eq__"]
+    """linalg.machine_prime alone decides whether a prime field runs on the
+    int64 engine, and linalg.engine_primes, built on it, alone whether QQ
+    does; apart from each field's own equality nothing else asks."""
+    found = {
+        cls: sorted(s for path in PACKAGE.glob("*.py") for s in _field_tests(path, cls))
+        for cls in ("PrimeField", "RationalField")
+    }
+    assert found == {
+        "PrimeField": ["linalg.machine_prime", "scalars.PrimeField.__eq__"],
+        "RationalField": ["linalg.engine_primes", "scalars.RationalField.__eq__"],
+    }
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
