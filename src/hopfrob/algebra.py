@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import linalg
 from .errors import FieldMismatchError, ShapeError
 from .linalg import Matrix, basis_vec, engine_primes, mulmod, residues
 from .report import Report
@@ -37,8 +38,6 @@ SparseRow = tuple  # tuple[(basis_index, scalar), ...] sorted by index
 # over QQ: 58 ms, kernels 13 ms; taft-4-5-2: 6.4 ms, kernels 5.2 ms); cyclic
 # group algebras cross near dim 9 over QQ and near dim 15 over GF(101)
 _SPARSE_DIM = 12
-# entries per int64 array in one block of a sparse kernel, so memory stays flat
-_BLOCK = 1 << 14
 
 
 def _clean_row(field: Field, items: Iterable) -> SparseRow:
@@ -424,11 +423,11 @@ def side_by_side(L, dim: int):
 
 
 def blocks(sizes):
-    """Consecutive ranges [a, b) of the items, each holding at most _BLOCK
-    in total size, or a single item."""
+    """Consecutive ranges [a, b) of the items, each holding at most the
+    cell budget linalg._BLOCK in total size, or a single item."""
     a, total = 0, 0
     for b, size in enumerate(sizes):
-        if b > a and total + size > _BLOCK:
+        if b > a and total + size > linalg._BLOCK:
             yield a, b
             a, total = b, 0
         total += size
@@ -443,7 +442,8 @@ def _multiplicative_failure_modp(
     mod p, without forming phi x phi: the right side contracts the left
     factor of the dst product with phi, reshapes, and contracts the right
     factor, for a block of src columns i at a time, sized so that every
-    intermediate holds at most _BLOCK entries unless one column needs more.
+    intermediate holds at most linalg._BLOCK entries unless one column needs
+    more.
 
     Bound: all three products go through linalg.mulmod and sum at most
     max(dim src, dim dst) products per entry, for which engine_primes
@@ -458,7 +458,7 @@ def _multiplicative_failure_modp(
     # row k, column n*dd + l: coefficient of e_n in e_k e_l
     k, l, n, c = structure_arrays(dst, p)
     left = sp.csr_matrix((c, (k, n * dd + l)), shape=(dd, dd * dd))
-    width = max(1, _BLOCK // (dd * max(dd, ds)))
+    width = max(1, linalg._BLOCK // (dd * max(dd, ds)))
     for i0 in range(0, ds, width):
         nb = min(width, ds - i0)
         # T[i, (n l)] = sum_k phi[k, i] c(k, l; n), regrouped as rows (n i), columns l

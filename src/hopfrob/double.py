@@ -16,9 +16,10 @@ from .hopfcore import (
     HopfAlgebra,
     convolution,
     dual_left_integral_space,
+    integral_operator,
     left_integral_space,
 )
-from .linalg import Matrix, basis_vec
+from .linalg import Matrix, annihilates, basis_vec
 from .report import Report
 
 
@@ -85,24 +86,28 @@ def _straighten_table(H: HopfAlgebra):
     return table
 
 
-def _straighten_direct(H: HopfAlgebra, i: int, b: int):
-    """Same straightening computed the slow way: the functional
-    y -> f_b(Sbar(e_t) y e_r) is evaluated by two honest products."""
+def _straighten_direct(H: HopfAlgebra, i: int):
+    """Row i of the same straightening computed the slow way, as one dict
+    {(v, s): c} per b: the functional y -> f_b(Sbar(e_t) y e_r) is
+    evaluated by two honest products, once per term and v, and read at
+    every b."""
     field = H.field
     zero = field.zero()
     sbar = H.antipode_inv()
-    acc: dict = {}
+    per_b = [{} for _ in range(H.dim)]
     for r, s, t, c in H.delta2_row(i):
         left = sbar.col(t)
         for v in range(H.dim):
             w = H.alg.multiply(left, H.alg.basis_vector(v))
             w = H.alg.multiply(w, H.alg.basis_vector(r))
-            if w[b] != zero:
-                key = (v, s)
-                acc[key] = acc.get(key, zero) + c * w[b]
-    return {
-        k: c for k, c in ((k, field.normalize(c)) for k, c in acc.items()) if c != zero
-    }
+            for b, wb in enumerate(w):
+                if wb != zero:
+                    acc = per_b[b]
+                    acc[(v, s)] = acc.get((v, s), zero) + c * wb
+    return [
+        {k: c for k, c in ((k, field.normalize(c)) for k, c in acc.items()) if c != zero}
+        for acc in per_b
+    ]
 
 
 def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
@@ -118,9 +123,10 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
 
     straighten = _straighten_table(H)
     for i in range(n):
+        direct = _straighten_direct(H, i)
         for b in range(n):
             got = {(v, s): c for v, s, c in straighten[i][b]}
-            if got != _straighten_direct(H, i, b):
+            if got != direct[b]:
                 raise InternalCheckError(
                     f"straightening forms disagree at pair {(i, b)}"
                 )
@@ -304,14 +310,7 @@ def double_fh_check(D: HopfAlgebra) -> DoubleReport:
     rep.add("integral space is one-dimensional", len(ints) == 1,
             f"dimension {len(ints)}")
 
-    unimodular = False
-    if len(ints) == 1:
-        T = ints[0]
-        field = D.field
-        unimodular = all(
-            D.alg.multiply(T, D.alg.basis_vector(j))
-            == tuple(field.normalize(D.counit[j] * c) for c in T)
-            for j in range(D.dim)
-        )
+    # T is a left integral; D is unimodular when it is also a right one
+    unimodular = len(ints) == 1 and annihilates(D.field, integral_operator(D, "right"), ints[0])
     rep.add("unimodularity decided", True, f"unimodular={unimodular}")
     return DoubleReport(D, rep, len(dual_ints), len(ints), unimodular)

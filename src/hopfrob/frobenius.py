@@ -29,12 +29,13 @@ from .hopfcore import (
     dual_hopf,
     dual_left_integral_space,
     eval_cov,
+    integral_operator,
     integral_space,
     is_grouplike,
     left_integral_space,
     pairing_matrix,
 )
-from .linalg import Matrix, basis_vec, is_zero_vec, matrix_order
+from .linalg import Matrix, annihilates, basis_vec, is_zero_vec, matrix_order
 from .report import Report
 
 
@@ -114,11 +115,8 @@ def build_integral_data(H: HopfAlgebra, psi: Optional[Sequence] = None) -> Integ
         (psi,) = dual_left_integral_space(H)
     else:
         psi = tuple(field.normalize(c) for c in psi)
-        for j in range(H.dim):
-            lam = convolution(H, basis_vec(field, H.dim, j), psi)
-            want = tuple(field.normalize(H.unit[j] * c) for c in psi)
-            if lam != want:
-                raise InvalidInputError("supplied functional is not a left integral")
+        if not annihilates(field, integral_operator(H, "left", dual=True), psi):
+            raise InvalidInputError("supplied functional is not a left integral")
         if is_zero_vec(field, psi):
             raise InvalidInputError("supplied functional is zero")
 

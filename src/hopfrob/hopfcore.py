@@ -310,35 +310,42 @@ def is_grouplike(H: HopfAlgebra, v: Sequence) -> bool:
 # -- integrals ----------------------------------------------------------------
 
 
-def integral_space(H: HopfAlgebra, side: str, dual: bool = False) -> tuple:
-    """Canonical basis of the left integrals (side "left": a t = eps(a) t for
-    all a) or the right integrals (t a = eps(a) t) in H, or in H* if dual.
-
-    One sparse operator x -> e_i x - eps(e_i) x (mirrored on the right) per
-    basis vector.  H* multiplies by the transpose of Delta and has the unit
-    of H as its counit.
+def integral_operator(H: HopfAlgebra, side: str, dual: bool = False) -> dict:
+    """The integral constraints of H (of H* if dual) as one sparse operator
+    S = {(row, col): c} with dim^2 rows: row a*dim + k, column j holds the
+    coefficient of e_k in e_a e_j (side "left") or e_j e_a ("right"), less
+    eps(e_a) on the diagonal of block a.  So S t = 0 says exactly that t is
+    a left (right) integral: a t = eps(a) t (t a = eps(a) t) for all a.  H*
+    multiplies by the transpose of Delta and has the unit of H as its
+    counit.
     """
+    dim, field = H.dim, H.field
     if dual:
-        table: dict = {}
-        for k, terms in H.comul.items():
-            for u, v, c in terms:
-                table.setdefault((u, v), []).append((k, c))
+        # f_u f_v = sum c f_k over the terms c e_u (x) e_v of Delta(e_k)
+        entries = ((u, v, k, c) for k, terms in H.comul.items() for u, v, c in terms)
         eps = H.unit
     else:
-        table, eps = H.alg.mul, H.counit
-    z = H.field.zero()
+        entries = ((i, j, k, c) for (i, j), row in H.alg.mul.items() for k, c in row)
+        eps = H.counit
+    # the tables hold one entry per (i, j, k)
+    if side == "left":
+        S = {(i * dim + k, j): c for i, j, k, c in entries}
+    else:
+        S = {(j * dim + k, i): c for i, j, k, c in entries}
+    z = field.zero()
+    for a, e in enumerate(eps):
+        if e != z:
+            for d in range(dim):
+                key = (a * dim + d, d)
+                S[key] = field.normalize(S.get(key, z) - e)
+    return S
 
-    def constraints():
-        for i in range(H.dim):
-            sp: dict = {}
-            for j in range(H.dim):
-                for k, c in table.get((i, j) if side == "left" else (j, i), ()):
-                    sp[(k, j)] = sp.get((k, j), z) + c
-            for d in range(H.dim):
-                sp[(d, d)] = sp.get((d, d), z) - eps[i]
-            yield sp
 
-    return iterated_kernel_sparse(H.field, H.dim, constraints())
+def integral_space(H: HopfAlgebra, side: str, dual: bool = False) -> tuple:
+    """Canonical basis of the left integrals (side "left") or the right
+    integrals ("right") in H, or in H* if dual: the kernel of
+    integral_operator."""
+    return iterated_kernel_sparse(H.field, H.dim, integral_operator(H, side, dual))
 
 
 def left_integral_space(H: HopfAlgebra) -> tuple:
@@ -637,8 +644,9 @@ def _delta_failure(H: HopfAlgebra, rows: Optional[Sequence], p: int) -> Optional
     products per entry, for which engine_primes admitted p; every other
     product is of two residues (below 2^62) and is reduced at once.  A cell
     of one chunk's CSR sum adds at most dim residues per term of Delta(g_r),
-    from at most _BLOCK = 2^14 terms, so it stays below 2^31 * 2^14 * 2^16 =
-    2^61; chunks are reduced mod p before they are added.
+    from at most linalg._BLOCK = 2^14 terms, so it stays below
+    2^31 * 2^14 * 2^16 = 2^61; chunks are reduced mod p before they are
+    added.
     """
     import numpy as np
     import scipy.sparse as sp

@@ -7,11 +7,13 @@ canonical: the same input always yields byte-identical output.
 
 Two arithmetic engines exist, and machine_prime chooses between them: over
 GF(p) with p < 2^31 large eliminations (rref, solve, solve_matrix, inverse),
-large products (Matrix.mul), iterated kernels and the sparse identity checks
-in algebra and hopfcore run on int64 numpy/scipy arrays, everything else on
-Python scalars.  Every int64 sum of products goes through mulmod, whose
-docstring bounds its intermediates, so results are exact and identical to
-the generic path (property-tested).  The sparse identity checks also run
+large products (Matrix.mul), the kernel of a stacked sparse operator
+(iterated_kernel_sparse, in blocks of rows bounded by the cell budget
+_BLOCK), its product with one vector (annihilates) and the sparse identity
+checks in algebra and hopfcore run on int64 numpy/scipy arrays, everything
+else on Python scalars.  Every int64 sum of products goes through mulmod,
+whose docstring bounds its intermediates, so results are exact and
+identical to the generic path (property-tested).  The sparse identity checks also run
 over QQ: engine_primes, built on machine_prime, picks enough primes below
 2^31 that an identity holding mod each of them holds in QQ (the bound is in
 its docstring), and residues reduces each rational exactly.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, ShapeError, SingularError
@@ -30,6 +33,8 @@ from .scalars import GF, Field, PrimeField, RationalField, _is_prime
 _NUMPY_CELLS = 4096
 # mulmod splits into 16-bit limbs; with p < 2^31 that sums up to 2^16 products
 _LIMB_BITS = 16
+# entries per int64 array in one block of a sparse kernel, so memory stays flat
+_BLOCK = 1 << 14
 
 
 def machine_prime(field: Field, terms: int = 1) -> Optional[int]:
@@ -97,26 +102,29 @@ def residues(values: Iterable, p: int):
 
 
 def mulmod(A, B, p: int):
-    """A @ B mod p, exact, for int64 operands with entries in [0, p), both
-    dense numpy arrays or both scipy.sparse matrices (a sparse result comes
-    back with its zeros eliminated).
+    """A @ B mod p, exact, for int64 operands with entries in [0, p): both
+    dense numpy arrays, both scipy.sparse matrices (a sparse result comes
+    back with its zeros eliminated), or a sparse A times a dense B (a dense
+    result).
 
     Bound: an entry of A @ B sums at most `terms` products, where terms is
-    the inner dimension for dense operands and, for sparse ones, the smaller
-    of the largest row count of A and the largest column count of B.  When
-    (p-1)^2 * terms < 2^63 the plain int64 product is exact and is reduced
-    once.  Otherwise B = B_hi * 2^16 + B_lo is split into 16-bit limbs, and
-    each partial sum stays below 2^31 * 2^16 * 2^16 = 2^63 for up to 2^16
-    terms when p < 2^31.  Beyond that it raises OverflowError rather than
-    wrap; machine_prime keeps its callers below it.
+    the inner dimension for a dense A, the largest row count of a sparse A,
+    and for two sparse operands the smaller of that and the largest column
+    count of B.  When (p-1)^2 * terms < 2^63 the plain int64 product is
+    exact and is reduced once.  Otherwise B = B_hi * 2^16 + B_lo is split
+    into 16-bit limbs, and each partial sum stays below 2^31 * 2^16 * 2^16 =
+    2^63 for up to 2^16 terms when p < 2^31.  Beyond that it raises
+    OverflowError rather than wrap; machine_prime keeps its callers below it.
     """
     import numpy as np
 
-    dense = isinstance(A, np.ndarray)
-    if dense:
+    dense = isinstance(B, np.ndarray)
+    if isinstance(A, np.ndarray):
         terms = A.shape[1]
     else:
-        terms = int(min(A.getnnz(axis=1).max(initial=0), B.getnnz(axis=0).max(initial=0)))
+        terms = int(A.getnnz(axis=1).max(initial=0))
+        if not dense:
+            terms = min(terms, int(B.getnnz(axis=0).max(initial=0)))
     if (p - 1) ** 2 * terms < 2**63:
         return _reduce(A @ B, p)
     if p >= 2**31 or terms > 2**_LIMB_BITS:
@@ -452,29 +460,42 @@ def span_equal(field: Field, vs: Iterable[Sequence], ws: Iterable[Sequence]) -> 
     return canonical_basis(field, vs) == canonical_basis(field, ws)
 
 
-def iterated_kernel_sparse(field: Field, dim: int, constraints) -> tuple[tuple, ...]:
-    """Canonical basis of the joint kernel of a family of dim x dim operators.
+def iterated_kernel_sparse(field: Field, dim: int, S: dict) -> tuple[tuple, ...]:
+    """Canonical basis of the kernel of the stacked operator S.
 
-    constraints: iterable of sparse operators as {(row, col): scalar} dicts.
-    The intersection is refined one constraint at a time, so the ambient
-    dim^2-row system is never materialized; over a machine-word prime field
-    the refinement runs on int64 numpy arrays.
+    S is sparse, {(row, col): scalar} with col < dim: rows a*dim .. a*dim +
+    dim - 1 are the a-th dim x dim constraint, and the whole of S is built
+    once.  The kernel is refined one block of rows at a time from K, whose
+    columns span the vectors every block so far annihilates.
+
+    The generic engine reads one constraint (dim rows) at a time.  Over a
+    GF(p) that machine_prime admits, S is one int64 CSR matrix and each step
+    multiplies the next rows of S by K through mulmod, as many rows as keep
+    the product within the cell budget _BLOCK (rows * cols(K) <= _BLOCK, at
+    least one row; S is a single step while dim^3 <= _BLOCK, up to dim 25,
+    and steps grow as K shrinks).  A block whose product vanishes holds on
+    all of K and costs no elimination; otherwise one elimination of that
+    product refines K to its null space.  The stop is exact: K is final once
+    every remaining row times K is zero, and that is the product itself,
+    not a sample.  The rows left after a refinement are multiplied in
+    budget-sized blocks rather than in one product, so memory stays flat
+    while K is still wide.
     """
     if machine_prime(field, dim) is not None:
-        return _iterated_kernel_modp(field, dim, constraints)
+        return _iterated_kernel_modp(field, dim, S)
+    z = field.zero()
+    constraints: dict = {}
+    for (r, c), val in S.items():
+        val = field.normalize(val)
+        if val != z:
+            constraints.setdefault(r // dim, []).append((r % dim, c, val))
     # columns of K span the current candidate subspace
     K = [basis_vec(field, dim, i) for i in range(dim)]
-    for sp in constraints:
+    for a in sorted(constraints):
         if not K:
             break
-        z = field.zero()
-        ck_rows = []
-        for r in range(dim):
-            ck_rows.append([z] * len(K))
-        for (r, c), val in sp.items():
-            val = field.normalize(val)
-            if val == z:
-                continue
+        ck_rows = [[z] * len(K) for _ in range(dim)]
+        for r, c, val in constraints[a]:
             for t, v in enumerate(K):
                 if v[c] != z:
                     ck_rows[r][t] = ck_rows[r][t] + val * v[c]
@@ -494,31 +515,61 @@ def iterated_kernel_sparse(field: Field, dim: int, constraints) -> tuple[tuple, 
     return canonical_basis(field, K)
 
 
-def _iterated_kernel_modp(field: PrimeField, dim: int, constraints) -> tuple[tuple, ...]:
+def _iterated_kernel_modp(field: PrimeField, dim: int, S: dict) -> tuple[tuple, ...]:
     import numpy as np
 
     p = field.p
+    A = sparse_operator(S, dim, p)
     K = np.eye(dim, dtype=np.int64)
-    for sp in constraints:
-        if K.shape[1] == 0:
-            break
-        C = np.zeros((dim, dim), dtype=np.int64)
-        for (r, c), val in sp.items():
-            C[r, c] = (C[r, c] + int(val)) % p
-        CK = mulmod(C, K, p)
-        rows, pivots = _rref_modp_numpy([list(map(int, r)) for r in CK], p)
-        k = K.shape[1]
-        free = [j for j in range(k) if j not in pivots]
-        if len(free) == k:
-            continue
-        N = np.zeros((k, len(free)), dtype=np.int64)
-        for idx, f in enumerate(free):
-            N[f, idx] = 1
-            for r, pc in enumerate(pivots):
-                N[pc, idx] = (-rows[r][f]) % p
-        K = mulmod(K, N, p)
-    vecs = [tuple(int(x) for x in K[:, j]) for j in range(K.shape[1])]
-    return canonical_basis(field, vecs)
+    r = 0
+    while r < A.shape[0] and K.shape[1]:
+        step = max(1, _BLOCK // K.shape[1])
+        block = mulmod(A[r : r + step], K, p)
+        r += step
+        if block.any():
+            K = _refine(K, block, p)
+    return canonical_basis(field, K.T.tolist())
+
+
+def sparse_operator(S: dict, ncols: int, p: int):
+    """The sparse operator {(row, col): scalar} mod p as an int64 CSR matrix
+    with ncols columns and one row past the last row it names."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    rc = np.fromiter(chain.from_iterable(S), dtype=np.int64, count=2 * len(S)).reshape(-1, 2)
+    vals = residues(S.values(), p)
+    nrows = int(rc[:, 0].max(initial=-1)) + 1
+    A = sp.csr_matrix((vals, (rc[:, 0], rc[:, 1])), shape=(nrows, ncols))
+    A.eliminate_zeros()
+    return A
+
+
+def annihilates(field: Field, S: dict, vec: Sequence) -> bool:
+    """Whether the sparse operator {(row, col): scalar} maps vec to zero: one
+    mulmod over a GF(p) that machine_prime admits, else one Python pass over
+    the entries."""
+    p = machine_prime(field, len(vec))
+    if p is not None:
+        x = residues(vec, p).reshape(-1, 1)
+        return not mulmod(sparse_operator(S, len(vec), p), x, p).any()
+    z = field.zero()
+    acc: dict = {}
+    for (r, c), val in S.items():
+        if vec[c] != z:
+            acc[r] = acc.get(r, z) + val * vec[c]
+    return all(field.normalize(x) == z for x in acc.values())
+
+
+def _refine(K, block, p: int):
+    """The columns of K combined along the right kernel of block (= S K for
+    a block of rows S), mod p: the null vector of each free column f of the
+    reduced echelon form is e_f - sum_r red[r, f] e_pivot(r)."""
+    import numpy as np
+
+    red, pivots = _rref_modp_numpy(block, p)
+    free = np.setdiff1d(np.arange(K.shape[1]), pivots)
+    return (K[:, free] - mulmod(K[:, pivots], red[: len(pivots), free], p)) % p
 
 
 # -- elimination engines ---------------------------------------------------
@@ -530,7 +581,8 @@ def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
     # int64 stays exact: a row update is one product, at most (p-1)^2 < 2^62
     p = machine_prime(field)
     if p is not None and len(rows) * len(rows[0]) >= _NUMPY_CELLS:
-        return _rref_modp_numpy(rows, p)
+        red, pivots = _rref_modp_numpy(rows, p)
+        return red.tolist(), pivots
     return _rref_generic(field, rows)
 
 
@@ -560,7 +612,9 @@ def _rref_generic(field: Field, rows: list[list]) -> tuple[list[list], list[int]
     return rows, pivots
 
 
-def _rref_modp_numpy(rows: list[list], p: int) -> tuple[list[list], list[int]]:
+def _rref_modp_numpy(rows, p: int) -> tuple:
+    """The reduced echelon form mod p of an int64 array (or nested lists),
+    as a new int64 array, and its pivot columns."""
     import numpy as np
 
     a = np.array(rows, dtype=np.int64) % p
@@ -585,5 +639,4 @@ def _rref_modp_numpy(rows: list[list], p: int) -> tuple[list[list], list[int]]:
             a[hit] = (a[hit] - np.outer(col[hit], a[r])) % p
         pivots.append(c)
         r += 1
-    out = [[int(x) for x in row] for row in a]
-    return out, pivots
+    return a, pivots

@@ -1,8 +1,12 @@
 """Shared per-session caches so expensive objects (doubles and their axiom
-reports) are built exactly once across test modules."""
+reports) are built exactly once across test modules, and the fixtures that
+switch the arithmetic engine and its block size."""
 
 import functools
 
+import pytest
+
+from hopfrob import linalg
 from hopfrob.catalog import entry, taft
 from hopfrob.double import double_generators, drinfeld_double
 from hopfrob.frobenius import build_integral_data, frobenius_system_from_norm
@@ -69,3 +73,17 @@ def subpair_of(key: str):
     emb = embedding_of(key)
     beta = relative_nakayama(emb)
     return emb, beta, beta_frobenius_structure(emb, beta)
+
+
+@pytest.fixture
+def generic_engine(monkeypatch):
+    """A call that sends every later engine choice of the test to the
+    Python-scalar engine: linalg.machine_prime admits no field."""
+    return lambda: monkeypatch.setattr(linalg, "machine_prime", lambda field, terms=1: None)
+
+
+@pytest.fixture
+def smallest_blocks(monkeypatch):
+    """A call that makes every later int64 block of the test one row or one
+    term: the cell budget linalg._BLOCK becomes 1."""
+    return lambda: monkeypatch.setattr(linalg, "_BLOCK", 1)

@@ -205,9 +205,10 @@ def test_criterion_07_double_of_the_four_dimensional_algebra(capfd):
         H = entry("sweedler").hopf
         table = _straighten_table(H)
         for i in range(H.dim):
+            direct = _straighten_direct(H, i)
             for b in range(H.dim):
                 fast = {(v, s): c for v, s, c in table[i][b]}
-                assert fast == _straighten_direct(H, i, b), (i, b)
+                assert fast == direct[b], (i, b)
 
     _verdict(capfd, 7, "Drinfeld double structure", body)
 

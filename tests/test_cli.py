@@ -6,7 +6,7 @@ import sys
 import pytest
 from conftest import double_of
 
-from hopfrob import frobenius, hopfcore, subext
+from hopfrob import cli, frobenius, hopfcore, linalg, subext
 from hopfrob.algebra import StructureAlgebra
 from hopfrob.catalog import entry, names
 from hopfrob.cli import main
@@ -447,3 +447,37 @@ def test_d81_dual_basis_check_makes_no_algebra_product(monkeypatch):
     )
     assert frobenius.dual_basis_identities_hold(D.alg, sys_.psi, sys_.xs, sys_.ys) == (True, "")
     assert calls == []
+
+
+def test_double_integral_stage_runs_few_eliminations_and_no_algebra_product(
+    tmp_path, monkeypatch
+):
+    """Inside double_fh_check of `double taft-3-7-2.hopf`, unimodularity is
+    one product S_right T, not an algebra product per basis vector (81), and
+    the two integral spaces of D(taft-3-7-2) run at most 8 int64
+    eliminations (6 with the default cell budget: three blocks per space),
+    not one per constraint (2 * 81)."""
+    path = emit(tmp_path, "taft-3-7-2")
+    inside, products, eliminations = [], [], []
+    fh_check = cli.double_fh_check
+
+    def traced(D):
+        inside.append(D)
+        try:
+            return fh_check(D)
+        finally:
+            inside.pop()
+
+    def counting(calls, fn):
+        return lambda *args: (calls.append(1) if inside else None) or fn(*args)
+
+    monkeypatch.setattr(cli, "double_fh_check", traced)
+    monkeypatch.setattr(
+        StructureAlgebra, "multiply", counting(products, StructureAlgebra.multiply)
+    )
+    monkeypatch.setattr(
+        linalg, "_rref_modp_numpy", counting(eliminations, linalg._rref_modp_numpy)
+    )
+    assert main(["double", str(path)]) == 0
+    assert products == []
+    assert 0 < len(eliminations) <= 8

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hopfrob import GF, QQ, InvalidInputError, algebra, hopfcore, linalg
 from hopfrob.algebra import StructureAlgebra, multiplicative_failure
 from hopfrob.catalog import cyclic_table, entry, group_algebra, names
-from hopfrob.double import double_generators, drinfeld_double
+from hopfrob.double import double_fh_check, double_generators, drinfeld_double
 from hopfrob.hopfcore import (
     HopfAlgebra,
     act_left,
@@ -22,6 +22,8 @@ from hopfrob.hopfcore import (
     dual_left_integral_space,
     eval_cov,
     hopf_module_decompose,
+    integral_operator,
+    integral_space,
     is_grouplike,
     is_hopf_morphism,
     left_integral_space,
@@ -446,21 +448,13 @@ def test_zero_antipode_is_singular_without_elimination(monkeypatch):
     assert calls == []
 
 
-def _generic_engine(monkeypatch):
-    monkeypatch.setattr(linalg, "machine_prime", lambda field, terms=1: None)
-
-
-def _smallest_blocks(monkeypatch):
-    monkeypatch.setattr(algebra, "_BLOCK", 1)
-
-
 def _items(rep):
     return [(it.name, it.ok, it.detail) for it in rep.items]
 
 
 @pytest.mark.parametrize("kind", [None, "mul", "comul", "unit", "antipode"])
 @pytest.mark.parametrize("p", [7, 2146560523])
-def test_sparse_and_generic_engines_report_the_same_items(p, kind, monkeypatch):
+def test_sparse_and_generic_engines_report_the_same_items(p, kind, generic_engine):
     """The full check on D(taft(3, p, q)) gives the same items (name, verdict,
     detail with the first failing index) on the sparse int64 engine and on
     the Python loops, valid or corrupted, up to p near 2^31."""
@@ -469,7 +463,7 @@ def test_sparse_and_generic_engines_report_the_same_items(p, kind, monkeypatch):
         D = _corrupted(D, kind)
     assert linalg.engine_primes(D.field, D.dim) == (p,)
     sparse = verify_hopf(D)
-    _generic_engine(monkeypatch)
+    generic_engine()
     assert linalg.engine_primes(D.field, D.dim) == ()
     generic = verify_hopf(D)
     assert _items(sparse) == _items(generic)
@@ -482,7 +476,9 @@ SMALL_DOUBLES = [k for k in names() if entry(k).hopf.dim ** 2 <= 81 and k != "ta
 
 @pytest.mark.parametrize("kind", [None, "mul", "comul", "unit", "antipode"])
 @pytest.mark.parametrize("key", SMALL_DOUBLES)
-def test_engines_agree_on_every_catalog_double_up_to_dim_81(key, kind, monkeypatch):
+def test_engines_agree_on_every_catalog_double_up_to_dim_81(
+    key, kind, monkeypatch, generic_engine
+):
     """With the dimension threshold at 0, the kernels (mod p, or over QQ mod
     enough primes) and the Python loops give the same items on every
     catalog double up to dimension 81, valid or corrupted."""
@@ -492,7 +488,7 @@ def test_engines_agree_on_every_catalog_double_up_to_dim_81(key, kind, monkeypat
         D = _corrupted(D, kind)
     assert linalg.engine_primes(D.field, D.dim)
     kernels = verify_hopf(D)
-    _generic_engine(monkeypatch)
+    generic_engine()
     assert _items(kernels) == _items(verify_hopf(D))
     assert kernels.passed == (kind is None)
 
@@ -517,7 +513,7 @@ def _rescaled(H, scale):
     return HopfAlgebra.from_sparse(alg, comul, counit, Matrix.from_rows(F, S))
 
 
-def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(monkeypatch):
+def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(generic_engine):
     """D(qs3) in a basis rescaled by rationals of height above 2^40: its
     constants are large, so the identities need several primes.  A constant
     moved by the first prime p1 is invisible mod p1 and one moved by 1/p1
@@ -542,14 +538,14 @@ def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(monkeypat
     assert algebra._associativity_failure(variants["mul + p1"].alg, None, p1) is None
     assert hopfcore._delta_failure(variants["comul + p1"], None, p1) is None
     kernels = {name: _items(verify_hopf(H)) for name, H in variants.items()}
-    _generic_engine(monkeypatch)
+    generic_engine()
     loops = {name: _items(verify_hopf(H)) for name, H in variants.items()}
     assert kernels == loops
     assert [all(ok for _, ok, _ in items) for items in loops.values()] == [True, False, False, False]
 
 
 @pytest.mark.parametrize("kind", ["mul", "comul"])
-def test_sparse_verdict_does_not_depend_on_the_block_size(kind, monkeypatch):
+def test_sparse_verdict_does_not_depend_on_the_block_size(kind, smallest_blocks):
     """One-row blocks and one-term chunks give the items of the default
     blocks, on the full and on the generator-certified check."""
     H, D = _double_over(7)
@@ -560,25 +556,27 @@ def test_sparse_verdict_does_not_depend_on_the_block_size(kind, monkeypatch):
         return [_items(verify_hopf(D)), _items(verify_hopf(D, generators=gens, certificate=cert))]
 
     default = both()
-    _smallest_blocks(monkeypatch)
+    smallest_blocks()
     assert both() == default
 
 
 @pytest.mark.parametrize("key, double", [("taft-3-7-2", False), ("f5c5", True)])
-def test_smallest_sparse_blocks_pass_valid_hopf_algebras(key, double, monkeypatch):
+def test_smallest_sparse_blocks_pass_valid_hopf_algebras(
+    key, double, monkeypatch, smallest_blocks, generic_engine
+):
     """With the dimension threshold at 0 and blocks of one row or one term,
     the sparse kernels pass taft-3-7-2 and D(f5c5) with the items of the
     loops."""
     D = drinfeld_double(entry(key).hopf) if double else entry(key).hopf
     monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
-    _smallest_blocks(monkeypatch)
+    smallest_blocks()
     sparse = verify_hopf(D)
-    _generic_engine(monkeypatch)
+    generic_engine()
     assert sparse.passed
     assert _items(sparse) == _items(verify_hopf(D))
 
 
-def _nakayama_engines_agree(D, shift, monkeypatch):
+def _nakayama_engines_agree(D, shift, smallest_blocks, generic_engine):
     """multiplicative_failure on the Nakayama matrix of D, and on that matrix
     with entry (1, 2) moved by shift, gives the same first failing pair on
     the default blocks, on one-row blocks and on the Python loops."""
@@ -590,21 +588,84 @@ def _nakayama_engines_agree(D, shift, monkeypatch):
     moved = Matrix.from_rows(D.field, rows)
     assert algebra.sparse_primes(D.field, D.dim, (), 3, D.dim**2)
     sparse = [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)]
-    _smallest_blocks(monkeypatch)
+    smallest_blocks()
     assert [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)] == sparse
-    _generic_engine(monkeypatch)
+    generic_engine()
     generic = [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)]
     assert sparse[0] is None
     assert sparse[1] is not None
     assert sparse == generic
 
 
-def test_engines_agree_on_the_d81_nakayama_automorphism(monkeypatch):
+def test_engines_agree_on_the_d81_nakayama_automorphism(smallest_blocks, generic_engine):
     """D(taft-3-7-2) over GF(7), one entry off by one."""
-    _nakayama_engines_agree(_double_over(7)[1], 1, monkeypatch)
+    _nakayama_engines_agree(_double_over(7)[1], 1, smallest_blocks, generic_engine)
 
 
-def test_engines_agree_on_the_d36_nakayama_automorphism_over_qq(monkeypatch):
+def test_engines_agree_on_the_d36_nakayama_automorphism_over_qq(
+    smallest_blocks, generic_engine
+):
     """D(qs3) over QQ, one entry off by 1/2: a residue that an int64 cast of
     the Fraction would truncate to 0."""
-    _nakayama_engines_agree(double_of("qs3"), Fraction(1, 2), monkeypatch)
+    _nakayama_engines_agree(double_of("qs3"), Fraction(1, 2), smallest_blocks, generic_engine)
+
+
+# every GF(p) catalog entry, and every catalog double up to dimension 81 over GF(p)
+MODP_KEYS = [k for k in names() if entry(k).hopf.field.characteristic]
+MODP_OBJECTS = MODP_KEYS + [f"D({k})" for k in MODP_KEYS if entry(k).hopf.dim ** 2 <= 81]
+SPACES = [(side, dual) for dual in (False, True) for side in ("left", "right")]
+
+
+def _object(name):
+    return double_of(name[2:-1]) if name.startswith("D(") else entry(name).hopf
+
+
+def _unimodular_by_products(H):
+    """The reference: the left integral T has T e_j = eps(e_j) T for every
+    basis vector e_j, one algebra product each."""
+    (T,) = left_integral_space(H)
+    F = H.field
+    return all(
+        H.alg.multiply(T, H.alg.basis_vector(j)) == tuple(F.normalize(H.counit[j] * c) for c in T)
+        for j in range(H.dim)
+    )
+
+
+@pytest.mark.parametrize("kind", [None, "mul", "comul", "unit"])
+@pytest.mark.parametrize("name", MODP_OBJECTS)
+def test_integral_spaces_agree_on_both_engines_and_any_block_size(
+    name, kind, smallest_blocks, generic_engine
+):
+    """Left and right integrals in H and in H*, valid or corrupted: the int64
+    engine, the same with one-row blocks, and the Python-scalar engine give
+    the same canonical basis; where the left integral space is a line, S_right
+    T = 0 decides unimodularity as the product loop does on both engines."""
+    H = _object(name)
+    if kind is not None:
+        H = _corrupted(H, kind)
+    assert linalg.machine_prime(H.field, H.dim) is not None
+
+    def spaces():
+        ints = left_integral_space(H)
+        right = integral_operator(H, "right")
+        unimodular = len(ints) == 1 and linalg.annihilates(H.field, right, ints[0])
+        return [integral_space(H, side, dual) for side, dual in SPACES], unimodular
+
+    int64 = spaces()
+    smallest_blocks()
+    assert spaces() == int64
+    generic_engine()
+    assert spaces() == int64
+    if len(left_integral_space(H)) == 1:
+        assert int64[1] == _unimodular_by_products(H)
+
+
+@pytest.mark.parametrize("key", names())
+def test_unimodularity_from_the_right_operator_matches_the_product_loop(key):
+    """On every catalog entry and every catalog double, double_fh_check reads
+    the same unimodularity off S_right T as the product loop: the doubles are
+    unimodular, sweedler and the Taft algebras are not."""
+    H, D = entry(key).hopf, double_of(key)
+    unimodular = not (key == "sweedler" or key.startswith("taft"))
+    assert double_fh_check(H).unimodular == _unimodular_by_products(H) == unimodular
+    assert double_fh_check(D).unimodular == _unimodular_by_products(D) is True

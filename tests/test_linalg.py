@@ -308,6 +308,7 @@ def test_numpy_modp_rref_matches_generic(rows):
     normalized = [[F13.normalize(x) for x in r] for r in rows]
     g_rows, g_piv = _rref_generic(F13, [list(r) for r in normalized])
     n_rows, n_piv = _rref_modp_numpy([list(r) for r in normalized], 13)
+    n_rows = n_rows.tolist()
     assert g_rows == n_rows
     assert g_piv == n_piv
 
@@ -397,6 +398,30 @@ def test_mulmod_matches_python_integers(p, shape, seed, sparse):
         got = mulmod(sp.csr_matrix(A), sp.csr_matrix(B), p).toarray()
     else:
         got = mulmod(A, B, p)
+    assert got.tolist() == want
+
+
+@given(
+    p=st.sampled_from([13, 65521, 2146560523, MERSENNE_31]),
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_mulmod_sparse_times_dense_matches_python_integers(p, shape, seed):
+    """A sparse left operand times a dense right one, as the iterated kernel
+    multiplies its stacked operator by K, gives a dense exact product."""
+    rng = np.random.default_rng(seed)
+    m, k, n = shape
+    A, B = (
+        rng.choice([0, 0, 1, p - 1, int(rng.integers(0, p))], size=s).astype(np.int64)
+        for s in ((m, k), (k, n))
+    )
+    want = [
+        [sum(int(A[i, t]) * int(B[t, j]) for t in range(k)) % p for j in range(n)]
+        for i in range(m)
+    ]
+    got = mulmod(sp.csr_matrix(A), B, p)
+    assert isinstance(got, np.ndarray)
     assert got.tolist() == want
 
 
