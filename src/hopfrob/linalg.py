@@ -9,14 +9,14 @@ Two arithmetic engines exist, and machine_prime chooses between them: over
 GF(p) with p < 2^31 large eliminations (rref, solve, solve_matrix, inverse),
 large products (Matrix.mul), the kernel of a stacked sparse operator
 (iterated_kernel_sparse, in blocks of rows bounded by the cell budget
-_BLOCK), its product with one vector (annihilates) and the sparse identity
-checks in algebra and hopfcore run on int64 numpy/scipy arrays, everything
-else on Python scalars.  Every int64 sum of products goes through mulmod,
-whose docstring bounds its intermediates, so results are exact and
-identical to the generic path (property-tested).  The sparse identity checks also run
-over QQ: engine_primes, built on machine_prime, picks enough primes below
-2^31 that an identity holding mod each of them holds in QQ (the bound is in
-its docstring), and residues reduces each rational exactly.
+_BLOCK) and the sparse identity checks in algebra and hopfcore run on int64
+numpy/scipy arrays, everything else on Python scalars.  Every int64 sum of
+products goes through mulmod, whose docstring bounds its intermediates, so
+results are exact and identical to the generic path (property-tested).
+The sparse identity checks also run over QQ: engine_primes, built on
+machine_prime, picks enough primes below 2^31 that an identity holding mod
+each of them holds in QQ (the bound is in its docstring), and residues
+reduces each rational exactly.
 """
 
 from __future__ import annotations
@@ -517,9 +517,11 @@ def iterated_kernel_sparse(field: Field, dim: int, S: dict) -> tuple[tuple, ...]
 
 def _iterated_kernel_modp(field: PrimeField, dim: int, S: dict) -> tuple[tuple, ...]:
     import numpy as np
+    import scipy.sparse as sp
 
     p = field.p
-    A = sparse_operator(S, dim, p)
+    rc = np.fromiter(chain.from_iterable(S), dtype=np.int64, count=2 * len(S)).reshape(-1, 2)
+    A = sp.csr_matrix((residues(S.values(), p), (rc[:, 0], rc[:, 1])), shape=(dim * dim, dim))
     K = np.eye(dim, dtype=np.int64)
     r = 0
     while r < A.shape[0] and K.shape[1]:
@@ -531,28 +533,9 @@ def _iterated_kernel_modp(field: PrimeField, dim: int, S: dict) -> tuple[tuple, 
     return canonical_basis(field, K.T.tolist())
 
 
-def sparse_operator(S: dict, ncols: int, p: int):
-    """The sparse operator {(row, col): scalar} mod p as an int64 CSR matrix
-    with ncols columns and one row past the last row it names."""
-    import numpy as np
-    import scipy.sparse as sp
-
-    rc = np.fromiter(chain.from_iterable(S), dtype=np.int64, count=2 * len(S)).reshape(-1, 2)
-    vals = residues(S.values(), p)
-    nrows = int(rc[:, 0].max(initial=-1)) + 1
-    A = sp.csr_matrix((vals, (rc[:, 0], rc[:, 1])), shape=(nrows, ncols))
-    A.eliminate_zeros()
-    return A
-
-
 def annihilates(field: Field, S: dict, vec: Sequence) -> bool:
-    """Whether the sparse operator {(row, col): scalar} maps vec to zero: one
-    mulmod over a GF(p) that machine_prime admits, else one Python pass over
-    the entries."""
-    p = machine_prime(field, len(vec))
-    if p is not None:
-        x = residues(vec, p).reshape(-1, 1)
-        return not mulmod(sparse_operator(S, len(vec), p), x, p).any()
+    """Whether the sparse operator {(row, col): scalar} maps vec to zero, in
+    one pass over the entries that skips the columns where vec is zero."""
     z = field.zero()
     acc: dict = {}
     for (r, c), val in S.items():

@@ -453,7 +453,7 @@ def test_double_integral_stage_runs_few_eliminations_and_no_algebra_product(
     tmp_path, monkeypatch
 ):
     """Inside double_fh_check of `double taft-3-7-2.hopf`, unimodularity is
-    one product S_right T, not an algebra product per basis vector (81), and
+    read off S_right T, not an algebra product per basis vector (81), and
     the two integral spaces of D(taft-3-7-2) run at most 8 int64
     eliminations (6 with the default cell budget: three blocks per space),
     not one per constraint (2 * 81)."""
