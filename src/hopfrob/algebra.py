@@ -349,6 +349,17 @@ def structure_arrays(A: StructureAlgebra, p: int) -> tuple:
     return tuple(x[c != 0] for x in (i, j, k, c))
 
 
+def comul_arrays(H, p: int) -> tuple:
+    """The comul table of the Hopf algebra H mod p as int64 arrays
+    (m, u, v, d): Delta(e_m) has d != 0 at e_u (x) e_v."""
+    import numpy as np
+
+    flat = (x for m, terms in H.comul.items() for u, v, _ in terms for x in (m, u, v))
+    m, u, v = np.fromiter(flat, dtype=np.int64).reshape(-1, 3).T
+    d = residues((d for terms in H.comul.values() for *_, d in terms), p)
+    return tuple(x[d != 0] for x in (m, u, v, d))
+
+
 def residue_rows(rows: Optional[Sequence], width: int, p: int):
     """The vectors of rows (each of length width), reduced mod p exactly, as
     the rows of an int64 CSR matrix; rows None stands for the basis vectors."""

@@ -11,15 +11,33 @@ certificate expressing each basis vector as a product of two generators.
 Checking associativity and multiplicativity of Delta on the generators
 alone then suffices: both properties propagate through products (Delta's
 through associative ones), and the certificate pins every basis vector as
-such a product.  Above algebra._SPARSE_DIM both quadratic axioms run as
-sparse int64 identities mod each prime of linalg.engine_primes, on the
-generators or on the whole basis, like the "is an algebra map" check of
-algebra.multiplicative_failure; every product goes through linalg.mulmod,
-which keeps it exact.  Over QQ, Delta(e_i e_j) sums dim products of two
-constants and Delta(e_i) Delta(e_j) at most dim^4 products of four (two
-comul, two mul), so the primes cover 2 (dim^4 + dim) max(A, D)^4 for the
-constants a/D, |a| <= A, of both tables.  Otherwise the axioms run as
-Python loops over the whole basis.
+such a product.
+
+Above algebra._SPARSE_DIM both quadratic axioms run as sparse int64
+identities mod each prime of linalg.engine_primes, on the generators or on
+the whole basis, like the "is an algebra map" check of
+algebra.multiplicative_failure.  Delta multiplicative (_delta_failure) is
+laid out so that its right side is one product per block of j: with
+Delta(g_r) = sum_v w_{r,v} (x) e_v, the coefficient of e_a (x) e_b in
+Delta(g_r) Delta(e_j) is sum_{s,v} W[(s v), (r a)] F[(j b), (s v)], W built
+once from the rows g_r, F per block of j from the tables; a block holds as
+many j as keep its arrays within the cell budget linalg._BLOCK.  Every
+product goes through linalg.mulmod, which keeps it exact.  Over QQ,
+Delta(e_i e_j) sums dim products of two constants and Delta(e_i)
+Delta(e_j) at most dim^4 products of four (two comul, two mul), so the
+primes cover 2 (dim^4 + dim) max(A, D)^4 for the constants a/D, |a| <= A,
+of both tables.  Otherwise the quadratic axioms run as Python loops over
+the whole basis.
+
+The four axioms linear in Delta (coassociativity, counit law, counit
+multiplicative, antipode law) run as one sparse identity each mod p
+(_linear_failures) where the generator-certified strategy may: over a GF(p)
+that engine_primes admits, above _CERTIFIED_DIM; elsewhere as Python loops
+over the basis (_linear_failures_loops), which are faster at catalog sizes.
+A product that sums more than dim terms per entry (the (s, v) contraction
+F W, and Delta times the antipode and counit factors) takes its term count
+from its operands and runs only when linalg.machine_prime admits it; where
+it does not, the loops decide.
 """
 
 from __future__ import annotations
@@ -32,12 +50,12 @@ from .algebra import (
     StructureAlgebra,
     _associativity_failure,
     blocks,
+    comul_arrays,
     first_difference,
     first_failure,
     is_augmentation,
     multiplicative_failure,
     residue_rows,
-    side_by_side,
     sparse_primes,
     structure_arrays,
     table_constants,
@@ -48,7 +66,7 @@ from .algebra import (
 from .errors import InvalidInputError, ShapeError, SingularError
 from .linalg import Matrix, basis_vec, engine_primes, iterated_kernel_sparse, mulmod, residues
 from .report import Report
-from .scalars import Field
+from .scalars import GF, Field
 
 # the generator-certified strategy runs above this dimension over an admitted
 # GF(p); it names its own report items, so it keeps its own threshold rather
@@ -462,14 +480,17 @@ def verify_hopf(
 ) -> Report:
     """Exact check of every Hopf axiom.
 
-    When generators and certificate are both given, dim > _CERTIFIED_DIM
-    and the field is a GF(p) that linalg.engine_primes admits, the two
-    quadratic axioms (associativity, Delta multiplicative) run as sparse
-    int64 identities mod p on the generators, after checking that the
-    certificate writes every basis vector as a product of two generators.
-    Otherwise they are
-    quantified over the whole basis: mod each prime of algebra.sparse_primes
-    when it gives any, else as Python loops over all basis tuples.
+    When dim > _CERTIFIED_DIM and the field is a GF(p) that
+    linalg.engine_primes admits, the four axioms linear in Delta
+    (coassociativity, counit law, counit multiplicative, antipode law) run
+    as sparse int64 identities mod p (_linear_failures), and when
+    generators and certificate are both given the two quadratic axioms
+    (associativity, Delta multiplicative) run mod p on the generators,
+    after checking that the certificate writes every basis vector as a
+    product of two generators.  Otherwise the linear axioms run as Python
+    loops over the basis, and the quadratic ones are quantified over the
+    whole basis: mod each prime of algebra.sparse_primes when it gives any,
+    else as Python loops over all basis tuples.
     """
     rep = Report(title or f"hopf axioms: {H.name or 'unnamed'}")
     field = H.field
@@ -484,34 +505,14 @@ def verify_hopf(
     else:
         rep.items.extend(verify_algebra(H.alg).items)
 
-    # coassociativity: (Delta x id)Delta = (id x Delta)Delta on each basis vector
-    bad = None
-    for i in range(dim):
-        z = field.zero()
-        left = H.delta2_row(i)
-        acc: dict = {}
-        for j, k, c in H.comul.get(i, ()):
-            for s, t, d in H.comul.get(k, ()):
-                key = (j, s, t)
-                acc[key] = acc.get(key, z) + c * d
-        right = tuple(
-            (*key, c)
-            for key in sorted(acc)
-            if (c := field.normalize(acc[key])) != z
-        )
-        if left != right:
-            bad = i
-            break
-    rep.add("coassociativity", bad is None, "" if bad is None else f"fails at basis {bad}")
+    def at_basis(name, bad):
+        rep.add(name, bad is None, "" if bad is None else f"fails at basis {bad}")
 
-    # counit law on each basis vector
-    bad = None
-    for i in range(dim):
-        e_i = basis_vec(field, dim, i)
-        if not act_left(H, H.counit, e_i) == e_i == act_right(H, e_i, H.counit):
-            bad = i
-            break
-    rep.add("counit law", bad is None, "" if bad is None else f"fails at basis {bad}")
+    coassoc, counit, eps_ok, antipode = (
+        _linear_failures(H, primes[0]) if primes else _linear_failures_loops(H)
+    )
+    at_basis("coassociativity", coassoc)
+    at_basis("counit law", counit)
 
     # unit is group-like, counit of unit is 1
     unit_ok = is_grouplike(H, H.unit)
@@ -539,31 +540,8 @@ def verify_hopf(
             "" if bad is None else f"fails at pair {bad}",
         )
 
-    # counit is an algebra map
-    eps_ok = is_augmentation(H.alg, H.counit)
     rep.add("counit is multiplicative", eps_ok)
-
-    # antipode law: sum S(a_(1)) a_(2) = eps(a) 1 = sum a_(1) S(a_(2))
-    scols = [vec_to_row(field, H.antipode.col(j)) for j in range(dim)]
-    bad = None
-    for i in range(dim):
-        z = field.zero()
-        left: dict = {}
-        right: dict = {}
-        for j, k, c in H.comul.get(i, ()):
-            for m, d in H.alg.multiply_rows(scols[j], ((k, field.one()),)):
-                left[m] = left.get(m, z) + c * d
-            for m, d in H.alg.multiply_rows(((j, field.one()),), scols[k]):
-                right[m] = right.get(m, z) + c * d
-        target = vec_to_row(
-            field, tuple(field.normalize(H.counit[i] * u) for u in H.unit)
-        )
-        lrow = tuple((m, c) for m, cc in sorted(left.items()) if (c := field.normalize(cc)) != z)
-        rrow = tuple((m, c) for m, cc in sorted(right.items()) if (c := field.normalize(cc)) != z)
-        if lrow != target or rrow != target:
-            bad = i
-            break
-    rep.add("antipode law", bad is None, "" if bad is None else f"fails at basis {bad}")
+    at_basis("antipode law", antipode)
 
     # antipode bijective
     try:
@@ -612,116 +590,325 @@ def _certified_mult_checks(H, generators, certificate, p, rep) -> bool:
     )
 
 
-def _delta_failure_loops(H: HopfAlgebra) -> Optional[tuple]:
-    """First basis pair (i, j) with Delta(e_i e_j) != Delta(e_i) Delta(e_j), or None."""
+def _linear_failures_loops(H: HopfAlgebra) -> tuple:
+    """The axioms linear in Delta as Python loops over the basis: the first
+    basis index where coassociativity fails, the first where the counit law
+    fails, whether the counit is multiplicative, and the first basis index
+    where the antipode law fails (None where an axiom holds)."""
+    field = H.field
+    dim = H.dim
+    z = field.zero()
+
+    # coassociativity: (Delta x id)Delta = (id x Delta)Delta on each basis vector
+    coassoc = None
+    for i in range(dim):
+        left = H.delta2_row(i)
+        acc: dict = {}
+        for j, k, c in H.comul.get(i, ()):
+            for s, t, d in H.comul.get(k, ()):
+                key = (j, s, t)
+                acc[key] = acc.get(key, z) + c * d
+        right = tuple(
+            (*key, c)
+            for key in sorted(acc)
+            if (c := field.normalize(acc[key])) != z
+        )
+        if left != right:
+            coassoc = i
+            break
+
+    # counit law on each basis vector
+    counit = None
+    for i in range(dim):
+        e_i = basis_vec(field, dim, i)
+        if not act_left(H, H.counit, e_i) == e_i == act_right(H, e_i, H.counit):
+            counit = i
+            break
+
+    # antipode law: sum S(a_(1)) a_(2) = eps(a) 1 = sum a_(1) S(a_(2))
+    scols = [vec_to_row(field, H.antipode.col(j)) for j in range(dim)]
+    antipode = None
+    for i in range(dim):
+        left: dict = {}
+        right: dict = {}
+        for j, k, c in H.comul.get(i, ()):
+            for m, d in H.alg.multiply_rows(scols[j], ((k, field.one()),)):
+                left[m] = left.get(m, z) + c * d
+            for m, d in H.alg.multiply_rows(((j, field.one()),), scols[k]):
+                right[m] = right.get(m, z) + c * d
+        target = vec_to_row(
+            field, tuple(field.normalize(H.counit[i] * u) for u in H.unit)
+        )
+        lrow = tuple((m, c) for m, cc in sorted(left.items()) if (c := field.normalize(cc)) != z)
+        rrow = tuple((m, c) for m, cc in sorted(right.items()) if (c := field.normalize(cc)) != z)
+        if lrow != target or rrow != target:
+            antipode = i
+            break
+
+    return coassoc, counit, is_augmentation(H.alg, H.counit), antipode
+
+
+def _linear_failures(H: HopfAlgebra, p: int) -> tuple:
+    """_linear_failures_loops as four sparse identities mod p, on one
+    structure_arrays and one comul_arrays.
+
+    Delta is laid out as row i, column (u v), over the pairs (u v) that
+    occur.  Coassociativity is two products with Delta in blocks of i
+    (_coassociativity_failure).  The counit law is Delta times [(u v), u] =
+    eps(e_v) and times [(u v), v] = eps(e_u), against the identity.  The
+    antipode law is Delta times [(u v), a] = the coefficient of e_a in
+    S(e_u) e_v, and times the same for e_u S(e_v), each S^T times the mul
+    table, re-laid; both against eps (x) 1.  "Counit multiplicative" sums
+    c eps(e_k) over the mul entries e_i e_j = c e_k per (i, j), against
+    eps (x) eps, and checks eps(1) = 1.  eps (x) 1 and eps (x) eps come from
+    the nonzero entries of eps and 1 alone.  Each identity reports its
+    smallest failing row, the first failing basis index of its loop.
+
+    Bound: every sum of products goes through linalg.mulmod but the sum of
+    c eps(e_k), whose terms are reduced mod p first, so a cell of at most
+    dim of them stays below 2^31 dim < 2^63.  The products with Delta on
+    the right and S^T on the left sum at most dim products per entry, for
+    which engine_primes admitted p.  Those with Delta on the left sum at
+    most the largest term count of a Delta(e_i); when machine_prime does
+    not admit that many, _linear_failures_loops decides instead.
+    """
+    import numpy as np
+    import scipy.sparse as sp
+
+    n = H.dim
+    i, j, k, c = structure_arrays(H.alg, p)
+    m, u, v, d = comul_arrays(H, p)
+    delta, uv = _compact(m, u * n + v, d, n)
+    if not engine_primes(GF(p), int(delta.getnnz(axis=1).max(initial=0))):
+        return _linear_failures_loops(H)
+    eps, one = residues(H.counit, p), residues(H.unit, p)
+
+    coassoc = _coassociativity_failure(m, u, v, d, delta, uv, p)
+
+    # counit law: act_left(eps, e_i) is Delta(e_i) with eps applied to the
+    # second leg, act_right(e_i, eps) with eps applied to the first
+    row = np.arange(len(uv))
+    ident = sp.identity(n, dtype=np.int64, format="csr")
+    counit = _smallest(
+        _first_row(mulmod(delta, sp.csr_matrix((eps[b], (row, a)), shape=(len(uv), n)), p), ident)
+        for a, b in ((uv // n, uv % n), (uv % n, uv // n))
+    )
+
+    # counit multiplicative
+    E = sp.csr_matrix((c * eps[k] % p, (i, j)), shape=(n, n))
+    E.data %= p
+    E.eliminate_zeros()
+    eps_ok = H.counit_of(H.unit) == H.field.one()
+    eps_ok = eps_ok and first_difference(E, _outer(eps, eps, p)) is None
+
+    # antipode law; S^T: row w, column x holds the coefficient of e_x in S(e_w)
+    S = [(x * n + w, a) for x, r in enumerate(H.antipode.rows) for w, a in enumerate(r) if a]
+    xw = np.fromiter((q for q, _ in S), dtype=np.int64, count=len(S))
+    ST = sp.csr_matrix((residues((a for _, a in S), p), (xw % n, xw // n)), shape=(n, n))
+    sides = []
+    # row x, column (v a): e_x e_v at e_a, so that row w of S^T times it is
+    # S(e_w) e_v, at (u v) = (w v); then e_u e_x, so e_u S(e_w), at (u w)
+    for x, qa, right in ((i, j * n + k, False), (j, i * n + k, True)):
+        M, kept = _compact(x, qa, c, n)
+        Y = mulmod(ST, M, p).tocoo()
+        q, a = np.divmod(kept[Y.col], n)
+        pairs = q * n + Y.row if right else Y.row * n + q
+        # only the pairs (u v) where Delta has a column meet Delta
+        at = np.searchsorted(uv, pairs)
+        hit = at < len(uv)
+        hit[hit] = uv[at[hit]] == pairs[hit]
+        P = sp.csr_matrix((Y.data[hit], (at[hit], a[hit])), shape=(len(uv), n))
+        sides.append(mulmod(delta, P, p))
+    target = _outer(eps, one, p)
+    antipode = _smallest(_first_row(side, target) for side in sides)
+    return coassoc, counit, eps_ok, antipode
+
+
+def _coassociativity_failure(m, u, v, d, delta, uv, p: int) -> Optional[int]:
+    """First i with (Delta x id)Delta(e_i) != (id x Delta)Delta(e_i), from
+    the comul arrays and the Delta of _linear_failures, in blocks of i.
+
+    The terms of Delta(e_i) as rows (i k), columns j, times Delta give
+    (Delta x id)Delta(e_i) at (r s k); as rows (i j), columns k, they give
+    (id x Delta)Delta(e_i) at (j s t).  A block holds as many i as keep both
+    products within the cell budget linalg._BLOCK (algebra.blocks).
+    """
+    import numpy as np
+    import scipy.sparse as sp
+
+    n = delta.shape[0]
+    order = np.argsort(m, kind="stable")
+    m, u, v, d = m[order], u[order], v[order], d[order]
+    start = np.searchsorted(m, np.arange(n + 1))
+    terms = np.bincount(m, minlength=n)
+    for i0, i1 in blocks(np.bincount(m, weights=terms[u] + terms[v], minlength=n)):
+        q = slice(start[i0], start[i1])
+        shape = (i1 - i0, n**3)
+        keys, row = np.unique((m[q] - i0) * n + v[q], return_inverse=True)
+        Y = mulmod(sp.csr_matrix((d[q], (row, u[q])), shape=(len(keys), n)), delta, p).tocoo()
+        ik = keys[Y.row]  # (i k), and uv[Y.col] is (r s)
+        lhs = sp.csr_matrix((Y.data, (ik // n, uv[Y.col] * n + ik % n)), shape=shape)
+        keys, row = np.unique((m[q] - i0) * n + u[q], return_inverse=True)
+        Y = mulmod(sp.csr_matrix((d[q], (row, v[q])), shape=(len(keys), n)), delta, p).tocoo()
+        ij = keys[Y.row]  # (i j), and uv[Y.col] is (s t)
+        rhs = sp.csr_matrix((Y.data, (ij // n, ij % n * n * n + uv[Y.col])), shape=shape)
+        bad = _first_row(lhs, rhs)
+        if bad is not None:
+            return i0 + bad
+    return None
+
+
+def _compact(rows, keys, vals, nrows: int) -> tuple:
+    """The CSR matrix with vals at (rows, keys), its columns cut to the keys
+    that occur, and those keys in column order."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    kept, col = np.unique(keys, return_inverse=True)
+    return sp.csr_matrix((vals, (rows, col)), shape=(nrows, len(kept))), kept
+
+
+def _outer(x, y, p: int):
+    """x (x) y mod p as a sparse square matrix, from the nonzero entries of
+    the residue vectors x and y alone."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    a, b = np.nonzero(x)[0], np.nonzero(y)[0]
+    val = np.outer(x[a], y[b]).ravel() % p
+    return sp.csr_matrix((val, (np.repeat(a, len(b)), np.tile(b, len(a)))), shape=(len(x), len(y)))
+
+
+def _first_row(lhs, rhs) -> Optional[int]:
+    """Smallest row where two reduced sparse matrices differ, or None."""
+    return first_difference(lhs.T, rhs.T)
+
+
+def _smallest(indices) -> Optional[int]:
+    """The smallest of the indices that are not None, or None."""
+    return min((x for x in indices if x is not None), default=None)
+
+
+def _delta_failure_loops(H: HopfAlgebra, rows: Optional[Sequence] = None) -> Optional[tuple]:
+    """First (r, j) with Delta(g_r e_j) != Delta(g_r) Delta(e_j) for the
+    elements g_r of rows (None: the basis), or None."""
     field = H.field
     z = field.zero()
-    delta_rows = {i: dict(((j, k), c) for j, k, c in H.comul.get(i, ())) for i in range(H.dim)}
-    for i in range(H.dim):
+    one = field.one()
+    delta_rows = [dict(((j, k), c) for j, k, c in H.comul.get(i, ())) for i in range(H.dim)]
+    if rows is None:
+        gs = [(((i, one),), delta_rows[i]) for i in range(H.dim)]
+    else:
+        gs = [(vec_to_row(field, g), H.delta_vec(g)) for g in rows]
+    for r, (g, dg) in enumerate(gs):
         for j in range(H.dim):
             acc: dict = {}
-            for m, c in H.alg.mul.get((i, j), ()):
+            for m, c in H.alg.multiply_rows(g, ((j, one),)):
                 for key, d in delta_rows[m].items():
                     acc[key] = acc.get(key, z) + c * d
-            if _clean_tensor(field, acc) != tensor_mult(H, delta_rows[i], delta_rows[j]):
-                return (i, j)
+            if _clean_tensor(field, acc) != tensor_mult(H, dg, delta_rows[j]):
+                return (r, j)
     return None
 
 
 def _delta_failure(H: HopfAlgebra, rows: Optional[Sequence], p: int) -> Optional[tuple]:
     """First (r, j) with Delta(g_r e_j) != Delta(g_r) Delta(e_j) for the
-    elements g_r of rows (None: the basis), or None, mod p in bounded blocks
-    of rows.
+    elements g_r of rows (None: the basis), or None, mod p in blocks of j.
 
-    Row r*dim + j of the left side is Delta(g_r e_j), with column a*dim + b
-    for e_a (x) e_b.  The right side sums c d (e_u e_s) (x) (e_v e_t) over
-    the terms c e_u (x) e_v of Delta(g_r) and d e_s (x) e_t of Delta(e_j):
-    one sparse product gives Y_u = (L_{e_u} x id) Delta(e_j) for the u in a
-    chunk of terms, numpy pairs each entry of Y_u with the terms of e_v e_t,
-    and a CSR matrix sums the duplicates.
+    Write Delta(g_r) = sum_v w_{r,v} (x) e_v, v over the second legs that
+    occur.  The coefficient of e_a (x) e_b in Delta(g_r) Delta(e_j) is then
+    sum_{s,v} W[(s v), (r a)] F[(j b), (s v)], where W[(s v), (r a)] is the
+    coefficient of e_a in w_{r,v} e_s and F[(j b), (s v)] = sum_t
+    Delta(e_j)_{s,t} (e_v e_t)_b.  W is built once: Delta(g_r) re-laid as
+    row (r v), column u, times the left multiplications, re-laid.  F is
+    built per block of j: Delta(e_j) re-laid as row (j s), column t, times
+    the mul table as row t, column (v b), re-laid.  The right side of a
+    block is F W; the left side is the products g_r e_j as rows (j r),
+    times Delta.  A block holds as many j as keep the entries of F and of
+    the left side, and the rows of both sides, within the cell budget
+    linalg._BLOCK (algebra.blocks), and the failure reported is the
+    smallest r*dim + j over all blocks.  The pair columns (a b) of Delta
+    and (a s) of the left multiplications are cut to the pairs that occur
+    (_compact), v to the second legs that occur and r in W to the rows with
+    Delta(g_r) != 0, so empty tables build no dim^2-wide array.  W is kept
+    whole: blocking r as well would rebuild F once per block of r.
 
-    Bound: the sparse products go through linalg.mulmod and sum at most dim
-    products per entry, for which engine_primes admitted p; every other
-    product is of two residues (below 2^62) and is reduced at once.  A cell
-    of one chunk's CSR sum adds at most dim residues per term of Delta(g_r),
-    from at most linalg._BLOCK = 2^14 terms, so it stays below
-    2^31 * 2^14 * 2^16 = 2^61; chunks are reduced mod p before they are
-    added.
+    Bound: every product goes through linalg.mulmod.  All but F W sum at
+    most dim products per entry, for which engine_primes admitted p; F W
+    sums at most the largest column count of W, and when machine_prime
+    does not admit that many, _delta_failure_loops decides instead.
     """
     import numpy as np
     import scipy.sparse as sp
 
-    dim = H.dim
-    sq = dim * dim
+    n = H.dim
     i, j, k, c = structure_arrays(H.alg, p)
-    # the mul entries sorted by their pair i*dim + j, and where each pair starts
-    order = np.argsort(i * dim + j, kind="stable")
-    pair_k, pair_c = k[order], c[order]
-    pairs, pair_start, pair_count = np.unique(
-        (i * dim + j)[order], return_index=True, return_counts=True
+    m, u, v, d = comul_arrays(H, p)
+    G = residue_rows(rows, n, p)
+    R = G.shape[0]
+    # row m: Delta(e_m), column (a b) at ab; row u: L_{e_u}, entry (a, s) at as_
+    delta, ab = _compact(m, u * n + v, d, n)
+    Mu, as_ = _compact(i, k * n + j, c, n)
+
+    # W, rows (s x) for v = V[x], columns (y a) for r = rs[y], the rows
+    # with Delta(g_r) != 0
+    Dg = mulmod(G, delta, p).tocoo()  # row r: Delta(g_r)
+    gu, gv = np.divmod(ab[Dg.col], n)
+    V, x = np.unique(gv, return_inverse=True)
+    rs, y = np.unique(Dg.row, return_inverse=True)
+    nv, nr = len(V), len(rs)
+    Y = mulmod(sp.csr_matrix((Dg.data, (y * nv + x, gu)), shape=(nr * nv, n)), Mu, p).tocoo()
+    a, s = np.divmod(as_[Y.col], n)
+    s *= nv
+    s += Y.row % nv  # row (s x)
+    a += Y.row // nv * n  # column (y a)
+    W = sp.csr_matrix((Y.data, (s, a)), shape=(n * nv, nr * n))
+    del Y, a, s  # as large as W: the blocks run without them
+    if not engine_primes(GF(p), int(W.getnnz(axis=0).max(initial=0))):
+        return _delta_failure_loops(H, rows)
+
+    # row t, column (x b): coefficient of e_b in e_{V[x]} e_t
+    at = np.full(n, -1)
+    at[V] = np.arange(nv)
+    keep = at[i] >= 0
+    B = sp.csr_matrix((c[keep], (j[keep], at[i[keep]] * n + k[keep])), shape=(n, nv * n))
+
+    # the products g_r e_s, coefficient lc at e_la, sorted by s
+    L = mulmod(G, Mu, p).tocoo()
+    la, ls = np.divmod(as_[L.col], n)
+    order = np.argsort(ls, kind="stable")
+    lr, la, ls, lc = L.row[order], la[order], ls[order], L.data[order]
+    start = np.searchsorted(ls, np.arange(n + 1))
+    # entries of F and of the left side for each j, at most, and the rows R + n
+    sizes = (
+        np.bincount(m, weights=B.getnnz(axis=1)[v], minlength=n)
+        + np.bincount(ls, weights=delta.getnnz(axis=1)[la], minlength=n)
+        + R
+        + n
     )
-    # row u of Mu is L_{e_u}, entry (a, s) at a*dim + s
-    Mu = sp.csr_matrix((c, (i, k * dim + j)), shape=(dim, sq))
-    flat = (x for m, terms in H.comul.items() for u, v, _ in terms for x in (m, u, v))
-    m, u, v = np.fromiter(flat, dtype=np.int64).reshape(-1, 3).T
-    d = residues((d for terms in H.comul.values() for *_, d in terms), p)
-    m, u, v, d = (x[d != 0] for x in (m, u, v, d))
-    # row m: Delta(e_m), column u*dim + v
-    delta = sp.csr_matrix((d, (m, u * dim + v)), shape=(dim, sq))
-    # row s, column t*dim + j: coefficient of e_s (x) e_t in Delta(e_j)
-    X = sp.csr_matrix((d, (u, v * dim + m)), shape=(dim, sq))
-
-    G = residue_rows(rows, dim, p)
-    terms = mulmod(G, delta, p)  # row r: Delta(g_r), column u*dim + v
-    t_row = np.repeat(np.arange(terms.shape[0]), np.diff(terms.indptr))
-    t_u, t_v = np.divmod(terms.indices.astype(np.int64), dim)
-    # entries of Y_u, at most: sum over the entries (u, a, s) of L_{e_u} of |row s of X|
-    y_bound = np.bincount(i, weights=X.getnnz(axis=1)[j], minlength=dim)[t_u]
-    # a row spans dim rows of either side
-    row_bound = np.bincount(t_row, weights=y_bound, minlength=terms.shape[0]) + dim
-    for r0, r1 in blocks(row_bound):
-        # the products g_r e_j as rows (r j), mapped by Delta
-        lhs = mulmod(side_by_side(mulmod(G[r0:r1], Mu, p), dim).T.tocsr(), delta, p)
-        rhs = sp.csr_matrix(lhs.shape, dtype=np.int64)
-        t0 = terms.indptr[r0]
-        for a0, a1 in blocks(y_bound[t0 : terms.indptr[r1]]):
-            sel = slice(t0 + a0, t0 + a1)
-            us, u_at = np.unique(t_u[sel], return_inverse=True)
-            # row x*dim + a of Y: row a of L_{e_u} for u = us[x], times X
-            Y = mulmod(Mu[us].reshape((len(us) * dim, dim)).tocsr(), X, p)
-            ptr = Y.indptr[::dim].astype(np.int64)
-            src, pos = _gather(ptr[u_at], ptr[u_at + 1])
-            Y = Y.tocoo()
-            t, jj = np.divmod(Y.col[pos].astype(np.int64), dim)
-            # row (r j) and first leg a of the output, coefficient, pair (v, t)
-            out = ((t_row[sel][src] - r0) * dim + jj) * dim + Y.row[pos] % dim
-            coef = terms.data[sel][src] * Y.data[pos] % p
-            key = t_v[sel][src] * dim + t
-            del src, pos, t, jj, Y  # only these three go on: memory stays flat
-            # each times the entries of e_v e_t
-            q = np.searchsorted(pairs, key).clip(max=len(pairs) - 1)
-            count = np.where(pairs[q] == key, pair_count[q], 0)
-            src, pos = _gather(pair_start[q], pair_start[q] + count)
-            out = out[src]
-            chunk = sp.csr_matrix(
-                (coef[src] * pair_c[pos] % p, (out // dim, out % dim * dim + pair_k[pos])),
-                shape=lhs.shape,
-            )
-            rhs = rhs + chunk
-            rhs.data %= p
-        rhs.eliminate_zeros()
-        first = first_difference(lhs.T, rhs.T)
-        if first is not None:
-            return divmod(r0 * dim + first, dim)
-    return None
-
-
-def _gather(start, stop):
-    """Every position start[x] .. stop[x] - 1, flattened, with the x that
-    each one came from: (source, position)."""
-    import numpy as np
-
-    count = stop - start
-    src = np.repeat(np.arange(len(start)), count)
-    pos = np.arange(len(src)) + np.repeat(start - (np.cumsum(count) - count), count)
-    return src, pos
+    best = None
+    for j0, j1 in blocks(sizes):
+        nb = j1 - j0
+        q = slice(start[j0], start[j1])
+        X = sp.csr_matrix((lc[q], ((ls[q] - j0) * R + lr[q], la[q])), shape=(nb * R, n))
+        Y = mulmod(X, delta, p).tocoo()
+        lhs = sp.csr_matrix((Y.data, (Y.row, ab[Y.col])), shape=(nb * R, n * n))
+        A = delta[j0:j1].tocoo()
+        s, t = np.divmod(ab[A.col], n)
+        F = mulmod(sp.csr_matrix((A.data, (A.row * n + s, t)), shape=(nb * n, n)), B, p).tocoo()
+        x, b = np.divmod(F.col, n)
+        F = sp.csr_matrix(
+            (F.data, (F.row // n * n + b, F.row % n * nv + x)), shape=(nb * n, n * nv)
+        )
+        Y = mulmod(F, W, p).tocoo()  # row (j b), column (y a)
+        r, a = np.divmod(Y.col, n)
+        rhs = sp.csr_matrix(
+            (Y.data, (Y.row // n * R + rs[r], a * n + Y.row % n)), shape=(nb * R, n * n)
+        )
+        jr = (lhs != rhs).nonzero()[0]
+        if len(jr):
+            key = int((jr % R * n + jr // R).min()) + j0
+            best = key if best is None else min(best, key)
+            if best < n:  # r = 0: no later j comes first
+                break
+    return None if best is None else divmod(best, n)

@@ -123,7 +123,8 @@ def mulmod(A, B, p: int):
         terms = A.shape[1]
     else:
         terms = int(A.getnnz(axis=1).max(initial=0))
-        if not dense:
+        # B's column counts cost a pass over B; read them only when they can matter
+        if not dense and (p - 1) ** 2 * terms >= 2**63:
             terms = min(terms, int(B.getnnz(axis=0).max(initial=0)))
     if (p - 1) ** 2 * terms < 2**63:
         return _reduce(A @ B, p)

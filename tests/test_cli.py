@@ -396,11 +396,19 @@ def _d81(tmp_path):
 
 def test_verify_d81_runs_no_tensor_loop(tmp_path, monkeypatch):
     """Delta multiplicative is one sparse identity mod p, not a tensor_mult
-    per basis pair (6,561 calls on the Python loops)."""
+    per basis pair (6,561 calls on the Python loops); coassociativity, the
+    counit law and the antipode law are sparse identities too, not a
+    delta2_row, act_left and act_right per basis vector (81 each)."""
     path = _d81(tmp_path)
-    calls = _count_calls(monkeypatch, hopfcore, "tensor_mult")
+    calls = [_count_calls(monkeypatch, hopfcore, name) for name in ("tensor_mult", "act_left", "act_right")]
+    delta2 = []
+    delta2_row = hopfcore.HopfAlgebra.delta2_row
+    monkeypatch.setattr(
+        hopfcore.HopfAlgebra, "delta2_row", lambda *args: delta2.append(1) or delta2_row(*args)
+    )
     assert main(["verify", str(path)]) == 0
-    assert calls == []
+    assert calls == [[], [], []]
+    assert delta2 == []
 
 
 def test_verify_d36_over_qq_runs_no_tensor_loop(tmp_path, monkeypatch):

@@ -27,6 +27,7 @@ from hopfrob.hopfcore import (
     is_hopf_morphism,
     left_integral_space,
     pairing_matrix,
+    tensor_mult,
     verify_hopf,
 )
 from hopfrob.linalg import Matrix, basis_vec
@@ -662,3 +663,100 @@ def test_unimodularity_from_the_right_operator_matches_the_product_loop(key):
     unimodular = not (key == "sweedler" or key.startswith("taft"))
     assert double_fh_check(H).unimodular == _unimodular_by_products(H) == unimodular
     assert double_fh_check(D).unimodular == _unimodular_by_products(D) is True
+
+
+# mul, comul and antipode moved by 1 and by 2; "unit" takes no shift
+LINEAR_CASES = [(None, 0), ("unit", 0)] + [
+    (kind, shift) for kind in ("mul", "comul", "antipode") for shift in (1, 2)
+]
+
+
+@pytest.mark.parametrize("kind, shift", LINEAR_CASES)
+@pytest.mark.parametrize("name", MODP_OBJECTS + ["D(taft(3, 2146560523))"])
+def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, generic_engine):
+    """With the certified threshold at 0, coassociativity, the counit law,
+    "counit is multiplicative" and the antipode law run as sparse identities
+    mod p on every GF(p) object, and the Python loops give the same items,
+    valid or corrupted."""
+    monkeypatch.setattr(hopfcore, "_CERTIFIED_DIM", 0)
+    H = _double_over(2146560523)[1] if name.startswith("D(taft(") else _object(name)
+    if kind is not None:
+        H = _corrupted(H, kind, shift)
+    ran = []
+    linear = hopfcore._linear_failures
+    monkeypatch.setattr(hopfcore, "_linear_failures", lambda H, p: ran.append(p) or linear(H, p))
+    kernels = _items(verify_hopf(H))
+    assert ran == [H.field.p]
+    generic_engine()
+    assert _items(verify_hopf(H)) == kernels
+
+
+def _comul_moved(D, seed):
+    """D with three seeded comul terms moved by a nonzero residue each."""
+    rng = random.Random(seed)
+    F = D.field
+    comul = dict(D.comul)
+    for _ in range(3):
+        i = rng.randrange(D.dim)
+        terms = list(comul[i])
+        t = rng.randrange(len(terms))
+        j, k, c = terms[t]
+        terms[t] = (j, k, F.normalize(c + rng.randrange(1, F.p)))
+        comul[i] = tuple(terms)
+    return HopfAlgebra.from_sparse(D.alg, comul, D.counit, D.antipode)
+
+
+def _delta_failure_by_definition(H, rows):
+    """First (r, j) with Delta(g_r e_j) != Delta(g_r) Delta(e_j), each side
+    evaluated from the tables."""
+    for r, g in enumerate(rows):
+        dg = H.delta_vec(g)
+        for j in range(H.dim):
+            e_j = basis_vec(H.field, H.dim, j)
+            if H.delta_vec(H.alg.multiply(g, e_j)) != tensor_mult(H, dg, H.delta_vec(e_j)):
+                return (r, j)
+    return None
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_delta_kernel_finds_the_first_failing_pair(seed, smallest_blocks):
+    """On D(taft-3-7-2) with three comul terms moved, the blocked kernel
+    reports the first failing (r, j) of the definition on the generators
+    and of the loops on the basis, with default and with one-j blocks."""
+    H, D = _double_over(7)
+    gens, _ = double_generators(H)
+    D = _comul_moved(D, seed)
+    expected = [_delta_failure_by_definition(D, gens), hopfcore._delta_failure_loops(D)]
+    assert expected[1] is not None
+
+    def kernel():
+        return [hopfcore._delta_failure(D, gens, 7), hopfcore._delta_failure(D, None, 7)]
+
+    assert kernel() == expected
+    smallest_blocks()
+    assert kernel() == expected
+
+
+def test_refused_contractions_run_the_loops(monkeypatch):
+    """When machine_prime admits the dim terms of the per-entry products but
+    not the term counts of the contractions (the columns of W in the Delta
+    kernel, the rows of Delta in the linear identities), verify_hopf runs
+    the loops for them and reports the kernels' items, full and certified."""
+    H, D = _double_over(7)
+    gens, cert = double_generators(H)
+    D = _corrupted(D, "comul")
+
+    def both():
+        return [_items(verify_hopf(D)), _items(verify_hopf(D, generators=gens, certificate=cert))]
+
+    expected = both()
+    machine_prime = linalg.machine_prime
+    monkeypatch.setattr(
+        linalg, "machine_prime", lambda field, terms=1: machine_prime(field, terms) if terms == D.dim else None
+    )
+    calls = []
+    for name in ("_delta_failure_loops", "_linear_failures_loops"):
+        loops = getattr(hopfcore, name)
+        monkeypatch.setattr(hopfcore, name, lambda *args, f=loops, n=name: calls.append(n) or f(*args))
+    assert both() == expected
+    assert sorted(calls) == ["_delta_failure_loops"] * 2 + ["_linear_failures_loops"] * 2
