@@ -7,27 +7,29 @@ scalars are stored normalized for the algebra's field, so structural
 equality of two algebras is plain equality of their tables.
 
 The quantified identities (associativity on every basis triple, "phi is an
-algebra map" on every basis pair) have two engines.  Above _SPARSE_DIM they
-run as sparse int64 identities mod each prime of linalg.engine_primes: the
-field's p over an admitted GF(p), and over QQ enough primes below 2^31 that
-the identity holds in QQ exactly when it holds mod each of them.  For
-associativity each side sums dim products of two structure constants; for
-phi, dim^2 products of three constants among phi's entries and both tables.
-Below _SPARSE_DIM, and over every other field, they run as Python loops.
-Both report the same first failing index: over QQ the failing set is the
-union of the failing sets mod each prime, so its first item is the smallest
-of the first items mod each prime.
+algebra map" on every basis pair, and Delta multiplicative in hopfcore) have
+two engines, and first_failure alone chooses between them.  Above
+_SPARSE_DIM they run as sparse int64 identities mod each prime of
+linalg.engine_primes: the field's p over an admitted GF(p), and over QQ
+enough primes below 2^31 that the identity holds in QQ exactly when it holds
+mod each of them.  For associativity each side sums dim products of two
+structure constants; for phi, dim^2 products of three constants among phi's
+entries and both tables.  Below _SPARSE_DIM, and over every other field,
+they run as Python loops.  Both report the same first failing index: over QQ
+the failing set is the union of the failing sets mod each prime, so its
+first item is the smallest of the first items mod each prime.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
 from .errors import FieldMismatchError, ShapeError
-from .linalg import Matrix, basis_vec, engine_primes, mulmod, residues
+from .linalg import Matrix, basis_vec, mulmod, residues
 from .report import Report
 from .scalars import Field
 
@@ -53,6 +55,20 @@ def _clean_row(field: Field, items: Iterable) -> SparseRow:
         else:
             acc[k] = s
     return tuple(sorted(acc.items()))
+
+
+def nonzero_row(field: Field, acc: Mapping) -> tuple:
+    """The entries of an accumulator {key: scalar} as (key, value) pairs
+    sorted by key, each value normalized once and the zeros dropped."""
+    z = field.zero()
+    out = []
+    # a plain loop: multiply_rows runs this thousands of times per pass on
+    # one or two keys, where a comprehension's own frame costs more
+    for k in sorted(acc):
+        c = field.normalize(acc[k])
+        if c != z:
+            out.append((k, c))
+    return tuple(out)
 
 
 def vec_to_row(field: Field, vec: Sequence) -> SparseRow:
@@ -140,13 +156,7 @@ class StructureAlgebra:
                 f = ai * bj
                 for k, c in self.mul.get((i, j), ()):
                     acc[k] = acc.get(k, z) + f * c
-        out = []
-        for k in sorted(acc):
-            v = field.normalize(acc[k])
-            if v != z:
-                out.append((k, v))
-
-        return tuple(out)
+        return nonzero_row(field, acc)
 
     def left_mult_matrix(self, a: Sequence) -> Matrix:
         """Matrix of x -> a*x in the structure basis (columns are a*e_j)."""
@@ -218,11 +228,15 @@ def verify_algebra(A: StructureAlgebra, title: str = "algebra axioms") -> Report
         "" if bad_unit is None else f"{bad_unit[0]} unit fails at basis {bad_unit[1]}",
     )
 
-    primes = sparse_primes(A.field, A.dim, table_constants(A), 2, A.dim)
-    if primes:
-        bad_triple = first_failure(lambda p: _associativity_failure(A, None, p), primes)
-    else:
-        bad_triple = _associativity_failure_loops(A)
+    bad_triple = first_failure(
+        A.field,
+        A.dim,
+        table_constants(A),
+        2,
+        A.dim,
+        partial(_associativity_failure, A, None),
+        partial(_associativity_failure_loops, A),
+    )
     rep.add(
         "associativity",
         bad_triple is None,
@@ -295,10 +309,21 @@ def multiplicative_failure(
     when the linear map phi: src -> dst (columns are the images of the src
     basis vectors) is multiplicative."""
     dim = max(src.dim, dst.dim)
-    constants = chain(table_constants(src), table_constants(dst), chain.from_iterable(phi.rows))
-    primes = sparse_primes(dst.field, dim, constants, 3, dim * dim)
-    if primes:
-        return first_failure(lambda p: _multiplicative_failure_modp(src, dst, phi, p), primes)
+    return first_failure(
+        dst.field,
+        dim,
+        chain(table_constants(src), table_constants(dst), chain.from_iterable(phi.rows)),
+        3,
+        dim * dim,
+        partial(_multiplicative_failure_modp, src, dst, phi),
+        partial(_multiplicative_failure_loops, src, dst, phi),
+    )
+
+
+def _multiplicative_failure_loops(
+    src: StructureAlgebra, dst: StructureAlgebra, phi: Matrix
+) -> Optional[tuple]:
+    """multiplicative_failure as Python loops over the basis pairs of src."""
     field = dst.field
     z = field.zero()
     cols = [phi.col(j) for j in range(src.dim)]
@@ -316,23 +341,27 @@ def multiplicative_failure(
 # -- sparse int64 kernels mod p ------------------------------------------------
 
 
-def sparse_primes(field: Field, dim: int, constants, degree: int, count: int) -> tuple:
-    """The primes at which a quantified identity of a dim-dimensional algebra
-    runs on the sparse int64 kernels, () when the Python loops run: the
-    engine_primes of an identity whose sides sum at most count products of
-    at most degree of the constants."""
-    return engine_primes(field, dim, constants, degree, count) if dim > _SPARSE_DIM else ()
-
-
 def table_constants(A: StructureAlgebra):
     """The structure constants of A's mul table."""
     return (c for row in A.mul.values() for _, c in row)
 
 
-def first_failure(kernel, primes) -> Optional[tuple]:
-    """The smallest of the first failing items kernel(p) over the primes, or
-    None: the first failing item in QQ when primes meet the engine_primes
-    bound, and kernel(p) itself over GF(p)."""
+def first_failure(
+    field: Field, dim: int, constants, degree: int, count: int, kernel, loops
+) -> Optional[tuple]:
+    """The first failing item of a quantified identity of a dim-dimensional
+    algebra, or None, from the one engine choice of the package.
+
+    Above _SPARSE_DIM, at the linalg.engine_primes of an identity whose sides
+    sum at most count products of at most degree of the constants: the
+    smallest of the first failing items kernel(p) over those primes, which
+    is kernel(p) itself over GF(p) and the first failing item in QQ (the
+    primes meet the engine_primes bound).  Below it, or when engine_primes
+    gives no prime, the Python loops: loops().
+    """
+    primes = linalg.engine_primes(field, constants, degree, count) if dim > _SPARSE_DIM else ()
+    if not primes:
+        return loops()
     return min((bad for p in primes if (bad := kernel(p)) is not None), default=None)
 
 
@@ -388,9 +417,8 @@ def _associativity_failure(
     left factor of M with every L_g of the block at once, without forming
     L_g x I.
 
-    Bound: the three products go through linalg.mulmod and sum at most dim
-    products per entry, for which engine_primes admitted p; L_g is reduced
-    mod p before it enters them.
+    Bound: the three products go through linalg.mulmod, exact for any term
+    count; L_g is reduced mod p before it enters them.
     """
     import numpy as np
     import scipy.sparse as sp
@@ -456,9 +484,8 @@ def _multiplicative_failure_modp(
     intermediate holds at most linalg._BLOCK entries unless one column needs
     more.
 
-    Bound: all three products go through linalg.mulmod and sum at most
-    max(dim src, dim dst) products per entry, for which engine_primes
-    admitted p; each intermediate is reduced mod p before the next product.
+    Bound: all three products go through linalg.mulmod, exact for any term
+    count; each intermediate is reduced mod p before the next product.
     """
     import scipy.sparse as sp
 

@@ -15,15 +15,18 @@ such a product.
 
 Above algebra._SPARSE_DIM both quadratic axioms run as sparse int64
 identities mod each prime of linalg.engine_primes, on the generators or on
-the whole basis, like the "is an algebra map" check of
-algebra.multiplicative_failure.  Delta multiplicative (_delta_failure) is
-laid out so that its right side is one product per block of j: with
-Delta(g_r) = sum_v w_{r,v} (x) e_v, the coefficient of e_a (x) e_b in
-Delta(g_r) Delta(e_j) is sum_{s,v} W[(s v), (r a)] F[(j b), (s v)], W built
-once from the rows g_r, F per block of j from the tables; a block holds as
-many j as keep its arrays within the cell budget linalg._BLOCK.  Every
-product goes through linalg.mulmod, which keeps it exact.  Over QQ,
-Delta(e_i e_j) sums dim products of two constants and Delta(e_i)
+the whole basis; on the basis algebra.first_failure chooses the engine, as
+for the "is an algebra map" check of algebra.multiplicative_failure.  Delta
+multiplicative (_delta_failure) is laid out so that its right side is one
+product per block of j: with Delta(g_r) = sum_v w_{r,v} (x) e_v, the
+coefficient of e_a (x) e_b in Delta(g_r) Delta(e_j) is
+sum_{s,v} W[(s v), (r a)] F[(j b), (s v)], W built once from the rows g_r,
+F per block of j from the tables; a block holds as many j as keep its
+arrays within the cell budget linalg._BLOCK.  Every product goes through
+linalg.mulmod, which keeps it exact for any number of terms, so a
+contraction that sums more than dim terms per entry (F W, and Delta times
+the antipode and counit factors below) runs on the kernels like any other.
+Over QQ, Delta(e_i e_j) sums dim products of two constants and Delta(e_i)
 Delta(e_j) at most dim^4 products of four (two comul, two mul), so the
 primes cover 2 (dim^4 + dim) max(A, D)^4 for the constants a/D, |a| <= A,
 of both tables.  Otherwise the quadratic axioms run as Python loops over
@@ -32,31 +35,30 @@ the whole basis.
 The four axioms linear in Delta (coassociativity, counit law, counit
 multiplicative, antipode law) run as one sparse identity each mod p
 (_linear_failures) where the generator-certified strategy may: over a GF(p)
-that engine_primes admits, above _CERTIFIED_DIM; elsewhere as Python loops
-over the basis (_linear_failures_loops), which are faster at catalog sizes.
-A product that sums more than dim terms per entry (the (s, v) contraction
-F W, and Delta times the antipode and counit factors) takes its term count
-from its operands and runs only when linalg.machine_prime admits it; where
-it does not, the loops decide.
+that linalg.machine_prime admits, above _CERTIFIED_DIM; elsewhere as Python
+loops over the basis (_linear_failures_loops), which are faster at catalog
+sizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import chain
 from typing import Optional, Sequence
 
 from .algebra import (
     StructureAlgebra,
     _associativity_failure,
+    _clean_row,
     blocks,
     comul_arrays,
     first_difference,
     first_failure,
     is_augmentation,
     multiplicative_failure,
+    nonzero_row,
     residue_rows,
-    sparse_primes,
     structure_arrays,
     table_constants,
     unit_failure,
@@ -64,9 +66,9 @@ from .algebra import (
     verify_algebra,
 )
 from .errors import InvalidInputError, ShapeError, SingularError
-from .linalg import Matrix, basis_vec, engine_primes, iterated_kernel_sparse, mulmod, residues
+from .linalg import Matrix, basis_vec, iterated_kernel_sparse, machine_prime, mulmod, residues
 from .report import Report
-from .scalars import GF, Field
+from .scalars import Field
 
 # the generator-certified strategy runs above this dimension over an admitted
 # GF(p); it names its own report items, so it keeps its own threshold rather
@@ -107,25 +109,14 @@ class HopfAlgebra:
         name: str = "",
     ) -> "HopfAlgebra":
         field = alg.field
-        z = field.zero()
         table = {}
         for i, triples in comul.items():
             if not 0 <= i < alg.dim:
                 raise ShapeError(f"comul index {i} out of range")
-            acc: dict = {}
-            for j, k, c in triples:
-                if not (0 <= j < alg.dim and 0 <= k < alg.dim):
-                    raise ShapeError(f"comul tensor index out of range at basis {i}")
-                c = field.normalize(c)
-                if c == z:
-                    continue
-                key = (j, k)
-                s = field.normalize(acc.get(key, z) + c)
-                if s == z:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = s
-            table[i] = tuple((j, k, c) for (j, k), c in sorted(acc.items()))
+            terms = [((j, k), c) for j, k, c in triples]
+            if any(not (0 <= j < alg.dim and 0 <= k < alg.dim) for (j, k), _ in terms):
+                raise ShapeError(f"comul tensor index out of range at basis {i}")
+            table[i] = tuple((j, k, c) for (j, k), c in _clean_row(field, terms))
         for i in range(alg.dim):
             table.setdefault(i, ())
         eps = tuple(field.normalize(c) for c in counit)
@@ -184,12 +175,7 @@ class HopfAlgebra:
             for r, s, d in self.comul.get(j, ()):
                 key = (r, s, k)
                 acc[key] = acc.get(key, z) + c * d
-        out = []
-        for key in sorted(acc):
-            c = field.normalize(acc[key])
-            if c != z:
-                out.append((*key, c))
-        return tuple(out)
+        return tuple((*key, c) for key, c in nonzero_row(field, acc))
 
     def counit_of(self, v: Sequence):
         return eval_cov(self.field, self.counit, v)
@@ -481,7 +467,7 @@ def verify_hopf(
     """Exact check of every Hopf axiom.
 
     When dim > _CERTIFIED_DIM and the field is a GF(p) that
-    linalg.engine_primes admits, the four axioms linear in Delta
+    linalg.machine_prime admits, the four axioms linear in Delta
     (coassociativity, counit law, counit multiplicative, antipode law) run
     as sparse int64 identities mod p (_linear_failures), and when
     generators and certificate are both given the two quadratic axioms
@@ -489,19 +475,19 @@ def verify_hopf(
     after checking that the certificate writes every basis vector as a
     product of two generators.  Otherwise the linear axioms run as Python
     loops over the basis, and the quadratic ones are quantified over the
-    whole basis: mod each prime of algebra.sparse_primes when it gives any,
-    else as Python loops over all basis tuples.
+    whole basis on the engine that algebra.first_failure chooses: mod each
+    prime of linalg.engine_primes, or as Python loops over all basis tuples.
     """
     rep = Report(title or f"hopf axioms: {H.name or 'unnamed'}")
     field = H.field
     dim = H.dim
 
-    primes = engine_primes(field, dim) if field.characteristic and dim > _CERTIFIED_DIM else ()
-    certified = bool(primes) and generators is not None and certificate is not None
+    p = machine_prime(field) if dim > _CERTIFIED_DIM else None
+    certified = p is not None and generators is not None and certificate is not None
 
     # multiplication axioms
     if certified:
-        assoc_ok = _certified_mult_checks(H, generators, certificate, primes[0], rep)
+        assoc_ok = _certified_mult_checks(H, generators, certificate, p, rep)
     else:
         rep.items.extend(verify_algebra(H.alg).items)
 
@@ -509,7 +495,7 @@ def verify_hopf(
         rep.add(name, bad is None, "" if bad is None else f"fails at basis {bad}")
 
     coassoc, counit, eps_ok, antipode = (
-        _linear_failures(H, primes[0]) if primes else _linear_failures_loops(H)
+        _linear_failures_loops(H) if p is None else _linear_failures(H, p)
     )
     at_basis("coassociativity", coassoc)
     at_basis("counit law", counit)
@@ -525,15 +511,18 @@ def verify_hopf(
             # the reduction to generators assumes associativity
             rep.add(name, False, "not decided: associativity (generator certified) failed")
         else:
-            bad = _delta_failure(H, generators, primes[0])
+            bad = _delta_failure(H, generators, p)
             rep.add(name, bad is None, "" if bad is None else f"fails for generator {bad[0]}")
     else:
-        constants = chain(table_constants(H.alg), (c for t in H.comul.values() for *_, c in t))
-        primes = sparse_primes(field, dim, constants, 4, dim**4 + dim)
-        if primes:
-            bad = first_failure(lambda p: _delta_failure(H, None, p), primes)
-        else:
-            bad = _delta_failure_loops(H)
+        bad = first_failure(
+            field,
+            dim,
+            chain(table_constants(H.alg), (c for t in H.comul.values() for *_, c in t)),
+            4,
+            dim**4 + dim,
+            partial(_delta_failure, H, None),
+            partial(_delta_failure_loops, H),
+        )
         rep.add(
             "comultiplication is multiplicative",
             bad is None,
@@ -602,18 +591,12 @@ def _linear_failures_loops(H: HopfAlgebra) -> tuple:
     # coassociativity: (Delta x id)Delta = (id x Delta)Delta on each basis vector
     coassoc = None
     for i in range(dim):
-        left = H.delta2_row(i)
         acc: dict = {}
         for j, k, c in H.comul.get(i, ()):
             for s, t, d in H.comul.get(k, ()):
                 key = (j, s, t)
                 acc[key] = acc.get(key, z) + c * d
-        right = tuple(
-            (*key, c)
-            for key in sorted(acc)
-            if (c := field.normalize(acc[key])) != z
-        )
-        if left != right:
+        if H.delta2_row(i) != tuple((*key, c) for key, c in nonzero_row(field, acc)):
             coassoc = i
             break
 
@@ -639,9 +622,7 @@ def _linear_failures_loops(H: HopfAlgebra) -> tuple:
         target = vec_to_row(
             field, tuple(field.normalize(H.counit[i] * u) for u in H.unit)
         )
-        lrow = tuple((m, c) for m, cc in sorted(left.items()) if (c := field.normalize(cc)) != z)
-        rrow = tuple((m, c) for m, cc in sorted(right.items()) if (c := field.normalize(cc)) != z)
-        if lrow != target or rrow != target:
+        if nonzero_row(field, left) != target or nonzero_row(field, right) != target:
             antipode = i
             break
 
@@ -664,13 +645,11 @@ def _linear_failures(H: HopfAlgebra, p: int) -> tuple:
     the nonzero entries of eps and 1 alone.  Each identity reports its
     smallest failing row, the first failing basis index of its loop.
 
-    Bound: every sum of products goes through linalg.mulmod but the sum of
-    c eps(e_k), whose terms are reduced mod p first, so a cell of at most
-    dim of them stays below 2^31 dim < 2^63.  The products with Delta on
-    the right and S^T on the left sum at most dim products per entry, for
-    which engine_primes admitted p.  Those with Delta on the left sum at
-    most the largest term count of a Delta(e_i); when machine_prime does
-    not admit that many, _linear_failures_loops decides instead.
+    Bound: every sum of products goes through linalg.mulmod, exact for any
+    term count (those with Delta on the left sum as many as the largest
+    Delta(e_i) has terms), but the sum of c eps(e_k), whose terms are
+    reduced mod p first, so a cell of at most dim of them stays below
+    2^31 dim < 2^63.
     """
     import numpy as np
     import scipy.sparse as sp
@@ -679,8 +658,6 @@ def _linear_failures(H: HopfAlgebra, p: int) -> tuple:
     i, j, k, c = structure_arrays(H.alg, p)
     m, u, v, d = comul_arrays(H, p)
     delta, uv = _compact(m, u * n + v, d, n)
-    if not engine_primes(GF(p), int(delta.getnnz(axis=1).max(initial=0))):
-        return _linear_failures_loops(H)
     eps, one = residues(H.counit, p), residues(H.unit, p)
 
     coassoc = _coassociativity_failure(m, u, v, d, delta, uv, p)
@@ -789,25 +766,20 @@ def _smallest(indices) -> Optional[int]:
     return min((x for x in indices if x is not None), default=None)
 
 
-def _delta_failure_loops(H: HopfAlgebra, rows: Optional[Sequence] = None) -> Optional[tuple]:
-    """First (r, j) with Delta(g_r e_j) != Delta(g_r) Delta(e_j) for the
-    elements g_r of rows (None: the basis), or None."""
+def _delta_failure_loops(H: HopfAlgebra) -> Optional[tuple]:
+    """First basis pair (i, j) with Delta(e_i e_j) != Delta(e_i) Delta(e_j),
+    or None."""
     field = H.field
     z = field.zero()
-    one = field.one()
     delta_rows = [dict(((j, k), c) for j, k, c in H.comul.get(i, ())) for i in range(H.dim)]
-    if rows is None:
-        gs = [(((i, one),), delta_rows[i]) for i in range(H.dim)]
-    else:
-        gs = [(vec_to_row(field, g), H.delta_vec(g)) for g in rows]
-    for r, (g, dg) in enumerate(gs):
+    for i in range(H.dim):
         for j in range(H.dim):
             acc: dict = {}
-            for m, c in H.alg.multiply_rows(g, ((j, one),)):
+            for m, c in H.alg.mul.get((i, j), ()):
                 for key, d in delta_rows[m].items():
                     acc[key] = acc.get(key, z) + c * d
-            if _clean_tensor(field, acc) != tensor_mult(H, dg, delta_rows[j]):
-                return (r, j)
+            if _clean_tensor(field, acc) != tensor_mult(H, delta_rows[i], delta_rows[j]):
+                return (i, j)
     return None
 
 
@@ -833,10 +805,9 @@ def _delta_failure(H: HopfAlgebra, rows: Optional[Sequence], p: int) -> Optional
     Delta(g_r) != 0, so empty tables build no dim^2-wide array.  W is kept
     whole: blocking r as well would rebuild F once per block of r.
 
-    Bound: every product goes through linalg.mulmod.  All but F W sum at
-    most dim products per entry, for which engine_primes admitted p; F W
-    sums at most the largest column count of W, and when machine_prime
-    does not admit that many, _delta_failure_loops decides instead.
+    Bound: every product goes through linalg.mulmod, exact for any term
+    count.  All but F W sum at most dim products per entry; F W sums at
+    most the largest column count of W.
     """
     import numpy as np
     import scipy.sparse as sp
@@ -864,8 +835,6 @@ def _delta_failure(H: HopfAlgebra, rows: Optional[Sequence], p: int) -> Optional
     a += Y.row // nv * n  # column (y a)
     W = sp.csr_matrix((Y.data, (s, a)), shape=(n * nv, nr * n))
     del Y, a, s  # as large as W: the blocks run without them
-    if not engine_primes(GF(p), int(W.getnnz(axis=0).max(initial=0))):
-        return _delta_failure_loops(H, rows)
 
     # row t, column (x b): coefficient of e_b in e_{V[x]} e_t
     at = np.full(n, -1)

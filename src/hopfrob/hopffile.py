@@ -159,6 +159,12 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
     dim = _parse_int(rd, lineno, toks[0], "dimension")
     if dim <= 0:
         raise rd.error(lineno, f"dimension must be positive, found {dim}")
+    # the dim-sized vectors below are copies of this one, so a dim too large
+    # to hold fails here, at its own line
+    try:
+        zeros = [field.zero()] * dim
+    except (MemoryError, OverflowError):
+        raise rd.error(lineno, f"dimension {dim} is too large to allocate") from None
 
     basis_names = None
     mul: dict = {}
@@ -196,14 +202,14 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
             _, payload = _split_colon(rd, lineno, toks[1:], 0)
             if unit is not None:
                 raise rd.error(lineno, "duplicate 'unit' line")
-            unit = [field.zero()] * dim
+            unit = zeros.copy()
             for k, c in _parse_groups(rd, lineno, field, dim, payload, 2, "unit"):
                 unit[k] = field.normalize(unit[k] + c)
         elif head == "counit":
             _, payload = _split_colon(rd, lineno, toks[1:], 0)
             if counit is not None:
                 raise rd.error(lineno, "duplicate 'counit' line")
-            counit = [field.zero()] * dim
+            counit = zeros.copy()
             for k, c in _parse_groups(rd, lineno, field, dim, payload, 2, "counit"):
                 counit[k] = field.normalize(counit[k] + c)
         elif head == "comul":
@@ -217,7 +223,7 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
             j = _parse_index(rd, lineno, heads[0], dim, "antipode column index")
             if j in antipode_cols:
                 raise rd.error(lineno, f"duplicate antipode column for basis {j}")
-            col = [field.zero()] * dim
+            col = zeros.copy()
             for k, c in _parse_groups(rd, lineno, field, dim, payload, 2, "antipode"):
                 col[k] = field.normalize(col[k] + c)
             antipode_cols[j] = col
@@ -229,10 +235,7 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
         raise _err(label, rd.last_lineno, "missing 'unit' line")
     if counit is None:
         raise _err(label, rd.last_lineno, "missing 'counit' line")
-    zero_col = [field.zero()] * dim
-    antipode = Matrix.from_columns(
-        field, [antipode_cols.get(j, zero_col) for j in range(dim)]
-    )
+    antipode = Matrix.from_columns(field, [antipode_cols.get(j, zeros) for j in range(dim)])
     alg = StructureAlgebra.from_sparse(field, dim, mul, unit, basis_names)
     return HopfAlgebra.from_sparse(alg, comul, counit, antipode, name)
 

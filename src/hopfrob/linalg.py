@@ -5,18 +5,18 @@ row tuples with a field tag.  Elimination uses first-nonzero pivoting and
 produces reduced echelon forms, so kernels, solutions and inverses are
 canonical: the same input always yields byte-identical output.
 
-Two arithmetic engines exist, and machine_prime chooses between them: over
-GF(p) with p < 2^31 large eliminations (rref, solve, solve_matrix, inverse),
-large products (Matrix.mul), the kernel of a stacked sparse operator
-(iterated_kernel_sparse, in blocks of rows bounded by the cell budget
-_BLOCK) and the sparse identity checks in algebra and hopfcore run on int64
-numpy/scipy arrays, everything else on Python scalars.  Every int64 sum of
-products goes through mulmod, whose docstring bounds its intermediates, so
-results are exact and identical to the generic path (property-tested).
-The sparse identity checks also run over QQ: engine_primes, built on
-machine_prime, picks enough primes below 2^31 that an identity holding mod
-each of them holds in QQ (the bound is in its docstring), and residues
-reduces each rational exactly.
+Two arithmetic engines exist, and machine_prime chooses between them from
+the field alone: over GF(p) with p < 2^31 large eliminations (rref, solve,
+solve_matrix, inverse), large products (Matrix.mul), the kernel of a stacked
+sparse operator (iterated_kernel_sparse, in blocks of rows bounded by the
+cell budget _BLOCK) and the sparse identity checks in algebra and hopfcore
+run on int64 numpy/scipy arrays, everything else on Python scalars.  Every
+int64 sum of products goes through mulmod, which is exact for any number of
+terms (its docstring bounds its intermediates), so results are identical to
+the generic path (property-tested).  The sparse identity checks also run
+over QQ: engine_primes, built on machine_prime, picks enough primes below
+2^31 that an identity holding mod each of them holds in QQ (the bound is in
+its docstring), and residues reduces each rational exactly.
 """
 
 from __future__ import annotations
@@ -31,33 +31,32 @@ from .scalars import GF, Field, PrimeField, RationalField, _is_prime
 
 # beyond this many cells, prime-field elimination goes through numpy
 _NUMPY_CELLS = 4096
-# mulmod splits into 16-bit limbs; with p < 2^31 that sums up to 2^16 products
+# mulmod splits into 16-bit limbs and sums up to 2^16 products at a time
 _LIMB_BITS = 16
 # entries per int64 array in one block of a sparse kernel, so memory stays flat
 _BLOCK = 1 << 14
 
 
-def machine_prime(field: Field, terms: int = 1) -> Optional[int]:
-    """The engine gate: p when field is GF(p) with p < 2^31 and mulmod can
-    sum `terms` products exactly, None when the generic Python-scalar engine
-    must run instead.
+def machine_prime(field: Field) -> Optional[int]:
+    """The engine gate: p when field is GF(p) with p < 2^31, None when the
+    generic Python-scalar engine must run instead.
 
     Below 2^31 a residue, and a product of two residues ((p-1)^2 < 2^62),
-    fits int64; sums of products are exact through mulmod up to 2^16 terms.
+    fits int64; mulmod sums any number of such products exactly.
     """
-    if isinstance(field, PrimeField) and field.p < 2**31 and terms <= 2**_LIMB_BITS:
+    if isinstance(field, PrimeField) and field.p < 2**31:
         return field.p
     return None
 
 
 def engine_primes(
-    field: Field, terms: int, constants: Iterable = (), degree: int = 1, count: int = 1
+    field: Field, constants: Iterable = (), degree: int = 1, count: int = 1
 ) -> tuple[int, ...]:
     """The primes at which an exact identity runs on the int64 engine, each
-    admitted by machine_prime with `terms` summed products: (p,) for GF(p),
-    () when the Python-scalar engine must run, and over QQ the primes
-    p1 > p2 > ... below 2^31 that divide no denominator of `constants`,
-    taken until their product exceeds the bound below.
+    admitted by machine_prime: (p,) for GF(p), () when the Python-scalar
+    engine must run, and over QQ the primes p1 > p2 > ... below 2^31 that
+    divide no denominator of `constants`, taken until their product exceeds
+    the bound below.
 
     Bound: each side of the identity sums at most `count` products of at
     most `degree` of the rational `constants`.  Over one common denominator
@@ -80,12 +79,12 @@ def engine_primes(
             if product > bound:
                 break
             if den % p and _is_prime(p):
-                if machine_prime(GF(p), terms) is None:
+                if machine_prime(GF(p)) is None:
                     return ()
                 primes.append(p)
                 product *= p
         return tuple(primes)
-    p = machine_prime(field, terms)
+    p = machine_prime(field)
     return () if p is None else (p,)
 
 
@@ -102,19 +101,21 @@ def residues(values: Iterable, p: int):
 
 
 def mulmod(A, B, p: int):
-    """A @ B mod p, exact, for int64 operands with entries in [0, p): both
-    dense numpy arrays, both scipy.sparse matrices (a sparse result comes
-    back with its zeros eliminated), or a sparse A times a dense B (a dense
-    result).
+    """A @ B mod p, exact, for int64 operands with entries in [0, p) and
+    p < 2^31: both dense numpy arrays, both scipy.sparse matrices (a sparse
+    result comes back with its zeros eliminated), or a sparse A times a
+    dense B (a dense result).
 
     Bound: an entry of A @ B sums at most `terms` products, where terms is
     the inner dimension for a dense A, the largest row count of a sparse A,
     and for two sparse operands the smaller of that and the largest column
     count of B.  When (p-1)^2 * terms < 2^63 the plain int64 product is
     exact and is reduced once.  Otherwise B = B_hi * 2^16 + B_lo is split
-    into 16-bit limbs, and each partial sum stays below 2^31 * 2^16 * 2^16 =
-    2^63 for up to 2^16 terms when p < 2^31.  Beyond that it raises
-    OverflowError rather than wrap; machine_prime keeps its callers below it.
+    into 16-bit limbs, and each partial sum of up to 2^16 terms stays below
+    2^31 * 2^16 * 2^16 = 2^63.  Above 2^16 terms A is cut into slices of at
+    most 2^16 terms per row (_term_slices), and the reduced products of the
+    slices are summed and reduced once: fewer than 2^32 slices, so fewer
+    than 2^48 terms, of residues below 2^31 stay below 2^63.
     """
     import numpy as np
 
@@ -128,8 +129,10 @@ def mulmod(A, B, p: int):
             terms = min(terms, int(B.getnnz(axis=0).max(initial=0)))
     if (p - 1) ** 2 * terms < 2**63:
         return _reduce(A @ B, p)
-    if p >= 2**31 or terms > 2**_LIMB_BITS:
-        raise OverflowError(f"mulmod: {terms} products mod {p} exceed int64")
+    if p >= 2**31:
+        raise ValueError(f"mulmod: the limb bound needs p < 2^31, not {p}")
+    if terms > 1 << _LIMB_BITS:
+        return _reduce(sum(mulmod(a, B, p) for a in _term_slices(A)), p)
     mask = (1 << _LIMB_BITS) - 1
     if dense:
         hi, lo = B >> _LIMB_BITS, B & mask
@@ -138,6 +141,24 @@ def mulmod(A, B, p: int):
         hi.data >>= _LIMB_BITS
         lo.data &= mask
     return _reduce(_reduce(A @ hi, p) * (1 << _LIMB_BITS) + _reduce(A @ lo, p), p)
+
+
+def _term_slices(A):
+    """CSR matrices A_s with A = sum A_s and at most 2^16 terms in each row:
+    the entries of each row of A taken 2^16 at a time, in row order (at
+    least one slice, so that a sum of their products has A @ B's shape)."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    A = sp.csr_matrix(A)
+    counts = np.diff(A.indptr)
+    rows = np.repeat(np.arange(A.shape[0]), counts)
+    # the place of each entry in its row
+    place = np.arange(A.nnz) - A.indptr[rows]
+    width = 1 << _LIMB_BITS
+    for s in range(0, max(1, int(counts.max(initial=0))), width):
+        keep = (place >= s) & (place < s + width)
+        yield sp.csr_matrix((A.data[keep], (rows[keep], A.indices[keep])), shape=A.shape)
 
 
 def _reduce(C, p: int):
@@ -241,7 +262,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         field = self.field
-        p = machine_prime(field, self.ncols)
+        p = machine_prime(field)
         if p is not None and self.nrows * other.ncols >= _NUMPY_CELLS:
             import numpy as np
 
@@ -482,7 +503,7 @@ def iterated_kernel_sparse(field: Field, dim: int, S: dict) -> tuple[tuple, ...]
     budget-sized blocks rather than in one product, so memory stays flat
     while K is still wide.
     """
-    if machine_prime(field, dim) is not None:
+    if machine_prime(field) is not None:
         return _iterated_kernel_modp(field, dim, S)
     z = field.zero()
     constraints: dict = {}

@@ -79,7 +79,7 @@ def subpair_of(key: str):
 def generic_engine(monkeypatch):
     """A call that sends every later engine choice of the test to the
     Python-scalar engine: linalg.machine_prime admits no field."""
-    return lambda: monkeypatch.setattr(linalg, "machine_prime", lambda field, terms=1: None)
+    return lambda: monkeypatch.setattr(linalg, "machine_prime", lambda field: None)
 
 
 @pytest.fixture

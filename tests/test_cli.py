@@ -156,6 +156,20 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert "bad.hopf:4:" in err and "oops" in err
 
 
+# 2^61 entries of 8 bytes overflow the allocator's size check, so the list is
+# refused before any memory is requested; 10^20 does not fit an index at all
+@pytest.mark.parametrize("dim", [2**61, 10**20])
+def test_verify_rejects_a_dim_too_large_to_allocate(tmp_path, capsys, dim):
+    """The group algebra of C2 declaring an impossible dim fails closed with
+    an input error at the dim line, not a traceback."""
+    text = emit_hopf_text(entry("qc2").hopf).replace("dim 2\n", f"dim {dim}\n")
+    path = tmp_path / "big.hopf"
+    path.write_text("".join(line for line in text.splitlines(True) if not line.startswith("basis")))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"big.hopf:4: dimension {dim} is too large to allocate" in err
+
+
 def test_verify_corrupted_antipode(tmp_path, capsys):
     path = emit(tmp_path, "sweedler", "h4.hopf")
     lines = [

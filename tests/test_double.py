@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from conftest import double_of, double_report_of, taft_over
 
+from hopfrob.algebra import StructureAlgebra
 from hopfrob.catalog import entry
 from hopfrob.cli import main
 from hopfrob.double import (
@@ -15,7 +16,7 @@ from hopfrob.double import (
 )
 from hopfrob.hopffile import emit_hopf_text
 from hopfrob.frobenius import build_integral_data, verify_radford
-from hopfrob.hopfcore import verify_hopf
+from hopfrob.hopfcore import HopfAlgebra, convolution, verify_hopf
 from hopfrob.linalg import basis_vec
 
 
@@ -50,6 +51,41 @@ def test_embeddings(key):
     D = double_of(key)
     rep = check_embeddings(H, D)
     assert rep.passed, str(rep)
+
+
+def _embeds_multiplicatively(H, D, embed, product):
+    """The reference: embed(x) embed(y) = embed(x y) on every basis pair, one
+    dense product in D each."""
+    vecs = [basis_vec(H.field, H.dim, i) for i in range(H.dim)]
+    return all(
+        D.alg.multiply(embed(H, x), embed(H, y)) == embed(H, product(x, y))
+        for x in vecs
+        for y in vecs
+    )
+
+
+@pytest.mark.parametrize("factor", ["algebra factor", "dual factor"])
+@pytest.mark.parametrize("key", ["qc2", "sweedler", "f5c5"])
+def test_embedding_items_follow_a_moved_product(key, factor):
+    """D with one product of two embedded basis vectors of one factor moved
+    by one: the two "embeds multiplicatively" items equal the products of
+    the reference, and the moved factor's item fails."""
+    H, D = entry(key).hopf, double_of(key)
+    refs = {
+        "algebra factor": (embed_algebra, H.alg.multiply),
+        "dual factor": (embed_dual, lambda f, g: convolution(H, f, g)),
+    }
+    embed = refs[factor][0]
+    x = next(i for i, c in enumerate(embed(H, basis_vec(H.field, H.dim, 1))) if c)
+    mul = dict(D.alg.mul)
+    mul[(x, x)] = tuple(mul.get((x, x), ())) + ((0, 1),)
+    alg = StructureAlgebra.from_sparse(D.field, D.dim, mul, D.alg.unit, D.alg.basis_names)
+    moved = HopfAlgebra.from_sparse(alg, D.comul, D.counit, D.antipode)
+    items = {it.name: it.ok for it in check_embeddings(H, moved).items}
+    for name, (emb, product) in refs.items():
+        want = _embeds_multiplicatively(H, moved, emb, product)
+        assert items[f"{name} embeds multiplicatively"] == want
+    assert not items[f"{factor} embeds multiplicatively"]
 
 
 def test_unit_is_shared():

@@ -461,10 +461,10 @@ def test_sparse_and_generic_engines_report_the_same_items(p, kind, generic_engin
     _, D = _double_over(p)
     if kind is not None:
         D = _corrupted(D, kind)
-    assert linalg.engine_primes(D.field, D.dim) == (p,)
+    assert linalg.engine_primes(D.field) == (p,)
     sparse = verify_hopf(D)
     generic_engine()
-    assert linalg.engine_primes(D.field, D.dim) == ()
+    assert linalg.engine_primes(D.field) == ()
     generic = verify_hopf(D)
     assert _items(sparse) == _items(generic)
     assert sparse.passed == (kind is None)
@@ -486,7 +486,7 @@ def test_engines_agree_on_every_catalog_double_up_to_dim_81(
     D = double_of(key)
     if kind is not None:
         D = _corrupted(D, kind)
-    assert linalg.engine_primes(D.field, D.dim)
+    assert linalg.engine_primes(D.field)
     kernels = verify_hopf(D)
     generic_engine()
     assert _items(kernels) == _items(verify_hopf(D))
@@ -523,7 +523,7 @@ def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(generic_e
     D = double_of("qs3")
     scale = [Fraction(rng.randrange(2**40, 2**41), rng.randrange(2**40, 2**41)) for _ in range(D.dim)]
     R = _rescaled(D, scale)
-    assoc = linalg.engine_primes(QQ, R.dim, algebra.table_constants(R.alg), 2, R.dim)
+    assoc = linalg.engine_primes(QQ, algebra.table_constants(R.alg), 2, R.dim)
     p1 = assoc[0]
     assert len(assoc) >= 2
     variants = {
@@ -533,7 +533,7 @@ def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(generic_e
         "mul + 1/p1": _corrupted(R, "mul", Fraction(1, p1)),
     }
     moved = algebra.table_constants(variants["mul + 1/p1"].alg)
-    assert p1 not in linalg.engine_primes(QQ, R.dim, moved, 2, R.dim)
+    assert p1 not in linalg.engine_primes(QQ, moved, 2, R.dim)
     # the shift by p1 leaves every residue mod p1 as it was
     assert algebra._associativity_failure(variants["mul + p1"].alg, None, p1) is None
     assert hopfcore._delta_failure(variants["comul + p1"], None, p1) is None
@@ -586,7 +586,7 @@ def _nakayama_engines_agree(D, shift, smallest_blocks, generic_engine):
     rows = [list(r) for r in nu.rows]
     rows[1][2] = D.field.normalize(rows[1][2] + shift)
     moved = Matrix.from_rows(D.field, rows)
-    assert algebra.sparse_primes(D.field, D.dim, (), 3, D.dim**2)
+    assert D.dim > algebra._SPARSE_DIM and linalg.engine_primes(D.field, (), 3, D.dim**2)
     sparse = [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)]
     smallest_blocks()
     assert [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)] == sparse
@@ -642,7 +642,7 @@ def test_integral_spaces_agree_on_both_engines_and_any_block_size(
     H = _object(name)
     if kind is not None:
         H = _corrupted(H, kind)
-    assert linalg.machine_prime(H.field, H.dim) is not None
+    assert linalg.machine_prime(H.field) is not None
 
     def spaces():
         return [integral_space(H, side, dual) for side, dual in SPACES]
@@ -737,26 +737,26 @@ def test_delta_kernel_finds_the_first_failing_pair(seed, smallest_blocks):
     assert kernel() == expected
 
 
-def test_refused_contractions_run_the_loops(monkeypatch):
-    """When machine_prime admits the dim terms of the per-entry products but
-    not the term counts of the contractions (the columns of W in the Delta
-    kernel, the rows of Delta in the linear identities), verify_hopf runs
-    the loops for them and reports the kernels' items, full and certified."""
-    H, D = _double_over(7)
+def test_contractions_beyond_one_slice_run_on_the_kernels(monkeypatch, generic_engine):
+    """With 3-bit limbs, so slices of 8 terms, Delta's F W contraction and
+    the products with Delta on the left in the linear identities span
+    several slices.  On D(taft(3, p, q)) with p near 2^31, valid and with a
+    comul entry moved, the full and the certified check give the items of
+    the Python-scalar engine, and neither falls back to its loops."""
+    H, D0 = _double_over(2146560523)
     gens, cert = double_generators(H)
-    D = _corrupted(D, "comul")
+    doubles = [D0, _corrupted(D0, "comul")]
 
-    def both():
+    def both(D):
         return [_items(verify_hopf(D)), _items(verify_hopf(D, generators=gens, certificate=cert))]
 
-    expected = both()
-    machine_prime = linalg.machine_prime
-    monkeypatch.setattr(
-        linalg, "machine_prime", lambda field, terms=1: machine_prime(field, terms) if terms == D.dim else None
-    )
+    monkeypatch.setattr(linalg, "_LIMB_BITS", 3)
     calls = []
     for name in ("_delta_failure_loops", "_linear_failures_loops"):
         loops = getattr(hopfcore, name)
         monkeypatch.setattr(hopfcore, name, lambda *args, f=loops, n=name: calls.append(n) or f(*args))
-    assert both() == expected
-    assert sorted(calls) == ["_delta_failure_loops"] * 2 + ["_linear_failures_loops"] * 2
+    kernels = [both(D) for D in doubles]
+    assert calls == []
+    generic_engine()
+    assert kernels == [both(D) for D in doubles]
+    assert [all(ok for _, ok, _ in items[0]) for items in kernels] == [True, False]

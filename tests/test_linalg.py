@@ -318,32 +318,29 @@ def test_numpy_modp_rref_matches_generic(rows):
 MERSENNE_31 = 2**31 - 1
 
 
-def test_machine_prime_gates_on_field_and_term_count():
+def test_machine_prime_gates_on_the_field_alone():
     assert machine_prime(F7) == 7
-    assert machine_prime(GF(MERSENNE_31), 2**16) == MERSENNE_31
+    assert machine_prime(GF(MERSENNE_31)) == MERSENNE_31
     assert machine_prime(GF(2147483659)) is None  # the least prime above 2^31
     assert machine_prime(QQ) is None
-    assert machine_prime(F7, 2**16 + 1) is None
 
 
 def test_engine_primes_meet_the_crt_bound_and_avoid_denominators():
     """One prime for an admitted GF(p); over QQ the primes below 2^31, largest
     first, skipping any that divides a denominator, until their product
     exceeds 2 count max(A, D)^degree; none when machine_prime admits none."""
-    assert linalg.engine_primes(F7, 9) == (7,)
-    assert linalg.engine_primes(GF(2147483659), 9) == ()
-    assert linalg.engine_primes(F7, 2**16 + 1) == ()
-    assert linalg.engine_primes(QQ, 9, [Fraction(3), Fraction(-1)], 2, 9) == (MERSENNE_31,)
+    assert linalg.engine_primes(F7) == (7,)
+    assert linalg.engine_primes(GF(2147483659)) == ()
+    assert linalg.engine_primes(QQ, [Fraction(3), Fraction(-1)], 2, 9) == (MERSENNE_31,)
     constants = [Fraction(1, MERSENNE_31), Fraction(5 * 2**40, 3)]
-    primes = linalg.engine_primes(QQ, 9, constants, 3, 81)
+    primes = linalg.engine_primes(QQ, constants, 3, 81)
     den = 3 * MERSENNE_31
     bound = 2 * 81 * (5 * 2**40 * MERSENNE_31) ** 3
     assert MERSENNE_31 not in primes and all(den % p for p in primes)
     assert list(primes) == sorted(primes, reverse=True) and primes[0] < 2**31
     assert math.prod(primes) > bound >= math.prod(primes[:-1])
-    assert linalg.engine_primes(QQ, 2**16 + 1) == ()
-    with mock.patch.object(linalg, "machine_prime", lambda field, terms=1: None):
-        assert linalg.engine_primes(QQ, 9) == linalg.engine_primes(F7, 9) == ()
+    with mock.patch.object(linalg, "machine_prime", lambda field: None):
+        assert linalg.engine_primes(QQ) == linalg.engine_primes(F7) == ()
 
 
 def test_residues_reduce_each_rational_exactly():
@@ -358,10 +355,12 @@ def test_residues_reduce_each_rational_exactly():
     assert all((Fraction(x).denominator * r - Fraction(x).numerator) % p == 0 for x, r in zip(xs, out))
 
 
+@pytest.mark.parametrize("n", [2**16, 2**16 + 1, 3 * 2**16 + 5])
 @pytest.mark.parametrize("sparse", [False, True])
-def test_mulmod_worst_case_row_times_column(sparse):
+def test_mulmod_worst_case_row_times_column(sparse, n):
+    """p - 1 times p - 1, summed n times: one 16-bit limb product at 2^16
+    terms, and above it the sum of the slices of 2^16 terms."""
     p = MERSENNE_31
-    n = 2**16
     A = np.full((1, n), p - 1, dtype=np.int64)
     B = np.full((n, 1), p - 1, dtype=np.int64)
     if sparse:
@@ -369,8 +368,14 @@ def test_mulmod_worst_case_row_times_column(sparse):
     C = mulmod(A, B, p)
     got = int(C[0, 0])
     assert got == (p - 1) ** 2 * n % p
-    with pytest.raises(OverflowError):
-        mulmod(np.ones((1, n + 1), dtype=np.int64), np.ones((n + 1, 1), dtype=np.int64), p)
+
+
+def test_mulmod_refuses_a_prime_above_the_limb_bound():
+    """Two products of residues of the least prime above 2^31 exceed int64,
+    and its limbs would too: mulmod raises rather than wrap."""
+    p = 2147483659
+    with pytest.raises(ValueError):
+        mulmod(np.full((1, 2), p - 1, dtype=np.int64), np.full((2, 1), p - 1, dtype=np.int64), p)
 
 
 @given(
@@ -378,9 +383,12 @@ def test_mulmod_worst_case_row_times_column(sparse):
     shape=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 5)),
     seed=st.integers(0, 2**32 - 1),
     sparse=st.booleans(),
+    limb_bits=st.sampled_from([16, 1]),
 )
 @settings(max_examples=80, deadline=None)
-def test_mulmod_matches_python_integers(p, shape, seed, sparse):
+def test_mulmod_matches_python_integers(p, shape, seed, sparse, limb_bits):
+    """Exact on every shape; with 1-bit limbs a product of more than two
+    terms per entry is a sum of slices of two terms each."""
     rng = np.random.default_rng(seed)
     m, k, n = shape
 
@@ -394,10 +402,11 @@ def test_mulmod_matches_python_integers(p, shape, seed, sparse):
         [sum(int(A[i, t]) * int(B[t, j]) for t in range(k)) % p for j in range(n)]
         for i in range(m)
     ]
-    if sparse:
-        got = mulmod(sp.csr_matrix(A), sp.csr_matrix(B), p).toarray()
-    else:
-        got = mulmod(A, B, p)
+    with mock.patch.object(linalg, "_LIMB_BITS", limb_bits):
+        if sparse:
+            got = mulmod(sp.csr_matrix(A), sp.csr_matrix(B), p).toarray()
+        else:
+            got = mulmod(A, B, p)
     assert got.tolist() == want
 
 
@@ -405,11 +414,13 @@ def test_mulmod_matches_python_integers(p, shape, seed, sparse):
     p=st.sampled_from([13, 65521, 2146560523, MERSENNE_31]),
     shape=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 5)),
     seed=st.integers(0, 2**32 - 1),
+    limb_bits=st.sampled_from([16, 1]),
 )
 @settings(max_examples=60, deadline=None)
-def test_mulmod_sparse_times_dense_matches_python_integers(p, shape, seed):
+def test_mulmod_sparse_times_dense_matches_python_integers(p, shape, seed, limb_bits):
     """A sparse left operand times a dense right one, as the iterated kernel
-    multiplies its stacked operator by K, gives a dense exact product."""
+    multiplies its stacked operator by K, gives a dense exact product, also
+    summed from slices of two terms per row with 1-bit limbs."""
     rng = np.random.default_rng(seed)
     m, k, n = shape
     A, B = (
@@ -420,7 +431,8 @@ def test_mulmod_sparse_times_dense_matches_python_integers(p, shape, seed):
         [sum(int(A[i, t]) * int(B[t, j]) for t in range(k)) % p for j in range(n)]
         for i in range(m)
     ]
-    got = mulmod(sp.csr_matrix(A), B, p)
+    with mock.patch.object(linalg, "_LIMB_BITS", limb_bits):
+        got = mulmod(sp.csr_matrix(A), B, p)
     assert isinstance(got, np.ndarray)
     assert got.tolist() == want
 
@@ -466,7 +478,7 @@ def test_matrix_mul_engines_agree(field, shape, seed, density):
     want = _mul_reference(A, B)
     with mock.patch.object(linalg, "_NUMPY_CELLS", 0):
         assert A.mul(B) == want
-    with mock.patch.object(linalg, "machine_prime", lambda field, terms=1: None):
+    with mock.patch.object(linalg, "machine_prime", lambda field: None):
         assert A.mul(B) == want
     got = A.mul(B)
     assert got == want

@@ -5,6 +5,7 @@ numpy and scipy load only when that engine runs."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -81,19 +82,14 @@ def test_package_has_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
-def _field_tests(path: Path, cls: str) -> list:
-    """Qualified scope of each isinstance(..., cls) call in a module."""
+def _scopes(path: Path, match) -> list:
+    """Qualified scope of each node of a module for which match(node) holds."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and cls in ast.unparse(node.args[1])
-        ):
+        if match(node):
             found.append(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -102,10 +98,34 @@ def _field_tests(path: Path, cls: str) -> list:
     return found
 
 
+def _field_tests(path: Path, cls: str) -> list:
+    """Qualified scope of each isinstance(..., cls) call in a module."""
+    return _scopes(
+        path,
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and cls in ast.unparse(node.args[1]),
+    )
+
+
+def _names(name: str):
+    """A match for each mention of name: as a name, an attribute or an import."""
+    return lambda node: (
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    )
+
+
 def test_engine_is_chosen_in_one_place():
-    """linalg.machine_prime alone decides whether a prime field runs on the
-    int64 engine, and linalg.engine_primes, built on it, alone whether QQ
-    does; apart from each field's own equality nothing else asks."""
+    """linalg.machine_prime alone decides, from the field alone, whether a
+    prime field runs on the int64 engine, and linalg.engine_primes, built
+    on it, alone whether QQ does; apart from each field's own equality
+    nothing else asks.  Outside linalg only algebra.first_failure asks
+    engine_primes, and hopfcore does not read a field's characteristic."""
+    from hopfrob import linalg
+
     found = {
         cls: sorted(s for path in PACKAGE.glob("*.py") for s in _field_tests(path, cls))
         for cls in ("PrimeField", "RationalField")
@@ -114,6 +134,15 @@ def test_engine_is_chosen_in_one_place():
         "PrimeField": ["linalg.machine_prime", "scalars.PrimeField.__eq__"],
         "RationalField": ["linalg.engine_primes", "scalars.RationalField.__eq__"],
     }
+    assert list(inspect.signature(linalg.machine_prime).parameters) == ["field"]
+    askers = [
+        s
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "linalg"
+        for s in _scopes(path, _names("engine_primes"))
+    ]
+    assert askers == ["algebra.first_failure"]
+    assert _scopes(PACKAGE / "hopfcore.py", _names("characteristic")) == []
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
