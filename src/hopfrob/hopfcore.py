@@ -65,8 +65,9 @@ from .algebra import (
     vec_to_row,
     verify_algebra,
 )
+from . import linalg
 from .errors import InvalidInputError, ShapeError, SingularError
-from .linalg import Matrix, basis_vec, iterated_kernel_sparse, machine_prime, mulmod, residues
+from .linalg import Matrix, basis_vec, iterated_kernel_sparse, mulmod, residues
 from .report import Report
 from .scalars import Field
 
@@ -164,7 +165,7 @@ class HopfAlgebra:
             for j, k, c in self.comul.get(i, ()):
                 key = (j, k)
                 acc[key] = acc.get(key, z) + vi * c
-        return _clean_tensor(field, acc)
+        return dict(nonzero_row(field, acc))
 
     def delta2_row(self, i: int) -> tuple:
         """(Delta (x) id)Delta(e_i) as a tuple of (r, s, t, c)."""
@@ -202,16 +203,6 @@ class HopfAlgebra:
         return f"HopfAlgebra({label}, dim={self.dim}, field={self.field!r})"
 
 
-def _clean_tensor(field: Field, acc: dict) -> dict:
-    z = field.zero()
-    out = {}
-    for key, c in acc.items():
-        c = field.normalize(c)
-        if c != z:
-            out[key] = c
-    return out
-
-
 def _outer_sum(field: Field, pairs) -> dict:
     """sum_i x_i (x) y_i as a sparse tensor {(j, k): c}."""
     t: dict = {}
@@ -224,7 +215,7 @@ def _outer_sum(field: Field, pairs) -> dict:
                 if cj == zero:
                     continue
                 t[(i, j)] = t.get((i, j), zero) + ci * cj
-    return _clean_tensor(field, t)
+    return dict(nonzero_row(field, t))
 
 
 def eval_cov(field: Field, f: Sequence, v: Sequence):
@@ -244,7 +235,7 @@ def tensor_mult(H: HopfAlgebra, t1: dict, t2: dict) -> dict:
                 for n, cn in mul.get((b, v), ()):
                     key = (m, n)
                     acc[key] = acc.get(key, z) + f * cm * cn
-    return _clean_tensor(field, acc)
+    return dict(nonzero_row(field, acc))
 
 
 def convolution(H: HopfAlgebra, f: Sequence, g: Sequence) -> tuple:
@@ -482,7 +473,7 @@ def verify_hopf(
     field = H.field
     dim = H.dim
 
-    p = machine_prime(field) if dim > _CERTIFIED_DIM else None
+    p = linalg.machine_prime(field) if dim > _CERTIFIED_DIM else None
     certified = p is not None and generators is not None and certificate is not None
 
     # multiplication axioms
@@ -778,7 +769,7 @@ def _delta_failure_loops(H: HopfAlgebra) -> Optional[tuple]:
             for m, c in H.alg.mul.get((i, j), ()):
                 for key, d in delta_rows[m].items():
                     acc[key] = acc.get(key, z) + c * d
-            if _clean_tensor(field, acc) != tensor_mult(H, delta_rows[i], delta_rows[j]):
+            if dict(nonzero_row(field, acc)) != tensor_mult(H, delta_rows[i], delta_rows[j]):
                 return (i, j)
     return None
 

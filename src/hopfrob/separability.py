@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import StructureAlgebra
+from .algebra import StructureAlgebra, nonzero_row
 from .errors import InternalCheckError, SingularError
 from .frobenius import (
     FrobeniusSystem,
@@ -18,7 +18,7 @@ from .frobenius import (
     build_integral_data,
     frobenius_system_from_norm,
 )
-from .hopfcore import HopfAlgebra, _clean_tensor, _outer_sum, dual_hopf, eval_cov
+from .hopfcore import HopfAlgebra, _outer_sum, dual_hopf, eval_cov
 from .linalg import Matrix
 from .report import Report
 
@@ -69,7 +69,7 @@ def _act_tensor(A: StructureAlgebra, t: dict, a_idx: int, slot: str) -> dict:
         for k, ck in row:
             key = (k, keep) if first else (keep, k)
             out[key] = out.get(key, field.zero()) + c * ck
-    return _clean_tensor(field, out)
+    return dict(nonzero_row(field, out))
 
 
 def check_ordinary_certificate(A: StructureAlgebra, e: dict):

@@ -676,8 +676,8 @@ LINEAR_CASES = [(None, 0), ("unit", 0)] + [
 def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, generic_engine):
     """With the certified threshold at 0, coassociativity, the counit law,
     "counit is multiplicative" and the antipode law run as sparse identities
-    mod p on every GF(p) object, and the Python loops give the same items,
-    valid or corrupted."""
+    mod p on every GF(p) object, and the Python loops, which run only on
+    the generic engine, give the same items, valid or corrupted."""
     monkeypatch.setattr(hopfcore, "_CERTIFIED_DIM", 0)
     H = _double_over(2146560523)[1] if name.startswith("D(taft(") else _object(name)
     if kind is not None:
@@ -685,10 +685,13 @@ def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, gen
     ran = []
     linear = hopfcore._linear_failures
     monkeypatch.setattr(hopfcore, "_linear_failures", lambda H, p: ran.append(p) or linear(H, p))
+    loops = hopfcore._linear_failures_loops
+    monkeypatch.setattr(hopfcore, "_linear_failures_loops", lambda H: ran.append(None) or loops(H))
     kernels = _items(verify_hopf(H))
     assert ran == [H.field.p]
     generic_engine()
     assert _items(verify_hopf(H)) == kernels
+    assert ran == [H.field.p, None]
 
 
 def _comul_moved(D, seed):
@@ -741,22 +744,32 @@ def test_contractions_beyond_one_slice_run_on_the_kernels(monkeypatch, generic_e
     """With 3-bit limbs, so slices of 8 terms, Delta's F W contraction and
     the products with Delta on the left in the linear identities span
     several slices.  On D(taft(3, p, q)) with p near 2^31, valid and with a
-    comul entry moved, the full and the certified check give the items of
-    the Python-scalar engine, and neither falls back to its loops."""
+    comul entry moved, neither the full nor the certified check falls back
+    to its loops.  The full check gives the items of the Python-scalar
+    engine, on which both loops decide; the certified check gives its items
+    at one slice per contraction, and its Delta kernel the first failing
+    generator pair of the definition."""
     H, D0 = _double_over(2146560523)
+    p = D0.field.p
     gens, cert = double_generators(H)
     doubles = [D0, _corrupted(D0, "comul")]
 
-    def both(D):
-        return [_items(verify_hopf(D)), _items(verify_hopf(D, generators=gens, certificate=cert))]
+    def certified():
+        return [_items(verify_hopf(D, generators=gens, certificate=cert)) for D in doubles]
 
+    one_slice = certified()
+    by_definition = [_delta_failure_by_definition(D, gens) for D in doubles]
+    assert by_definition[0] is None and by_definition[1] is not None
     monkeypatch.setattr(linalg, "_LIMB_BITS", 3)
     calls = []
     for name in ("_delta_failure_loops", "_linear_failures_loops"):
         loops = getattr(hopfcore, name)
         monkeypatch.setattr(hopfcore, name, lambda *args, f=loops, n=name: calls.append(n) or f(*args))
-    kernels = [both(D) for D in doubles]
+    full = [_items(verify_hopf(D)) for D in doubles]
+    assert certified() == one_slice
+    assert [hopfcore._delta_failure(D, gens, p) for D in doubles] == by_definition
     assert calls == []
     generic_engine()
-    assert kernels == [both(D) for D in doubles]
-    assert [all(ok for _, ok, _ in items[0]) for items in kernels] == [True, False]
+    assert full == [_items(verify_hopf(D)) for D in doubles]
+    assert set(calls) == {"_delta_failure_loops", "_linear_failures_loops"}
+    assert [all(ok for _, ok, _ in items) for items in full] == [True, False]

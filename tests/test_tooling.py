@@ -123,7 +123,9 @@ def test_engine_is_chosen_in_one_place():
     prime field runs on the int64 engine, and linalg.engine_primes, built
     on it, alone whether QQ does; apart from each field's own equality
     nothing else asks.  Outside linalg only algebra.first_failure asks
-    engine_primes, and hopfcore does not read a field's characteristic."""
+    engine_primes, hopfcore does not read a field's characteristic, and no
+    module imports either gate by name, so patching linalg.machine_prime
+    (the generic_engine fixture) moves every engine choice."""
     from hopfrob import linalg
 
     found = {
@@ -143,6 +145,16 @@ def test_engine_is_chosen_in_one_place():
     ]
     assert askers == ["algebra.first_failure"]
     assert _scopes(PACKAGE / "hopfcore.py", _names("characteristic")) == []
+    imported = [
+        s
+        for path in sorted(PACKAGE.glob("*.py"))
+        for s in _scopes(
+            path,
+            lambda node: isinstance(node, ast.alias)
+            and node.name in ("machine_prime", "engine_primes"),
+        )
+    ]
+    assert imported == []
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
