@@ -7,17 +7,29 @@ scalars are stored normalized for the algebra's field, so structural
 equality of two algebras is plain equality of their tables.
 
 The quantified identities (associativity on every basis triple, "phi is an
-algebra map" on every basis pair, and Delta multiplicative in hopfcore) have
-two engines, and first_failure alone chooses between them.  Above
-_SPARSE_DIM they run as sparse int64 identities mod each prime of
-linalg.engine_primes: the field's p over an admitted GF(p), and over QQ
-enough primes below 2^31 that the identity holds in QQ exactly when it holds
-mod each of them.  For associativity each side sums dim products of two
-structure constants; for phi, dim^2 products of three constants among phi's
-entries and both tables.  Below _SPARSE_DIM, and over every other field,
-they run as Python loops.  Both report the same first failing index: over QQ
-the failing set is the union of the failing sets mod each prime, so its
-first item is the smallest of the first items mod each prime.
+algebra map" on every basis pair, and in hopfcore Delta multiplicative and
+the four Hopf axioms linear in Delta) have two engines, and first_failure
+alone chooses between them.  Above a crossover dimension they run as sparse
+int64 identities mod each prime of linalg.engine_primes: the field's p over
+an admitted GF(p), and over QQ enough primes below 2^31 that the identity
+holds in QQ exactly when it holds mod each of them.  For associativity each
+side sums dim products of two structure constants; for phi, dim^2 products
+of three constants among phi's entries and both tables.  Otherwise, and
+over every other field, they run as Python loops.  Two crossovers, from
+warm timings (all of them next to _SPARSE_DIM):
+- _SPARSE_DIM = 12 for every identity over QQ and for the quadratic ones
+  over GF(p): at dim 16 the kernels win (D(sweedler) over QQ, a whole
+  verify_hopf: 58 ms on the loops, 13 ms on the kernels);
+- dim 40 (hopfcore._CERTIFIED_DIM) for the linear Hopf axioms over GF(p),
+  whose loops on Python ints stay cheap longer (taft-4-5-2, dim 16: loops
+  1.1 ms, kernel 4.5 ms), while over QQ their kernel wins from dim 16
+  (D(sweedler): loops 9.1 ms, kernel 6.9 ms).
+Over QQ the kernels run once per prime, so when engine_primes asks for more
+than _MAX_PRIMES = 4 of them the loops run instead: on D(qs3) a prime of
+the linear axioms, the identities with the cheapest loops, costs 5.6 ms
+against 30 ms for their loops.  Both engines report the same first failing
+index: over QQ the failing set is the union of the failing sets mod each
+prime, so its first item is the smallest of the first items mod each prime.
 """
 
 from __future__ import annotations
@@ -35,11 +47,28 @@ from .scalars import Field
 
 SparseRow = tuple  # tuple[(basis_index, scalar), ...] sorted by index
 
-# the warm crossover of a whole verify_hopf: at dim 9 the loops win over GF(p)
-# (taft-3-7-2: 1.7 ms, kernels 4.3 ms), at dim 16 the kernels (D(sweedler)
-# over QQ: 58 ms, kernels 13 ms; taft-4-5-2: 6.4 ms, kernels 5.2 ms); cyclic
-# group algebras cross near dim 9 over QQ and near dim 15 over GF(101)
+# The crossover from the Python loops to the int64 kernels, measured warm
+# (best of 20) on a 2-vCPU VM.
+# - Quadratic identities, a whole verify_hopf: at dim 9 the loops win over
+#   GF(p) (taft-3-7-2: 1.7 ms, kernels 4.3 ms), at dim 16 the kernels
+#   (D(sweedler) over QQ: 58 ms, kernels 13 ms; taft-4-5-2: 6.4 ms, kernels
+#   5.2 ms); cyclic group algebras cross near dim 9 over QQ and near dim 15
+#   over GF(101).  So they cross at _SPARSE_DIM on both fields.
+# - The four Hopf axioms linear in Delta: over GF(p) their loops on Python
+#   ints still win at dim 16 (taft-4-5-2: loops 1.1 ms, kernel 4.5 ms) and
+#   dim 25 (D(f5c5): 2.8 ms, 5.6 ms), so there they cross at
+#   hopfcore._CERTIFIED_DIM = 40; over QQ, on Fractions, the kernel wins
+#   from dim 16 (D(sweedler): loops 9.1 ms, kernel 6.9 ms; D(qs3), dim 36:
+#   26 ms, 4.6 ms), so they cross at _SPARSE_DIM.
 _SPARSE_DIM = 12
+# Over QQ the kernels run once per prime of linalg.engine_primes; beyond
+# this many primes the loops run.  On D(qs3) one prime of the linear axioms
+# costs 5.6 ms against 30 ms for their loops, the cheapest loops of all the
+# identities there (associativity 2.1 ms a prime against 47 ms, Delta
+# multiplicative 3.3 ms against 109 ms), so 4 primes still beat every loop.
+# D(qs3) rescaled by rationals of height 2^40 asks for 196 to 528 primes;
+# on the kernels verify_hopf took 2.85 s there, on the loops 0.39 s.
+_MAX_PRIMES = 4
 
 
 def _clean_row(field: Field, items: Iterable) -> SparseRow:
@@ -346,23 +375,48 @@ def table_constants(A: StructureAlgebra):
     return (c for row in A.mul.values() for _, c in row)
 
 
+def smallest(items) -> Optional[tuple]:
+    """The smallest of the items that are not None, or None."""
+    return min((x for x in items if x is not None), default=None)
+
+
 def first_failure(
-    field: Field, dim: int, constants, degree: int, count: int, kernel, loops
-) -> Optional[tuple]:
+    field: Field,
+    dim: int,
+    constants,
+    degree: int,
+    count: int,
+    kernel,
+    loops,
+    modp_dim: int = _SPARSE_DIM,
+    merge=smallest,
+):
     """The first failing item of a quantified identity of a dim-dimensional
     algebra, or None, from the one engine choice of the package.
 
-    Above _SPARSE_DIM, at the linalg.engine_primes of an identity whose sides
-    sum at most count products of at most degree of the constants: the
-    smallest of the first failing items kernel(p) over those primes, which
-    is kernel(p) itself over GF(p) and the first failing item in QQ (the
-    primes meet the engine_primes bound).  Below it, or when engine_primes
-    gives no prime, the Python loops: loops().
+    Above the crossover, at the linalg.engine_primes of an identity whose
+    sides sum at most count products of at most degree of the constants:
+    the smallest of the first failing items kernel(p) over those primes,
+    which is kernel(p) itself over GF(p) and the first failing item in QQ
+    (the primes meet the engine_primes bound).  A group of identities
+    checked together combines its per-prime results with merge instead.
+    Below the crossover, when engine_primes gives no prime, or when it asks
+    for more than _MAX_PRIMES, the Python loops: loops().
+
+    The crossover is modp_dim over an admitted GF(p) and _SPARSE_DIM = 12
+    otherwise.  modp_dim is _SPARSE_DIM but for the linear Hopf axioms,
+    whose loops win over GF(p) up to dim 40 (taft-4-5-2, dim 16: loops
+    1.1 ms, kernel 4.5 ms) but over QQ only below dim 16 (D(sweedler):
+    9.1 ms, 6.9 ms).  _MAX_PRIMES = 4 is where the kernels still beat the
+    cheapest loops, those of the linear axioms on D(qs3): 5.6 ms a prime
+    against 30 ms.
     """
-    primes = linalg.engine_primes(field, constants, degree, count) if dim > _SPARSE_DIM else ()
+    if dim <= (_SPARSE_DIM if linalg.machine_prime(field) is None else modp_dim):
+        return loops()
+    primes = linalg.engine_primes(field, constants, degree, count, _MAX_PRIMES)
     if not primes:
         return loops()
-    return min((bad for p in primes if (bad := kernel(p)) is not None), default=None)
+    return merge([kernel(p) for p in primes])
 
 
 def structure_arrays(A: StructureAlgebra, p: int) -> tuple:

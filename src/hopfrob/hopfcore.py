@@ -33,11 +33,15 @@ of both tables.  Otherwise the quadratic axioms run as Python loops over
 the whole basis.
 
 The four axioms linear in Delta (coassociativity, counit law, counit
-multiplicative, antipode law) run as one sparse identity each mod p
-(_linear_failures) where the generator-certified strategy may: over a GF(p)
-that linalg.machine_prime admits, above _CERTIFIED_DIM; elsewhere as Python
-loops over the basis (_linear_failures_loops), which are faster at catalog
-sizes.
+multiplicative, antipode law) are one more call of algebra.first_failure:
+as one sparse identity each (_linear_failures) mod each prime, or as
+Python loops over the basis (_linear_failures_loops).  Their loops on
+Python ints are cheap, so over GF(p) the kernel takes over only above
+_CERTIFIED_DIM; over QQ, on Fractions, it wins from dim 16 and takes over
+above algebra._SPARSE_DIM (measurements next to that constant).  Their
+sides sum at most dim^3 products of three constants (the antipode law's
+sum_{u,v,x} Delta_i(u,v) S(x,u) c(x,v;a)) among both tables, the counit,
+the unit and the antipode.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from .algebra import (
     multiplicative_failure,
     nonzero_row,
     residue_rows,
+    smallest,
     structure_arrays,
     table_constants,
     unit_failure,
@@ -73,7 +78,8 @@ from .scalars import Field
 
 # the generator-certified strategy runs above this dimension over an admitted
 # GF(p); it names its own report items, so it keeps its own threshold rather
-# than follow the engine crossover algebra._SPARSE_DIM
+# than follow the engine crossover algebra._SPARSE_DIM.  Over GF(p) it is also
+# the crossover of the four linear axioms (measured next to _SPARSE_DIM).
 _CERTIFIED_DIM = 40
 
 @dataclass(eq=False)
@@ -457,17 +463,16 @@ def verify_hopf(
 ) -> Report:
     """Exact check of every Hopf axiom.
 
-    When dim > _CERTIFIED_DIM and the field is a GF(p) that
-    linalg.machine_prime admits, the four axioms linear in Delta
-    (coassociativity, counit law, counit multiplicative, antipode law) run
-    as sparse int64 identities mod p (_linear_failures), and when
-    generators and certificate are both given the two quadratic axioms
-    (associativity, Delta multiplicative) run mod p on the generators,
-    after checking that the certificate writes every basis vector as a
-    product of two generators.  Otherwise the linear axioms run as Python
-    loops over the basis, and the quadratic ones are quantified over the
-    whole basis on the engine that algebra.first_failure chooses: mod each
-    prime of linalg.engine_primes, or as Python loops over all basis tuples.
+    When dim > _CERTIFIED_DIM, the field is a GF(p) that
+    linalg.machine_prime admits, and generators and certificate are both
+    given, the two quadratic axioms (associativity, Delta multiplicative)
+    run mod p on the generators, after checking that the certificate writes
+    every basis vector as a product of two generators.  Otherwise they are
+    quantified over the whole basis.  Those on the basis and the four
+    axioms linear in Delta (coassociativity, counit law, counit
+    multiplicative, antipode law) run on the engine that
+    algebra.first_failure chooses: sparse int64 identities mod each prime
+    of linalg.engine_primes, or Python loops over the basis.
     """
     rep = Report(title or f"hopf axioms: {H.name or 'unnamed'}")
     field = H.field
@@ -485,8 +490,22 @@ def verify_hopf(
     def at_basis(name, bad):
         rep.add(name, bad is None, "" if bad is None else f"fails at basis {bad}")
 
-    coassoc, counit, eps_ok, antipode = (
-        _linear_failures_loops(H) if p is None else _linear_failures(H, p)
+    coassoc, counit, eps_ok, antipode = first_failure(
+        field,
+        dim,
+        chain(
+            table_constants(H.alg),
+            _comul_constants(H),
+            H.counit,
+            H.unit,
+            chain.from_iterable(H.antipode.rows),
+        ),
+        3,
+        dim**3,
+        partial(_linear_failures, H),
+        partial(_linear_failures_loops, H),
+        modp_dim=_CERTIFIED_DIM,
+        merge=_merge_linear,
     )
     at_basis("coassociativity", coassoc)
     at_basis("counit law", counit)
@@ -508,7 +527,7 @@ def verify_hopf(
         bad = first_failure(
             field,
             dim,
-            chain(table_constants(H.alg), (c for t in H.comul.values() for *_, c in t)),
+            chain(table_constants(H.alg), _comul_constants(H)),
             4,
             dim**4 + dim,
             partial(_delta_failure, H, None),
@@ -531,6 +550,19 @@ def verify_hopf(
         rep.add("antipode invertible", False, "antipode matrix is singular")
 
     return rep
+
+
+def _comul_constants(H: HopfAlgebra):
+    """The structure constants of H's comul table."""
+    return (c for terms in H.comul.values() for *_, c in terms)
+
+
+def _merge_linear(results) -> tuple:
+    """The results of _linear_failures at several primes as one: each
+    failing basis index the smallest over the primes, and the counit
+    multiplicative where it is mod every prime."""
+    coassoc, counit, eps_ok, antipode = zip(*results)
+    return smallest(coassoc), smallest(counit), all(eps_ok), smallest(antipode)
 
 
 def _certified_mult_checks(H, generators, certificate, p, rep) -> bool:
@@ -657,7 +689,7 @@ def _linear_failures(H: HopfAlgebra, p: int) -> tuple:
     # second leg, act_right(e_i, eps) with eps applied to the first
     row = np.arange(len(uv))
     ident = sp.identity(n, dtype=np.int64, format="csr")
-    counit = _smallest(
+    counit = smallest(
         _first_row(mulmod(delta, sp.csr_matrix((eps[b], (row, a)), shape=(len(uv), n)), p), ident)
         for a, b in ((uv // n, uv % n), (uv % n, uv // n))
     )
@@ -688,7 +720,7 @@ def _linear_failures(H: HopfAlgebra, p: int) -> tuple:
         P = sp.csr_matrix((Y.data[hit], (at[hit], a[hit])), shape=(len(uv), n))
         sides.append(mulmod(delta, P, p))
     target = _outer(eps, one, p)
-    antipode = _smallest(_first_row(side, target) for side in sides)
+    antipode = smallest(_first_row(side, target) for side in sides)
     return coassoc, counit, eps_ok, antipode
 
 
@@ -750,11 +782,6 @@ def _outer(x, y, p: int):
 def _first_row(lhs, rhs) -> Optional[int]:
     """Smallest row where two reduced sparse matrices differ, or None."""
     return first_difference(lhs.T, rhs.T)
-
-
-def _smallest(indices) -> Optional[int]:
-    """The smallest of the indices that are not None, or None."""
-    return min((x for x in indices if x is not None), default=None)
 
 
 def _delta_failure_loops(H: HopfAlgebra) -> Optional[tuple]:

@@ -50,13 +50,18 @@ def machine_prime(field: Field) -> Optional[int]:
 
 
 def engine_primes(
-    field: Field, constants: Iterable = (), degree: int = 1, count: int = 1
+    field: Field,
+    constants: Iterable = (),
+    degree: int = 1,
+    count: int = 1,
+    most: Optional[int] = None,
 ) -> tuple[int, ...]:
     """The primes at which an exact identity runs on the int64 engine, each
     admitted by machine_prime: (p,) for GF(p), () when the Python-scalar
     engine must run, and over QQ the primes p1 > p2 > ... below 2^31 that
     divide no denominator of `constants`, taken until their product exceeds
-    the bound below.
+    the bound below; () when that takes more than `most` primes, before
+    the search goes further.
 
     Bound: each side of the identity sums at most `count` products of at
     most `degree` of the rational `constants`.  Over one common denominator
@@ -79,7 +84,7 @@ def engine_primes(
             if product > bound:
                 break
             if den % p and _is_prime(p):
-                if machine_prime(GF(p)) is None:
+                if machine_prime(GF(p)) is None or len(primes) == most:
                     return ()
                 primes.append(p)
                 product *= p

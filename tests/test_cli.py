@@ -427,12 +427,22 @@ def test_verify_d81_runs_no_tensor_loop(tmp_path, monkeypatch):
 
 def test_verify_d36_over_qq_runs_no_tensor_loop(tmp_path, monkeypatch):
     """Over QQ, Delta multiplicative on D(qs3) is one sparse identity mod
-    each prime the bound asks for, not a tensor_mult per basis pair."""
+    each prime the bound asks for, not a tensor_mult per basis pair; so are
+    coassociativity, the counit law, "counit is multiplicative" and the
+    antipode law, not a delta2_row, act_left and act_right per basis vector
+    (36 each) and an is_augmentation pass."""
     path = tmp_path / "d36.hopf"
     path.write_text(emit_hopf_text(double_of("qs3")))
-    calls = _count_calls(monkeypatch, hopfcore, "tensor_mult")
+    names = ("tensor_mult", "act_left", "act_right", "is_augmentation")
+    calls = [_count_calls(monkeypatch, hopfcore, name) for name in names]
+    delta2 = []
+    delta2_row = hopfcore.HopfAlgebra.delta2_row
+    monkeypatch.setattr(
+        hopfcore.HopfAlgebra, "delta2_row", lambda *args: delta2.append(1) or delta2_row(*args)
+    )
     assert main(["verify", str(path)]) == 0
-    assert calls == []
+    assert calls == [[], [], [], []]
+    assert delta2 == []
 
 
 def test_double_of_f5c5_keeps_the_full_basis_items(tmp_path, capsys):

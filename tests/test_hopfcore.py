@@ -513,16 +513,37 @@ def _rescaled(H, scale):
     return HopfAlgebra.from_sparse(alg, comul, counit, Matrix.from_rows(F, S))
 
 
-def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(generic_engine):
-    """D(qs3) in a basis rescaled by rationals of height above 2^40: its
-    constants are large, so the identities need several primes.  A constant
-    moved by the first prime p1 is invisible mod p1 and one moved by 1/p1
-    puts p1 in a denominator; on each copy the kernels and the loops give
-    the same items."""
+@functools.lru_cache(maxsize=None)
+def _rescaled_qs3():
+    """D(qs3) in a basis rescaled by 36 seeded rationals of height above 2^40."""
     rng = random.Random(2001)
     D = double_of("qs3")
     scale = [Fraction(rng.randrange(2**40, 2**41), rng.randrange(2**40, 2**41)) for _ in range(D.dim)]
-    R = _rescaled(D, scale)
+    return _rescaled(D, scale)
+
+
+def _linear_constants(H):
+    """Every constant the four axioms linear in Delta read: the mul, comul,
+    counit, unit and antipode entries."""
+    return [
+        *algebra.table_constants(H.alg),
+        *(c for terms in H.comul.values() for *_, c in terms),
+        *H.counit,
+        *H.unit,
+        *(c for row in H.antipode.rows for c in row),
+    ]
+
+
+def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(
+    monkeypatch, generic_engine
+):
+    """D(qs3) in a basis rescaled by rationals of height above 2^40: its
+    constants are large, so the identities need several primes.  A constant
+    moved by the first prime p1 is invisible mod p1 and one moved by 1/p1
+    puts p1 in a denominator; on each copy the kernels, with no cutoff on
+    the number of primes, and the loops give the same items."""
+    monkeypatch.setattr(algebra, "_MAX_PRIMES", None)
+    R = _rescaled_qs3()
     assoc = linalg.engine_primes(QQ, algebra.table_constants(R.alg), 2, R.dim)
     p1 = assoc[0]
     assert len(assoc) >= 2
@@ -542,6 +563,91 @@ def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(generic_e
     loops = {name: _items(verify_hopf(H)) for name, H in variants.items()}
     assert kernels == loops
     assert [all(ok for _, ok, _ in items) for items in loops.values()] == [True, False, False, False]
+
+
+def test_crt_bound_covers_every_constant_of_the_linear_axioms(monkeypatch, generic_engine):
+    """The rescaled D(qs3) with one antipode or one counit entry moved by
+    the first prime p1 of the linear axioms, which leaves every residue mod
+    p1 as it was, and with one counit entry moved by 1/p1, which puts p1 in
+    a denominator and so drops it from their primes.  With the prime cutoff
+    raised to the linear axioms' prime count their kernel runs at every
+    prime of the bound, and on each copy gives the items of the loops:
+    FAIL, with "counit is multiplicative" failing mod some prime but not
+    mod p1."""
+    R = _rescaled_qs3()
+    p1 = linalg.engine_primes(QQ, _linear_constants(R), 3, R.dim**3)[0]
+
+    def counit_moved(shift):
+        # basis 19 is outside the unit's support, so eps(1) stays 1
+        counit = list(R.counit)
+        counit[19] += shift
+        return HopfAlgebra.from_sparse(R.alg, R.comul, counit, R.antipode)
+
+    assert R.unit[19] == 0
+    variants = {
+        "antipode + p1": _corrupted(R, "antipode", p1),
+        "counit + p1": counit_moved(p1),
+        "counit + 1/p1": counit_moved(Fraction(1, p1)),
+    }
+    for name in ("antipode + p1", "counit + p1"):
+        assert hopfcore._linear_failures(variants[name], p1) == (None, None, True, None)
+    primes = {
+        name: linalg.engine_primes(QQ, _linear_constants(H), 3, H.dim**3)
+        for name, H in variants.items()
+    }
+    assert primes["antipode + p1"][0] == primes["counit + p1"][0] == p1
+    assert p1 not in primes["counit + 1/p1"]
+    monkeypatch.setattr(algebra, "_MAX_PRIMES", max(map(len, primes.values())))
+    ran = []
+    linear = hopfcore._linear_failures
+    monkeypatch.setattr(hopfcore, "_linear_failures", lambda H, p: ran.append(p) or linear(H, p))
+    kernels = {}
+    for name, H in variants.items():
+        kernels[name] = _items(verify_hopf(H))
+        assert ran == list(primes[name])
+        ran.clear()
+    generic_engine()
+    loops = {name: _items(verify_hopf(H)) for name, H in variants.items()}
+    assert kernels == loops
+    assert [all(ok for _, ok, _ in items) for items in loops.values()] == [False] * 3
+    assert ("counit is multiplicative", False, "") in loops["counit + p1"]
+
+
+def test_identities_beyond_the_prime_cutoff_run_the_loops(monkeypatch, generic_engine):
+    """On the rescaled D(qs3) associativity, Delta multiplicative and the
+    linear axioms each ask for more primes than algebra._MAX_PRIMES, so
+    with the default cutoff each runs its Python loops once and no kernel,
+    and verify_hopf gives the items of the generic engine."""
+    R = _rescaled_qs3()
+    n = R.dim
+    table = list(algebra.table_constants(R.alg))
+    comul = [c for terms in R.comul.values() for *_, c in terms]
+    counts = [
+        len(linalg.engine_primes(QQ, table, 2, n)),
+        len(linalg.engine_primes(QQ, table + comul, 4, n**4 + n)),
+        len(linalg.engine_primes(QQ, _linear_constants(R), 3, n**3)),
+    ]
+    assert min(counts) > algebra._MAX_PRIMES
+    calls = []
+    for module, name in (
+        (algebra, "_associativity_failure"),
+        (algebra, "_associativity_failure_loops"),
+        (hopfcore, "_delta_failure"),
+        (hopfcore, "_delta_failure_loops"),
+        (hopfcore, "_linear_failures"),
+        (hopfcore, "_linear_failures_loops"),
+    ):
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    items = _items(verify_hopf(R))
+    assert sorted(calls) == [
+        "_associativity_failure_loops",
+        "_delta_failure_loops",
+        "_linear_failures_loops",
+    ]
+    generic_engine()
+    assert _items(verify_hopf(R)) == items
+    assert all(ok for _, ok, _ in items)
 
 
 @pytest.mark.parametrize("kind", ["mul", "comul"])
@@ -671,27 +777,36 @@ LINEAR_CASES = [(None, 0), ("unit", 0)] + [
 ]
 
 
+# every QQ catalog entry, and every QQ catalog double up to dimension 36
+QQ_KEYS = [k for k in names() if not entry(k).hopf.field.characteristic]
+QQ_OBJECTS = QQ_KEYS + [f"D({k})" for k in QQ_KEYS if entry(k).hopf.dim ** 2 <= 36]
+
+
 @pytest.mark.parametrize("kind, shift", LINEAR_CASES)
-@pytest.mark.parametrize("name", MODP_OBJECTS + ["D(taft(3, 2146560523))"])
+@pytest.mark.parametrize("name", MODP_OBJECTS + ["D(taft(3, 2146560523))"] + QQ_OBJECTS)
 def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, generic_engine):
-    """With the certified threshold at 0, coassociativity, the counit law,
-    "counit is multiplicative" and the antipode law run as sparse identities
-    mod p on every GF(p) object, and the Python loops, which run only on
-    the generic engine, give the same items, valid or corrupted."""
+    """With both crossovers at 0, coassociativity, the counit law, "counit
+    is multiplicative" and the antipode law run as sparse identities mod
+    each prime of their bound, p on every GF(p) object and enough primes
+    over QQ, and the Python loops, which run only on the generic engine,
+    give the same items, valid or corrupted."""
     monkeypatch.setattr(hopfcore, "_CERTIFIED_DIM", 0)
+    monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
     H = _double_over(2146560523)[1] if name.startswith("D(taft(") else _object(name)
     if kind is not None:
         H = _corrupted(H, kind, shift)
+    primes = list(linalg.engine_primes(H.field, _linear_constants(H), 3, H.dim**3))
+    assert primes
     ran = []
     linear = hopfcore._linear_failures
     monkeypatch.setattr(hopfcore, "_linear_failures", lambda H, p: ran.append(p) or linear(H, p))
     loops = hopfcore._linear_failures_loops
     monkeypatch.setattr(hopfcore, "_linear_failures_loops", lambda H: ran.append(None) or loops(H))
     kernels = _items(verify_hopf(H))
-    assert ran == [H.field.p]
+    assert ran == primes
     generic_engine()
     assert _items(verify_hopf(H)) == kernels
-    assert ran == [H.field.p, None]
+    assert ran == primes + [None]
 
 
 def _comul_moved(D, seed):

@@ -125,7 +125,10 @@ def test_engine_is_chosen_in_one_place():
     nothing else asks.  Outside linalg only algebra.first_failure asks
     engine_primes, hopfcore does not read a field's characteristic, and no
     module imports either gate by name, so patching linalg.machine_prime
-    (the generic_engine fixture) moves every engine choice."""
+    (the generic_engine fixture) moves every engine choice.  The two
+    engines of the linear Hopf axioms are named only as arguments of one
+    first_failure call in verify_hopf, so no hand-written engine branch
+    picks between them."""
     from hopfrob import linalg
 
     found = {
@@ -155,6 +158,19 @@ def test_engine_is_chosen_in_one_place():
         )
     ]
     assert imported == []
+    # both engines are mentioned twice in all, and both as arguments of the
+    # one first_failure call in verify_hopf that names them
+    linear = {"_linear_failures", "_linear_failures_loops"}
+    mentions = [s for path in PACKAGE.glob("*.py") for name in linear for s in _scopes(path, _names(name))]
+    assert mentions == ["hopfcore.verify_hopf"] * 2
+    tree = ast.parse((PACKAGE / "hopfcore.py").read_text(encoding="utf-8"))
+    (verify_hopf,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "verify_hopf"]
+    arguments = [
+        {n.id for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.Name)} & linear
+        for node in ast.walk(verify_hopf)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "first_failure"
+    ]
+    assert [names for names in arguments if names] == [linear]
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
