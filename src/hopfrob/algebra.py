@@ -25,15 +25,16 @@ warm timings (all of them next to _SPARSE_DIM):
   1.1 ms, kernel 4.5 ms), while over QQ their kernel wins from dim 16
   (D(sweedler): loops 9.1 ms, kernel 6.9 ms).
 Over QQ the kernels run once per prime, so when engine_primes asks for more
-than _MAX_PRIMES = 4 of them the loops run instead: on D(qs3) a prime of
-the linear axioms, the identities with the cheapest loops, costs 5.6 ms
-against 30 ms for their loops.  Both engines report the same first failing
-index: over QQ the failing set is the union of the failing sets mod each
-prime, so its first item is the smallest of the first items mod each prime.
+than ceil(dim^2 / _DIM2_PER_PRIME) of them, a count beyond which the loops
+of every identity measured cost less, the loops run instead.  Both engines
+report the same first failing index: over QQ the failing set is the union
+of the failing sets mod each prime, so its first item is the smallest of
+the first items mod each prime.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -61,14 +62,19 @@ SparseRow = tuple  # tuple[(basis_index, scalar), ...] sorted by index
 #   from dim 16 (D(sweedler): loops 9.1 ms, kernel 6.9 ms; D(qs3), dim 36:
 #   26 ms, 4.6 ms), so they cross at _SPARSE_DIM.
 _SPARSE_DIM = 12
-# Over QQ the kernels run once per prime of linalg.engine_primes; beyond
-# this many primes the loops run.  On D(qs3) one prime of the linear axioms
-# costs 5.6 ms against 30 ms for their loops, the cheapest loops of all the
-# identities there (associativity 2.1 ms a prime against 47 ms, Delta
-# multiplicative 3.3 ms against 109 ms), so 4 primes still beat every loop.
-# D(qs3) rescaled by rationals of height 2^40 asks for 196 to 528 primes;
-# on the kernels verify_hopf took 2.85 s there, on the loops 0.39 s.
-_MAX_PRIMES = 4
+# Over QQ the kernels run once per prime of linalg.engine_primes.  The
+# loops cost a multiple of one prime that grows with dim; the largest
+# multiple measured (warm, loops over one kernel call) is 10.7 at dim 16
+# (phi on D(sweedler)), 44 at dim 36 (Delta multiplicative on D(qs3)
+# rescaled by rationals of height 2^40), 145 at dim 64 (Delta on D(QQ[D4]))
+# and 200 at dim 81 (Delta on D(QQ[C9])); the smallest, the linear axioms',
+# is 1.5, 5.2, 7.5 (QQ[C64]) and 19.  So the kernels run at up to
+# ceil(dim^2 / _DIM2_PER_PRIME) primes (13, 65, 205 and 329 there), and
+# beyond that count, where the loops of every identity measured cost less,
+# the loops run.  D(qs3) rescaled by height 2^40 asks for 196 to 528
+# primes: on the kernels verify_hopf took 2.85 s there, on the loops
+# 0.39 s.  Not measured above dim 81.
+_DIM2_PER_PRIME = 20
 
 
 def _clean_row(field: Field, items: Iterable) -> SparseRow:
@@ -388,7 +394,7 @@ def first_failure(
     count: int,
     kernel,
     loops,
-    modp_dim: int = _SPARSE_DIM,
+    modp_dim: Optional[int] = None,
     merge=smallest,
 ):
     """The first failing item of a quantified identity of a dim-dimensional
@@ -401,19 +407,21 @@ def first_failure(
     (the primes meet the engine_primes bound).  A group of identities
     checked together combines its per-prime results with merge instead.
     Below the crossover, when engine_primes gives no prime, or when it asks
-    for more than _MAX_PRIMES, the Python loops: loops().
+    for more than ceil(dim^2 / _DIM2_PER_PRIME), the Python loops: loops().
 
-    The crossover is modp_dim over an admitted GF(p) and _SPARSE_DIM = 12
-    otherwise.  modp_dim is _SPARSE_DIM but for the linear Hopf axioms,
-    whose loops win over GF(p) up to dim 40 (taft-4-5-2, dim 16: loops
+    The crossover is _SPARSE_DIM = 12, or modp_dim over an admitted GF(p)
+    when it is given: the linear Hopf axioms give hopfcore._CERTIFIED_DIM,
+    as their loops win over GF(p) up to dim 40 (taft-4-5-2, dim 16: loops
     1.1 ms, kernel 4.5 ms) but over QQ only below dim 16 (D(sweedler):
-    9.1 ms, 6.9 ms).  _MAX_PRIMES = 4 is where the kernels still beat the
-    cheapest loops, those of the linear axioms on D(qs3): 5.6 ms a prime
-    against 30 ms.
+    9.1 ms, 6.9 ms).  The prime cutoff is measured next to _DIM2_PER_PRIME.
     """
-    if dim <= (_SPARSE_DIM if linalg.machine_prime(field) is None else modp_dim):
+    crossover = _SPARSE_DIM
+    if modp_dim is not None and linalg.machine_prime(field) is not None:
+        crossover = modp_dim
+    if dim <= crossover:
         return loops()
-    primes = linalg.engine_primes(field, constants, degree, count, _MAX_PRIMES)
+    most = math.ceil(dim * dim / _DIM2_PER_PRIME)
+    primes = linalg.engine_primes(field, constants, degree, count, most)
     if not primes:
         return loops()
     return merge([kernel(p) for p in primes])

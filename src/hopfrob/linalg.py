@@ -60,8 +60,10 @@ def engine_primes(
     admitted by machine_prime: (p,) for GF(p), () when the Python-scalar
     engine must run, and over QQ the primes p1 > p2 > ... below 2^31 that
     divide no denominator of `constants`, taken until their product exceeds
-    the bound below; () when that takes more than `most` primes, before
-    the search goes further.
+    the bound below; () when that takes more than `most` primes, found
+    from the bound's bit length before any search when it can be (k primes
+    below 2^31 multiply to less than 2^(31 k)), else once the search
+    passes `most`.
 
     Bound: each side of the identity sums at most `count` products of at
     most `degree` of the rational `constants`.  Over one common denominator
@@ -79,6 +81,9 @@ def engine_primes(
         den = math.lcm(*(c.denominator for c in values))
         height = max((abs(c.numerator) * (den // c.denominator) for c in values), default=0)
         bound = 2 * count * max(height, den) ** degree
+        # primes below 2^31 exceed the bound only once 31 k >= its bit length
+        if most is not None and (bound.bit_length() - 1) // 31 + 1 > most:
+            return ()
         primes, product = [], 1
         for p in range(2**31 - 1, 1, -1):
             if product > bound:

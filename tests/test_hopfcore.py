@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -470,6 +471,19 @@ def test_sparse_and_generic_engines_report_the_same_items(p, kind, generic_engin
     assert sparse.passed == (kind is None)
 
 
+def _spy(monkeypatch, *functions):
+    """The list that each later call of the (module, name) functions appends
+    its name to."""
+    calls = []
+    for module, name in functions:
+        f = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    return calls
+
+
+QUADRATIC_KERNELS = ((algebra, "_associativity_failure"), (hopfcore, "_delta_failure"))
+
+
 # D(taft-3-7-2) is the p = 7 case of the test above
 SMALL_DOUBLES = [k for k in names() if entry(k).hopf.dim ** 2 <= 81 and k != "taft-3-7-2"]
 
@@ -481,16 +495,35 @@ def test_engines_agree_on_every_catalog_double_up_to_dim_81(
 ):
     """With the dimension threshold at 0, the kernels (mod p, or over QQ mod
     enough primes) and the Python loops give the same items on every
-    catalog double up to dimension 81, valid or corrupted."""
+    catalog double up to dimension 81, valid or corrupted; the quadratic
+    kernels run on the default engine and only there."""
     monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
     D = double_of(key)
     if kind is not None:
         D = _corrupted(D, kind)
     assert linalg.engine_primes(D.field)
+    calls = _spy(monkeypatch, *QUADRATIC_KERNELS)
     kernels = verify_hopf(D)
+    assert set(calls) == {name for _, name in QUADRATIC_KERNELS}
+    calls.clear()
     generic_engine()
     assert _items(kernels) == _items(verify_hopf(D))
+    assert calls == []
     assert kernels.passed == (kind is None)
+
+
+def _prime_cutoff(monkeypatch, count, most):
+    """Give linalg.engine_primes the prime cutoff most (None: none; 0: no
+    prime, so the loops run) for the identities whose sides sum count
+    products, and first_failure's for the others."""
+    primes = linalg.engine_primes
+    monkeypatch.setattr(
+        linalg,
+        "engine_primes",
+        lambda field, constants, degree, n, cutoff: primes(
+            field, constants, degree, n, most if n == count else cutoff
+        ),
+    )
 
 
 def _rescaled(H, scale):
@@ -540,9 +573,10 @@ def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(
     """D(qs3) in a basis rescaled by rationals of height above 2^40: its
     constants are large, so the identities need several primes.  A constant
     moved by the first prime p1 is invisible mod p1 and one moved by 1/p1
-    puts p1 in a denominator; on each copy the kernels, with no cutoff on
-    the number of primes, and the loops give the same items."""
-    monkeypatch.setattr(algebra, "_MAX_PRIMES", None)
+    puts p1 in a denominator; on each copy the quadratic kernels, with the
+    prime cutoff raised to dim^2, and the loops give the same items.  The
+    linear axioms stay on their loops: their kernel at every prime of its
+    bound is the next test's."""
     R = _rescaled_qs3()
     assoc = linalg.engine_primes(QQ, algebra.table_constants(R.alg), 2, R.dim)
     p1 = assoc[0]
@@ -558,7 +592,11 @@ def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(
     # the shift by p1 leaves every residue mod p1 as it was
     assert algebra._associativity_failure(variants["mul + p1"].alg, None, p1) is None
     assert hopfcore._delta_failure(variants["comul + p1"], None, p1) is None
+    monkeypatch.setattr(algebra, "_DIM2_PER_PRIME", 1)
+    _prime_cutoff(monkeypatch, R.dim**3, 0)
+    calls = _spy(monkeypatch, *QUADRATIC_KERNELS, (hopfcore, "_linear_failures"))
     kernels = {name: _items(verify_hopf(H)) for name, H in variants.items()}
+    assert set(calls) == {name for _, name in QUADRATIC_KERNELS}
     generic_engine()
     loops = {name: _items(verify_hopf(H)) for name, H in variants.items()}
     assert kernels == loops
@@ -569,9 +607,9 @@ def test_crt_bound_covers_every_constant_of_the_linear_axioms(monkeypatch, gener
     """The rescaled D(qs3) with one antipode or one counit entry moved by
     the first prime p1 of the linear axioms, which leaves every residue mod
     p1 as it was, and with one counit entry moved by 1/p1, which puts p1 in
-    a denominator and so drops it from their primes.  With the prime cutoff
-    raised to the linear axioms' prime count their kernel runs at every
-    prime of the bound, and on each copy gives the items of the loops:
+    a denominator and so drops it from their primes.  With no prime cutoff
+    for the linear axioms their kernel runs at every prime of the bound,
+    and on each copy gives the items of the loops:
     FAIL, with "counit is multiplicative" failing mod some prime but not
     mod p1."""
     R = _rescaled_qs3()
@@ -597,7 +635,7 @@ def test_crt_bound_covers_every_constant_of_the_linear_axioms(monkeypatch, gener
     }
     assert primes["antipode + p1"][0] == primes["counit + p1"][0] == p1
     assert p1 not in primes["counit + 1/p1"]
-    monkeypatch.setattr(algebra, "_MAX_PRIMES", max(map(len, primes.values())))
+    _prime_cutoff(monkeypatch, R.dim**3, None)
     ran = []
     linear = hopfcore._linear_failures
     monkeypatch.setattr(hopfcore, "_linear_failures", lambda H, p: ran.append(p) or linear(H, p))
@@ -615,9 +653,10 @@ def test_crt_bound_covers_every_constant_of_the_linear_axioms(monkeypatch, gener
 
 def test_identities_beyond_the_prime_cutoff_run_the_loops(monkeypatch, generic_engine):
     """On the rescaled D(qs3) associativity, Delta multiplicative and the
-    linear axioms each ask for more primes than algebra._MAX_PRIMES, so
-    with the default cutoff each runs its Python loops once and no kernel,
-    and verify_hopf gives the items of the generic engine."""
+    linear axioms each ask for more primes than the cutoff ceil(dim^2 /
+    algebra._DIM2_PER_PRIME), so with the default cutoff each runs its
+    Python loops once and no kernel, and verify_hopf gives the items of the
+    generic engine."""
     R = _rescaled_qs3()
     n = R.dim
     table = list(algebra.table_constants(R.alg))
@@ -627,18 +666,15 @@ def test_identities_beyond_the_prime_cutoff_run_the_loops(monkeypatch, generic_e
         len(linalg.engine_primes(QQ, table + comul, 4, n**4 + n)),
         len(linalg.engine_primes(QQ, _linear_constants(R), 3, n**3)),
     ]
-    assert min(counts) > algebra._MAX_PRIMES
-    calls = []
-    for module, name in (
-        (algebra, "_associativity_failure"),
+    assert min(counts) > math.ceil(n * n / algebra._DIM2_PER_PRIME)
+    calls = _spy(
+        monkeypatch,
+        *QUADRATIC_KERNELS,
         (algebra, "_associativity_failure_loops"),
-        (hopfcore, "_delta_failure"),
         (hopfcore, "_delta_failure_loops"),
         (hopfcore, "_linear_failures"),
         (hopfcore, "_linear_failures_loops"),
-    ):
-        f = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    )
     items = _items(verify_hopf(R))
     assert sorted(calls) == [
         "_associativity_failure_loops",
@@ -671,12 +707,14 @@ def test_smallest_sparse_blocks_pass_valid_hopf_algebras(
     key, double, monkeypatch, smallest_blocks, generic_engine
 ):
     """With the dimension threshold at 0 and blocks of one row or one term,
-    the sparse kernels pass taft-3-7-2 and D(f5c5) with the items of the
-    loops."""
+    the quadratic kernels pass taft-3-7-2 and D(f5c5) with the items of
+    the loops."""
     D = drinfeld_double(entry(key).hopf) if double else entry(key).hopf
     monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
     smallest_blocks()
+    calls = _spy(monkeypatch, *QUADRATIC_KERNELS)
     sparse = verify_hopf(D)
+    assert set(calls) == {name for _, name in QUADRATIC_KERNELS}
     generic_engine()
     assert sparse.passed
     assert _items(sparse) == _items(verify_hopf(D))

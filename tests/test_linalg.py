@@ -343,6 +343,38 @@ def test_engine_primes_meet_the_crt_bound_and_avoid_denominators():
         assert linalg.engine_primes(QQ) == linalg.engine_primes(F7) == ()
 
 
+def test_engine_primes_give_none_past_the_cutoff():
+    """With a cutoff of `most` primes: none when the bound takes more,
+    decided from its bit length when that already needs more than `most`
+    primes below 2^31, and otherwise by the search."""
+    # the bound 2^62 - 2 has the bits of two primes, but the two largest
+    # primes below 2^31 multiply to less, so it takes three
+    constants = [Fraction(2**61 - 1)]
+    primes = linalg.engine_primes(QQ, constants, 1, 1)
+    assert len(primes) == 3
+    assert linalg.engine_primes(QQ, constants, 1, 1, 3) == primes
+    tested = []
+    is_prime = linalg._is_prime
+    with mock.patch.object(linalg, "_is_prime", lambda p: tested.append(p) or is_prime(p)):
+        assert linalg.engine_primes(QQ, constants, 1, 1, 2) == ()
+        assert len(tested) > 0
+        tested.clear()
+        assert linalg.engine_primes(QQ, constants, 1, 1, 1) == ()
+        assert tested == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(max_denominator=2**40).filter(bool),
+    st.integers(1, 4),
+    st.integers(1, 10**6),
+    st.integers(0, 6),
+)
+def test_engine_primes_with_a_cutoff_are_those_without_it_or_none(c, degree, count, most):
+    full = linalg.engine_primes(QQ, [c], degree, count)
+    assert linalg.engine_primes(QQ, [c], degree, count, most) == (full if len(full) <= most else ())
+
+
 def test_residues_reduce_each_rational_exactly():
     """1/2 becomes (p + 1)/2, not the 0 that an int64 cast of the Fraction
     gives; every residue r of n/d satisfies d r = n mod p."""
