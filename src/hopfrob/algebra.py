@@ -195,12 +195,25 @@ class StructureAlgebra:
 
     def left_mult_matrix(self, a: Sequence) -> Matrix:
         """Matrix of x -> a*x in the structure basis (columns are a*e_j)."""
-        cols = [self.multiply(a, basis_vec(self.field, self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
+        return self._mult_matrix(a, "left")
 
     def right_mult_matrix(self, a: Sequence) -> Matrix:
-        cols = [self.multiply(basis_vec(self.field, self.dim, j), a) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
+        """Matrix of x -> x*a in the structure basis (columns are e_j*a)."""
+        return self._mult_matrix(a, "right")
+
+    def _mult_matrix(self, a: Sequence, side: str) -> Matrix:
+        """L_a (side "left") or R_a ("right") from one pass over mul: the
+        entry c at e_k of e_i e_j adds a_i c to L_a[k][j], a_j c to R_a[k][i]."""
+        if len(a) != self.dim:
+            raise ShapeError("vector length mismatch")
+        z = self.field.zero()
+        rows = [[z] * self.dim for _ in range(self.dim)]
+        for (i, j), row in self.mul.items():
+            s, col = (a[i], j) if side == "left" else (a[j], i)
+            if s != z:
+                for k, c in row:
+                    rows[k][col] += s * c
+        return Matrix.from_rows(self.field, rows)
 
     def basis_vector(self, i: int) -> tuple:
         return basis_vec(self.field, self.dim, i)
@@ -319,22 +332,20 @@ def _associativity_failure_loops(A: StructureAlgebra) -> Optional[tuple]:
 
 
 def is_augmentation(A: StructureAlgebra, eps: Sequence) -> bool:
-    """Does the covector eps define a one-dimensional representation?"""
+    """Does the covector eps define a one-dimensional representation?
+
+    eps(e_i e_j) = eps_i eps_j on each pair of mul, one pass; a pair absent
+    from mul has e_i e_j = 0, so it holds there exactly when eps_i eps_j = 0,
+    which only the pairs of nonzero entries of eps can break."""
     field = A.field
-
-    def ev(v):
-        return field.normalize(sum(c * e for c, e in zip(v, eps)))
-
-    if ev(A.unit) != field.one():
+    norm = field.normalize
+    if norm(sum(c * e for c, e in zip(A.unit, eps))) != field.one():
         return False
-    for i in range(A.dim):
-        for j in range(A.dim):
-            prod = field.normalize(
-                sum(c * eps[k] for k, c in A.mul.get((i, j), ()))
-            )
-            if prod != field.normalize(eps[i] * eps[j]):
-                return False
-    return True
+    for (i, j), row in A.mul.items():
+        if norm(sum(c * eps[k] for k, c in row)) != norm(eps[i] * eps[j]):
+            return False
+    support = [i for i, e in enumerate(eps) if norm(e) != field.zero()]
+    return all((i, j) in A.mul for i in support for j in support)
 
 
 def multiplicative_failure(

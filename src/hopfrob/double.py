@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import StructureAlgebra, multiplicative_failure, nonzero_row
+from .algebra import StructureAlgebra, nonzero_row
 from .errors import InternalCheckError
 from .hopfcore import (
     HopfAlgebra,
-    dual_hopf,
     dual_left_integral_space,
     integral_operator,
     left_integral_space,
@@ -237,41 +236,6 @@ def double_generators(H: HopfAlgebra):
     gens += [embed_algebra(H, H.alg.basis_vector(i)) for i in range(n)]
     cert = [(a, n + i) for a in range(n) for i in range(n)]
     return tuple(gens), tuple(cert)
-
-
-def check_embeddings(H: HopfAlgebra, D: HopfAlgebra) -> Report:
-    """Both canonical injections are algebra maps, the double's antipode
-    restricts to S on H, and products of embedded basis vectors restrict to
-    the original structure constants."""
-    field = H.field
-    rep = Report("double embeddings")
-    n = H.dim
-
-    phi = Matrix.from_columns(field, [embed_algebra(H, basis_vec(field, n, i)) for i in range(n)])
-    ok = multiplicative_failure(H.alg, D.alg, phi) is None
-    rep.add("algebra factor embeds multiplicatively", ok)
-
-    # H* multiplies by convolution, the product of dual_hopf(H)
-    phi = Matrix.from_columns(field, [embed_dual(H, basis_vec(field, n, a)) for a in range(n)])
-    ok = multiplicative_failure(dual_hopf(H).alg, D.alg, phi) is None
-    rep.add("dual factor embeds multiplicatively", ok)
-
-    ok = True
-    for i in range(n):
-        lhs = D.antipode.apply(embed_algebra(H, H.alg.basis_vector(i)))
-        if lhs != embed_algebra(H, H.antipode.col(i)):
-            ok = False
-    rep.add("antipode restricts to the embedded algebra factor", ok)
-
-    s2_D = D.antipode.pow_(2)
-    s2_H = H.antipode.pow_(2)
-    ok = all(
-        s2_D.apply(embed_algebra(H, H.alg.basis_vector(i)))
-        == embed_algebra(H, s2_H.col(i))
-        for i in range(n)
-    )
-    rep.add("squared antipode restricts to the squared antipode", ok)
-    return rep
 
 
 def double_fh_check(D: HopfAlgebra) -> DoubleReport:

@@ -7,7 +7,11 @@ Conventions, fixed package-wide:
     under rescaling psi (tested).
   * Gram matrix G[i][k] = psi(e_i e_k); the left norm solves G N = counit.
   * modular_fn is the character m with N a = m(a) N; modular_elt is the
-    group-like b with psi * f = f(b) psi in the convolution algebra.
+    group-like b with psi * f = f(b) psi in the convolution algebra.  Both
+    are factors of a rank-one matrix built in one pass over one table: the
+    left multiplication L_N = N m^T (column j is N e_j, from mul) and the
+    hit matrix R_psi = b psi^T of a -> a ↼ psi (row i is psi * e^i, from
+    comul).  The identities that check them are matrix identities too.
   * the translate of a functional by an element d is (psi d)(x) = psi(d x).
   * convolution inverses of characters are taken as composition with S,
     never solved for.
@@ -23,19 +27,17 @@ from .errors import InternalCheckError, InvalidInputError, SingularError
 from .hopfcore import (
     HopfAlgebra,
     _outer_sum,
-    act_left,
-    act_right,
-    convolution,
     dual_hopf,
     dual_left_integral_space,
     eval_cov,
+    hit_matrix,
     integral_operator,
     integral_space,
     is_grouplike,
     left_integral_space,
     pairing_matrix,
 )
-from .linalg import Matrix, annihilates, basis_vec, is_zero_vec, matrix_order
+from .linalg import Matrix, annihilates, basis_vec, is_zero_vec, matrix_order, span_equal
 from .report import Report
 
 
@@ -96,15 +98,22 @@ def dual_integrals(H: HopfAlgebra) -> tuple:
     return left, right
 
 
-def _proportionality(field, w: Sequence, v: Sequence):
-    """Scalar c with w = c v, or None.  v must be nonzero."""
+def _factor(field, vecs: Sequence, v: Sequence, message: str) -> tuple:
+    """The w with vecs[i] = w_i v for every i: a factor of the rank-one
+    matrix v w^T read from its columns, or of w v^T from its rows.  The
+    first vecs[i] that is no multiple of v raises message.format(i), and a
+    zero v raises it at 0."""
     pivot = next((t for t, x in enumerate(v) if x != field.zero()), None)
     if pivot is None:
-        return None
-    c = field.normalize(w[pivot] * field.inv(v[pivot]))
-    if tuple(field.normalize(c * x) for x in v) != tuple(field.normalize(x) for x in w):
-        return None
-    return c
+        raise InternalCheckError(message.format(0))
+    inv = field.inv(v[pivot])
+    w = []
+    for i, vec in enumerate(vecs):
+        c = field.normalize(vec[pivot] * inv)
+        if vec != tuple(field.normalize(c * x) for x in v):
+            raise InternalCheckError(message.format(i))
+        w.append(c)
+    return tuple(w)
 
 
 def build_integral_data(H: HopfAlgebra, psi: Optional[Sequence] = None) -> IntegralData:
@@ -125,25 +134,12 @@ def build_integral_data(H: HopfAlgebra, psi: Optional[Sequence] = None) -> Integ
     if norm is None or gram.rank() < H.dim:
         raise InvalidInputError("Gram matrix singular: algebra is not Frobenius")
 
-    # m from N a = m(a) N
-    m = []
-    for j in range(H.dim):
-        w = H.alg.multiply(norm, H.alg.basis_vector(j))
-        c = _proportionality(field, w, norm)
-        if c is None:
-            raise InternalCheckError(f"N e_{j} is not proportional to N")
-        m.append(c)
-    m = tuple(m)
-
-    # b from psi * f = f(b) psi
-    b = []
-    for i in range(H.dim):
-        w = convolution(H, psi, basis_vec(field, H.dim, i))
-        c = _proportionality(field, w, psi)
-        if c is None:
-            raise InternalCheckError(f"psi * e^{i} is not proportional to psi")
-        b.append(c)
-    b = tuple(b)
+    # column j of L_N is N e_j = m(e_j) N, so L_N = N m^T
+    left = H.alg.left_mult_matrix(norm).transpose().rows
+    m = _factor(field, left, norm, "N e_{} is not proportional to N")
+    # row i of R_psi is psi * e^i = e^i(b) psi, so R_psi = b psi^T
+    right = hit_matrix(H, psi, "right").rows
+    b = _factor(field, right, psi, "psi * e^{} is not proportional to psi")
 
     result = IntegralData(psi, norm, m, b)
     _check_integral_data(H, result)
@@ -151,21 +147,20 @@ def build_integral_data(H: HopfAlgebra, psi: Optional[Sequence] = None) -> Integ
 
 
 def _check_integral_data(H: HopfAlgebra, data: IntegralData) -> None:
+    """The defining identities of the data, each as one matrix identity on
+    L_N and R_N, whose columns are N e_i and e_i N."""
     field = H.field
     psi, norm, m, b = data.psi, data.norm, data.modular_fn, data.modular_elt
-    for i in range(H.dim):
-        e = H.alg.basis_vector(i)
-        # psi(e_i N) = eps(e_i)
-        if eval_cov(field, psi, H.alg.multiply(e, norm)) != H.counit[i]:
-            raise InternalCheckError("norm identity psi(a N) = eps(a) fails")
-        # e_i N = eps(e_i) N
-        want = tuple(field.normalize(H.counit[i] * c) for c in norm)
-        if H.alg.multiply(e, norm) != want:
-            raise InternalCheckError("norm is not a left integral")
-        # N e_i = m(e_i) N
-        want = tuple(field.normalize(m[i] * c) for c in norm)
-        if H.alg.multiply(norm, e) != want:
-            raise InternalCheckError("modular function identity fails")
+    L, R = H.alg.left_mult_matrix(norm), H.alg.right_mult_matrix(norm)
+    # psi(e_i N) = eps(e_i): R_N^T psi = eps
+    if R.transpose().apply(psi) != H.counit:
+        raise InternalCheckError("norm identity psi(a N) = eps(a) fails")
+    # e_i N = eps(e_i) N: R_N = N eps^T
+    if R != _tensor_matrix(field, H.dim, _outer_sum(field, [(norm, H.counit)])):
+        raise InternalCheckError("norm is not a left integral")
+    # N e_i = m(e_i) N: L_N = N m^T
+    if L != _tensor_matrix(field, H.dim, _outer_sum(field, [(norm, m)])):
+        raise InternalCheckError("modular function identity fails")
     if not is_augmentation(H.alg, m):
         raise InternalCheckError("modular function is not a character")
     if not is_grouplike(H, b):
@@ -186,10 +181,7 @@ def dual_basis_identities_hold(alg, psi, xs, ys):
     """
     field, n = alg.field, alg.dim
     gram = pairing_matrix(alg, psi)
-    t_rows = [[field.zero()] * n for _ in range(n)]
-    for (j, k), c in _outer_sum(field, zip(xs, ys)).items():
-        t_rows[j][k] = c
-    T = Matrix(field, tuple(map(tuple, t_rows)))
+    T = _tensor_matrix(field, n, _outer_sum(field, zip(xs, ys)))
     left, right = gram.mul(T), T.mul(gram)
     for t in range(n):
         e = basis_vec(field, n, t)
@@ -198,6 +190,15 @@ def dual_basis_identities_hold(alg, psi, xs, ys):
         if right.col(t) != e:
             return False, f"sum x_i psi(y_i a) != a at basis {t}"
     return True, ""
+
+
+def _tensor_matrix(field, n: int, t: dict) -> Matrix:
+    """The n x n matrix of the sparse tensor t = {(j, k): c}, c normalized:
+    c at row j, column k."""
+    rows = [[field.zero()] * n for _ in range(n)]
+    for (j, k), c in t.items():
+        rows[j][k] = c
+    return Matrix(field, tuple(map(tuple, rows)))
 
 
 def _dual_bases_from_coproduct(H: HopfAlgebra, t: Sequence) -> tuple:
@@ -243,11 +244,8 @@ def _check_automorphism(H: HopfAlgebra, nu: Matrix) -> None:
 
 def nakayama_closed_form(H: HopfAlgebra, data: IntegralData) -> Matrix:
     """Matrix of a -> Sbar^2(m ⇀ a); the two factor orders must agree."""
-    field = H.field
     sbar2 = H.antipode_inv().pow_(2)
-    hit = Matrix.from_columns(
-        field, (act_left(H, data.modular_fn, H.alg.basis_vector(j)) for j in range(H.dim))
-    )
+    hit = hit_matrix(H, data.modular_fn, "left")
     A = sbar2.mul(hit)
     if A != hit.mul(sbar2):
         raise InternalCheckError(
@@ -331,16 +329,12 @@ def transform_by_antipode(H: HopfAlgebra, sys: FrobeniusSystem) -> FrobeniusSyst
     if not ok:
         raise InternalCheckError(f"antipode transform invalid: {detail}")
     # the transformed functional behaves like a right integral:
-    # sum psi2(x_(1)) x_(2) = psi2(x) 1
-    for i in range(H.dim):
-        acc = [field.zero()] * H.dim
-        for j, k, c in H.comul.get(i, ()):
-            acc[k] = acc[k] + c * psi2[j]
-        want = tuple(field.normalize(psi2[i] * u) for u in H.unit)
-        if tuple(field.normalize(v) for v in acc) != want:
-            raise InternalCheckError(
-                "transformed functional fails the right-integral equation"
-            )
+    # x ↼ psi2 = sum psi2(x_(1)) x_(2) = psi2(x) 1, so the hit matrix is 1 psi2^T
+    want = _tensor_matrix(field, H.dim, _outer_sum(field, [(H.unit, psi2)]))
+    if hit_matrix(H, psi2, "right") != want:
+        raise InternalCheckError(
+            "transformed functional fails the right-integral equation"
+        )
     return FrobeniusSystem(psi2, xs2, ys2, nu2, sys.chi, sys.gamma)
 
 
@@ -369,27 +363,25 @@ def modular_inverse(H: HopfAlgebra, m: Sequence) -> tuple:
 
 
 def verify_radford(H: HopfAlgebra, data: IntegralData) -> Report:
-    """S^4(a) = b^{-1} (m ⇀ a ↼ m^{-1}) b on every basis vector."""
-    field = H.field
+    """S^4(a) = b^{-1} (m ⇀ a ↼ m^{-1}) b on every basis vector: column i of
+    S^4 against column i of L_{b^{-1}} R_b hit(m^{-1}, right) hit(m, left)."""
     rep = Report("fourth antipode power as modular conjugation")
     s4 = H.antipode.pow_(4)
     m = data.modular_fn
-    m_inv = modular_inverse(H, m)
     b = data.modular_elt
-    Lb = H.alg.left_mult_matrix(b)
     try:
-        b_inv = Lb.inverse().apply(H.unit)
+        b_inv = H.alg.left_mult_matrix(b).inverse().apply(H.unit)
     except SingularError:
         rep.add("b invertible", False)
         return rep
+    hits = hit_matrix(H, modular_inverse(H, m), "right").mul(hit_matrix(H, m, "left"))
+    rhs = H.alg.left_mult_matrix(b_inv).mul(H.alg.right_mult_matrix(b).mul(hits))
     for i in range(H.dim):
-        a = H.alg.basis_vector(i)
-        mid = act_right(H, act_left(H, m, a), m_inv)
-        rhs = H.alg.multiply(b_inv, H.alg.multiply(mid, b))
+        ok = s4.col(i) == rhs.col(i)
         rep.add(
             f"basis {H.basis_names[i]}",
-            s4.col(i) == rhs,
-            "" if s4.col(i) == rhs else "S^4 disagrees with the conjugated action",
+            ok,
+            "" if ok else "S^4 disagrees with the conjugated action",
         )
     return rep
 
@@ -430,21 +422,13 @@ def dual_frobenius_check(H: HopfAlgebra, data: IntegralData) -> Report:
     ok, detail = dual_basis_identities_hold(K.alg, data.norm, xs, ys)
     rep.add("norm evaluation is Frobenius for the dual", ok, detail)
 
-    one_vec = act_left(H, data.psi, data.norm)
+    one_vec = hit_matrix(H, data.psi, "left").apply(data.norm)
     rep.add("psi ⇀ N = 1", one_vec == H.unit)
 
-    # (e^a * e^k)(N) is the (a, k) coefficient of Delta(N)
-    cols = []
-    dpsi = sorted(K.delta_vec(data.psi).items())
-    dnorm = H.delta_vec(data.norm)
-    for a in range(H.dim):
-        out = [field.zero()] * H.dim
-        for (j, k), c in dpsi:
-            val = dnorm.get((a, k))
-            if val is not None:
-                out[j] = out[j] + c * val
-        cols.append(tuple(field.normalize(v) for v in out))
-    dual_s = Matrix.from_columns(field, cols)
+    # (e^a * e^k)(N) is the (a, k) coefficient of Delta(N), so the dual
+    # antipode is Delta(psi) Delta(N)^T, each coproduct as a matrix
+    dpsi = _tensor_matrix(field, H.dim, K.delta_vec(data.psi))
+    dual_s = dpsi.mul(_tensor_matrix(field, H.dim, H.delta_vec(data.norm)).transpose())
     rep.add(
         "dual antipode from the integral pair equals transpose(S)",
         dual_s == H.antipode.transpose(),
@@ -460,10 +444,7 @@ def dual_frobenius_check(H: HopfAlgebra, data: IntegralData) -> Report:
             ok_d = False
     rep.add("left integrals reproduce as psi(T) N", ok_d)
 
-    span_ok = len(ints) == 1 and _proportionality(field, data.norm, ints[0]) not in (
-        None,
-        field.zero(),
-    )
+    span_ok = len(ints) == 1 and span_equal(field, [data.norm], ints)
     rep.add("left integral space is spanned by N", span_ok)
 
     dual_data = build_integral_data(K)

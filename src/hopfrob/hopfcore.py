@@ -256,56 +256,26 @@ def convolution(H: HopfAlgebra, f: Sequence, g: Sequence) -> tuple:
     return tuple(out)
 
 
-def act_left(H: HopfAlgebra, f: Sequence, a: Sequence) -> tuple:
-    """f ⇀ a = sum a_(1) f(a_(2))."""
-    field = H.field
-    z = field.zero()
-    out = [z] * H.dim
-    for i, ai in enumerate(a):
-        if ai == z:
-            continue
-        for j, k, c in H.comul.get(i, ()):
-            out[j] = out[j] + ai * c * f[k]
-    return tuple(field.normalize(x) for x in out)
-
-
-def act_right(H: HopfAlgebra, a: Sequence, f: Sequence) -> tuple:
-    """a ↼ f = sum f(a_(1)) a_(2)."""
-    field = H.field
-    z = field.zero()
-    out = [z] * H.dim
-    for i, ai in enumerate(a):
-        if ai == z:
-            continue
-        for j, k, c in H.comul.get(i, ()):
-            out[k] = out[k] + ai * c * f[j]
-    return tuple(field.normalize(x) for x in out)
-
-
-def dual_act_left(H: HopfAlgebra, h: Sequence, f: Sequence) -> tuple:
-    """h ⇀ f with (h ⇀ f)(y) = f(yh)."""
-    return H.alg.right_mult_matrix(h).transpose().apply(f)
-
-
-def dual_act_right(H: HopfAlgebra, f: Sequence, h: Sequence) -> tuple:
-    """f ↼ h with (f ↼ h)(y) = f(hy)."""
-    return H.alg.left_mult_matrix(h).transpose().apply(f)
+def hit_matrix(H: HopfAlgebra, f: Sequence, side: str) -> Matrix:
+    """Matrix of the hit action of the covector f: a -> f ⇀ a =
+    sum a_(1) f(a_(2)) (side "left") or a -> a ↼ f = sum f(a_(1)) a_(2)
+    ("right"), one pass over comul.  Column i is the action on e_i; for
+    side "right", row i is f * e^i."""
+    rows = [[H.field.zero()] * H.dim for _ in range(H.dim)]
+    for i, terms in H.comul.items():
+        for j, k, c in terms:
+            if side == "left":
+                rows[j][i] += c * f[k]
+            else:
+                rows[k][i] += c * f[j]
+    return Matrix.from_rows(H.field, rows)
 
 
 def is_grouplike(H: HopfAlgebra, v: Sequence) -> bool:
-    field = H.field
-    z = field.zero()
-    if H.counit_of(v) != field.one():
+    """eps(v) = 1 and Delta(v) = v (x) v."""
+    if H.counit_of(v) != H.field.one():
         return False
-    expect = {}
-    for j, vj in enumerate(v):
-        if vj == z:
-            continue
-        for k, vk in enumerate(v):
-            if vk == z:
-                continue
-            expect[(j, k)] = field.normalize(vj * vk)
-    return H.delta_vec(v) == expect
+    return H.delta_vec(v) == _outer_sum(H.field, [(v, v)])
 
 
 # -- integrals ----------------------------------------------------------------
@@ -623,13 +593,12 @@ def _linear_failures_loops(H: HopfAlgebra) -> tuple:
             coassoc = i
             break
 
-    # counit law on each basis vector
-    counit = None
-    for i in range(dim):
-        e_i = basis_vec(field, dim, i)
-        if not act_left(H, H.counit, e_i) == e_i == act_right(H, e_i, H.counit):
-            counit = i
-            break
+    # counit law on each basis vector: both hit actions of eps are the identity
+    left, right = (hit_matrix(H, H.counit, side).transpose() for side in ("left", "right"))
+    counit = next(
+        (i for i in range(dim) if not left.row(i) == basis_vec(field, dim, i) == right.row(i)),
+        None,
+    )
 
     # antipode law: sum S(a_(1)) a_(2) = eps(a) 1 = sum a_(1) S(a_(2))
     scols = [vec_to_row(field, H.antipode.col(j)) for j in range(dim)]
@@ -685,8 +654,8 @@ def _linear_failures(H: HopfAlgebra, p: int) -> tuple:
 
     coassoc = _coassociativity_failure(m, u, v, d, delta, uv, p)
 
-    # counit law: act_left(eps, e_i) is Delta(e_i) with eps applied to the
-    # second leg, act_right(e_i, eps) with eps applied to the first
+    # counit law: eps ⇀ e_i is Delta(e_i) with eps applied to the second
+    # leg, e_i ↼ eps with eps applied to the first
     row = np.arange(len(uv))
     ident = sp.identity(n, dtype=np.int64, format="csr")
     counit = smallest(

@@ -24,7 +24,7 @@ from typing import Optional
 from .algebra import multiplicative_failure
 from .errors import InternalCheckError, InvalidInputError
 from .frobenius import build_integral_data, modular_inverse, nakayama_closed_form
-from .hopfcore import HopfAlgebra, act_left, comultiplicative_failure, convolution
+from .hopfcore import HopfAlgebra, comultiplicative_failure, convolution, hit_matrix
 from .linalg import (
     Matrix,
     basis_vec,
@@ -143,9 +143,7 @@ def relative_nakayama(emb: SubalgebraEmbedding) -> Matrix:
     chi = convolution(
         K, data_K.modular_fn, iota.transpose().apply(modular_inverse(H, data_H.modular_fn))
     )
-    via_character = Matrix.from_columns(
-        field, [act_left(K, chi, K.alg.basis_vector(s)) for s in range(K.dim)]
-    )
+    via_character = hit_matrix(K, chi, "left")
 
     if via_pullback != via_character:
         raise InternalCheckError(

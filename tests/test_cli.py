@@ -412,16 +412,16 @@ def test_verify_d81_runs_no_tensor_loop(tmp_path, monkeypatch):
     """Delta multiplicative is one sparse identity mod p, not a tensor_mult
     per basis pair (6,561 calls on the Python loops); coassociativity, the
     counit law and the antipode law are sparse identities too, not a
-    delta2_row, act_left and act_right per basis vector (81 each)."""
+    delta2_row per basis vector (81) and the two hit matrices of the counit."""
     path = _d81(tmp_path)
-    calls = [_count_calls(monkeypatch, hopfcore, name) for name in ("tensor_mult", "act_left", "act_right")]
+    calls = [_count_calls(monkeypatch, hopfcore, name) for name in ("tensor_mult", "hit_matrix")]
     delta2 = []
     delta2_row = hopfcore.HopfAlgebra.delta2_row
     monkeypatch.setattr(
         hopfcore.HopfAlgebra, "delta2_row", lambda *args: delta2.append(1) or delta2_row(*args)
     )
     assert main(["verify", str(path)]) == 0
-    assert calls == [[], [], []]
+    assert calls == [[], []]
     assert delta2 == []
 
 
@@ -429,11 +429,11 @@ def test_verify_d36_over_qq_runs_no_tensor_loop(tmp_path, monkeypatch):
     """Over QQ, Delta multiplicative on D(qs3) is one sparse identity mod
     each prime the bound asks for, not a tensor_mult per basis pair; so are
     coassociativity, the counit law, "counit is multiplicative" and the
-    antipode law, not a delta2_row, act_left and act_right per basis vector
-    (36 each) and an is_augmentation pass."""
+    antipode law, not a delta2_row per basis vector (36), the two hit
+    matrices of the counit and an is_augmentation pass."""
     path = tmp_path / "d36.hopf"
     path.write_text(emit_hopf_text(double_of("qs3")))
-    names = ("tensor_mult", "act_left", "act_right", "is_augmentation")
+    names = ("tensor_mult", "hit_matrix", "is_augmentation")
     calls = [_count_calls(monkeypatch, hopfcore, name) for name in names]
     delta2 = []
     delta2_row = hopfcore.HopfAlgebra.delta2_row
@@ -441,7 +441,7 @@ def test_verify_d36_over_qq_runs_no_tensor_loop(tmp_path, monkeypatch):
         hopfcore.HopfAlgebra, "delta2_row", lambda *args: delta2.append(1) or delta2_row(*args)
     )
     assert main(["verify", str(path)]) == 0
-    assert calls == [[], [], [], []]
+    assert calls == [[], [], []]
     assert delta2 == []
 
 
@@ -460,11 +460,43 @@ def test_double_of_f5c5_keeps_the_full_basis_items(tmp_path, capsys):
 
 def test_frobenius_d81_convolutions_stay_linear(tmp_path, monkeypatch):
     """The dual antipode reads Delta(N) instead of one convolution per
-    matrix entry and coproduct term (14,742 calls before)."""
+    matrix entry and coproduct term (14,742 calls before), and the modular
+    element of D and of its dual is read off one hit matrix, not one
+    convolution per basis vector (162 calls before)."""
     path = _d81(tmp_path)
     calls = _count_calls(monkeypatch, hopfcore, "convolution")
     assert main(["frobenius", str(path)]) == 0
-    assert len(calls) <= 2 * 81
+    assert calls == []
+
+
+def test_frobenius_d36_integral_layer_makes_no_algebra_product(tmp_path, monkeypatch):
+    """In `frobenius` on D(qs3), the integral data and its re-check, Radford
+    and the Nakayama closed form read multiplication and hit matrices built
+    in one table pass each, not one StructureAlgebra.multiply per basis
+    vector (the whole job made 396 before)."""
+    path = tmp_path / "d36.hopf"
+    path.write_text(emit_hopf_text(double_of("qs3")))
+    inside, products = [], []
+    layer = ("build_integral_data", "_check_integral_data", "verify_radford", "nakayama_closed_form")
+    for name in layer:
+        fn = getattr(frobenius, name)
+
+        def traced(*args, _fn=fn):
+            inside.append(1)
+            try:
+                return _fn(*args)
+            finally:
+                inside.pop()
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("hopfrob") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, traced)
+    multiply = StructureAlgebra.multiply
+    monkeypatch.setattr(
+        StructureAlgebra, "multiply", lambda *args: (products.append(1) if inside else None) or multiply(*args)
+    )
+    assert main(["frobenius", str(path)]) == 0
+    assert products == []
 
 
 def test_d81_dual_basis_check_makes_no_algebra_product(monkeypatch):

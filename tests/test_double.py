@@ -5,19 +5,19 @@ from fractions import Fraction
 import pytest
 from conftest import double_of, double_report_of, taft_over
 
-from hopfrob.algebra import StructureAlgebra
+from hopfrob.algebra import StructureAlgebra, multiplicative_failure
 from hopfrob.catalog import entry
 from hopfrob.cli import main
 from hopfrob.double import (
-    check_embeddings,
     double_fh_check,
     embed_algebra,
     embed_dual,
 )
 from hopfrob.hopffile import emit_hopf_text
 from hopfrob.frobenius import build_integral_data, verify_radford
-from hopfrob.hopfcore import HopfAlgebra, convolution, verify_hopf
-from hopfrob.linalg import basis_vec
+from hopfrob.hopfcore import HopfAlgebra, convolution, dual_hopf, verify_hopf
+from hopfrob.linalg import Matrix, basis_vec
+from hopfrob.report import Report
 
 
 @pytest.mark.parametrize("key", ["qc2", "sweedler", "f5c5"])
@@ -43,6 +43,41 @@ def test_qc2_double_commutative_cocommutative():
         terms = {(j, k): c for j, k, c in D.comul.get(i, ())}
         swapped = {(k, j): c for (j, k), c in terms.items()}
         assert terms == swapped
+
+
+def check_embeddings(H: HopfAlgebra, D: HopfAlgebra) -> Report:
+    """The oracle for the construction: both canonical injections are
+    algebra maps, and the double's antipode and its square restrict to S
+    and S^2 on H."""
+    field = H.field
+    rep = Report("double embeddings")
+    n = H.dim
+
+    phi = Matrix.from_columns(field, [embed_algebra(H, basis_vec(field, n, i)) for i in range(n)])
+    ok = multiplicative_failure(H.alg, D.alg, phi) is None
+    rep.add("algebra factor embeds multiplicatively", ok)
+
+    # H* multiplies by convolution, the product of dual_hopf(H)
+    phi = Matrix.from_columns(field, [embed_dual(H, basis_vec(field, n, a)) for a in range(n)])
+    ok = multiplicative_failure(dual_hopf(H).alg, D.alg, phi) is None
+    rep.add("dual factor embeds multiplicatively", ok)
+
+    ok = True
+    for i in range(n):
+        lhs = D.antipode.apply(embed_algebra(H, H.alg.basis_vector(i)))
+        if lhs != embed_algebra(H, H.antipode.col(i)):
+            ok = False
+    rep.add("antipode restricts to the embedded algebra factor", ok)
+
+    s2_D = D.antipode.pow_(2)
+    s2_H = H.antipode.pow_(2)
+    ok = all(
+        s2_D.apply(embed_algebra(H, H.alg.basis_vector(i)))
+        == embed_algebra(H, s2_H.col(i))
+        for i in range(n)
+    )
+    rep.add("squared antipode restricts to the squared antipode", ok)
+    return rep
 
 
 @pytest.mark.parametrize("key", ["qc2", "sweedler", "f5c5"])

@@ -11,9 +11,9 @@ from conftest import double_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrob.algebra import StructureAlgebra
+from hopfrob.algebra import StructureAlgebra, is_augmentation
 from hopfrob.catalog import entry, names
-from hopfrob.errors import InvalidInputError
+from hopfrob.errors import InvalidInputError, SingularError
 from hopfrob.frobenius import (
     ComparisonResult,
     IntegralData,
@@ -34,15 +34,17 @@ from hopfrob.frobenius import (
 )
 from hopfrob.hopfcore import (
     HopfAlgebra,
-    act_right,
     convolution,
     dual_hopf,
     dual_left_integral_space,
     eval_cov,
+    hit_matrix,
+    is_grouplike,
     left_integral_space,
     right_integral_space,
 )
 from hopfrob.linalg import Matrix, basis_vec
+from hopfrob.report import Report
 from hopfrob.scalars import GF, QQ
 
 ALL_KEYS = names()
@@ -453,7 +455,7 @@ def test_antipode_transform_nakayama_closed_form(key):
     moved = transform_by_antipode(H, sys)
     s2 = H.antipode.pow_(2)
     cols = [
-        act_right(H, s2.col(j), data.modular_fn) for j in range(H.dim)
+        _act_by_definition(H, data.modular_fn, s2.col(j), "right") for j in range(H.dim)
     ]
     assert moved.nakayama == Matrix.from_columns(field, cols)
 
@@ -514,3 +516,168 @@ def test_dual_frobenius_structure(key):
     assert rep.passed, str(rep)
     titles = [it.name for it in rep.items]
     assert "modular function of the dual equals b" in titles
+
+
+# -- the integral layer against its definitions ---------------------------------------
+
+
+def _act_by_definition(H, f, a, side):
+    """Reference for one column of hit_matrix: f ⇀ a = sum a_(1) f(a_(2))
+    (side "left") or a ↼ f = sum f(a_(1)) a_(2), one comul walk per
+    nonzero coordinate of a."""
+    field = H.field
+    out = [field.zero()] * H.dim
+    for i, ai in enumerate(a):
+        if ai == field.zero():
+            continue
+        for j, k, c in H.comul.get(i, ()):
+            if side == "left":
+                out[j] = out[j] + ai * c * f[k]
+            else:
+                out[k] = out[k] + ai * c * f[j]
+    return tuple(field.normalize(x) for x in out)
+
+
+def _hit_by_definition(H, f, side):
+    basis = (H.alg.basis_vector(i) for i in range(H.dim))
+    return Matrix.from_columns(H.field, (_act_by_definition(H, f, e, side) for e in basis))
+
+
+def _mult_by_definition(alg, a, side):
+    """Reference for left_mult_matrix / right_mult_matrix: one algebra
+    product per basis vector."""
+    basis = [alg.basis_vector(j) for j in range(alg.dim)]
+    cols = [alg.multiply(a, e) if side == "left" else alg.multiply(e, a) for e in basis]
+    return Matrix.from_columns(alg.field, cols)
+
+
+def _multiple_by_definition(field, w, v):
+    """The c with w = c v, or None."""
+    pivot = next(t for t, x in enumerate(v) if x != field.zero())
+    c = field.normalize(w[pivot] * field.inv(v[pivot]))
+    return c if tuple(w) == tuple(field.normalize(c * x) for x in v) else None
+
+
+def _modular_pair_by_definition(H, psi, norm):
+    """(m, b) from N e_j = m(e_j) N, one algebra product each, and from
+    psi * e^i = e^i(b) psi, one convolution each."""
+    field = H.field
+    m = tuple(
+        _multiple_by_definition(field, H.alg.multiply(norm, H.alg.basis_vector(j)), norm)
+        for j in range(H.dim)
+    )
+    b = tuple(
+        _multiple_by_definition(field, convolution(H, psi, basis_vec(field, H.dim, i)), psi)
+        for i in range(H.dim)
+    )
+    return m, b
+
+
+def _is_augmentation_by_definition(alg, eps):
+    """Reference for is_augmentation: eps(1) = 1 and eps(e_i e_j) =
+    eps(e_i) eps(e_j) on all dim^2 basis pairs."""
+    field = alg.field
+    if eval_cov(field, eps, alg.unit) != field.one():
+        return False
+    return all(
+        eval_cov(field, eps, alg.multiply(alg.basis_vector(i), alg.basis_vector(j)))
+        == field.normalize(eps[i] * eps[j])
+        for i in range(alg.dim)
+        for j in range(alg.dim)
+    )
+
+
+def _is_grouplike_by_definition(H, v):
+    """Reference for is_grouplike: eps(v) = 1 and Delta(v) has coefficient
+    v_j v_k at every e_j (x) e_k."""
+    field = H.field
+    want = {
+        (j, k): field.normalize(vj * vk)
+        for j, vj in enumerate(v)
+        for k, vk in enumerate(v)
+        if field.normalize(vj * vk) != field.zero()
+    }
+    return H.counit_of(v) == field.one() and H.delta_vec(v) == want
+
+
+def _radford_by_definition(H, data):
+    """Reference for verify_radford: b^{-1} (m ⇀ a ↼ m^{-1}) b per basis
+    vector, two comul walks and two algebra products each."""
+    rep = Report("fourth antipode power as modular conjugation")
+    s4 = H.antipode.pow_(4)
+    m = data.modular_fn
+    m_inv = modular_inverse(H, m)
+    b = data.modular_elt
+    try:
+        b_inv = _mult_by_definition(H.alg, b, "left").inverse().apply(H.unit)
+    except SingularError:
+        rep.add("b invertible", False)
+        return rep
+    for i in range(H.dim):
+        a = H.alg.basis_vector(i)
+        mid = _act_by_definition(H, m_inv, _act_by_definition(H, m, a, "left"), "right")
+        rhs = H.alg.multiply(b_inv, H.alg.multiply(mid, b))
+        ok = s4.col(i) == rhs
+        rep.add(f"basis {H.basis_names[i]}", ok, "" if ok else "S^4 disagrees with the conjugated action")
+    return rep
+
+
+# every catalog entry, its dual, and every catalog double up to dim 81
+_LAYER_OBJECTS = (
+    *ALL_KEYS,
+    *(f"{key}*" for key in ALL_KEYS),
+    *(f"D({key})" for key in ALL_KEYS if entry(key).hopf.dim <= 9),
+)
+
+
+def _layer_object(name):
+    if name.startswith("D("):
+        return double_of(name[2:-1])
+    if name.endswith("*"):
+        return dual_hopf(entry(name[:-1]).hopf)
+    return entry(name).hopf
+
+
+@pytest.mark.parametrize("engine", ["int64", "generic"])
+@pytest.mark.parametrize("name", _LAYER_OBJECTS)
+def test_integral_layer_matches_the_definitions(name, engine, generic_engine):
+    """The hit matrices, the multiplication matrices, m and b,
+    is_augmentation, is_grouplike and verify_radford equal their
+    by-definition references, and a supplied functional that is not an
+    integral is refused."""
+    if engine == "generic":
+        generic_engine()
+    H = _layer_object(name)
+    field = H.field
+    data = build_integral_data(H)
+    assert (data.modular_fn, data.modular_elt) == _modular_pair_by_definition(
+        H, data.psi, data.norm
+    )
+    for f in (H.counit, data.psi, data.modular_fn):
+        for side in ("left", "right"):
+            assert hit_matrix(H, f, side) == _hit_by_definition(H, f, side)
+    # row i of the right hit matrix of psi is psi * e^i
+    convolutions = (convolution(H, data.psi, basis_vec(field, H.dim, i)) for i in range(H.dim))
+    assert hit_matrix(H, data.psi, "right").rows == tuple(convolutions)
+    for a in (data.norm, data.modular_elt, data.psi):
+        assert H.alg.left_mult_matrix(a) == _mult_by_definition(H.alg, a, "left")
+        assert H.alg.right_mult_matrix(a) == _mult_by_definition(H.alg, a, "right")
+    for f in (H.counit, data.modular_fn, data.psi, H.unit):
+        assert is_augmentation(H.alg, f) == _is_augmentation_by_definition(H.alg, f)
+    for v in (data.modular_elt, data.norm, H.unit, data.psi):
+        assert is_grouplike(H, v) == _is_grouplike_by_definition(H, v)
+    assert verify_radford(H, data).items == _radford_by_definition(H, data).items
+    with pytest.raises(InvalidInputError, match="not a left integral"):
+        build_integral_data(H, H.counit)
+
+
+def test_radford_with_a_wrong_modular_function_fails_as_the_reference():
+    """On taft-3-7-2 m is not the counit, so data carrying the counit as m
+    fails Radford's formula, at the same items as the per-basis loop."""
+    H = entry("taft-3-7-2").hopf
+    good = build_integral_data(H)
+    assert good.modular_fn != H.counit
+    bad = dataclasses.replace(good, modular_fn=H.counit)
+    rep = verify_radford(H, bad)
+    assert not rep.passed
+    assert rep.items == _radford_by_definition(H, bad).items

@@ -14,14 +14,11 @@ from hopfrob.catalog import cyclic_table, entry, group_algebra, names
 from hopfrob.double import double_fh_check, double_generators, drinfeld_double
 from hopfrob.hopfcore import (
     HopfAlgebra,
-    act_left,
-    act_right,
     convolution,
-    dual_act_left,
-    dual_act_right,
     dual_hopf,
     dual_left_integral_space,
     eval_cov,
+    hit_matrix,
     hopf_module_decompose,
     integral_space,
     is_grouplike,
@@ -157,35 +154,36 @@ def test_is_hopf_morphism_rejects_non_morphism():
 def test_counit_acts_as_identity():
     H = H_("sweedler")
     x = H.alg.basis_vector(2)
-    assert act_left(H, H.counit, x) == x
-    assert act_right(H, x, H.counit) == x
+    assert hit_matrix(H, H.counit, "left").apply(x) == x
+    assert hit_matrix(H, H.counit, "right").apply(x) == x
 
 
 def test_modular_character_acts_on_sweedler_x():
     H = H_("sweedler")
     m = (1, -1, 0, 0)  # the character with m(g) = -1
     x = H.alg.basis_vector(2)
-    assert act_left(H, m, x) == x
+    assert hit_matrix(H, m, "left").apply(x) == x
     # m is its own convolution inverse here
     m_inv = tuple(eval_cov(QQ, m, H.antipode.col(j)) for j in range(4))
     assert m_inv == tuple(Fraction(c) for c in m)
-    assert act_right(H, x, m_inv) == tuple(-c for c in x)
+    assert hit_matrix(H, m_inv, "right").apply(x) == tuple(-c for c in x)
 
 
 def test_character_acts_by_scalar_on_grouplike():
     H = H_("qc3")
     chi = (1, 1, 1)  # trivial character
     g = H.alg.basis_vector(1)
-    assert act_left(H, chi, g) == g
-    assert act_right(H, g, chi) == g
+    assert hit_matrix(H, chi, "left").apply(g) == g
+    assert hit_matrix(H, chi, "right").apply(g) == g
 
 
 def test_dual_actions_match_pointwise_definition():
     H = H_("sweedler")
     h = (Fraction(2), Fraction(1), Fraction(0), Fraction(3))
     f = (Fraction(1), Fraction(-1), Fraction(5), Fraction(0))
-    lf = dual_act_left(H, h, f)
-    rf = dual_act_right(H, f, h)
+    # h ⇀ f and f ↼ h on H* are the transposes of R_h and L_h
+    lf = H.alg.right_mult_matrix(h).transpose().apply(f)
+    rf = H.alg.left_mult_matrix(h).transpose().apply(f)
     for y in range(4):
         ey = H.alg.basis_vector(y)
         assert lf[y] == eval_cov(QQ, f, H.alg.multiply(ey, h))
@@ -204,7 +202,8 @@ def test_left_right_actions_commute(fv, av, gv):
     f = tuple(F.normalize(c) for c in fv)
     a = tuple(F.normalize(c) for c in av)
     g = tuple(F.normalize(c) for c in gv)
-    assert act_left(H, f, act_right(H, a, g)) == act_right(H, act_left(H, f, a), g)
+    left, right = hit_matrix(H, f, "left"), hit_matrix(H, g, "right")
+    assert left.apply(right.apply(a)) == right.apply(left.apply(a))
 
 
 # -- group-likes -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Checks on the code base itself: the benchmark's trace targets still exist,
-the package carries no unused imports, one gate picks the int64 engine, and
-numpy and scipy load only when that engine runs."""
+the package carries no unused imports and no unreferenced functions, one
+gate picks the int64 engine, and numpy and scipy load only when that engine
+runs."""
 
 import ast
 import importlib
@@ -80,6 +81,46 @@ def _unused_imports(path: Path) -> list:
 def test_package_has_no_unused_imports():
     unused = [msg for path in sorted(PACKAGE.glob("*.py")) for msg in _unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _referenced_names(path: Path) -> set:
+    """Every name a module mentions: as a name, an attribute, an import, or a
+    string of dotted identifiers (bench/spans.py names its targets so)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def test_package_has_no_unreferenced_functions():
+    """Every function and method defined in src/hopfrob is referenced from
+    src/, tests/ or bench/: a helper that nothing calls is deleted.  Dunders
+    are called by the language, and the catalog builders by the registry
+    their @_register decorator files them in."""
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    referenced = set().union(*map(_referenced_names, files))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            registered = any(
+                isinstance(d, ast.Call) and ast.unparse(d.func) == "_register"
+                for d in node.decorator_list
+            )
+            if not (dunder or registered or node.name in referenced):
+                dead.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not dead, "functions nothing references:\n" + "\n".join(dead)
 
 
 def _scopes(path: Path, match) -> list:
