@@ -322,8 +322,8 @@ def transform_by_antipode(H: HopfAlgebra, sys: FrobeniusSystem) -> FrobeniusSyst
     field = H.field
     sbar = H.antipode_inv()
     psi2 = sbar.transpose().apply(sys.psi)
-    xs2 = tuple(H.antipode.apply(y) for y in sys.ys)
-    ys2 = tuple(H.antipode.apply(x) for x in sys.xs)
+    xs2 = H.antipode.mul(Matrix.from_columns(field, sys.ys)).transpose().rows
+    ys2 = H.antipode.mul(Matrix.from_columns(field, sys.xs)).transpose().rows
     nu2 = H.antipode.mul(sys.nakayama.inverse()).mul(sbar)
     ok, detail = dual_basis_identities_hold(H.alg, psi2, xs2, ys2)
     if not ok:

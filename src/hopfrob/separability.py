@@ -124,17 +124,9 @@ def separability_from_system(
     separability idempotent; otherwise None."""
     field = A.field
     d = tuple(field.normalize(c) for c in d)
-    total = [field.zero()] * A.dim
-    for x, y in zip(sys.xs, sys.ys):
-        v = A.multiply(x, A.multiply(d, y))
-        total = [p + q for p, q in zip(total, v)]
-    if tuple(field.normalize(c) for c in total) != A.unit:
-        return None
     e = _outer_sum(field, ((x, A.multiply(d, y)) for x, y in zip(sys.xs, sys.ys)))
-    ok, detail = check_ordinary_certificate(A, e)
-    if not ok:
-        return None
-    return SeparabilityCertificate(e, "ordinary")
+    ok, _ = check_ordinary_certificate(A, e)
+    return SeparabilityCertificate(e, "ordinary") if ok else None
 
 
 def strong_separability(
@@ -143,11 +135,7 @@ def strong_separability(
     """Kanzaki element from u = sum_i y_i x_i when u is invertible; also
     checks the inner form nu(a) = u a u^{-1} of the Nakayama automorphism."""
     field = H.field
-    u = [field.zero()] * H.dim
-    for x, y in zip(sys.xs, sys.ys):
-        v = H.alg.multiply(y, x)
-        u = [p + q for p, q in zip(u, v)]
-    u = tuple(field.normalize(c) for c in u)
+    u = multiply_out_tensor(H.alg, _outer_sum(field, zip(sys.ys, sys.xs)))
     L = H.alg.left_mult_matrix(u)
     try:
         u_inv = L.inverse().apply(H.unit)
@@ -168,49 +156,24 @@ def strong_separability(
 
 # -- independent decision by linear solve ---------------------------------------------
 
-_SOLVE_DIM_SQ = 64
-_SOLVE_CHAR = 7
 
-
-def idempotent_exists_by_solve(A: StructureAlgebra) -> Optional[bool]:
+def idempotent_exists_by_solve(A: StructureAlgebra) -> bool:
     """Decides by exhaustive linear algebra whether any separability
-    idempotent exists.  Returns None outside the small prime-field bounds
-    where the dense solve is considered cheap."""
+    idempotent exists: one linear system in the dim^2 coefficients of e."""
     field = A.field
-    if field.characteristic == 0 or field.characteristic > _SOLVE_CHAR:
-        return None
-    if A.dim * A.dim > _SOLVE_DIM_SQ:
-        return None
-    n = A.dim
-    nn = n * n
-    rows = []
-    rhs = []
-    # mu(e) = 1
-    for k in range(n):
-        row = [field.zero()] * nn
-        for (i, j), terms in A.mul.items():
-            for kk, c in terms:
-                if kk == k:
-                    row[i * n + j] = row[i * n + j] + c
-        rows.append(tuple(row))
-        rhs.append(A.unit[k])
-    # (a (x) 1) e - e (1 (x) a) = 0 for every basis a
-    for a in range(n):
-        for r1 in range(n):
-            for r2 in range(n):
-                row = [field.zero()] * nn
-                for i in range(n):
-                    for k, c in A.mul.get((a, i), ()):
-                        if k == r1:
-                            row[i * n + r2] = row[i * n + r2] + c
-                for j in range(n):
-                    for k, c in A.mul.get((j, a), ()):
-                        if k == r2:
-                            row[r1 * n + j] = row[r1 * n + j] - c
-                rows.append(tuple(row))
-                rhs.append(field.zero())
-    M = Matrix.from_rows(field, rows)
-    return M.solve(tuple(rhs)) is not None
+    n, zero = A.dim, field.zero()
+    # unknown e = sum T[i][j] e_i (x) e_j at column i n + j; row k says
+    # mu(e) = 1 at e_k, row n + (a n + r1) n + r2 says the e_r1 (x) e_r2
+    # coefficients of (e_a (x) 1) e and e (1 (x) e_a) agree
+    rows = [[zero] * (n * n) for _ in range(n + n**3)]
+    for (i, j), terms in A.mul.items():
+        for k, c in terms:
+            rows[k][i * n + j] += c
+            for r in range(n):
+                rows[n + (i * n + k) * n + r][j * n + r] += c
+                rows[n + (j * n + r) * n + k][r * n + i] -= c
+    rhs = tuple(A.unit) + (zero,) * n**3
+    return Matrix.from_rows(field, rows).solve(rhs) is not None
 
 
 # -- involutivity from two-sided separability ------------------------------------------

@@ -9,11 +9,13 @@ agree entrywise; a mismatch aborts rather than silently picking a side.
 
 The extension structure itself is a conditional expectation E: H -> K
 obeying the twisted bimodule law E(iota(a) x iota(b)) = beta(a) E(x) b,
-solved from that law as a linear system, together with dual bases
-{u_i}, {v_i} in H reconstructing the identity through E.  Everything is
-certified per instance: nondegeneracy by rank against the space of right
-K-linear maps, both reconstruction identities on every basis vector, and
-freeness of H over K by explicit basis search.
+built in closed form from the Frobenius system of K and the left integral
+of H* (derivation in beta_frobenius_structure), together with dual bases
+{u_i}, {v_i} in H reconstructing the identity through E: the u_i are a free
+basis of H over K and the v_i solve one square system.  Everything is
+certified per instance: the bimodule law on all basis triples and both
+reconstruction identities on every basis vector, each as matrix identities
+read column by column, and freeness of H over K by explicit basis search.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from typing import Optional
 
 from .algebra import multiplicative_failure
 from .errors import InternalCheckError, InvalidInputError
-from .frobenius import build_integral_data, modular_inverse, nakayama_closed_form
+from .frobenius import IntegralData, build_integral_data, frobenius_system_from_norm
+from .frobenius import modular_inverse, nakayama_closed_form
 from .hopfcore import HopfAlgebra, comultiplicative_failure, convolution, hit_matrix
+from .hopfcore import pairing_matrix
 from .linalg import (
     Matrix,
     basis_vec,
@@ -58,18 +62,15 @@ class SubalgebraEmbedding:
         if self.iota.rank() != self.K.dim:
             raise InvalidInputError("inclusion matrix is not injective")
 
-    def restrict(self, w):
-        """Coordinates of w in the K basis, or None if w is outside iota(K)."""
-        return self.iota.solve(w)
-
 
 def identity_embedding(H: HopfAlgebra) -> SubalgebraEmbedding:
     return SubalgebraEmbedding(H, H, Matrix.identity(H.field, H.dim))
 
 
-def verify_embedding(emb: SubalgebraEmbedding) -> Report:
+def verify_embedding(emb: SubalgebraEmbedding, nu_H: Optional[Matrix] = None) -> Report:
     """Check that iota is a map of Hopf algebras and that the ambient
-    Nakayama automorphism preserves the image."""
+    Nakayama automorphism nu_H (built here unless the caller holds it)
+    preserves the image."""
     K, H, iota = emb.K, emb.H, emb.iota
     rep = Report(f"subalgebra embedding: {K.name or 'K'} in {H.name or 'H'}")
 
@@ -98,9 +99,12 @@ def verify_embedding(emb: SubalgebraEmbedding) -> Report:
         H.antipode.mul(iota) == iota.mul(K.antipode),
     )
 
-    nu_H = nakayama_closed_form(H, build_integral_data(H))
-    ok = all(emb.restrict(nu_H.apply(iota.col(s))) is not None for s in range(K.dim))
-    rep.add("ambient Nakayama automorphism preserves the subalgebra", ok)
+    if nu_H is None:
+        nu_H = nakayama_closed_form(H, build_integral_data(H))
+    rep.add(
+        "ambient Nakayama automorphism preserves the subalgebra",
+        iota.solve_matrix(nu_H.mul(iota)) is not None,
+    )
     return rep
 
 
@@ -112,33 +116,40 @@ def _check_k_automorphism(K: HopfAlgebra, beta: Matrix) -> None:
     beta.inverse()  # raises if singular
 
 
-def relative_nakayama(emb: SubalgebraEmbedding) -> Matrix:
+def relative_nakayama(
+    emb: SubalgebraEmbedding,
+    data_K: Optional[IntegralData] = None,
+    data_H: Optional[IntegralData] = None,
+    nu_H: Optional[Matrix] = None,
+    embedding_report: Optional[Report] = None,
+) -> Matrix:
     """Twist beta on K, by two routes that must agree entrywise.
 
     Route one conjugates through the inclusion: beta = nu_K o (nu_H^-1
     restricted to iota(K)).  Route two evaluates the convolution character
-    m_K * (m_H^-1 o iota) and lets it hit from the right.
+    m_K * (m_H^-1 o iota) and lets it hit from the right.  The integral
+    data of K and H, nu_H and the verify_embedding report are built here
+    unless the caller holds them; a failing report raises.
     """
-    rep = verify_embedding(emb)
-    if not rep.passed:
-        failed = ", ".join(it.name for it in rep.failures())
-        raise InvalidInputError(f"not a Hopf subalgebra embedding: {failed}")
     K, H, iota = emb.K, emb.H, emb.iota
-    field = K.field
+    if data_H is None:
+        data_H = build_integral_data(H)
+    if nu_H is None:
+        nu_H = nakayama_closed_form(H, data_H)
+    if embedding_report is None:
+        embedding_report = verify_embedding(emb, nu_H)
+    if not embedding_report.passed:
+        failed = ", ".join(it.name for it in embedding_report.failures())
+        raise InvalidInputError(f"not a Hopf subalgebra embedding: {failed}")
+    if data_K is None:
+        data_K = build_integral_data(K)
 
-    data_K = build_integral_data(K)
-    data_H = build_integral_data(H)
-    nu_K = nakayama_closed_form(K, data_K)
-    nu_inv = nakayama_closed_form(H, data_H).inverse()
-    cols = []
-    for s in range(K.dim):
-        c = emb.restrict(nu_inv.apply(iota.col(s)))
-        if c is None:
-            raise InvalidInputError(
-                "ambient Nakayama automorphism does not preserve the subalgebra"
-            )
-        cols.append(nu_K.apply(c))
-    via_pullback = Matrix.from_columns(field, cols)
+    pulled = iota.solve_matrix(nu_H.inverse().mul(iota))
+    if pulled is None:
+        raise InvalidInputError(
+            "ambient Nakayama automorphism does not preserve the subalgebra"
+        )
+    via_pullback = nakayama_closed_form(K, data_K).mul(pulled)
 
     chi = convolution(
         K, data_K.modular_fn, iota.transpose().apply(modular_inverse(H, data_H.modular_fn))
@@ -163,144 +174,71 @@ class RelativeFrobeniusData:
     E is the conditional expectation H -> K (rows are K coordinates);
     us, vs are dual bases in H with x = sum_i u_i iota(E(v_i x)) and the
     beta-twisted mirror x = sum_i iota(beta^-1(E(x u_i))) v_i.
-    solution_dim records the dimension of the full twisted bimodule map
-    space the expectation was selected from.
     """
 
     beta: Matrix
     E: Matrix
     us: tuple
     vs: tuple
-    solution_dim: int
 
 
-def _linearity_rows(emb: SubalgebraEmbedding, side: str, actions) -> list:
-    """Constraint rows, over the unknown d x n matrix of a map phi: H -> F^d
-    flattened row-major, forcing phi(x iota(e_s)) = actions[s] phi(x) (side
-    "right") or phi(iota(e_s) x) = actions[s] phi(x) (side "left") for each
-    basis vector e_s of K; each actions[s] is a d x d matrix."""
-    H, iota = emb.H, emb.iota
-    field = H.field
-    n = H.dim
-    zero = field.zero()
+def _linearity_rows(field, pairs) -> list:
+    """Rows of 1 (x) W^T - A (x) 1 for each pair (W, A), W n x n and A d x d.
+    Over the unknown d x n matrix phi flattened row-major, row (alpha, i)
+    of a pair is (phi W - A phi)[alpha][i], so the rows say phi W = A phi."""
     rows = []
-    for s, A in enumerate(actions):
-        if side == "right":
-            W = H.alg.right_mult_matrix(iota.col(s))
-        else:
-            W = H.alg.left_mult_matrix(iota.col(s))
-        d = A.nrows
-        for i in range(n):
-            w = W.col(i)
-            for alpha in range(d):
-                row = [zero] * (d * n)
-                row[alpha * n : (alpha + 1) * n] = w
-                for gamma in range(d):
-                    row[gamma * n + i] = field.normalize(
-                        row[gamma * n + i] - A.entry(alpha, gamma)
-                    )
-                rows.append(tuple(row))
+    for W, A in pairs:
+        eye_d, eye_n = Matrix.identity(field, A.nrows), Matrix.identity(field, W.nrows)
+        rows.extend(kronecker(eye_d, W.transpose()).sub(kronecker(A, eye_n)).rows)
     return rows
 
 
-def twisted_bimodule_maps(emb: SubalgebraEmbedding, beta: Matrix) -> tuple:
-    """Canonical basis (as k x n matrices) of maps E: H -> K with
-    E(iota(a) x iota(b)) = beta(a) E(x) b."""
-    K, H = emb.K, emb.H
-    twists = [K.alg.left_mult_matrix(beta.col(s)) for s in range(K.dim)]
-    rows = _linearity_rows(emb, "left", twists) + _linearity_rows(
-        emb, "right", regular_module(K).mats
-    )
-    kern = Matrix(H.field, tuple(rows)).kernel()
-    n = H.dim
-    return tuple(
-        Matrix.from_rows(H.field, [vec[a * n : (a + 1) * n] for a in range(K.dim)])
-        for vec in kern
-    )
-
-
-def right_linear_maps(emb: SubalgebraEmbedding) -> tuple:
-    """Canonical flattened basis of Hom over K of (H as right K-module, K)."""
-    rows = _linearity_rows(emb, "right", regular_module(emb.K).mats)
-    dim = emb.K.dim * emb.H.dim
-    if not rows:
-        return tuple(basis_vec(emb.H.field, dim, i) for i in range(dim))
-    return Matrix(emb.H.field, tuple(rows)).kernel()
-
-
-def _pairing_columns(emb: SubalgebraEmbedding, E: Matrix) -> Matrix:
-    """Columns i = flattened matrix of x |-> E(e_i x), a right K-linear map."""
-    H = emb.H
-    cols = []
-    for i in range(H.dim):
-        m = E.mul(H.alg.left_mult_matrix(H.alg.basis_vector(i)))
-        cols.append(tuple(x for row in m.rows for x in row))
-    return Matrix.from_columns(H.field, cols)
-
-
-def _is_nondegenerate(emb: SubalgebraEmbedding, E: Matrix, hom_basis: tuple) -> bool:
-    cols = _pairing_columns(emb, E)
-    if cols.rank() != emb.H.dim:
-        return False
-    return all(
-        span_contains(emb.H.field, hom_basis, cols.col(i)) for i in range(emb.H.dim)
-    )
-
-
 def beta_frobenius_structure(
-    emb: SubalgebraEmbedding, beta: Matrix
+    emb: SubalgebraEmbedding,
+    beta: Matrix,
+    data_K: Optional[IntegralData] = None,
+    data_H: Optional[IntegralData] = None,
+    free: Optional[tuple] = None,
 ) -> RelativeFrobeniusData:
-    """Solve for the conditional expectation and its dual bases.
+    """The conditional expectation in closed form, and its dual bases.
 
-    The expectation is the first canonical basis vector of the twisted
-    bimodule map space whose evaluation pairing is nondegenerate (the sum of
-    all candidates is tried last).  Dual bases are solved with v_i = e_i and
-    both reconstruction identities re-verified on every basis vector.
+    With (psi_K, x_a, y_a) the Frobenius system of K read off its norm and
+    psi_H the left integral of H* (psi_H(x h) = psi_H(nu_H(h) x)),
+
+        E(h) = sum_a psi_H(h iota(x_a)) y_a,  i.e.  E = Y (G_H iota X)^T
+
+    for X, Y with columns x_a, y_a and G_H[i][j] = psi_H(e_i e_j).  The two
+    dual-basis identities give sum_a k x_a (x) y_a = sum_a x_a (x) y_a k and
+    sum_a x_a c (x) y_a = sum_a x_a (x) nu_K(c) y_a, so E(h iota(k)) = E(h) k
+    and, as psi_H(iota(a) z) = psi_H(z iota(c)) for iota(c) =
+    nu_H^-1(iota(a)), E(iota(a) h) = nu_K(c) E(h) = beta(a) E(h), beta being
+    route one of relative_nakayama.  psi_K(E(h)) = psi_H(h), so E is
+    nondegenerate.  The u_j are a free basis h_j of H as a right K-module
+    and the v_j solve E(v_j h_l) = delta_jl 1, one square system with block
+    rows E R_{h_l}: right linearity then gives x = sum_j u_j iota(E(v_j x)),
+    and nondegeneracy the twisted mirror; both are re-verified on every
+    basis vector.  Integral data and free basis not passed are built here.
     """
     K, H, iota = emb.K, emb.H, emb.iota
     field = H.field
-    n, k = H.dim, K.dim
+    if data_K is None:
+        data_K = build_integral_data(K)
+    if data_H is None:
+        data_H = build_integral_data(H)
+    if free is None:
+        free = free_module_basis(emb, "right")
+    sys_K = frobenius_system_from_norm(K, data_K)
+    X = Matrix.from_columns(field, sys_K.xs)
+    Y = Matrix.from_columns(field, sys_K.ys)
+    E = Y.mul(pairing_matrix(H.alg, data_H.psi).mul(iota).mul(X).transpose())
 
-    candidates = list(twisted_bimodule_maps(emb, beta))
-    if not candidates:
-        raise InternalCheckError("no twisted bimodule maps exist for the pair")
-    hom_basis = right_linear_maps(emb)
-    if len(hom_basis) != n:
-        raise InternalCheckError(
-            f"right K-linear maps H -> K form a space of dimension "
-            f"{len(hom_basis)}, expected {n}"
-        )
-    solution_dim = len(candidates)
-    if solution_dim > 1:
-        total = candidates[0]
-        for cand in candidates[1:]:
-            total = total.add(cand)
-        candidates.append(total)
-    E = next((c for c in candidates if _is_nondegenerate(emb, c, hom_basis)), None)
-    if E is None:
-        raise InternalCheckError(
-            "no nondegenerate conditional expectation in the solution space"
-        )
-
-    # u_i from sum_i u_i iota(E(e_i e_j)) = e_j, one dense solve
-    prods = [[H.alg.multiply(H.alg.basis_vector(i), H.alg.basis_vector(j)) for j in range(n)] for i in range(n)]
-    zero = field.zero()
-    big = [[zero] * (n * n) for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            rm = H.alg.right_mult_matrix(iota.apply(E.apply(prods[i][j])))
-            for t in range(n):
-                brow = big[j * n + t]
-                for s in range(n):
-                    brow[i * n + s] = field.normalize(brow[i * n + s] + rm.entry(t, s))
-    rhs = [field.one() if j == t else zero for j in range(n) for t in range(n)]
-    flat = Matrix(field, tuple(tuple(r) for r in big)).solve(tuple(rhs))
-    if flat is None:
+    blocks = [E.mul(H.alg.right_mult_matrix(h)).rows for h in free]
+    rhs = kronecker(Matrix.identity(field, len(free)), Matrix.from_columns(field, [K.unit]))
+    vs = Matrix(field, tuple(r for b in blocks for r in b)).solve_matrix(rhs)
+    if vs is None:
         raise InternalCheckError("dual basis system is inconsistent")
-    us = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-    vs = tuple(H.alg.basis_vector(i) for i in range(n))
 
-    data = RelativeFrobeniusData(beta, E, us, vs, solution_dim)
+    data = RelativeFrobeniusData(beta, E, tuple(free), vs.transpose().rows)
     ok, detail = extension_identities_hold(emb, data)
     if not ok:
         raise InternalCheckError(f"dual basis identities fail: {detail}")
@@ -310,26 +248,22 @@ def beta_frobenius_structure(
 def extension_identities_hold(
     emb: SubalgebraEmbedding, data: RelativeFrobeniusData
 ) -> tuple:
-    """Exact check of both reconstruction identities on every basis vector."""
-    K, H, iota = emb.K, emb.H, emb.iota
-    field = H.field
-    n = H.dim
-    beta_inv = data.beta.inverse()
+    """Exact check of both reconstruction identities on every basis vector:
+    column j of sum_i L_{u_i} iota E L_{v_i} and of the mirror
+    sum_i R_{v_i} iota beta^-1 E R_{u_i} must both be e_j."""
+    H, iota, alg = emb.H, emb.iota, emb.H.alg
+    field, n = H.field, H.dim
+    iE = iota.mul(data.E)
+    iBE = iota.mul(data.beta.inverse()).mul(data.E)
+    first = mirror = Matrix.zeros(field, n, n)
+    for u, v in zip(data.us, data.vs):
+        first = first.add(alg.left_mult_matrix(u).mul(iE).mul(alg.left_mult_matrix(v)))
+        mirror = mirror.add(alg.right_mult_matrix(v).mul(iBE).mul(alg.right_mult_matrix(u)))
     for j in range(n):
-        x = H.alg.basis_vector(j)
-        acc = zero_vec(field, n)
-        for u, v in zip(data.us, data.vs):
-            acc = vadd(field, acc, H.alg.multiply(u, iota.apply(data.E.apply(H.alg.multiply(v, x)))))
-        if acc != x:
+        e = basis_vec(field, n, j)
+        if first.col(j) != e:
             return False, f"identity side fails at {H.basis_names[j]}"
-        acc = zero_vec(field, n)
-        for u, v in zip(data.us, data.vs):
-            acc = vadd(
-                field,
-                acc,
-                H.alg.multiply(iota.apply(beta_inv.apply(data.E.apply(H.alg.multiply(x, u)))), v),
-            )
-        if acc != x:
+        if mirror.col(j) != e:
             return False, f"twisted mirror side fails at {H.basis_names[j]}"
     return True, ""
 
@@ -337,23 +271,29 @@ def extension_identities_hold(
 def check_expectation_bimodule(
     emb: SubalgebraEmbedding, data: RelativeFrobeniusData
 ) -> tuple:
-    """Re-verify E(iota(a) x iota(b)) = beta(a) E(x) b on all basis triples."""
-    K, H, iota = emb.K, emb.H, emb.iota
+    """Re-verify E(iota(a) x iota(b)) = beta(a) E(x) b on all basis triples:
+    for each basis pair (e_s, e_t) of K, E R_{iota(e_t)} L_{iota(e_s)}
+    against R_{e_t} L_{beta(e_s)} E, whose column i is the triple
+    (e_s, e_i, e_t)."""
+    K, H, iota, E = emb.K, emb.H, emb.iota, data.E
+    right = [
+        (
+            E.mul(H.alg.right_mult_matrix(iota.col(t))),
+            K.alg.right_mult_matrix(K.alg.basis_vector(t)),
+        )
+        for t in range(K.dim)
+    ]
     for s in range(K.dim):
-        bs = data.beta.col(s)
-        for t in range(K.dim):
-            for i in range(H.dim):
-                mid = H.alg.multiply(iota.col(s), H.alg.basis_vector(i))
-                lhs = data.E.apply(H.alg.multiply(mid, iota.col(t)))
-                rhs = K.alg.multiply(
-                    K.alg.multiply(bs, data.E.apply(H.alg.basis_vector(i))),
-                    K.alg.basis_vector(t),
+        left = H.alg.left_mult_matrix(iota.col(s))
+        twisted = K.alg.left_mult_matrix(data.beta.col(s)).mul(E)
+        for t, (ER, RK) in enumerate(right):
+            lhs, rhs = ER.mul(left).transpose().rows, RK.mul(twisted).transpose().rows
+            i = next((i for i in range(H.dim) if lhs[i] != rhs[i]), None)
+            if i is not None:
+                return False, (
+                    f"fails at ({K.basis_names[s]}, {H.basis_names[i]}, "
+                    f"{K.basis_names[t]})"
                 )
-                if lhs != rhs:
-                    return False, (
-                        f"fails at ({K.basis_names[s]}, {H.basis_names[i]}, "
-                        f"{K.basis_names[t]})"
-                    )
     return True, ""
 
 
@@ -428,23 +368,30 @@ def check_module(K: HopfAlgebra, M: KModule) -> None:
         raise InvalidInputError(failure)
 
 
+def _flat_actions(field, action) -> Matrix:
+    """The matrix whose column u is action[u] flattened row-major, so that
+    applied to the coordinates of a it gives the action of a, flattened."""
+    return Matrix.from_columns(field, [[x for row in m.rows for x in row] for m in action])
+
+
 def _module_law_failure(A: HopfAlgebra, action: tuple, dim: int) -> Optional[str]:
     """Why the matrices action[s], the action of each basis vector e_s of A
-    on F^dim, break the right module law m . (ab) = (m . a) . b, or None."""
+    on F^dim, break the right module law m . (ab) = (m . a) . b, or None.
+
+    With V = _flat_actions, V L_{e_s} has column t the action of e_s e_t;
+    the actions stacked row-wise times action[s] give every action[t]
+    action[s] of one s as block t."""
     field = A.field
-
-    def act(coords) -> Matrix:
-        acc = Matrix.zeros(field, dim, dim)
-        for s, c in coords:
-            if c != field.zero():
-                acc = acc.add(action[s].scale(c))
-        return acc
-
-    if not act(enumerate(A.unit)).is_identity():
+    V = _flat_actions(field, action)
+    eye = Matrix.identity(field, dim).rows
+    if V.apply(A.unit) != tuple(x for row in eye for x in row):
         return "module action does not respect the unit"
+    stacked = Matrix(field, tuple(r for m in action for r in m.rows))
     for s in range(A.dim):
+        acts = V.mul(A.alg.left_mult_matrix(A.alg.basis_vector(s))).transpose().rows
+        prods = stacked.mul(action[s]).rows
         for t in range(A.dim):
-            if act(A.alg.mul.get((s, t), ())) != action[t].mul(action[s]):
+            if acts[t] != tuple(x for row in prods[t * dim : (t + 1) * dim] for x in row):
                 return f"module action fails associativity at basis pair ({s}, {t})"
     return None
 
@@ -503,19 +450,15 @@ def induced_module(emb: SubalgebraEmbedding, M: KModule) -> InducedModule:
     d, n, k = M.dim, H.dim, K.dim
     zero = field.zero()
 
-    relations = []
-    for alpha in range(d):
-        for s in range(k):
-            moved = M.mats[s].col(alpha)
-            for i in range(n):
-                row = [zero] * (d * n)
-                for gamma in range(d):
-                    row[gamma * n + i] = field.normalize(row[gamma * n + i] + moved[gamma])
-                w = H.alg.multiply(iota.col(s), H.alg.basis_vector(i))
-                for x in range(n):
-                    row[alpha * n + x] = field.normalize(row[alpha * n + x] - w[x])
-                relations.append(tuple(row))
-    rel = canonical_basis(field, relations)
+    # the relations m . k (x) h = m (x) iota(k) h span these rows, taken
+    # with W = L_{iota(e_s)} and A = action_s^T
+    rel = canonical_basis(
+        field,
+        _linearity_rows(
+            field,
+            [(H.alg.left_mult_matrix(iota.col(s)), M.mats[s].transpose()) for s in range(k)],
+        ),
+    )
     pivots = set()
     for row in rel:
         pivots.add(next(j for j, c in enumerate(row) if c != zero))
@@ -542,21 +485,20 @@ def induced_module(emb: SubalgebraEmbedding, M: KModule) -> InducedModule:
 def coinduced_module(
     emb: SubalgebraEmbedding, beta: Matrix, M: KModule
 ) -> CoinducedModule:
-    K, H = emb.K, emb.H
+    H = emb.H
     field = H.field
-    d, n, k = M.dim, H.dim, K.dim
-    zero = field.zero()
+    d, n = M.dim, H.dim
 
-    beta_inv = beta.inverse()
-    twisted = []
-    for s in range(k):
-        acc = Matrix.zeros(field, d, d)
-        for c_idx, c in enumerate(beta_inv.col(s)):
-            if c != zero:
-                acc = acc.add(M.mats[c_idx].scale(c))
-        twisted.append(acc)
-
-    kern = Matrix(field, tuple(_linearity_rows(emb, "right", twisted))).kernel()
+    # row s is the action of beta^-1(e_s) on M, flattened
+    twisted = _flat_actions(field, M.mats).mul(beta.inverse()).transpose().rows
+    pairs = [
+        (
+            H.alg.right_mult_matrix(emb.iota.col(s)),
+            Matrix(field, tuple(flat[r * d : (r + 1) * d] for r in range(d))),
+        )
+        for s, flat in enumerate(twisted)
+    ]
+    kern = Matrix(field, tuple(_linearity_rows(field, pairs))).kernel()
     basis_mat = Matrix.from_columns(field, list(kern)) if kern else Matrix.zeros(field, d * n, 0)
 
     eye = Matrix.identity(field, d)
@@ -573,6 +515,33 @@ def coinduced_module(
     return CoinducedModule(len(kern), kern, tuple(action))
 
 
+def _comparison_map(
+    emb: SubalgebraEmbedding, data: RelativeFrobeniusData, M: KModule, section: Matrix
+) -> Matrix:
+    """theta: m_alpha (x) e_i |-> (x |-> m_alpha . beta^-1(E(e_i x))), on the
+    induced basis that section lifts, flattened row-major (module, H).
+
+    Z = beta^-1 E times the multiplication map has Z[s][(i, x)] the
+    e_s-coordinate of beta^-1(E(e_i x)), so P = _flat_actions Z holds theta
+    at row (gamma, alpha), column (i, x)."""
+    H, field = emb.H, emb.H.field
+    d, n = M.dim, H.dim
+    mult = [[field.zero()] * (n * n) for _ in range(n)]
+    for (i, x), prod in H.alg.mul.items():
+        for m, c in prod:
+            mult[m][i * n + x] = c
+    Z = data.beta.inverse().mul(data.E).mul(Matrix(field, tuple(map(tuple, mult))))
+    P = _flat_actions(field, M.mats).mul(Z).rows
+    return Matrix(
+        field,
+        tuple(
+            tuple(P[g * d + a][i * n + x] for a in range(d) for i in range(n))
+            for g in range(d)
+            for x in range(n)
+        ),
+    ).mul(section)
+
+
 def induction_coinduction_check(
     emb: SubalgebraEmbedding, data: RelativeFrobeniusData, M: KModule
 ) -> Report:
@@ -583,7 +552,7 @@ def induction_coinduction_check(
     on both sides, and that the map is a bijective intertwiner.
     """
     check_module(emb.K, M)
-    K, H, iota = emb.K, emb.H, emb.iota
+    K, H = emb.K, emb.H
     field = H.field
     d, n, k = M.dim, H.dim, K.dim
     rep = Report(f"induction vs co-induction: module of dim {d} over {K.name or 'K'}")
@@ -610,28 +579,7 @@ def induction_coinduction_check(
         _module_law_failure(H, coi.action, coi.dim) is None,
     )
 
-    beta_inv = data.beta.inverse()
-    # kappa[i][x] = action matrix of beta^-1(E(e_i e_x)) on M
-    zero = field.zero()
-    theta_cols = []
-    for col in range(ind.dim):
-        lift = ind.section.col(col)
-        phi = [[zero] * n for _ in range(d)]
-        for pos, c in enumerate(lift):
-            if c == zero:
-                continue
-            alpha, i = divmod(pos, n)
-            m_alpha = basis_vec(field, d, alpha)
-            for x in range(n):
-                val = beta_inv.apply(
-                    data.E.apply(H.alg.multiply(H.alg.basis_vector(i), H.alg.basis_vector(x)))
-                )
-                moved = module_act(M, m_alpha, val)
-                for gamma in range(d):
-                    phi[gamma][x] = field.normalize(phi[gamma][x] + c * moved[gamma])
-        theta_cols.append(tuple(x for row in phi for x in row))
-    theta = Matrix.from_columns(field, theta_cols)
-
+    theta = _comparison_map(emb, data, M, ind.section)
     rep.add(
         "comparison map lands in the co-induced space",
         all(span_contains(field, coi.basis, theta.col(j)) for j in range(ind.dim)),
@@ -658,21 +606,25 @@ def induction_coinduction_check(
 def extension_report(emb: SubalgebraEmbedding) -> tuple:
     """End-to-end certification of one subalgebra pair: the report, and the
     certified extension data (None when the embedding checks fail)."""
-    rep = verify_embedding(emb)
+    K, H = emb.K, emb.H
+    data_H = build_integral_data(H)
+    nu_H = nakayama_closed_form(H, data_H)
+    rep = verify_embedding(emb, nu_H)
     if not rep.passed:
         return rep, None
+    data_K = build_integral_data(K)
     # both constructors below raise InternalCheckError unless their own
     # checks pass, so the two items recorded as PASS cannot fail here
-    beta = relative_nakayama(emb)
+    beta = relative_nakayama(emb, data_K, data_H, nu_H, rep)
     rep.add("two computations of the relative twist agree", True)
-    data = beta_frobenius_structure(emb, beta)
+    free = free_module_basis(emb, "right")
+    data = beta_frobenius_structure(emb, beta, data_K, data_H, free)
     ok, detail = check_expectation_bimodule(emb, data)
     rep.add("conditional expectation obeys the twisted bimodule law", ok, detail)
     rep.add("dual bases reconstruct the identity on both sides", True)
-    free = free_module_basis(emb, "right")
     rep.add(
         "ambient algebra is free over the subalgebra",
-        len(free) * emb.K.dim == emb.H.dim,
+        len(free) * K.dim == H.dim,
         f"rank {len(free)}",
     )
     return rep, data

@@ -8,7 +8,7 @@ import pytest
 
 from hopfrob import linalg
 from hopfrob.catalog import entry, taft
-from hopfrob.double import double_generators, drinfeld_double
+from hopfrob.double import double_generators, drinfeld_double, embed_algebra
 from hopfrob.frobenius import build_integral_data, frobenius_system_from_norm
 from hopfrob.hopfcore import verify_hopf
 from hopfrob.linalg import Matrix, basis_vec
@@ -61,6 +61,13 @@ _SUBPAIRS = {
 
 @functools.lru_cache(maxsize=None)
 def embedding_of(key: str) -> SubalgebraEmbedding:
+    """A catalog pair of _SUBPAIRS, or for "<entry>-double" the entry H
+    inside its double D(H) through double.embed_algebra."""
+    if key.endswith("-double"):
+        hkey = key[: -len("-double")]
+        H = entry(hkey).hopf
+        cols = [embed_algebra(H, basis_vec(H.field, H.dim, i)) for i in range(H.dim)]
+        return SubalgebraEmbedding(H, double_of(hkey), Matrix.from_columns(H.field, cols))
     kkey, hkey, positions = _SUBPAIRS[key]
     K, H = entry(kkey).hopf, entry(hkey).hopf
     cols = [basis_vec(H.field, H.dim, i) for i in positions]

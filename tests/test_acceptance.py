@@ -177,8 +177,7 @@ def test_criterion_06_separability(capfd):
             H, data, sys_ = integral_of(key)
             sep, cert = is_separable_hopf(H, data, sys_)
             brute = idempotent_exists_by_solve(H.alg)
-            if brute is not None:
-                assert brute == sep, f"{key}: criterion disagrees with linear solve"
+            assert brute == sep, f"{key}: criterion disagrees with linear solve"
             if sep:
                 assert data.modular_fn == H.counit, f"{key}: separable but m != eps"
                 ok, detail = check_ordinary_certificate(H.alg, cert.element)

@@ -4,7 +4,7 @@ and the pipelines behind each subcommand."""
 import sys
 
 import pytest
-from conftest import double_of
+from conftest import double_of, embedding_of
 
 from hopfrob import cli, frobenius, hopfcore, linalg, subext
 from hopfrob.algebra import StructureAlgebra
@@ -323,6 +323,22 @@ def test_subcheck_prime_field_pair(tmp_path):
     assert main(["subcheck", str(taft), str(f7c3), "--iota", str(iota)]) == 0
 
 
+@pytest.mark.parametrize("key", ("qc2", "f2c2", "f7c3", "qc3"))
+def test_subcheck_of_an_algebra_in_its_double(tmp_path, capsys, key):
+    emb = embedding_of(f"{key}-double")
+    H, K = emb.H, emb.K
+    double = tmp_path / "double.hopf"
+    double.write_text(emit_hopf_text(H))
+    iota = tmp_path / "iota.mat"
+    rows = "\n".join(" ".join(H.field.fmt(c) for c in row) for row in emb.iota.rows)
+    iota.write_text(f"matrix v1\nfield {H.field.name}\nshape {H.dim} {K.dim}\n{rows}\nend\n")
+    report = tmp_path / "sub.report"
+    sub = emit(tmp_path, key)
+    assert main(["subcheck", str(double), str(sub), "--iota", str(iota), "--report", str(report)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert report.read_text().splitlines()[-1] == "overall PASS"
+
+
 def test_dedekind_demo(tmp_path, capsys):
     report = tmp_path / "ded.report"
     assert main(["dedekind-demo", "--seed", "11", "--report", str(report)]) == 0
@@ -388,15 +404,22 @@ def test_separable_builds_one_system_for_the_algebra_and_one_for_its_dual(
     assert len(built) == 2
 
 
-def test_subcheck_builds_the_extension_data_once(tmp_path, monkeypatch):
+def test_subcheck_computes_each_stage_once(tmp_path, monkeypatch):
     h4 = emit(tmp_path, "sweedler")
     qc2 = emit(tmp_path, "qc2")
     iota = tmp_path / "iota.mat"
     iota.write_text(IOTA_QC2_IN_SWEEDLER)
-    # twisted_bimodule_maps is called by beta_frobenius_structure alone
-    built = _count_calls(monkeypatch, subext, "twisted_bimodule_maps")
+    # one integral data and one Nakayama matrix each for K and for H
+    want = {
+        (subext, "verify_embedding"): 1,
+        (subext, "relative_nakayama"): 1,
+        (subext, "beta_frobenius_structure"): 1,
+        (frobenius, "build_integral_data"): 2,
+        (frobenius, "nakayama_closed_form"): 2,
+    }
+    calls = {key: _count_calls(monkeypatch, *key) for key in want}
     assert main(["subcheck", str(h4), str(qc2), "--iota", str(iota)]) == 0
-    assert len(built) == 1
+    assert {key: len(c) for key, c in calls.items()} == want
 
 
 # -- the quantified identities of D(taft-3-7-2) run on the sparse kernels ------

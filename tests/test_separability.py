@@ -83,17 +83,7 @@ def test_criterion_matches_catalog_expectation(key):
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_criterion_agrees_with_linear_solve_where_bounded(key):
     H, data, sys = _data_and_system(key)
-    decided = idempotent_exists_by_solve(H.alg)
-    if decided is None:
-        field = H.field
-        in_bounds = (
-            field.characteristic != 0
-            and field.characteristic <= 7
-            and H.dim * H.dim <= 64
-        )
-        assert not in_bounds
-    else:
-        assert decided == is_separable_hopf(H, data, sys)[0]
+    assert idempotent_exists_by_solve(H.alg) == is_separable_hopf(H, data, sys)[0]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Subalgebra pairs: relative twist, conditional expectation, module transport.
 
 Oracle values worked by hand:
-  - QC2 in the 4-dim algebra: beta(g) = -g, expectation E(x) = 1, E(gx) = -g,
+  - QC2 in the 4-dim algebra: beta(g) = -g, expectation E(x) = -g, E(gx) = 1,
     bimodule solution space of dimension 2, free rank 2 with basis {1, x}.
   - F7C3 in taft(3,7,2): beta(g) = 2g (order 3), free rank 3.
   - QC2 in QS3 (both unimodular): beta = id.
@@ -16,10 +16,14 @@ from hypothesis import strategies as st
 from conftest import embedding_of, subpair_of
 from hopfrob.catalog import entry
 from hopfrob.errors import InvalidInputError
-from hopfrob.linalg import Matrix, basis_vec, canonical_basis, matrix_order
+from hopfrob.linalg import Matrix, basis_vec, canonical_basis, matrix_order, span_contains
 from hopfrob.subext import (
     KModule,
+    RelativeFrobeniusData,
     SubalgebraEmbedding,
+    _comparison_map,
+    _linearity_rows,
+    _module_law_failure,
     beta_frobenius_structure,
     check_expectation_bimodule,
     check_module,
@@ -33,19 +37,185 @@ from hopfrob.subext import (
     module_act,
     regular_module,
     relative_nakayama,
-    right_linear_maps,
     trivial_module,
-    twisted_bimodule_maps,
     verify_embedding,
 )
 
 PAIRS = ("qc2-sweedler", "f7c3-taft", "qc2-qs3")
+# H inside D(H) through double.embed_algebra, for the small catalog entries
+DOUBLE_PAIRS = ("qc2-double", "f2c2-double", "f7c3-double", "qc3-double")
 
 
 def _rand_vec(field, dim, rng):
     if field.characteristic == 0:
         return tuple(field.from_int(rng.randint(-5, 5)) for _ in range(dim))
     return tuple(field.normalize(rng.randrange(field.characteristic)) for _ in range(dim))
+
+
+# -- by-definition references ------------------------------------------------
+#
+# The per-basis loops the matrix identities of hopfrob.subext replaced; the
+# tests below require equal results on valid and corrupted inputs.
+
+
+def _linearity_rows_by_definition(emb, side, actions) -> list:
+    """Constraint rows, over the unknown d x n matrix of a map phi: H -> F^d
+    flattened row-major, forcing phi(x iota(e_s)) = actions[s] phi(x) (side
+    "right") or phi(iota(e_s) x) = actions[s] phi(x) (side "left") for each
+    basis vector e_s of K; each actions[s] is a d x d matrix."""
+    H, iota = emb.H, emb.iota
+    field = H.field
+    n = H.dim
+    zero = field.zero()
+    rows = []
+    for s, A in enumerate(actions):
+        if side == "right":
+            W = H.alg.right_mult_matrix(iota.col(s))
+        else:
+            W = H.alg.left_mult_matrix(iota.col(s))
+        d = A.nrows
+        for i in range(n):
+            w = W.col(i)
+            for alpha in range(d):
+                row = [zero] * (d * n)
+                row[alpha * n : (alpha + 1) * n] = w
+                for gamma in range(d):
+                    row[gamma * n + i] = field.normalize(
+                        row[gamma * n + i] - A.entry(alpha, gamma)
+                    )
+                rows.append(tuple(row))
+    return rows
+
+
+def twisted_bimodule_maps(emb, beta) -> tuple:
+    """Canonical basis (as k x n matrices) of maps E: H -> K with
+    E(iota(a) x iota(b)) = beta(a) E(x) b."""
+    K, H = emb.K, emb.H
+    twists = [K.alg.left_mult_matrix(beta.col(s)) for s in range(K.dim)]
+    rows = _linearity_rows_by_definition(emb, "left", twists) + _linearity_rows_by_definition(
+        emb, "right", regular_module(K).mats
+    )
+    kern = Matrix(H.field, tuple(rows)).kernel()
+    n = H.dim
+    return tuple(
+        Matrix.from_rows(H.field, [vec[a * n : (a + 1) * n] for a in range(K.dim)])
+        for vec in kern
+    )
+
+
+def right_linear_maps(emb) -> tuple:
+    """Canonical flattened basis of Hom over K of (H as right K-module, K)."""
+    rows = _linearity_rows_by_definition(emb, "right", regular_module(emb.K).mats)
+    dim = emb.K.dim * emb.H.dim
+    if not rows:
+        return tuple(basis_vec(emb.H.field, dim, i) for i in range(dim))
+    return Matrix(emb.H.field, tuple(rows)).kernel()
+
+
+def _bimodule_by_definition(emb, data) -> tuple:
+    K, H, iota = emb.K, emb.H, emb.iota
+    for s in range(K.dim):
+        bs = data.beta.col(s)
+        for t in range(K.dim):
+            for i in range(H.dim):
+                mid = H.alg.multiply(iota.col(s), H.alg.basis_vector(i))
+                lhs = data.E.apply(H.alg.multiply(mid, iota.col(t)))
+                rhs = K.alg.multiply(
+                    K.alg.multiply(bs, data.E.apply(H.alg.basis_vector(i))),
+                    K.alg.basis_vector(t),
+                )
+                if lhs != rhs:
+                    return False, (
+                        f"fails at ({K.basis_names[s]}, {H.basis_names[i]}, "
+                        f"{K.basis_names[t]})"
+                    )
+    return True, ""
+
+
+def _identities_by_definition(emb, data) -> tuple:
+    H, iota = emb.H, emb.iota
+    field = H.field
+    n = H.dim
+    beta_inv = data.beta.inverse()
+    for j in range(n):
+        x = H.alg.basis_vector(j)
+        acc = tuple(field.zero() for _ in range(n))
+        for u, v in zip(data.us, data.vs):
+            w = H.alg.multiply(u, iota.apply(data.E.apply(H.alg.multiply(v, x))))
+            acc = tuple(field.normalize(a + b) for a, b in zip(acc, w))
+        if acc != x:
+            return False, f"identity side fails at {H.basis_names[j]}"
+        acc = tuple(field.zero() for _ in range(n))
+        for u, v in zip(data.us, data.vs):
+            w = H.alg.multiply(iota.apply(beta_inv.apply(data.E.apply(H.alg.multiply(x, u)))), v)
+            acc = tuple(field.normalize(a + b) for a, b in zip(acc, w))
+        if acc != x:
+            return False, f"twisted mirror side fails at {H.basis_names[j]}"
+    return True, ""
+
+
+def _module_law_by_definition(A, action, dim):
+    field = A.field
+
+    def act(coords):
+        acc = Matrix.zeros(field, dim, dim)
+        for s, c in coords:
+            if c != field.zero():
+                acc = acc.add(action[s].scale(c))
+        return acc
+
+    if not act(enumerate(A.unit)).is_identity():
+        return "module action does not respect the unit"
+    for s in range(A.dim):
+        for t in range(A.dim):
+            if act(A.alg.mul.get((s, t), ())) != action[t].mul(action[s]):
+                return f"module action fails associativity at basis pair ({s}, {t})"
+    return None
+
+
+def _comparison_map_by_definition(emb, data, M, section):
+    H = emb.H
+    field = H.field
+    d, n = M.dim, H.dim
+    zero = field.zero()
+    beta_inv = data.beta.inverse()
+    cols = []
+    for col in range(section.ncols):
+        phi = [[zero] * n for _ in range(d)]
+        for pos, c in enumerate(section.col(col)):
+            if c == zero:
+                continue
+            alpha, i = divmod(pos, n)
+            m_alpha = basis_vec(field, d, alpha)
+            for x in range(n):
+                val = beta_inv.apply(
+                    data.E.apply(H.alg.multiply(H.alg.basis_vector(i), H.alg.basis_vector(x)))
+                )
+                moved = module_act(M, m_alpha, val)
+                for gamma in range(d):
+                    phi[gamma][x] = field.normalize(phi[gamma][x] + c * moved[gamma])
+        cols.append(tuple(x for row in phi for x in row))
+    return Matrix.from_columns(field, cols)
+
+
+def _induced_relations_by_definition(emb, M):
+    """m_alpha . e_s (x) e_i - m_alpha (x) iota(e_s) e_i, in echelon form."""
+    K, H, iota = emb.K, emb.H, emb.iota
+    field = H.field
+    d, n = M.dim, H.dim
+    relations = []
+    for alpha in range(d):
+        for s in range(K.dim):
+            moved = M.mats[s].col(alpha)
+            for i in range(n):
+                row = [field.zero()] * (d * n)
+                for gamma in range(d):
+                    row[gamma * n + i] = field.normalize(row[gamma * n + i] + moved[gamma])
+                w = H.alg.multiply(iota.col(s), H.alg.basis_vector(i))
+                for x in range(n):
+                    row[alpha * n + x] = field.normalize(row[alpha * n + x] - w[x])
+                relations.append(tuple(row))
+    return canonical_basis(field, relations)
 
 
 # -- embeddings ------------------------------------------------------------------
@@ -138,20 +308,22 @@ def test_twist_of_the_trivial_pair_is_identity():
 
 def test_solution_space_dimensions():
     # QC2 in H4: E(1) = E(g) = 0 forced, E(x) free in K, E(gx) determined
-    assert subpair_of("qc2-sweedler")[2].solution_dim == 2
-    assert subpair_of("f7c3-taft")[2].solution_dim == 3
-    assert subpair_of("qc2-qs3")[2].solution_dim == 4
+    assert len(twisted_bimodule_maps(*subpair_of("qc2-sweedler")[:2])) == 2
+    assert len(twisted_bimodule_maps(*subpair_of("f7c3-taft")[:2])) == 3
+    assert len(twisted_bimodule_maps(*subpair_of("qc2-qs3")[:2])) == 4
     emb = identity_embedding(entry("sweedler").hopf)
-    data = beta_frobenius_structure(emb, relative_nakayama(emb))
+    beta = relative_nakayama(emb)
+    data = beta_frobenius_structure(emb, beta)
     # endomaps of the algebra as a bimodule over itself = its center
-    assert data.solution_dim == 1
+    assert len(twisted_bimodule_maps(emb, beta)) == 1
     assert data.E.is_identity()
 
 
 def test_expectation_matrix_on_the_sweedler_pair():
     emb, _, data = subpair_of("qc2-sweedler")
     F = emb.K.field
-    assert data.E == Matrix.from_rows(F, [[0, 0, 1, 0], [0, 0, 0, -1]])
+    # E(x) = -g, E(gx) = 1: E(g . gx) = E(x) = -g = beta(g) E(gx)
+    assert data.E == Matrix.from_rows(F, [[0, 0, 0, 1], [0, 0, -1, 0]])
 
 
 def test_expectation_kills_the_group_part_on_the_taft_pair():
@@ -208,7 +380,7 @@ def test_reconstruction_on_random_vectors(key):
 
 def test_degenerate_candidate_is_detectable():
     # over the sweedler pair the candidate E(x) = 1+g, E(gx) = -g-1 pairs to
-    # a rank-deficient evaluation map; the selected first candidate does not
+    # a rank-deficient evaluation map; the closed-form expectation does not
     emb, beta, data = subpair_of("qc2-sweedler")
     H = emb.H
     field = H.field
@@ -243,6 +415,89 @@ def test_expectation_is_left_twisted_linear_on_taft(coords):
     lhs = data.E.apply(H.alg.multiply(iota.apply(g), x))
     rhs = K.alg.multiply(data.beta.col(1), data.E.apply(x))
     assert lhs == rhs
+
+
+# -- matrix identities against the by-definition references --------------------
+
+ENGINES = ("default", "generic")
+
+
+def _structure(key, engine, generic_engine):
+    """(embedding, extension data), built afresh on the chosen engine."""
+    if engine == "generic":
+        generic_engine()
+    emb = embedding_of(key)
+    return emb, beta_frobenius_structure(emb, relative_nakayama(emb))
+
+
+def _moved(M, r, c):
+    """M with entry (r, c) moved by one."""
+    rows = [list(row) for row in M.rows]
+    rows[r][c] += M.field.one()
+    return Matrix.from_rows(M.field, rows)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("key", PAIRS + DOUBLE_PAIRS)
+def test_closed_form_expectation_is_a_twisted_bimodule_map(key, engine, generic_engine):
+    emb, data = _structure(key, engine, generic_engine)
+    space = [tuple(x for row in m.rows for x in row) for m in twisted_bimodule_maps(emb, data.beta)]
+    assert span_contains(emb.H.field, space, tuple(x for row in data.E.rows for x in row))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("key", PAIRS + DOUBLE_PAIRS)
+def test_extension_checks_match_the_loops(key, engine, generic_engine):
+    emb, data = _structure(key, engine, generic_engine)
+    E = data.E
+    cases = [data] + [
+        RelativeFrobeniusData(data.beta, _moved(E, r, c), data.us, data.vs)
+        for r in range(E.nrows)
+        for c in range(E.ncols)
+    ]
+    if key == "qc2-sweedler":
+        identity = Matrix.identity(emb.K.field, emb.K.dim)
+        cases.append(RelativeFrobeniusData(identity, E, data.us, data.vs))
+    bimodule = [check_expectation_bimodule(emb, case) for case in cases]
+    identities = [extension_identities_hold(emb, case) for case in cases]
+    assert bimodule == [_bimodule_by_definition(emb, case) for case in cases]
+    assert identities == [_identities_by_definition(emb, case) for case in cases]
+    assert bimodule[0] == identities[0] == (True, "")
+    assert not all(ok for ok, _ in bimodule) and not all(ok for ok, _ in identities)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("key", PAIRS + DOUBLE_PAIRS)
+def test_transport_identities_match_the_loops(key, engine, generic_engine):
+    emb, data = _structure(key, engine, generic_engine)
+    K, H = emb.K, emb.H
+    field, n = H.field, H.dim
+    corrupted = RelativeFrobeniusData(data.beta, _moved(data.E, 0, n - 1), data.us, data.vs)
+    for M in (trivial_module(K), regular_module(K)):
+        d = M.dim
+        # the relations of the induced module and the co-induced space
+        ind = induced_module(emb, M)
+        pivots = {
+            next(j for j, c in enumerate(row) if c != field.zero())
+            for row in _induced_relations_by_definition(emb, M)
+        }
+        free = [basis_vec(field, d * n, t) for t in range(d * n) if t not in pivots]
+        assert ind.section == Matrix.from_columns(field, free)
+        right = [H.alg.right_mult_matrix(emb.iota.col(s)) for s in range(K.dim)]
+        rows = _linearity_rows(field, list(zip(right, M.mats)))
+        reference = _linearity_rows_by_definition(emb, "right", M.mats)
+        assert Matrix(field, tuple(rows)).kernel() == Matrix(field, tuple(reference)).kernel()
+        # the module law, on valid and corrupted actions
+        coi = coinduced_module(emb, data.beta, M)
+        for action, dim, A in ((M.mats, d, K), (ind.action, ind.dim, H), (coi.action, coi.dim, H)):
+            assert _module_law_failure(A, action, dim) is None
+            for t in range(len(action)):
+                bad = tuple(_moved(m, t % dim, 0) if u == t else m for u, m in enumerate(action))
+                assert _module_law_failure(A, bad, dim) == _module_law_by_definition(A, bad, dim)
+        # the comparison map
+        for case in (data, corrupted):
+            theta = _comparison_map(emb, case, M, ind.section)
+            assert theta == _comparison_map_by_definition(emb, case, M, ind.section)
 
 
 # -- freeness --------------------------------------------------------------------
