@@ -41,7 +41,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
-from .errors import FieldMismatchError, ShapeError
+from .errors import FieldMismatchError, InternalCheckError, ShapeError, SingularError
 from .linalg import Matrix, basis_vec, mulmod, residues
 from .report import Report
 from .scalars import Field
@@ -78,18 +78,11 @@ _DIM2_PER_PRIME = 20
 
 
 def _clean_row(field: Field, items: Iterable) -> SparseRow:
-    acc: dict[int, object] = {}
-    z = field.zero()
+    """The (key, scalar) pairs of items, repeated keys summed, as nonzero_row."""
+    acc: dict = {}
     for k, c in items:
-        c = field.normalize(c)
-        if c == z:
-            continue
-        s = field.normalize(acc.get(k, z) + c)
-        if s == z:
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-    return tuple(sorted(acc.items()))
+        acc[k] = acc.get(k, 0) + c
+    return nonzero_row(field, acc)
 
 
 def nonzero_row(field: Field, acc: Mapping) -> tuple:
@@ -143,24 +136,6 @@ class StructureAlgebra:
         if len(names) != dim:
             raise ShapeError("basis name count mismatch")
         return StructureAlgebra(field, dim, table, u, names)
-
-    @staticmethod
-    def from_dense(
-        field: Field,
-        mul: Sequence,
-        unit: Sequence,
-        basis_names: Optional[Sequence[str]] = None,
-    ) -> "StructureAlgebra":
-        dim = len(mul)
-        table = {}
-        for i in range(dim):
-            if len(mul[i]) != dim:
-                raise ShapeError("mul tensor is not dim x dim x dim")
-            for j in range(dim):
-                if len(mul[i][j]) != dim:
-                    raise ShapeError("mul tensor is not dim x dim x dim")
-                table[(i, j)] = list(enumerate(mul[i][j]))
-        return StructureAlgebra.from_sparse(field, dim, table, unit, basis_names)
 
     # -- element-level operations -----------------------------------------
 
@@ -217,19 +192,6 @@ class StructureAlgebra:
 
     def basis_vector(self, i: int) -> tuple:
         return basis_vec(self.field, self.dim, i)
-
-    def dense_mul(self) -> tuple:
-        z = self.field.zero()
-        out = []
-        for i in range(self.dim):
-            plane = []
-            for j in range(self.dim):
-                row = [z] * self.dim
-                for k, c in self.mul.get((i, j), ()):
-                    row[k] = c
-                plane.append(tuple(row))
-            out.append(tuple(plane))
-        return tuple(out)
 
     def is_commutative(self) -> bool:
         return all(
@@ -382,6 +344,20 @@ def _multiplicative_failure_loops(
             if tuple(field.normalize(x) for x in acc) != dst.multiply(cols[i], cols[j]):
                 return (i, j)
     return None
+
+
+def check_automorphism(A: StructureAlgebra, M: Matrix, name: str) -> None:
+    """Raise InternalCheckError, naming M, unless the matrix M is an algebra
+    automorphism of A: invertible, fixing the unit, multiplicative."""
+    try:
+        M.inverse()
+    except SingularError as exc:
+        raise InternalCheckError(f"{name} is singular") from exc
+    if M.apply(A.unit) != A.unit:
+        raise InternalCheckError(f"{name} does not fix the unit")
+    bad = multiplicative_failure(A, A, M)
+    if bad is not None:
+        raise InternalCheckError(f"{name} is not multiplicative at basis pair {bad}")
 
 
 # -- sparse int64 kernels mod p ------------------------------------------------

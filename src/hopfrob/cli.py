@@ -17,6 +17,7 @@ module law on load) for the optional module of subcheck.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -194,7 +195,7 @@ def cmd_separable(args) -> int:
             True,
             "verified" if strong else "trace element not invertible",
         )
-    _merge(rep, etingof_gelaki_check(H, data, sys_))
+    _merge(rep, etingof_gelaki_check(H, data, sep))
     return _finish(args, rep)
 
 
@@ -286,7 +287,9 @@ def cmd_catalog(args) -> int:
 # -- argument plumbing -----------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="hopfrob",
         description="exact checks for finite-dimensional Hopf algebra data",
@@ -383,10 +386,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidInputError, ShapeError, FieldMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidInputError, ShapeError, FieldMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HopfrobError as exc:

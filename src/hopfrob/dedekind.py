@@ -334,10 +334,6 @@ class FractionalIdeal:
         return self.num.contains(QuadElement._coerce(x) * self.den)
 
     @property
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    @property
     def is_unit_ideal(self) -> bool:
         return self.den == 1 and self.num == QuadraticIdeal.unit_ideal()
 

@@ -45,10 +45,8 @@ def _sandwich_table(H: HopfAlgebra):
                 for k, c in uv:
                     for b, c2 in H.alg.mul.get((k, w), ()):
                         acc[b] = acc.get(b, zero) + c * c2
-                for b, c in acc.items():
-                    c = field.normalize(c)
-                    if c != zero:
-                        table.setdefault((u, w), {}).setdefault(b, []).append((v, c))
+                for b, c in nonzero_row(field, acc):
+                    table.setdefault((u, w), {}).setdefault(b, []).append((v, c))
     return table
 
 
@@ -74,13 +72,7 @@ def _straighten_table(H: HopfAlgebra):
                     for v, c2 in pe2.get((u, r), {}).get(b, ()):
                         key = (v, s)
                         acc[key] = acc.get(key, zero) + c * cu * c2
-            per_b.append(
-                [
-                    (v, s, cn)
-                    for (v, s), c in acc.items()
-                    if (cn := field.normalize(c)) != zero
-                ]
-            )
+            per_b.append([(v, s, c) for (v, s), c in nonzero_row(field, acc)])
         table.append(per_b)
     return table
 
@@ -103,10 +95,7 @@ def _straighten_direct(H: HopfAlgebra, i: int):
                 if wb != zero:
                     acc = per_b[b]
                     acc[(v, s)] = acc.get((v, s), zero) + c * wb
-    return [
-        {k: c for k, c in ((k, field.normalize(c)) for k, c in acc.items()) if c != zero}
-        for acc in per_b
-    ]
+    return [dict(nonzero_row(field, acc)) for acc in per_b]
 
 
 def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import is_augmentation, multiplicative_failure
+from .algebra import check_automorphism, is_augmentation
 from .errors import InternalCheckError, InvalidInputError, SingularError
 from .hopfcore import (
     HopfAlgebra,
@@ -121,7 +121,10 @@ def build_integral_data(H: HopfAlgebra, psi: Optional[Sequence] = None) -> Integ
     functions, with every defining identity re-checked before returning."""
     field = H.field
     if psi is None:
-        (psi,) = dual_left_integral_space(H)
+        ints = dual_left_integral_space(H)
+        if len(ints) != 1:
+            raise InvalidInputError(f"integral space not rank one (dimension {len(ints)})")
+        (psi,) = ints
     else:
         psi = tuple(field.normalize(c) for c in psi)
         if not annihilates(field, integral_operator(H, "left", dual=True), psi):
@@ -225,21 +228,9 @@ def frobenius_system_from_norm(H: HopfAlgebra, data: IntegralData) -> FrobeniusS
     nu = gram.transpose().solve_matrix(gram)
     if nu is None:
         raise InvalidInputError("Gram matrix singular: algebra is not Frobenius")
-    _check_automorphism(H, nu)
+    check_automorphism(H.alg, nu, "Nakayama matrix")
     one = H.field.one()
     return FrobeniusSystem(data.psi, xs, ys, nu, one, one)
-
-
-def _check_automorphism(H: HopfAlgebra, nu: Matrix) -> None:
-    try:
-        nu.inverse()
-    except SingularError as exc:
-        raise InternalCheckError("Nakayama matrix is singular") from exc
-    if nu.apply(H.unit) != H.unit:
-        raise InternalCheckError("Nakayama does not fix the identity")
-    bad = multiplicative_failure(H.alg, H.alg, nu)
-    if bad is not None:
-        raise InternalCheckError(f"Nakayama is not multiplicative at pair {bad}")
 
 
 def nakayama_closed_form(H: HopfAlgebra, data: IntegralData) -> Matrix:

@@ -135,26 +135,6 @@ class HopfAlgebra:
             raise ShapeError("antipode matrix over wrong field")
         return HopfAlgebra(alg, table, eps, antipode, name)
 
-    @staticmethod
-    def from_dense(
-        alg: StructureAlgebra,
-        comul: Sequence,
-        counit: Sequence,
-        antipode: Matrix,
-        name: str = "",
-    ) -> "HopfAlgebra":
-        table = {
-            i: tuple(
-                (j, k, comul[i][j][k])
-                for j in range(alg.dim)
-                for k in range(alg.dim)
-            )
-            for i in range(len(comul))
-        }
-        if len(comul) != alg.dim:
-            raise ShapeError("comul tensor is not dim x dim x dim")
-        return HopfAlgebra.from_sparse(alg, table, counit, antipode, name)
-
     # -- basic maps ---------------------------------------------------------
 
     def comul_row(self, i: int) -> tuple:
@@ -408,18 +388,35 @@ def comultiplicative_failure(
     return None
 
 
-def is_hopf_morphism(src: HopfAlgebra, dst: HopfAlgebra, phi: Matrix) -> bool:
+def hopf_map_report(src: HopfAlgebra, dst: HopfAlgebra, phi: Matrix, title: str) -> Report:
     """Exact check that the linear map phi: src -> dst (columns are images of
-    src basis vectors) respects unit, counit, products, coproducts and the
-    antipodes."""
-    return (
-        src.field == dst.field
-        and phi.apply(src.unit) == dst.unit
-        and phi.transpose().apply(dst.counit) == src.counit
-        and multiplicative_failure(src.alg, dst.alg, phi) is None
-        and comultiplicative_failure(src, dst, phi) is None
-        and phi.mul(src.antipode) == dst.antipode.mul(phi)
+    src basis vectors) respects unit, products, counit, coproducts and the
+    antipodes, one item each."""
+    rep = Report(title)
+    rep.add("unit is preserved", phi.apply(src.unit) == dst.unit)
+
+    bad = multiplicative_failure(src.alg, dst.alg, phi)
+    detail = ""
+    if bad is not None:
+        detail = f"fails at basis pair ({src.basis_names[bad[0]]}, {src.basis_names[bad[1]]})"
+    rep.add("multiplication is preserved", bad is None, detail)
+
+    rep.add("counit is compatible", phi.transpose().apply(dst.counit) == src.counit)
+
+    bad = comultiplicative_failure(src, dst, phi)
+    rep.add(
+        "comultiplication is compatible",
+        bad is None,
+        "" if bad is None else f"fails at {src.basis_names[bad]}",
     )
+
+    rep.add("antipode is compatible", dst.antipode.mul(phi) == phi.mul(src.antipode))
+    return rep
+
+
+def is_hopf_morphism(src: HopfAlgebra, dst: HopfAlgebra, phi: Matrix) -> bool:
+    """Is phi: src -> dst a map of Hopf algebras over one field?"""
+    return src.field == dst.field and hopf_map_report(src, dst, phi, "hopf map").passed
 
 
 # -- axiom verification --------------------------------------------------------

@@ -113,6 +113,14 @@ def _parse_scalar(rd: _Reader, lineno: int, field: Field, tok: str):
         raise rd.error(lineno, str(exc)) from None
 
 
+def _parse_field(rd: _Reader) -> Field:
+    lineno, toks = rd.expect_keyword("field")
+    try:
+        return field_from_name(" ".join(toks))
+    except InvalidInputError as exc:
+        raise rd.error(lineno, str(exc)) from None
+
+
 def _split_colon(rd: _Reader, lineno: int, toks: list[str], nhead: int):
     if len(toks) < nhead + 1 or toks[nhead] != ":":
         raise rd.error(
@@ -140,18 +148,10 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
     rd.expect_header(HOPF_HEADER)
 
     # optional name, then field and dim
-    lineno, line = rd.next("'field' line")
     name = ""
-    if line.split()[0] == "name":
-        name = line[len("name") :].strip()
-        lineno, line = rd.next("'field' line")
-    toks = line.split()
-    if toks[0] != "field":
-        raise rd.error(lineno, f"expected 'field' line, found {line!r}")
-    try:
-        field = field_from_name(" ".join(toks[1:]))
-    except InvalidInputError as exc:
-        raise rd.error(lineno, str(exc)) from None
+    if rd.pos < len(rd.rows) and rd.rows[rd.pos][1].split()[0] == "name":
+        name = rd.next("'name' line")[1][len("name") :].strip()
+    field = _parse_field(rd)
 
     lineno, toks = rd.expect_keyword("dim")
     if len(toks) != 1:
@@ -165,6 +165,13 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
         zeros = [field.zero()] * dim
     except (MemoryError, OverflowError):
         raise rd.error(lineno, f"dimension {dim} is too large to allocate") from None
+
+    def dense(lineno: int, payload, what: str) -> list:
+        """The dim-vector of a sparse payload, repeated indices summed."""
+        vec = zeros.copy()
+        for k, c in _parse_groups(rd, lineno, field, dim, payload, 2, what):
+            vec[k] = field.normalize(vec[k] + c)
+        return vec
 
     basis_names = None
     mul: dict = {}
@@ -202,16 +209,12 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
             _, payload = _split_colon(rd, lineno, toks[1:], 0)
             if unit is not None:
                 raise rd.error(lineno, "duplicate 'unit' line")
-            unit = zeros.copy()
-            for k, c in _parse_groups(rd, lineno, field, dim, payload, 2, "unit"):
-                unit[k] = field.normalize(unit[k] + c)
+            unit = dense(lineno, payload, "unit")
         elif head == "counit":
             _, payload = _split_colon(rd, lineno, toks[1:], 0)
             if counit is not None:
                 raise rd.error(lineno, "duplicate 'counit' line")
-            counit = zeros.copy()
-            for k, c in _parse_groups(rd, lineno, field, dim, payload, 2, "counit"):
-                counit[k] = field.normalize(counit[k] + c)
+            counit = dense(lineno, payload, "counit")
         elif head == "comul":
             heads, payload = _split_colon(rd, lineno, toks[1:], 1)
             i = _parse_index(rd, lineno, heads[0], dim, "comul row index")
@@ -223,10 +226,7 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
             j = _parse_index(rd, lineno, heads[0], dim, "antipode column index")
             if j in antipode_cols:
                 raise rd.error(lineno, f"duplicate antipode column for basis {j}")
-            col = zeros.copy()
-            for k, c in _parse_groups(rd, lineno, field, dim, payload, 2, "antipode"):
-                col[k] = field.normalize(col[k] + c)
-            antipode_cols[j] = col
+            antipode_cols[j] = dense(lineno, payload, "antipode")
         else:
             raise rd.error(lineno, f"unknown directive {head!r}")
     rd.done()
@@ -278,13 +278,16 @@ def emit_hopf_text(H: HopfAlgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_hopf_file(path: str) -> HopfAlgebra:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    return parse_hopf_text(text, label=path)
+
+
+def read_hopf_file(path: str) -> HopfAlgebra:
+    return parse_hopf_text(_read_text(path), label=path)
 
 
 def write_hopf_file(path: str, H: HopfAlgebra) -> None:
@@ -306,11 +309,7 @@ def _parse_dense_rows(rd: _Reader, field: Field, nrows: int, ncols: int, what: s
 def parse_matrix_text(text: str, label: str = "<input>") -> tuple[Field, Matrix]:
     rd = _Reader(text, label)
     rd.expect_header(MATRIX_HEADER)
-    lineno, toks = rd.expect_keyword("field")
-    try:
-        field = field_from_name(" ".join(toks))
-    except InvalidInputError as exc:
-        raise rd.error(lineno, str(exc)) from None
+    field = _parse_field(rd)
     lineno, toks = rd.expect_keyword("shape")
     if len(toks) != 2:
         raise rd.error(lineno, "'shape' takes two integers")
@@ -327,12 +326,7 @@ def parse_matrix_text(text: str, label: str = "<input>") -> tuple[Field, Matrix]
 
 
 def read_matrix_file(path: str) -> tuple[Field, Matrix]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix_text(text, label=path)
+    return parse_matrix_text(_read_text(path), label=path)
 
 
 def parse_module_text(text: str, label: str = "<input>") -> tuple[Field, int, tuple[Matrix, ...]]:
@@ -341,11 +335,7 @@ def parse_module_text(text: str, label: str = "<input>") -> tuple[Field, int, tu
     the module law against its algebra."""
     rd = _Reader(text, label)
     rd.expect_header(MODULE_HEADER)
-    lineno, toks = rd.expect_keyword("field")
-    try:
-        field = field_from_name(" ".join(toks))
-    except InvalidInputError as exc:
-        raise rd.error(lineno, str(exc)) from None
+    field = _parse_field(rd)
     lineno, toks = rd.expect_keyword("dim")
     if len(toks) != 1:
         raise rd.error(lineno, "'dim' takes exactly one integer")
@@ -371,9 +361,4 @@ def parse_module_text(text: str, label: str = "<input>") -> tuple[Field, int, tu
 
 
 def read_module_file(path: str) -> tuple[Field, int, tuple[Matrix, ...]]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    return parse_module_text(text, label=path)
+    return parse_module_text(_read_text(path), label=path)

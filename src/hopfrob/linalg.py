@@ -204,13 +204,6 @@ def vscale(field: Field, c, v: Sequence) -> tuple:
     return tuple(field.normalize(c * a) for a in v)
 
 
-def dot(field: Field, u: Sequence, v: Sequence):
-    acc = field.zero()
-    for a, b in zip(u, v, strict=True):
-        acc = acc + a * b
-    return field.normalize(acc)
-
-
 def is_zero_vec(field: Field, v: Sequence) -> bool:
     z = field.zero()
     return all(a == z for a in v)
@@ -318,9 +311,6 @@ class Matrix:
             return False
         z, o = self.field.zero(), self.field.one()
         return all(x == (o if i == j else z) for i, r in enumerate(self.rows) for j, x in enumerate(r))
-
-    def is_zero(self) -> bool:
-        return all(is_zero_vec(self.field, r) for r in self.rows)
 
     def pow_(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:

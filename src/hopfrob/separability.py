@@ -179,17 +179,16 @@ def idempotent_exists_by_solve(A: StructureAlgebra) -> bool:
 # -- involutivity from two-sided separability ------------------------------------------
 
 
-def etingof_gelaki_check(
-    H: HopfAlgebra, data: IntegralData, sys: FrobeniusSystem
-) -> Report:
+def etingof_gelaki_check(H: HopfAlgebra, data: IntegralData, sep: bool) -> Report:
     """If H and its dual are both separable, the antipode must be an
-    involution; separability alone already forces the trivial modular pair."""
+    involution; separability alone already forces the trivial modular pair.
+    sep is the separability of H as is_separable_hopf decided it with data;
+    the dual's is decided here."""
     field = H.field
     rep = Report("separability and involutivity")
     if field.characteristic == 2:
         rep.add("characteristic 2 flagged", True, "2 is a zero divisor here")
 
-    sep, _ = is_separable_hopf(H, data, sys)
     K = dual_hopf(H)
     cosep, _ = is_separable_hopf(K, build_integral_data(K))
     rep.add("separability decided", True, f"separable={sep}, coseparable={cosep}")

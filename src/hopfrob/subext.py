@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import multiplicative_failure
+from .algebra import check_automorphism
 from .errors import InternalCheckError, InvalidInputError
 from .frobenius import IntegralData, build_integral_data, frobenius_system_from_norm
 from .frobenius import modular_inverse, nakayama_closed_form
-from .hopfcore import HopfAlgebra, comultiplicative_failure, convolution, hit_matrix
+from .hopfcore import HopfAlgebra, convolution, hit_matrix, hopf_map_report
 from .hopfcore import pairing_matrix
 from .linalg import (
     Matrix,
@@ -67,40 +67,13 @@ def identity_embedding(H: HopfAlgebra) -> SubalgebraEmbedding:
     return SubalgebraEmbedding(H, H, Matrix.identity(H.field, H.dim))
 
 
-def verify_embedding(emb: SubalgebraEmbedding, nu_H: Optional[Matrix] = None) -> Report:
+def verify_embedding(emb: SubalgebraEmbedding, nu_H: Matrix) -> Report:
     """Check that iota is a map of Hopf algebras and that the ambient
-    Nakayama automorphism nu_H (built here unless the caller holds it)
-    preserves the image."""
+    Nakayama automorphism nu_H preserves the image."""
     K, H, iota = emb.K, emb.H, emb.iota
-    rep = Report(f"subalgebra embedding: {K.name or 'K'} in {H.name or 'H'}")
-
-    rep.add("unit is preserved", iota.apply(K.unit) == H.unit)
-
-    bad = multiplicative_failure(K.alg, H.alg, iota)
-    detail = ""
-    if bad is not None:
-        detail = f"fails at basis pair ({K.basis_names[bad[0]]}, {K.basis_names[bad[1]]})"
-    rep.add("multiplication is preserved", bad is None, detail)
-
-    rep.add(
-        "counit is compatible",
-        iota.transpose().apply(H.counit) == tuple(K.counit),
+    rep = hopf_map_report(
+        K, H, iota, f"subalgebra embedding: {K.name or 'K'} in {H.name or 'H'}"
     )
-
-    bad = comultiplicative_failure(K, H, iota)
-    rep.add(
-        "comultiplication is compatible",
-        bad is None,
-        "" if bad is None else f"fails at {K.basis_names[bad]}",
-    )
-
-    rep.add(
-        "antipode is compatible",
-        H.antipode.mul(iota) == iota.mul(K.antipode),
-    )
-
-    if nu_H is None:
-        nu_H = nakayama_closed_form(H, build_integral_data(H))
     rep.add(
         "ambient Nakayama automorphism preserves the subalgebra",
         iota.solve_matrix(nu_H.mul(iota)) is not None,
@@ -108,41 +81,26 @@ def verify_embedding(emb: SubalgebraEmbedding, nu_H: Optional[Matrix] = None) ->
     return rep
 
 
-def _check_k_automorphism(K: HopfAlgebra, beta: Matrix) -> None:
-    if beta.apply(K.unit) != tuple(K.unit):
-        raise InternalCheckError("relative twist does not fix the unit")
-    if multiplicative_failure(K.alg, K.alg, beta) is not None:
-        raise InternalCheckError("relative twist is not multiplicative")
-    beta.inverse()  # raises if singular
-
-
 def relative_nakayama(
     emb: SubalgebraEmbedding,
-    data_K: Optional[IntegralData] = None,
-    data_H: Optional[IntegralData] = None,
-    nu_H: Optional[Matrix] = None,
-    embedding_report: Optional[Report] = None,
+    data_K: IntegralData,
+    data_H: IntegralData,
+    nu_H: Matrix,
+    embedding_report: Report,
 ) -> Matrix:
     """Twist beta on K, by two routes that must agree entrywise.
 
     Route one conjugates through the inclusion: beta = nu_K o (nu_H^-1
     restricted to iota(K)).  Route two evaluates the convolution character
-    m_K * (m_H^-1 o iota) and lets it hit from the right.  The integral
-    data of K and H, nu_H and the verify_embedding report are built here
-    unless the caller holds them; a failing report raises.
+    m_K * (m_H^-1 o iota) and lets it hit from the right.  data_K and data_H
+    are the integral data of K and H, nu_H the Nakayama automorphism of H
+    and embedding_report the verify_embedding report; a failing report
+    raises.
     """
     K, H, iota = emb.K, emb.H, emb.iota
-    if data_H is None:
-        data_H = build_integral_data(H)
-    if nu_H is None:
-        nu_H = nakayama_closed_form(H, data_H)
-    if embedding_report is None:
-        embedding_report = verify_embedding(emb, nu_H)
     if not embedding_report.passed:
         failed = ", ".join(it.name for it in embedding_report.failures())
         raise InvalidInputError(f"not a Hopf subalgebra embedding: {failed}")
-    if data_K is None:
-        data_K = build_integral_data(K)
 
     pulled = iota.solve_matrix(nu_H.inverse().mul(iota))
     if pulled is None:
@@ -160,7 +118,7 @@ def relative_nakayama(
         raise InternalCheckError(
             "two computations of the relative Nakayama automorphism disagree"
         )
-    _check_k_automorphism(K, via_pullback)
+    check_automorphism(K.alg, via_pullback, "relative twist")
     return via_pullback
 
 
@@ -196,9 +154,9 @@ def _linearity_rows(field, pairs) -> list:
 def beta_frobenius_structure(
     emb: SubalgebraEmbedding,
     beta: Matrix,
-    data_K: Optional[IntegralData] = None,
-    data_H: Optional[IntegralData] = None,
-    free: Optional[tuple] = None,
+    data_K: IntegralData,
+    data_H: IntegralData,
+    free: tuple,
 ) -> RelativeFrobeniusData:
     """The conditional expectation in closed form, and its dual bases.
 
@@ -217,16 +175,11 @@ def beta_frobenius_structure(
     and the v_j solve E(v_j h_l) = delta_jl 1, one square system with block
     rows E R_{h_l}: right linearity then gives x = sum_j u_j iota(E(v_j x)),
     and nondegeneracy the twisted mirror; both are re-verified on every
-    basis vector.  Integral data and free basis not passed are built here.
+    basis vector.  data_K and data_H are the integral data of K and H, free
+    the free right K-module basis of H from free_module_basis.
     """
     K, H, iota = emb.K, emb.H, emb.iota
     field = H.field
-    if data_K is None:
-        data_K = build_integral_data(K)
-    if data_H is None:
-        data_H = build_integral_data(H)
-    if free is None:
-        free = free_module_basis(emb, "right")
     sys_K = frobenius_system_from_norm(K, data_K)
     X = Matrix.from_columns(field, sys_K.xs)
     Y = Matrix.from_columns(field, sys_K.ys)

@@ -9,13 +9,19 @@ import pytest
 from hopfrob import linalg
 from hopfrob.catalog import entry, taft
 from hopfrob.double import double_generators, drinfeld_double, embed_algebra
-from hopfrob.frobenius import build_integral_data, frobenius_system_from_norm
+from hopfrob.frobenius import (
+    build_integral_data,
+    frobenius_system_from_norm,
+    nakayama_closed_form,
+)
 from hopfrob.hopfcore import verify_hopf
 from hopfrob.linalg import Matrix, basis_vec
 from hopfrob.subext import (
     SubalgebraEmbedding,
     beta_frobenius_structure,
+    free_module_basis,
     relative_nakayama,
+    verify_embedding,
 )
 
 
@@ -74,12 +80,31 @@ def embedding_of(key: str) -> SubalgebraEmbedding:
     return SubalgebraEmbedding(K, H, Matrix.from_columns(H.field, cols))
 
 
+def embedding_report(emb: SubalgebraEmbedding):
+    """verify_embedding of emb, with the Nakayama automorphism of H built here."""
+    H = emb.H
+    return verify_embedding(emb, nakayama_closed_form(H, build_integral_data(H)))
+
+
+def twist_of(emb: SubalgebraEmbedding):
+    """relative_nakayama of emb, with the data it takes built here."""
+    data_K, data_H = build_integral_data(emb.K), build_integral_data(emb.H)
+    nu_H = nakayama_closed_form(emb.H, data_H)
+    return relative_nakayama(emb, data_K, data_H, nu_H, verify_embedding(emb, nu_H))
+
+
+def structure_of(emb: SubalgebraEmbedding, beta):
+    """beta_frobenius_structure of emb and beta, with the data it takes built here."""
+    data_K, data_H = build_integral_data(emb.K), build_integral_data(emb.H)
+    return beta_frobenius_structure(emb, beta, data_K, data_H, free_module_basis(emb, "right"))
+
+
 @functools.lru_cache(maxsize=None)
 def subpair_of(key: str):
     """(embedding, relative twist, certified extension data)."""
     emb = embedding_of(key)
-    beta = relative_nakayama(emb)
-    return emb, beta, beta_frobenius_structure(emb, beta)
+    beta = twist_of(emb)
+    return emb, beta, structure_of(emb, beta)
 
 
 @pytest.fixture

@@ -37,9 +37,9 @@ def test_sweedler_algebra_passes():
 
 def test_perturbed_tensor_fails():
     A = qc2_alg()
-    dense = [[list(row) for row in plane] for plane in A.dense_mul()]
-    dense[0][0][0] = dense[0][0][0] + 1
-    bad = StructureAlgebra.from_dense(A.field, dense, A.unit)
+    mul = dict(A.mul)
+    mul[(0, 0)] = mul.get((0, 0), ()) + ((0, 1),)
+    bad = StructureAlgebra.from_sparse(A.field, A.dim, mul, A.unit)
     rep = verify_algebra(bad)
     assert not rep.passed
     by_name = {it.name: it for it in rep.items}

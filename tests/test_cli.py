@@ -6,7 +6,7 @@ import sys
 import pytest
 from conftest import double_of, embedding_of
 
-from hopfrob import cli, frobenius, hopfcore, linalg, subext
+from hopfrob import cli, frobenius, hopfcore, linalg, separability, subext
 from hopfrob.algebra import StructureAlgebra
 from hopfrob.catalog import entry, names
 from hopfrob.cli import main
@@ -128,6 +128,10 @@ def test_catalog_emit_to_stdout_matches_file(tmp_path, capsys):
 def test_catalog_emit_unknown_key(tmp_path, capsys):
     assert main(["catalog", "emit", "nope", "-o", str(tmp_path / "x.hopf")]) == 2
     assert "unknown catalog key" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_emit_then_verify_exits_zero(tmp_path):
@@ -301,6 +305,18 @@ def test_subcheck_rejects_wrong_shape_iota(tmp_path, capsys):
     assert "inclusion matrix" in capsys.readouterr().err
 
 
+def test_subcheck_rejects_an_ambient_without_rank_one_integrals(tmp_path, capsys):
+    """Without its comul lines the ambient file's dual has a zero product, so
+    its left integral space is zero: invalid input, not a traceback."""
+    h4 = emit(tmp_path, "sweedler")
+    h4.write_text("".join(ln for ln in h4.read_text().splitlines(True) if not ln.startswith("comul")))
+    qc2 = emit(tmp_path, "qc2")
+    iota = tmp_path / "iota.mat"
+    iota.write_text(IOTA_QC2_IN_SWEEDLER)
+    assert main(["subcheck", str(h4), str(qc2), "--iota", str(iota)]) == 2
+    assert "integral space not rank one (dimension 0)" in capsys.readouterr().err
+
+
 def test_subcheck_rejects_field_mismatch(tmp_path, capsys):
     taft = emit(tmp_path, "taft-3-7-2")
     qc2 = emit(tmp_path, "qc2")
@@ -383,13 +399,9 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-# _check_automorphism is called by frobenius_system_from_norm alone, so it
-# counts the Frobenius systems built
-
-
 def test_frobenius_builds_the_system_once(tmp_path, monkeypatch):
     path = emit(tmp_path, "sweedler")
-    built = _count_calls(monkeypatch, frobenius, "_check_automorphism")
+    built = _count_calls(monkeypatch, frobenius, "frobenius_system_from_norm")
     assert main(["frobenius", str(path)]) == 0
     assert len(built) == 1
 
@@ -399,9 +411,16 @@ def test_separable_builds_one_system_for_the_algebra_and_one_for_its_dual(
 ):
     assert entry("qc2").expected["separable"]
     path = emit(tmp_path, "qc2")
-    built = _count_calls(monkeypatch, frobenius, "_check_automorphism")
+    built = _count_calls(monkeypatch, frobenius, "frobenius_system_from_norm")
     assert main(["separable", str(path)]) == 0
     assert len(built) == 2
+
+
+def test_separable_decides_the_algebra_and_its_dual_once_each(tmp_path, monkeypatch):
+    path = emit(tmp_path, "qc2")
+    decided = _count_calls(monkeypatch, separability, "is_separable_hopf")
+    assert main(["separable", str(path)]) == 0
+    assert len(decided) == 2
 
 
 def test_subcheck_computes_each_stage_once(tmp_path, monkeypatch):

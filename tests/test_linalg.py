@@ -14,7 +14,6 @@ from hopfrob.linalg import (
     Matrix,
     basis_vec,
     canonical_basis,
-    dot,
     kronecker,
     machine_prime,
     mulmod,
@@ -247,7 +246,6 @@ def test_vector_helpers():
     assert vadd(F7, (3, 5), (6, 6)) == (2, 4)
     assert vsub(QQ, (Fraction(1),), (Fraction(3),)) == (Fraction(-2),)
     assert vscale(F7, 3, (1, 2, 3)) == (3, 6, 2)
-    assert dot(F7, (1, 2), (3, 4)) == 4
     assert basis_vec(QQ, 3, 1) == (Fraction(0), Fraction(1), Fraction(0))
 
 

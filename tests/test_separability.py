@@ -170,7 +170,7 @@ def test_separable_implies_trivial_modular_pair(key):
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_involutivity_report(key):
     H, data, sys_ = _data_and_system(key)
-    rep = etingof_gelaki_check(H, data, sys_)
+    rep = etingof_gelaki_check(H, data, is_separable_hopf(H, data, sys_)[0])
     assert rep.passed, str(rep)
     titles = {it.name: it for it in rep.items}
     if entry(key).expected["separable"]:
@@ -181,7 +181,7 @@ def test_involutivity_report(key):
 
 def test_involutivity_characteristic_two_flagged():
     H, data, sys_ = _data_and_system("f2c2")
-    rep = etingof_gelaki_check(H, data, sys_)
+    rep = etingof_gelaki_check(H, data, is_separable_hopf(H, data, sys_)[0])
     assert any(it.name == "characteristic 2 flagged" for it in rep.items)
 
 

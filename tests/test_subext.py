@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embedding_of, subpair_of
+from conftest import embedding_of, embedding_report, structure_of, subpair_of, twist_of
 from hopfrob.catalog import entry
 from hopfrob.errors import InvalidInputError
 from hopfrob.linalg import Matrix, basis_vec, canonical_basis, matrix_order, span_contains
@@ -24,7 +24,6 @@ from hopfrob.subext import (
     _comparison_map,
     _linearity_rows,
     _module_law_failure,
-    beta_frobenius_structure,
     check_expectation_bimodule,
     check_module,
     coinduced_module,
@@ -36,9 +35,7 @@ from hopfrob.subext import (
     induction_coinduction_check,
     module_act,
     regular_module,
-    relative_nakayama,
     trivial_module,
-    verify_embedding,
 )
 
 PAIRS = ("qc2-sweedler", "f7c3-taft", "qc2-qs3")
@@ -223,12 +220,12 @@ def _induced_relations_by_definition(emb, M):
 
 @pytest.mark.parametrize("key", PAIRS)
 def test_catalog_pairs_embed(key):
-    rep = verify_embedding(embedding_of(key))
+    rep = embedding_report(embedding_of(key))
     assert rep.passed, "\n".join(rep.summary_lines())
 
 
 def test_identity_embedding_passes():
-    rep = verify_embedding(identity_embedding(entry("sweedler").hopf))
+    rep = embedding_report(identity_embedding(entry("sweedler").hopf))
     assert rep.passed
 
 
@@ -238,7 +235,7 @@ def test_negated_generator_is_not_an_embedding():
     F = H.field
     neg_g = tuple(F.normalize(-c) for c in basis_vec(F, 4, 1))
     bad = SubalgebraEmbedding(K, H, Matrix.from_columns(F, [basis_vec(F, 4, 0), neg_g]))
-    rep = verify_embedding(bad)
+    rep = embedding_report(bad)
     assert not rep.passed
     failed = {it.name for it in rep.failures()}
     assert "counit is compatible" in failed
@@ -272,7 +269,7 @@ def test_relative_nakayama_requires_an_embedding():
     neg_g = tuple(F.normalize(-c) for c in basis_vec(F, 4, 1))
     bad = SubalgebraEmbedding(K, H, Matrix.from_columns(F, [basis_vec(F, 4, 0), neg_g]))
     with pytest.raises(InvalidInputError, match="not a Hopf subalgebra"):
-        relative_nakayama(bad)
+        twist_of(bad)
 
 
 # -- relative twist --------------------------------------------------------------
@@ -300,7 +297,7 @@ def test_twist_on_the_taft_pair_has_order_three():
 
 def test_twist_of_the_trivial_pair_is_identity():
     emb = identity_embedding(entry("sweedler").hopf)
-    assert relative_nakayama(emb).is_identity()
+    assert twist_of(emb).is_identity()
 
 
 # -- conditional expectation -----------------------------------------------------
@@ -312,8 +309,8 @@ def test_solution_space_dimensions():
     assert len(twisted_bimodule_maps(*subpair_of("f7c3-taft")[:2])) == 3
     assert len(twisted_bimodule_maps(*subpair_of("qc2-qs3")[:2])) == 4
     emb = identity_embedding(entry("sweedler").hopf)
-    beta = relative_nakayama(emb)
-    data = beta_frobenius_structure(emb, beta)
+    beta = twist_of(emb)
+    data = structure_of(emb, beta)
     # endomaps of the algebra as a bimodule over itself = its center
     assert len(twisted_bimodule_maps(emb, beta)) == 1
     assert data.E.is_identity()
@@ -427,7 +424,7 @@ def _structure(key, engine, generic_engine):
     if engine == "generic":
         generic_engine()
     emb = embedding_of(key)
-    return emb, beta_frobenius_structure(emb, relative_nakayama(emb))
+    return emb, structure_of(emb, twist_of(emb))
 
 
 def _moved(M, r, c):

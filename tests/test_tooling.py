@@ -1,7 +1,7 @@
 """Checks on the code base itself: the benchmark's trace targets still exist,
-the package carries no unused imports and no unreferenced functions, one
-gate picks the int64 engine, and numpy and scipy load only when that engine
-runs."""
+the package carries no unused imports, no unreferenced functions and no
+static constructor unreferenced through its class, one gate picks the int64
+engine, and numpy and scipy load only when that engine runs."""
 
 import ast
 import importlib
@@ -121,6 +121,44 @@ def test_package_has_no_unreferenced_functions():
             if not (dunder or registered or node.name in referenced):
                 dead.append(f"{path.name}:{node.lineno}: {node.name}")
     assert not dead, "functions nothing references:\n" + "\n".join(dead)
+
+
+def _class_references(path: Path) -> set:
+    """(owner, name) for each attribute read Owner.name of a module, where
+    cls.name and self.name inside a class body read as that class's."""
+    refs = set()
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner = node.value.id
+            refs.add((cls if owner in ("cls", "self") else owner, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return refs
+
+
+def test_static_constructors_are_referenced_through_their_class():
+    """Every @staticmethod and @classmethod of src/hopfrob is referenced from
+    src/, tests/ or bench/ as Owner.name, or as cls.name or self.name inside
+    its class: a method whose name another method shares is no alibi."""
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    referenced = set().union(*map(_class_references, files))
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                static = isinstance(node, ast.FunctionDef) and any(
+                    ast.unparse(d) in ("staticmethod", "classmethod") for d in node.decorator_list
+                )
+                if static and (cls.name, node.name) not in referenced:
+                    dead.append(f"{path.name}:{node.lineno}: {cls.name}.{node.name}")
+    assert not dead, "static constructors nothing references through their class:\n" + "\n".join(dead)
 
 
 def _scopes(path: Path, match) -> list:
