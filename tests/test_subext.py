@@ -215,6 +215,62 @@ def _induced_relations_by_definition(emb, M):
     return canonical_basis(field, relations)
 
 
+def _reduce_by_definition(field, echelon, v):
+    """v minus the multiples of each echelon row that clear its leading entry."""
+    w = list(v)
+    for row in echelon:
+        lead = next(j for j, x in enumerate(row) if x != field.zero())
+        c = field.normalize(w[lead] * field.inv(row[lead]))
+        w = [field.normalize(a - c * b) for a, b in zip(w, row)]
+    return tuple(w)
+
+
+def _induced_action_by_definition(emb, M):
+    """action[t] column c: m_alpha (x) e_h e_t, for the induced basis element
+    m_alpha (x) e_h of free coordinate c, reduced modulo the relations and
+    read at the free coordinates."""
+    H = emb.H
+    field = H.field
+    d, n = M.dim, H.dim
+    relations = _induced_relations_by_definition(emb, M)
+    pivots = {next(j for j, x in enumerate(row) if x != field.zero()) for row in relations}
+    free = [j for j in range(d * n) if j not in pivots]
+    action = []
+    for t in range(n):
+        cols = []
+        for j in free:
+            alpha, h = divmod(j, n)
+            w = H.alg.multiply(H.alg.basis_vector(h), H.alg.basis_vector(t))
+            moved = [field.zero()] * (d * n)
+            moved[alpha * n : (alpha + 1) * n] = w
+            red = _reduce_by_definition(field, relations, moved)
+            cols.append(tuple(red[f] for f in free))
+        action.append(Matrix.from_columns(field, cols))
+    return action
+
+
+def _coinduced_action_by_definition(emb, basis, d):
+    """action[t] column c: the coordinates of phi(e_t .) in the co-induced
+    basis, phi the c-th basis map flattened row-major (module, H)."""
+    H = emb.H
+    field = H.field
+    n = H.dim
+    B = Matrix.from_columns(field, basis)
+    action = []
+    for t in range(n):
+        ws = [H.alg.multiply(H.alg.basis_vector(t), H.alg.basis_vector(x)) for x in range(n)]
+        cols = []
+        for phi in basis:
+            moved = [
+                field.normalize(sum(phi[gamma * n + y] * w[y] for y in range(n)))
+                for gamma in range(d)
+                for w in ws
+            ]
+            cols.append(B.solve(moved))
+        action.append(Matrix.from_columns(field, cols))
+    return action
+
+
 # -- embeddings ------------------------------------------------------------------
 
 
@@ -495,6 +551,17 @@ def test_transport_identities_match_the_loops(key, engine, generic_engine):
         for case in (data, corrupted):
             theta = _comparison_map(emb, case, M, ind.section)
             assert theta == _comparison_map_by_definition(emb, case, M, ind.section)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("key", PAIRS + DOUBLE_PAIRS)
+def test_transport_actions_match_the_definitions(key, engine, generic_engine):
+    emb, data = _structure(key, engine, generic_engine)
+    for M in (trivial_module(emb.K), regular_module(emb.K)):
+        ind = induced_module(emb, M)
+        assert list(ind.action) == _induced_action_by_definition(emb, M)
+        coi = coinduced_module(emb, data.beta, M)
+        assert list(coi.action) == _coinduced_action_by_definition(emb, coi.basis, M.dim)
 
 
 # -- freeness --------------------------------------------------------------------
