@@ -196,10 +196,6 @@ def vadd(field: Field, u: Sequence, v: Sequence) -> tuple:
     return tuple(field.normalize(a + b) for a, b in zip(u, v, strict=True))
 
 
-def vsub(field: Field, u: Sequence, v: Sequence) -> tuple:
-    return tuple(field.normalize(a - b) for a, b in zip(u, v, strict=True))
-
-
 def vscale(field: Field, c, v: Sequence) -> tuple:
     return tuple(field.normalize(c * a) for a in v)
 
@@ -295,10 +291,6 @@ class Matrix:
     def add(self, other: "Matrix") -> "Matrix":
         self._check(other)
         return Matrix(self.field, tuple(vadd(self.field, a, b) for a, b in zip(self.rows, other.rows, strict=True)))
-
-    def sub(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        return Matrix(self.field, tuple(vsub(self.field, a, b) for a, b in zip(self.rows, other.rows, strict=True)))
 
     def scale(self, c) -> "Matrix":
         return Matrix(self.field, tuple(vscale(self.field, c, r) for r in self.rows))
@@ -439,18 +431,6 @@ def matrix_order(M: Matrix, cap: int) -> Optional[int]:
     return None
 
 
-def kronecker(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; row-major pair indexing on both axes."""
-    if a.field != b.field:
-        raise FieldMismatchError("kronecker over different fields")
-    norm = a.field.normalize
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append(tuple(norm(x * y) for x in ra for y in rb))
-    return Matrix(a.field, tuple(rows))
-
-
 def canonical_basis(field: Field, vectors: Iterable[Sequence]) -> tuple[tuple, ...]:
     """Canonical (reduced-echelon) basis of the span of the given vectors."""
     vecs = [tuple(v) for v in vectors]
@@ -458,24 +438,6 @@ def canonical_basis(field: Field, vectors: Iterable[Sequence]) -> tuple[tuple, .
         return ()
     rows, pivots = _rref(field, [list(v) for v in vecs])
     return tuple(tuple(rows[i]) for i in range(len(pivots)))
-
-
-def span_contains(field: Field, echelon_basis: Sequence[Sequence], v: Sequence) -> bool:
-    return is_zero_vec(field, reduce_mod_span(field, echelon_basis, v))
-
-
-def reduce_mod_span(field: Field, echelon_basis: Sequence[Sequence], v: Sequence) -> tuple:
-    """Reduce v against reduced-echelon rows (canonical coset representative)."""
-    w = list(field.normalize(x) for x in v)
-    z = field.zero()
-    for row in echelon_basis:
-        lead = next((j for j, x in enumerate(row) if x != z), None)
-        if lead is None:
-            continue
-        c = field.normalize(w[lead] * field.inv(row[lead]))
-        if c != z:
-            w = [field.normalize(a - c * b) for a, b in zip(w, row)]
-    return tuple(w)
 
 
 def span_equal(field: Field, vs: Iterable[Sequence], ws: Iterable[Sequence]) -> bool:

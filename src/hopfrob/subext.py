@@ -16,6 +16,14 @@ basis of H over K and the v_i solve one square system.  Everything is
 certified per instance: the bimodule law on all basis triples and both
 reconstruction identities on every basis vector, each as matrix identities
 read column by column, and freeness of H over K by explicit basis search.
+
+Induction M (x)_K H and co-induction Hom_K(H, M_beta) live in the d x n
+matrices over M (x) H, flattened row-major (module, H).  The right action
+of H on both moves such matrices by right and left translation in H, and
+_translates makes every move by the basis of H in one pass over the mul
+table.  The induced quotient map is read off the reduced echelon rows of
+the tensor relations, and the co-induced action is one solve of the
+co-induced basis against all moved basis vectors.
 """
 
 from __future__ import annotations
@@ -29,17 +37,7 @@ from .frobenius import IntegralData, build_integral_data, frobenius_system_from_
 from .frobenius import modular_inverse, nakayama_closed_form
 from .hopfcore import HopfAlgebra, convolution, hit_matrix, hopf_map_report
 from .hopfcore import pairing_matrix
-from .linalg import (
-    Matrix,
-    basis_vec,
-    canonical_basis,
-    kronecker,
-    reduce_mod_span,
-    span_contains,
-    vadd,
-    vscale,
-    zero_vec,
-)
+from .linalg import Matrix, basis_vec, canonical_basis, vadd, vscale, zero_vec
 from .report import Report
 
 
@@ -146,8 +144,14 @@ def _linearity_rows(field, pairs) -> list:
     of a pair is (phi W - A phi)[alpha][i], so the rows say phi W = A phi."""
     rows = []
     for W, A in pairs:
-        eye_d, eye_n = Matrix.identity(field, A.nrows), Matrix.identity(field, W.nrows)
-        rows.extend(kronecker(eye_d, W.transpose()).sub(kronecker(A, eye_n)).rows)
+        n, cols = W.nrows, W.transpose().rows
+        for alpha, arow in enumerate(A.rows):
+            for i in range(n):
+                row = [field.zero()] * (A.ncols * n)
+                row[alpha * n : (alpha + 1) * n] = cols[i]
+                for beta, a in enumerate(arow):
+                    row[beta * n + i] -= a
+                rows.append(tuple(map(field.normalize, row)))
     return rows
 
 
@@ -186,7 +190,9 @@ def beta_frobenius_structure(
     E = Y.mul(pairing_matrix(H.alg, data_H.psi).mul(iota).mul(X).transpose())
 
     blocks = [E.mul(H.alg.right_mult_matrix(h)).rows for h in free]
-    rhs = kronecker(Matrix.identity(field, len(free)), Matrix.from_columns(field, [K.unit]))
+    # block b of the right side is K.unit in column b
+    eye = Matrix.identity(field, len(free)).rows
+    rhs = Matrix(field, tuple(vscale(field, c, e) for e in eye for c in K.unit))
     vs = Matrix(field, tuple(r for b in blocks for r in b)).solve_matrix(rhs)
     if vs is None:
         raise InternalCheckError("dual basis system is inconsistent")
@@ -378,12 +384,11 @@ def regular_module(K: HopfAlgebra) -> KModule:
 
 @dataclass(frozen=True)
 class InducedModule:
-    """M tensored with H over K; proj/section relate the quotient basis to
-    the ambient M (x) H coordinates, flattened row-major (module, H)."""
+    """M tensored with H over K; section lifts the quotient basis to the
+    ambient M (x) H coordinates, flattened row-major (module, H)."""
 
     dim: int
     action: tuple
-    proj: Matrix
     section: Matrix
 
 
@@ -397,11 +402,48 @@ class CoinducedModule:
     action: tuple
 
 
+def _translates(alg, vecs, d: int, side: str) -> list:
+    """The moves of vecs by every basis element e_t of alg, in one pass over
+    alg.mul: column v of moves[t] is vecs[v] moved by e_t.
+
+    Each vector is a d x n matrix phi flattened row-major (module, H).  Side
+    "right" moves m (x) h to m (x) h e_t, side "left" moves phi to
+    phi(e_t .): the entry c at e_k of e_i e_j sends entry (a, i) of a vector
+    to (a, k) of its move by e_j (right), and entry (a, k) to (a, j) of its
+    move by e_i (left).  The work follows the nonzero entries of vecs and
+    the mul entries they meet."""
+    field, n = alg.field, alg.dim
+    z, w = field.zero(), len(vecs)
+    # the nonzero entries of the vectors by H index, each with its offset
+    # (module row, vector) in a move flattened row-major
+    reads: list = [[] for _ in range(n)]
+    for v, vec in enumerate(vecs):
+        for pos, c in enumerate(vec):
+            if c != z:
+                a, i = divmod(pos, n)
+                reads[i].append((a * n * w + v, c))
+    moves: list = [{} for _ in range(n)]
+    for (i, j), row in alg.mul.items():
+        for k, m in row:
+            # (move, H index written, H index read)
+            t, dst, src = (j, k, i) if side == "right" else (i, j, k)
+            acc = moves[t]
+            for off, c in reads[src]:
+                key = off + dst * w
+                acc[key] = acc.get(key, z) + c * m
+    out = []
+    for acc in moves:
+        flat = [z] * (d * n * w)
+        for key, x in acc.items():
+            flat[key] = field.normalize(x)
+        out.append(Matrix(field, tuple(tuple(flat[r * w : (r + 1) * w]) for r in range(d * n))))
+    return out
+
+
 def induced_module(emb: SubalgebraEmbedding, M: KModule) -> InducedModule:
     K, H, iota = emb.K, emb.H, emb.iota
     field = H.field
     d, n, k = M.dim, H.dim, K.dim
-    zero = field.zero()
 
     # the relations m . k (x) h = m (x) iota(k) h span these rows, taken
     # with W = L_{iota(e_s)} and A = action_s^T
@@ -412,27 +454,20 @@ def induced_module(emb: SubalgebraEmbedding, M: KModule) -> InducedModule:
             [(H.alg.left_mult_matrix(iota.col(s)), M.mats[s].transpose()) for s in range(k)],
         ),
     )
-    pivots = set()
-    for row in rel:
-        pivots.add(next(j for j, c in enumerate(row) if c != zero))
-    free = [j for j in range(d * n) if j not in pivots]
+    pivots = [next(j for j, c in enumerate(row) if c != field.zero()) for row in rel]
+    free = sorted(set(range(d * n)) - set(pivots))
     q = len(free)
 
-    proj_cols = []
-    for j in range(d * n):
-        red = reduce_mod_span(field, rel, basis_vec(field, d * n, j))
-        proj_cols.append(tuple(red[t] for t in free))
-    proj = Matrix.from_columns(field, proj_cols)
-    section = Matrix.from_columns(
-        field, [basis_vec(field, d * n, t) for t in free]
-    )
-
-    eye = Matrix.identity(field, d)
-    action = tuple(
-        proj.mul(kronecker(eye, H.alg.right_mult_matrix(H.alg.basis_vector(t)))).mul(section)
-        for t in range(n)
-    )
-    return InducedModule(q, action, proj, section)
+    # the quotient map reads the reduced echelon rows: a free coordinate
+    # goes to its own basis vector, the pivot of a row to minus that row
+    # on the free coordinates
+    images = {j: basis_vec(field, q, c) for c, j in enumerate(free)}
+    for j, row in zip(pivots, rel):
+        images[j] = tuple(field.neg(row[f]) for f in free)
+    proj = Matrix.from_columns(field, [images[j] for j in range(d * n)])
+    lifts = [basis_vec(field, d * n, j) for j in free]
+    action = tuple(proj.mul(m) for m in _translates(H.alg, lifts, d, "right"))
+    return InducedModule(q, action, Matrix.from_columns(field, lifts))
 
 
 def coinduced_module(
@@ -454,18 +489,18 @@ def coinduced_module(
     kern = Matrix(field, tuple(_linearity_rows(field, pairs))).kernel()
     basis_mat = Matrix.from_columns(field, list(kern)) if kern else Matrix.zeros(field, d * n, 0)
 
-    eye = Matrix.identity(field, d)
-    action = []
-    for t in range(n):
-        flat = kronecker(eye, H.alg.left_mult_matrix(H.alg.basis_vector(t)).transpose())
-        moved = flat.mul(basis_mat)
-        coords = basis_mat.solve_matrix(moved)
-        if coords is None:
-            raise InternalCheckError(
-                "co-induced space is not stable under the ambient action"
-            )
-        action.append(coords)
-    return CoinducedModule(len(kern), kern, tuple(action))
+    # the coordinates of every moved basis vector, for all e_t in one solve
+    moved = _translates(H.alg, kern, d, "left")
+    q = len(kern)
+    coords = basis_mat.solve_matrix(
+        Matrix(field, tuple(tuple(x for m in moved for x in m.rows[r]) for r in range(d * n)))
+    )
+    if coords is None:
+        raise InternalCheckError("co-induced space is not stable under the ambient action")
+    action = tuple(
+        Matrix(field, tuple(row[t * q : (t + 1) * q] for row in coords.rows)) for t in range(n)
+    )
+    return CoinducedModule(q, kern, action)
 
 
 def _comparison_map(
@@ -535,24 +570,22 @@ def induction_coinduction_check(
     theta = _comparison_map(emb, data, M, ind.section)
     rep.add(
         "comparison map lands in the co-induced space",
-        all(span_contains(field, coi.basis, theta.col(j)) for j in range(ind.dim)),
+        Matrix.from_columns(field, coi.basis).solve_matrix(theta) is not None,
     )
+    rank = theta.rank()
     rep.add(
         "comparison map is bijective",
-        theta.rank() == ind.dim and ind.dim == coi.dim,
-        f"rank {theta.rank()} of {ind.dim}",
+        rank == ind.dim and ind.dim == coi.dim,
+        f"rank {rank} of {ind.dim}",
     )
 
-    eye = Matrix.identity(field, d)
-    ok = True
-    detail = ""
-    for t in range(n):
-        flat = kronecker(eye, H.alg.left_mult_matrix(H.alg.basis_vector(t)).transpose())
-        if flat.mul(theta) != theta.mul(ind.action[t]):
-            ok = False
-            detail = f"fails at {H.basis_names[t]}"
-            break
-    rep.add("comparison map respects the ambient action", ok, detail)
+    moved = _translates(H.alg, theta.transpose().rows, d, "left")
+    bad = next((t for t in range(n) if moved[t] != theta.mul(ind.action[t])), None)
+    rep.add(
+        "comparison map respects the ambient action",
+        bad is None,
+        "" if bad is None else f"fails at {H.basis_names[bad]}",
+    )
     return rep
 
 

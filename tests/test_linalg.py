@@ -14,15 +14,11 @@ from hopfrob.linalg import (
     Matrix,
     basis_vec,
     canonical_basis,
-    kronecker,
     machine_prime,
     mulmod,
-    reduce_mod_span,
-    span_contains,
     span_equal,
     vadd,
     vscale,
-    vsub,
 )
 from hopfrob.linalg import _rref_generic, _rref_modp_numpy
 
@@ -36,11 +32,6 @@ def brute_kernel_f7_1x2(row):
     """All (x,y) in F7^2 with row . (x,y) = 0, by full enumeration."""
     a, b = row
     return sorted((x, y) for x in range(7) for y in range(7) if (a * x + b * y) % 7 == 0)
-
-
-def kron_entry_oracle(A, B, i, j):
-    rb, cb = B.nrows, B.ncols
-    return A.field.normalize(A.entry(i // rb, j // cb) * B.entry(i % rb, j % cb))
 
 
 # -- kernel -----------------------------------------------------------------
@@ -143,30 +134,6 @@ def test_solve_matrix_is_columnwise_solve(field, n):
         invertible.solve_matrix(rand(n + 1, 2))
 
 
-# -- kronecker ----------------------------------------------------------------
-
-
-def test_kronecker_identities():
-    assert kronecker(Matrix.identity(QQ, 2), Matrix.identity(QQ, 2)) == Matrix.identity(QQ, 4)
-    assert kronecker(
-        Matrix.from_rows(QQ, [[2]]), Matrix.from_rows(QQ, [[3]])
-    ) == Matrix.from_rows(QQ, [[6]])
-
-
-def test_kronecker_block_swap_matches_index_oracle():
-    A = Matrix.from_rows(QQ, [[0, 1], [1, 0]])
-    B = Matrix.identity(QQ, 2)
-    K = kronecker(A, B)
-    expected = Matrix.from_rows(
-        QQ,
-        [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
-    )
-    assert K == expected
-    for i in range(4):
-        for j in range(4):
-            assert K.entry(i, j) == kron_entry_oracle(A, B, i, j)
-
-
 # -- inverse / det ------------------------------------------------------------
 
 
@@ -229,14 +196,6 @@ def test_canonical_basis_dedupes_and_orders():
     )
 
 
-def test_span_contains_and_reduce():
-    basis = canonical_basis(QQ, [[1, 0, 1], [0, 1, 1]])
-    assert span_contains(QQ, basis, [2, 3, 5])
-    assert not span_contains(QQ, basis, [1, 0, 0])
-    r = reduce_mod_span(QQ, basis, [2, 3, 5])
-    assert all(x == 0 for x in r)
-
-
 def test_span_equal():
     assert span_equal(QQ, [[1, 1], [1, -1]], [[1, 0], [0, 1]])
     assert not span_equal(QQ, [[1, 1]], [[1, 0], [0, 1]])
@@ -244,7 +203,6 @@ def test_span_equal():
 
 def test_vector_helpers():
     assert vadd(F7, (3, 5), (6, 6)) == (2, 4)
-    assert vsub(QQ, (Fraction(1),), (Fraction(3),)) == (Fraction(-2),)
     assert vscale(F7, 3, (1, 2, 3)) == (3, 6, 2)
     assert basis_vec(QQ, 3, 1) == (Fraction(0), Fraction(1), Fraction(0))
 
@@ -278,19 +236,6 @@ def test_solve_roundtrip_f7(rows, data):
     sol = M.solve(rhs)
     assert sol is not None
     assert M.apply(sol) == rhs
-
-
-@given(
-    st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2), min_size=2, max_size=2),
-    st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=2, max_size=2),
-    st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2), min_size=2, max_size=2),
-    st.lists(st.lists(st.integers(-5, 5), min_size=2, max_size=2), min_size=3, max_size=3),
-)
-@settings(max_examples=40, deadline=None)
-def test_kronecker_mixed_product(a, b, c, d):
-    A, B = Matrix.from_rows(QQ, a), Matrix.from_rows(QQ, b)
-    C, D = Matrix.from_rows(QQ, c), Matrix.from_rows(QQ, d)
-    assert kronecker(A, B).mul(kronecker(C, D)) == kronecker(A.mul(C), B.mul(D))
 
 
 @given(
