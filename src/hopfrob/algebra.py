@@ -229,7 +229,12 @@ class StructureAlgebra:
 # -- axioms -----------------------------------------------------------------
 
 
-def verify_algebra(A: StructureAlgebra, title: str = "algebra axioms") -> Report:
+def verify_algebra(
+    A: StructureAlgebra, title: str = "algebra axioms", mul_arrays=None
+) -> Report:
+    """Unit law and associativity of A.  mul_arrays(p) gives the
+    structure_arrays of A mod p to the associativity kernel; a caller that
+    holds them passes its own, else they are built here, once per prime."""
     rep = Report(title)
     bad_unit = unit_failure(A)
     rep.add(
@@ -238,13 +243,14 @@ def verify_algebra(A: StructureAlgebra, title: str = "algebra axioms") -> Report
         "" if bad_unit is None else f"{bad_unit[0]} unit fails at basis {bad_unit[1]}",
     )
 
+    mul_arrays = mul_arrays or partial(structure_arrays, A)
     bad_triple = first_failure(
         A.field,
         A.dim,
         table_constants(A),
         2,
         A.dim,
-        partial(_associativity_failure, A, None),
+        lambda p: _associativity_failure(A, None, p, mul_arrays(p)),
         partial(_associativity_failure_loops, A),
     )
     rep.add(
@@ -450,118 +456,194 @@ def residue_rows(rows: Optional[Sequence], width: int, p: int):
     return sp.csr_matrix(flat.reshape(len(rows), width))
 
 
-def first_difference(lhs, rhs) -> Optional[int]:
-    """Smallest column where two reduced sparse matrices differ, or None."""
-    cols = (lhs != rhs).nonzero()[1]
-    return int(cols.min()) if len(cols) else None
+def csr_rows(C):
+    """The row of each stored entry of the CSR matrix C, in storage order."""
+    import numpy as np
+
+    return np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+
+
+def row_compact(keys, cols, vals, ncols: int) -> tuple:
+    """The CSR matrix with vals at (keys, cols), its rows cut to the keys
+    that occur, and those keys in row order."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    kept, row = np.unique(keys, return_inverse=True)
+    return sp.csr_matrix((vals, (row, cols)), shape=(len(kept), ncols)), kept
+
+
+def by_item(Y, keys, nsub: int, first: int, shape, col):
+    """The product Y, whose row t stands for keys[t] = item*nsub + sub (keys
+    sorted), laid out with shape as row item - first and column
+    col(column of Y, sub) for each entry.  Y's rows are grouped by item
+    already, so its values stay where they are and only each entry's column
+    is new; the columns of each row are then sorted in place, as comparing
+    two matrices whose rows are not sorted scatters each row over a dense
+    array of width shape[1]."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    item, sub = np.divmod(keys, nsub)
+    indptr = Y.indptr[np.searchsorted(item - first, np.arange(shape[0] + 1))]
+    # every column is below shape[1], so this dtype holds each step of col
+    index = np.int32 if shape[1] < 2**31 else np.int64
+    cols = col(Y.indices.astype(index, copy=False), np.repeat(sub.astype(index), np.diff(Y.indptr)))
+    out = sp.csr_matrix((Y.data, cols.astype(index, copy=False), indptr), shape=shape)
+    out.sort_indices()
+    return out
+
+
+def mismatches(lhs, rhs) -> tuple:
+    """The (rows, cols) where two reduced sparse matrices of one shape differ."""
+    D = (lhs != rhs).tocsr()
+    return csr_rows(D), D.indices
+
+
+def first_mismatch(lhs, rhs) -> Optional[tuple]:
+    """The smallest (row, col), row first, where two reduced sparse matrices
+    of one shape differ, or None."""
+    rows, cols = mismatches(lhs, rhs)
+    if not len(rows):
+        return None
+    r = rows.min()
+    return int(r), int(cols[rows == r].min())
+
+
+def blocks(sizes):
+    """Consecutive ranges [a, b) of the items, each beginning at an item of
+    positive size and holding at most the entries that the block budget
+    linalg._BLOCK_BYTES allows, at 24 bytes an entry (an int64 value and
+    two int64 indices), or that single item.  sizes[t] bounds the entries
+    that item t adds to every intermediate of a block; an item of size 0
+    needs no work, so it begins no range and costs nothing in one."""
+    import numpy as np
+
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    cap = linalg._BLOCK_BYTES // 24
+    positive = np.flatnonzero(sizes)
+    t = 0
+    while t < len(positive):
+        a = int(positive[t])
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + cap, side="right")))
+        yield a, b
+        t = int(np.searchsorted(positive, b))
 
 
 def _associativity_failure(
-    A: StructureAlgebra, rows: Optional[Sequence], p: int
+    A: StructureAlgebra, rows: Optional[Sequence], p: int, mul: tuple
 ) -> Optional[tuple]:
     """First (r, j, k) with g_r (e_j e_k) != (g_r e_j) e_k for the elements
-    g_r of rows (None: the basis), or None: the sparse identity L_g M = M (L_g x I) mod p, with
-    M: e_j (x) e_k -> e_j e_k, for a block of rows at a time.  Both sides
-    are laid out as row n, column (r, j, k); the right side contracts the
-    left factor of M with every L_g of the block at once, without forming
-    L_g x I.
+    g_r of rows (None: the basis), or None, mod p on the structure_arrays
+    mul of A, in blocks of r.
 
-    Bound: the three products go through linalg.mulmod, exact for any term
-    count; L_g is reduced mod p before it enters them.
+    L = G Mu holds the products g_r e_m: row r, entry (a, m) at a*dim + m
+    for their coefficient at e_a.  The left side g_r (e_j e_k) = sum_m
+    c(j, k; m) g_r e_m is L stacked as rows (r a), column m, times the table
+    as row m, column (j k); the right side (g_r e_j) e_k = sum_m (g_r e_j)_m
+    e_m e_k is L as rows (r j), column m, times the table as row m, column
+    (k a).  Each stack is laid out once, over the rows that occur; a block
+    multiplies its rows of both and compares the products at row r, column
+    (j k a) (first_mismatch).  A block holds as many r as keep the entries
+    of its operands, of both products (at most their terms) and of their
+    comparison within the block budget (blocks); an r with g_r e_m = 0 for
+    every m holds on both sides and takes no block.
+
+    Bound: every product goes through linalg.mulmod, exact for any term
+    count; L is reduced mod p before it enters the others.
     """
     import numpy as np
     import scipy.sparse as sp
 
-    dim = A.dim
-    sq = dim * dim
-    i, j, k, c = structure_arrays(A, p)
-    M = sp.csr_matrix((c, (k, i * dim + j)), shape=(dim, sq))
-    # row u of Mu is L_{e_u}, entry (n, m) at n*dim + m
-    Mu = sp.csr_matrix((c, (i, k * dim + j)), shape=(dim, sq))
-    L = mulmod(residue_rows(rows, dim, p), Mu, p)
-    # a row spans dim rows of the stacked L_g, and its entries times dim entries
-    for r0, r1 in blocks((np.diff(L.indptr) + 1) * dim):
-        shape = (dim, (r1 - r0) * sq)
-        # g_r (e_j e_k): the L_g stacked, rows (r n), times M; to row n, column (r j k)
-        lhs = mulmod(L[r0:r1].reshape(((r1 - r0) * dim, dim)).tocsr(), M, p).tocoo()
-        lhs = sp.csr_matrix(
-            (lhs.data, (lhs.row % dim, (lhs.row // dim) * sq + lhs.col)), shape=shape
-        )
-        # (g_r e_j) e_k: the L_g side by side, transposed to rows (r j), times
-        # the left multiplications Mu; to row n, column (r j k)
-        rhs = mulmod(side_by_side(L[r0:r1], dim).T.tocsr(), Mu, p).tocoo()
-        rhs = sp.csr_matrix(
-            (rhs.data, (rhs.col // dim, rhs.row * dim + rhs.col % dim)), shape=shape
-        )
-        col = first_difference(lhs, rhs)
-        if col is not None:
-            return (r0 + col // sq, *divmod(col % sq, dim))
-    return None
-
-
-def side_by_side(L, dim: int):
-    """The matrices L_{g_r} given as the rows of L (entry (n, j) at
-    n*dim + j), side by side: row n, column r*dim + j holds (g_r e_j)_n."""
-    import scipy.sparse as sp
-
-    L = L.tocoo()
-    return sp.csr_matrix(
-        (L.data, (L.col // dim, L.row * dim + L.col % dim)), shape=(dim, L.shape[0] * dim)
+    n = A.dim
+    i, j, k, c = mul
+    # row u: L_{e_u}
+    L = mulmod(residue_rows(rows, n, p), sp.csr_matrix((c, (i, k * n + j)), shape=(n, n * n)), p)
+    lr, (la, lm) = csr_rows(L), np.divmod(L.indices.astype(np.int64), n)
+    left, lkeys = row_compact(lr * n + la, lm, L.data, n)
+    right, rkeys = row_compact(lr * n + lm, la, L.data, n)
+    by_product = sp.csr_matrix((c, (k, i * n + j)), shape=(n, n * n))
+    by_left = sp.csr_matrix((c, (i, j * n + k)), shape=(n, n * n))
+    terms = np.bincount(
+        lr,
+        weights=np.bincount(k, minlength=n)[lm] + np.bincount(i, minlength=n)[la],
+        minlength=L.shape[0],
     )
-
-
-def blocks(sizes):
-    """Consecutive ranges [a, b) of the items, each holding at most the
-    cell budget linalg._BLOCK in total size, or a single item."""
-    a, total = 0, 0
-    for b, size in enumerate(sizes):
-        if b > a and total + size > linalg._BLOCK:
-            yield a, b
-            a, total = b, 0
-        total += size
-    if a < len(sizes):
-        yield a, len(sizes)
+    for r0, r1 in blocks(2 * (np.bincount(lr, minlength=L.shape[0]) + terms)):
+        shape = (r1 - r0, n**3)
+        a0, a1 = np.searchsorted(lkeys, (r0 * n, r1 * n))
+        lhs = by_item(
+            mulmod(left[a0:a1], by_product, p), lkeys[a0:a1], n, r0, shape, lambda jk, a: jk * n + a
+        )
+        b0, b1 = np.searchsorted(rkeys, (r0 * n, r1 * n))
+        rhs = by_item(
+            mulmod(right[b0:b1], by_left, p),
+            rkeys[b0:b1],
+            n,
+            r0,
+            shape,
+            lambda ka, j: j * n * n + ka,
+        )
+        bad = first_mismatch(lhs, rhs)
+        if bad is not None:
+            return (r0 + bad[0], *divmod(bad[1] // n, n))
+    return None
 
 
 def _multiplicative_failure_modp(
     src: StructureAlgebra, dst: StructureAlgebra, phi: Matrix, p: int
 ) -> Optional[tuple]:
-    """multiplicative_failure as the sparse identity phi M_src = M_dst (phi x phi)
-    mod p, without forming phi x phi: the right side contracts the left
-    factor of the dst product with phi, reshapes, and contracts the right
-    factor, for a block of src columns i at a time, sized so that every
-    intermediate holds at most linalg._BLOCK entries unless one column needs
-    more.
+    """multiplicative_failure as the sparse identity phi(e_i e_j) =
+    phi(e_i) phi(e_j) mod p, without forming phi x phi, in blocks of src
+    columns i.
+
+    The left side is the src table as rows (i j), column k, laid out once,
+    times P^T (row k: phi(e_k)).  The right side contracts phi(e_i) with the
+    left factor of the dst table, T[i, (n l)] = sum_k phi[k, i] c(k, l; n),
+    re-lays T as rows (i n), column l, and contracts the right factor with
+    phi.  Both are compared at row i, column (j n) (first_mismatch).  A
+    block holds as many i as keep the entries of its operands, of the three
+    products (at most their terms) and of the comparison within the block
+    budget (blocks).  When dst is src its structure_arrays are built once.
 
     Bound: all three products go through linalg.mulmod, exact for any term
     count; each intermediate is reduced mod p before the next product.
     """
+    import numpy as np
     import scipy.sparse as sp
 
     ds, dd = src.dim, dst.dim
     P = residue_rows(phi.rows, ds, p)
-    i, j, k, c = structure_arrays(src, p)
-    Msrc = sp.csr_matrix((c, (k, i * ds + j)), shape=(ds, ds * ds))
-    # row k, column n*dd + l: coefficient of e_n in e_k e_l
-    k, l, n, c = structure_arrays(dst, p)
+    PT = P.T.tocsr()
+    si, sj, sk, sc = src_arrays = structure_arrays(src, p)
+    k, l, n, c = src_arrays if dst is src else structure_arrays(dst, p)
+    products, pairs = row_compact(si * ds + sj, sk, sc, ds)
     left = sp.csr_matrix((c, (k, n * dd + l)), shape=(dd, dd * dd))
-    width = max(1, linalg._BLOCK // (dd * max(dd, ds)))
-    for i0 in range(0, ds, width):
-        nb = min(width, ds - i0)
-        # T[i, (n l)] = sum_k phi[k, i] c(k, l; n), regrouped as rows (n i), columns l
-        T = mulmod(P[:, i0 : i0 + nb].T.tocsr(), left, p).tocoo()
-        T = sp.csr_matrix(
-            (T.data, ((T.col // dd) * nb + T.row, T.col % dd)), shape=(dd * nb, dd)
+    # terms of T, of T times P and of the left side, for each i
+    pi, pk, images = csr_rows(PT), PT.indices, np.diff(PT.indptr)
+    t_terms = np.bincount(pi, weights=np.bincount(k, minlength=dd)[pk], minlength=ds)
+    r_terms = np.bincount(
+        pi, weights=np.bincount(k, weights=np.diff(P.indptr)[l], minlength=dd)[pk], minlength=ds
+    )
+    l_terms = np.bincount(si, weights=images[sk], minlength=ds)
+    sizes = images + np.bincount(si, minlength=ds) + 2 * (t_terms + r_terms + l_terms)
+    for i0, i1 in blocks(sizes):
+        shape = (i1 - i0, ds * dd)
+        x0, x1 = np.searchsorted(pairs, (i0 * ds, i1 * ds))
+        lhs = by_item(
+            mulmod(products[x0:x1], PT, p), pairs[x0:x1], ds, i0, shape, lambda m, j: j * dd + m
         )
-        # R[(n i), j] = (phi(e_i) phi(e_j))_n, regrouped as row n, column (i j)
-        R = mulmod(T, P, p).tocoo()
-        rhs = sp.csr_matrix(
-            (R.data, (R.row // nb, (R.row % nb) * ds + R.col)), shape=(dd, nb * ds)
-        )
-        lhs = mulmod(P, Msrc[:, i0 * ds : (i0 + nb) * ds], p)
-        col = first_difference(lhs, rhs)
-        if col is not None:
-            return divmod(i0 * ds + col, ds)
+        T = mulmod(PT[i0:i1], left, p)
+        tn, tl = np.divmod(T.indices.astype(np.int64), dd)
+        keys, row = np.unique(csr_rows(T) * dd + tn, return_inverse=True)
+        T = sp.csr_matrix((T.data, (row, tl)), shape=(len(keys), dd))
+        del tn, tl, row
+        rhs = by_item(mulmod(T, P, p), keys, dd, 0, shape, lambda j, m: j * dd + m)
+        del T
+        bad = first_mismatch(lhs, rhs)
+        if bad is not None:
+            return i0 + bad[0], bad[1] // dd
     return None
 
 

@@ -20,9 +20,10 @@ for the "is an algebra map" check of algebra.multiplicative_failure.  Delta
 multiplicative (_delta_failure) is laid out so that its right side is one
 product per block of j: with Delta(g_r) = sum_v w_{r,v} (x) e_v, the
 coefficient of e_a (x) e_b in Delta(g_r) Delta(e_j) is
-sum_{s,v} W[(s v), (r a)] F[(j b), (s v)], W built once from the rows g_r,
-F per block of j from the tables; a block holds as many j as keep its
-arrays within the cell budget linalg._BLOCK.  Every product goes through
+sum_{s,v} W[(v s), (r a)] F[(j b), (v s)], W built once from the rows g_r,
+F per block of j from the tables; a block holds as many j as keep the
+entries of its intermediates within the block budget linalg._BLOCK_BYTES
+(algebra.blocks).  Every product goes through
 linalg.mulmod, which keeps it exact for any number of terms, so a
 contraction that sums more than dim terms per entry (F W, and Delta times
 the antipode and counit factors below) runs on the kernels like any other.
@@ -56,13 +57,17 @@ from .algebra import (
     _associativity_failure,
     _clean_row,
     blocks,
+    by_item,
     comul_arrays,
-    first_difference,
+    csr_rows,
     first_failure,
+    first_mismatch,
     is_augmentation,
+    mismatches,
     multiplicative_failure,
     nonzero_row,
     residue_rows,
+    row_compact,
     smallest,
     structure_arrays,
     table_constants,
@@ -448,11 +453,19 @@ def verify_hopf(
     p = linalg.machine_prime(field) if dim > _CERTIFIED_DIM else None
     certified = p is not None and generators is not None and certificate is not None
 
+    held: dict = {}
+
+    def tables(q):
+        # the residue arrays of mul and comul mod q, built once per prime
+        if q not in held:
+            held[q] = structure_arrays(H.alg, q), comul_arrays(H, q)
+        return held[q]
+
     # multiplication axioms
     if certified:
-        assoc_ok = _certified_mult_checks(H, generators, certificate, p, rep)
+        assoc_ok = _certified_mult_checks(H, generators, certificate, p, rep, tables(p)[0])
     else:
-        rep.items.extend(verify_algebra(H.alg).items)
+        rep.items.extend(verify_algebra(H.alg, mul_arrays=lambda q: tables(q)[0]).items)
 
     def at_basis(name, bad):
         rep.add(name, bad is None, "" if bad is None else f"fails at basis {bad}")
@@ -469,7 +482,7 @@ def verify_hopf(
         ),
         3,
         dim**3,
-        partial(_linear_failures, H),
+        lambda q: _linear_failures(H, q, *tables(q)),
         partial(_linear_failures_loops, H),
         modp_dim=_CERTIFIED_DIM,
         merge=_merge_linear,
@@ -488,7 +501,7 @@ def verify_hopf(
             # the reduction to generators assumes associativity
             rep.add(name, False, "not decided: associativity (generator certified) failed")
         else:
-            bad = _delta_failure(H, generators, p)
+            bad = _delta_failure(H, generators, p, *tables(p))
             rep.add(name, bad is None, "" if bad is None else f"fails for generator {bad[0]}")
     else:
         bad = first_failure(
@@ -497,7 +510,7 @@ def verify_hopf(
             chain(table_constants(H.alg), _comul_constants(H)),
             4,
             dim**4 + dim,
-            partial(_delta_failure, H, None),
+            lambda q: _delta_failure(H, None, q, *tables(q)),
             partial(_delta_failure_loops, H),
         )
         rep.add(
@@ -532,9 +545,10 @@ def _merge_linear(results) -> tuple:
     return smallest(coassoc), smallest(counit), all(eps_ok), smallest(antipode)
 
 
-def _certified_mult_checks(H, generators, certificate, p, rep) -> bool:
+def _certified_mult_checks(H, generators, certificate, p, rep, mul) -> bool:
     """Unit law, the generation certificate and associativity on the
-    generators; returns whether associativity holds."""
+    generators, on the structure_arrays mul; returns whether associativity
+    holds."""
     field = H.field
     alg = H.alg
     dim = H.dim
@@ -561,7 +575,7 @@ def _certified_mult_checks(H, generators, certificate, p, rep) -> bool:
         "" if bad is None else f"certificate fails at basis {bad}",
     )
 
-    bad = _associativity_failure(alg, generators, p)
+    bad = _associativity_failure(alg, generators, p, mul)
     return rep.add(
         "associativity (generator certified)",
         bad is None,
@@ -618,9 +632,9 @@ def _linear_failures_loops(H: HopfAlgebra) -> tuple:
     return coassoc, counit, is_augmentation(H.alg, H.counit), antipode
 
 
-def _linear_failures(H: HopfAlgebra, p: int) -> tuple:
-    """_linear_failures_loops as four sparse identities mod p, on one
-    structure_arrays and one comul_arrays.
+def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
+    """_linear_failures_loops as four sparse identities mod p, on the
+    structure_arrays mul and the comul_arrays comul of H.
 
     Delta is laid out as row i, column (u v), over the pairs (u v) that
     occur.  Coassociativity is two products with Delta in blocks of i
@@ -644,12 +658,12 @@ def _linear_failures(H: HopfAlgebra, p: int) -> tuple:
     import scipy.sparse as sp
 
     n = H.dim
-    i, j, k, c = structure_arrays(H.alg, p)
-    m, u, v, d = comul_arrays(H, p)
+    i, j, k, c = mul
+    m, u, v, d = comul
     delta, uv = _compact(m, u * n + v, d, n)
     eps, one = residues(H.counit, p), residues(H.unit, p)
 
-    coassoc = _coassociativity_failure(m, u, v, d, delta, uv, p)
+    coassoc = _coassociativity_failure(comul, delta, uv, p)
 
     # counit law: eps ⇀ e_i is Delta(e_i) with eps applied to the second
     # leg, e_i ↼ eps with eps applied to the first
@@ -665,7 +679,7 @@ def _linear_failures(H: HopfAlgebra, p: int) -> tuple:
     E.data %= p
     E.eliminate_zeros()
     eps_ok = H.counit_of(H.unit) == H.field.one()
-    eps_ok = eps_ok and first_difference(E, _outer(eps, eps, p)) is None
+    eps_ok = eps_ok and first_mismatch(E, _outer(eps, eps, p)) is None
 
     # antipode law; S^T: row w, column x holds the coefficient of e_x in S(e_w)
     S = [(x * n + w, a) for x, r in enumerate(H.antipode.rows) for w, a in enumerate(r) if a]
@@ -690,37 +704,45 @@ def _linear_failures(H: HopfAlgebra, p: int) -> tuple:
     return coassoc, counit, eps_ok, antipode
 
 
-def _coassociativity_failure(m, u, v, d, delta, uv, p: int) -> Optional[int]:
+def _coassociativity_failure(comul: tuple, delta, uv, p: int) -> Optional[int]:
     """First i with (Delta x id)Delta(e_i) != (id x Delta)Delta(e_i), from
     the comul arrays and the Delta of _linear_failures, in blocks of i.
 
-    The terms of Delta(e_i) as rows (i k), columns j, times Delta give
-    (Delta x id)Delta(e_i) at (r s k); as rows (i j), columns k, they give
-    (id x Delta)Delta(e_i) at (j s t).  A block holds as many i as keep both
-    products within the cell budget linalg._BLOCK (algebra.blocks).
+    The terms of Delta(e_i) as rows (i v), column u, times Delta give
+    (Delta x id)Delta(e_i) at (r s v); as rows (i u), column v, they give
+    (id x Delta)Delta(e_i) at (u s t).  Each stack is laid out once, over
+    the rows that occur, and a block compares its two products at row i,
+    column (x y z) (algebra.first_mismatch).  A block holds as many i as
+    keep the entries of its operands, of both products (at most their
+    terms) and of their comparison within the block budget (algebra.blocks);
+    an i with Delta(e_i) = 0 takes no block.
     """
     import numpy as np
-    import scipy.sparse as sp
 
+    m, u, v, d = comul
     n = delta.shape[0]
-    order = np.argsort(m, kind="stable")
-    m, u, v, d = m[order], u[order], v[order], d[order]
-    start = np.searchsorted(m, np.arange(n + 1))
-    terms = np.bincount(m, minlength=n)
-    for i0, i1 in blocks(np.bincount(m, weights=terms[u] + terms[v], minlength=n)):
-        q = slice(start[i0], start[i1])
+    left, lkeys = row_compact(m * n + v, u, d, n)
+    right, rkeys = row_compact(m * n + u, v, d, n)
+    terms = np.diff(delta.indptr)
+    sizes = 2 * np.bincount(m, weights=1 + terms[u] + terms[v], minlength=n)
+    for i0, i1 in blocks(sizes):
         shape = (i1 - i0, n**3)
-        keys, row = np.unique((m[q] - i0) * n + v[q], return_inverse=True)
-        Y = mulmod(sp.csr_matrix((d[q], (row, u[q])), shape=(len(keys), n)), delta, p).tocoo()
-        ik = keys[Y.row]  # (i k), and uv[Y.col] is (r s)
-        lhs = sp.csr_matrix((Y.data, (ik // n, uv[Y.col] * n + ik % n)), shape=shape)
-        keys, row = np.unique((m[q] - i0) * n + u[q], return_inverse=True)
-        Y = mulmod(sp.csr_matrix((d[q], (row, v[q])), shape=(len(keys), n)), delta, p).tocoo()
-        ij = keys[Y.row]  # (i j), and uv[Y.col] is (s t)
-        rhs = sp.csr_matrix((Y.data, (ij // n, ij % n * n * n + uv[Y.col])), shape=shape)
-        bad = _first_row(lhs, rhs)
+        a0, a1 = np.searchsorted(lkeys, (i0 * n, i1 * n))
+        lhs = by_item(
+            mulmod(left[a0:a1], delta, p), lkeys[a0:a1], n, i0, shape, lambda rs, v: uv[rs] * n + v
+        )
+        b0, b1 = np.searchsorted(rkeys, (i0 * n, i1 * n))
+        rhs = by_item(
+            mulmod(right[b0:b1], delta, p),
+            rkeys[b0:b1],
+            n,
+            i0,
+            shape,
+            lambda st, u: u * n * n + uv[st],
+        )
+        bad = first_mismatch(lhs, rhs)
         if bad is not None:
-            return i0 + bad
+            return i0 + bad[0]
     return None
 
 
@@ -747,7 +769,8 @@ def _outer(x, y, p: int):
 
 def _first_row(lhs, rhs) -> Optional[int]:
     """Smallest row where two reduced sparse matrices differ, or None."""
-    return first_difference(lhs.T, rhs.T)
+    bad = first_mismatch(lhs, rhs)
+    return None if bad is None else bad[0]
 
 
 def _delta_failure_loops(H: HopfAlgebra) -> Optional[tuple]:
@@ -767,27 +790,32 @@ def _delta_failure_loops(H: HopfAlgebra) -> Optional[tuple]:
     return None
 
 
-def _delta_failure(H: HopfAlgebra, rows: Optional[Sequence], p: int) -> Optional[tuple]:
+def _delta_failure(
+    H: HopfAlgebra, rows: Optional[Sequence], p: int, mul: tuple, comul: tuple
+) -> Optional[tuple]:
     """First (r, j) with Delta(g_r e_j) != Delta(g_r) Delta(e_j) for the
-    elements g_r of rows (None: the basis), or None, mod p in blocks of j.
+    elements g_r of rows (None: the basis), or None, mod p on the
+    structure_arrays mul and the comul_arrays comul of H, in blocks of j.
 
     Write Delta(g_r) = sum_v w_{r,v} (x) e_v, v over the second legs that
     occur.  The coefficient of e_a (x) e_b in Delta(g_r) Delta(e_j) is then
-    sum_{s,v} W[(s v), (r a)] F[(j b), (s v)], where W[(s v), (r a)] is the
-    coefficient of e_a in w_{r,v} e_s and F[(j b), (s v)] = sum_t
-    Delta(e_j)_{s,t} (e_v e_t)_b.  W is built once: Delta(g_r) re-laid as
-    row (r v), column u, times the left multiplications, re-laid.  F is
-    built per block of j: Delta(e_j) re-laid as row (j s), column t, times
-    the mul table as row t, column (v b), re-laid.  The right side of a
-    block is F W; the left side is the products g_r e_j as rows (j r),
-    times Delta.  A block holds as many j as keep the entries of F and of
-    the left side, and the rows of both sides, within the cell budget
-    linalg._BLOCK (algebra.blocks), and the failure reported is the
-    smallest r*dim + j over all blocks.  The pair columns (a b) of Delta
-    and (a s) of the left multiplications are cut to the pairs that occur
-    (_compact), v to the second legs that occur and r in W to the rows with
-    Delta(g_r) != 0, so empty tables build no dim^2-wide array.  W is kept
-    whole: blocking r as well would rebuild F once per block of r.
+    sum_{s,v} W[(v s), (r a)] F[(j b), (v s)], where W[(v s), (r a)] is the
+    coefficient of e_a in w_{r,v} e_s (_coproduct_operand, built once) and
+    F[(j b), (v s)] = sum_t Delta(e_j)_{s,t} (e_v e_t)_b.  F is built per
+    block of j: Delta(e_j) as rows (j s), column t, times the mul table as
+    row t, column (v b), re-laid.  The right side of a block is F W; the
+    left side is the products g_r e_j as rows (j r), column a, times Delta.
+    Both stacks are laid out once, over the rows that occur, and a block
+    compares its two sides at row j, column (r a b) (mismatches).  A block
+    holds as many j as keep the entries of its operands, of the three
+    products (at most their terms; F W's through the longest row of W for
+    each s) and of the comparison within the block budget (algebra.blocks),
+    and the failure reported is the smallest r*dim + j over all blocks.
+    The pair columns (a b) of Delta and (a s) of the left multiplications
+    are cut to the pairs that occur (_compact), v to the second legs that
+    occur and r in W to the rows with Delta(g_r) != 0, so empty tables build
+    no dim^2-wide array.  W is kept whole: blocking r as well would rebuild
+    F once per block of r.
 
     Bound: every product goes through linalg.mulmod, exact for any term
     count.  All but F W sum at most dim products per entry; F W sums at
@@ -797,71 +825,136 @@ def _delta_failure(H: HopfAlgebra, rows: Optional[Sequence], p: int) -> Optional
     import scipy.sparse as sp
 
     n = H.dim
-    i, j, k, c = structure_arrays(H.alg, p)
-    m, u, v, d = comul_arrays(H, p)
+    i, j, k, c = mul
+    m, u, v, d = comul
     G = residue_rows(rows, n, p)
     R = G.shape[0]
     # row m: Delta(e_m), column (a b) at ab; row u: L_{e_u}, entry (a, s) at as_
     delta, ab = _compact(m, u * n + v, d, n)
     Mu, as_ = _compact(i, k * n + j, c, n)
+    W, V, rs = _coproduct_operand(mulmod(G, delta, p), ab, Mu, as_, n, p)
+    nv = len(V)
 
-    # W, rows (s x) for v = V[x], columns (y a) for r = rs[y], the rows
-    # with Delta(g_r) != 0
-    Dg = mulmod(G, delta, p).tocoo()  # row r: Delta(g_r)
-    gu, gv = np.divmod(ab[Dg.col], n)
-    V, x = np.unique(gv, return_inverse=True)
-    rs, y = np.unique(Dg.row, return_inverse=True)
-    nv, nr = len(V), len(rs)
-    Y = mulmod(sp.csr_matrix((Dg.data, (y * nv + x, gu)), shape=(nr * nv, n)), Mu, p).tocoo()
-    a, s = np.divmod(as_[Y.col], n)
-    s *= nv
-    s += Y.row % nv  # row (s x)
-    a += Y.row // nv * n  # column (y a)
-    W = sp.csr_matrix((Y.data, (s, a)), shape=(n * nv, nr * n))
-    del Y, a, s  # as large as W: the blocks run without them
-
+    # the products g_r e_s as rows (s r), column a
+    L = mulmod(G, Mu, p)
+    la, ls = np.divmod(as_[L.indices], n)
+    products, pkeys = row_compact(ls * R + csr_rows(L), la, L.data, n)
+    # Delta(e_j) as rows (j s), column t
+    terms, tkeys = row_compact(m * n + u, v, d, n)
     # row t, column (x b): coefficient of e_b in e_{V[x]} e_t
     at = np.full(n, -1)
     at[V] = np.arange(nv)
     keep = at[i] >= 0
     B = sp.csr_matrix((c[keep], (j[keep], at[i[keep]] * n + k[keep])), shape=(n, nv * n))
 
-    # the products g_r e_s, coefficient lc at e_la, sorted by s
-    L = mulmod(G, Mu, p).tocoo()
-    la, ls = np.divmod(as_[L.col], n)
-    order = np.argsort(ls, kind="stable")
-    lr, la, ls, lc = L.row[order], la[order], ls[order], L.data[order]
-    start = np.searchsorted(ls, np.arange(n + 1))
-    # entries of F and of the left side for each j, at most, and the rows R + n
+    # for each j, the entries of both operands, the terms of the left side
+    # and of F (its product and its re-lay), and F W's terms, at most the
+    # terms of F times the longest row (x s) of W for each s
+    in_b = np.diff(B.indptr)
+    longest = np.diff(W.indptr).reshape(nv, n).max(axis=0, initial=0)
     sizes = (
-        np.bincount(m, weights=B.getnnz(axis=1)[v], minlength=n)
-        + np.bincount(ls, weights=delta.getnnz(axis=1)[la], minlength=n)
-        + R
-        + n
+        np.bincount(ls, minlength=n)
+        + np.bincount(m, minlength=n)
+        + 2 * np.bincount(ls, weights=np.diff(delta.indptr)[la], minlength=n)
+        + 2 * np.bincount(m, weights=in_b[v] * (1 + longest[u]), minlength=n)
     )
+    del L, la, ls
     best = None
     for j0, j1 in blocks(sizes):
-        nb = j1 - j0
-        q = slice(start[j0], start[j1])
-        X = sp.csr_matrix((lc[q], ((ls[q] - j0) * R + lr[q], la[q])), shape=(nb * R, n))
-        Y = mulmod(X, delta, p).tocoo()
-        lhs = sp.csr_matrix((Y.data, (Y.row, ab[Y.col])), shape=(nb * R, n * n))
-        A = delta[j0:j1].tocoo()
-        s, t = np.divmod(ab[A.col], n)
-        F = mulmod(sp.csr_matrix((A.data, (A.row * n + s, t)), shape=(nb * n, n)), B, p).tocoo()
-        x, b = np.divmod(F.col, n)
-        F = sp.csr_matrix(
-            (F.data, (F.row // n * n + b, F.row % n * nv + x)), shape=(nb * n, n * nv)
+        shape = (j1 - j0, R * n * n)
+        a0, a1 = np.searchsorted(pkeys, (j0 * R, j1 * R))
+        lhs = by_item(
+            mulmod(products[a0:a1], delta, p),
+            pkeys[a0:a1],
+            R,
+            j0,
+            shape,
+            lambda x, r: r * n * n + ab[x],
         )
-        Y = mulmod(F, W, p).tocoo()  # row (j b), column (y a)
-        r, a = np.divmod(Y.col, n)
-        rhs = sp.csr_matrix(
-            (Y.data, (Y.row // n * R + rs[r], a * n + Y.row % n)), shape=(nb * R, n * n)
+        b0, b1 = np.searchsorted(tkeys, (j0 * n, j1 * n))
+        Y = mulmod(terms[b0:b1], B, p)
+        jj, s = np.divmod(tkeys[b0 + csr_rows(Y)], n)
+        x, b = np.divmod(Y.indices.astype(np.int64), n)
+        F, fkeys = row_compact((jj - j0) * n + b, x * n + s, Y.data, nv * n)
+        del Y, jj, s, x, b
+        # F W: rows (j b), column (y a) for r = rs[y]
+        rhs = by_item(
+            mulmod(F, W, p), fkeys, n, 0, shape, lambda ya, b: (rs[ya // n] * n + ya % n) * n + b
         )
-        jr = (lhs != rhs).nonzero()[0]
-        if len(jr):
-            key = int((jr % R * n + jr // R).min()) + j0
+        del F
+        jj, col = mismatches(lhs, rhs)
+        if len(jj):
+            # the smallest r*dim + j of the block
+            key = int((col // (n * n) * n + jj).min()) + j0
             best = key if best is None else min(best, key)
             if best < n:  # r = 0: no later j comes first
                 break
     return None if best is None else divmod(best, n)
+
+
+def _coproduct_operand(Dg, ab, Mu, as_, n: int, p: int) -> tuple:
+    """W of _delta_failure, with V (the second legs v that occur, W's row
+    (x s) standing for v = V[x]) and rs (the rows r with Delta(g_r) != 0,
+    W's column (y a) standing for r = rs[y]), from Dg: row r, Delta(g_r) at
+    the columns ab of _delta_failure, and its left multiplications Mu.
+
+    Delta(g_r) as rows (x y), column u, times Mu gives w_{r,v} e_s at
+    column (a s).  That product is taken in blocks of x (algebra.blocks),
+    and each block's entries are laid out as W's rows and columns by one
+    construction, so that its product and keys are live for one block at a
+    time.  The blocks' values and columns are then joined into W's arrays,
+    each while its blocks are released, so the peak stays below twice W's
+    own arrays plus one block.
+    """
+    import numpy as np
+    import scipy.sparse as sp
+
+    gu, gv = np.divmod(ab[Dg.indices], n)
+    V, x = np.unique(gv, return_inverse=True)
+    rs, y = np.unique(csr_rows(Dg), return_inverse=True)
+    nv, nr = len(V), len(rs)
+    D, keys = row_compact(x * nr + y, gu, Dg.data, n)
+    del gu, gv, x, y
+    index = np.int32 if max(nv, nr) * n < 2**31 else np.int64
+    a, s = (t.astype(index) for t in np.divmod(as_, n))
+    # each term of the product adds an entry to it, to its coordinates and
+    # to their construction
+    sizes = np.bincount(
+        keys[csr_rows(D)] // nr, weights=3 * np.diff(Mu.indptr)[D.indices], minlength=nv
+    )
+    indptr = np.zeros(nv * n + 1, dtype=index)
+    data, cols = [], []
+    for x0, x1 in blocks(sizes):
+        d0, d1 = np.searchsorted(keys, (x0 * nr, x1 * nr))
+        Y = mulmod(D[d0:d1], Mu, p)
+        counts = np.diff(Y.indptr)
+        # row (x s), column (y a) of each entry
+        xs, ys = (np.repeat(t.astype(index), counts) for t in np.divmod(keys[d0:d1], nr))
+        xs -= x0
+        xs *= n
+        xs += s[Y.indices]
+        ys *= n
+        ys += a[Y.indices]
+        block = sp.csr_matrix((Y.data, (xs, ys)), shape=((x1 - x0) * n, nr * n))
+        del Y, counts, xs, ys
+        indptr[1 + x0 * n : 1 + x1 * n] = np.diff(block.indptr)
+        data.append(block.data)
+        cols.append(block.indices.astype(index, copy=False))
+        del block
+    np.cumsum(indptr, out=indptr)
+    W = sp.csr_matrix((_joined(data), _joined(cols), indptr), shape=(nv * n, nr * n))
+    return W, V, rs
+
+
+def _joined(parts: list):
+    """The arrays of parts end to end, each released from parts once copied."""
+    import numpy as np
+
+    out = np.empty(sum(len(a) for a in parts), dtype=parts[0].dtype if parts else np.int64)
+    at = 0
+    parts.reverse()
+    while parts:
+        a = parts.pop()
+        out[at : at + len(a)] = a
+        at += len(a)
+    return out

@@ -8,8 +8,8 @@ canonical: the same input always yields byte-identical output.
 Two arithmetic engines exist, and machine_prime chooses between them from
 the field alone: over GF(p) with p < 2^31 large eliminations (rref, solve,
 solve_matrix, inverse), large products (Matrix.mul), the kernel of a stacked
-sparse operator (iterated_kernel_sparse, in blocks of rows bounded by the
-cell budget _BLOCK) and the sparse identity checks in algebra and hopfcore
+sparse operator (iterated_kernel_sparse) and the sparse identity checks in
+algebra and hopfcore, in blocks bounded by the one byte budget _BLOCK_BYTES,
 run on int64 numpy/scipy arrays, everything else on Python scalars.  Every
 int64 sum of products goes through mulmod, which is exact for any number of
 terms (its docstring bounds its intermediates), so results are identical to
@@ -33,8 +33,16 @@ from .scalars import GF, Field, PrimeField, RationalField, _is_prime
 _NUMPY_CELLS = 4096
 # mulmod splits into 16-bit limbs and sums up to 2^16 products at a time
 _LIMB_BITS = 16
-# entries per int64 array in one block of a sparse kernel, so memory stays flat
-_BLOCK = 1 << 14
+# The bytes one block of a sparse kernel may hold live.  A block counts 24
+# bytes (an int64 value and two int64 indices) for each entry of each of its
+# intermediates, products and re-lays included, with a product's entries
+# bounded by its terms (algebra.blocks); _iterated_kernel_modp counts 8 bytes
+# for each cell that the elimination of its dense block may write.  The
+# counts bound from above, so a block holds less: at 16 MB the largest block
+# of any kernel on D(taft-4-5-2) peaks at 7.6 MB (tracemalloc), and every
+# kernel on D(taft-3-7-2) runs in one block but Delta's (two), 20 mulmod
+# calls for a full verify_hopf where 2^14-entry blocks made 66.
+_BLOCK_BYTES = 1 << 24
 
 
 def machine_prime(field: Field) -> Optional[int]:
@@ -453,11 +461,13 @@ def iterated_kernel_sparse(field: Field, dim: int, S: dict) -> tuple[tuple, ...]
     columns span the vectors every block so far annihilates.
 
     The generic engine reads one constraint (dim rows) at a time.  Over a
-    GF(p) that machine_prime admits, S is one int64 CSR matrix and each step
-    multiplies the next rows of S by K through mulmod, as many rows as keep
-    the product within the cell budget _BLOCK (rows * cols(K) <= _BLOCK, at
-    least one row; S is a single step while dim^3 <= _BLOCK, up to dim 25,
-    and steps grow as K shrinks).  A block whose product vanishes holds on
+    GF(p) that machine_prime admits, S is one int64 CSR matrix of the rows
+    that hold an entry (an empty row constrains nothing and costs nothing),
+    and each step multiplies the next rows of S by K through mulmod, as many
+    rows as keep the cells that the elimination of their product may write
+    within the byte budget _BLOCK_BYTES (rows * cols(K)^2 cells of 8 bytes,
+    at least one row: 319 rows while K is the identity at dim 81, and steps
+    grow as K shrinks).  A block whose product vanishes holds on
     all of K and costs no elimination; otherwise one elimination of that
     product refines K to its null space.  The stop is exact: K is final once
     every remaining row times K is zero, and that is the product itself,
@@ -505,11 +515,15 @@ def _iterated_kernel_modp(field: PrimeField, dim: int, S: dict) -> tuple[tuple, 
 
     p = field.p
     rc = np.fromiter(chain.from_iterable(S), dtype=np.int64, count=2 * len(S)).reshape(-1, 2)
-    A = sp.csr_matrix((residues(S.values(), p), (rc[:, 0], rc[:, 1])), shape=(dim * dim, dim))
+    # only the rows that hold an entry constrain K
+    kept, row = np.unique(rc[:, 0], return_inverse=True)
+    A = sp.csr_matrix((residues(S.values(), p), (row, rc[:, 1])), shape=(len(kept), dim))
     K = np.eye(dim, dtype=np.int64)
     r = 0
     while r < A.shape[0] and K.shape[1]:
-        step = max(1, _BLOCK // K.shape[1])
+        # the elimination of a block rewrites each of its int64 cells up to
+        # cols(K) times, so a step writes, and holds, at most the budget
+        step = max(1, _BLOCK_BYTES // (8 * K.shape[1] ** 2))
         block = mulmod(A[r : r + step], K, p)
         r += step
         if block.any():

@@ -3,6 +3,7 @@ reports) are built exactly once across test modules, and the fixtures that
 switch the arithmetic engine and its block size."""
 
 import functools
+import sys
 
 import pytest
 
@@ -23,6 +24,22 @@ from hopfrob.subext import (
     relative_nakayama,
     verify_embedding,
 )
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Count the calls of module.name, through every hopfrob module that
+    imports it."""
+    calls = []
+    orig = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return orig(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("hopfrob") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 @functools.lru_cache(maxsize=None)
@@ -116,6 +133,7 @@ def generic_engine(monkeypatch):
 
 @pytest.fixture
 def smallest_blocks(monkeypatch):
-    """A call that makes every later int64 block of the test one row or one
-    term: the cell budget linalg._BLOCK becomes 1."""
-    return lambda: monkeypatch.setattr(linalg, "_BLOCK", 1)
+    """A call that makes every later int64 block of the test one item, one
+    row or one term: the block budget linalg._BLOCK_BYTES becomes 1 byte,
+    less than one entry or cell."""
+    return lambda: monkeypatch.setattr(linalg, "_BLOCK_BYTES", 1)

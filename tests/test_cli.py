@@ -4,7 +4,7 @@ and the pipelines behind each subcommand."""
 import sys
 
 import pytest
-from conftest import double_of, embedding_of
+from conftest import count_calls, double_of, embedding_of
 
 from hopfrob import cli, frobenius, hopfcore, linalg, separability, subext
 from hopfrob.algebra import StructureAlgebra
@@ -383,25 +383,9 @@ def test_machine_report_on_failure_lists_fail_lines(tmp_path, capsys):
 # -- each derived object is built once per job ------------------------------------
 
 
-def _count_calls(monkeypatch, module, name) -> list:
-    """Count the calls of module.name, through every hopfrob module that
-    imports it."""
-    calls = []
-    orig = getattr(module, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return orig(*args, **kwargs)
-
-    for mod in list(sys.modules.values()):
-        if mod.__name__.startswith("hopfrob") and getattr(mod, name, None) is orig:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 def test_frobenius_builds_the_system_once(tmp_path, monkeypatch):
     path = emit(tmp_path, "sweedler")
-    built = _count_calls(monkeypatch, frobenius, "frobenius_system_from_norm")
+    built = count_calls(monkeypatch, frobenius, "frobenius_system_from_norm")
     assert main(["frobenius", str(path)]) == 0
     assert len(built) == 1
 
@@ -411,14 +395,14 @@ def test_separable_builds_one_system_for_the_algebra_and_one_for_its_dual(
 ):
     assert entry("qc2").expected["separable"]
     path = emit(tmp_path, "qc2")
-    built = _count_calls(monkeypatch, frobenius, "frobenius_system_from_norm")
+    built = count_calls(monkeypatch, frobenius, "frobenius_system_from_norm")
     assert main(["separable", str(path)]) == 0
     assert len(built) == 2
 
 
 def test_separable_decides_the_algebra_and_its_dual_once_each(tmp_path, monkeypatch):
     path = emit(tmp_path, "qc2")
-    decided = _count_calls(monkeypatch, separability, "is_separable_hopf")
+    decided = count_calls(monkeypatch, separability, "is_separable_hopf")
     assert main(["separable", str(path)]) == 0
     assert len(decided) == 2
 
@@ -436,7 +420,7 @@ def test_subcheck_computes_each_stage_once(tmp_path, monkeypatch):
         (frobenius, "build_integral_data"): 2,
         (frobenius, "nakayama_closed_form"): 2,
     }
-    calls = {key: _count_calls(monkeypatch, *key) for key in want}
+    calls = {key: count_calls(monkeypatch, *key) for key in want}
     assert main(["subcheck", str(h4), str(qc2), "--iota", str(iota)]) == 0
     assert {key: len(c) for key, c in calls.items()} == want
 
@@ -456,7 +440,7 @@ def test_verify_d81_runs_no_tensor_loop(tmp_path, monkeypatch):
     counit law and the antipode law are sparse identities too, not a
     delta2_row per basis vector (81) and the two hit matrices of the counit."""
     path = _d81(tmp_path)
-    calls = [_count_calls(monkeypatch, hopfcore, name) for name in ("tensor_mult", "hit_matrix")]
+    calls = [count_calls(monkeypatch, hopfcore, name) for name in ("tensor_mult", "hit_matrix")]
     delta2 = []
     delta2_row = hopfcore.HopfAlgebra.delta2_row
     monkeypatch.setattr(
@@ -476,7 +460,7 @@ def test_verify_d36_over_qq_runs_no_tensor_loop(tmp_path, monkeypatch):
     path = tmp_path / "d36.hopf"
     path.write_text(emit_hopf_text(double_of("qs3")))
     names = ("tensor_mult", "hit_matrix", "is_augmentation")
-    calls = [_count_calls(monkeypatch, hopfcore, name) for name in names]
+    calls = [count_calls(monkeypatch, hopfcore, name) for name in names]
     delta2 = []
     delta2_row = hopfcore.HopfAlgebra.delta2_row
     monkeypatch.setattr(
@@ -506,7 +490,7 @@ def test_frobenius_d81_convolutions_stay_linear(tmp_path, monkeypatch):
     element of D and of its dual is read off one hit matrix, not one
     convolution per basis vector (162 calls before)."""
     path = _d81(tmp_path)
-    calls = _count_calls(monkeypatch, hopfcore, "convolution")
+    calls = count_calls(monkeypatch, hopfcore, "convolution")
     assert main(["frobenius", str(path)]) == 0
     assert calls == []
 

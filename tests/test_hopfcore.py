@@ -1,10 +1,12 @@
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from conftest import double_of, taft_over
+from conftest import count_calls, double_of, taft_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from hopfrob import GF, QQ, InvalidInputError, algebra, hopfcore, linalg
 from hopfrob.algebra import StructureAlgebra, multiplicative_failure
 from hopfrob.catalog import cyclic_table, entry, group_algebra, names
 from hopfrob.double import double_fh_check, double_generators, drinfeld_double
+from hopfrob.frobenius import build_integral_data, frobenius_system_from_norm
 from hopfrob.hopfcore import (
     HopfAlgebra,
     convolution,
@@ -28,6 +31,7 @@ from hopfrob.hopfcore import (
     tensor_mult,
     verify_hopf,
 )
+from hopfrob.hopffile import parse_hopf_text
 from hopfrob.linalg import Matrix, basis_vec
 
 ALL_KEYS = (
@@ -483,6 +487,12 @@ def _spy(monkeypatch, *functions):
 QUADRATIC_KERNELS = ((algebra, "_associativity_failure"), (hopfcore, "_delta_failure"))
 
 
+def _tables(H, p):
+    """The residue arrays of H's mul and comul tables mod p, as verify_hopf
+    passes them to its kernels."""
+    return algebra.structure_arrays(H.alg, p), algebra.comul_arrays(H, p)
+
+
 # D(taft-3-7-2) is the p = 7 case of the test above
 SMALL_DOUBLES = [k for k in names() if entry(k).hopf.dim ** 2 <= 81 and k != "taft-3-7-2"]
 
@@ -589,8 +599,10 @@ def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(
     moved = algebra.table_constants(variants["mul + 1/p1"].alg)
     assert p1 not in linalg.engine_primes(QQ, moved, 2, R.dim)
     # the shift by p1 leaves every residue mod p1 as it was
-    assert algebra._associativity_failure(variants["mul + p1"].alg, None, p1) is None
-    assert hopfcore._delta_failure(variants["comul + p1"], None, p1) is None
+    mul = variants["mul + p1"].alg
+    assert algebra._associativity_failure(mul, None, p1, algebra.structure_arrays(mul, p1)) is None
+    comul = variants["comul + p1"]
+    assert hopfcore._delta_failure(comul, None, p1, *_tables(comul, p1)) is None
     monkeypatch.setattr(algebra, "_DIM2_PER_PRIME", 1)
     _prime_cutoff(monkeypatch, R.dim**3, 0)
     calls = _spy(monkeypatch, *QUADRATIC_KERNELS, (hopfcore, "_linear_failures"))
@@ -627,7 +639,8 @@ def test_crt_bound_covers_every_constant_of_the_linear_axioms(monkeypatch, gener
         "counit + 1/p1": counit_moved(Fraction(1, p1)),
     }
     for name in ("antipode + p1", "counit + p1"):
-        assert hopfcore._linear_failures(variants[name], p1) == (None, None, True, None)
+        H = variants[name]
+        assert hopfcore._linear_failures(H, p1, *_tables(H, p1)) == (None, None, True, None)
     primes = {
         name: linalg.engine_primes(QQ, _linear_constants(H), 3, H.dim**3)
         for name, H in variants.items()
@@ -637,7 +650,9 @@ def test_crt_bound_covers_every_constant_of_the_linear_axioms(monkeypatch, gener
     _prime_cutoff(monkeypatch, R.dim**3, None)
     ran = []
     linear = hopfcore._linear_failures
-    monkeypatch.setattr(hopfcore, "_linear_failures", lambda H, p: ran.append(p) or linear(H, p))
+    monkeypatch.setattr(
+        hopfcore, "_linear_failures", lambda H, p, *t: ran.append(p) or linear(H, p, *t)
+    )
     kernels = {}
     for name, H in variants.items():
         kernels[name] = _items(verify_hopf(H))
@@ -836,7 +851,9 @@ def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, gen
     assert primes
     ran = []
     linear = hopfcore._linear_failures
-    monkeypatch.setattr(hopfcore, "_linear_failures", lambda H, p: ran.append(p) or linear(H, p))
+    monkeypatch.setattr(
+        hopfcore, "_linear_failures", lambda H, p, *t: ran.append(p) or linear(H, p, *t)
+    )
     loops = hopfcore._linear_failures_loops
     monkeypatch.setattr(hopfcore, "_linear_failures_loops", lambda H: ran.append(None) or loops(H))
     kernels = _items(verify_hopf(H))
@@ -885,7 +902,7 @@ def test_delta_kernel_finds_the_first_failing_pair(seed, smallest_blocks):
     assert expected[1] is not None
 
     def kernel():
-        return [hopfcore._delta_failure(D, gens, 7), hopfcore._delta_failure(D, None, 7)]
+        return [hopfcore._delta_failure(D, g, 7, *_tables(D, 7)) for g in (gens, None)]
 
     assert kernel() == expected
     smallest_blocks()
@@ -919,9 +936,137 @@ def test_contractions_beyond_one_slice_run_on_the_kernels(monkeypatch, generic_e
         monkeypatch.setattr(hopfcore, name, lambda *args, f=loops, n=name: calls.append(n) or f(*args))
     full = [_items(verify_hopf(D)) for D in doubles]
     assert certified() == one_slice
-    assert [hopfcore._delta_failure(D, gens, p) for D in doubles] == by_definition
+    assert [hopfcore._delta_failure(D, gens, p, *_tables(D, p)) for D in doubles] == by_definition
     assert calls == []
     generic_engine()
     assert full == [_items(verify_hopf(D)) for D in doubles]
     assert set(calls) == {"_delta_failure_loops", "_linear_failures_loops"}
     assert [all(ok for _, ok, _ in items) for items in full] == [True, False]
+
+
+# -- the block budget ---------------------------------------------------------------
+
+
+def _nakayama(D):
+    return frobenius_system_from_norm(D, build_integral_data(D)).nakayama
+
+
+def _recorded_blocks(monkeypatch) -> list:
+    """The (sizes, ranges) of each later call of algebra.blocks, from the
+    kernels of algebra and hopfcore."""
+    record = []
+    blocks = algebra.blocks
+
+    def recorded(sizes):
+        ranges = list(blocks(sizes))
+        record.append((np.asarray(sizes, dtype=np.int64), ranges))
+        return iter(ranges)
+
+    for module in (algebra, hopfcore):
+        monkeypatch.setattr(module, "blocks", recorded)
+    return record
+
+
+def test_default_budget_checks_the_d81_double_in_few_products(monkeypatch):
+    """At the default block budget, verify_hopf on the full basis of
+    D(taft-3-7-2) makes at most 20 mulmod calls (66 at 2^14-entry blocks)
+    and check_automorphism on its Nakayama automorphism at most 12 (123):
+    the blocks follow the entries the kernels hold, not dim."""
+    D = _double_over(7)[1]
+    nu = _nakayama(D)
+    calls = count_calls(monkeypatch, linalg, "mulmod")
+    assert verify_hopf(D).passed
+    assert 0 < len(calls) <= 20
+    calls.clear()
+    algebra.check_automorphism(D.alg, nu, "Nakayama matrix")
+    assert 0 < len(calls) <= 12
+
+
+def _empty_stub(dim):
+    """Field prime 7, unit e_0, counit e^0 and no tables."""
+    return parse_hopf_text(
+        f"hopf-algebra v1\nfield prime 7\ndim {dim}\nunit : 0 1\ncounit : 0 1\nend\n"
+    )
+
+
+def test_empty_tables_cost_the_same_products_at_any_dim(monkeypatch):
+    """On the stub with empty tables, associativity, coassociativity and
+    Delta multiplicative hold and make as many mulmod calls at dim 1000 as
+    at dim 500: an empty table takes no block."""
+    calls = count_calls(monkeypatch, linalg, "mulmod")
+    counts = []
+    for dim in (500, 1000):
+        H = _empty_stub(dim)
+        mul, comul = _tables(H, 7)
+        m, u, v, d = comul
+        delta, uv = hopfcore._compact(m, u * dim + v, d, dim)
+        calls.clear()
+        assert algebra._associativity_failure(H.alg, None, 7, mul) is None
+        assert hopfcore._coassociativity_failure(comul, delta, uv, 7) is None
+        assert hopfcore._delta_failure(H, None, 7, mul, comul) is None
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def _peak(f):
+    """f() and the tracemalloc peak, in bytes, of what it allocates."""
+    tracemalloc.start()
+    try:
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_d256_kernels_stay_within_8_mb():
+    """On D(taft-4-5-2) the generator-certified Delta kernel and the
+    kernels of the four linear axioms each peak at no more than 8 MB
+    (tracemalloc) at the default block budget."""
+    H = entry("taft-4-5-2").hopf
+    D = double_of("taft-4-5-2")
+    gens, _ = double_generators(H)
+    p = D.field.p
+    tables = _tables(D, p)
+    bad, peak = _peak(lambda: hopfcore._delta_failure(D, gens, p, *tables))
+    assert bad is None and peak <= 8e6
+    linear, peak = _peak(lambda: hopfcore._linear_failures(D, p, *tables))
+    assert linear == (None, None, True, None) and peak <= 8e6
+
+
+def test_delta_operand_peaks_below_twice_its_own_arrays(monkeypatch):
+    """W of the Delta kernel on the full basis of D(taft-4-5-2) (698,112
+    entries) is built in blocks within the budget, and its build peaks at
+    no more than twice W's own arrays."""
+    D = double_of("taft-4-5-2")
+    p, n = D.field.p, D.dim
+    (i, j, k, c), (m, u, v, d) = _tables(D, p)
+    delta, ab = hopfcore._compact(m, u * n + v, d, n)
+    Mu, as_ = hopfcore._compact(i, k * n + j, c, n)
+    Dg = linalg.mulmod(algebra.residue_rows(None, n, p), delta, p)
+    record = _recorded_blocks(monkeypatch)
+    (W, _, _), peak = _peak(lambda: hopfcore._coproduct_operand(Dg, ab, Mu, as_, n, p))
+    assert W.nnz == 698112
+    assert peak <= 2 * (W.data.nbytes + W.indices.nbytes + W.indptr.nbytes)
+    ((sizes, ranges),) = record
+    cap = linalg._BLOCK_BYTES // 24
+    assert len(ranges) > 1
+    assert all(b - a == 1 or sizes[a:b].sum() <= cap for a, b in ranges)
+
+
+def test_smallest_blocks_hold_one_item_each(monkeypatch, smallest_blocks):
+    """Under the smallest_blocks fixture every block of every kernel of the
+    full and the certified verify_hopf of D(taft-3-7-2), and of
+    check_automorphism on its Nakayama automorphism, holds a single item,
+    and the blocks cover every item of positive size."""
+    H, D = _double_over(7)
+    gens, cert = double_generators(H)
+    nu = _nakayama(D)
+    smallest_blocks()
+    record = _recorded_blocks(monkeypatch)
+    assert verify_hopf(D).passed
+    assert verify_hopf(D, generators=gens, certificate=cert).passed
+    algebra.check_automorphism(D.alg, nu, "Nakayama matrix")
+    assert len(record) >= 6
+    for sizes, ranges in record:
+        assert [b - a for a, b in ranges] == [1] * len(ranges)
+        assert [a for a, _ in ranges] == list(np.flatnonzero(sizes))
