@@ -9,22 +9,18 @@ equality of two algebras is plain equality of their tables.
 The quantified identities (associativity on every basis triple, "phi is an
 algebra map" on every basis pair, and in hopfcore Delta multiplicative and
 the four Hopf axioms linear in Delta) have two engines, and first_failure
-alone chooses between them.  Above a crossover dimension they run as sparse
-int64 identities mod each prime of linalg.engine_primes: the field's p over
-an admitted GF(p), and over QQ enough primes below 2^31 that the identity
-holds in QQ exactly when it holds mod each of them.  For associativity each
+alone chooses between them; the two quadratic ones (associativity, Delta
+multiplicative) run on the generators of product_cover first (on_cover).
+Above a crossover dimension they run as sparse int64 identities mod each
+prime of linalg.engine_primes: the field's p over an admitted GF(p), and
+over QQ enough primes below 2^31 that the identity holds in QQ exactly
+when it holds mod each of them.  For associativity each
 side sums dim products of two structure constants; for phi, dim^2 products
 of three constants among phi's entries and both tables.  Otherwise, and
-over every other field, they run as Python loops.  Two crossovers, from
-warm timings (all of them next to _SPARSE_DIM):
-- _SPARSE_DIM = 12 for every identity over QQ and for the quadratic ones
-  over GF(p): at dim 16 the kernels win (D(sweedler) over QQ, a whole
-  verify_hopf: 58 ms on the loops, 13 ms on the kernels);
-- dim 40 (hopfcore._CERTIFIED_DIM) for the linear Hopf axioms over GF(p),
-  whose loops on Python ints stay cheap longer (taft-4-5-2, dim 16: loops
-  1.1 ms, kernel 4.5 ms), while over QQ their kernel wins from dim 16
-  (D(sweedler): loops 9.1 ms, kernel 6.9 ms).
-Over QQ the kernels run once per prime, so when engine_primes asks for more
+over every other field, they run as Python loops.  The crossover is
+_SPARSE_DIM = 12, and dim 40 (hopfcore._LINEAR_MODP_DIM) for the linear
+Hopf axioms over GF(p), whose loops on Python ints stay cheap longer
+(timings next to _SPARSE_DIM).  Over QQ the kernels run once per prime, so when engine_primes asks for more
 than ceil(dim^2 / _DIM2_PER_PRIME) of them, a count beyond which the loops
 of every identity measured cost less, the loops run instead.  Both engines
 report the same first failing index: over QQ the failing set is the union
@@ -36,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, cached_property, partial
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -58,7 +54,7 @@ SparseRow = tuple  # tuple[(basis_index, scalar), ...] sorted by index
 # - The four Hopf axioms linear in Delta: over GF(p) their loops on Python
 #   ints still win at dim 16 (taft-4-5-2: loops 1.1 ms, kernel 4.5 ms) and
 #   dim 25 (D(f5c5): 2.8 ms, 5.6 ms), so there they cross at
-#   hopfcore._CERTIFIED_DIM = 40; over QQ, on Fractions, the kernel wins
+#   hopfcore._LINEAR_MODP_DIM = 40; over QQ, on Fractions, the kernel wins
 #   from dim 16 (D(sweedler): loops 9.1 ms, kernel 6.9 ms; D(qs3), dim 36:
 #   26 ms, 4.6 ms), so they cross at _SPARSE_DIM.
 _SPARSE_DIM = 12
@@ -230,11 +226,10 @@ class StructureAlgebra:
 
 
 def verify_algebra(
-    A: StructureAlgebra, title: str = "algebra axioms", mul_arrays=None
+    A: StructureAlgebra, title: str = "algebra axioms", table: Optional[MulTable] = None
 ) -> Report:
-    """Unit law and associativity of A.  mul_arrays(p) gives the
-    structure_arrays of A mod p to the associativity kernel; a caller that
-    holds them passes its own, else they are built here, once per prime."""
+    """Unit law and associativity of A, the latter through A's product
+    cover (on_cover).  A caller that reads A's MulTable too passes it."""
     rep = Report(title)
     bad_unit = unit_failure(A)
     rep.add(
@@ -243,15 +238,18 @@ def verify_algebra(
         "" if bad_unit is None else f"{bad_unit[0]} unit fails at basis {bad_unit[1]}",
     )
 
-    mul_arrays = mul_arrays or partial(structure_arrays, A)
-    bad_triple = first_failure(
-        A.field,
-        A.dim,
-        table_constants(A),
-        2,
-        A.dim,
-        lambda p: _associativity_failure(A, None, p, mul_arrays(p)),
-        partial(_associativity_failure_loops, A),
+    table = table or MulTable(A)
+    bad_triple = on_cover(
+        table.cover,
+        lambda rows: first_failure(
+            A.field,
+            A.dim,
+            lambda: table.scale,
+            2,
+            A.dim,
+            lambda p: _associativity_failure(A, rows, p, table.arrays(p)),
+            partial(_associativity_failure_loops, A, rows),
+        ),
     )
     rep.add(
         "associativity",
@@ -259,6 +257,74 @@ def verify_algebra(
         "" if bad_triple is None else f"fails at triple {bad_triple}",
     )
     return rep
+
+
+def product_cover(A: StructureAlgebra) -> tuple:
+    """(generators, steps) of A under products, read off its mul table.
+    The basis indices are walked in order; one not yet reached becomes a
+    generator, and whenever a single-term product e_a e_b = c e_k (c != 0)
+    has a and b reached, k is reached by the step (k, a, b), listed in the
+    order taken.  Each single-term product is looked at once per factor as
+    that factor is reached: O(entries of mul).
+
+    Why an identity on the generators decides it on the basis: S = {a :
+    (ab)c = a(bc) for all b, c} is a subspace closed under products, as for
+    a, a' in S, ((aa')b)c = (a(a'b))c = a((a'b)c) = a(a'(bc)) = (aa')(bc).
+    So is T = {a : Delta(ab) = Delta(a)Delta(b) for all b} once A is
+    associative: Delta((aa')b) = Delta(a)Delta(a'b) = Delta(a)Delta(a')
+    Delta(b) = Delta(aa')Delta(b).  If the generators lie in S (in T), each
+    step puts e_k = c^-1 e_a e_b in it, so by induction every basis vector
+    does, over every field."""
+    n = A.dim
+    # the single-term products by each of their factors
+    by_factor: list = [[] for _ in range(n)]
+    for (a, b), row in A.mul.items():
+        if len(row) == 1:
+            step = (row[0][0], a, b)
+            by_factor[a].append(step)
+            if b != a:
+                by_factor[b].append(step)
+    reached = [False] * n
+    generators, steps = [], []
+    for g in range(n):
+        if reached[g]:
+            continue
+        generators.append(g)
+        reached[g] = True
+        todo = [g]
+        while todo:
+            for k, a, b in by_factor[todo.pop()]:
+                if reached[a] and reached[b] and not reached[k]:
+                    reached[k] = True
+                    steps.append((k, a, b))
+                    todo.append(k)
+    return tuple(generators), tuple(steps)
+
+
+def on_cover(cover: Optional[Sequence], check):
+    """check(cover), the first failure of an identity on the basis vectors
+    at the indices cover, or when it fails there check(None), its first on
+    the whole basis: with product_cover's generators, that of check(None)."""
+    bad = check(cover)
+    return bad if bad is None or cover is None else check(None)
+
+
+class MulTable:
+    """What the checks of one verify read off A's mul table, each built on
+    first use: its cover, its scale and its structure_arrays per prime."""
+
+    def __init__(self, A: StructureAlgebra):
+        self.A = A
+        self.arrays = cache(partial(structure_arrays, A))
+
+    @cached_property
+    def cover(self) -> Optional[tuple]:
+        generators, _ = product_cover(self.A)  # None when they are the basis
+        return generators if len(generators) < self.A.dim else None
+
+    @cached_property
+    def scale(self) -> tuple:
+        return linalg.scale_of(table_constants(self.A))
 
 
 def unit_failure(A: StructureAlgebra) -> Optional[tuple]:
@@ -275,23 +341,26 @@ def unit_failure(A: StructureAlgebra) -> Optional[tuple]:
     return None
 
 
-def _associativity_failure_loops(A: StructureAlgebra) -> Optional[tuple]:
-    """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), or None."""
+def _associativity_failure_loops(
+    A: StructureAlgebra, rows: Optional[Sequence] = None
+) -> Optional[tuple]:
+    """First triple (i, j, k), i among the basis indices rows (None: all),
+    with (e_i e_j) e_k != e_i (e_j e_k), or None."""
     field = A.field
     dim = A.dim
-    rows = A.mul
+    table = A.mul
     z = field.zero()
-    for i in range(dim):
+    for i in range(dim) if rows is None else rows:
         for j in range(dim):
-            pij = rows.get((i, j), ())
+            pij = table.get((i, j), ())
             for k in range(dim):
                 lhs: dict[int, object] = {}
                 for m, c in pij:
-                    for n, d in rows.get((m, k), ()):
+                    for n, d in table.get((m, k), ()):
                         lhs[n] = lhs.get(n, z) + c * d
                 rhs: dict[int, object] = {}
-                for m, c in rows.get((j, k), ()):
-                    for n, d in rows.get((i, m), ()):
+                for m, c in table.get((j, k), ()):
+                    for n, d in table.get((i, m), ()):
                         rhs[n] = rhs.get(n, z) + c * d
                 for n in set(lhs) | set(rhs):
                     if field.normalize(lhs.get(n, z)) != field.normalize(rhs.get(n, z)):
@@ -326,7 +395,9 @@ def multiplicative_failure(
     return first_failure(
         dst.field,
         dim,
-        chain(table_constants(src), table_constants(dst), chain.from_iterable(phi.rows)),
+        lambda: linalg.scale_of(
+            chain(table_constants(src), table_constants(dst), chain.from_iterable(phi.rows))
+        ),
         3,
         dim * dim,
         partial(_multiplicative_failure_modp, src, dst, phi),
@@ -382,7 +453,7 @@ def smallest(items) -> Optional[tuple]:
 def first_failure(
     field: Field,
     dim: int,
-    constants,
+    scale,
     degree: int,
     count: int,
     kernel,
@@ -394,19 +465,18 @@ def first_failure(
     algebra, or None, from the one engine choice of the package.
 
     Above the crossover, at the linalg.engine_primes of an identity whose
-    sides sum at most count products of at most degree of the constants:
-    the smallest of the first failing items kernel(p) over those primes,
-    which is kernel(p) itself over GF(p) and the first failing item in QQ
-    (the primes meet the engine_primes bound).  A group of identities
-    checked together combines its per-prime results with merge instead.
-    Below the crossover, when engine_primes gives no prime, or when it asks
-    for more than ceil(dim^2 / _DIM2_PER_PRIME), the Python loops: loops().
+    sides sum at most count products of at most degree constants, scale()
+    giving their linalg.scale_of: the smallest of the first failing items
+    kernel(p) over those primes, which is kernel(p) itself over GF(p) and
+    the first failing item in QQ (the primes meet the engine_primes bound).
+    A group of identities checked together combines its per-prime results
+    with merge instead.  Below the crossover, when engine_primes gives no
+    prime, or when it asks for more than ceil(dim^2 / _DIM2_PER_PRIME), the
+    Python loops: loops().
 
-    The crossover is _SPARSE_DIM = 12, or modp_dim over an admitted GF(p)
-    when it is given: the linear Hopf axioms give hopfcore._CERTIFIED_DIM,
-    as their loops win over GF(p) up to dim 40 (taft-4-5-2, dim 16: loops
-    1.1 ms, kernel 4.5 ms) but over QQ only below dim 16 (D(sweedler):
-    9.1 ms, 6.9 ms).  The prime cutoff is measured next to _DIM2_PER_PRIME.
+    The crossover is _SPARSE_DIM, or modp_dim over an admitted GF(p) when
+    it is given (the linear Hopf axioms give hopfcore._LINEAR_MODP_DIM);
+    both, and the prime cutoff, are measured next to _SPARSE_DIM.
     """
     crossover = _SPARSE_DIM
     if modp_dim is not None and linalg.machine_prime(field) is not None:
@@ -414,7 +484,7 @@ def first_failure(
     if dim <= crossover:
         return loops()
     most = math.ceil(dim * dim / _DIM2_PER_PRIME)
-    primes = linalg.engine_primes(field, constants, degree, count, most)
+    primes = linalg.engine_primes(field, scale, degree, count, most)
     if not primes:
         return loops()
     return merge([kernel(p) for p in primes])
@@ -444,16 +514,14 @@ def comul_arrays(H, p: int) -> tuple:
     return tuple(x[d != 0] for x in (m, u, v, d))
 
 
-def residue_rows(rows: Optional[Sequence], width: int, p: int):
-    """The vectors of rows (each of length width), reduced mod p exactly, as
-    the rows of an int64 CSR matrix; rows None stands for the basis vectors."""
+def basis_rows(rows: Optional[Sequence], n: int):
+    """The basis vectors at the indices rows (None: all n) as the rows of
+    an int64 CSR matrix, a slice of the identity, and their indices."""
     import numpy as np
     import scipy.sparse as sp
 
-    if rows is None:
-        return sp.identity(width, dtype=np.int64, format="csr")
-    flat = residues((x for r in rows for x in r), p)
-    return sp.csr_matrix(flat.reshape(len(rows), width))
+    index = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    return sp.identity(n, dtype=np.int64, format="csr")[index], index
 
 
 def csr_rows(C):
@@ -534,9 +602,9 @@ def blocks(sizes):
 def _associativity_failure(
     A: StructureAlgebra, rows: Optional[Sequence], p: int, mul: tuple
 ) -> Optional[tuple]:
-    """First (r, j, k) with g_r (e_j e_k) != (g_r e_j) e_k for the elements
-    g_r of rows (None: the basis), or None, mod p on the structure_arrays
-    mul of A, in blocks of r.
+    """First (i, j, k), i among the ascending basis indices rows (None:
+    all), with e_i (e_j e_k) != (e_i e_j) e_k, or None, mod p on the
+    structure_arrays mul of A, in blocks of r, g_r = e_{rows[r]}.
 
     L = G Mu holds the products g_r e_m: row r, entry (a, m) at a*dim + m
     for their coefficient at e_a.  The left side g_r (e_j e_k) = sum_m
@@ -559,7 +627,8 @@ def _associativity_failure(
     n = A.dim
     i, j, k, c = mul
     # row u: L_{e_u}
-    L = mulmod(residue_rows(rows, n, p), sp.csr_matrix((c, (i, k * n + j)), shape=(n, n * n)), p)
+    G, index = basis_rows(rows, n)
+    L = mulmod(G, sp.csr_matrix((c, (i, k * n + j)), shape=(n, n * n)), p)
     lr, (la, lm) = csr_rows(L), np.divmod(L.indices.astype(np.int64), n)
     left, lkeys = row_compact(lr * n + la, lm, L.data, n)
     right, rkeys = row_compact(lr * n + lm, la, L.data, n)
@@ -587,7 +656,7 @@ def _associativity_failure(
         )
         bad = first_mismatch(lhs, rhs)
         if bad is not None:
-            return (r0 + bad[0], *divmod(bad[1] // n, n))
+            return (int(index[r0 + bad[0]]), *divmod(bad[1] // n, n))
     return None
 
 
@@ -614,7 +683,7 @@ def _multiplicative_failure_modp(
     import scipy.sparse as sp
 
     ds, dd = src.dim, dst.dim
-    P = residue_rows(phi.rows, ds, p)
+    P = sp.csr_matrix(residues(chain.from_iterable(phi.rows), p).reshape(-1, ds))
     PT = P.T.tocsr()
     si, sj, sk, sc = src_arrays = structure_arrays(src, p)
     k, l, n, c = src_arrays if dst is src else structure_arrays(dst, p)

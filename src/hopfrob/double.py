@@ -18,7 +18,7 @@ from .hopfcore import (
     integral_operator,
     left_integral_space,
 )
-from .linalg import Matrix, annihilates, basis_vec
+from .linalg import Matrix, annihilates
 from .report import Report
 
 
@@ -215,16 +215,6 @@ def embed_dual(H: HopfAlgebra, f) -> tuple:
         for i in range(n):
             out[a * n + i] = field.normalize(f[a] * H.unit[i])
     return tuple(out)
-
-
-def double_generators(H: HopfAlgebra):
-    """Generator set {f_a tensor 1} + {eps tensor e_i} with the two-factor
-    certificate (f_a tensor 1)(eps tensor e_i) = basis (a, i)."""
-    n = H.dim
-    gens = [embed_dual(H, basis_vec(H.field, n, a)) for a in range(n)]
-    gens += [embed_algebra(H, H.alg.basis_vector(i)) for i in range(n)]
-    cert = [(a, n + i) for a in range(n) for i in range(n)]
-    return tuple(gens), tuple(cert)
 
 
 def double_fh_check(D: HopfAlgebra) -> DoubleReport:

@@ -5,40 +5,35 @@ of (j, k, c) triples meaning Delta(e_i) = sum c * e_j (x) e_k.  Elements of
 H (x) H appear as dicts {(j, k): c}.  Covectors (elements of H*) are plain
 coordinate tuples against the dual basis e^i, e^i(e_j) = delta_ij.
 
-verify_hopf quantifies every axiom over the whole basis.  For large doubles
-over a prime field it also accepts a generating set together with a
-certificate expressing each basis vector as a product of two generators.
-Checking associativity and multiplicativity of Delta on the generators
-alone then suffices: both properties propagate through products (Delta's
-through associative ones), and the certificate pins every basis vector as
-such a product.
-
-Above algebra._SPARSE_DIM both quadratic axioms run as sparse int64
-identities mod each prime of linalg.engine_primes, on the generators or on
-the whole basis; on the basis algebra.first_failure chooses the engine, as
-for the "is an algebra map" check of algebra.multiplicative_failure.  Delta
-multiplicative (_delta_failure) is laid out so that its right side is one
-product per block of j: with Delta(g_r) = sum_v w_{r,v} (x) e_v, the
-coefficient of e_a (x) e_b in Delta(g_r) Delta(e_j) is
-sum_{s,v} W[(v s), (r a)] F[(j b), (v s)], W built once from the rows g_r,
-F per block of j from the tables; a block holds as many j as keep the
-entries of its intermediates within the block budget linalg._BLOCK_BYTES
-(algebra.blocks).  Every product goes through
-linalg.mulmod, which keeps it exact for any number of terms, so a
-contraction that sums more than dim terms per entry (F W, and Delta times
-the antipode and counit factors below) runs on the kernels like any other.
-Over QQ, Delta(e_i e_j) sums dim products of two constants and Delta(e_i)
-Delta(e_j) at most dim^4 products of four (two comul, two mul), so the
-primes cover 2 (dim^4 + dim) max(A, D)^4 for the constants a/D, |a| <= A,
-of both tables.  Otherwise the quadratic axioms run as Python loops over
-the whole basis.
+verify_hopf checks every axiom exactly, with the same items on every input.
+Associativity and Delta multiplicative run on the generators that
+algebra.product_cover reads off the mul table (proof in its docstring), and
+on the whole basis only when they fail there, or for Delta when
+associativity fails, so a report names the first failing basis triple or
+pair.  Above algebra._SPARSE_DIM they run as sparse int64 identities mod
+each prime of linalg.engine_primes, their rows a slice of the identity;
+below it, as Python loops over the same rows (algebra.first_failure).
+Delta multiplicative (_delta_failure) is laid out so that its right side is
+one product per block of j: with Delta(g_r) = sum_v w_{r,v} (x) e_v, the
+coefficient of e_a (x) e_b in Delta(g_r) Delta(e_j) is sum_{s,v} W[(v s),
+(r a)] F[(j b), (v s)], W built once from the rows g_r, F per block of j
+from the tables; a block holds as many j as keep the entries of its
+intermediates within the block budget linalg._BLOCK_BYTES (algebra.blocks).
+Every product goes through linalg.mulmod, which keeps it exact for any
+number of terms, so a contraction that sums more than dim terms per entry
+(F W, and Delta times the antipode and counit factors below) runs on the
+kernels like any other.  Over QQ, Delta(e_i e_j) sums dim products of two
+constants and Delta(e_i) Delta(e_j) at most dim^4 products of four (two
+comul, two mul), so the primes cover 2 (dim^4 + dim) max(A, D)^4 for the
+constants a/D, |a| <= A, of both tables; the scale of each table is taken
+once per verify_hopf.
 
 The four axioms linear in Delta (coassociativity, counit law, counit
 multiplicative, antipode law) are one more call of algebra.first_failure:
 as one sparse identity each (_linear_failures) mod each prime, or as
 Python loops over the basis (_linear_failures_loops).  Their loops on
 Python ints are cheap, so over GF(p) the kernel takes over only above
-_CERTIFIED_DIM; over QQ, on Fractions, it wins from dim 16 and takes over
+_LINEAR_MODP_DIM; over QQ, on Fractions, it wins from dim 16 and takes over
 above algebra._SPARSE_DIM (measurements next to that constant).  Their
 sides sum at most dim^3 products of three constants (the antipode law's
 sum_{u,v,x} Delta_i(u,v) S(x,u) c(x,v;a)) among both tables, the counit,
@@ -48,14 +43,15 @@ the unit and the antipode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from typing import Optional, Sequence
 
 from .algebra import (
+    MulTable,
     StructureAlgebra,
-    _associativity_failure,
     _clean_row,
+    basis_rows,
     blocks,
     by_item,
     comul_arrays,
@@ -66,12 +62,9 @@ from .algebra import (
     mismatches,
     multiplicative_failure,
     nonzero_row,
-    residue_rows,
+    on_cover,
     row_compact,
     smallest,
-    structure_arrays,
-    table_constants,
-    unit_failure,
     vec_to_row,
     verify_algebra,
 )
@@ -81,11 +74,9 @@ from .linalg import Matrix, basis_vec, iterated_kernel_sparse, mulmod, residues
 from .report import Report
 from .scalars import Field
 
-# the generator-certified strategy runs above this dimension over an admitted
-# GF(p); it names its own report items, so it keeps its own threshold rather
-# than follow the engine crossover algebra._SPARSE_DIM.  Over GF(p) it is also
-# the crossover of the four linear axioms (measured next to _SPARSE_DIM).
-_CERTIFIED_DIM = 40
+# Over an admitted GF(p) the four linear axioms run on their kernel only
+# above this dimension (measured next to algebra._SPARSE_DIM).
+_LINEAR_MODP_DIM = 40
 
 @dataclass(eq=False)
 class HopfAlgebra:
@@ -427,45 +418,28 @@ def is_hopf_morphism(src: HopfAlgebra, dst: HopfAlgebra, phi: Matrix) -> bool:
 # -- axiom verification --------------------------------------------------------
 
 
-def verify_hopf(
-    H: HopfAlgebra,
-    title: Optional[str] = None,
-    generators: Optional[Sequence] = None,
-    certificate: Optional[Sequence] = None,
-) -> Report:
-    """Exact check of every Hopf axiom.
+def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
+    """Exact check of every Hopf axiom, one item each.
 
-    When dim > _CERTIFIED_DIM, the field is a GF(p) that
-    linalg.machine_prime admits, and generators and certificate are both
-    given, the two quadratic axioms (associativity, Delta multiplicative)
-    run mod p on the generators, after checking that the certificate writes
-    every basis vector as a product of two generators.  Otherwise they are
-    quantified over the whole basis.  Those on the basis and the four
-    axioms linear in Delta (coassociativity, counit law, counit
-    multiplicative, antipode law) run on the engine that
-    algebra.first_failure chooses: sparse int64 identities mod each prime
-    of linalg.engine_primes, or Python loops over the basis.
+    Associativity and Delta multiplicative run on the generators of the
+    product cover of H's mul table, and on the whole basis when they fail
+    there (algebra.on_cover); Delta runs on the basis at once when
+    associativity fails, as the cover decides it only for an associative H.
+    Those two and the four axioms linear in Delta run on the engine that
+    algebra.first_failure chooses.  The residue arrays of both tables are
+    built once per prime, and the scale of each table once.
     """
     rep = Report(title or f"hopf axioms: {H.name or 'unnamed'}")
     field = H.field
     dim = H.dim
-
-    p = linalg.machine_prime(field) if dim > _CERTIFIED_DIM else None
-    certified = p is not None and generators is not None and certificate is not None
-
-    held: dict = {}
-
-    def tables(q):
-        # the residue arrays of mul and comul mod q, built once per prime
-        if q not in held:
-            held[q] = structure_arrays(H.alg, q), comul_arrays(H, q)
-        return held[q]
+    mul = MulTable(H.alg)
+    comul_at = cache(partial(comul_arrays, H))
+    comul_scale = cache(lambda: linalg.scale_of(c for t in H.comul.values() for *_, c in t))
 
     # multiplication axioms
-    if certified:
-        assoc_ok = _certified_mult_checks(H, generators, certificate, p, rep, tables(p)[0])
-    else:
-        rep.items.extend(verify_algebra(H.alg, mul_arrays=lambda q: tables(q)[0]).items)
+    algebra_items = verify_algebra(H.alg, table=mul).items
+    rep.items.extend(algebra_items)
+    associative = next(it.ok for it in algebra_items if it.name == "associativity")
 
     def at_basis(name, bad):
         rep.add(name, bad is None, "" if bad is None else f"fails at basis {bad}")
@@ -473,18 +447,16 @@ def verify_hopf(
     coassoc, counit, eps_ok, antipode = first_failure(
         field,
         dim,
-        chain(
-            table_constants(H.alg),
-            _comul_constants(H),
-            H.counit,
-            H.unit,
-            chain.from_iterable(H.antipode.rows),
+        lambda: linalg.joint_scale(
+            mul.scale,
+            comul_scale(),
+            linalg.scale_of(chain(H.counit, H.unit, chain.from_iterable(H.antipode.rows))),
         ),
         3,
         dim**3,
-        lambda q: _linear_failures(H, q, *tables(q)),
+        lambda q: _linear_failures(H, q, mul.arrays(q), comul_at(q)),
         partial(_linear_failures_loops, H),
-        modp_dim=_CERTIFIED_DIM,
+        modp_dim=_LINEAR_MODP_DIM,
         merge=_merge_linear,
     )
     at_basis("coassociativity", coassoc)
@@ -494,30 +466,24 @@ def verify_hopf(
     unit_ok = is_grouplike(H, H.unit)
     rep.add("coproduct and counit of identity", unit_ok)
 
-    # Delta is an algebra map: Delta(g e_j) = Delta(g) Delta(e_j) for every row g
-    if certified:
-        name = "comultiplication is multiplicative (generator certified)"
-        if not assoc_ok:
-            # the reduction to generators assumes associativity
-            rep.add(name, False, "not decided: associativity (generator certified) failed")
-        else:
-            bad = _delta_failure(H, generators, p, *tables(p))
-            rep.add(name, bad is None, "" if bad is None else f"fails for generator {bad[0]}")
-    else:
-        bad = first_failure(
+    # Delta is an algebra map: Delta(e_i e_j) = Delta(e_i) Delta(e_j)
+    bad = on_cover(
+        mul.cover if associative else None,
+        lambda rows: first_failure(
             field,
             dim,
-            chain(table_constants(H.alg), _comul_constants(H)),
+            lambda: linalg.joint_scale(mul.scale, comul_scale()),
             4,
             dim**4 + dim,
-            lambda q: _delta_failure(H, None, q, *tables(q)),
-            partial(_delta_failure_loops, H),
-        )
-        rep.add(
-            "comultiplication is multiplicative",
-            bad is None,
-            "" if bad is None else f"fails at pair {bad}",
-        )
+            lambda q: _delta_failure(H, rows, q, mul.arrays(q), comul_at(q)),
+            partial(_delta_failure_loops, H, rows),
+        ),
+    )
+    rep.add(
+        "comultiplication is multiplicative",
+        bad is None,
+        "" if bad is None else f"fails at pair {bad}",
+    )
 
     rep.add("counit is multiplicative", eps_ok)
     at_basis("antipode law", antipode)
@@ -532,55 +498,12 @@ def verify_hopf(
     return rep
 
 
-def _comul_constants(H: HopfAlgebra):
-    """The structure constants of H's comul table."""
-    return (c for terms in H.comul.values() for *_, c in terms)
-
-
 def _merge_linear(results) -> tuple:
     """The results of _linear_failures at several primes as one: each
     failing basis index the smallest over the primes, and the counit
     multiplicative where it is mod every prime."""
     coassoc, counit, eps_ok, antipode = zip(*results)
     return smallest(coassoc), smallest(counit), all(eps_ok), smallest(antipode)
-
-
-def _certified_mult_checks(H, generators, certificate, p, rep, mul) -> bool:
-    """Unit law, the generation certificate and associativity on the
-    generators, on the structure_arrays mul; returns whether associativity
-    holds."""
-    field = H.field
-    alg = H.alg
-    dim = H.dim
-    one = field.one()
-
-    # unit law in full (cheap)
-    bad = unit_failure(alg)
-    rep.add("unit law", bad is None, "" if bad is None else f"fails at basis {bad[1]}")
-
-    # certificate: e_i = G[a] * G[b] exactly
-    gen_rows = [vec_to_row(field, g) for g in generators]
-    bad = None
-    for i, (a, b) in enumerate(certificate):
-        prod = alg.multiply_rows(gen_rows[a], gen_rows[b])
-        if prod != ((i, one),):
-            bad = i
-            break
-    else:
-        if len(certificate) < dim:
-            bad = len(certificate)  # the first basis vector it leaves out
-    rep.add(
-        "generation certificate",
-        bad is None,
-        "" if bad is None else f"certificate fails at basis {bad}",
-    )
-
-    bad = _associativity_failure(alg, generators, p, mul)
-    return rep.add(
-        "associativity (generator certified)",
-        bad is None,
-        "" if bad is None else f"fails for generator {bad[0]}",
-    )
 
 
 def _linear_failures_loops(H: HopfAlgebra) -> tuple:
@@ -773,13 +696,13 @@ def _first_row(lhs, rhs) -> Optional[int]:
     return None if bad is None else bad[0]
 
 
-def _delta_failure_loops(H: HopfAlgebra) -> Optional[tuple]:
-    """First basis pair (i, j) with Delta(e_i e_j) != Delta(e_i) Delta(e_j),
-    or None."""
+def _delta_failure_loops(H: HopfAlgebra, rows: Optional[Sequence] = None) -> Optional[tuple]:
+    """First pair (i, j), i among the basis indices rows (None: all), with
+    Delta(e_i e_j) != Delta(e_i) Delta(e_j), or None."""
     field = H.field
     z = field.zero()
     delta_rows = [dict(((j, k), c) for j, k, c in H.comul.get(i, ())) for i in range(H.dim)]
-    for i in range(H.dim):
+    for i in range(H.dim) if rows is None else rows:
         for j in range(H.dim):
             acc: dict = {}
             for m, c in H.alg.mul.get((i, j), ()):
@@ -793,9 +716,10 @@ def _delta_failure_loops(H: HopfAlgebra) -> Optional[tuple]:
 def _delta_failure(
     H: HopfAlgebra, rows: Optional[Sequence], p: int, mul: tuple, comul: tuple
 ) -> Optional[tuple]:
-    """First (r, j) with Delta(g_r e_j) != Delta(g_r) Delta(e_j) for the
-    elements g_r of rows (None: the basis), or None, mod p on the
-    structure_arrays mul and the comul_arrays comul of H, in blocks of j.
+    """First (i, j), i among the ascending basis indices rows (None: all),
+    with Delta(e_i e_j) != Delta(e_i) Delta(e_j), or None, mod p on the
+    structure_arrays mul and the comul_arrays comul of H, in blocks of j,
+    with g_r = e_{rows[r]} below.
 
     Write Delta(g_r) = sum_v w_{r,v} (x) e_v, v over the second legs that
     occur.  The coefficient of e_a (x) e_b in Delta(g_r) Delta(e_j) is then
@@ -827,7 +751,7 @@ def _delta_failure(
     n = H.dim
     i, j, k, c = mul
     m, u, v, d = comul
-    G = residue_rows(rows, n, p)
+    G, index = basis_rows(rows, n)
     R = G.shape[0]
     # row m: Delta(e_m), column (a b) at ab; row u: L_{e_u}, entry (a, s) at as_
     delta, ab = _compact(m, u * n + v, d, n)
@@ -889,7 +813,10 @@ def _delta_failure(
             best = key if best is None else min(best, key)
             if best < n:  # r = 0: no later j comes first
                 break
-    return None if best is None else divmod(best, n)
+    if best is None:
+        return None
+    r, j = divmod(best, n)
+    return int(index[r]), j
 
 
 def _coproduct_operand(Dg, ab, Mu, as_, n: int, p: int) -> tuple:

@@ -57,9 +57,24 @@ def machine_prime(field: Field) -> Optional[int]:
     return None
 
 
+def scale_of(constants: Iterable) -> tuple:
+    """(D, A) for rational constants: D their common denominator and A the
+    largest |a| among them written a/D (0 when there are none)."""
+    values = set(constants)
+    den = math.lcm(*(c.denominator for c in values))
+    return den, max((abs(c.numerator) * (den // c.denominator) for c in values), default=0)
+
+
+def joint_scale(*scales: tuple) -> tuple:
+    """The scale of the union of several constant sets, from their scales:
+    D the lcm of theirs, and each A rescaled to it."""
+    den = math.lcm(*(d for d, _ in scales))
+    return den, max((a * (den // d) for d, a in scales), default=0)
+
+
 def engine_primes(
     field: Field,
-    constants: Iterable = (),
+    scale=lambda: (1, 0),
     degree: int = 1,
     count: int = 1,
     most: Optional[int] = None,
@@ -67,14 +82,15 @@ def engine_primes(
     """The primes at which an exact identity runs on the int64 engine, each
     admitted by machine_prime: (p,) for GF(p), () when the Python-scalar
     engine must run, and over QQ the primes p1 > p2 > ... below 2^31 that
-    divide no denominator of `constants`, taken until their product exceeds
-    the bound below; () when that takes more than `most` primes, found
-    from the bound's bit length before any search when it can be (k primes
-    below 2^31 multiply to less than 2^(31 k)), else once the search
-    passes `most`.
+    divide no denominator of the constants, taken until their product
+    exceeds the bound below; () when that takes more than `most` primes,
+    found from the bound's bit length before any search when it can be (k
+    primes below 2^31 multiply to less than 2^(31 k)), else once the search
+    passes `most`.  scale() gives the scale_of the constants; it is called
+    over QQ only.
 
     Bound: each side of the identity sums at most `count` products of at
-    most `degree` of the rational `constants`.  Over one common denominator
+    most `degree` of the rational constants.  Over their common denominator
     D they read a/D with |a| <= A, so a product times D^degree is an integer
     of absolute value at most max(A, D)^degree, and D^degree (lhs - rhs) is
     an integer of absolute value at most 2 count max(A, D)^degree.  Mod a
@@ -85,9 +101,7 @@ def engine_primes(
     of failing items in QQ is the union of the sets mod each prime.
     """
     if isinstance(field, RationalField):
-        values = set(constants)
-        den = math.lcm(*(c.denominator for c in values))
-        height = max((abs(c.numerator) * (den // c.denominator) for c in values), default=0)
+        den, height = scale()
         bound = 2 * count * max(height, den) ** degree
         # primes below 2^31 exceed the bound only once 31 k >= its bit length
         if most is not None and (bound.bit_length() - 1) // 31 + 1 > most:

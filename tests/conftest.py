@@ -9,7 +9,7 @@ import pytest
 
 from hopfrob import linalg
 from hopfrob.catalog import entry, taft
-from hopfrob.double import double_generators, drinfeld_double, embed_algebra
+from hopfrob.double import drinfeld_double, embed_algebra
 from hopfrob.frobenius import (
     build_integral_data,
     frobenius_system_from_norm,
@@ -49,12 +49,17 @@ def double_of(key: str):
 
 @functools.lru_cache(maxsize=None)
 def double_report_of(key: str):
-    """(double, axiom report); the report uses the generator-certified
-    strategy automatically once the dimension warrants it."""
-    H = entry(key).hopf
+    """(double, axiom report), as `hopfrob double` checks it: the quadratic
+    axioms on the generators of the double's product cover."""
     D = double_of(key)
-    gens, cert = double_generators(H)
-    return D, verify_hopf(D, generators=gens, certificate=cert)
+    return D, verify_hopf(D)
+
+
+def engine_primes_of(field, constants=(), degree=1, count=1, most=None):
+    """linalg.engine_primes for an identity over the given constants."""
+    return linalg.engine_primes(
+        field, functools.partial(linalg.scale_of, constants), degree, count, most
+    )
 
 
 @functools.lru_cache(maxsize=None)

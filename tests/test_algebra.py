@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import double_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,11 +10,13 @@ from hopfrob.algebra import (
     StructureAlgebra,
     is_augmentation,
     opposite,
+    product_cover,
     tensor_algebra,
     vec_to_row,
     verify_algebra,
 )
-from hopfrob.catalog import cyclic_table, entry, group_algebra
+from hopfrob.catalog import cyclic_table, entry, group_algebra, names
+from hopfrob.hopfcore import dual_hopf
 
 
 def qc2_alg():
@@ -207,3 +210,63 @@ def test_group_check_rejects_non_group():
 def test_cyclic_table_shape():
     t = cyclic_table(4)
     assert t[1][3] == 0 and t[2][3] == 1
+
+
+# -- product_cover ---------------------------------------------------------------
+
+
+def _checked_cover(A) -> tuple:
+    """The generators of product_cover(A), after checking each step (k, a,
+    b): e_a e_b is one nonzero term, at e_k, and a and b are generators or
+    earlier steps; and that every basis index is reached."""
+    gens, steps = product_cover(A)
+    assert list(gens) == sorted(set(gens))
+    reached = set(gens)
+    for k, a, b in steps:
+        assert a in reached and b in reached and k not in reached
+        ((at, c),) = A.mul[(a, b)]
+        assert at == k and c != A.field.zero()
+        reached.add(k)
+    assert reached == set(range(A.dim))
+    return gens
+
+
+@pytest.mark.parametrize("key", names())
+def test_cover_steps_reach_every_basis_vector(key):
+    """On every catalog entry, its dual and its double (up to
+    D(taft-4-5-2), dim 256)."""
+    H = entry(key).hopf
+    for A in (H.alg, dual_hopf(H).alg, double_of(key).alg):
+        _checked_cover(A)
+
+
+def test_cover_of_the_large_doubles_is_no_larger_than_their_construction():
+    """D(taft-3-7-2) and D(taft-4-5-2) are generated by the 2 dim(H)
+    elements f_a (x) 1 and eps (x) e_i of their construction (18 and 32);
+    the cover read off their tables has at most as many."""
+    assert len(_checked_cover(double_of("taft-3-7-2").alg)) <= 18
+    assert len(_checked_cover(double_of("taft-4-5-2").alg)) <= 32
+
+
+@st.composite
+def _sparse_tables(draw):
+    """A random mul table over GF(7) of dim 1 to 8; when several is drawn,
+    every product has at least two terms, so no row is single-term."""
+    dim = draw(st.integers(1, 8))
+    several = dim > 1 and draw(st.booleans())
+    index = st.integers(0, dim - 1)
+    mul = {}
+    for key in draw(st.sets(st.tuples(index, index), max_size=dim * dim)):
+        at = draw(st.sets(index, min_size=2 if several else 1, max_size=3))
+        mul[key] = [(k, draw(st.integers(1, 6))) for k in sorted(at)]
+    return StructureAlgebra.from_sparse(GF(7), dim, mul, [1] + [0] * (dim - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_tables())
+def test_cover_of_random_sparse_tables(A):
+    """Every step of the cover is a single-term product of earlier ones; on
+    a table with no single-term row every basis vector is a generator."""
+    gens = _checked_cover(A)
+    if all(len(row) > 1 for row in A.mul.values()):
+        assert gens == tuple(range(A.dim))

@@ -472,9 +472,8 @@ def test_verify_d36_over_qq_runs_no_tensor_loop(tmp_path, monkeypatch):
 
 
 def test_double_of_f5c5_keeps_the_full_basis_items(tmp_path, capsys):
-    """D(f5c5) has dimension 25: the kernels check it, but the generator
-    certified strategy starts only above dimension 40, so its items keep
-    their full-basis names."""
+    """D(f5c5) has dimension 25: the kernels check it on the generators of
+    its product cover, with the item names of every other input."""
     path = emit(tmp_path, "f5c5")
     capsys.readouterr()
     assert main(["double", str(path)]) == 0

@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import count_calls, double_of, taft_over
+from conftest import count_calls, double_of, engine_primes_of, taft_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfrob import GF, QQ, InvalidInputError, algebra, hopfcore, linalg
-from hopfrob.algebra import StructureAlgebra, multiplicative_failure
+from hopfrob.algebra import StructureAlgebra, multiplicative_failure, product_cover
 from hopfrob.catalog import cyclic_table, entry, group_algebra, names
-from hopfrob.double import double_fh_check, double_generators, drinfeld_double
+from hopfrob.double import double_fh_check, drinfeld_double
 from hopfrob.frobenius import build_integral_data, frobenius_system_from_norm
 from hopfrob.hopfcore import (
     HopfAlgebra,
@@ -338,29 +338,58 @@ def test_inverse_antipode_flipped_law():
             assert tuple(F.normalize(a) for a in acc) == expected, key
 
 
+QUADRATIC_KERNELS = ((algebra, "_associativity_failure"), (hopfcore, "_delta_failure"))
+QUADRATIC = tuple(name for _, name in QUADRATIC_KERNELS)
+# the kernels and the loops of the quadratic axioms
+QUADRATIC_CHECKS = (
+    *QUADRATIC_KERNELS,
+    (algebra, "_associativity_failure_loops"),
+    (hopfcore, "_delta_failure_loops"),
+)
 
-def test_certified_strategy_needs_a_prime_field_below_two_to_the_31(monkeypatch):
-    """Generators and certificate switch to the int64 certified kernels only
-    over GF(p) with p < 2^31; over QQ or a larger prime every axiom is
-    checked on the whole basis."""
-    monkeypatch.setattr(hopfcore, "_CERTIFIED_DIM", 0)
-    H = entry("qc2").hopf  # over the rationals
-    D = drinfeld_double(H)
-    dgens, dcert = double_generators(H)
+
+def _rows_spy(monkeypatch) -> list:
+    """(name, rows, result) of each later call of the quadratic kernels and
+    loops, rows None for the whole basis."""
+    calls = []
+    for module, name in QUADRATIC_CHECKS:
+        f = getattr(module, name)
+
+        def spied(X, rows=None, *rest, f=f, name=name):
+            out = f(X, rows, *rest)
+            calls.append((name, None if rows is None else tuple(rows), out))
+            return out
+
+        monkeypatch.setattr(module, name, spied)
+    return calls
+
+
+def _whole_basis(monkeypatch):
+    """Make product_cover give every basis index as a generator, so that
+    verify_hopf checks the quadratic axioms on the whole basis."""
+    monkeypatch.setattr(algebra, "product_cover", lambda A: (tuple(range(A.dim)), ()))
+
+
+def test_cover_checks_the_quadratic_axioms_on_every_field(monkeypatch):
+    """With the kernels' crossover at 0, the quadratic axioms run on the
+    generators of the product cover alone on every field: over QQ on the
+    kernels mod its primes (D(sweedler)), over a prime above 2^31 on the loops
+    (the group algebra of C5), over GF(7) on the kernels (D(f7c3))."""
+    monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
     F = GF(2147483659)  # the least prime above 2^31
-    big = group_algebra(cyclic_table(2), F)
-    gens = (basis_vec(F, 2, 0), basis_vec(F, 2, 1))
-    cert = ((0, 0), (0, 1))
-    small = entry("f7c3").hopf
-    sgens, scert = double_generators(small)
-    for K, g, c, certified in (
-        (D, dgens, dcert, False),
-        (big, gens, cert, False),
-        (drinfeld_double(small), sgens, scert, True),
-    ):
-        rep = verify_hopf(K, generators=g, certificate=c)
+    cases = (
+        (double_of("sweedler"), QUADRATIC),
+        (group_algebra(cyclic_table(5), F), ("_associativity_failure_loops", "_delta_failure_loops")),
+        (drinfeld_double(entry("f7c3").hopf), QUADRATIC),
+    )
+    calls = _rows_spy(monkeypatch)
+    for K, ran in cases:
+        cover, _ = product_cover(K.alg)
+        assert len(cover) < K.dim
+        calls.clear()
+        rep = verify_hopf(K)
         assert rep.passed, str(rep)
-        assert any("certified" in it.name for it in rep.items) == certified
+        assert calls == [(name, cover, None) for name in ran]
 
 
 def _corrupted(D, kind, shift=1):
@@ -401,41 +430,44 @@ def _double_over(p):
 
 @pytest.mark.parametrize("kind", ["mul", "comul"])
 @pytest.mark.parametrize("p", [7, 2146560523])
-def test_certified_verdict_fails_closed_on_corrupted_doubles(p, kind):
-    """Full and certified checks both reject a corrupted D(taft(3, p, q)).  Each certified
-    item is a theorem about the input given the items before it: with the
-    certificate in place associativity on generators decides associativity,
-    and with associativity as well, Delta multiplicative on generators
-    decides it on the basis; without associativity the Delta item is FAIL,
-    not decided."""
-    H, D = _double_over(p)
-    gens, cert = double_generators(H)
+def test_certified_verdict_fails_closed_on_corrupted_doubles(p, kind, monkeypatch):
+    """A corrupted D(taft(3, p, q)) fails, its quadratic axioms checked on
+    the generators of the product cover (the generation certificate read
+    off its own table), with the items of the check on the whole basis.
+    A failure on the generators is followed by the run on the basis, which
+    names the first failing triple or pair; Delta runs on the generators
+    only when associativity holds, as the cover decides it only then."""
+    _, D = _double_over(p)
     D = _corrupted(D, kind)
-    full = {it.name: it.ok for it in verify_hopf(D).items}
-    certified = {
-        it.name: (it.ok, it.detail)
-        for it in verify_hopf(D, generators=gens, certificate=cert).items
-    }
-    assert not all(full.values())
-    assert not all(ok for ok, _ in certified.values())
-    delta = certified["comultiplication is multiplicative (generator certified)"]
-    assert certified["generation certificate"][0]  # no generator product is touched
-    assert certified["associativity (generator certified)"][0] == full["associativity"]
-    if full["associativity"]:
-        assert delta[0] == full["comultiplication is multiplicative"]
+    cover, _ = product_cover(D.alg)
+    calls = _rows_spy(monkeypatch)
+    items = _items(verify_hopf(D))
+    _whole_basis(monkeypatch)
+    assert _items(verify_hopf(D)) == items
+    assert not all(ok for _, ok, _ in items)
+    assoc, delta = QUADRATIC
+    ran = [(name, rows, bad is None) for name, rows, bad in calls[:3]]
+    if kind == "mul":
+        assert ran[:2] == [(assoc, cover, False), (assoc, None, False)]
+        assert ran[2][:2] == (delta, None)
     else:
-        assert delta == (False, "not decided: associativity (generator certified) failed")
+        assert ran == [(assoc, cover, True), (delta, cover, False), (delta, None, False)]
 
 
 def test_certificate_must_cover_every_basis_vector():
-    """A certificate that leaves out the last basis vector fails there,
-    even though every product it lists is right."""
-    H, D = _double_over(7)
-    gens, cert = double_generators(H)
-    rep = verify_hopf(D, generators=gens, certificate=cert[:-1])
-    items = {it.name: (it.ok, it.detail) for it in rep.items}
-    assert items["generation certificate"] == (False, f"certificate fails at basis {D.dim - 1}")
-    assert not rep.passed
+    """The product cover reaches every basis vector: on D(taft-3-7-2) with
+    every single-term product onto the last basis vector given a second
+    term, that vector is no step, so it becomes a generator."""
+    _, D = _double_over(7)
+    last = D.dim - 1
+    mul = {
+        key: row + ((0, 1),) if row[0][0] == last and len(row) == 1 else row
+        for key, row in D.alg.mul.items()
+    }
+    A = StructureAlgebra.from_sparse(D.field, D.dim, mul, D.alg.unit)
+    gens, steps = product_cover(A)
+    assert last in gens and last not in product_cover(D.alg)[0]
+    assert sorted([*gens, *(k for k, _, _ in steps)]) == list(range(D.dim))
 
 
 def test_zero_antipode_is_singular_without_elimination(monkeypatch):
@@ -484,9 +516,6 @@ def _spy(monkeypatch, *functions):
     return calls
 
 
-QUADRATIC_KERNELS = ((algebra, "_associativity_failure"), (hopfcore, "_delta_failure"))
-
-
 def _tables(H, p):
     """The residue arrays of H's mul and comul tables mod p, as verify_hopf
     passes them to its kernels."""
@@ -529,8 +558,8 @@ def _prime_cutoff(monkeypatch, count, most):
     monkeypatch.setattr(
         linalg,
         "engine_primes",
-        lambda field, constants, degree, n, cutoff: primes(
-            field, constants, degree, n, most if n == count else cutoff
+        lambda field, scale, degree, n, cutoff: primes(
+            field, scale, degree, n, most if n == count else cutoff
         ),
     )
 
@@ -587,7 +616,7 @@ def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(
     linear axioms stay on their loops: their kernel at every prime of its
     bound is the next test's."""
     R = _rescaled_qs3()
-    assoc = linalg.engine_primes(QQ, algebra.table_constants(R.alg), 2, R.dim)
+    assoc = engine_primes_of(QQ, algebra.table_constants(R.alg), 2, R.dim)
     p1 = assoc[0]
     assert len(assoc) >= 2
     variants = {
@@ -597,7 +626,7 @@ def test_crt_engine_agrees_with_the_loops_on_constants_of_large_height(
         "mul + 1/p1": _corrupted(R, "mul", Fraction(1, p1)),
     }
     moved = algebra.table_constants(variants["mul + 1/p1"].alg)
-    assert p1 not in linalg.engine_primes(QQ, moved, 2, R.dim)
+    assert p1 not in engine_primes_of(QQ, moved, 2, R.dim)
     # the shift by p1 leaves every residue mod p1 as it was
     mul = variants["mul + p1"].alg
     assert algebra._associativity_failure(mul, None, p1, algebra.structure_arrays(mul, p1)) is None
@@ -624,7 +653,7 @@ def test_crt_bound_covers_every_constant_of_the_linear_axioms(monkeypatch, gener
     FAIL, with "counit is multiplicative" failing mod some prime but not
     mod p1."""
     R = _rescaled_qs3()
-    p1 = linalg.engine_primes(QQ, _linear_constants(R), 3, R.dim**3)[0]
+    p1 = engine_primes_of(QQ, _linear_constants(R), 3, R.dim**3)[0]
 
     def counit_moved(shift):
         # basis 19 is outside the unit's support, so eps(1) stays 1
@@ -642,7 +671,7 @@ def test_crt_bound_covers_every_constant_of_the_linear_axioms(monkeypatch, gener
         H = variants[name]
         assert hopfcore._linear_failures(H, p1, *_tables(H, p1)) == (None, None, True, None)
     primes = {
-        name: linalg.engine_primes(QQ, _linear_constants(H), 3, H.dim**3)
+        name: engine_primes_of(QQ, _linear_constants(H), 3, H.dim**3)
         for name, H in variants.items()
     }
     assert primes["antipode + p1"][0] == primes["counit + p1"][0] == p1
@@ -676,9 +705,9 @@ def test_identities_beyond_the_prime_cutoff_run_the_loops(monkeypatch, generic_e
     table = list(algebra.table_constants(R.alg))
     comul = [c for terms in R.comul.values() for *_, c in terms]
     counts = [
-        len(linalg.engine_primes(QQ, table, 2, n)),
-        len(linalg.engine_primes(QQ, table + comul, 4, n**4 + n)),
-        len(linalg.engine_primes(QQ, _linear_constants(R), 3, n**3)),
+        len(engine_primes_of(QQ, table, 2, n)),
+        len(engine_primes_of(QQ, table + comul, 4, n**4 + n)),
+        len(engine_primes_of(QQ, _linear_constants(R), 3, n**3)),
     ]
     assert min(counts) > math.ceil(n * n / algebra._DIM2_PER_PRIME)
     calls = _spy(
@@ -701,15 +730,18 @@ def test_identities_beyond_the_prime_cutoff_run_the_loops(monkeypatch, generic_e
 
 
 @pytest.mark.parametrize("kind", ["mul", "comul"])
-def test_sparse_verdict_does_not_depend_on_the_block_size(kind, smallest_blocks):
+def test_sparse_verdict_does_not_depend_on_the_block_size(kind, monkeypatch, smallest_blocks):
     """One-row blocks and one-term chunks give the items of the default
-    blocks, on the full and on the generator-certified check."""
-    H, D = _double_over(7)
+    blocks, on the check through the product cover and on the whole
+    basis."""
+    _, D = _double_over(7)
     D = _corrupted(D, kind)
-    gens, cert = double_generators(H)
 
     def both():
-        return [_items(verify_hopf(D)), _items(verify_hopf(D, generators=gens, certificate=cert))]
+        with monkeypatch.context() as m:
+            items = _items(verify_hopf(D))
+            _whole_basis(m)
+            return [items, _items(verify_hopf(D))]
 
     default = both()
     smallest_blocks()
@@ -744,7 +776,7 @@ def _nakayama_engines_agree(D, shift, smallest_blocks, generic_engine):
     rows = [list(r) for r in nu.rows]
     rows[1][2] = D.field.normalize(rows[1][2] + shift)
     moved = Matrix.from_rows(D.field, rows)
-    assert D.dim > algebra._SPARSE_DIM and linalg.engine_primes(D.field, (), 3, D.dim**2)
+    assert D.dim > algebra._SPARSE_DIM and engine_primes_of(D.field, (), 3, D.dim**2)
     sparse = [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)]
     smallest_blocks()
     assert [multiplicative_failure(D.alg, D.alg, phi) for phi in (nu, moved)] == sparse
@@ -842,12 +874,12 @@ def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, gen
     each prime of their bound, p on every GF(p) object and enough primes
     over QQ, and the Python loops, which run only on the generic engine,
     give the same items, valid or corrupted."""
-    monkeypatch.setattr(hopfcore, "_CERTIFIED_DIM", 0)
+    monkeypatch.setattr(hopfcore, "_LINEAR_MODP_DIM", 0)
     monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
     H = _double_over(2146560523)[1] if name.startswith("D(taft(") else _object(name)
     if kind is not None:
         H = _corrupted(H, kind, shift)
-    primes = list(linalg.engine_primes(H.field, _linear_constants(H), 3, H.dim**3))
+    primes = list(engine_primes_of(H.field, _linear_constants(H), 3, H.dim**3))
     assert primes
     ran = []
     linear = hopfcore._linear_failures
@@ -879,30 +911,33 @@ def _comul_moved(D, seed):
 
 
 def _delta_failure_by_definition(H, rows):
-    """First (r, j) with Delta(g_r e_j) != Delta(g_r) Delta(e_j), each side
-    evaluated from the tables."""
-    for r, g in enumerate(rows):
+    """First (i, j), i among the basis indices rows, with Delta(e_i e_j) !=
+    Delta(e_i) Delta(e_j), each side evaluated from the tables."""
+    for i in rows:
+        g = basis_vec(H.field, H.dim, i)
         dg = H.delta_vec(g)
         for j in range(H.dim):
             e_j = basis_vec(H.field, H.dim, j)
             if H.delta_vec(H.alg.multiply(g, e_j)) != tensor_mult(H, dg, H.delta_vec(e_j)):
-                return (r, j)
+                return (i, j)
     return None
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_delta_kernel_finds_the_first_failing_pair(seed, smallest_blocks):
     """On D(taft-3-7-2) with three comul terms moved, the blocked kernel
-    reports the first failing (r, j) of the definition on the generators
-    and of the loops on the basis, with default and with one-j blocks."""
-    H, D = _double_over(7)
-    gens, _ = double_generators(H)
+    reports the first failing (i, j) of the definition on the generators
+    of the product cover and of the loops on the basis, with default and
+    with one-j blocks; the loops on the generators agree."""
+    _, D = _double_over(7)
+    cover, _ = product_cover(D.alg)
     D = _comul_moved(D, seed)
-    expected = [_delta_failure_by_definition(D, gens), hopfcore._delta_failure_loops(D)]
+    expected = [_delta_failure_by_definition(D, cover), hopfcore._delta_failure_loops(D)]
     assert expected[1] is not None
+    assert hopfcore._delta_failure_loops(D, cover) == expected[0]
 
     def kernel():
-        return [hopfcore._delta_failure(D, g, 7, *_tables(D, 7)) for g in (gens, None)]
+        return [hopfcore._delta_failure(D, g, 7, *_tables(D, 7)) for g in (cover, None)]
 
     assert kernel() == expected
     smallest_blocks()
@@ -913,21 +948,17 @@ def test_contractions_beyond_one_slice_run_on_the_kernels(monkeypatch, generic_e
     """With 3-bit limbs, so slices of 8 terms, Delta's F W contraction and
     the products with Delta on the left in the linear identities span
     several slices.  On D(taft(3, p, q)) with p near 2^31, valid and with a
-    comul entry moved, neither the full nor the certified check falls back
-    to its loops.  The full check gives the items of the Python-scalar
-    engine, on which both loops decide; the certified check gives its items
-    at one slice per contraction, and its Delta kernel the first failing
-    generator pair of the definition."""
-    H, D0 = _double_over(2146560523)
+    comul entry moved, verify_hopf does not fall back to its loops, and
+    gives the items it gives at one slice per contraction and those of the
+    Python-scalar engine, on which the loops decide; its Delta kernel on
+    the generators of the product cover gives the first failing pair of
+    the definition."""
+    _, D0 = _double_over(2146560523)
     p = D0.field.p
-    gens, cert = double_generators(H)
+    cover, _ = product_cover(D0.alg)
     doubles = [D0, _corrupted(D0, "comul")]
-
-    def certified():
-        return [_items(verify_hopf(D, generators=gens, certificate=cert)) for D in doubles]
-
-    one_slice = certified()
-    by_definition = [_delta_failure_by_definition(D, gens) for D in doubles]
+    one_slice = [_items(verify_hopf(D)) for D in doubles]
+    by_definition = [_delta_failure_by_definition(D, cover) for D in doubles]
     assert by_definition[0] is None and by_definition[1] is not None
     monkeypatch.setattr(linalg, "_LIMB_BITS", 3)
     calls = []
@@ -935,8 +966,8 @@ def test_contractions_beyond_one_slice_run_on_the_kernels(monkeypatch, generic_e
         loops = getattr(hopfcore, name)
         monkeypatch.setattr(hopfcore, name, lambda *args, f=loops, n=name: calls.append(n) or f(*args))
     full = [_items(verify_hopf(D)) for D in doubles]
-    assert certified() == one_slice
-    assert [hopfcore._delta_failure(D, gens, p, *_tables(D, p)) for D in doubles] == by_definition
+    assert full == one_slice
+    assert [hopfcore._delta_failure(D, cover, p, *_tables(D, p)) for D in doubles] == by_definition
     assert calls == []
     generic_engine()
     assert full == [_items(verify_hopf(D)) for D in doubles]
@@ -1019,15 +1050,14 @@ def _peak(f):
 
 
 def test_d256_kernels_stay_within_8_mb():
-    """On D(taft-4-5-2) the generator-certified Delta kernel and the
-    kernels of the four linear axioms each peak at no more than 8 MB
-    (tracemalloc) at the default block budget."""
-    H = entry("taft-4-5-2").hopf
+    """On D(taft-4-5-2) the Delta kernel on the generators of the product
+    cover and the kernels of the four linear axioms each peak at no more
+    than 8 MB (tracemalloc) at the default block budget."""
     D = double_of("taft-4-5-2")
-    gens, _ = double_generators(H)
+    cover, _ = product_cover(D.alg)
     p = D.field.p
     tables = _tables(D, p)
-    bad, peak = _peak(lambda: hopfcore._delta_failure(D, gens, p, *tables))
+    bad, peak = _peak(lambda: hopfcore._delta_failure(D, cover, p, *tables))
     assert bad is None and peak <= 8e6
     linear, peak = _peak(lambda: hopfcore._linear_failures(D, p, *tables))
     assert linear == (None, None, True, None) and peak <= 8e6
@@ -1042,7 +1072,7 @@ def test_delta_operand_peaks_below_twice_its_own_arrays(monkeypatch):
     (i, j, k, c), (m, u, v, d) = _tables(D, p)
     delta, ab = hopfcore._compact(m, u * n + v, d, n)
     Mu, as_ = hopfcore._compact(i, k * n + j, c, n)
-    Dg = linalg.mulmod(algebra.residue_rows(None, n, p), delta, p)
+    Dg = linalg.mulmod(algebra.basis_rows(None, n)[0], delta, p)
     record = _recorded_blocks(monkeypatch)
     (W, _, _), peak = _peak(lambda: hopfcore._coproduct_operand(Dg, ab, Mu, as_, n, p))
     assert W.nnz == 698112
@@ -1054,17 +1084,19 @@ def test_delta_operand_peaks_below_twice_its_own_arrays(monkeypatch):
 
 
 def test_smallest_blocks_hold_one_item_each(monkeypatch, smallest_blocks):
-    """Under the smallest_blocks fixture every block of every kernel of the
-    full and the certified verify_hopf of D(taft-3-7-2), and of
-    check_automorphism on its Nakayama automorphism, holds a single item,
-    and the blocks cover every item of positive size."""
-    H, D = _double_over(7)
-    gens, cert = double_generators(H)
+    """Under the smallest_blocks fixture every block of every kernel of
+    verify_hopf of D(taft-3-7-2), through its product cover and on the
+    whole basis, and of check_automorphism on its Nakayama automorphism,
+    holds a single item, and the blocks cover every item of positive
+    size."""
+    _, D = _double_over(7)
     nu = _nakayama(D)
     smallest_blocks()
     record = _recorded_blocks(monkeypatch)
     assert verify_hopf(D).passed
-    assert verify_hopf(D, generators=gens, certificate=cert).passed
+    with monkeypatch.context() as m:
+        _whole_basis(m)
+        assert verify_hopf(D).passed
     algebra.check_automorphism(D.alg, nu, "Nakayama matrix")
     assert len(record) >= 6
     for sizes, ranges in record:

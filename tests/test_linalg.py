@@ -6,6 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import engine_primes_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -274,16 +275,16 @@ def test_engine_primes_meet_the_crt_bound_and_avoid_denominators():
     exceeds 2 count max(A, D)^degree; none when machine_prime admits none."""
     assert linalg.engine_primes(F7) == (7,)
     assert linalg.engine_primes(GF(2147483659)) == ()
-    assert linalg.engine_primes(QQ, [Fraction(3), Fraction(-1)], 2, 9) == (MERSENNE_31,)
+    assert engine_primes_of(QQ, [Fraction(3), Fraction(-1)], 2, 9) == (MERSENNE_31,)
     constants = [Fraction(1, MERSENNE_31), Fraction(5 * 2**40, 3)]
-    primes = linalg.engine_primes(QQ, constants, 3, 81)
+    primes = engine_primes_of(QQ, constants, 3, 81)
     den = 3 * MERSENNE_31
     bound = 2 * 81 * (5 * 2**40 * MERSENNE_31) ** 3
     assert MERSENNE_31 not in primes and all(den % p for p in primes)
     assert list(primes) == sorted(primes, reverse=True) and primes[0] < 2**31
     assert math.prod(primes) > bound >= math.prod(primes[:-1])
     with mock.patch.object(linalg, "machine_prime", lambda field: None):
-        assert linalg.engine_primes(QQ) == linalg.engine_primes(F7) == ()
+        assert engine_primes_of(QQ) == linalg.engine_primes(F7) == ()
 
 
 def test_engine_primes_give_none_past_the_cutoff():
@@ -293,16 +294,16 @@ def test_engine_primes_give_none_past_the_cutoff():
     # the bound 2^62 - 2 has the bits of two primes, but the two largest
     # primes below 2^31 multiply to less, so it takes three
     constants = [Fraction(2**61 - 1)]
-    primes = linalg.engine_primes(QQ, constants, 1, 1)
+    primes = engine_primes_of(QQ, constants, 1, 1)
     assert len(primes) == 3
-    assert linalg.engine_primes(QQ, constants, 1, 1, 3) == primes
+    assert engine_primes_of(QQ, constants, 1, 1, 3) == primes
     tested = []
     is_prime = linalg._is_prime
     with mock.patch.object(linalg, "_is_prime", lambda p: tested.append(p) or is_prime(p)):
-        assert linalg.engine_primes(QQ, constants, 1, 1, 2) == ()
+        assert engine_primes_of(QQ, constants, 1, 1, 2) == ()
         assert len(tested) > 0
         tested.clear()
-        assert linalg.engine_primes(QQ, constants, 1, 1, 1) == ()
+        assert engine_primes_of(QQ, constants, 1, 1, 1) == ()
         assert tested == []
 
 
@@ -314,8 +315,17 @@ def test_engine_primes_give_none_past_the_cutoff():
     st.integers(0, 6),
 )
 def test_engine_primes_with_a_cutoff_are_those_without_it_or_none(c, degree, count, most):
-    full = linalg.engine_primes(QQ, [c], degree, count)
-    assert linalg.engine_primes(QQ, [c], degree, count, most) == (full if len(full) <= most else ())
+    full = engine_primes_of(QQ, [c], degree, count)
+    assert engine_primes_of(QQ, [c], degree, count, most) == (full if len(full) <= most else ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(max_denominator=2**20), max_size=8), st.integers(0, 8))
+def test_joint_scale_is_the_scale_of_the_union(constants, cut):
+    """The scales of two constant sets, joined, are the scale of their
+    union: the common denominator and the height over it."""
+    parts = constants[:cut], constants[cut:]
+    assert linalg.joint_scale(*map(linalg.scale_of, parts)) == linalg.scale_of(constants)
 
 
 def test_residues_reduce_each_rational_exactly():

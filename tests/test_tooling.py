@@ -252,6 +252,39 @@ def test_engine_is_chosen_in_one_place():
     assert [names for names in arguments if names] == [linear]
 
 
+def _first_failure_arguments(path: Path, function: str) -> set:
+    """The names mentioned inside the arguments of the first_failure calls
+    of one function of a module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {
+        n.id
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "first_failure"
+        for arg in node.args
+        for n in ast.walk(arg)
+        if isinstance(n, ast.Name)
+    }
+
+
+def test_one_quadratic_axiom_path():
+    """verify_hopf takes the Hopf algebra and a title, no strategy: the
+    quadratic axioms always run through the product cover.  Their kernels
+    are named only as arguments of the first_failure calls in verify_algebra
+    (associativity) and verify_hopf (Delta multiplicative), so no second
+    path reaches them."""
+    from hopfrob.hopfcore import verify_hopf
+
+    assert list(inspect.signature(verify_hopf).parameters) == ["H", "title"]
+    for name, scope in (
+        ("_associativity_failure", "algebra.verify_algebra"),
+        ("_delta_failure", "hopfcore.verify_hopf"),
+    ):
+        assert [s for path in PACKAGE.glob("*.py") for s in _scopes(path, _names(name))] == [scope]
+        module, function = scope.split(".")
+        assert name in _first_failure_arguments(PACKAGE / f"{module}.py", function)
+
+
 def test_cli_import_loads_neither_numpy_nor_scipy():
     """The int64 engine imports numpy and scipy inside the functions that use
     them, so a run that never reaches it does not pay for their import."""
