@@ -17,13 +17,12 @@ certified per instance: the bimodule law on all basis triples and both
 reconstruction identities on every basis vector, each as matrix identities
 read column by column, and freeness of H over K by explicit basis search.
 
-Induction M (x)_K H and co-induction Hom_K(H, M_beta) live in the d x n
-matrices over M (x) H, flattened row-major (module, H).  The right action
-of H on both moves such matrices by right and left translation in H, and
-_translates makes every move by the basis of H in one pass over the mul
-table.  The induced quotient map is read off the reduced echelon rows of
-the tensor relations, and the co-induced action is one solve of the
-co-induced basis against all moved basis vectors.
+Induction M (x)_K H and co-induction Hom_K(H, M_beta) are both M^r, r =
+dim H / dim K, along one change of basis of H: the free right basis u_j
+and the left basis S(u_j).  Their tensors live in the d x n matrices over
+M (x) H, flattened row-major (module, H); H acts on them by right and left
+translation in H, which _translates makes by every basis element in one
+pass over the mul table, read back in the coordinates of M^r.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import check_automorphism
-from .errors import InternalCheckError, InvalidInputError
+from .errors import InternalCheckError, InvalidInputError, SingularError
 from .frobenius import IntegralData, build_integral_data, frobenius_system_from_norm
 from .frobenius import modular_inverse, nakayama_closed_form
 from .hopfcore import HopfAlgebra, convolution, hit_matrix, hopf_map_report
@@ -136,23 +135,6 @@ class RelativeFrobeniusData:
     E: Matrix
     us: tuple
     vs: tuple
-
-
-def _linearity_rows(field, pairs) -> list:
-    """Rows of 1 (x) W^T - A (x) 1 for each pair (W, A), W n x n and A d x d.
-    Over the unknown d x n matrix phi flattened row-major, row (alpha, i)
-    of a pair is (phi W - A phi)[alpha][i], so the rows say phi W = A phi."""
-    rows = []
-    for W, A in pairs:
-        n, cols = W.nrows, W.transpose().rows
-        for alpha, arow in enumerate(A.rows):
-            for i in range(n):
-                row = [field.zero()] * (A.ncols * n)
-                row[alpha * n : (alpha + 1) * n] = cols[i]
-                for beta, a in enumerate(arow):
-                    row[beta * n + i] -= a
-                rows.append(tuple(map(field.normalize, row)))
-    return rows
 
 
 def beta_frobenius_structure(
@@ -259,8 +241,8 @@ def check_expectation_bimodule(
 # -- freeness -------------------------------------------------------------------
 
 
-def free_module_basis(emb: SubalgebraEmbedding, side: str = "right") -> tuple:
-    """Greedy basis of H as a free one-sided K-module.
+def free_module_basis(emb: SubalgebraEmbedding) -> tuple:
+    """Greedy basis of H as a free right K-module.
 
     Accepts a candidate only when its K-orbit enlarges the span by a full
     dim K, so the result is a genuine free basis of length dim H / dim K.
@@ -272,13 +254,9 @@ def free_module_basis(emb: SubalgebraEmbedding, side: str = "right") -> tuple:
         raise InternalCheckError(
             "ambient dimension is not a multiple of the subalgebra dimension"
         )
-    if side not in ("left", "right"):
-        raise InvalidInputError(f"side must be 'left' or 'right', not {side!r}")
 
     def orbit(x):
-        if side == "right":
-            return [H.alg.multiply(x, iota.col(s)) for s in range(k)]
-        return [H.alg.multiply(iota.col(s), x) for s in range(k)]
+        return [H.alg.multiply(x, iota.col(s)) for s in range(k)]
 
     chosen: list = []
     spanning: list = []
@@ -384,8 +362,9 @@ def regular_module(K: HopfAlgebra) -> KModule:
 
 @dataclass(frozen=True)
 class InducedModule:
-    """M tensored with H over K; section lifts the quotient basis to the
-    ambient M (x) H coordinates, flattened row-major (module, H)."""
+    """M tensored with H over K, on the basis m_g (x) b_j of M^r for the left
+    free basis b_j of H over K; section lifts that basis to the ambient
+    M (x) H coordinates, flattened row-major (module, H)."""
 
     dim: int
     action: tuple
@@ -395,7 +374,9 @@ class InducedModule:
 @dataclass(frozen=True)
 class CoinducedModule:
     """Right K-linear maps H -> (M twisted along beta^-1), flattened
-    row-major (module, H); action is right translation of the argument."""
+    row-major (module, H), on the basis of maps sending one right free basis
+    vector u_j to m_g and the others to 0; action is right translation of
+    the argument."""
 
     dim: int
     basis: tuple
@@ -440,67 +421,60 @@ def _translates(alg, vecs, d: int, side: str) -> list:
     return out
 
 
-def induced_module(emb: SubalgebraEmbedding, M: KModule) -> InducedModule:
-    K, H, iota = emb.K, emb.H, emb.iota
-    field = H.field
-    d, n, k = M.dim, H.dim, K.dim
+def _free_transport(emb: SubalgebraEmbedding, flat: Matrix, d: int, free, side: str) -> tuple:
+    """(embed, action) of M^r over H on the basis (g, j), along the free
+    basis free = (b_j) of H over K on the given side.
 
-    # the relations m . k (x) h = m (x) iota(k) h span these rows, taken
-    # with W = L_{iota(e_s)} and A = action_s^T
-    rel = canonical_basis(
-        field,
-        _linearity_rows(
-            field,
-            [(H.alg.left_mult_matrix(iota.col(s)), M.mats[s].transpose()) for s in range(k)],
-        ),
-    )
-    pivots = [next(j for j, c in enumerate(row) if c != field.zero()) for row in rel]
-    free = sorted(set(range(d * n)) - set(pivots))
-    q = len(free)
+    C inverts the matrix with column (j, s) iota(e_s) b_j ("left") or
+    b_j iota(e_s) ("right"); flat has column s the d x d matrix A_s
+    flattened, and flat times C laid out as rows s gives spread, with row
+    (g, j) and column (a, i) sum_s C[(j s), i] A_s[g][a].  pure has row
+    (g, j) the flattened m_g (x) b_j.  Left, A_s the action of e_s: spread
+    is the quotient map, m_a (x) e_i = sum C[(j s), i] (m_a . e_s) (x) b_j,
+    and pure its section.  Right, A_s transposed: spread holds the maps with
+    phi(b_j) = m_g, phi(e_i) = sum C[(j s), i] A_s^T phi(b_j), and pure
+    evaluates at the b_j."""
+    H, iota, field = emb.H, emb.iota, emb.H.field
+    n, k, r = H.dim, emb.K.dim, len(free)
+    mult = H.alg.right_mult_matrix if side == "left" else H.alg.left_mult_matrix
+    cols = [c for b in free for c in mult(b).mul(iota).transpose().rows]
+    try:
+        C = Matrix.from_columns(field, cols).inverse().rows
+    except SingularError as exc:
+        raise InternalCheckError(f"{side} basis is not a free basis of H over K") from exc
+    laid = Matrix(field, tuple(tuple(x for j in range(r) for x in C[j * k + s]) for s in range(k)))
+    X = flat.mul(laid).rows
+    spread = Matrix(field, tuple(
+        tuple(x for row in X[g * d : (g + 1) * d] for x in row[j * n : (j + 1) * n])
+        for g in range(d) for j in range(r)
+    ))
+    z = (field.zero(),) * n
+    pure = Matrix(field, tuple(z * g + b + z * (d - 1 - g) for g in range(d) for b in free))
+    embed, read = (pure, spread) if side == "left" else (spread, pure)
+    moves = _translates(H.alg, embed.rows, d, "right" if side == "left" else "left")
+    return embed, tuple(read.mul(m) for m in moves)
 
-    # the quotient map reads the reduced echelon rows: a free coordinate
-    # goes to its own basis vector, the pivot of a row to minus that row
-    # on the free coordinates
-    images = {j: basis_vec(field, q, c) for c, j in enumerate(free)}
-    for j, row in zip(pivots, rel):
-        images[j] = tuple(field.neg(row[f]) for f in free)
-    proj = Matrix.from_columns(field, [images[j] for j in range(d * n)])
-    lifts = [basis_vec(field, d * n, j) for j in free]
-    action = tuple(proj.mul(m) for m in _translates(H.alg, lifts, d, "right"))
-    return InducedModule(q, action, Matrix.from_columns(field, lifts))
+
+def induced_module(
+    emb: SubalgebraEmbedding, data: RelativeFrobeniusData, M: KModule
+) -> InducedModule:
+    """M (x)_K H on the left free basis S(u_j) of the right one u_j in data:
+    S is an anti-automorphism with S o iota = iota o S_K, so H is the direct
+    sum of the iota(K) S(u_j)."""
+    H = emb.H
+    free = H.antipode.mul(Matrix.from_columns(H.field, data.us)).transpose().rows
+    embed, action = _free_transport(emb, _flat_actions(M.field, M.mats), M.dim, free, "left")
+    return InducedModule(embed.nrows, action, embed.transpose())
 
 
 def coinduced_module(
-    emb: SubalgebraEmbedding, beta: Matrix, M: KModule
+    emb: SubalgebraEmbedding, data: RelativeFrobeniusData, M: KModule
 ) -> CoinducedModule:
-    H = emb.H
-    field = H.field
-    d, n = M.dim, H.dim
-
-    # row s is the action of beta^-1(e_s) on M, flattened
-    twisted = _flat_actions(field, M.mats).mul(beta.inverse()).transpose().rows
-    pairs = [
-        (
-            H.alg.right_mult_matrix(emb.iota.col(s)),
-            Matrix(field, tuple(flat[r * d : (r + 1) * d] for r in range(d))),
-        )
-        for s, flat in enumerate(twisted)
-    ]
-    kern = Matrix(field, tuple(_linearity_rows(field, pairs))).kernel()
-    basis_mat = Matrix.from_columns(field, list(kern)) if kern else Matrix.zeros(field, d * n, 0)
-
-    # the coordinates of every moved basis vector, for all e_t in one solve
-    moved = _translates(H.alg, kern, d, "left")
-    q = len(kern)
-    coords = basis_mat.solve_matrix(
-        Matrix(field, tuple(tuple(x for m in moved for x in m.rows[r]) for r in range(d * n)))
-    )
-    if coords is None:
-        raise InternalCheckError("co-induced space is not stable under the ambient action")
-    action = tuple(
-        Matrix(field, tuple(row[t * q : (t + 1) * q] for row in coords.rows)) for t in range(n)
-    )
-    return CoinducedModule(q, kern, action)
+    """Hom_K(H, M_beta) on the right free basis u_j in data, through the
+    transposed actions of the beta^-1(e_s)."""
+    flat = _flat_actions(M.field, [m.transpose() for m in M.mats]).mul(data.beta.inverse())
+    embed, action = _free_transport(emb, flat, M.dim, data.us, "right")
+    return CoinducedModule(embed.nrows, embed.rows, action)
 
 
 def _comparison_map(
@@ -545,8 +519,8 @@ def induction_coinduction_check(
     d, n, k = M.dim, H.dim, K.dim
     rep = Report(f"induction vs co-induction: module of dim {d} over {K.name or 'K'}")
 
-    ind = induced_module(emb, M)
-    coi = coinduced_module(emb, data.beta, M)
+    ind = induced_module(emb, data, M)
+    coi = coinduced_module(emb, data, M)
     expected = d * n // k
     rep.add(
         "induced module has the expected dimension",
@@ -603,7 +577,7 @@ def extension_report(emb: SubalgebraEmbedding) -> tuple:
     # checks pass, so the two items recorded as PASS cannot fail here
     beta = relative_nakayama(emb, data_K, data_H, nu_H, rep)
     rep.add("two computations of the relative twist agree", True)
-    free = free_module_basis(emb, "right")
+    free = free_module_basis(emb)
     data = beta_frobenius_structure(emb, beta, data_K, data_H, free)
     ok, detail = check_expectation_bimodule(emb, data)
     rep.add("conditional expectation obeys the twisted bimodule law", ok, detail)

@@ -118,7 +118,7 @@ def twist_of(emb: SubalgebraEmbedding):
 def structure_of(emb: SubalgebraEmbedding, beta):
     """beta_frobenius_structure of emb and beta, with the data it takes built here."""
     data_K, data_H = build_integral_data(emb.K), build_integral_data(emb.H)
-    return beta_frobenius_structure(emb, beta, data_K, data_H, free_module_basis(emb, "right"))
+    return beta_frobenius_structure(emb, beta, data_K, data_H, free_module_basis(emb))
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,15 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embedding_of, embedding_report, structure_of, subpair_of, twist_of
+from hopfrob import linalg
 from hopfrob.catalog import entry
-from hopfrob.errors import InvalidInputError
+from hopfrob.errors import InternalCheckError, InvalidInputError
 from hopfrob.linalg import Matrix, basis_vec, canonical_basis, matrix_order
 from hopfrob.subext import (
     KModule,
     RelativeFrobeniusData,
     SubalgebraEmbedding,
     _comparison_map,
-    _linearity_rows,
     _module_law_failure,
     check_expectation_bimodule,
     check_module,
@@ -520,6 +520,26 @@ def test_extension_checks_match_the_loops(key, engine, generic_engine):
     assert not all(ok for ok, _ in bimodule) and not all(ok for ok, _ in identities)
 
 
+def _transport_modules(key, K) -> list:
+    """The trivial and regular modules of K, and the third module of
+    _modules_for where that pair has one."""
+    if key in ("qc2-sweedler", "f7c3-taft"):
+        return _modules_for(key)
+    return [trivial_module(K), regular_module(K)]
+
+
+def _twisted_actions(M, beta) -> list:
+    """The d x d action of beta^-1(e_s) on M, for each basis vector e_s of K."""
+    inv = beta.inverse()
+    acts = []
+    for s in range(len(M.mats)):
+        acc = Matrix.zeros(M.field, M.dim, M.dim)
+        for u, m in enumerate(M.mats):
+            acc = acc.add(m.scale(inv.entry(u, s)))
+        acts.append(acc)
+    return acts
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("key", PAIRS + DOUBLE_PAIRS)
 def test_transport_identities_match_the_loops(key, engine, generic_engine):
@@ -527,22 +547,14 @@ def test_transport_identities_match_the_loops(key, engine, generic_engine):
     K, H = emb.K, emb.H
     field, n = H.field, H.dim
     corrupted = RelativeFrobeniusData(data.beta, _moved(data.E, 0, n - 1), data.us, data.vs)
-    for M in (trivial_module(K), regular_module(K)):
+    for M in _transport_modules(key, K):
         d = M.dim
-        # the relations of the induced module and the co-induced space
-        ind = induced_module(emb, M)
-        pivots = {
-            next(j for j, c in enumerate(row) if c != field.zero())
-            for row in _induced_relations_by_definition(emb, M)
-        }
-        free = [basis_vec(field, d * n, t) for t in range(d * n) if t not in pivots]
-        assert ind.section == Matrix.from_columns(field, free)
-        right = [H.alg.right_mult_matrix(emb.iota.col(s)) for s in range(K.dim)]
-        rows = _linearity_rows(field, list(zip(right, M.mats)))
-        reference = _linearity_rows_by_definition(emb, "right", M.mats)
-        assert Matrix(field, tuple(rows)).kernel() == Matrix(field, tuple(reference)).kernel()
+        # the co-induced basis spans the maps the linearity rows cut out
+        coi = coinduced_module(emb, data, M)
+        rows = _linearity_rows_by_definition(emb, "right", _twisted_actions(M, data.beta))
+        assert canonical_basis(field, coi.basis) == Matrix(field, tuple(rows)).kernel()
         # the module law, on valid and corrupted actions
-        coi = coinduced_module(emb, data.beta, M)
+        ind = induced_module(emb, data, M)
         for action, dim, A in ((M.mats, d, K), (ind.action, ind.dim, H), (coi.action, coi.dim, H)):
             assert _module_law_failure(A, action, dim) is None
             for t in range(len(action)):
@@ -558,11 +570,52 @@ def test_transport_identities_match_the_loops(key, engine, generic_engine):
 @pytest.mark.parametrize("key", PAIRS + DOUBLE_PAIRS)
 def test_transport_actions_match_the_definitions(key, engine, generic_engine):
     emb, data = _structure(key, engine, generic_engine)
-    for M in (trivial_module(emb.K), regular_module(emb.K)):
-        ind = induced_module(emb, M)
-        assert list(ind.action) == _induced_action_by_definition(emb, M)
-        coi = coinduced_module(emb, data.beta, M)
-        assert list(coi.action) == _coinduced_action_by_definition(emb, coi.basis, M.dim)
+    field, n = emb.H.field, emb.H.dim
+    for M in _transport_modules(key, emb.K):
+        d = M.dim
+        # P takes the induced basis to the free coordinates of the quotient
+        # by the relations, where the reference action lives
+        ind = induced_module(emb, data, M)
+        relations = _induced_relations_by_definition(emb, M)
+        pivots = {next(j for j, x in enumerate(row) if x != field.zero()) for row in relations}
+        free = [j for j in range(d * n) if j not in pivots]
+        reduced = [_reduce_by_definition(field, relations, c) for c in ind.section.transpose().rows]
+        P = Matrix.from_columns(field, [[red[f] for f in free] for red in reduced])
+        P.inverse()
+        for act, ref in zip(ind.action, _induced_action_by_definition(emb, M), strict=True):
+            assert P.mul(act) == ref.mul(P)
+        coi = coinduced_module(emb, data, M)
+        assert list(coi.action) == _coinduced_action_by_definition(emb, coi.basis, d)
+
+
+def test_transport_eliminates_at_most_dim_h_rows(monkeypatch):
+    """Both transported modules come from one change of basis of H: no
+    elimination while they are built has more rows than dim H (the
+    k d n relation rows of the regular module here would be 81)."""
+    emb, _, data = subpair_of("qc3-double")
+    M = regular_module(emb.K)
+    heights = []
+    rref = linalg._rref
+
+    def spy(field, rows):
+        heights.append(len(rows))
+        return rref(field, rows)
+
+    monkeypatch.setattr(linalg, "_rref", spy)
+    induced_module(emb, data, M)
+    coinduced_module(emb, data, M)
+    assert heights and max(heights) <= emb.H.dim
+
+
+def test_transport_rejects_a_basis_that_is_not_free(monkeypatch):
+    """With S(u_1) = S(u_0) the left coordinate matrix is singular."""
+    emb, _, data = subpair_of("qc2-sweedler")
+    H = emb.H
+    u0, u1 = (next(i for i, c in enumerate(u) if c != H.field.zero()) for u in data.us[:2])
+    cols = [H.antipode.col(u0 if i == u1 else i) for i in range(H.dim)]
+    monkeypatch.setattr(H, "antipode", Matrix.from_columns(H.field, cols))
+    with pytest.raises(InternalCheckError, match="left basis is not a free basis of H over K"):
+        induced_module(emb, data, trivial_module(emb.K))
 
 
 # -- freeness --------------------------------------------------------------------
@@ -573,25 +626,21 @@ def test_transport_actions_match_the_definitions(key, engine, generic_engine):
 )
 def test_free_module_rank(key, rank):
     emb = embedding_of(key)
-    for side in ("right", "left"):
-        basis = free_module_basis(emb, side)
-        assert len(basis) == rank
-        orbit = []
-        for h in basis:
-            for s in range(emb.K.dim):
-                pair = (h, emb.iota.col(s)) if side == "right" else (emb.iota.col(s), h)
-                orbit.append(emb.H.alg.multiply(*pair))
-        assert Matrix.from_columns(emb.H.field, orbit).rank() == emb.H.dim
+    H, iota = emb.H, emb.iota
+    basis = free_module_basis(emb)
+    assert len(basis) == rank
+    # right: u_j iota(e_s); left, through the antipode: iota(e_s) S(u_j)
+    right = [H.alg.multiply(h, iota.col(s)) for h in basis for s in range(emb.K.dim)]
+    left = [
+        H.alg.multiply(iota.col(s), H.antipode.apply(h)) for h in basis for s in range(emb.K.dim)
+    ]
+    for orbit in (right, left):
+        assert Matrix.from_columns(H.field, orbit).rank() == H.dim
 
 
 def test_free_module_basis_of_trivial_pair():
     emb = identity_embedding(entry("sweedler").hopf)
     assert free_module_basis(emb) == (emb.H.unit,)
-
-
-def test_free_module_basis_rejects_bad_side():
-    with pytest.raises(InvalidInputError, match="side"):
-        free_module_basis(embedding_of("qc2-sweedler"), "middle")
 
 
 # -- modules over the subalgebra -------------------------------------------------
@@ -656,8 +705,8 @@ def test_induction_equals_coinduction(key, slot):
 def test_trivial_module_transport_dimensions():
     emb, _, data = subpair_of("qc2-sweedler")
     M = trivial_module(emb.K)
-    ind = induced_module(emb, M)
-    coi = coinduced_module(emb, data.beta, M)
+    ind = induced_module(emb, data, M)
+    coi = coinduced_module(emb, data, M)
     assert ind.dim == 2
     assert coi.dim == 2
 
@@ -666,7 +715,7 @@ def test_regular_module_induces_the_ambient_algebra():
     emb, _, data = subpair_of("f7c3-taft")
     K, H, iota = emb.K, emb.H, emb.iota
     field = H.field
-    ind = induced_module(emb, regular_module(K))
+    ind = induced_module(emb, data, regular_module(K))
     assert ind.dim == H.dim
     # k (x) h  |->  iota(k) h  intertwines the induced action with right
     # multiplication and is invertible
