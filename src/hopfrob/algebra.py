@@ -95,6 +95,11 @@ def nonzero_row(field: Field, acc: Mapping) -> tuple:
     return tuple(out)
 
 
+def default_names(dim: int) -> tuple:
+    """The basis names e0, e1, ... of an algebra given without names."""
+    return tuple(f"e{k}" for k in range(dim))
+
+
 def vec_to_row(field: Field, vec: Sequence) -> SparseRow:
     z = field.zero()
     return tuple((k, c) for k, c in enumerate(vec) if c != z)
@@ -128,7 +133,7 @@ class StructureAlgebra:
         u = tuple(field.normalize(c) for c in unit)
         if len(u) != dim:
             raise ShapeError("unit vector length mismatch")
-        names = tuple(basis_names) if basis_names else tuple(f"e{k}" for k in range(dim))
+        names = tuple(basis_names) if basis_names else default_names(dim)
         if len(names) != dim:
             raise ShapeError("basis name count mismatch")
         return StructureAlgebra(field, dim, table, u, names)

@@ -152,8 +152,10 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     Every straightening entry is replayed through the direct sandwich
     evaluation; a mismatch is a construction bug, not bad input, and raises
     InternalCheckError naming the pair.  The mul table (_double_mul), comul
-    and antipode are then summed over nonzero constants only, and the mul
-    rows go to from_sparse in ascending key order.
+    and antipode are then summed over nonzero constants only.  Every row
+    leaves nonzero_row sorted, normalized and free of zeros, the form the
+    tables hold, so D is built by the dataclass constructors without a
+    second cleaning.
     """
     field = H.field
     n = H.dim
@@ -176,7 +178,7 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     names = tuple(
         f"{H.basis_names[a]}*.{H.basis_names[i]}" for a in range(n) for i in range(n)
     )
-    alg = StructureAlgebra.from_sparse(field, N, _double_mul(H, straighten), unit, names)
+    alg = StructureAlgebra(field, N, _double_mul(H, straighten), unit, names)
 
     # coproduct: opposite dual coproduct on the first factor
     mul_by_result: dict = {}
@@ -195,6 +197,8 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
             terms = tuple((jj, kk, c) for (jj, kk), c in nonzero_row(field, acc))
             if terms:
                 comul[a * n + i] = terms
+    for k in range(N):
+        comul.setdefault(k, ())
 
     counit = tuple(
         field.normalize(H.unit[a] * H.counit[i]) for a in range(n) for i in range(n)
@@ -219,9 +223,7 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
                 anti[key][b * n + j] = c
     antipode = Matrix(field, tuple(map(tuple, anti)))
 
-    return HopfAlgebra.from_sparse(
-        alg, comul, counit, antipode, name=f"D({H.name or 'H'})"
-    )
+    return HopfAlgebra(alg, comul, counit, antipode, name=f"D({H.name or 'H'})")
 
 
 def embed_algebra(H: HopfAlgebra, v) -> tuple:

@@ -26,14 +26,31 @@ module v1
     element s with D dense rows each, then end.  Loaders are expected to
     validate the module law separately.
 
-Emission is canonical (fixed ordering, normalized scalars, sparse rows
-sorted, zero entries dropped), so emit -> parse -> emit is byte-identical.
+Canonical rows.  The tables of StructureAlgebra and HopfAlgebra hold every
+sparse row sorted by key, its scalars normalized and nonzero, each key once.
+emit_hopf_text writes the rows as they are held, in a fixed line order, so
+emission is canonical and emit -> parse -> emit is byte-identical.
+
+A hopf-algebra file is read in one pass, a line at a time.  Each sparse body
+line is split once; its scalars are converted by one Field.parse_all (over
+GF(p) a map of int reduced mod p, over QQ a map of Field.parse), its head
+and payload indices by one map(int, ...), range-checked by min and max.  A
+row whose keys strictly ascend and whose scalars are all nonzero, as every
+emitted row's do, is kept as it is; any other is cleaned once (repeated
+keys summed, sorted, zeros dropped).  The tables go to the dataclass
+constructors as they are, with no second cleaning, and the antipode is
+assembled from its sparse columns.  A line whose bulk conversion or range
+check fails, or which repeats one already read, is read again token by
+token, so each parse error names the first bad token of the first bad line,
+with the same message either way.
 Parse errors carry "label:line:" positions and raise InvalidInputError.
 """
 
 from __future__ import annotations
 
-from .algebra import StructureAlgebra
+from operator import lt
+
+from .algebra import StructureAlgebra, _clean_row, default_names
 from .errors import InvalidInputError
 from .hopfcore import HopfAlgebra
 from .linalg import Matrix
@@ -48,11 +65,9 @@ def _err(label: str, lineno: int, msg: str) -> InvalidInputError:
     return InvalidInputError(f"{label}:{lineno}: {msg}")
 
 
-def _significant_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, line
+def _significant_lines(text: str) -> list:
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    return [(lineno, line) for lineno, line in lines if line and line[0] != "#"]
 
 
 class _Reader:
@@ -60,7 +75,7 @@ class _Reader:
 
     def __init__(self, text: str, label: str):
         self.label = label
-        self.rows = list(_significant_lines(text))
+        self.rows = _significant_lines(text)
         self.pos = 0
         self.last_lineno = self.rows[-1][0] if self.rows else 1
 
@@ -130,7 +145,8 @@ def _split_colon(rd: _Reader, lineno: int, toks: list[str], nhead: int):
 
 
 def _parse_groups(rd: _Reader, lineno: int, field: Field, dim: int, toks, width: int, what: str):
-    """Sparse payload: repeating groups of width-1 indices and one scalar."""
+    """Sparse payload: repeating groups of width-1 indices and one scalar,
+    read token by token so that the first bad token in the line is named."""
     if len(toks) % width != 0:
         raise rd.error(lineno, f"{what} entries come in groups of {width}, found {len(toks)} token(s)")
     out = []
@@ -143,7 +159,68 @@ def _parse_groups(rd: _Reader, lineno: int, field: Field, dim: int, toks, width:
     return out
 
 
+def _canonical_row(field: Field, idx: list, cs: list, width: int) -> tuple:
+    """The row of the entries with flat indices idx (width - 1 per entry) and
+    normalized scalars cs, in the form the tables hold: (k, c) or (j, k, c)
+    sorted by key, repeated keys summed, no zero scalar.  A row already in
+    that form, as emit_hopf_text writes it, is kept as it is."""
+    keys = idx if width == 2 else list(zip(idx[0::2], idx[1::2]))
+    if all(cs) and all(map(lt, keys, keys[1:])):
+        return tuple(zip(keys, cs)) if width == 2 else tuple(zip(idx[0::2], idx[1::2], cs))
+    row = _clean_row(field, zip(keys, cs))
+    return row if width == 2 else tuple((j, k, c) for (j, k), c in row)
+
+
+def _sparse_to_matrix(field: Field, dim: int, cols: dict) -> Matrix:
+    """The dim x dim matrix with the given sparse columns {j: ((i, c), ...)}
+    of normalized scalars: each cell is written once, zero rows share one
+    tuple, and no scalar is normalized again."""
+    zeros = [field.zero()] * dim
+    by_row: dict = {}
+    for j, col in cols.items():
+        for i, c in col:
+            by_row.setdefault(i, []).append((j, c))
+    rows = [tuple(zeros)] * dim
+    for i, entries in by_row.items():
+        row = zeros.copy()
+        for j, c in entries:
+            row[j] = c
+        rows[i] = tuple(row)
+    return Matrix(field, tuple(rows))
+
+
+# The sparse body lines: directive -> (head indices before the ':', width
+# of a payload group, name of a head index, message for a repeated line).
+# Each is read into a table keyed by the tuple of its head indices.
+_ROW_LINES = {
+    "mul": (2, 2, "mul row index", "duplicate mul row for basis pair ({}, {})"),
+    "comul": (1, 3, "comul row index", "duplicate comul row for basis {}"),
+    "antipode": (1, 2, "antipode column index", "duplicate antipode column for basis {}"),
+    "unit": (0, 2, "", "duplicate 'unit' line"),
+    "counit": (0, 2, "", "duplicate 'counit' line"),
+}
+
+
+def _read_row_by_token(
+    rd: _Reader, lineno: int, field: Field, dim: int, toks: list, table: dict
+) -> None:
+    """Read one sparse body line token by token into its table, raising the
+    error of its first bad token in the order the format checks them: the
+    ':', each head index, a repeated line, the group count, then each
+    payload group's indices and scalar."""
+    nhead, width, what, repeated = _ROW_LINES[toks[0]]
+    heads, payload = _split_colon(rd, lineno, toks[1:], nhead)
+    key = tuple(_parse_index(rd, lineno, t, dim, what) for t in heads)
+    if key in table:
+        raise rd.error(lineno, repeated.format(*key))
+    groups = _parse_groups(rd, lineno, field, dim, payload, width, toks[0])
+    idx = [i for g in groups for i in g[:-1]]
+    table[key] = _canonical_row(field, idx, [g[-1] for g in groups], width)
+
+
 def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
+    """The Hopf algebra of a hopf-algebra v1 text, its tables in canonical
+    form; label names the text in error positions."""
     rd = _Reader(text, label)
     rd.expect_header(HOPF_HEADER)
 
@@ -166,82 +243,82 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
     except (MemoryError, OverflowError):
         raise rd.error(lineno, f"dimension {dim} is too large to allocate") from None
 
-    def dense(lineno: int, payload, what: str) -> list:
-        """The dim-vector of a sparse payload, repeated indices summed."""
-        vec = zeros.copy()
-        for k, c in _parse_groups(rd, lineno, field, dim, payload, 2, what):
-            vec[k] = field.normalize(vec[k] + c)
-        return vec
-
+    parse_all = field.parse_all
+    tables: dict = {head: {} for head in _ROW_LINES}
+    # directive -> (its table, head count, group width, offset of the first
+    # scalar among the heads and the payload)
+    specs = {
+        head: (tables[head], nhead, width, nhead + width - 1)
+        for head, (nhead, width, _, _) in _ROW_LINES.items()
+    }
     basis_names = None
-    mul: dict = {}
-    comul: dict = {}
-    unit = None
-    counit = None
-    antipode_cols: dict = {}
-    seen_mul: set = set()
-
-    while True:
-        lineno, line = rd.next("a body line or 'end'")
+    rows = rd.rows
+    for pos in range(rd.pos, len(rows)):
+        lineno, line = rows[pos]
         toks = line.split()
-        head = toks[0]
-        if head == "end":
-            if len(toks) != 1:
-                raise rd.error(lineno, "'end' takes no arguments")
-            break
-        if head == "basis":
+        spec = specs.get(toks[0])
+        if spec is not None:
+            # the line's scalars in one Field.parse_all, its indices in one
+            # map(int), range-checked by min and max; a line that fails or
+            # repeats is read again by _read_row_by_token
+            table, nhead, width, at = spec
+            n = len(toks)
+            if n > nhead + 1 and toks[nhead + 1] == ":" and (n - nhead - 2) % width == 0:
+                del toks[nhead + 1], toks[0]
+                try:
+                    cs = parse_all(toks[at::width])
+                    del toks[at::width]
+                    vals = list(map(int, toks))
+                except (ValueError, InvalidInputError):
+                    vals = None
+                if vals is not None and (not vals or (min(vals) >= 0 and max(vals) < dim)):
+                    key = tuple(vals[:nhead])
+                    if key not in table:
+                        del vals[:nhead]
+                        table[key] = _canonical_row(field, vals, cs, width)
+                        continue
+                toks = line.split()  # with its directive and ':' again
+            _read_row_by_token(rd, lineno, field, dim, toks, table)
+        elif toks[0] == "basis":
             if basis_names is not None:
                 raise rd.error(lineno, "duplicate 'basis' line")
             if len(toks) - 1 != dim:
                 raise rd.error(lineno, f"expected {dim} basis names, found {len(toks) - 1}")
             basis_names = tuple(toks[1:])
-        elif head == "mul":
-            heads, payload = _split_colon(rd, lineno, toks[1:], 2)
-            i = _parse_index(rd, lineno, heads[0], dim, "mul row index")
-            j = _parse_index(rd, lineno, heads[1], dim, "mul row index")
-            if (i, j) in seen_mul:
-                raise rd.error(lineno, f"duplicate mul row for basis pair ({i}, {j})")
-            seen_mul.add((i, j))
-            mul[(i, j)] = [
-                (k, c) for k, c in _parse_groups(rd, lineno, field, dim, payload, 2, "mul")
-            ]
-        elif head == "unit":
-            _, payload = _split_colon(rd, lineno, toks[1:], 0)
-            if unit is not None:
-                raise rd.error(lineno, "duplicate 'unit' line")
-            unit = dense(lineno, payload, "unit")
-        elif head == "counit":
-            _, payload = _split_colon(rd, lineno, toks[1:], 0)
-            if counit is not None:
-                raise rd.error(lineno, "duplicate 'counit' line")
-            counit = dense(lineno, payload, "counit")
-        elif head == "comul":
-            heads, payload = _split_colon(rd, lineno, toks[1:], 1)
-            i = _parse_index(rd, lineno, heads[0], dim, "comul row index")
-            if i in comul:
-                raise rd.error(lineno, f"duplicate comul row for basis {i}")
-            comul[i] = _parse_groups(rd, lineno, field, dim, payload, 3, "comul")
-        elif head == "antipode":
-            heads, payload = _split_colon(rd, lineno, toks[1:], 1)
-            j = _parse_index(rd, lineno, heads[0], dim, "antipode column index")
-            if j in antipode_cols:
-                raise rd.error(lineno, f"duplicate antipode column for basis {j}")
-            antipode_cols[j] = dense(lineno, payload, "antipode")
+        elif toks[0] == "end":
+            if len(toks) != 1:
+                raise rd.error(lineno, "'end' takes no arguments")
+            rd.pos = pos + 1
+            break
         else:
-            raise rd.error(lineno, f"unknown directive {head!r}")
+            raise rd.error(lineno, f"unknown directive {toks[0]!r}")
+    else:
+        rd.pos = len(rows)
+        rd.next("a body line or 'end'")  # no 'end' line: raises
     rd.done()
 
-    if unit is None:
-        raise _err(label, rd.last_lineno, "missing 'unit' line")
-    if counit is None:
-        raise _err(label, rd.last_lineno, "missing 'counit' line")
-    antipode = Matrix.from_columns(field, [antipode_cols.get(j, zeros) for j in range(dim)])
-    alg = StructureAlgebra.from_sparse(field, dim, mul, unit, basis_names)
-    return HopfAlgebra.from_sparse(alg, comul, counit, antipode, name)
+    vectors = []
+    for head in ("unit", "counit"):
+        if () not in tables[head]:
+            raise _err(label, rd.last_lineno, f"missing {head!r} line")
+        vec = zeros.copy()
+        for k, c in tables[head][()]:
+            vec[k] = c
+        vectors.append(tuple(vec))
+    mul = {key: row for key, row in tables["mul"].items() if row}
+    comul = {i: row for (i,), row in tables["comul"].items()}
+    for i in range(dim):
+        comul.setdefault(i, ())
+    antipode = _sparse_to_matrix(field, dim, {j: col for (j,), col in tables["antipode"].items()})
+    alg = StructureAlgebra(field, dim, mul, vectors[0], basis_names or default_names(dim))
+    return HopfAlgebra(alg, comul, vectors[1], antipode, name)
 
 
 def emit_hopf_text(H: HopfAlgebra) -> str:
+    """The canonical text of H.  Its rows are written as the tables hold
+    them, which is already sorted, normalized and free of zeros."""
     field = H.field
+    fmt = field.fmt
     z = field.zero()
     for nm in H.basis_names:
         if not nm or any(ch.isspace() for ch in nm):
@@ -252,27 +329,20 @@ def emit_hopf_text(H: HopfAlgebra) -> str:
     lines.append(f"field {field.name}")
     lines.append(f"dim {H.dim}")
     lines.append("basis " + " ".join(H.basis_names))
-    for i, j in sorted(H.alg.mul):
-        row = sorted((k, c) for k, c in H.alg.mul[(i, j)] if field.normalize(c) != z)
+    mul = H.alg.mul
+    for i, j in sorted(mul):
+        row = mul[(i, j)]
         if row:
-            payload = " ".join(f"{k} {field.fmt(c)}" for k, c in row)
-            lines.append(f"mul {i} {j} : {payload}")
-    lines.append(
-        "unit : " + " ".join(f"{k} {field.fmt(c)}" for k, c in enumerate(H.unit) if c != z)
-    )
-    lines.append(
-        "counit : " + " ".join(f"{k} {field.fmt(c)}" for k, c in enumerate(H.counit) if c != z)
-    )
+            lines.append(f"mul {i} {j} : " + " ".join(f"{k} {fmt(c)}" for k, c in row))
+    lines.append("unit : " + " ".join(f"{k} {fmt(c)}" for k, c in enumerate(H.unit) if c != z))
+    lines.append("counit : " + " ".join(f"{k} {fmt(c)}" for k, c in enumerate(H.counit) if c != z))
     for i in range(H.dim):
-        row = sorted((j, k, c) for j, k, c in H.comul_row(i) if field.normalize(c) != z)
+        row = H.comul_row(i)
         if row:
-            payload = " ".join(f"{j} {k} {field.fmt(c)}" for j, k, c in row)
-            lines.append(f"comul {i} : {payload}")
-    for j in range(H.dim):
-        col = H.antipode.col(j)
-        entries = [(i, c) for i, c in enumerate(col) if c != z]
-        if entries:
-            payload = " ".join(f"{i} {field.fmt(c)}" for i, c in entries)
+            lines.append(f"comul {i} : " + " ".join(f"{j} {k} {fmt(c)}" for j, k, c in row))
+    for j, col in enumerate(zip(*H.antipode.rows)):
+        payload = " ".join(f"{i} {fmt(c)}" for i, c in enumerate(col) if c != z)
+        if payload:
             lines.append(f"antipode {j} : {payload}")
     lines.append("end")
     return "\n".join(lines) + "\n"

@@ -66,6 +66,10 @@ class Field:
     def parse(self, text: str):
         raise NotImplementedError
 
+    def parse_all(self, tokens) -> list:
+        """[self.parse(t) for t in tokens]: the first bad token raises."""
+        return list(map(self.parse, tokens))
+
     def fmt(self, x) -> str:
         return str(x)
 
@@ -156,6 +160,12 @@ class PrimeField(Field):
             return int(text) % self.p
         except ValueError as exc:
             raise InvalidInputError(f"bad prime-field scalar {text!r}") from exc
+
+    def parse_all(self, tokens) -> list:
+        try:
+            return list(map(self.p.__rmod__, map(int, tokens)))  # int(t) % p
+        except ValueError:
+            return super().parse_all(tokens)
 
     def nonzero_elements_sample(self, rng, count: int):
         return [rng.randint(1, self.p - 1) for _ in range(count)]

@@ -387,6 +387,21 @@ def test_double_equals_its_definition(key):
     assert D.name == ref.name
 
 
+@pytest.mark.parametrize("key", names())
+def test_double_tables_are_already_clean(key):
+    """D is built without from_sparse, so its rows must already be in the
+    form from_sparse makes: cleaning D's tables again changes nothing, not
+    even the order of their keys, and every comul index is present."""
+    D = double_of(key)
+    alg = StructureAlgebra.from_sparse(D.field, D.dim, D.alg.mul, D.alg.unit, D.basis_names)
+    again = HopfAlgebra.from_sparse(alg, D.comul, D.counit, D.antipode)
+    assert list(D.alg.mul.items()) == list(alg.mul.items())
+    assert D.alg.unit == alg.unit
+    assert list(D.comul.items()) == list(again.comul.items())
+    assert sorted(D.comul) == list(range(D.dim))
+    assert D.counit == again.counit
+
+
 @pytest.mark.parametrize("key", ["sweedler", "taft-3-7-2"])
 def test_straightening_cross_check_fails_closed(key, monkeypatch, tmp_path, capsys):
     """With one straightening constant moved by one, the replay through
@@ -414,11 +429,12 @@ def test_straightening_cross_check_fails_closed(key, monkeypatch, tmp_path, caps
 
 def test_double_build_work_guard(monkeypatch):
     """D(taft-4-5-2) is assembled from its nonzero structure constants one
-    block at a time: fewer than 40,000 rows are cleaned (30,496; a loop
-    over every index quadruple (a, i, b, j) cleans 81,952), and the traced
-    peak of the build, the spy's list included, stays at most 8 MiB (7.4
-    MiB; 9.6 MiB with that loop, 8.2 MiB with the accumulators of all
-    11,264 rows held at once)."""
+    block at a time, and each row is cleaned once: fewer than 20,000 rows
+    are cleaned (18,976; 30,496 when from_sparse cleans the mul and comul
+    rows again, 81,952 with a loop over every index quadruple (a, i, b,
+    j)), and the traced peak of the build, the spy's list included, stays
+    at most 6 MiB (5.2 MiB; 7.4 MiB through from_sparse, 9.6 MiB with that
+    loop, 8.2 MiB with the accumulators of all 11,264 rows held at once)."""
     H = entry("taft-4-5-2").hopf
     H.antipode_inv()
     calls = count_calls(monkeypatch, algebra, "nonzero_row")
@@ -428,5 +444,5 @@ def test_double_build_work_guard(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(calls) < 40_000
-    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert len(calls) < 20_000
+    assert peak <= 6 * 2**20, f"peak {peak / 2**20:.2f} MiB"

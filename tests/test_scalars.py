@@ -86,3 +86,17 @@ def test_prime_field_parse_fmt():
     assert F.fmt(3) == "3"
     with pytest.raises(InvalidInputError):
         F.parse("2/3")
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ])
+def test_parse_all_is_parse_of_each_token(field):
+    """parse_all reads a token list as parse reads each token, and a bad
+    token raises parse's own error for the first one."""
+    toks = ["+3", "-0", "007", "1_0", "9", "-8"]
+    assert field.parse_all(toks) == [field.parse(t) for t in toks]
+    assert [type(c) for c in field.parse_all(toks)] == [type(field.zero())] * len(toks)
+    with pytest.raises(InvalidInputError) as exc:
+        field.parse_all(["1", "0x1", "3/0"])
+    with pytest.raises(InvalidInputError) as first:
+        field.parse("0x1")
+    assert str(exc.value) == str(first.value)
