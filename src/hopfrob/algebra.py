@@ -37,7 +37,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
-from .errors import FieldMismatchError, InternalCheckError, ShapeError, SingularError
+from .errors import InternalCheckError, ShapeError, SingularError
 from .linalg import Matrix, basis_vec, mulmod, residues
 from .report import Report
 from .scalars import Field
@@ -728,24 +728,3 @@ def opposite(A: StructureAlgebra) -> StructureAlgebra:
     table = {(j, i): row for (i, j), row in A.mul.items()}
     return StructureAlgebra(A.field, A.dim, table, A.unit, A.basis_names)
 
-
-def tensor_algebra(A: StructureAlgebra, B: StructureAlgebra) -> StructureAlgebra:
-    """Tensor product algebra on pairs, flat index i*dim(B) + j (row-major)."""
-    if A.field != B.field:
-        raise FieldMismatchError("tensor factors over different fields")
-    field = A.field
-    dim = A.dim * B.dim
-    table = {}
-    for (i, ip), rowa in A.mul.items():
-        for (j, jp), rowb in B.mul.items():
-            entries = []
-            for k, c in rowa:
-                for l, d in rowb:
-                    entries.append((k * B.dim + l, field.normalize(c * d)))
-            if entries:
-                table[(i * B.dim + j, ip * B.dim + jp)] = tuple(entries)
-    unit = tuple(
-        field.normalize(a * b) for a in A.unit for b in B.unit
-    )
-    names = tuple(f"{na}⊗{nb}" for na in A.basis_names for nb in B.basis_names)
-    return StructureAlgebra(field, dim, table, unit, names)

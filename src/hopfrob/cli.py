@@ -235,6 +235,10 @@ def cmd_subcheck(args) -> int:
             f"{args.iota}: inclusion matrix is over {ifield!r}, ambient algebra over {H.field!r}"
         )
     emb = SubalgebraEmbedding(K, H, iota)
+    for A, path in ((H, args.ambient), (K, args.sub)):
+        axioms = verify_hopf(A, title=f"axioms of {_display(A, path)}")
+        if not axioms.passed:
+            return _finish(args, axioms)
     rep, data = extension_report(emb)
     if rep.passed:
         modules = [("trivial", trivial_module(K)), ("regular", regular_module(K))]

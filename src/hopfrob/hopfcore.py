@@ -347,7 +347,9 @@ def hopf_module_decompose(H: HopfAlgebra) -> HopfModuleDecomposition:
 
 
 def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
-    """Hopf structure on H*: product dual to Delta, coproduct dual to mul."""
+    """Hopf structure on H*: product dual to Delta, coproduct dual to mul,
+    antipode the transpose of S.  When H has inverted its antipode already,
+    H* takes the transpose of that inverse, as (S^T)^-1 = (S^-1)^T."""
     field = H.field
     dual_mul: dict = {}
     for k in range(H.dim):
@@ -359,13 +361,16 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
             dual_comul.setdefault(k, []).append((i, j, c))
     names = tuple(f"{n}*" for n in H.basis_names)
     alg = StructureAlgebra.from_sparse(field, H.dim, dual_mul, H.counit, names)
-    return HopfAlgebra.from_sparse(
+    K = HopfAlgebra.from_sparse(
         alg,
         dual_comul,
         H.unit,
         H.antipode.transpose(),
         name=f"{H.name}*" if H.name else "",
     )
+    if H._sbar is not None:
+        K._sbar = H._sbar.transpose()
+    return K
 
 
 def comultiplicative_failure(
@@ -408,11 +413,6 @@ def hopf_map_report(src: HopfAlgebra, dst: HopfAlgebra, phi: Matrix, title: str)
 
     rep.add("antipode is compatible", dst.antipode.mul(phi) == phi.mul(src.antipode))
     return rep
-
-
-def is_hopf_morphism(src: HopfAlgebra, dst: HopfAlgebra, phi: Matrix) -> bool:
-    """Is phi: src -> dst a map of Hopf algebras over one field?"""
-    return src.field == dst.field and hopf_map_report(src, dst, phi, "hopf map").passed
 
 
 # -- axiom verification --------------------------------------------------------
@@ -605,7 +605,10 @@ def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
     eps_ok = eps_ok and first_mismatch(E, _outer(eps, eps, p)) is None
 
     # antipode law; S^T: row w, column x holds the coefficient of e_x in S(e_w)
-    S = [(x * n + w, a) for x, r in enumerate(H.antipode.rows) for w, a in enumerate(r) if a]
+    # a row object that several rows share (the parse's all-zero row) is read once
+    distinct = {id(r): r for r in H.antipode.rows}
+    entries = {key: [(w, a) for w, a in enumerate(r) if a] for key, r in distinct.items()}
+    S = [(x * n + w, a) for x, r in enumerate(H.antipode.rows) for w, a in entries[id(r)]]
     xw = np.fromiter((q for q, _ in S), dtype=np.int64, count=len(S))
     ST = sp.csr_matrix((residues((a for _, a in S), p), (xw % n, xw // n)), shape=(n, n))
     sides = []

@@ -262,9 +262,6 @@ class Matrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def row(self, i: int) -> tuple:
         return self.rows[i]
 
@@ -278,7 +275,11 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         """self @ other: one int64 mulmod when machine_prime admits the field
         and the product has at least _NUMPY_CELLS cells, otherwise a Python
-        sum over the nonzero entries of each row of self and of other."""
+        sum over the nonzero entries of each row of self and of other.  The
+        int64 product is other^T self^T with other^T sparse, so that its
+        work follows the nonzero entries of other, as the Python sum's
+        does: numpy has no BLAS for int64, and its dense product slows many
+        times on a wide other (the side-by-side translates of subext)."""
         self._check(other)
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
@@ -286,9 +287,10 @@ class Matrix:
         p = machine_prime(field)
         if p is not None and self.nrows * other.ncols >= _NUMPY_CELLS:
             import numpy as np
+            import scipy.sparse as sp
 
             a, b = (np.array(m.rows, dtype=np.int64) % p for m in (self, other))
-            return Matrix(field, tuple(map(tuple, mulmod(a, b, p).tolist())))
+            return Matrix(field, tuple(map(tuple, mulmod(sp.csr_matrix(b.T), a.T, p).T.tolist())))
         z = field.zero()
         nonzero = [[(j, b) for j, b in enumerate(r) if b != z] for r in other.rows]
         out = []
@@ -460,10 +462,6 @@ def canonical_basis(field: Field, vectors: Iterable[Sequence]) -> tuple[tuple, .
         return ()
     rows, pivots = _rref(field, [list(v) for v in vecs])
     return tuple(tuple(rows[i]) for i in range(len(pivots)))
-
-
-def span_equal(field: Field, vs: Iterable[Sequence], ws: Iterable[Sequence]) -> bool:
-    return canonical_basis(field, vs) == canonical_basis(field, ws)
 
 
 def iterated_kernel_sparse(field: Field, dim: int, S: dict) -> tuple[tuple, ...]:

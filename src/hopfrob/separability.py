@@ -37,10 +37,6 @@ def is_unit(field, c) -> bool:
     return field.normalize(c) != field.zero()
 
 
-def tensor_transpose(t: dict) -> dict:
-    return {(j, i): c for (i, j), c in t.items()}
-
-
 def multiply_out_tensor(A: StructureAlgebra, t: dict) -> tuple:
     """Image of the tensor under the multiplication map."""
     field = A.field

@@ -35,7 +35,6 @@ from .errors import InternalCheckError, InvalidInputError, SingularError
 from .frobenius import IntegralData, build_integral_data, frobenius_system_from_norm
 from .frobenius import modular_inverse, nakayama_closed_form
 from .hopfcore import HopfAlgebra, convolution, hit_matrix, hopf_map_report
-from .hopfcore import pairing_matrix
 from .linalg import Matrix, basis_vec, canonical_basis, vadd, vscale, zero_vec
 from .report import Report
 
@@ -58,10 +57,6 @@ class SubalgebraEmbedding:
             )
         if self.iota.rank() != self.K.dim:
             raise InvalidInputError("inclusion matrix is not injective")
-
-
-def identity_embedding(H: HopfAlgebra) -> SubalgebraEmbedding:
-    return SubalgebraEmbedding(H, H, Matrix.identity(H.field, H.dim))
 
 
 def verify_embedding(emb: SubalgebraEmbedding, nu_H: Matrix) -> Report:
@@ -151,7 +146,8 @@ def beta_frobenius_structure(
 
         E(h) = sum_a psi_H(h iota(x_a)) y_a,  i.e.  E = Y (G_H iota X)^T
 
-    for X, Y with columns x_a, y_a and G_H[i][j] = psi_H(e_i e_j).  The two
+    for X, Y with columns x_a, y_a and G_H[i][j] = psi_H(e_i e_j), the Gram
+    matrix that data_H holds.  The two
     dual-basis identities give sum_a k x_a (x) y_a = sum_a x_a (x) y_a k and
     sum_a x_a c (x) y_a = sum_a x_a (x) nu_K(c) y_a, so E(h iota(k)) = E(h) k
     and, as psi_H(iota(a) z) = psi_H(z iota(c)) for iota(c) =
@@ -169,7 +165,7 @@ def beta_frobenius_structure(
     sys_K = frobenius_system_from_norm(K, data_K)
     X = Matrix.from_columns(field, sys_K.xs)
     Y = Matrix.from_columns(field, sys_K.ys)
-    E = Y.mul(pairing_matrix(H.alg, data_H.psi).mul(iota).mul(X).transpose())
+    E = Y.mul(data_H.gram.mul(iota).mul(X).transpose())
 
     blocks = [E.mul(H.alg.right_mult_matrix(h)).rows for h in free]
     # block b of the right side is K.unit in column b
@@ -383,9 +379,10 @@ class CoinducedModule:
     action: tuple
 
 
-def _translates(alg, vecs, d: int, side: str) -> list:
+def _translates(alg, vecs, d: int, side: str) -> Matrix:
     """The moves of vecs by every basis element e_t of alg, in one pass over
-    alg.mul: column v of moves[t] is vecs[v] moved by e_t.
+    alg.mul, side by side: column t w + v is vecs[v] moved by e_t, for the
+    w vectors vecs (_column_blocks splits them by t).
 
     Each vector is a d x n matrix phi flattened row-major (module, H).  Side
     "right" moves m (x) h to m (x) h e_t, side "left" moves phi to
@@ -395,30 +392,34 @@ def _translates(alg, vecs, d: int, side: str) -> list:
     the mul entries they meet."""
     field, n = alg.field, alg.dim
     z, w = field.zero(), len(vecs)
+    width = n * w
     # the nonzero entries of the vectors by H index, each with its offset
-    # (module row, vector) in a move flattened row-major
+    # (module row, vector) in the moves flattened row-major
     reads: list = [[] for _ in range(n)]
     for v, vec in enumerate(vecs):
         for pos, c in enumerate(vec):
             if c != z:
                 a, i = divmod(pos, n)
-                reads[i].append((a * n * w + v, c))
-    moves: list = [{} for _ in range(n)]
+                reads[i].append((a * n * width + v, c))
+    acc: dict = {}
     for (i, j), row in alg.mul.items():
         for k, m in row:
             # (move, H index written, H index read)
             t, dst, src = (j, k, i) if side == "right" else (i, j, k)
-            acc = moves[t]
+            base = dst * width + t * w
             for off, c in reads[src]:
-                key = off + dst * w
+                key = off + base
                 acc[key] = acc.get(key, z) + c * m
-    out = []
-    for acc in moves:
-        flat = [z] * (d * n * w)
-        for key, x in acc.items():
-            flat[key] = field.normalize(x)
-        out.append(Matrix(field, tuple(tuple(flat[r * w : (r + 1) * w]) for r in range(d * n))))
-    return out
+    flat = [z] * (d * n * width)
+    for key, x in acc.items():
+        flat[key] = field.normalize(x)
+    return Matrix(field, tuple(tuple(flat[r * width : (r + 1) * width]) for r in range(d * n)))
+
+
+def _column_blocks(M: Matrix, count: int) -> tuple:
+    """M cut into count matrices of equal width, left to right."""
+    w = M.ncols // count
+    return tuple(Matrix(M.field, tuple(r[t * w : (t + 1) * w] for r in M.rows)) for t in range(count))
 
 
 def _free_transport(emb: SubalgebraEmbedding, flat: Matrix, d: int, free, side: str) -> tuple:
@@ -428,12 +429,13 @@ def _free_transport(emb: SubalgebraEmbedding, flat: Matrix, d: int, free, side: 
     C inverts the matrix with column (j, s) iota(e_s) b_j ("left") or
     b_j iota(e_s) ("right"); flat has column s the d x d matrix A_s
     flattened, and flat times C laid out as rows s gives spread, with row
-    (g, j) and column (a, i) sum_s C[(j s), i] A_s[g][a].  pure has row
-    (g, j) the flattened m_g (x) b_j.  Left, A_s the action of e_s: spread
-    is the quotient map, m_a (x) e_i = sum C[(j s), i] (m_a . e_s) (x) b_j,
-    and pure its section.  Right, A_s transposed: spread holds the maps with
-    phi(b_j) = m_g, phi(e_i) = sum C[(j s), i] A_s^T phi(b_j), and pure
-    evaluates at the b_j."""
+    (g, j) and column (a, i) sum_s C[(j s), i] A_s[g][a].  Left, A_s the
+    action of e_s: spread is the quotient map, m_a (x) e_i = sum C[(j s), i]
+    (m_a . e_s) (x) b_j, its section has row (g, j) the flattened
+    m_g (x) b_j, and the action reads the moved section through spread.
+    Right, A_s transposed: spread holds the maps with phi(b_j) = m_g,
+    phi(e_i) = sum C[(j s), i] A_s^T phi(b_j), and the action evaluates the
+    moved maps at the b_j."""
     H, iota, field = emb.H, emb.iota, emb.H.field
     n, k, r = H.dim, emb.K.dim, len(free)
     mult = H.alg.right_mult_matrix if side == "left" else H.alg.left_mult_matrix
@@ -448,11 +450,19 @@ def _free_transport(emb: SubalgebraEmbedding, flat: Matrix, d: int, free, side: 
         tuple(x for row in X[g * d : (g + 1) * d] for x in row[j * n : (j + 1) * n])
         for g in range(d) for j in range(r)
     ))
-    z = (field.zero(),) * n
-    pure = Matrix(field, tuple(z * g + b + z * (d - 1 - g) for g in range(d) for b in free))
-    embed, read = (pure, spread) if side == "left" else (spread, pure)
-    moves = _translates(H.alg, embed.rows, d, "right" if side == "left" else "left")
-    return embed, tuple(read.mul(m) for m in moves)
+    if side == "left":
+        z = (field.zero(),) * n
+        pure = Matrix(field, tuple(z * g + b + z * (d - 1 - g) for g in range(d) for b in free))
+        # the quotient map reads every move in one product
+        return pure, _column_blocks(spread.mul(_translates(H.alg, pure.rows, d, "right")), n)
+    # a map is read by its values phi(b_j): free_module_basis picks basis
+    # vectors b_j = e_{i_j}, so these are the rows (g, i_j) of a move
+    index = {basis_vec(field, n, i): i for i in range(n)}
+    at = [index.get(tuple(b)) for b in free]
+    if None in at:
+        raise InternalCheckError("right free basis vector is not a basis vector of H")
+    moved = _translates(H.alg, spread.rows, d, "left").rows
+    return spread, _column_blocks(Matrix(field, tuple(moved[g * n + i] for g in range(d) for i in at)), n)
 
 
 def induced_module(
@@ -553,7 +563,7 @@ def induction_coinduction_check(
         f"rank {rank} of {ind.dim}",
     )
 
-    moved = _translates(H.alg, theta.transpose().rows, d, "left")
+    moved = _column_blocks(_translates(H.alg, theta.transpose().rows, d, "left"), n)
     bad = next((t for t in range(n) if moved[t] != theta.mul(ind.action[t])), None)
     rep.add(
         "comparison map respects the ambient action",

@@ -11,7 +11,6 @@ from hopfrob.algebra import (
     is_augmentation,
     opposite,
     product_cover,
-    tensor_algebra,
     vec_to_row,
     verify_algebra,
 )
@@ -89,51 +88,6 @@ def test_mult_matrices_agree_with_multiply():
         e = A.basis_vector(i)
         assert L.apply(e) == A.multiply(a, e)
         assert R.apply(e) == A.multiply(e, a)
-
-
-# -- tensor products -----------------------------------------------------------
-
-
-def test_tensor_of_group_algebras_is_product_group_algebra():
-    A = qc2_alg()
-    T = tensor_algebra(A, A)
-    # C2 x C2 with lexicographic pair order matches the row-major flat index
-    prod_table = tuple(
-        tuple((a1 + b1) % 2 * 2 + (a2 + b2) % 2 for b1 in range(2) for b2 in range(2))
-        for a1 in range(2)
-        for a2 in range(2)
-    )
-    K = group_algebra(prod_table, QQ).alg
-    assert dict(T.mul) == dict(K.mul)
-    assert T.unit == K.unit
-
-
-def test_tensor_with_ground_field_is_identity():
-    A = sweedler_alg()
-    one_dim = StructureAlgebra.from_sparse(QQ, 1, {(0, 0): ((0, 1),)}, (1,))
-    T = tensor_algebra(A, one_dim)
-    assert dict(T.mul) == dict(A.mul)
-    assert T.unit == A.unit
-
-
-def test_tensor_square_of_sweedler_is_associative():
-    A = sweedler_alg()
-    T = tensor_algebra(A, A)
-    assert T.dim == 16
-    assert verify_algebra(T).passed
-
-
-def test_tensor_commutes_up_to_transposition():
-    A, B = qc2_alg(), entry("qc3").hopf.alg
-    AB, BA = tensor_algebra(A, B), tensor_algebra(B, A)
-
-    def swap(idx):
-        i, j = divmod(idx, B.dim)
-        return j * A.dim + i
-
-    for (u, v), row in AB.mul.items():
-        mapped = tuple(sorted((swap(k), c) for k, c in row))
-        assert BA.mul.get((swap(u), swap(v)), ()) == mapped
 
 
 # -- opposite ------------------------------------------------------------------

@@ -168,8 +168,8 @@ def test_taft_2_5_4_matches_sweedler_mod_5():
 
     for j in range(4):
         for i in range(4):
-            assert T.antipode.entry(perm[i], perm[j]) == F.from_int(
-                int(S.antipode.entry(i, j))
+            assert T.antipode.rows[perm[i]][perm[j]] == F.from_int(
+                int(S.antipode.rows[i][j])
             )
     for i in range(4):
         assert T.counit[perm[i]] == F.from_int(int(S.counit[i]))

@@ -306,15 +306,74 @@ def test_subcheck_rejects_wrong_shape_iota(tmp_path, capsys):
 
 
 def test_subcheck_rejects_an_ambient_without_rank_one_integrals(tmp_path, capsys):
-    """Without its comul lines the ambient file's dual has a zero product, so
-    its left integral space is zero: invalid input, not a traceback."""
+    """Without its comul lines the ambient file fails the counit law, so
+    subcheck prints its axioms report and exits 1 before it seeks an
+    integral.  Its dual has a zero product, so its left integral space is
+    zero, and extension_report says so as invalid input, not a traceback."""
     h4 = emit(tmp_path, "sweedler")
     h4.write_text("".join(ln for ln in h4.read_text().splitlines(True) if not ln.startswith("comul")))
     qc2 = emit(tmp_path, "qc2")
     iota = tmp_path / "iota.mat"
     iota.write_text(IOTA_QC2_IN_SWEEDLER)
-    assert main(["subcheck", str(h4), str(qc2), "--iota", str(iota)]) == 2
-    assert "integral space not rank one (dimension 0)" in capsys.readouterr().err
+    capsys.readouterr()
+    assert main(["subcheck", str(h4), str(qc2), "--iota", str(iota)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("axioms of sweedler: FAIL\n")
+    assert "[FAIL] counit law  (fails at basis 0)\n" in out
+    emb = subext.SubalgebraEmbedding(
+        entry("qc2").hopf, parse_hopf_text(h4.read_text()), parse_matrix_text(IOTA_QC2_IN_SWEEDLER)[1]
+    )
+    with pytest.raises(InvalidInputError, match=r"integral space not rank one \(dimension 0\)"):
+        subext.extension_report(emb)
+
+
+IOTA_F7C3_IN_TAFT = """\
+matrix v1
+field prime 7
+shape 9 3
+1 0 0
+0 0 0
+0 0 0
+0 1 0
+0 0 0
+0 0 0
+0 0 1
+0 0 0
+0 0 0
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "ambient,sub,iota,line,mutant,failing",
+    [
+        # Delta(x) = x (x) 1 + g (x) x becomes x (x) 1 + 2 g (x) x
+        ("sweedler", "qc2", IOTA_QC2_IN_SWEEDLER, "comul 2 : 1 2 1 2 0 1", "comul 2 : 1 2 2 2 0 1", "sweedler"),
+        ("taft-3-7-2", "f7c3", IOTA_F7C3_IN_TAFT, "comul 4 : 4 3 1 6 4 1", "comul 4 : 4 3 1 6 4 2", "taft-3-7-2"),
+        ("taft-3-7-2", "f7c3", IOTA_F7C3_IN_TAFT, "antipode 7 : 1 5", "antipode 7 : 1 4", "taft-3-7-2"),
+        ("sweedler", "qc2", IOTA_QC2_IN_SWEEDLER, "antipode 1 : 1 1", "antipode 1 : 1 -1", "qc2"),
+    ],
+    ids=["sweedler-comul", "taft-comul", "taft-antipode", "qc2-antipode"],
+)
+def test_subcheck_verifies_both_hopf_files(tmp_path, capsys, ambient, sub, iota, line, mutant, failing):
+    """A one-constant change of the ambient or the sub file breaks its Hopf
+    axioms; subcheck prints that file's axioms report and exits 1 (each
+    ambient mutant here exited 0, every item PASS, when the files went
+    unverified)."""
+    paths = {key: emit(tmp_path, key) for key in (ambient, sub)}
+    text = paths[failing].read_text()
+    assert text.count(f"\n{line}\n") == 1
+    paths[failing].write_text(text.replace(f"\n{line}\n", f"\n{mutant}\n"))
+    mat = tmp_path / "iota.mat"
+    mat.write_text(iota)
+    report = tmp_path / "sub.report"
+    args = ["subcheck", str(paths[ambient]), str(paths[sub]), "--iota", str(mat), "--report", str(report)]
+    capsys.readouterr()
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"axioms of {failing}: FAIL\n")
+    assert "subalgebra embedding" not in out
+    assert report.read_text().splitlines()[-1] == "overall FAIL"
 
 
 def test_subcheck_rejects_field_mismatch(tmp_path, capsys):
@@ -423,6 +482,45 @@ def test_subcheck_computes_each_stage_once(tmp_path, monkeypatch):
     calls = {key: count_calls(monkeypatch, *key) for key in want}
     assert main(["subcheck", str(h4), str(qc2), "--iota", str(iota)]) == 0
     assert {key: len(c) for key, c in calls.items()} == want
+
+
+def _d36(tmp_path):
+    path = tmp_path / "d36.hopf"
+    path.write_text(emit_hopf_text(double_of("qs3")))
+    return path
+
+
+def _count_inverses(monkeypatch) -> list:
+    calls = []
+    inverse = linalg.Matrix.inverse
+    monkeypatch.setattr(linalg.Matrix, "inverse", lambda self: calls.append(1) or inverse(self))
+    return calls
+
+
+def test_frobenius_d36_builds_each_derived_object_once(tmp_path, monkeypatch):
+    """`frobenius` on D(qs3) eliminates for two integral spaces (psi of H
+    and the left integrals of H, which are the dual's), inverts two
+    matrices (S in verify_hopf and nu in its automorphism check: H* takes
+    the transpose of S^-1, and b^-1 is S(b)) and builds four Gram matrices
+    (the integral data of H and of H*, and the dual-basis check on each
+    side).  Each Gram matrix that the data holds is read from there.  The
+    job took 3, 4 and 6 when each stage built its own."""
+    path = _d36(tmp_path)
+    kernels = count_calls(monkeypatch, linalg, "iterated_kernel_sparse")
+    grams = count_calls(monkeypatch, hopfcore, "pairing_matrix")
+    inverses = _count_inverses(monkeypatch)
+    assert main(["frobenius", str(path)]) == 0
+    assert (len(kernels), len(inverses), len(grams)) == (2, 2, 4)
+
+
+def test_separable_d36_inverts_four_matrices(tmp_path, monkeypatch):
+    """`separable` on D(qs3) inverts S, the Nakayama matrices of H and of H*
+    (their automorphism checks) and the Kanzaki trace element; the inverse
+    antipode of H* is the transpose of that of H (5 inverses before)."""
+    path = _d36(tmp_path)
+    inverses = _count_inverses(monkeypatch)
+    assert main(["separable", str(path)]) == 0
+    assert len(inverses) == 4
 
 
 # -- the quantified identities of D(taft-3-7-2) run on the sparse kernels ------

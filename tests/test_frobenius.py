@@ -5,6 +5,7 @@ import dataclasses
 import random
 import zlib
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from conftest import double_of
@@ -17,13 +18,13 @@ from hopfrob.errors import InvalidInputError, SingularError
 from hopfrob.frobenius import (
     ComparisonResult,
     IntegralData,
+    OrderData,
     _dual_bases_from_coproduct,
     antipode_shift_check,
     build_integral_data,
     compare_systems,
     dual_basis_identities_hold,
     dual_frobenius_check,
-    dual_integrals,
     frobenius_system_from_norm,
     modular_inverse,
     nakayama_closed_form,
@@ -39,11 +40,13 @@ from hopfrob.hopfcore import (
     dual_left_integral_space,
     eval_cov,
     hit_matrix,
+    integral_space,
     is_grouplike,
     left_integral_space,
+    pairing_matrix,
     right_integral_space,
 )
-from hopfrob.linalg import Matrix, basis_vec
+from hopfrob.linalg import Matrix, basis_vec, matrix_order
 from hopfrob.report import Report
 from hopfrob.scalars import GF, QQ
 
@@ -79,9 +82,14 @@ def test_sweedler_integral_hand_values():
     assert data.modular_elt == (zero, one, zero, zero)  # b = g
 
 
+def _dual_integrals(H):
+    """Canonical bases of the left and the right integrals in H*."""
+    return integral_space(H, "left", dual=True), integral_space(H, "right", dual=True)
+
+
 def test_sweedler_dual_right_integral_differs_from_left():
     H = entry("sweedler").hopf
-    left, right = dual_integrals(H)
+    left, right = _dual_integrals(H)
     assert len(left) == 1 and len(right) == 1
     assert left[0] == (0, 0, 0, Fraction(1))
     assert right[0] == (0, 0, Fraction(1), 0)  # delta at x
@@ -121,7 +129,7 @@ def test_sweedler_transformed_functional_is_right_integral():
     data = build_integral_data(H)
     sys = frobenius_system_from_norm(H, data)
     t = transform_by_antipode(H, sys)
-    _, right = dual_integrals(H)
+    _, right = _dual_integrals(H)
     assert t.psi == right[0]  # psi o Sbar = delta at x
 
 
@@ -186,7 +194,7 @@ def test_group_algebra_modular_pair_trivial(key):
     data = build_integral_data(H)
     assert data.modular_fn == H.counit
     assert data.modular_elt == H.unit
-    left, right = dual_integrals(H)
+    left, right = _dual_integrals(H)
     assert left[0] == right[0]
 
 
@@ -516,6 +524,60 @@ def test_dual_frobenius_structure(key):
     assert rep.passed, str(rep)
     titles = [it.name for it in rep.items]
     assert "modular function of the dual equals b" in titles
+
+
+def _catalog_or_double(key):
+    return double_of(key[2:-1]) if key.startswith("D(") else entry(key).hopf
+
+
+_WITH_DOUBLES = [*ALL_KEYS, "D(qs3)", "D(taft-3-7-2)"]
+
+
+@pytest.mark.parametrize("key", _WITH_DOUBLES)
+def test_dual_integral_data_from_the_left_integral_of_h(key):
+    """The left integrals of H* are those of (H*)* = H, so the canonical left
+    integral of H, which dual_frobenius_check supplies, gives H* the
+    integral data that it finds from scratch, Gram matrix included."""
+    H = _catalog_or_double(key)
+    K = dual_hopf(H)
+    (T,) = left_integral_space(H)
+    supplied, scratch = build_integral_data(K, T), build_integral_data(K)
+    assert supplied == scratch
+    assert supplied.gram == scratch.gram == pairing_matrix(K.alg, T)
+
+
+def _orders_by_search(H, nu):
+    """Reference for orders: S, S^2 and nu each searched up to its bound."""
+    cap_s, cap_nu = 4 * H.dim, 2 * H.dim
+    ord_s = matrix_order(H.antipode, cap_s)
+    ord_nu = matrix_order(nu, cap_nu)
+    return OrderData(
+        ord_s,
+        ord_nu,
+        matrix_order(H.antipode.pow_(2), cap_s),
+        ord_s is not None and cap_s % ord_s == 0,
+        ord_nu is not None and cap_nu % ord_nu == 0,
+    )
+
+
+@pytest.mark.parametrize("key", _WITH_DOUBLES)
+def test_orders_match_the_three_searches(key):
+    H = _catalog_or_double(key)
+    nu = frobenius_system_from_norm(H, build_integral_data(H)).nakayama
+    assert orders(H, nu) == _orders_by_search(H, nu)
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_orders_of_an_antipode_beyond_its_bound(s):
+    """On 1 x 1 matrices standing in for S: 2, 3 and 4 have orders 8, 16
+    and 4 mod 17, so with dim 1 (bound 4) the order of S is found only for
+    4, and S^2 (of order 2) reads it off; for 2 and 3 the search over S^2
+    finds order 4 and gives up on order 8."""
+    F = GF(17)
+    eye = Matrix.identity(F, 1)
+    stand_in = SimpleNamespace(dim=1, antipode=Matrix.from_rows(F, [[s]]))
+    assert orders(stand_in, eye) == _orders_by_search(stand_in, eye)
+    assert orders(stand_in, eye).antipode_sq_order == {2: 4, 3: None, 4: 2}[s]
 
 
 # -- the integral layer against its definitions ---------------------------------------

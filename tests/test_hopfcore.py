@@ -24,8 +24,8 @@ from hopfrob.hopfcore import (
     hit_matrix,
     hopf_module_decompose,
     integral_space,
+    hopf_map_report,
     is_grouplike,
-    is_hopf_morphism,
     left_integral_space,
     pairing_matrix,
     tensor_mult,
@@ -132,7 +132,7 @@ def test_sweedler_selfdual_via_explicit_map():
     gamma_xi = convolution(H, gamma, xi)
     phi = Matrix.from_columns(QQ, [eps, gamma, xi, gamma_xi])
     assert phi.det() != 0
-    assert is_hopf_morphism(H, D, phi)
+    assert hopf_map_report(H, D, phi, "hopf map").passed
 
 
 def test_convolution_matches_dual_multiply():
@@ -146,10 +146,10 @@ def test_convolution_matches_dual_multiply():
     assert convolution(H, f, g) == D.alg.multiply(f, g)
 
 
-def test_is_hopf_morphism_rejects_non_morphism():
+def test_hopf_map_report_rejects_non_morphism():
     H = H_("qc2")
     not_phi = Matrix.from_rows(QQ, [[1, 1], [0, 1]])
-    assert not is_hopf_morphism(H, H, not_phi)
+    assert not hopf_map_report(H, H, not_phi, "hopf map").passed
 
 
 # -- actions ---------------------------------------------------------------------
@@ -309,7 +309,7 @@ def test_pairing_matrix_entries():
     for i in range(2):
         for k in range(2):
             prod = H.alg.multiply(H.alg.basis_vector(i), H.alg.basis_vector(k))
-            assert G.entry(i, k) == eval_cov(QQ, psi, prod)
+            assert G.rows[i][k] == eval_cov(QQ, psi, prod)
 
 
 def test_decompose_rejects_degenerate_comultiplication():

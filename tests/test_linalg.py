@@ -17,7 +17,6 @@ from hopfrob.linalg import (
     canonical_basis,
     machine_prime,
     mulmod,
-    span_equal,
     vadd,
     vscale,
 )
@@ -197,9 +196,9 @@ def test_canonical_basis_dedupes_and_orders():
     )
 
 
-def test_span_equal():
-    assert span_equal(QQ, [[1, 1], [1, -1]], [[1, 0], [0, 1]])
-    assert not span_equal(QQ, [[1, 1]], [[1, 0], [0, 1]])
+def test_equal_spans_share_one_canonical_basis():
+    assert canonical_basis(QQ, [[1, 1], [1, -1]]) == canonical_basis(QQ, [[1, 0], [0, 1]])
+    assert canonical_basis(QQ, [[1, 1]]) != canonical_basis(QQ, [[1, 0], [0, 1]])
 
 
 def test_vector_helpers():

@@ -30,7 +30,6 @@ from hopfrob.subext import (
     extension_identities_hold,
     extension_report,
     free_module_basis,
-    identity_embedding,
     induced_module,
     induction_coinduction_check,
     module_act,
@@ -41,6 +40,11 @@ from hopfrob.subext import (
 PAIRS = ("qc2-sweedler", "f7c3-taft", "qc2-qs3")
 # H inside D(H) through double.embed_algebra, for the small catalog entries
 DOUBLE_PAIRS = ("qc2-double", "f2c2-double", "f7c3-double", "qc3-double")
+
+
+def _identity_embedding(H):
+    """H inside itself."""
+    return SubalgebraEmbedding(H, H, Matrix.identity(H.field, H.dim))
 
 
 def _rand_vec(field, dim, rng):
@@ -78,7 +82,7 @@ def _linearity_rows_by_definition(emb, side, actions) -> list:
                 row[alpha * n : (alpha + 1) * n] = w
                 for gamma in range(d):
                     row[gamma * n + i] = field.normalize(
-                        row[gamma * n + i] - A.entry(alpha, gamma)
+                        row[gamma * n + i] - A.rows[alpha][gamma]
                     )
                 rows.append(tuple(row))
     return rows
@@ -281,7 +285,7 @@ def test_catalog_pairs_embed(key):
 
 
 def test_identity_embedding_passes():
-    rep = embedding_report(identity_embedding(entry("sweedler").hopf))
+    rep = embedding_report(_identity_embedding(entry("sweedler").hopf))
     assert rep.passed
 
 
@@ -352,7 +356,7 @@ def test_twist_on_the_taft_pair_has_order_three():
 
 
 def test_twist_of_the_trivial_pair_is_identity():
-    emb = identity_embedding(entry("sweedler").hopf)
+    emb = _identity_embedding(entry("sweedler").hopf)
     assert twist_of(emb).is_identity()
 
 
@@ -364,7 +368,7 @@ def test_solution_space_dimensions():
     assert len(twisted_bimodule_maps(*subpair_of("qc2-sweedler")[:2])) == 2
     assert len(twisted_bimodule_maps(*subpair_of("f7c3-taft")[:2])) == 3
     assert len(twisted_bimodule_maps(*subpair_of("qc2-qs3")[:2])) == 4
-    emb = identity_embedding(entry("sweedler").hopf)
+    emb = _identity_embedding(entry("sweedler").hopf)
     beta = twist_of(emb)
     data = structure_of(emb, beta)
     # endomaps of the algebra as a bimodule over itself = its center
@@ -535,7 +539,7 @@ def _twisted_actions(M, beta) -> list:
     for s in range(len(M.mats)):
         acc = Matrix.zeros(M.field, M.dim, M.dim)
         for u, m in enumerate(M.mats):
-            acc = acc.add(m.scale(inv.entry(u, s)))
+            acc = acc.add(m.scale(inv.rows[u][s]))
         acts.append(acc)
     return acts
 
@@ -618,6 +622,16 @@ def test_transport_rejects_a_basis_that_is_not_free(monkeypatch):
         induced_module(emb, data, trivial_module(emb.K))
 
 
+def test_coinduction_reads_maps_only_at_basis_vectors():
+    """The co-induced action reads each map at the u_j as rows of the moved
+    maps, so a free basis with u_0 doubled, still free, is refused."""
+    emb, _, data = subpair_of("qc2-sweedler")
+    us = (tuple(2 * c for c in data.us[0]), *data.us[1:])
+    doubled = RelativeFrobeniusData(data.beta, data.E, us, data.vs)
+    with pytest.raises(InternalCheckError, match="not a basis vector of H"):
+        coinduced_module(emb, doubled, trivial_module(emb.K))
+
+
 # -- freeness --------------------------------------------------------------------
 
 
@@ -639,7 +653,7 @@ def test_free_module_rank(key, rank):
 
 
 def test_free_module_basis_of_trivial_pair():
-    emb = identity_embedding(entry("sweedler").hopf)
+    emb = _identity_embedding(entry("sweedler").hopf)
     assert free_module_basis(emb) == (emb.H.unit,)
 
 
