@@ -597,8 +597,7 @@ def test_frobenius_d36_integral_layer_makes_no_algebra_product(tmp_path, monkeyp
     and the Nakayama closed form read multiplication and hit matrices built
     in one table pass each, not one StructureAlgebra.multiply per basis
     vector (the whole job made 396 before)."""
-    path = tmp_path / "d36.hopf"
-    path.write_text(emit_hopf_text(double_of("qs3")))
+    path = _d36(tmp_path)
     inside, products = [], []
     layer = ("build_integral_data", "_check_integral_data", "verify_radford", "nakayama_closed_form")
     for name in layer:

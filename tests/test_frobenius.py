@@ -526,10 +526,6 @@ def test_dual_frobenius_structure(key):
     assert "modular function of the dual equals b" in titles
 
 
-def _catalog_or_double(key):
-    return double_of(key[2:-1]) if key.startswith("D(") else entry(key).hopf
-
-
 _WITH_DOUBLES = [*ALL_KEYS, "D(qs3)", "D(taft-3-7-2)"]
 
 
@@ -538,7 +534,7 @@ def test_dual_integral_data_from_the_left_integral_of_h(key):
     """The left integrals of H* are those of (H*)* = H, so the canonical left
     integral of H, which dual_frobenius_check supplies, gives H* the
     integral data that it finds from scratch, Gram matrix included."""
-    H = _catalog_or_double(key)
+    H = _layer_object(key)
     K = dual_hopf(H)
     (T,) = left_integral_space(H)
     supplied, scratch = build_integral_data(K, T), build_integral_data(K)
@@ -562,7 +558,7 @@ def _orders_by_search(H, nu):
 
 @pytest.mark.parametrize("key", _WITH_DOUBLES)
 def test_orders_match_the_three_searches(key):
-    H = _catalog_or_double(key)
+    H = _layer_object(key)
     nu = frobenius_system_from_norm(H, build_integral_data(H)).nakayama
     assert orders(H, nu) == _orders_by_search(H, nu)
 
