@@ -275,11 +275,7 @@ class Matrix:
     def mul(self, other: "Matrix") -> "Matrix":
         """self @ other: one int64 mulmod when machine_prime admits the field
         and the product has at least _NUMPY_CELLS cells, otherwise a Python
-        sum over the nonzero entries of each row of self and of other.  The
-        int64 product is other^T self^T with other^T sparse, so that its
-        work follows the nonzero entries of other, as the Python sum's
-        does: numpy has no BLAS for int64, and its dense product slows many
-        times on a wide other (the side-by-side translates of subext)."""
+        sum over the nonzero entries of each row of self and of other."""
         self._check(other)
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
@@ -287,10 +283,9 @@ class Matrix:
         p = machine_prime(field)
         if p is not None and self.nrows * other.ncols >= _NUMPY_CELLS:
             import numpy as np
-            import scipy.sparse as sp
 
             a, b = (np.array(m.rows, dtype=np.int64) % p for m in (self, other))
-            return Matrix(field, tuple(map(tuple, mulmod(sp.csr_matrix(b.T), a.T, p).T.tolist())))
+            return Matrix(field, tuple(map(tuple, mulmod(a, b, p).tolist())))
         z = field.zero()
         nonzero = [[(j, b) for j, b in enumerate(r) if b != z] for r in other.rows]
         out = []

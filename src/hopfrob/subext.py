@@ -35,7 +35,8 @@ from .errors import InternalCheckError, InvalidInputError, SingularError
 from .frobenius import IntegralData, build_integral_data, frobenius_system_from_norm
 from .frobenius import modular_inverse, nakayama_closed_form
 from .hopfcore import HopfAlgebra, convolution, hit_matrix, hopf_map_report
-from .linalg import Matrix, basis_vec, canonical_basis, vadd, vscale, zero_vec
+from . import linalg
+from .linalg import Matrix, basis_vec, canonical_basis, residues, vadd, vscale, zero_vec
 from .report import Report
 
 
@@ -379,17 +380,18 @@ class CoinducedModule:
     action: tuple
 
 
-def _translates(alg, vecs, d: int, side: str) -> Matrix:
-    """The moves of vecs by every basis element e_t of alg, in one pass over
-    alg.mul, side by side: column t w + v is vecs[v] moved by e_t, for the
-    w vectors vecs (_column_blocks splits them by t).
+def _translates(alg, vecs, d: int, side: str, read: Matrix) -> tuple:
+    """read times the move of vecs by each basis element e_t of alg, in
+    order of t, where column v of the move by e_t is vecs[v] moved by e_t.
 
     Each vector is a d x n matrix phi flattened row-major (module, H).  Side
     "right" moves m (x) h to m (x) h e_t, side "left" moves phi to
     phi(e_t .): the entry c at e_k of e_i e_j sends entry (a, i) of a vector
     to (a, k) of its move by e_j (right), and entry (a, k) to (a, j) of its
-    move by e_i (left).  The work follows the nonzero entries of vecs and
-    the mul entries they meet."""
+    move by e_i (left).  All moves are made in one pass over alg.mul, side
+    by side (column t w + v for the w vectors), and read in one sparse
+    product, so the work follows the nonzero entries of vecs and read and
+    the mul entries they meet, not the cells of the side-by-side moves."""
     field, n = alg.field, alg.dim
     z, w = field.zero(), len(vecs)
     width = n * w
@@ -410,16 +412,29 @@ def _translates(alg, vecs, d: int, side: str) -> Matrix:
             for off, c in reads[src]:
                 key = off + base
                 acc[key] = acc.get(key, z) + c * m
-    flat = [z] * (d * n * width)
-    for key, x in acc.items():
-        flat[key] = field.normalize(x)
-    return Matrix(field, tuple(tuple(flat[r * width : (r + 1) * width]) for r in range(d * n)))
+    p = linalg.machine_prime(field)
+    if p is not None and read.nrows * width >= linalg._NUMPY_CELLS:
+        import numpy as np
+        import scipy.sparse as sp
 
-
-def _column_blocks(M: Matrix, count: int) -> tuple:
-    """M cut into count matrices of equal width, left to right."""
-    w = M.ncols // count
-    return tuple(Matrix(M.field, tuple(r[t * w : (t + 1) * w] for r in M.rows)) for t in range(count))
+        keys = np.fromiter(acc, dtype=np.int64, count=len(acc))
+        moves = sp.csr_matrix((residues(acc.values(), p), np.divmod(keys, width)), shape=(d * n, width))
+        A = sp.csr_matrix(np.array(read.rows, dtype=np.int64) % p)
+        out = linalg.mulmod(A, moves, p).toarray().tolist()
+    else:
+        moves: list = [[] for _ in range(d * n)]
+        for key, x in acc.items():
+            r, c = divmod(key, width)
+            moves[r].append((c, x))
+        out = []
+        for row in read.rows:
+            sums = [z] * width
+            for r, a in enumerate(row):
+                if a != z:
+                    for c, x in moves[r]:
+                        sums[c] += a * x
+            out.append(tuple(map(field.normalize, sums)))
+    return tuple(Matrix(field, tuple(tuple(r[t * w : (t + 1) * w]) for r in out)) for t in range(n))
 
 
 def _free_transport(emb: SubalgebraEmbedding, flat: Matrix, d: int, free, side: str) -> tuple:
@@ -429,13 +444,12 @@ def _free_transport(emb: SubalgebraEmbedding, flat: Matrix, d: int, free, side: 
     C inverts the matrix with column (j, s) iota(e_s) b_j ("left") or
     b_j iota(e_s) ("right"); flat has column s the d x d matrix A_s
     flattened, and flat times C laid out as rows s gives spread, with row
-    (g, j) and column (a, i) sum_s C[(j s), i] A_s[g][a].  Left, A_s the
-    action of e_s: spread is the quotient map, m_a (x) e_i = sum C[(j s), i]
-    (m_a . e_s) (x) b_j, its section has row (g, j) the flattened
-    m_g (x) b_j, and the action reads the moved section through spread.
-    Right, A_s transposed: spread holds the maps with phi(b_j) = m_g,
-    phi(e_i) = sum C[(j s), i] A_s^T phi(b_j), and the action evaluates the
-    moved maps at the b_j."""
+    (g, j) and column (a, i) sum_s C[(j s), i] A_s[g][a].  pure has row
+    (g, j) the flattened m_g (x) b_j.  Left, A_s the action of e_s: spread
+    is the quotient map, m_a (x) e_i = sum C[(j s), i] (m_a . e_s) (x) b_j,
+    and pure its section.  Right, A_s transposed: spread holds the maps with
+    phi(b_j) = m_g, phi(e_i) = sum C[(j s), i] A_s^T phi(b_j), and pure
+    evaluates at the b_j."""
     H, iota, field = emb.H, emb.iota, emb.H.field
     n, k, r = H.dim, emb.K.dim, len(free)
     mult = H.alg.right_mult_matrix if side == "left" else H.alg.left_mult_matrix
@@ -450,19 +464,10 @@ def _free_transport(emb: SubalgebraEmbedding, flat: Matrix, d: int, free, side: 
         tuple(x for row in X[g * d : (g + 1) * d] for x in row[j * n : (j + 1) * n])
         for g in range(d) for j in range(r)
     ))
-    if side == "left":
-        z = (field.zero(),) * n
-        pure = Matrix(field, tuple(z * g + b + z * (d - 1 - g) for g in range(d) for b in free))
-        # the quotient map reads every move in one product
-        return pure, _column_blocks(spread.mul(_translates(H.alg, pure.rows, d, "right")), n)
-    # a map is read by its values phi(b_j): free_module_basis picks basis
-    # vectors b_j = e_{i_j}, so these are the rows (g, i_j) of a move
-    index = {basis_vec(field, n, i): i for i in range(n)}
-    at = [index.get(tuple(b)) for b in free]
-    if None in at:
-        raise InternalCheckError("right free basis vector is not a basis vector of H")
-    moved = _translates(H.alg, spread.rows, d, "left").rows
-    return spread, _column_blocks(Matrix(field, tuple(moved[g * n + i] for g in range(d) for i in at)), n)
+    z = (field.zero(),) * n
+    pure = Matrix(field, tuple(z * g + b + z * (d - 1 - g) for g in range(d) for b in free))
+    embed, read = (pure, spread) if side == "left" else (spread, pure)
+    return embed, _translates(H.alg, embed.rows, d, "right" if side == "left" else "left", read)
 
 
 def induced_module(
@@ -563,7 +568,7 @@ def induction_coinduction_check(
         f"rank {rank} of {ind.dim}",
     )
 
-    moved = _column_blocks(_translates(H.alg, theta.transpose().rows, d, "left"), n)
+    moved = _translates(H.alg, theta.transpose().rows, d, "left", Matrix.identity(field, d * n))
     bad = next((t for t in range(n) if moved[t] != theta.mul(ind.action[t])), None)
     rep.add(
         "comparison map respects the ambient action",

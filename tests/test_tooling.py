@@ -102,14 +102,40 @@ def _referenced_names(path: Path) -> set:
     return names
 
 
+# Paper content that no path of src/hopfrob calls, kept as API for the
+# acceptance gates and the tests: the Frobenius-system transforms, the
+# separability decisions, the Hopf-module decomposition, the embeddings of
+# the double's factors, the opposite algebra, the group tables, and the
+# field samples of the randomized gates.
+PAPER_API = {
+    "algebra.is_commutative",
+    "algebra.opposite",
+    "catalog.d4_table",
+    "catalog.q8_table",
+    "double.embed_algebra",
+    "double.embed_dual",
+    "frobenius.compare_systems",
+    "frobenius.transform_by_antipode",
+    "frobenius.translate_system",
+    "hopfcore.hopf_module_decompose",
+    "scalars.nonzero_elements_sample",
+    "separability.idempotent_exists_by_solve",
+    "separability.separability_from_system",
+}
+
+
 def test_package_has_no_unreferenced_functions():
     """Every function and method defined in src/hopfrob is referenced from
-    src/, tests/ or bench/: a helper that nothing calls is deleted.  Dunders
-    are called by the language, and the catalog builders by the registry
-    their @_register decorator files them in."""
-    files = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
-    referenced = set().union(*map(_referenced_names, files))
-    dead = []
+    src/, tests/ or bench/: a helper that nothing calls is deleted.  And
+    each is referenced from src/hopfrob, wrapped in bench/spans.py, or paper
+    content on PAPER_API: a function that only the tests call, restating a
+    primitive they could call instead, is deleted too.  Dunders are called
+    by the language, and the catalog builders by the registry their
+    @_register decorator files them in."""
+    used = set().union(*map(_referenced_names, [*PACKAGE.glob("*.py"), ROOT / "bench" / "spans.py"]))
+    others = [*(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    referenced = used.union(*map(_referenced_names, others))
+    dead, test_only = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -121,92 +147,11 @@ def test_package_has_no_unreferenced_functions():
             )
             if not (dunder or registered or node.name in referenced):
                 dead.append(f"{path.name}:{node.lineno}: {node.name}")
+            elif not (dunder or registered or node.name in used):
+                test_only.add(f"{path.stem}.{node.name}")
     assert not dead, "functions nothing references:\n" + "\n".join(dead)
-
-
-# Paper content that no path of src/hopfrob calls, kept as API for the
-# acceptance gates and the tests: the Frobenius-system transforms, the
-# separability decisions, the Hopf-module decomposition, the embeddings of
-# the double's factors, the opposite algebra, the group tables, and the
-# field samples of the randomized gates.
-PAPER_API = {
-    "algebra.StructureAlgebra.is_commutative",
-    "algebra.opposite",
-    "catalog.d4_table",
-    "catalog.q8_table",
-    "double.embed_algebra",
-    "double.embed_dual",
-    "frobenius.compare_systems",
-    "frobenius.transform_by_antipode",
-    "frobenius.translate_system",
-    "hopfcore.hopf_module_decompose",
-    "scalars.Field.nonzero_elements_sample",
-    "scalars.PrimeField.nonzero_elements_sample",
-    "scalars.RationalField.nonzero_elements_sample",
-    "separability.idempotent_exists_by_solve",
-    "separability.separability_from_system",
-}
-
-
-def _definitions(path: Path) -> list:
-    """(qualified name, node) of each top-level function and each public
-    method of a module, dunders left out."""
-    out = []
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.FunctionDef):
-            out.append((f"{path.stem}.{node.name}", node))
-        elif isinstance(node, ast.ClassDef):
-            out.extend(
-                (f"{path.stem}.{node.name}.{m.name}", m)
-                for m in node.body
-                if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
-            )
-    return out
-
-
-def _mentions(path: Path) -> list:
-    """(name, line) of each mention of a name in a module: as a name, an
-    attribute or an import."""
-    out = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
-        elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.lineno))
-        elif isinstance(node, ast.ImportFrom):
-            out.extend((alias.name, node.lineno) for alias in node.names)
-    return out
-
-
-def test_every_function_is_used_by_the_package():
-    """Every top-level function and public method of src/hopfrob is
-    referenced in src/hopfrob outside its own definition, wrapped in
-    bench/spans.py, or paper content on PAPER_API: a function that only the
-    tests call, restating a primitive they could call instead, is deleted.
-    The catalog builders count as referenced through the registry their
-    @_register decorator files them in."""
-    spans = _load_bench_spans()
-    wrapped = {f"{mod}.{attr}" for mod, attr, _ in spans.SPANNED + spans.COUNTED}
-    mentions = {path: _mentions(path) for path in PACKAGE.glob("*.py")}
-    unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name, node in _definitions(path):
-            registered = any(
-                isinstance(d, ast.Call) and ast.unparse(d.func) == "_register"
-                for d in node.decorator_list
-            )
-            used = any(
-                mentioned == node.name
-                and not (where == path and node.lineno <= line <= node.end_lineno)
-                for where, found in mentions.items()
-                for mentioned, line in found
-            )
-            if not (used or registered or name in wrapped):
-                unused.append(name)
-    extra = sorted(set(unused) - PAPER_API)
-    assert not extra, "functions only the tests call:\n" + "\n".join(extra)
-    # and PAPER_API names nothing that is gone or that the package now calls
-    assert sorted(unused) == sorted(PAPER_API)
+    # PAPER_API names neither a function the package now calls nor one gone
+    assert test_only == PAPER_API, f"only the tests call, or no longer: {sorted(test_only ^ PAPER_API)}"
 
 
 def _class_references(path: Path) -> set:
