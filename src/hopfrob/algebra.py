@@ -277,9 +277,9 @@ def product_cover(A: StructureAlgebra) -> tuple:
     a, a' in S, ((aa')b)c = (a(a'b))c = a((a'b)c) = a(a'(bc)) = (aa')(bc).
     So is T = {a : Delta(ab) = Delta(a)Delta(b) for all b} once A is
     associative: Delta((aa')b) = Delta(a)Delta(a'b) = Delta(a)Delta(a')
-    Delta(b) = Delta(aa')Delta(b).  If the generators lie in S (in T), each
-    step puts e_k = c^-1 e_a e_b in it, so by induction every basis vector
-    does, over every field."""
+    Delta(b) = Delta(aa')Delta(b); so are the sets of subext's module law and
+    intertwining check.  If the generators lie in such a set, each step puts
+    e_k = c^-1 e_a e_b in it, so every basis vector does, over every field."""
     n = A.dim
     # the single-term products by each of their factors
     by_factor: list = [[] for _ in range(n)]

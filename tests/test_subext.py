@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import embedding_of, embedding_report, structure_of, subpair_of, twist_of
-from hopfrob import linalg
+from hopfrob import linalg, subext
+from hopfrob.algebra import MulTable, on_cover
 from hopfrob.catalog import entry
 from hopfrob.errors import InternalCheckError, InvalidInputError
 from hopfrob.linalg import Matrix, basis_vec, canonical_basis, matrix_order
 from hopfrob.subext import (
+    InducedModule,
     KModule,
     RelativeFrobeniusData,
     SubalgebraEmbedding,
@@ -32,7 +34,6 @@ from hopfrob.subext import (
     free_module_basis,
     induced_module,
     induction_coinduction_check,
-    module_act,
     regular_module,
     trivial_module,
 )
@@ -45,6 +46,14 @@ DOUBLE_PAIRS = ("qc2-double", "f2c2-double", "f7c3-double", "qc3-double")
 def _identity_embedding(H):
     """H inside itself."""
     return SubalgebraEmbedding(H, H, Matrix.identity(H.field, H.dim))
+
+
+def _module_act(M, m, a):
+    """m . a in the K-module M, for a K coordinate vector a."""
+    out = Matrix.zeros(M.field, M.dim, M.dim)
+    for s, c in enumerate(a):
+        out = out.add(M.mats[s].scale(c))
+    return out.apply(m)
 
 
 def _rand_vec(field, dim, rng):
@@ -192,7 +201,7 @@ def _comparison_map_by_definition(emb, data, M, section):
                 val = beta_inv.apply(
                     data.E.apply(H.alg.multiply(H.alg.basis_vector(i), H.alg.basis_vector(x)))
                 )
-                moved = module_act(M, m_alpha, val)
+                moved = _module_act(M, m_alpha, val)
                 for gamma in range(d):
                     phi[gamma][x] = field.normalize(phi[gamma][x] + c * moved[gamma])
         cols.append(tuple(x for row in phi for x in row))
@@ -570,6 +579,128 @@ def test_transport_identities_match_the_loops(key, engine, generic_engine):
             assert theta == _comparison_map_by_definition(emb, case, M, ind.section)
 
 
+# -- the laws on the product cover ----------------------------------------------
+
+# H inside D(H) whose double's product cover is a proper part of its basis
+COVERS = {"f7c3-double": 6, "qc3-double": 6, "sweedler-double": 8}
+
+
+def _intertwining_by_definition(H, theta, action, d):
+    """First t with Lambda(e_t) phi != theta rho(e_t) on a column phi of
+    theta, Lambda(e_t) phi = phi(e_t .), or None."""
+    field, n = H.field, H.dim
+    prods = {
+        (t, j): H.alg.multiply(H.alg.basis_vector(t), H.alg.basis_vector(j))
+        for t in range(n)
+        for j in range(n)
+    }
+    for t in range(n):
+        rhs = theta.mul(action[t])
+        for c in range(theta.ncols):
+            phi = theta.col(c)
+            moved = tuple(
+                field.normalize(sum(phi[a * n + k] * x for k, x in enumerate(prods[t, j])))
+                for a in range(d)
+                for j in range(n)
+            )
+            if moved != rhs.col(c):
+                return t
+    return None
+
+
+def _cover_spy(monkeypatch) -> list:
+    """For each on_cover call of subext, the row sets its check was run on."""
+    calls = []
+
+    def spy(cover, check):
+        rows = []
+        calls.append(rows)
+        return on_cover(cover, lambda r: rows.append(r) or check(r))
+
+    monkeypatch.setattr(subext, "on_cover", spy)
+    return calls
+
+
+def _cover_case(key, engine, generic_engine):
+    """(embedding, extension data, H's cover, a basis index off it, regular
+    module of K, its induced module)."""
+    emb, data = _structure(key, engine, generic_engine)
+    cover = MulTable(emb.H.alg).cover
+    assert len(cover) == COVERS[key] < emb.H.dim
+    M = regular_module(emb.K)
+    off = next(t for t in range(emb.H.dim) if t not in cover)
+    return emb, data, cover, off, M, induced_module(emb, data, M)
+
+
+def _intertwining_item(rep):
+    return next(it for it in rep.items if it.name == "comparison map respects the ambient action")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("key", COVERS)
+def test_laws_visit_only_the_cover_on_valid_modules(key, engine, generic_engine, monkeypatch):
+    emb, data, cover, _, M, _ = _cover_case(key, engine, generic_engine)
+    calls = _cover_spy(monkeypatch)
+    rep = induction_coinduction_check(emb, data, M)
+    assert rep.passed, "\n".join(rep.summary_lines())
+    # the induced law, the co-induced law and the intertwining, each once
+    assert calls == [[cover]] * 3
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("key", COVERS)
+def test_module_law_falls_back_to_the_basis_off_the_cover(key, engine, generic_engine, monkeypatch):
+    emb, data, cover, off, M, ind = _cover_case(key, engine, generic_engine)
+    H = emb.H
+    coi = coinduced_module(emb, data, M)
+    calls = _cover_spy(monkeypatch)
+    for action, dim in ((ind.action, ind.dim), (coi.action, coi.dim)):
+        bad = tuple(_moved(m, 0, 0) if u == off else m for u, m in enumerate(action))
+        calls.clear()
+        got = _module_law_failure(H, bad, dim)
+        assert got is not None and got == _module_law_by_definition(H, bad, dim)
+        assert calls == [[cover, None]]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("key", COVERS)
+def test_intertwining_falls_back_to_the_basis_off_the_cover(key, engine, generic_engine, monkeypatch):
+    """A corrupted comparison map fails on the cover, and the whole basis
+    names the first failing t."""
+    emb, data, cover, _, M, ind = _cover_case(key, engine, generic_engine)
+    H = emb.H
+    theta = _moved(_comparison_map(emb, data, M, ind.section), 0, 0)
+    monkeypatch.setattr(subext, "_comparison_map", lambda *args: theta)
+    calls = _cover_spy(monkeypatch)
+    item = _intertwining_item(induction_coinduction_check(emb, data, M))
+    ref = _intertwining_by_definition(H, theta, ind.action, M.dim)
+    assert not item.ok and item.detail == f"fails at {H.basis_names[ref]}"
+    assert calls == [[cover], [cover], [cover, None]]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("key", COVERS)
+def test_intertwining_runs_on_the_basis_when_the_induced_law_fails(
+    key, engine, generic_engine, monkeypatch
+):
+    emb, data, cover, off, M, ind = _cover_case(key, engine, generic_engine)
+    H = emb.H
+    bad = tuple(_moved(m, 0, 0) if u == off else m for u, m in enumerate(ind.action))
+    monkeypatch.setattr(subext, "induced_module", lambda *args: InducedModule(ind.dim, bad, ind.section))
+    calls = _cover_spy(monkeypatch)
+    rep = induction_coinduction_check(emb, data, M)
+    assert [it.name for it in rep.failures()] == [
+        "induced action satisfies the module law",
+        "comparison map respects the ambient action",
+    ]
+    theta = _comparison_map(emb, data, M, ind.section)
+    ref = _intertwining_by_definition(H, theta, bad, M.dim)
+    assert _intertwining_item(rep).detail == f"fails at {H.basis_names[ref]}"
+    # the induced law falls back, the co-induced holds, the intertwining
+    # runs on the whole basis at once
+    assert calls == [[cover, None], [cover], [None]]
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("key", PAIRS + DOUBLE_PAIRS)
 def test_transport_actions_match_the_definitions(key, engine, generic_engine):
@@ -690,7 +821,7 @@ def test_regular_module_action_matches_products():
     rng = random.Random(7)
     a = _rand_vec(K.field, K.dim, rng)
     b = _rand_vec(K.field, K.dim, rng)
-    assert module_act(M, a, b) == K.alg.multiply(a, b)
+    assert _module_act(M, a, b) == K.alg.multiply(a, b)
 
 
 def _modules_for(key):
@@ -757,15 +888,6 @@ def test_regular_module_induces_the_ambient_algebra():
     for t in range(H.dim):
         rm = H.alg.right_mult_matrix(H.alg.basis_vector(t))
         assert phi.mul(ind.action[t]) == rm.mul(phi)
-
-
-def test_transport_check_rejects_non_modules():
-    emb, _, data = subpair_of("qc2-sweedler")
-    F = emb.K.field
-    eye = Matrix.identity(F, 1)
-    broken = KModule(F, 1, (eye, eye.scale(F.from_int(3))))
-    with pytest.raises(InvalidInputError, match="associativity"):
-        induction_coinduction_check(emb, data, broken)
 
 
 # -- end to end ------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Checks on the code base itself: the benchmark's trace targets still exist,
 the package carries no unused imports, no unreferenced functions, no
-function that only the tests call outside the paper-content API, and no
-static constructor unreferenced through its class, one gate picks the int64
+function that only the tests call outside the paper-content API, no
+top-level function name defined in two modules, and no static
+constructor unreferenced through its class, one gate picks the int64
 engine, and numpy and scipy load only when that engine runs."""
 
 import ast
@@ -152,6 +153,19 @@ def test_package_has_no_unreferenced_functions():
     assert not dead, "functions nothing references:\n" + "\n".join(dead)
     # PAPER_API names neither a function the package now calls nor one gone
     assert test_only == PAPER_API, f"only the tests call, or no longer: {sorted(test_only ^ PAPER_API)}"
+
+
+def test_module_level_function_names_are_unique():
+    """No two modules of src/hopfrob define a top-level function of one
+    name: the reference checks above match bare names, so either of two
+    namesakes would pass on the other's callers."""
+    owners: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owners.setdefault(node.name, []).append(path.stem)
+    shared = {name: mods for name, mods in owners.items() if len(mods) > 1}
+    assert not shared, f"top-level functions defined in more than one module: {shared}"
 
 
 def _class_references(path: Path) -> set:
