@@ -84,13 +84,12 @@ def _clean_row(field: Field, items: Iterable) -> SparseRow:
 def nonzero_row(field: Field, acc: Mapping) -> tuple:
     """The entries of an accumulator {key: scalar} as (key, value) pairs
     sorted by key, each value normalized once and the zeros dropped."""
-    z = field.zero()
     out = []
     # a plain loop: multiply_rows runs this thousands of times per pass on
     # one or two keys, where a comprehension's own frame costs more
     for k in sorted(acc):
         c = field.normalize(acc[k])
-        if c != z:
+        if c:
             out.append((k, c))
     return tuple(out)
 
@@ -101,8 +100,7 @@ def default_names(dim: int) -> tuple:
 
 
 def vec_to_row(field: Field, vec: Sequence) -> SparseRow:
-    z = field.zero()
-    return tuple((k, c) for k, c in enumerate(vec) if c != z)
+    return tuple((k, c) for k, c in enumerate(vec) if c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,14 +142,12 @@ class StructureAlgebra:
         if len(a) != self.dim or len(b) != self.dim:
             raise ShapeError("vector length mismatch")
         field = self.field
-        z = field.zero()
-        acc = [z] * self.dim
+        acc = [field.zero()] * self.dim
+        nonzero = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
-            if ai == z:
+            if not ai:
                 continue
-            for j, bj in enumerate(b):
-                if bj == z:
-                    continue
+            for j, bj in nonzero:
                 f = ai * bj
                 for k, c in self.mul.get((i, j), ()):
                     acc[k] = acc[k] + f * c
@@ -182,11 +178,10 @@ class StructureAlgebra:
         entry c at e_k of e_i e_j adds a_i c to L_a[k][j], a_j c to R_a[k][i]."""
         if len(a) != self.dim:
             raise ShapeError("vector length mismatch")
-        z = self.field.zero()
-        rows = [[z] * self.dim for _ in range(self.dim)]
+        rows = [[self.field.zero()] * self.dim for _ in range(self.dim)]
         for (i, j), row in self.mul.items():
             s, col = (a[i], j) if side == "left" else (a[j], i)
-            if s != z:
+            if s:
                 for k, c in row:
                     rows[k][col] += s * c
         return Matrix.from_rows(self.field, rows)
@@ -202,10 +197,10 @@ class StructureAlgebra:
         )
 
     def format_vector(self, v: Sequence) -> str:
-        z, o = self.field.zero(), self.field.one()
+        o = self.field.one()
         parts = []
         for i, c in enumerate(v):
-            if c == z:
+            if not c:
                 continue
             coeff = "" if c == o else f"{self.field.fmt(c)}*"
             parts.append(f"{coeff}{self.basis_names[i]}")
@@ -386,7 +381,7 @@ def is_augmentation(A: StructureAlgebra, eps: Sequence) -> bool:
     for (i, j), row in A.mul.items():
         if norm(sum(c * eps[k] for k, c in row)) != norm(eps[i] * eps[j]):
             return False
-    support = [i for i, e in enumerate(eps) if norm(e) != field.zero()]
+    support = [i for i, e in enumerate(eps) if norm(e)]
     return all((i, j) in A.mul for i in support for j in support)
 
 
@@ -612,11 +607,12 @@ def _associativity_failure(
     structure_arrays mul of A, in blocks of r, g_r = e_{rows[r]}.
 
     L = G Mu holds the products g_r e_m: row r, entry (a, m) at a*dim + m
-    for their coefficient at e_a.  The left side g_r (e_j e_k) = sum_m
-    c(j, k; m) g_r e_m is L stacked as rows (r a), column m, times the table
-    as row m, column (j k); the right side (g_r e_j) e_k = sum_m (g_r e_j)_m
-    e_m e_k is L as rows (r j), column m, times the table as row m, column
-    (k a).  Each stack is laid out once, over the rows that occur; a block
+    for their coefficient at e_a; on the whole basis G is the identity, and
+    L is Mu itself, so no product of width dim^2 is formed.  The left side
+    g_r (e_j e_k) = sum_m c(j, k; m) g_r e_m is L stacked as rows (r a),
+    column m, times the table as row m, column (j k); the right side
+    (g_r e_j) e_k = sum_m (g_r e_j)_m e_m e_k is L as rows (r j), column m,
+    times the table as row m, column (k a).  Each stack is laid out once, over the rows that occur; a block
     multiplies its rows of both and compares the products at row r, column
     (j k a) (first_mismatch).  A block holds as many r as keep the entries
     of its operands, of both products (at most their terms) and of their
@@ -633,7 +629,8 @@ def _associativity_failure(
     i, j, k, c = mul
     # row u: L_{e_u}
     G, index = basis_rows(rows, n)
-    L = mulmod(G, sp.csr_matrix((c, (i, k * n + j)), shape=(n, n * n)), p)
+    Mu = sp.csr_matrix((c, (i, k * n + j)), shape=(n, n * n))
+    L = Mu if rows is None else mulmod(G, Mu, p)
     lr, (la, lm) = csr_rows(L), np.divmod(L.indices.astype(np.int64), n)
     left, lkeys = row_compact(lr * n + la, lm, L.data, n)
     right, rkeys = row_compact(lr * n + lm, la, L.data, n)

@@ -75,7 +75,7 @@ def _straighten_table(H: HopfAlgebra):
             for r, s, t, c in d2[i]:
                 for u in range(H.dim):
                     cu = sbar.rows[u][t]
-                    if cu == zero:
+                    if not cu:
                         continue
                     for v, c2 in pe2.get((u, r), {}).get(b, ()):
                         key = (v, s)

@@ -98,14 +98,14 @@ def _factor(field, vecs: Sequence, v: Sequence, message: str) -> tuple:
     matrix v w^T read from its columns, or of w v^T from its rows.  The
     first vecs[i] that is no multiple of v raises message.format(i), and a
     zero v raises it at 0."""
-    pivot = next((t for t, x in enumerate(v) if x != field.zero()), None)
+    pivot = next((t for t, x in enumerate(v) if x), None)
     if pivot is None:
         raise InternalCheckError(message.format(0))
     inv = field.inv(v[pivot])
     w = []
     for i, vec in enumerate(vecs):
         c = field.normalize(vec[pivot] * inv)
-        if vec != tuple(field.normalize(c * x) for x in v):
+        if vec != tuple(field.normalize(c * x) if x else x for x in v):
             raise InternalCheckError(message.format(i))
         w.append(c)
     return tuple(w)
@@ -200,12 +200,14 @@ def _tensor_matrix(field, n: int, t: dict) -> Matrix:
 def _dual_bases_from_coproduct(H: HopfAlgebra, t: Sequence) -> tuple:
     """x_i = c e_k and y_i = Sbar(e_j), one pair per term c e_j (x) e_k of
     Delta(t), in sorted order."""
-    field = H.field
-    sbar = H.antipode_inv()
+    sbar_cols = H.antipode_inv().transpose().rows
+    z = H.field.zero()
     xs, ys = [], []
     for (j, k), c in sorted(H.delta_vec(t).items()):
-        xs.append(tuple(field.normalize(c * v) for v in basis_vec(field, H.dim, k)))
-        ys.append(sbar.col(j))
+        x = [z] * H.dim
+        x[k] = c
+        xs.append(tuple(x))
+        ys.append(sbar_cols[j])
     return tuple(xs), tuple(ys)
 
 

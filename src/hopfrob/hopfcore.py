@@ -142,7 +142,7 @@ class HopfAlgebra:
         z = field.zero()
         acc: dict = {}
         for i, vi in enumerate(v):
-            if vi == z:
+            if not vi:
                 continue
             for j, k, c in self.comul.get(i, ()):
                 key = (j, k)
@@ -190,18 +190,17 @@ def _outer_sum(field: Field, pairs) -> dict:
     t: dict = {}
     zero = field.zero()
     for x, y in pairs:
+        nonzero = [(j, cj) for j, cj in enumerate(y) if cj]
         for i, ci in enumerate(x):
-            if ci == zero:
+            if not ci:
                 continue
-            for j, cj in enumerate(y):
-                if cj == zero:
-                    continue
+            for j, cj in nonzero:
                 t[(i, j)] = t.get((i, j), zero) + ci * cj
     return dict(nonzero_row(field, t))
 
 
 def eval_cov(field: Field, f: Sequence, v: Sequence):
-    return field.normalize(sum(a * b for a, b in zip(f, v, strict=True)))
+    return field.normalize(sum(a * b for a, b in zip(f, v, strict=True) if a and b))
 
 
 def tensor_mult(H: HopfAlgebra, t1: dict, t2: dict) -> dict:
@@ -241,8 +240,9 @@ def hit_matrix(H: HopfAlgebra, f: Sequence, side: str) -> Matrix:
     for i, terms in H.comul.items():
         for j, k, c in terms:
             if side == "left":
-                rows[j][i] += c * f[k]
-            else:
+                if f[k]:
+                    rows[j][i] += c * f[k]
+            elif f[j]:
                 rows[k][i] += c * f[j]
     return Matrix.from_rows(H.field, rows)
 
@@ -281,7 +281,7 @@ def integral_operator(H: HopfAlgebra, side: str, dual: bool = False) -> dict:
         S = {(j * dim + k, i): c for i, j, k, c in entries}
     z = field.zero()
     for a, e in enumerate(eps):
-        if e != z:
+        if e:
             for d in range(dim):
                 key = (a * dim + d, d)
                 S[key] = field.normalize(S.get(key, z) - e)
@@ -759,11 +759,13 @@ def _delta_failure(
     # row m: Delta(e_m), column (a b) at ab; row u: L_{e_u}, entry (a, s) at as_
     delta, ab = _compact(m, u * n + v, d, n)
     Mu, as_ = _compact(i, k * n + j, c, n)
-    W, V, rs = _coproduct_operand(mulmod(G, delta, p), ab, Mu, as_, n, p)
+    # on the whole basis G is the identity, so G delta and G Mu are the tables
+    whole = rows is None
+    W, V, rs = _coproduct_operand(delta if whole else mulmod(G, delta, p), ab, Mu, as_, n, p)
     nv = len(V)
 
     # the products g_r e_s as rows (s r), column a
-    L = mulmod(G, Mu, p)
+    L = Mu if whole else mulmod(G, Mu, p)
     la, ls = np.divmod(as_[L.indices], n)
     products, pkeys = row_compact(ls * R + csr_rows(L), la, L.data, n)
     # Delta(e_j) as rows (j s), column t

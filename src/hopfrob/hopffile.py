@@ -319,7 +319,6 @@ def emit_hopf_text(H: HopfAlgebra) -> str:
     them, which is already sorted, normalized and free of zeros."""
     field = H.field
     fmt = field.fmt
-    z = field.zero()
     for nm in H.basis_names:
         if not nm or any(ch.isspace() for ch in nm):
             raise InvalidInputError(f"basis name {nm!r} is not a whitespace-free token")
@@ -334,14 +333,14 @@ def emit_hopf_text(H: HopfAlgebra) -> str:
         row = mul[(i, j)]
         if row:
             lines.append(f"mul {i} {j} : " + " ".join(f"{k} {fmt(c)}" for k, c in row))
-    lines.append("unit : " + " ".join(f"{k} {fmt(c)}" for k, c in enumerate(H.unit) if c != z))
-    lines.append("counit : " + " ".join(f"{k} {fmt(c)}" for k, c in enumerate(H.counit) if c != z))
+    lines.append("unit : " + " ".join(f"{k} {fmt(c)}" for k, c in enumerate(H.unit) if c))
+    lines.append("counit : " + " ".join(f"{k} {fmt(c)}" for k, c in enumerate(H.counit) if c))
     for i in range(H.dim):
         row = H.comul_row(i)
         if row:
             lines.append(f"comul {i} : " + " ".join(f"{j} {k} {fmt(c)}" for j, k, c in row))
     for j, col in enumerate(zip(*H.antipode.rows)):
-        payload = " ".join(f"{i} {fmt(c)}" for i, c in enumerate(col) if c != z)
+        payload = " ".join(f"{i} {fmt(c)}" for i, c in enumerate(col) if c)
         if payload:
             lines.append(f"antipode {j} : {payload}")
     lines.append("end")

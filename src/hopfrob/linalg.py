@@ -13,7 +13,12 @@ algebra and hopfcore, in blocks bounded by the one byte budget _BLOCK_BYTES,
 run on int64 numpy/scipy arrays, everything else on Python scalars.  Every
 int64 sum of products goes through mulmod, which is exact for any number of
 terms (its docstring bounds its intermediates), so results are identical to
-the generic path (property-tested).  The sparse identity checks also run
+the generic path (property-tested).  mulmod alone picks how a product runs:
+two dense operands whose every partial sum stays below 2^53, as with the
+small primes of the catalog and the doubles, go through float64 BLAS, which
+is exact there; the others through int64, in 16-bit limbs when the plain
+product could pass 2^63.  The Python-scalar loops test zeros by truthiness
+(scalars.Field) and skip zero operands.  The sparse identity checks also run
 over QQ: engine_primes, built on machine_prime, picks enough primes below
 2^31 that an identity holding mod each of them holds in QQ (the bound is in
 its docstring), and residues reduces each rational exactly.
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -141,19 +147,26 @@ def mulmod(A, B, p: int):
     Bound: an entry of A @ B sums at most `terms` products, where terms is
     the inner dimension for a dense A, the largest row count of a sparse A,
     and for two sparse operands the smaller of that and the largest column
-    count of B.  When (p-1)^2 * terms < 2^63 the plain int64 product is
-    exact and is reduced once.  Otherwise B = B_hi * 2^16 + B_lo is split
-    into 16-bit limbs, and each partial sum of up to 2^16 terms stays below
-    2^31 * 2^16 * 2^16 = 2^63.  Above 2^16 terms A is cut into slices of at
-    most 2^16 terms per row (_term_slices), and the reduced products of the
-    slices are summed and reduced once: fewer than 2^32 slices, so fewer
-    than 2^48 terms, of residues below 2^31 stay below 2^63.
+    count of B.  When both operands are dense and (p-1)^2 * terms < 2^53,
+    the product runs in float64 (BLAS): every partial sum, in any order and
+    under FMA, is then an integer below 2^53, which float64 holds exactly,
+    so the float64 product is the integer product, converted back and
+    reduced once.  Otherwise, when (p-1)^2 * terms < 2^63, the plain int64
+    product is exact and is reduced once.  Otherwise B = B_hi * 2^16 + B_lo
+    is split into 16-bit limbs, and each partial sum of up to 2^16 terms
+    stays below 2^31 * 2^16 * 2^16 = 2^63.  Above 2^16 terms A is cut into
+    slices of at most 2^16 terms per row (_term_slices), and the reduced
+    products of the slices are summed and reduced once: fewer than 2^32
+    slices, so fewer than 2^48 terms, of residues below 2^31 stay below
+    2^63.
     """
     import numpy as np
 
     dense = isinstance(B, np.ndarray)
     if isinstance(A, np.ndarray):
         terms = A.shape[1]
+        if dense and (p - 1) ** 2 * terms < 2**53:
+            return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
     else:
         terms = int(A.getnnz(axis=1).max(initial=0))
         # B's column counts cost a pass over B; read them only when they can matter
@@ -215,16 +228,17 @@ def basis_vec(field: Field, n: int, i: int) -> tuple:
 
 
 def vadd(field: Field, u: Sequence, v: Sequence) -> tuple:
-    return tuple(field.normalize(a + b) for a, b in zip(u, v, strict=True))
+    """u + v for normalized vectors; an entry where v is zero is u's own."""
+    return tuple(field.normalize(a + b) if b else a for a, b in zip(u, v, strict=True))
 
 
 def vscale(field: Field, c, v: Sequence) -> tuple:
-    return tuple(field.normalize(c * a) for a in v)
+    """c v for a normalized vector; its zero entries are kept as they are."""
+    return tuple(field.normalize(c * a) if a else a for a in v)
 
 
 def is_zero_vec(field: Field, v: Sequence) -> bool:
-    z = field.zero()
-    return all(a == z for a in v)
+    return not any(v)
 
 
 @dataclass(frozen=True)
@@ -272,10 +286,16 @@ class Matrix:
         if self.field != other.field:
             raise FieldMismatchError("matrices over different fields")
 
+    @cached_property
+    def _nonzero(self) -> tuple:
+        """The (column, entry) pairs of each row where the entry is nonzero."""
+        return tuple([(j, x) for j, x in enumerate(r) if x] for r in self.rows)
+
     def mul(self, other: "Matrix") -> "Matrix":
         """self @ other: one int64 mulmod when machine_prime admits the field
         and the product has at least _NUMPY_CELLS cells, otherwise a Python
-        sum over the nonzero entries of each row of self and of other."""
+        sum over the nonzero entries of each row of self and of other (read
+        once per matrix), normalizing only the entries it reaches."""
         self._check(other)
         if self.ncols != other.nrows:
             raise ShapeError(f"{self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
@@ -286,26 +306,31 @@ class Matrix:
 
             a, b = (np.array(m.rows, dtype=np.int64) % p for m in (self, other))
             return Matrix(field, tuple(map(tuple, mulmod(a, b, p).tolist())))
-        z = field.zero()
-        nonzero = [[(j, b) for j, b in enumerate(r) if b != z] for r in other.rows]
+        z, norm, n = field.zero(), field.normalize, other.ncols
+        right = other._nonzero
         out = []
-        for r in self.rows:
-            acc = [z] * other.ncols
-            for k, a in enumerate(r):
-                if a != z:
-                    for j, b in nonzero[k]:
-                        acc[j] += a * b
-            out.append(tuple(map(field.normalize, acc)))
+        for r in self._nonzero:
+            acc: dict = {}
+            for k, a in r:
+                for j, b in right[k]:
+                    acc[j] = acc.get(j, z) + a * b
+            row = [z] * n
+            for j, x in acc.items():
+                row[j] = norm(x)
+            out.append(tuple(row))
         return Matrix(field, tuple(out))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.mul(other)
 
     def apply(self, vec: Sequence) -> tuple:
+        """self @ vec, summing each row over the nonzero entries of vec at
+        which the row is nonzero."""
         if len(vec) != self.ncols:
             raise ShapeError("vector length mismatch")
         norm = self.field.normalize
-        return tuple(norm(sum(a * b for a, b in zip(r, vec))) for r in self.rows)
+        nonzero = [(j, b) for j, b in enumerate(vec) if b]
+        return tuple(norm(sum([r[j] * b for j, b in nonzero if r[j]])) for r in self.rows)
 
     def add(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -320,8 +345,10 @@ class Matrix:
     def is_identity(self) -> bool:
         if self.nrows != self.ncols:
             return False
-        z, o = self.field.zero(), self.field.one()
-        return all(x == (o if i == j else z) for i, r in enumerate(self.rows) for j, x in enumerate(r))
+        o = self.field.one()
+        return all(
+            x == o if i == j else not x for i, r in enumerate(self.rows) for j, x in enumerate(r)
+        )
 
     def pow_(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
@@ -410,7 +437,7 @@ class Matrix:
         z = field.zero()
         det = field.one()
         for c in range(n):
-            piv = next((r for r in range(c, n) if rows[r][c] != z), None)
+            piv = next((r for r in range(c, n) if rows[r][c]), None)
             if piv is None:
                 return z
             if piv != c:
@@ -420,8 +447,10 @@ class Matrix:
             inv = field.inv(rows[c][c])
             for r in range(c + 1, n):
                 f = field.normalize(rows[r][c] * inv)
-                if f != z:
-                    rows[r] = [field.normalize(a - f * b) for a, b in zip(rows[r], rows[c])]
+                if f:
+                    rows[r] = [
+                        field.normalize(a - f * b) if b else a for a, b in zip(rows[r], rows[c])
+                    ]
         return det
 
     def __eq__(self, other):
@@ -488,18 +517,24 @@ def iterated_kernel_sparse(field: Field, dim: int, S: dict) -> tuple[tuple, ...]
     constraints: dict = {}
     for (r, c), val in S.items():
         val = field.normalize(val)
-        if val != z:
+        if val:
             constraints.setdefault(r // dim, []).append((r % dim, c, val))
     # columns of K span the current candidate subspace
     K = [basis_vec(field, dim, i) for i in range(dim)]
     for a in sorted(constraints):
         if not K:
             break
+        # the nonzero entries of K at each coordinate
+        at = [[] for _ in range(dim)]
+        for t, v in enumerate(K):
+            for c, x in enumerate(v):
+                if x:
+                    at[c].append((t, x))
         ck_rows = [[z] * len(K) for _ in range(dim)]
         for r, c, val in constraints[a]:
-            for t, v in enumerate(K):
-                if v[c] != z:
-                    ck_rows[r][t] = ck_rows[r][t] + val * v[c]
+            ck = ck_rows[r]
+            for t, x in at[c]:
+                ck[t] += val * x
         CK = Matrix.from_rows(field, ck_rows)
         null = CK.kernel()
         if len(null) == len(K):
@@ -508,9 +543,10 @@ def iterated_kernel_sparse(field: Field, dim: int, S: dict) -> tuple[tuple, ...]
         for n in null:
             w = [z] * dim
             for t, coef in enumerate(n):
-                if coef != z:
-                    for d in range(dim):
-                        w[d] = w[d] + coef * K[t][d]
+                if coef:
+                    for d, x in enumerate(K[t]):
+                        if x:
+                            w[d] += coef * x
             newK.append(tuple(field.normalize(x) for x in w))
         K = newK
     return canonical_basis(field, K)
@@ -541,12 +577,11 @@ def _iterated_kernel_modp(field: PrimeField, dim: int, S: dict) -> tuple[tuple, 
 def annihilates(field: Field, S: dict, vec: Sequence) -> bool:
     """Whether the sparse operator {(row, col): scalar} maps vec to zero, in
     one pass over the entries that skips the columns where vec is zero."""
-    z = field.zero()
     acc: dict = {}
     for (r, c), val in S.items():
-        if vec[c] != z:
-            acc[r] = acc.get(r, z) + val * vec[c]
-    return all(field.normalize(x) == z for x in acc.values())
+        if vec[c]:
+            acc[r] = acc.get(r, 0) + val * vec[c]
+    return not any(field.normalize(x) for x in acc.values())
 
 
 def _refine(K, block, p: int):
@@ -575,26 +610,29 @@ def _rref(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
 
 
 def _rref_generic(field: Field, rows: list[list]) -> tuple[list[list], list[int]]:
+    """The reduced echelon form of rows, whose entries are normalized, and
+    its pivot columns.  A row update keeps each entry where the pivot row is
+    zero, and the pivot row's scaling keeps its zeros."""
     m, n = len(rows), len(rows[0])
-    z = field.zero()
+    one = field.one()
     pivots: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        piv = next((i for i in range(r, m) if rows[i][c] != z), None)
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        if rows[r][c] != field.one():
-            rows[r] = [field.normalize(inv * x) for x in rows[r]]
+        if rows[r][c] != one:
+            inv = field.inv(rows[r][c])
+            rows[r] = [field.normalize(inv * x) if x else x for x in rows[r]]
         prow = rows[r]
         for i in range(m):
-            if i != r and rows[i][c] != z:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [field.normalize(a - f * b) for a, b in zip(rows[i], prow)]
+                rows[i] = [field.normalize(a - f * b) if b else a for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
     return rows, pivots

@@ -40,7 +40,11 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Common interface; concrete fields below."""
+    """Common interface; concrete fields below.
+
+    Both scalar types define bool(x) as "x is nonzero" (int, and Fraction
+    through its numerator), so `if x` is the zero test of every field; on a
+    Fraction it skips the Fraction.__eq__ that x != field.zero() calls."""
 
     name: str
     characteristic: int

@@ -34,7 +34,7 @@ class SeparabilityCertificate:
 
 def is_unit(field, c) -> bool:
     """Invertibility of a scalar; over a field this is being nonzero."""
-    return field.normalize(c) != field.zero()
+    return bool(field.normalize(c))
 
 
 def multiply_out_tensor(A: StructureAlgebra, t: dict) -> tuple:

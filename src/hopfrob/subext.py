@@ -322,7 +322,7 @@ def _module_law_failure(A: HopfAlgebra, action: tuple, dim: int) -> Optional[str
     field = A.field
 
     def act(terms):
-        scaled = [action[s].scale(c) for s, c in terms if c != field.zero()]
+        scaled = [action[s].scale(c) for s, c in terms if c]
         return reduce(Matrix.add, scaled) if scaled else Matrix.zeros(field, dim, dim)
 
     if not act(enumerate(A.unit)).is_identity():
@@ -394,7 +394,7 @@ def _translates(alg, vecs, d: int, side: str, read: Matrix) -> tuple:
     reads: list = [[] for _ in range(n)]
     for v, vec in enumerate(vecs):
         for pos, c in enumerate(vec):
-            if c != z:
+            if c:
                 a, i = divmod(pos, n)
                 reads[i].append((a * n * width + v, c))
     acc: dict = {}
@@ -424,7 +424,7 @@ def _translates(alg, vecs, d: int, side: str, read: Matrix) -> tuple:
         for row in read.rows:
             sums = [z] * width
             for r, a in enumerate(row):
-                if a != z:
+                if a:
                     for c, x in moves[r]:
                         sums[c] += a * x
             out.append(tuple(map(field.normalize, sums)))
@@ -562,10 +562,12 @@ def induction_coinduction_check(
     def laid_out(m):
         return Matrix(field, tuple(tuple(c for r in m.rows[x::n] for c in r) for x in range(n)))
 
+    theta_by_x = laid_out(theta)
+
     def first_t(rows):
         for t in range(n) if rows is None else rows:
             L = H.alg.left_mult_matrix(H.alg.basis_vector(t)).transpose()
-            if L.mul(laid_out(theta)) != laid_out(theta.mul(ind.action[t])):
+            if L.mul(theta_by_x) != laid_out(theta.mul(ind.action[t])):
                 return t
         return None
 

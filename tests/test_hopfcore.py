@@ -1,8 +1,12 @@
 import functools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1037,6 +1041,43 @@ def test_empty_tables_cost_the_same_products_at_any_dim(monkeypatch):
         assert hopfcore._delta_failure(H, None, 7, mul, comul) is None
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+_VERIFY_PEAK_RSS = """\
+import io, contextlib, resource, sys
+import numpy, scipy.sparse
+from hopfrob.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", sys.argv[1]])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_verify_memory_does_not_follow_dim_squared_on_empty_tables(tmp_path):
+    """`verify` on the empty-table stub at dims 1000 and 4000, each in a
+    fresh process with numpy and scipy loaded first: peak RSS (ru_maxrss,
+    which sees scipy's buffers where tracemalloc does not) grows by less
+    than 8 MB.  A product of the identity with the dim x dim^2 table of
+    associativity or Delta multiplicative would allocate about 4 bytes a
+    column, some 60 MB more at dim 4000."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hopfcore.__file__).resolve().parent.parent)}
+    peak = {}
+    for dim in (1000, 4000):
+        path = tmp_path / f"stub{dim}.hopf"
+        path.write_text(
+            f"hopf-algebra v1\nfield prime 7\ndim {dim}\nunit : 0 1\ncounit : 0 1\nend\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", _VERIFY_PEAK_RSS, str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        code, kib = map(int, out.stdout.split())
+        assert code == 1  # the stub fails its axioms
+        peak[dim] = kib
+    assert peak[4000] - peak[1000] < 8 * 1024, peak
 
 
 def _peak(f):

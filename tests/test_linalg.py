@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 from unittest import mock
 
 import numpy as np
@@ -467,3 +468,156 @@ def test_matrix_mul_engines_agree(field, shape, seed, density):
     got = A.mul(B)
     assert got == want
     assert all(type(x) is type(field.zero()) for r in got.rows for x in r)
+
+
+class _MatmulDtypes(np.ndarray):
+    """An array that records the operand dtypes of every matmul it enters."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _MatmulDtypes) else x for x in inputs]
+        if ufunc is np.matmul:
+            _MatmulDtypes.seen.append({x.dtype.name for x in plain})
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_mulmod_float64_branch_ends_at_its_bound():
+    """A dense row of p - 1 times a column of p - 1 with p near 2^20: at the
+    largest term count with (p-1)^2 terms < 2^53 the product runs in
+    float64, one term more in int64, and both equal the Python integer."""
+    p = 1048573  # the largest prime below 2^20
+    assert machine_prime(GF(p)) == p
+    most = (2**53 - 1) // (p - 1) ** 2
+    for n, dtype in ((most, "float64"), (most + 1, "int64")):
+        A = np.full((1, n), p - 1, dtype=np.int64).view(_MatmulDtypes)
+        B = np.full((n, 1), p - 1, dtype=np.int64).view(_MatmulDtypes)
+        _MatmulDtypes.seen = []
+        C = mulmod(A, B, p)
+        assert _MatmulDtypes.seen == [{dtype}], n
+        assert int(C[0, 0]) == (p - 1) ** 2 * n % p, n
+    assert (p - 1) ** 2 * most < 2**53 <= (p - 1) ** 2 * (most + 1)
+
+
+# -- the generic engine on sparse inputs, against dense loops by definition ----
+
+
+def _ref_rref(field, rows):
+    """Gauss-Jordan with every cell visited: (reduced rows, pivot columns)."""
+    z = field.zero()
+    rows = [list(r) for r in rows]
+    m, n = len(rows), len(rows[0]) if rows else 0
+    pivots, r = [], 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if rows[i][c] != z), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.normalize(inv * x) for x in rows[r]]
+        for i in range(m):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [field.normalize(a - f * b) for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def _ref_canonical(field, vecs):
+    rows, pivots = _ref_rref(field, vecs)
+    return tuple(tuple(rows[i]) for i in range(len(pivots)))
+
+
+def _ref_kernel(field, rows, n):
+    """The canonical basis of {v : rows v = 0}: e_f - sum_r red[r][f] e_pivot(r)
+    for each free column f, reduced."""
+    red, pivots = _ref_rref(field, rows) if rows else ([], [])
+    vecs = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [field.zero()] * n
+        v[f] = field.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(red[r][f])
+        vecs.append(v)
+    return _ref_canonical(field, vecs) if vecs else ()
+
+
+def _ref_det(field, rows):
+    """The Leibniz sum over all permutations."""
+    n = len(rows)
+    total = field.zero()
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = field.from_int(sign)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return field.normalize(total)
+
+
+def _sparse_rows(rng, field, m, n):
+    """An m x n matrix with at least 70 % zeros, one zero row and one zero
+    column when it has more than one, as normalized scalars."""
+    rows = [[field.zero()] * n for _ in range(m)]
+    cells = rng.sample(range(m * n), (3 * m * n) // 10)
+    for cell in cells:
+        r, c = divmod(cell, n)
+        x = rng.choice([1, -1, 2, 3, 5]) if field == QQ else rng.randrange(1, field.p)
+        rows[r][c] = field.normalize(Fraction(x, rng.choice([1, 2, 3])) if field == QQ else x)
+    if m > 1:
+        rows[rng.randrange(m)] = [field.zero()] * n
+    if n > 1:
+        zc = rng.randrange(n)
+        for r in rows:
+            r[zc] = field.zero()
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("seed", range(40))
+def test_generic_engine_on_sparse_inputs_matches_dense_loops(field, seed, monkeypatch):
+    """Matrix.mul, apply, rref, kernel, inverse, det and the generic
+    iterated_kernel_sparse on matrices of at least 70 % zeros, with zero
+    rows, zero columns and zero vectors, equal their definitions as dense
+    loops that visit every cell."""
+    monkeypatch.setattr(linalg, "machine_prime", lambda field: None)
+    rng = random.Random(seed)
+    m, k, n = (rng.randint(1, 7) for _ in range(3))
+    a, b = _sparse_rows(rng, field, m, k), _sparse_rows(rng, field, k, n)
+    A, B = Matrix(field, tuple(map(tuple, a))), Matrix(field, tuple(map(tuple, b)))
+    z = field.zero()
+
+    assert A.mul(B) == _mul_reference(A, B)
+    for vec in ([z] * k, [r[0] for r in b], [r[0] for r in _sparse_rows(rng, field, k, 1)]):
+        want = tuple(field.normalize(sum(x * y for x, y in zip(r, vec))) for r in a)
+        assert A.apply(tuple(vec)) == want
+
+    red, pivots = A.rref()
+    ref_red, ref_pivots = _ref_rref(field, a)
+    assert red.rows == tuple(map(tuple, ref_red)) and pivots == tuple(ref_pivots)
+    assert A.kernel() == _ref_kernel(field, a, k)
+    assert all(A.apply(v) == (z,) * m for v in A.kernel())
+
+    # a square matrix: sparse, or sparse plus the identity (mostly invertible)
+    s = rng.randint(1, 6)
+    q = _sparse_rows(rng, field, s, s)
+    if seed % 2:
+        q = [[field.normalize(x + (i == j)) for j, x in enumerate(r)] for i, r in enumerate(q)]
+    Q = Matrix(field, tuple(map(tuple, q)))
+    assert Q.det() == _ref_det(field, q)
+    eye = [[field.one() if i == j else z for j in range(s)] for i in range(s)]
+    aug, aug_pivots = _ref_rref(field, [r + e for r, e in zip(q, eye)])
+    if aug_pivots[:s] == list(range(s)):
+        inv = Matrix(field, tuple(tuple(r[s:]) for r in aug))
+        assert Q.inverse() == inv
+        assert _mul_reference(Q, inv).is_identity()
+    else:
+        with pytest.raises(SingularError):
+            Q.inverse()
+
+    # a stacked operator of a few dim x dim blocks, some of them empty
+    dim, nblocks = rng.randint(1, 6), rng.randint(1, 4)
+    stacked = [row for _ in range(nblocks) for row in _sparse_rows(rng, field, dim, dim)]
+    S = {(r, c): x for r, row in enumerate(stacked) for c, x in enumerate(row) if x != z}
+    assert linalg.iterated_kernel_sparse(field, dim, S) == _ref_kernel(field, stacked, dim)

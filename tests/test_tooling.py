@@ -3,7 +3,8 @@ the package carries no unused imports, no unreferenced functions, no
 function that only the tests call outside the paper-content API, no
 top-level function name defined in two modules, and no static
 constructor unreferenced through its class, one gate picks the int64
-engine, and numpy and scipy load only when that engine runs."""
+engine, zero tests are truthiness tests, and numpy and scipy load only
+when that engine runs."""
 
 import ast
 import importlib
@@ -328,6 +329,78 @@ def test_one_quadratic_axiom_path():
         assert [s for path in PACKAGE.glob("*.py") for s in _scopes(path, _names(name))] == [scope]
         module, function = scope.split(".")
         assert name in _first_failure_arguments(PACKAGE / f"{module}.py", function)
+
+
+def _is_zero_call(node) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "zero"
+    )
+
+
+def _zero_names(fn) -> set:
+    """The names a function (with its nested ones) binds to a .zero() call,
+    alone or in a tuple assignment such as z, o = f.zero(), f.one()."""
+    names = set()
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            else:
+                pairs = [(target, node.value)]
+            names |= {t.id for t, v in pairs if isinstance(t, ast.Name) and _is_zero_call(v)}
+    return names
+
+
+def _zero_comparisons(path: Path) -> list:
+    """Each == or != in the module with an operand that is a .zero() call
+    or a name its function binds to one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        zeros = _zero_names(fn)
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Compare):
+                continue
+            if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(_is_zero_call(x) or (isinstance(x, ast.Name) and x.id in zeros) for x in operands):
+                found.add(f"{path.name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_zero_tests_are_truthiness():
+    """Both scalar types define bool(x) as "x is nonzero" (scalars.Field),
+    so the package tests zeros with `if x`, never by comparing with a
+    field's zero, which costs a Fraction.__eq__ per test over QQ."""
+    found = [s for path in sorted(PACKAGE.glob("*.py")) for s in _zero_comparisons(path)]
+    assert found == []
+
+
+def test_zero_comparison_scan_finds_each_form(tmp_path):
+    """The scan above sees a comparison with a .zero() call, with a name
+    bound to one alone or in a tuple, in a nested function, and ignores a
+    truthiness test and a comparison with the integer 0."""
+    src = (
+        "def f(field, x, v):\n"
+        "    z, o = field.zero(), field.one()\n"
+        "    zero = field.zero()\n"
+        "    a = x != field.zero()\n"
+        "    b = x == z\n"
+        "    c = [y for y in v if zero != y]\n"
+        "    def g(w):\n"
+        "        return w == z\n"
+        "    return bool(x), x == 0, x == o\n"
+    )
+    path = tmp_path / "probe.py"
+    path.write_text(src, encoding="utf-8")
+    assert _zero_comparisons(path) == [f"probe.py:{line}" for line in (4, 5, 6, 8)]
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
