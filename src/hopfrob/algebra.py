@@ -44,19 +44,24 @@ from .scalars import Field
 
 SparseRow = tuple  # tuple[(basis_index, scalar), ...] sorted by index
 
-# The crossover from the Python loops to the int64 kernels, measured warm
-# (best of 20) on a 2-vCPU VM.
-# - Quadratic identities, a whole verify_hopf: at dim 9 the loops win over
-#   GF(p) (taft-3-7-2: 1.7 ms, kernels 4.3 ms), at dim 16 the kernels
-#   (D(sweedler) over QQ: 58 ms, kernels 13 ms; taft-4-5-2: 6.4 ms, kernels
-#   5.2 ms); cyclic group algebras cross near dim 9 over QQ and near dim 15
-#   over GF(101).  So they cross at _SPARSE_DIM on both fields.
+# The crossover from the Python loops to the int64 kernels: a whole warm
+# verify_hopf (best of 7, 2-vCPU VM) with this choice, with every identity
+# on the kernels, and with every identity on the loops (the quadratic ones
+# over the product cover), on each catalog entry and double up to dim 36.
+# - The kernels cost about 5 ms whatever the input (scipy constructions):
+#   at dim 9 and below the loops win everywhere (0.15-3.6 ms, kernels
+#   5.3-7.1 ms).
+# - Quadratic identities: at dim 16 the fields split.  Over GF(p) the loops
+#   win (taft-4-5-2: loops 1.7 ms, this choice with the quadratic ones on
+#   the kernels 4.1 ms), over QQ the kernels (D(sweedler): 9.3 ms, loops
+#   15.8 ms); at dim 25 the kernels win over GF(p) too (D(f5c5): 5.1 ms,
+#   loops 7.1 ms), and at dim 36 over QQ by far (D(qs3): 11.3 ms, 77 ms).
+#   So one crossover, _SPARSE_DIM, serves both fields.
 # - The four Hopf axioms linear in Delta: over GF(p) their loops on Python
-#   ints still win at dim 16 (taft-4-5-2: loops 1.1 ms, kernel 4.5 ms) and
-#   dim 25 (D(f5c5): 2.8 ms, 5.6 ms), so there they cross at
-#   hopfcore._LINEAR_MODP_DIM = 40; over QQ, on Fractions, the kernel wins
-#   from dim 16 (D(sweedler): loops 9.1 ms, kernel 6.9 ms; D(qs3), dim 36:
-#   26 ms, 4.6 ms), so they cross at _SPARSE_DIM.
+#   ints still win at dim 16 (taft-4-5-2: 4.1 ms, with them on their kernel
+#   too 6.2 ms) and dim 25 (D(f5c5): 5.1 ms, 6.3 ms), so there they cross at
+#   hopfcore._LINEAR_MODP_DIM = 40; over QQ, on Fractions, they cross with
+#   the quadratic ones, at _SPARSE_DIM.
 _SPARSE_DIM = 12
 # Over QQ the kernels run once per prime of linalg.engine_primes.  The
 # loops cost a multiple of one prime that grows with dim; the largest
@@ -178,13 +183,11 @@ class StructureAlgebra:
         entry c at e_k of e_i e_j adds a_i c to L_a[k][j], a_j c to R_a[k][i]."""
         if len(a) != self.dim:
             raise ShapeError("vector length mismatch")
-        rows = [[self.field.zero()] * self.dim for _ in range(self.dim)]
-        for (i, j), row in self.mul.items():
-            s, col = (a[i], j) if side == "left" else (a[j], i)
-            if s:
-                for k, c in row:
-                    rows[k][col] += s * c
-        return Matrix.from_rows(self.field, rows)
+        if side == "left":
+            entries = (((k, j), a[i] * c) for (i, j), row in self.mul.items() if a[i] for k, c in row)
+        else:
+            entries = (((k, i), a[j] * c) for (i, j), row in self.mul.items() if a[j] for k, c in row)
+        return Matrix.from_entries(self.field, self.dim, self.dim, entries)
 
     def basis_vector(self, i: int) -> tuple:
         return basis_vec(self.field, self.dim, i)

@@ -145,13 +145,7 @@ def group_algebra(table, field: Field, names=None, name: str = "") -> HopfAlgebr
     comul = {i: ((i, i, one),) for i in range(n)}
     counit = (one,) * n
     inv = [next(j for j in range(n) if table[i][j] == e) for i in range(n)]
-    z = field.zero()
-    antipode = Matrix(
-        field,
-        tuple(
-            tuple(one if inv[j] == i else z for j in range(n)) for i in range(n)
-        ),
-    )
+    antipode = Matrix.from_entries(field, n, n, (((inv[j], j), one) for j in range(n)))
     return HopfAlgebra.from_sparse(alg, comul, counit, antipode, name)
 
 
@@ -280,16 +274,12 @@ def taft(n: int, p: int, q: int) -> HopfAlgebra:
             )
     counit = tuple(one if t % n == 0 else field.zero() for t in range(n * n))
 
-    z = field.zero()
-    cols = []
+    entries = []
     for i in range(n):
         for j in range(n):
             sign = one if j % 2 == 0 else field.from_int(-1)
-            coeff = field.normalize(sign * qp(-(j * (j - 1)) // 2 - i * j))
-            col = [z] * (n * n)
-            col[idx(-i - j, j)] = coeff
-            cols.append(col)
-    antipode = Matrix.from_columns(field, cols)
+            entries.append(((idx(-i - j, j), i * n + j), sign * qp(-(j * (j - 1)) // 2 - i * j)))
+    antipode = Matrix.from_entries(field, n * n, n * n, entries)
     return HopfAlgebra.from_sparse(
         alg, comul, counit, antipode, f"taft-{n}-{p}-{q}"
     )

@@ -209,19 +209,19 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     sbar = H.antipode_inv()
     s_cols = [vec_to_row(field, H.antipode.col(j)) for j in range(n)]
     sbar_rows = [vec_to_row(field, sbar.rows[b]) for b in range(n)]
-    anti = [[zero] * N for _ in range(N)]
-    for b in range(n):
-        for j in range(n):
-            acc = {}
-            for k, ck in s_cols[j]:
-                for v, cv in sbar_rows[b]:
-                    ckv = ck * cv
-                    for vv, ss, c in straighten[k][v]:
-                        key = vv * n + ss
-                        acc[key] = acc.get(key, zero) + ckv * c
-            for key, c in nonzero_row(field, acc):
-                anti[key][b * n + j] = c
-    antipode = Matrix(field, tuple(map(tuple, anti)))
+    antipode = Matrix.from_entries(
+        field,
+        N,
+        N,
+        (
+            ((vv * n + ss, b * n + j), ck * cv * c)
+            for b in range(n)
+            for j in range(n)
+            for k, ck in s_cols[j]
+            for v, cv in sbar_rows[b]
+            for vv, ss, c in straighten[k][v]
+        ),
+    )
 
     return HopfAlgebra(alg, comul, counit, antipode, name=f"D({H.name or 'H'})")
 

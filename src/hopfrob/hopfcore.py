@@ -236,15 +236,11 @@ def hit_matrix(H: HopfAlgebra, f: Sequence, side: str) -> Matrix:
     sum a_(1) f(a_(2)) (side "left") or a -> a ↼ f = sum f(a_(1)) a_(2)
     ("right"), one pass over comul.  Column i is the action on e_i; for
     side "right", row i is f * e^i."""
-    rows = [[H.field.zero()] * H.dim for _ in range(H.dim)]
-    for i, terms in H.comul.items():
-        for j, k, c in terms:
-            if side == "left":
-                if f[k]:
-                    rows[j][i] += c * f[k]
-            elif f[j]:
-                rows[k][i] += c * f[j]
-    return Matrix.from_rows(H.field, rows)
+    if side == "left":
+        entries = (((j, i), c * f[k]) for i, terms in H.comul.items() for j, k, c in terms if f[k])
+    else:
+        entries = (((k, i), c * f[j]) for i, terms in H.comul.items() for j, k, c in terms if f[j])
+    return Matrix.from_entries(H.field, H.dim, H.dim, entries)
 
 
 def is_grouplike(H: HopfAlgebra, v: Sequence) -> bool:
@@ -312,11 +308,8 @@ def dual_left_integral_space(H: HopfAlgebra) -> tuple:
 
 def pairing_matrix(alg: StructureAlgebra, psi: Sequence) -> Matrix:
     """Gram matrix [psi(e_i e_k)]_(i,k) of the bilinear form induced by psi."""
-    field = alg.field
-    rows = [[field.zero()] * alg.dim for _ in range(alg.dim)]
-    for (i, k), prod in alg.mul.items():
-        rows[i][k] = field.normalize(sum(c * psi[m] for m, c in prod))
-    return Matrix(field, tuple(map(tuple, rows)))
+    entries = (((i, k), sum(c * psi[m] for m, c in prod)) for (i, k), prod in alg.mul.items())
+    return Matrix.from_entries(alg.field, alg.dim, alg.dim, entries)
 
 
 @dataclass(frozen=True)

@@ -171,24 +171,6 @@ def _canonical_row(field: Field, idx: list, cs: list, width: int) -> tuple:
     return row if width == 2 else tuple((j, k, c) for (j, k), c in row)
 
 
-def _sparse_to_matrix(field: Field, dim: int, cols: dict) -> Matrix:
-    """The dim x dim matrix with the given sparse columns {j: ((i, c), ...)}
-    of normalized scalars: each cell is written once, zero rows share one
-    tuple, and no scalar is normalized again."""
-    zeros = [field.zero()] * dim
-    by_row: dict = {}
-    for j, col in cols.items():
-        for i, c in col:
-            by_row.setdefault(i, []).append((j, c))
-    rows = [tuple(zeros)] * dim
-    for i, entries in by_row.items():
-        row = zeros.copy()
-        for j, c in entries:
-            row[j] = c
-        rows[i] = tuple(row)
-    return Matrix(field, tuple(rows))
-
-
 # The sparse body lines: directive -> (head indices before the ':', width
 # of a payload group, name of a head index, message for a repeated line).
 # Each is read into a table keyed by the tuple of its head indices.
@@ -309,7 +291,9 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
     comul = {i: row for (i,), row in tables["comul"].items()}
     for i in range(dim):
         comul.setdefault(i, ())
-    antipode = _sparse_to_matrix(field, dim, {j: col for (j,), col in tables["antipode"].items()})
+    antipode = Matrix.from_entries(
+        field, dim, dim, (((i, j), c) for (j,), col in tables["antipode"].items() for i, c in col)
+    )
     alg = StructureAlgebra(field, dim, mul, vectors[0], basis_names or default_names(dim))
     return HopfAlgebra(alg, comul, vectors[1], antipode, name)
 

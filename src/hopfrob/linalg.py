@@ -1,7 +1,10 @@
 """Dense exact linear algebra over a Field.
 
 Vectors are tuples of scalars.  Matrices are immutable row-major tuples of
-row tuples with a field tag.  Elimination uses first-nonzero pivoting and
+row tuples with a field tag.  Every matrix read off a table of structure
+constants is built by Matrix.from_entries from its ((row, col), c) entries,
+which normalizes only the cells named and shares one zero tuple among the
+rows not named.  Elimination uses first-nonzero pivoting and
 produces reduced echelon forms, so kernels, solutions and inverses are
 canonical: the same input always yields byte-identical output.
 
@@ -262,6 +265,36 @@ class Matrix:
     @staticmethod
     def zeros(field: Field, m: int, n: int) -> "Matrix":
         return Matrix(field, tuple(zero_vec(field, n) for _ in range(m)))
+
+    @staticmethod
+    def from_entries(field: Field, nrows: int, ncols: int, entries: Iterable) -> "Matrix":
+        """The nrows x ncols matrix whose cell (i, j) is the sum of the c of
+        every entry ((i, j), c): each cell an entry names is normalized
+        once, and every row that no entry names is one shared zero tuple.
+        A key outside the shape raises ShapeError; the row keys are checked
+        once, and the column keys once per named row."""
+        by_row: dict = {}
+        for (i, j), c in entries:
+            cells = by_row.get(i)
+            if cells is None:
+                by_row[i] = {j: c}
+            elif j in cells:
+                cells[j] += c
+            else:
+                cells[j] = c
+        if by_row and (min(by_row) < 0 or max(by_row) >= nrows):
+            raise ShapeError(f"row key outside {nrows} rows")
+        zeros = (field.zero(),) * ncols
+        rows = [zeros] * nrows
+        normalize = field.normalize
+        for i, cells in by_row.items():
+            if min(cells) < 0 or max(cells) >= ncols:
+                raise ShapeError(f"column key outside {ncols} columns")
+            row = list(zeros)
+            for j, c in cells.items():
+                row[j] = normalize(c)
+            rows[i] = tuple(row)
+        return Matrix(field, tuple(rows))
 
     @staticmethod
     def from_columns(field: Field, cols: Iterable[Iterable]) -> "Matrix":
@@ -530,12 +563,9 @@ def iterated_kernel_sparse(field: Field, dim: int, S: dict) -> tuple[tuple, ...]
             for c, x in enumerate(v):
                 if x:
                     at[c].append((t, x))
-        ck_rows = [[z] * len(K) for _ in range(dim)]
-        for r, c, val in constraints[a]:
-            ck = ck_rows[r]
-            for t, x in at[c]:
-                ck[t] += val * x
-        CK = Matrix.from_rows(field, ck_rows)
+        CK = Matrix.from_entries(
+            field, dim, len(K), (((r, t), val * x) for r, c, val in constraints[a] for t, x in at[c])
+        )
         null = CK.kernel()
         if len(null) == len(K):
             continue

@@ -157,19 +157,19 @@ def idempotent_exists_by_solve(A: StructureAlgebra) -> bool:
     """Decides by exhaustive linear algebra whether any separability
     idempotent exists: one linear system in the dim^2 coefficients of e."""
     field = A.field
-    n, zero = A.dim, field.zero()
+    n = A.dim
     # unknown e = sum T[i][j] e_i (x) e_j at column i n + j; row k says
     # mu(e) = 1 at e_k, row n + (a n + r1) n + r2 says the e_r1 (x) e_r2
     # coefficients of (e_a (x) 1) e and e (1 (x) e_a) agree
-    rows = [[zero] * (n * n) for _ in range(n + n**3)]
+    entries = []
     for (i, j), terms in A.mul.items():
         for k, c in terms:
-            rows[k][i * n + j] += c
+            entries.append(((k, i * n + j), c))
             for r in range(n):
-                rows[n + (i * n + k) * n + r][j * n + r] += c
-                rows[n + (j * n + r) * n + k][r * n + i] -= c
-    rhs = tuple(A.unit) + (zero,) * n**3
-    return Matrix.from_rows(field, rows).solve(rhs) is not None
+                entries.append(((n + (i * n + k) * n + r, j * n + r), c))
+                entries.append(((n + (j * n + r) * n + k, r * n + i), -c))
+    rhs = tuple(A.unit) + (field.zero(),) * n**3
+    return Matrix.from_entries(field, n + n**3, n * n, entries).solve(rhs) is not None
 
 
 # -- involutivity from two-sided separability ------------------------------------------

@@ -497,11 +497,10 @@ def _comparison_map(
     at row (gamma, alpha), column (i, x)."""
     H, field = emb.H, emb.H.field
     d, n = M.dim, H.dim
-    mult = [[field.zero()] * (n * n) for _ in range(n)]
-    for (i, x), prod in H.alg.mul.items():
-        for m, c in prod:
-            mult[m][i * n + x] = c
-    Z = data.beta.inverse().mul(data.E).mul(Matrix(field, tuple(map(tuple, mult))))
+    mult = Matrix.from_entries(
+        field, n, n * n, (((m, i * n + x), c) for (i, x), prod in H.alg.mul.items() for m, c in prod)
+    )
+    Z = data.beta.inverse().mul(data.E).mul(mult)
     P = _flat_actions(field, M.mats).mul(Z).rows
     return Matrix(
         field,

@@ -295,7 +295,7 @@ def test_dual_basis_matrix_identities_match_the_loop(key):
     failures = set()
     for alg, psi, xs, ys in _dual_basis_cases(H):
         want = _dual_basis_identities_loop(alg, psi, xs, ys)
-        assert dual_basis_identities_hold(alg, psi, xs, ys) == want
+        assert dual_basis_identities_hold(pairing_matrix(alg, psi), xs, ys) == want
         failures.add(want[1].split(" at ")[0])
     assert failures == {"", "sum psi(a x_i) y_i != a", "sum x_i psi(y_i a) != a"}
 
@@ -532,14 +532,19 @@ _WITH_DOUBLES = [*ALL_KEYS, "D(qs3)", "D(taft-3-7-2)"]
 @pytest.mark.parametrize("key", _WITH_DOUBLES)
 def test_dual_integral_data_from_the_left_integral_of_h(key):
     """The left integrals of H* are those of (H*)* = H, so the canonical left
-    integral of H, which dual_frobenius_check supplies, gives H* the
-    integral data that it finds from scratch, Gram matrix included."""
+    integral of H gives H* the integral data that it finds from scratch,
+    Gram matrix included; the norm N of H, which dual_frobenius_check
+    supplies, is a multiple of it and gives the same modular data."""
     H = _layer_object(key)
     K = dual_hopf(H)
     (T,) = left_integral_space(H)
     supplied, scratch = build_integral_data(K, T), build_integral_data(K)
     assert supplied == scratch
     assert supplied.gram == scratch.gram == pairing_matrix(K.alg, T)
+    norm = build_integral_data(H).norm
+    from_norm = build_integral_data(K, norm)
+    assert (from_norm.modular_fn, from_norm.modular_elt) == (scratch.modular_fn, scratch.modular_elt)
+    assert from_norm.gram == pairing_matrix(K.alg, norm)
 
 
 def _orders_by_search(H, nu):

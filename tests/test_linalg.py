@@ -187,6 +187,50 @@ def test_shape_errors():
         Matrix.from_rows(QQ, [[1, 2]]).det()
 
 
+# -- from_entries -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("seed", range(30))
+def test_from_entries_is_a_dense_accumulation(field, seed):
+    """Random unnormalized entries with repeated keys, sums that cancel to
+    zero and untouched rows give from_rows of their dense accumulation; the
+    rows no entry names are one shared zero tuple."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    named = rng.sample(range(m), rng.randint(0, m))
+    entries = []
+    for _ in range(rng.randint(1, 3 * n) * len(named)):
+        key = (rng.choice(named), rng.randrange(n))
+        c = rng.choice([rng.randint(-20, 20), Fraction(rng.randint(-9, 9), rng.randint(1, 5))])
+        if field is F7 and isinstance(c, Fraction):
+            c = c.numerator
+        entries.append((key, c))
+        if rng.random() < 0.3:
+            # cancel c, adding a multiple of 7 over GF(7) or a zero over QQ
+            entries.append((key, -c))
+            entries.append((key, rng.randint(-3, 3) * (7 if field is F7 else 0)))
+    rng.shuffle(entries)
+    dense = [[0] * n for _ in range(m)]
+    for (i, j), c in entries:
+        dense[i][j] += c
+
+    M = Matrix.from_entries(field, m, n, iter(entries))
+    assert M.rows == Matrix.from_rows(field, dense).rows
+    assert all(type(x) is type(field.zero()) for r in M.rows for x in r)
+    untouched = [M.rows[i] for i in range(m) if i not in named]
+    assert len({id(r) for r in untouched}) <= 1
+    assert all(r == (field.zero(),) * n for r in untouched)
+
+
+@pytest.mark.parametrize("key", [(-1, 0), (0, -1), (3, 0), (0, 4), (7, 9), (1, -4)])
+def test_from_entries_rejects_keys_outside_the_shape(key):
+    """A negative or too large row or column key raises, where a list
+    indexed by it would wrap or overflow."""
+    with pytest.raises(ShapeError):
+        Matrix.from_entries(QQ, 3, 4, [((0, 0), 1), (key, 1), ((2, 3), 1)])
+
+
 # -- span helpers -------------------------------------------------------------
 
 

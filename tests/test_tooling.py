@@ -3,8 +3,8 @@ the package carries no unused imports, no unreferenced functions, no
 function that only the tests call outside the paper-content API, no
 top-level function name defined in two modules, and no static
 constructor unreferenced through its class, one gate picks the int64
-engine, zero tests are truthiness tests, and numpy and scipy load only
-when that engine runs."""
+engine, zero tests are truthiness tests, no matrix is a hand-filled grid,
+and numpy and scipy load only when that engine runs."""
 
 import ast
 import importlib
@@ -401,6 +401,53 @@ def test_zero_comparison_scan_finds_each_form(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text(src, encoding="utf-8")
     assert _zero_comparisons(path) == [f"probe.py:{line}" for line in (4, 5, 6, 8)]
+
+
+def _grid_fills(path: Path) -> list:
+    """Each list comprehension of the module whose element is a list
+    repeated by *, the hand-filled grid [[zero] * n for _ in range(m)]."""
+
+    def repeated_list(node) -> bool:
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mult)
+            and (isinstance(node.left, ast.List) or isinstance(node.right, ast.List))
+        )
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ListComp) and repeated_list(node.elt)
+    ]
+
+
+def test_matrices_are_not_hand_filled_grids():
+    """Every matrix read off a table goes through Matrix.from_entries, which
+    sums, normalizes each named cell once and shares the zero rows, so no
+    module of src/hopfrob fills a list-of-lists grid by hand."""
+    found = [s for path in sorted(PACKAGE.glob("*.py")) for s in _grid_fills(path)]
+    assert found == []
+
+
+def test_grid_fill_scan_finds_each_form(tmp_path):
+    """The scan above sees a repeated list on either side of *, with any
+    element and loop, nested in a function, and ignores a list of empty
+    lists, a single repeated list and a comprehension of products."""
+    src = (
+        "def f(field, m, n, v):\n"
+        "    a = [[field.zero()] * n for _ in range(m)]\n"
+        "    b = [n * [0] for i in v]\n"
+        "    def g():\n"
+        "        return [[0, 1] * n for _ in range(m)]\n"
+        "    c = [[] for _ in range(n)]\n"
+        "    d = [[0] * n]\n"
+        "    e = [x * 2 for x in v]\n"
+        "    return a, b, c, d, e\n"
+    )
+    path = tmp_path / "probe.py"
+    path.write_text(src, encoding="utf-8")
+    assert _grid_fills(path) == [f"probe.py:{line}" for line in (2, 3, 5)]
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
