@@ -4,7 +4,10 @@ The multiplication tensor is stored sparsely: mul maps a basis-index pair
 (i, j) to the expansion of e_i * e_j as a sorted tuple of (k, coeff) with
 zero coefficients omitted and missing keys meaning the zero product.  All
 scalars are stored normalized for the algebra's field, so structural
-equality of two algebras is plain equality of their tables.
+equality of two algebras is plain equality of their tables.  The int64
+engine reads a table through its residue arrays (structure_arrays here,
+comul_arrays for a Hopf algebra's comul), built once per object and prime
+and kept on the object; every int64 consumer of a table takes them.
 
 The quantified identities (associativity on every basis triple, "phi is an
 algebra map" on every basis pair, and in hopfcore Delta multiplicative and
@@ -31,8 +34,8 @@ the first items mod each prime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from dataclasses import dataclass, field as dc_field
+from functools import cached_property, partial
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -115,6 +118,8 @@ class StructureAlgebra:
     mul: Mapping  # (i, j) -> SparseRow
     unit: tuple
     basis_names: tuple
+    # structure_arrays per prime, each built on first use
+    _residues: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_sparse(
@@ -250,7 +255,7 @@ def verify_algebra(
             lambda: table.scale,
             2,
             A.dim,
-            lambda p: _associativity_failure(A, rows, p, table.arrays(p)),
+            lambda p: _associativity_failure(A, rows, p, structure_arrays(A, p)),
             partial(_associativity_failure_loops, A, rows),
         ),
     )
@@ -314,11 +319,10 @@ def on_cover(cover: Optional[Sequence], check):
 
 class MulTable:
     """What the checks of one verify read off A's mul table, each built on
-    first use: its cover, its scale and its structure_arrays per prime."""
+    first use: its cover and its scale."""
 
     def __init__(self, A: StructureAlgebra):
         self.A = A
-        self.arrays = cache(partial(structure_arrays, A))
 
     @cached_property
     def cover(self) -> Optional[tuple]:
@@ -494,27 +498,57 @@ def first_failure(
 
 
 def structure_arrays(A: StructureAlgebra, p: int) -> tuple:
-    """The mul table mod p as int64 arrays (i, j, k, c): e_i e_j has c != 0
-    at e_k."""
-    import numpy as np
+    """The mul table mod p as read-only int64 arrays (i, j, k, c): e_i e_j
+    has c != 0 at e_k.  Built once per algebra and prime, and kept on A."""
+    if p not in A._residues:
+        import numpy as np
 
-    pairs = np.array(list(A.mul), dtype=np.int64).reshape(-1, 2)
-    counts = [len(row) for row in A.mul.values()]
-    i, j = (np.repeat(pairs[:, t], counts) for t in (0, 1))
-    k = np.fromiter((k for row in A.mul.values() for k, _ in row), dtype=np.int64)
-    c = residues(table_constants(A), p)
-    return tuple(x[c != 0] for x in (i, j, k, c))
+        keys = np.fromiter(chain.from_iterable(A.mul), dtype=np.int64, count=2 * len(A.mul))
+        A._residues[p] = residue_arrays(A.field, p, keys.reshape(-1, 2), A.mul.values())
+    return A._residues[p]
 
 
 def comul_arrays(H, p: int) -> tuple:
-    """The comul table of the Hopf algebra H mod p as int64 arrays
-    (m, u, v, d): Delta(e_m) has d != 0 at e_u (x) e_v."""
+    """The comul table of the Hopf algebra H mod p as read-only int64 arrays
+    (m, u, v, d): Delta(e_m) has d != 0 at e_u (x) e_v.  Built once per Hopf
+    algebra and prime, and kept on H."""
+    if p not in H._residues:
+        import numpy as np
+
+        keys = np.fromiter(H.comul, dtype=np.int64, count=len(H.comul))
+        H._residues[p] = residue_arrays(H.field, p, keys.reshape(-1, 1), H.comul.values())
+    return H._residues[p]
+
+
+def residue_arrays(field: Field, p: int, keys, rows) -> tuple:
+    """The entries of a table as four read-only int64 arrays: the columns
+    of keys (the indices of each row's key, one line per row of rows)
+    repeated over the terms of the row, then the indices of each term and
+    its scalar mod p, the terms whose scalar vanishes mod p dropped.  Over
+    GF(p) itself each scalar is a nonzero residue already (tables are
+    canonical), so the terms are read in one flat pass; otherwise the
+    scalars go through linalg.residues."""
     import numpy as np
 
-    flat = (x for m, terms in H.comul.items() for u, v, _ in terms for x in (m, u, v))
-    m, u, v = np.fromiter(flat, dtype=np.int64).reshape(-1, 3).T
-    d = residues((d for terms in H.comul.values() for *_, d in terms), p)
-    return tuple(x[d != 0] for x in (m, u, v, d))
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(keys))
+    index = np.repeat(keys, counts, axis=0)
+    terms = chain.from_iterable(rows)
+    width = 4 - keys.shape[1]
+    if field.characteristic == p:
+        body = np.fromiter(chain.from_iterable(terms), dtype=np.int64).reshape(-1, width)
+    else:
+        terms = list(terms)
+        body = np.empty((len(terms), width), dtype=np.int64)
+        body[:, :-1] = np.fromiter(
+            chain.from_iterable(t[:-1] for t in terms), dtype=np.int64
+        ).reshape(-1, width - 1)
+        body[:, -1] = residues((t[-1] for t in terms), p)
+        keep = body[:, -1] != 0
+        index, body = index[keep], body[keep]
+    arrays = tuple(np.ascontiguousarray(a) for a in (*index.T, *body.T))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def basis_rows(rows: Optional[Sequence], n: int):
@@ -679,7 +713,7 @@ def _multiplicative_failure_modp(
     phi.  Both are compared at row i, column (j n) (first_mismatch).  A
     block holds as many i as keep the entries of its operands, of the three
     products (at most their terms) and of the comparison within the block
-    budget (blocks).  When dst is src its structure_arrays are built once.
+    budget (blocks).
 
     Bound: all three products go through linalg.mulmod, exact for any term
     count; each intermediate is reduced mod p before the next product.
@@ -690,8 +724,8 @@ def _multiplicative_failure_modp(
     ds, dd = src.dim, dst.dim
     P = sp.csr_matrix(residues(chain.from_iterable(phi.rows), p).reshape(-1, ds))
     PT = P.T.tocsr()
-    si, sj, sk, sc = src_arrays = structure_arrays(src, p)
-    k, l, n, c = src_arrays if dst is src else structure_arrays(dst, p)
+    si, sj, sk, sc = structure_arrays(src, p)
+    k, l, n, c = structure_arrays(dst, p)
     products, pairs = row_compact(si * ds + sj, sk, sc, ds)
     left = sp.csr_matrix((c, (k, n * dd + l)), shape=(dd, dd * dd))
     # terms of T, of T times P and of the left side, for each i

@@ -38,6 +38,16 @@ above algebra._SPARSE_DIM (measurements next to that constant).  Their
 sides sum at most dim^3 products of three constants (the antipode law's
 sum_{u,v,x} Delta_i(u,v) S(x,u) c(x,v;a)) among both tables, the counit,
 the unit and the antipode.
+
+Every int64 reader of H's tables (the kernels above, the integral
+operators, algebra's multiplicativity check) takes the residue arrays that
+H keeps for its comul and its algebra for its mul, built once per object
+and prime (algebra.comul_arrays, algebra.structure_arrays).  A Hopf algebra
+that shares its algebra with another, as a comul mutant does, shares those
+mul arrays too.  Over an admitted GF(p) an integral operator is an int64
+CSR matrix placed from those arrays, and its kernel and the unimodularity
+and supplied-psi checks (linalg.annihilates) run on it; otherwise it is a
+dict of Python scalars.
 """
 
 from __future__ import annotations
@@ -65,6 +75,7 @@ from .algebra import (
     on_cover,
     row_compact,
     smallest,
+    structure_arrays,
     vec_to_row,
     verify_algebra,
 )
@@ -86,6 +97,8 @@ class HopfAlgebra:
     antipode: Matrix
     name: str = ""
     _sbar: Optional[Matrix] = dc_field(default=None, repr=False)
+    # algebra.comul_arrays per prime, each built on first use
+    _residues: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
     def field(self) -> Field:
@@ -253,23 +266,48 @@ def is_grouplike(H: HopfAlgebra, v: Sequence) -> bool:
 # -- integrals ----------------------------------------------------------------
 
 
-def integral_operator(H: HopfAlgebra, side: str, dual: bool = False) -> dict:
+def integral_operator(H: HopfAlgebra, side: str, dual: bool = False):
     """The integral constraints of H (of H* if dual) as one sparse operator
-    S = {(row, col): c} with dim^2 rows: row a*dim + k, column j holds the
-    coefficient of e_k in e_a e_j (side "left") or e_j e_a ("right"), less
-    eps(e_a) on the diagonal of block a.  So S t = 0 says exactly that t is
-    a left (right) integral: a t = eps(a) t (t a = eps(a) t) for all a.  H*
-    multiplies by the transpose of Delta and has the unit of H as its
-    counit.
+    S with dim^2 rows: row a*dim + k, column j holds the coefficient of e_k
+    in e_a e_j (side "left") or e_j e_a ("right"), less eps(e_a) on the
+    diagonal of block a.  So S t = 0 says exactly that t is a left (right)
+    integral: a t = eps(a) t (t a = eps(a) t) for all a.  H* multiplies by
+    the transpose of Delta and has the unit of H as its counit.
+
+    S is in the form of linalg.iterated_kernel_sparse for H's field: over a
+    GF(p) that linalg.machine_prime admits, an int64 CSR matrix reduced mod
+    p, placed by index arithmetic on the residue arrays of the table
+    (algebra.structure_arrays, algebra.comul_arrays) plus the -eps
+    diagonal; otherwise a dict {(row, col): c} of Python scalars.
     """
     dim, field = H.dim, H.field
+    eps = H.unit if dual else H.counit
+    p = linalg.machine_prime(field)
+    if p is not None:
+        import numpy as np
+        import scipy.sparse as sp
+
+        # the comul arrays (m, u, v, d) as the dual's mul: f_u f_v has d at f_m
+        if dual:
+            k, i, j, c = comul_arrays(H, p)
+        else:
+            i, j, k, c = structure_arrays(H.alg, p)
+        a, b = (i, j) if side == "left" else (j, i)
+        # -eps(e_a) at (a*dim + d, d), summed with the table's entry there
+        e = residues(eps, p)
+        at, d = np.flatnonzero(e), np.arange(dim)
+        rows = np.concatenate((a * dim + k, (at[:, None] * dim + d).ravel()))
+        cols = np.concatenate((b, np.tile(d, len(at))))
+        vals = np.concatenate((c, np.repeat(p - e[at], dim)))
+        S = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim))
+        S.data %= p
+        S.eliminate_zeros()
+        return S
     if dual:
         # f_u f_v = sum c f_k over the terms c e_u (x) e_v of Delta(e_k)
         entries = ((u, v, k, c) for k, terms in H.comul.items() for u, v, c in terms)
-        eps = H.unit
     else:
         entries = ((i, j, k, c) for (i, j), row in H.alg.mul.items() for k, c in row)
-        eps = H.counit
     # the tables hold one entry per (i, j, k)
     if side == "left":
         S = {(i * dim + k, j): c for i, j, k, c in entries}
@@ -419,14 +457,14 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
     there (algebra.on_cover); Delta runs on the basis at once when
     associativity fails, as the cover decides it only for an associative H.
     Those two and the four axioms linear in Delta run on the engine that
-    algebra.first_failure chooses.  The residue arrays of both tables are
-    built once per prime, and the scale of each table once.
+    algebra.first_failure chooses.  They read the residue arrays that H and
+    its algebra keep per prime (algebra.structure_arrays, comul_arrays), and
+    the scale of each table is taken once.
     """
     rep = Report(title or f"hopf axioms: {H.name or 'unnamed'}")
     field = H.field
     dim = H.dim
     mul = MulTable(H.alg)
-    comul_at = cache(partial(comul_arrays, H))
     comul_scale = cache(lambda: linalg.scale_of(c for t in H.comul.values() for *_, c in t))
 
     # multiplication axioms
@@ -447,7 +485,7 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
         ),
         3,
         dim**3,
-        lambda q: _linear_failures(H, q, mul.arrays(q), comul_at(q)),
+        lambda q: _linear_failures(H, q, structure_arrays(H.alg, q), comul_arrays(H, q)),
         partial(_linear_failures_loops, H),
         modp_dim=_LINEAR_MODP_DIM,
         merge=_merge_linear,
@@ -468,7 +506,7 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
             lambda: linalg.joint_scale(mul.scale, comul_scale()),
             4,
             dim**4 + dim,
-            lambda q: _delta_failure(H, rows, q, mul.arrays(q), comul_at(q)),
+            lambda q: _delta_failure(H, rows, q, structure_arrays(H.alg, q), comul_arrays(H, q)),
             partial(_delta_failure_loops, H, rows),
         ),
     )

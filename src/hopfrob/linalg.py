@@ -13,18 +13,22 @@ the field alone: over GF(p) with p < 2^31 large eliminations (rref, solve,
 solve_matrix, inverse), large products (Matrix.mul), the kernel of a stacked
 sparse operator (iterated_kernel_sparse) and the sparse identity checks in
 algebra and hopfcore, in blocks bounded by the one byte budget _BLOCK_BYTES,
-run on int64 numpy/scipy arrays, everything else on Python scalars.  Every
-int64 sum of products goes through mulmod, which is exact for any number of
-terms (its docstring bounds its intermediates), so results are identical to
-the generic path (property-tested).  mulmod alone picks how a product runs:
-two dense operands whose every partial sum stays below 2^53, as with the
-small primes of the catalog and the doubles, go through float64 BLAS, which
-is exact there; the others through int64, in 16-bit limbs when the plain
-product could pass 2^63.  The Python-scalar loops test zeros by truthiness
-(scalars.Field) and skip zero operands.  The sparse identity checks also run
-over QQ: engine_primes, built on machine_prime, picks enough primes below
-2^31 that an identity holding mod each of them holds in QQ (the bound is in
-its docstring), and residues reduces each rational exactly.
+run on int64 numpy/scipy arrays, everything else on Python scalars.  A large
+inverse eliminates [A | I] as one int64 array.  A stacked operator comes in
+the form of its engine, an int64 CSR matrix reduced mod p or a dict of
+Python scalars, and iterated_kernel_sparse and annihilates read it as it
+comes.  Every int64 sum of products goes through mulmod, which is exact for
+any number of terms (its docstring bounds its intermediates), so results
+are identical to the generic path (property-tested).  mulmod alone picks
+how a product runs: two dense operands whose every partial sum stays below
+2^53, as with the small primes of the catalog and the doubles, go through
+float64 BLAS, which is exact there, the larger operand a block at a time;
+the others through int64, in 16-bit limbs when the plain product could pass
+2^63.  The Python-scalar loops test zeros by truthiness (scalars.Field) and
+skip zero operands.  The sparse identity checks also run over QQ:
+engine_primes, built on machine_prime, picks enough primes below 2^31 that
+an identity holding mod each of them holds in QQ (the bound is in its
+docstring), and residues reduces each rational exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, ShapeError, SingularError
@@ -46,11 +49,12 @@ _LIMB_BITS = 16
 # bytes (an int64 value and two int64 indices) for each entry of each of its
 # intermediates, products and re-lays included, with a product's entries
 # bounded by its terms (algebra.blocks); _iterated_kernel_modp counts 8 bytes
-# for each cell that the elimination of its dense block may write.  The
-# counts bound from above, so a block holds less: at 16 MB the largest block
-# of any kernel on D(taft-4-5-2) peaks at 7.6 MB (tracemalloc), and every
-# kernel on D(taft-3-7-2) runs in one block but Delta's (two), 20 mulmod
-# calls for a full verify_hopf where 2^14-entry blocks made 66.
+# for each cell that the elimination of its dense block may write, and
+# _mulmod_float64 8 bytes for each float64 cell of a block and its product.
+# The counts bound from above, so a block holds less: at 16 MB the largest
+# block of any kernel on D(taft-4-5-2) peaks at 7.6 MB (tracemalloc), and
+# every kernel on D(taft-3-7-2) runs in one block but Delta's (two), 20
+# mulmod calls for a full verify_hopf where 2^14-entry blocks made 66.
 _BLOCK_BYTES = 1 << 24
 
 
@@ -68,8 +72,9 @@ def machine_prime(field: Field) -> Optional[int]:
 
 def scale_of(constants: Iterable) -> tuple:
     """(D, A) for rational constants: D their common denominator and A the
-    largest |a| among them written a/D (0 when there are none)."""
-    values = set(constants)
+    largest |a| among them written a/D (0 when there are none).  A zero
+    changes neither, so the zeros are skipped before any is hashed."""
+    values = set(filter(None, constants))
     den = math.lcm(*(c.denominator for c in values))
     return den, max((abs(c.numerator) * (den // c.denominator) for c in values), default=0)
 
@@ -153,15 +158,16 @@ def mulmod(A, B, p: int):
     count of B.  When both operands are dense and (p-1)^2 * terms < 2^53,
     the product runs in float64 (BLAS): every partial sum, in any order and
     under FMA, is then an integer below 2^53, which float64 holds exactly,
-    so the float64 product is the integer product, converted back and
-    reduced once.  Otherwise, when (p-1)^2 * terms < 2^63, the plain int64
-    product is exact and is reduced once.  Otherwise B = B_hi * 2^16 + B_lo
-    is split into 16-bit limbs, and each partial sum of up to 2^16 terms
-    stays below 2^31 * 2^16 * 2^16 = 2^63.  Above 2^16 terms A is cut into
-    slices of at most 2^16 terms per row (_term_slices), and the reduced
-    products of the slices are summed and reduced once: fewer than 2^32
-    slices, so fewer than 2^48 terms, of residues below 2^31 stay below
-    2^63.
+    so the float64 product is the integer product, reduced once and written
+    into the int64 result (_mulmod_float64, which holds float64 copies of
+    the smaller operand and of one block of the larger).  Otherwise, when
+    (p-1)^2 * terms < 2^63, the plain int64 product is exact and is reduced
+    once.  Otherwise B = B_hi * 2^16 + B_lo is split into 16-bit limbs, and
+    each partial sum of up to 2^16 terms stays below 2^31 * 2^16 * 2^16 =
+    2^63.  Above 2^16 terms A is cut into slices of at most 2^16 terms per
+    row (_term_slices), and the reduced products of the slices are summed
+    and reduced once: fewer than 2^32 slices, so fewer than 2^48 terms, of
+    residues below 2^31 stay below 2^63.
     """
     import numpy as np
 
@@ -169,7 +175,7 @@ def mulmod(A, B, p: int):
     if isinstance(A, np.ndarray):
         terms = A.shape[1]
         if dense and (p - 1) ** 2 * terms < 2**53:
-            return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p
+            return _mulmod_float64(A, B, p)
     else:
         terms = int(A.getnnz(axis=1).max(initial=0))
         # B's column counts cost a pass over B; read them only when they can matter
@@ -189,6 +195,30 @@ def mulmod(A, B, p: int):
         hi.data >>= _LIMB_BITS
         lo.data &= mask
     return _reduce(_reduce(A @ hi, p) * (1 << _LIMB_BITS) + _reduce(A @ lo, p), p)
+
+
+def _mulmod_float64(A, B, p: int):
+    """A @ B mod p for dense operands whose every entry sums below 2^53
+    (mulmod's bound), through float64 BLAS: the smaller operand converted
+    whole, the larger one block at a time, rows of A or columns of B, as
+    many as keep the float64 copy of the block and of its product within
+    _BLOCK_BYTES (at least one).  Each entry of a block's product sums the
+    same terms as in the whole product, so the bound holds as before."""
+    import numpy as np
+
+    (m, k), n = A.shape, B.shape[1]
+    out = np.empty((m, n), dtype=np.int64)
+    if A.size >= B.size:
+        Bf = B.astype(np.float64)
+        step = max(1, _BLOCK_BYTES // (8 * (k + n)))
+        for r in range(0, m, step):
+            out[r : r + step] = A[r : r + step].astype(np.float64) @ Bf % p
+    else:
+        Af = A.astype(np.float64)
+        step = max(1, _BLOCK_BYTES // (8 * (k + m)))
+        for c in range(0, n, step):
+            out[:, c : c + step] = Af @ B[:, c : c + step].astype(np.float64) % p
+    return out
 
 
 def _term_slices(A):
@@ -449,6 +479,10 @@ class Matrix:
         return tuple(x)
 
     def inverse(self) -> "Matrix":
+        """The inverse, read off the reduced echelon form of [self | I].
+        Over an admitted GF(p), from _NUMPY_CELLS cells of [self | I] on,
+        that is one int64 array eliminated by _rref_modp_numpy and read off
+        once; the matrix is singular unless the pivots are 0 .. n-1."""
         n = self.nrows
         if n != self.ncols:
             raise ShapeError("inverse of non-square matrix")
@@ -456,6 +490,15 @@ class Matrix:
         zero_line = any(is_zero_vec(self.field, r) for r in self.rows)
         if zero_line or any(is_zero_vec(self.field, c) for c in zip(*self.rows)):
             raise SingularError("matrix not invertible")
+        p = machine_prime(self.field)
+        if p is not None and 2 * n * n >= _NUMPY_CELLS:
+            import numpy as np
+
+            aug = np.hstack((np.array(self.rows, dtype=np.int64), np.eye(n, dtype=np.int64)))
+            red, pivots = _rref_modp_numpy(aug, p)
+            if pivots != list(range(n)):
+                raise SingularError("matrix not invertible")
+            return Matrix(self.field, tuple(map(tuple, red[:, n:].tolist())))
         x = self._solve_rows(Matrix.identity(self.field, n).rows, n)
         if x is None:
             raise SingularError("matrix not invertible")
@@ -521,22 +564,23 @@ def canonical_basis(field: Field, vectors: Iterable[Sequence]) -> tuple[tuple, .
     return tuple(tuple(rows[i]) for i in range(len(pivots)))
 
 
-def iterated_kernel_sparse(field: Field, dim: int, S: dict) -> tuple[tuple, ...]:
+def iterated_kernel_sparse(field: Field, dim: int, S) -> tuple[tuple, ...]:
     """Canonical basis of the kernel of the stacked operator S.
 
-    S is sparse, {(row, col): scalar} with col < dim: rows a*dim .. a*dim +
-    dim - 1 are the a-th dim x dim constraint, and the whole of S is built
-    once.  The kernel is refined one block of rows at a time from K, whose
-    columns span the vectors every block so far annihilates.
+    S is sparse with dim columns: rows a*dim .. a*dim + dim - 1 are the a-th
+    dim x dim constraint, and the whole of S is built once.  Over a GF(p)
+    that machine_prime admits it is an int64 CSR matrix reduced mod p,
+    otherwise a dict {(row, col): scalar}.  The kernel is refined one block
+    of rows at a time from K, whose columns span the vectors every block so
+    far annihilates.
 
-    The generic engine reads one constraint (dim rows) at a time.  Over a
-    GF(p) that machine_prime admits, S is one int64 CSR matrix of the rows
-    that hold an entry (an empty row constrains nothing and costs nothing),
-    and each step multiplies the next rows of S by K through mulmod, as many
-    rows as keep the cells that the elimination of their product may write
-    within the byte budget _BLOCK_BYTES (rows * cols(K)^2 cells of 8 bytes,
-    at least one row: 319 rows while K is the identity at dim 81, and steps
-    grow as K shrinks).  A block whose product vanishes holds on
+    The generic engine reads one constraint (dim rows) at a time.  The
+    int64 engine keeps the rows of S that hold an entry (an empty row
+    constrains nothing and costs nothing), and each step multiplies the
+    next rows by K through mulmod, as many rows as keep the cells that the
+    elimination of their product may write within the byte budget
+    _BLOCK_BYTES (rows * cols(K)^2 cells of 8 bytes, at least one row: 319
+    rows while K is the identity at dim 81, and steps grow as K shrinks).  A block whose product vanishes holds on
     all of K and costs no elimination; otherwise one elimination of that
     product refines K to its null space.  The stop is exact: K is final once
     every remaining row times K is zero, and that is the product itself,
@@ -582,15 +626,12 @@ def iterated_kernel_sparse(field: Field, dim: int, S: dict) -> tuple[tuple, ...]
     return canonical_basis(field, K)
 
 
-def _iterated_kernel_modp(field: PrimeField, dim: int, S: dict) -> tuple[tuple, ...]:
+def _iterated_kernel_modp(field: PrimeField, dim: int, S) -> tuple[tuple, ...]:
     import numpy as np
-    import scipy.sparse as sp
 
     p = field.p
-    rc = np.fromiter(chain.from_iterable(S), dtype=np.int64, count=2 * len(S)).reshape(-1, 2)
     # only the rows that hold an entry constrain K
-    kept, row = np.unique(rc[:, 0], return_inverse=True)
-    A = sp.csr_matrix((residues(S.values(), p), (row, rc[:, 1])), shape=(len(kept), dim))
+    A = S[np.flatnonzero(np.diff(S.indptr))]
     K = np.eye(dim, dtype=np.int64)
     r = 0
     while r < A.shape[0] and K.shape[1]:
@@ -604,9 +645,13 @@ def _iterated_kernel_modp(field: PrimeField, dim: int, S: dict) -> tuple[tuple, 
     return canonical_basis(field, K.T.tolist())
 
 
-def annihilates(field: Field, S: dict, vec: Sequence) -> bool:
-    """Whether the sparse operator {(row, col): scalar} maps vec to zero, in
-    one pass over the entries that skips the columns where vec is zero."""
+def annihilates(field: Field, S, vec: Sequence) -> bool:
+    """Whether the operator S of iterated_kernel_sparse maps vec to zero:
+    over an admitted GF(p) one mulmod of S by vec, otherwise one pass over
+    the entries of the dict that skips the columns where vec is zero."""
+    p = machine_prime(field)
+    if p is not None:
+        return not mulmod(S, residues(vec, p).reshape(-1, 1), p).any()
     acc: dict = {}
     for (r, c), val in S.items():
         if vec[c]:

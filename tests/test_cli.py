@@ -6,7 +6,7 @@ import sys
 import pytest
 from conftest import count_calls, double_of, embedding_of
 
-from hopfrob import cli, frobenius, hopfcore, linalg, separability, subext
+from hopfrob import algebra, cli, frobenius, hopfcore, linalg, separability, subext
 from hopfrob.algebra import StructureAlgebra
 from hopfrob.catalog import entry, names
 from hopfrob.cli import main
@@ -482,6 +482,43 @@ def test_subcheck_computes_each_stage_once(tmp_path, monkeypatch):
     calls = {key: count_calls(monkeypatch, *key) for key in want}
     assert main(["subcheck", str(h4), str(qc2), "--iota", str(iota)]) == 0
     assert {key: len(c) for key, c in calls.items()} == want
+
+
+def _spy_everywhere(monkeypatch, module, name, record) -> None:
+    """Pass the arguments and the result of every call of module.name, through
+    every hopfrob module that imports it, to record."""
+    orig = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        record(args, out)
+        return out
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("hopfrob") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, spy)
+
+
+@pytest.mark.parametrize("cmd, key", [("double", "taft-3-7-2"), ("frobenius", "taft-4-5-2")])
+def test_residue_tables_are_built_once_per_table_and_prime(cmd, key, tmp_path, monkeypatch):
+    """A `double` job (D(taft-3-7-2), dim 81 over GF(7)) and a `frobenius`
+    job (taft-4-5-2 and its dual, dim 16 over GF(5)) build the residue
+    arrays of each table once per algebra and prime, however many kernels,
+    integral operators and automorphism checks read them, and build every
+    integral operator as an int64 matrix, no dict."""
+    path = emit(tmp_path, key)
+    asked, built, operators = [], [], []
+    for name in ("structure_arrays", "comul_arrays"):
+        # the owners are held, so no two of them share an id
+        _spy_everywhere(monkeypatch, algebra, name, lambda args, out: asked.append(args))
+    _spy_everywhere(monkeypatch, algebra, "residue_arrays", lambda args, out: built.append(args))
+    _spy_everywhere(
+        monkeypatch, hopfcore, "integral_operator", lambda args, out: operators.append(out)
+    )
+    assert main([cmd, str(path)]) == 0
+    tables = {(id(owner), p) for owner, p in asked}
+    assert len(built) == len(tables) < len(asked)
+    assert operators and not any(isinstance(S, dict) for S in operators)
 
 
 def _d36(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from conftest import count_calls, double_of, engine_primes_of, taft_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cover_corpus import _moved, _sampled
 
 from hopfrob import GF, QQ, InvalidInputError, algebra, hopfcore, linalg
 from hopfrob.algebra import StructureAlgebra, multiplicative_failure, product_cover
@@ -27,6 +28,7 @@ from hopfrob.hopfcore import (
     eval_cov,
     hit_matrix,
     hopf_module_decompose,
+    integral_operator,
     integral_space,
     hopf_map_report,
     is_grouplike,
@@ -36,7 +38,7 @@ from hopfrob.hopfcore import (
     verify_hopf,
 )
 from hopfrob.hopffile import parse_hopf_text
-from hopfrob.linalg import Matrix, basis_vec
+from hopfrob.linalg import Matrix, annihilates, basis_vec
 
 ALL_KEYS = (
     "qc2",
@@ -825,27 +827,62 @@ def _unimodular_by_products(H):
     )
 
 
+def _integral_decisions(H):
+    """The four integral spaces of H (in H and in H*, left and right), the
+    dimensions and unimodularity that double_fh_check reads off them, and
+    whether each of the four operators annihilates each vector of the
+    spaces, the unit and e_0."""
+    spaces = [integral_space(H, side, dual) for side, dual in SPACES]
+    fh = double_fh_check(H)
+    vectors = [v for space in spaces for v in space] + [H.unit, H.alg.basis_vector(0)]
+    kills = [
+        annihilates(H.field, integral_operator(H, side, dual), v)
+        for side, dual in SPACES
+        for v in vectors
+    ]
+    return spaces, (fh.dual_integral_dim, fh.integral_dim, fh.unimodular), kills
+
+
+def _decisions_agree(H, smallest_blocks, generic_engine):
+    """The integral decisions of H on the int64 operators, the same with
+    one-row blocks, and on the Python-scalar engine are equal."""
+    assert linalg.machine_prime(H.field) is not None
+    int64 = _integral_decisions(H)
+    assert not any(isinstance(integral_operator(H, side, dual), dict) for side, dual in SPACES)
+    smallest_blocks()
+    assert _integral_decisions(H) == int64
+    generic_engine()
+    assert isinstance(integral_operator(H, "left"), dict)
+    assert _integral_decisions(H) == int64
+
+
 @pytest.mark.parametrize("kind", [None, "mul", "comul", "unit"])
 @pytest.mark.parametrize("name", MODP_OBJECTS)
 def test_integral_spaces_agree_on_both_engines_and_any_block_size(
     name, kind, smallest_blocks, generic_engine
 ):
-    """Left and right integrals in H and in H*, valid or corrupted: the int64
-    engine, the same with one-row blocks, and the Python-scalar engine give
-    the same canonical basis."""
+    """Left and right integrals in H and in H*, valid or corrupted, the
+    unimodularity decision and `annihilates` on the operators: the int64
+    engine, the same with one-row blocks, and the Python-scalar engine
+    agree."""
     H = _object(name)
     if kind is not None:
         H = _corrupted(H, kind)
-    assert linalg.machine_prime(H.field) is not None
+    _decisions_agree(H, smallest_blocks, generic_engine)
 
-    def spaces():
-        return [integral_space(H, side, dual) for side, dual in SPACES]
 
-    int64 = spaces()
-    smallest_blocks()
-    assert spaces() == int64
-    generic_engine()
-    assert spaces() == int64
+@pytest.mark.parametrize("at", range(4))
+@pytest.mark.parametrize("name", MODP_OBJECTS)
+def test_integral_decisions_agree_on_moved_constants(name, at, smallest_blocks, generic_engine):
+    """As above on a mutant with one structure constant moved by one, at
+    one of two seeded positions of each table (mul first).  A mul mutant
+    builds its own mul arrays; a comul mutant shares H's algebra and reads
+    its mul arrays."""
+    H = _object(name)
+    position = _sampled(H, H.dim, 2)[at]
+    M = _moved(H, position)
+    assert (M.alg is H.alg) == (position[0] == "comul")
+    _decisions_agree(M, smallest_blocks, generic_engine)
 
 
 @pytest.mark.parametrize("key", names())

@@ -157,6 +157,51 @@ def test_inverse_of_a_zero_line_raises_before_elimination(rows, monkeypatch):
         Matrix.from_rows(F7, rows).inverse()
 
 
+def _invertible_rows(rng, p, n):
+    """A random n x n matrix mod p that is invertible: a unit lower times a
+    unit upper triangular matrix, with a random nonzero diagonal."""
+    lower = [[rng.randrange(p) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [
+        [rng.randrange(1, p) if i == j else rng.randrange(p) if j > i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    return [[sum(a * b for a, b in zip(r, c)) % p for c in zip(*upper)] for r in lower]
+
+
+@pytest.mark.parametrize("n", [45, 46, 64])
+@pytest.mark.parametrize("p", [5, 7, 2146560523])
+def test_int64_inverse_matches_the_generic_engine(n, p, generic_engine):
+    """Matrix.inverse over GF(p) on both sides of _NUMPY_CELLS (the 45 x 90
+    augmented matrix stays below it, 46 x 92 does not) equals the Python-
+    scalar inverse, and raises SingularError where it does: on a matrix
+    singular only in its last column (its first n - 1 pivots exist) and on
+    one with a zero row."""
+    field = GF(p)
+    assert (2 * n * n >= linalg._NUMPY_CELLS) == (n > 45)
+    rng = random.Random(n * p)
+    rows = _invertible_rows(rng, p, n)
+    # the last column a combination of the others
+    weights = [rng.randrange(p) for _ in range(n - 1)]
+    last = [[*r[:-1], sum(w * x for w, x in zip(weights, r)) % p] for r in rows]
+    zero_row = [*rows[:-1], [0] * n]
+    cases = [Matrix.from_rows(field, m) for m in (rows, last, zero_row)]
+
+    def inverses():
+        out = []
+        for M in cases:
+            try:
+                out.append(M.inverse())
+            except SingularError:
+                out.append(None)
+        return out
+
+    int64 = inverses()
+    assert int64[0] is not None and int64[1:] == [None, None]
+    assert cases[0].mul(int64[0]).is_identity()
+    generic_engine()
+    assert inverses() == int64
+
+
 def test_det_examples():
     assert Matrix.from_rows(QQ, [[1, 2], [3, 4]]).det() == Fraction(-2)
     assert Matrix.from_rows(F7, [[2, 0], [0, 4]]).det() == 1  # 8 mod 7
@@ -372,6 +417,22 @@ def test_joint_scale_is_the_scale_of_the_union(constants, cut):
     assert linalg.joint_scale(*map(linalg.scale_of, parts)) == linalg.scale_of(constants)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(max_denominator=2**20), max_size=8), st.integers(0, 20))
+def test_scale_of_is_unchanged_by_zeros(constants, zeros):
+    """A zero changes neither the common denominator nor the height, so
+    scale_of skips the zeros: with any number of them added, and of either
+    type (int 0 and Fraction(0)), the scale is that of the others, and (1,
+    0) when there are no others."""
+    padded = [Fraction(c) for c in constants + [0, Fraction(0)] * zeros]
+    random.Random(zeros).shuffle(padded)
+    # the definition, over every constant, zeros included
+    den = math.lcm(*(c.denominator for c in padded))
+    height = max((abs(c.numerator) * (den // c.denominator) for c in padded), default=0)
+    assert linalg.scale_of(padded) == (den, height)
+    assert linalg.scale_of([Fraction(0)] * zeros) == (1, 0)
+
+
 def test_residues_reduce_each_rational_exactly():
     """1/2 becomes (p + 1)/2, not the 0 that an int64 cast of the Fraction
     gives; every residue r of n/d satisfies d r = n mod p."""
@@ -541,6 +602,31 @@ def test_mulmod_float64_branch_ends_at_its_bound():
         assert _MatmulDtypes.seen == [{dtype}], n
         assert int(C[0, 0]) == (p - 1) ** 2 * n % p, n
     assert (p - 1) ** 2 * most < 2**53 <= (p - 1) ** 2 * (most + 1)
+
+
+@pytest.mark.parametrize("p", [5, 65521])
+@pytest.mark.parametrize("shape", [(9, 4, 3), (3, 4, 9), (6, 5, 6), (1, 7, 1)])
+def test_mulmod_float64_blocks_match_int64(p, shape, smallest_blocks):
+    """The float64 branch converts and multiplies the larger operand a block
+    at a time (rows of A, or columns of B when B has more cells).  With the
+    smallest budget every block is one row or column, one matmul each; the
+    product equals the plain int64 product mod p, which is exact here, and
+    the product with the whole operand in one block."""
+    rng = np.random.default_rng(sum(shape) * p)
+    m, k, n = shape
+    A, B = (
+        rng.choice([0, 1, p - 1, int(rng.integers(0, p))], size=s).astype(np.int64)
+        for s in ((m, k), (k, n))
+    )
+    want = (A @ B) % p
+    whole = mulmod(A, B, p)
+    smallest_blocks()
+    A, B = A.view(_MatmulDtypes), B.view(_MatmulDtypes)
+    _MatmulDtypes.seen = []
+    got = mulmod(A, B, p)
+    assert _MatmulDtypes.seen == [{"float64"}] * (m if m * k >= k * n else n)
+    assert got.dtype == np.int64
+    assert got.view(np.ndarray).tolist() == whole.tolist() == want.tolist()
 
 
 # -- the generic engine on sparse inputs, against dense loops by definition ----
