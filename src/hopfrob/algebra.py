@@ -578,41 +578,78 @@ def row_compact(keys, cols, vals, ncols: int) -> tuple:
     return sp.csr_matrix((vals, (row, cols)), shape=(len(kept), ncols)), kept
 
 
-def by_item(Y, keys, nsub: int, first: int, shape, col):
-    """The product Y, whose row t stands for keys[t] = item*nsub + sub (keys
-    sorted), laid out with shape as row item - first and column
-    col(column of Y, sub) for each entry.  Y's rows are grouped by item
-    already, so its values stay where they are and only each entry's column
-    is new; the columns of each row are then sorted in place, as comparing
-    two matrices whose rows are not sorted scatters each row over a dense
-    array of width shape[1]."""
+def by_item(Y, keys, nsub: int, first: int, shape, col, p: int):
+    """The product Y mod p, whose row t stands for keys[t] = item*nsub + sub
+    (keys sorted), laid out with shape as row item - first and column
+    col(column of Y, sub) for each entry, as the entry_keys that
+    first_mismatch and mismatches compare.  Y's rows are grouped by item
+    already, so only each entry's column is new, and no matrix of width
+    shape[1] is built."""
     import numpy as np
-    import scipy.sparse as sp
 
+    counts = np.diff(Y.indptr)
     item, sub = np.divmod(keys, nsub)
-    indptr = Y.indptr[np.searchsorted(item - first, np.arange(shape[0] + 1))]
     # every column is below shape[1], so this dtype holds each step of col
     index = np.int32 if shape[1] < 2**31 else np.int64
-    cols = col(Y.indices.astype(index, copy=False), np.repeat(sub.astype(index), np.diff(Y.indptr)))
-    out = sp.csr_matrix((Y.data, cols.astype(index, copy=False), indptr), shape=shape)
-    out.sort_indices()
-    return out
+    cols = col(Y.indices.astype(index, copy=False), np.repeat(sub.astype(index), counts))
+    cells = np.repeat((item - first) * shape[1], counts)
+    cells += cols
+    del cols
+    return entry_keys(cells, Y.data, shape[0] * shape[1], p)
 
 
-def mismatches(lhs, rhs) -> tuple:
-    """The (rows, cols) where two reduced sparse matrices of one shape differ."""
-    D = (lhs != rhs).tocsr()
-    return csr_rows(D), D.indices
+def matrix_keys(M, p: int):
+    """The entries of the reduced sparse matrix M mod p as entry_keys."""
+    M = M.tocsr()
+    return entry_keys(csr_rows(M) * M.shape[1] + M.indices, M.data, M.shape[0] * M.shape[1], p)
 
 
-def first_mismatch(lhs, rhs) -> Optional[tuple]:
-    """The smallest (row, col), row first, where two reduced sparse matrices
-    of one shape differ, or None."""
-    rows, cols = mismatches(lhs, rhs)
-    if not len(rows):
-        return None
-    r = rows.min()
-    return int(r), int(cols[rows == r].min())
+def entry_keys(cells, vals, ncells: int, p: int):
+    """The entries of a matrix mod p, each value in [1, p) at its own flat
+    cell row*width + col below ncells = rows*width, in the one sorted form
+    that first_mismatch and mismatches compare.
+
+    Bound: when rows*width*p < 2^63 every key (row*width + col)*p + value
+    is below 2^63, so the form is those int64 keys, sorted in place (cells
+    is overwritten); two matrices are equal when their keys are, and the
+    key order is the order of the cells, row first.  Otherwise, the exact
+    fallback: the (cell, value) pairs as a two-column array sorted by cell
+    (each cell occurs once, so the values need no order of their own).
+    """
+    import numpy as np
+
+    if int(ncells) * p < 2**63:
+        cells *= p
+        cells += vals
+        cells.sort()
+        return cells
+    order = np.argsort(cells)
+    return np.stack((cells[order], np.asarray(vals, dtype=np.int64)[order]), axis=1)
+
+
+def mismatches(lhs, rhs, width: int, p: int) -> tuple:
+    """The (rows, cols), each cell once and in cell order, where two
+    matrices of width columns differ, from their entry_keys mod p."""
+    import numpy as np
+
+    if lhs.ndim == 1:
+        # a cell whose values differ holds one key on each side
+        if np.array_equal(lhs, rhs):
+            cells = lhs[:0]
+        else:
+            cells = np.unique(np.setxor1d(lhs, rhs, assume_unique=True) // p)
+    else:
+        (cl, vl), (cr, vr) = lhs.T, rhs.T
+        both, il, ir = np.intersect1d(cl, cr, assume_unique=True, return_indices=True)
+        cells = np.union1d(np.setxor1d(cl, cr, assume_unique=True), both[vl[il] != vr[ir]])
+    return np.divmod(cells, width)
+
+
+def first_mismatch(lhs, rhs, width: int, p: int) -> Optional[tuple]:
+    """The smallest (row, col), row first, where two matrices of width
+    columns differ, from their entry_keys mod p, or None."""
+    rows, cols = mismatches(lhs, rhs, width, p)
+    return (int(rows[0]), int(cols[0])) if len(rows) else None
 
 
 def blocks(sizes):
@@ -682,7 +719,13 @@ def _associativity_failure(
         shape = (r1 - r0, n**3)
         a0, a1 = np.searchsorted(lkeys, (r0 * n, r1 * n))
         lhs = by_item(
-            mulmod(left[a0:a1], by_product, p), lkeys[a0:a1], n, r0, shape, lambda jk, a: jk * n + a
+            mulmod(left[a0:a1], by_product, p),
+            lkeys[a0:a1],
+            n,
+            r0,
+            shape,
+            lambda jk, a: jk * n + a,
+            p,
         )
         b0, b1 = np.searchsorted(rkeys, (r0 * n, r1 * n))
         rhs = by_item(
@@ -692,8 +735,9 @@ def _associativity_failure(
             r0,
             shape,
             lambda ka, j: j * n * n + ka,
+            p,
         )
-        bad = first_mismatch(lhs, rhs)
+        bad = first_mismatch(lhs, rhs, shape[1], p)
         if bad is not None:
             return (int(index[r0 + bad[0]]), *divmod(bad[1] // n, n))
     return None
@@ -740,16 +784,16 @@ def _multiplicative_failure_modp(
         shape = (i1 - i0, ds * dd)
         x0, x1 = np.searchsorted(pairs, (i0 * ds, i1 * ds))
         lhs = by_item(
-            mulmod(products[x0:x1], PT, p), pairs[x0:x1], ds, i0, shape, lambda m, j: j * dd + m
+            mulmod(products[x0:x1], PT, p), pairs[x0:x1], ds, i0, shape, lambda m, j: j * dd + m, p
         )
         T = mulmod(PT[i0:i1], left, p)
         tn, tl = np.divmod(T.indices.astype(np.int64), dd)
         keys, row = np.unique(csr_rows(T) * dd + tn, return_inverse=True)
         T = sp.csr_matrix((T.data, (row, tl)), shape=(len(keys), dd))
         del tn, tl, row
-        rhs = by_item(mulmod(T, P, p), keys, dd, 0, shape, lambda j, m: j * dd + m)
+        rhs = by_item(mulmod(T, P, p), keys, dd, 0, shape, lambda j, m: j * dd + m, p)
         del T
-        bad = first_mismatch(lhs, rhs)
+        bad = first_mismatch(lhs, rhs, shape[1], p)
         if bad is not None:
             return i0 + bad[0], bad[1] // dd
     return None

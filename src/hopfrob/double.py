@@ -4,11 +4,13 @@ constants.
 
 The straightening table of H is built once and every entry is replayed
 through honest products before anything else is assembled.  D's mul table
-is then a contraction over nonzero constants only, one block (i, b) of the
-straightening at a time: on D(taft-4-5-2) the contraction makes 30,272
-term updates, one per term of the table, where a sum over every index
-quadruple (a, i, b, j) visits 65,536.  The comul and the antipode's columns
-are summed over nonzero constants the same way.
+is then a contraction over nonzero constants only: on D(taft-4-5-2) it
+makes 30,272 term updates, one per term of the table, where a sum over
+every index quadruple (a, i, b, j) visits 65,536.  Over a GF(p) that
+linalg.machine_prime admits it runs on int64 arrays (_double_mul_modp),
+otherwise on Python scalars, one block (i, b) of the straightening at a
+time (_double_mul).  The comul and the antipode's columns are summed over
+nonzero constants in Python.
 
 Basis order: pair (a, i) with a indexing the dual factor and i indexing H,
 flattened row-major as a*dim(H) + i.
@@ -17,8 +19,10 @@ flattened row-major as a*dim(H) + i.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .algebra import StructureAlgebra, nonzero_row, vec_to_row
+from . import linalg
+from .algebra import StructureAlgebra, comul_arrays, nonzero_row, structure_arrays, vec_to_row
 from .errors import InternalCheckError
 from .hopfcore import (
     HopfAlgebra,
@@ -146,15 +150,95 @@ def _double_mul(H: HopfAlgebra, straighten) -> dict:
     return {key: rows[key] for key in sorted(rows)}
 
 
+def _double_mul_modp(H: HopfAlgebra, straighten, p: int) -> dict:
+    """_double_mul over GF(p) on int64 arrays, the same table in the same
+    key order, in blocks of the dual index a.
+
+    A block expands each term (k; a, v, c2) of the coproducts of H with
+    first leg a (f_a f_v = sum c2 f_k) over the straightening entries
+    (i, b, v, s, c) of its v, then each of those over the products
+    e_s e_j = c3 e_m of its s.  The term c c2 c3 lands at row
+    r = (i b j), column (k m) of the block, whose row (a*n + i, b*n + j)
+    of the table is then in key order along r.  One sort of the keys
+    r*n^2 + (k m) and np.add.reduceat sum the repeated ones; the sums that
+    vanish mod p are dropped, as nonzero_row drops them, and each row of
+    the block goes into the table in one comprehension.
+
+    Bound: c c2 < p^2 < 2^62, reduced mod p, then times c3 < 2^62,
+    reduced mod p; a key sums one term per pair (v, s), fewer than 2^32
+    residues below 2^31 for n < 2^16, so every sum stays below 2^63.  Every
+    key is below n^3 n^2 = n^5, which int64 holds for n <= 6208 (D of dim
+    3.8e7, whose straightening table alone is n^2 Python lists).
+    """
+    import numpy as np
+
+    n = H.dim
+    N = n * n
+    m, u, v, d = comul_arrays(H, p)
+    sj, jj, mm, c3 = structure_arrays(H.alg, p)
+    # the straightening entries, (i b) = i*n + b, sorted by v
+    counts = np.fromiter(map(len, chain.from_iterable(straighten)), dtype=np.int64, count=N)
+    ent = chain.from_iterable(chain.from_iterable(chain.from_iterable(straighten)))
+    ent = np.fromiter(ent, dtype=np.int64, count=3 * int(counts.sum())).reshape(-1, 3)
+    order = np.argsort(ent[:, 0], kind="stable")
+    ib, (tv, ts, tc) = np.repeat(np.arange(N), counts)[order], ent[order].T
+    # the products e_s e_j sorted by s, the coproduct terms by first leg a
+    order = np.argsort(sj, kind="stable")
+    sj, jj, mm, c3 = sj[order], jj[order], mm[order], c3[order]
+    order = np.argsort(u, kind="stable")
+    m, u, v, d = m[order], u[order], v[order], d[order]
+    by_v, by_s, by_a = (np.searchsorted(x, np.arange(n + 1)) for x in (tv, sj, u))
+
+    rows: dict = {}
+    for a in range(n):
+        e0, e1 = by_a[a], by_a[a + 1]
+        e, t = _expand(v[e0:e1], by_v)
+        e += e0
+        cc = d[e] * tc[t] % p
+        x, q = _expand(ts[t], by_s)
+        key = (ib[t][x] * n + jj[q]) * N + m[e][x] * n + mm[q]
+        val = cc[x] * c3[q] % p
+        del e, t, cc, x, q
+        order = np.argsort(key)
+        key, val = key[order], val[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        if not len(first):
+            continue
+        val = np.add.reduceat(val, first) % p
+        keep = np.flatnonzero(val)
+        r, col = np.divmod(key[first[keep]], N)
+        terms = list(zip(col.tolist(), val[keep].tolist()))
+        starts = np.flatnonzero(np.diff(r, prepend=-1))
+        ends = [*starts[1:].tolist(), len(terms)]
+        rows.update(
+            {
+                (a * n + row // N, row % N): tuple(terms[s0:s1])
+                for row, s0, s1 in zip(r[starts].tolist(), starts.tolist(), ends)
+            }
+        )
+    return rows
+
+
+def _expand(groups, bounds) -> tuple:
+    """(t, q): for each item t, in order, every member q of its group
+    groups[t], the members of group g being bounds[g] <= q < bounds[g+1]."""
+    import numpy as np
+
+    reps = bounds[groups + 1] - bounds[groups]
+    t = np.repeat(np.arange(len(groups)), reps)
+    offsets = np.cumsum(reps) - reps - bounds[groups]
+    return t, np.arange(len(t)) - np.repeat(offsets, reps)
+
+
 def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     """The double as a Hopf algebra on dim(H)^2 structure constants.
 
     Every straightening entry is replayed through the direct sandwich
     evaluation; a mismatch is a construction bug, not bad input, and raises
-    InternalCheckError naming the pair.  The mul table (_double_mul), comul
-    and antipode are then summed over nonzero constants only.  Every row
-    leaves nonzero_row sorted, normalized and free of zeros, the form the
-    tables hold, so D is built by the dataclass constructors without a
+    InternalCheckError naming the pair.  The mul table (_double_mul_modp or
+    _double_mul), comul and antipode are then summed over nonzero constants
+    only.  Every row leaves sorted, normalized and free of zeros, the form
+    the tables hold, so D is built by the dataclass constructors without a
     second cleaning.
     """
     field = H.field
@@ -178,7 +262,9 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     names = tuple(
         f"{H.basis_names[a]}*.{H.basis_names[i]}" for a in range(n) for i in range(n)
     )
-    alg = StructureAlgebra(field, N, _double_mul(H, straighten), unit, names)
+    p = linalg.machine_prime(field)
+    mul = _double_mul(H, straighten) if p is None else _double_mul_modp(H, straighten, p)
+    alg = StructureAlgebra(field, N, mul, unit, names)
 
     # coproduct: opposite dual coproduct on the first factor
     mul_by_result: dict = {}

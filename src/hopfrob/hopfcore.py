@@ -69,6 +69,7 @@ from .algebra import (
     first_failure,
     first_mismatch,
     is_augmentation,
+    matrix_keys,
     mismatches,
     multiplicative_failure,
     nonzero_row,
@@ -624,7 +625,9 @@ def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
     row = np.arange(len(uv))
     ident = sp.identity(n, dtype=np.int64, format="csr")
     counit = smallest(
-        _first_row(mulmod(delta, sp.csr_matrix((eps[b], (row, a)), shape=(len(uv), n)), p), ident)
+        _first_row(
+            mulmod(delta, sp.csr_matrix((eps[b], (row, a)), shape=(len(uv), n)), p), ident, p
+        )
         for a, b in ((uv // n, uv % n), (uv % n, uv // n))
     )
 
@@ -633,7 +636,7 @@ def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
     E.data %= p
     E.eliminate_zeros()
     eps_ok = H.counit_of(H.unit) == H.field.one()
-    eps_ok = eps_ok and first_mismatch(E, _outer(eps, eps, p)) is None
+    eps_ok = eps_ok and _first_row(E, _outer(eps, eps, p), p) is None
 
     # antipode law; S^T: row w, column x holds the coefficient of e_x in S(e_w)
     # a row object that several rows share (the parse's all-zero row) is read once
@@ -657,7 +660,7 @@ def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
         P = sp.csr_matrix((Y.data[hit], (at[hit], a[hit])), shape=(len(uv), n))
         sides.append(mulmod(delta, P, p))
     target = _outer(eps, one, p)
-    antipode = smallest(_first_row(side, target) for side in sides)
+    antipode = smallest(_first_row(side, target, p) for side in sides)
     return coassoc, counit, eps_ok, antipode
 
 
@@ -686,7 +689,13 @@ def _coassociativity_failure(comul: tuple, delta, uv, p: int) -> Optional[int]:
         shape = (i1 - i0, n**3)
         a0, a1 = np.searchsorted(lkeys, (i0 * n, i1 * n))
         lhs = by_item(
-            mulmod(left[a0:a1], delta, p), lkeys[a0:a1], n, i0, shape, lambda rs, v: uv[rs] * n + v
+            mulmod(left[a0:a1], delta, p),
+            lkeys[a0:a1],
+            n,
+            i0,
+            shape,
+            lambda rs, v: uv[rs] * n + v,
+            p,
         )
         b0, b1 = np.searchsorted(rkeys, (i0 * n, i1 * n))
         rhs = by_item(
@@ -696,8 +705,9 @@ def _coassociativity_failure(comul: tuple, delta, uv, p: int) -> Optional[int]:
             i0,
             shape,
             lambda st, u: u * n * n + uv[st],
+            p,
         )
-        bad = first_mismatch(lhs, rhs)
+        bad = first_mismatch(lhs, rhs, shape[1], p)
         if bad is not None:
             return i0 + bad[0]
     return None
@@ -724,9 +734,9 @@ def _outer(x, y, p: int):
     return sp.csr_matrix((val, (np.repeat(a, len(b)), np.tile(b, len(a)))), shape=(len(x), len(y)))
 
 
-def _first_row(lhs, rhs) -> Optional[int]:
-    """Smallest row where two reduced sparse matrices differ, or None."""
-    bad = first_mismatch(lhs, rhs)
+def _first_row(lhs, rhs, p: int) -> Optional[int]:
+    """Smallest row where two reduced sparse matrices mod p differ, or None."""
+    bad = first_mismatch(matrix_keys(lhs, p), matrix_keys(rhs, p), lhs.shape[1], p)
     return None if bad is None else bad[0]
 
 
@@ -766,8 +776,9 @@ def _delta_failure(
     Both stacks are laid out once, over the rows that occur, and a block
     compares its two sides at row j, column (r a b) (mismatches).  A block
     holds as many j as keep the entries of its operands, of the three
-    products (at most their terms; F W's through the longest row of W for
-    each s) and of the comparison within the block budget (algebra.blocks),
+    products (at most their terms; F W's counted per entry of F through the
+    length of W's row it meets) and of the comparison within the block
+    budget (algebra.blocks),
     and the failure reported is the smallest r*dim + j over all blocks.
     The pair columns (a b) of Delta and (a s) of the left multiplications
     are cut to the pairs that occur (_compact), v to the second legs that
@@ -808,15 +819,20 @@ def _delta_failure(
     B = sp.csr_matrix((c[keep], (j[keep], at[i[keep]] * n + k[keep])), shape=(n, nv * n))
 
     # for each j, the entries of both operands, the terms of the left side
-    # and of F (its product and its re-lay), and F W's terms, at most the
-    # terms of F times the longest row (x s) of W for each s
+    # and of F (its product and its re-lay), and F W's terms: a term (s, t)
+    # of Delta(e_j) meets row t of B, whose entries in column block x each
+    # give F at most one entry in column (x s), which meets W's row (x s),
+    # so at most reach = sum_x (entries of B's row t in block x) (length of
+    # W's row (x s)) terms, one float64 product over the legs t that occur
     in_b = np.diff(B.indptr)
-    longest = np.diff(W.indptr).reshape(nv, n).max(axis=0, initial=0)
+    legs, t = np.unique(v, return_inverse=True)
+    in_block = np.bincount(csr_rows(B) * nv + B.indices // n, minlength=n * nv).reshape(n, nv)
+    reach = (in_block[legs] @ np.diff(W.indptr).reshape(nv, n).astype(float))[t, u]
     sizes = (
         np.bincount(ls, minlength=n)
         + np.bincount(m, minlength=n)
         + 2 * np.bincount(ls, weights=np.diff(delta.indptr)[la], minlength=n)
-        + 2 * np.bincount(m, weights=in_b[v] * (1 + longest[u]), minlength=n)
+        + 2 * np.bincount(m, weights=in_b[v] + reach, minlength=n)
     )
     del L, la, ls
     best = None
@@ -830,19 +846,27 @@ def _delta_failure(
             j0,
             shape,
             lambda x, r: r * n * n + ab[x],
+            p,
         )
         b0, b1 = np.searchsorted(tkeys, (j0 * n, j1 * n))
         Y = mulmod(terms[b0:b1], B, p)
         jj, s = np.divmod(tkeys[b0 + csr_rows(Y)], n)
         x, b = np.divmod(Y.indices.astype(np.int64), n)
-        F, fkeys = row_compact((jj - j0) * n + b, x * n + s, Y.data, nv * n)
-        del Y, jj, s, x, b
+        # F's row (j b) and column (x s), in place
+        jj -= j0
+        jj *= n
+        jj += b
+        x *= n
+        x += s
+        del s, b
+        F, fkeys = row_compact(jj, x, Y.data, nv * n)
+        del Y, jj, x
         # F W: rows (j b), column (y a) for r = rs[y]
         rhs = by_item(
-            mulmod(F, W, p), fkeys, n, 0, shape, lambda ya, b: (rs[ya // n] * n + ya % n) * n + b
+            mulmod(F, W, p), fkeys, n, 0, shape, lambda ya, b: (rs[ya // n] * n + ya % n) * n + b, p
         )
         del F
-        jj, col = mismatches(lhs, rhs)
+        jj, col = mismatches(lhs, rhs, shape[1], p)
         if len(jj):
             # the smallest r*dim + j of the block
             key = int((col // (n * n) * n + jj).min()) + j0

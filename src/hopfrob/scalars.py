@@ -112,6 +112,13 @@ class RationalField(Field):
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"bad rational scalar {text!r}") from exc
 
+    def parse_all(self, tokens) -> list:
+        # every token int() reads, Fraction reads as the same integer
+        try:
+            return list(map(Fraction, map(int, tokens)))
+        except ValueError:
+            return super().parse_all(tokens)
+
     def nonzero_elements_sample(self, rng, count: int):
         out = []
         while len(out) < count:

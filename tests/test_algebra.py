@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import double_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,11 @@ from hypothesis import strategies as st
 from hopfrob import GF, QQ, InvalidInputError
 from hopfrob.algebra import (
     StructureAlgebra,
+    entry_keys,
+    first_mismatch,
     is_augmentation,
+    matrix_keys,
+    mismatches,
     opposite,
     product_cover,
     vec_to_row,
@@ -224,3 +230,80 @@ def test_cover_of_random_sparse_tables(A):
     gens = _checked_cover(A)
     if all(len(row) > 1 for row in A.mul.values()):
         assert gens == tuple(range(A.dim))
+
+
+# -- comparing the two sides of an identity mod p --------------------------------
+
+
+def _differing_by_definition(lhs: dict, rhs: dict) -> list:
+    """The cells (row, col), in order, where two matrices given as
+    {(row, col): value} differ."""
+    return sorted(cell for cell in lhs.keys() | rhs.keys() if lhs.get(cell) != rhs.get(cell))
+
+
+@pytest.mark.parametrize("past", [0, 1])
+def test_packed_comparison_at_its_bound(past):
+    """With p the largest prime below 2^31 and the widest shape the packed
+    keys admit (rows*width*p < 2^63), entries at p - 1 in the last cell make
+    the widest key, and the sides are int64 keys; one column wider they are
+    the (cell, value) fallback.  Both give the cells where the sides differ
+    by definition: equal sides, a cell that differs only in value, and a
+    cell on one side only."""
+    p, rows = 2**31 - 1, 4
+    width = (2**63 - 1) // (p * rows) + past
+    assert (rows * width * p < 2**63) == (not past)
+    last = (rows - 1, width - 1)
+    base = {(0, 5): 3, (1, width - 1): p - 1, (2, 0): 1, last: p - 1}
+    cases = [
+        (base, dict(base)),
+        (base, {**base, last: p - 2}),
+        (base, {**base, (2, 0): 2, (0, 4): 1}),
+        (base, {cell: c for cell, c in base.items() if cell != (0, 5)}),
+    ]
+    for lhs, rhs in cases:
+        keys = [
+            entry_keys(
+                np.array([r * width + c for r, c in side], dtype=np.int64),
+                np.array(list(side.values()), dtype=np.int64),
+                rows * width,
+                p,
+            )
+            for side in (lhs, rhs)
+        ]
+        assert [k.ndim for k in keys] == [1 + past] * 2
+        want = _differing_by_definition(lhs, rhs)
+        rs, cs = mismatches(*keys, width, p)
+        assert list(zip(rs.tolist(), cs.tolist())) == want
+        assert first_mismatch(*keys, width, p) == (want[0] if want else None)
+
+
+def _unsorted_csr(M, rng):
+    """The dense matrix M as a CSR matrix whose rows hold their columns in
+    a random order."""
+    C = sp.csr_matrix(M)
+    for a, b in zip(C.indptr[:-1], C.indptr[1:]):
+        perm = a + rng.permutation(b - a)
+        C.indices[a:b], C.data[a:b] = C.indices[perm], C.data[perm]
+    C.has_sorted_indices = False
+    return C
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_comparison_of_unsorted_sparse_matrices(seed):
+    """Seeded pairs of reduced matrices mod 7 with unsorted rows, one side
+    moved at a few cells (to another nonzero value, to zero, or from zero):
+    first_mismatch and mismatches of their matrix_keys are the dense
+    comparison."""
+    rng = np.random.default_rng(seed)
+    p = 7
+    shape = tuple(int(x) for x in rng.integers(1, 9, size=2) * (1, 5))
+    A = rng.integers(1, p, size=shape) * (rng.random(shape) < 0.4)
+    B = A.copy()
+    for _ in range(int(rng.integers(0, 4))):
+        r, c = rng.integers(0, shape[0]), rng.integers(0, shape[1])
+        B[r, c] = (B[r, c] + rng.integers(1, p)) % p
+    lhs, rhs = (matrix_keys(_unsorted_csr(M, rng), p) for M in (A, B))
+    want = [tuple(x) for x in np.argwhere(A != B).tolist()]
+    rs, cs = mismatches(lhs, rhs, shape[1], p)
+    assert list(zip(rs.tolist(), cs.tolist())) == want
+    assert first_mismatch(lhs, rhs, shape[1], p) == (want[0] if want else None)

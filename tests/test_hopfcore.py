@@ -1054,6 +1054,19 @@ def test_default_budget_checks_the_d81_double_in_few_products(monkeypatch):
     assert 0 < len(calls) <= 12
 
 
+def test_delta_takes_one_block_on_the_d81_double(monkeypatch):
+    """At the default block budget the Delta kernel on the whole basis of
+    D(taft-3-7-2) holds every j in one block, as the other kernels of its
+    verify_hopf do: the terms of F W are bounded through the length of the
+    row of W that each entry of F meets (166,860 exact terms; the longest
+    row of W for each s bounded them by 367,497, two blocks)."""
+    D = _double_over(7)[1]
+    record = _recorded_blocks(monkeypatch)
+    assert hopfcore._delta_failure(D, None, 7, *_tables(D, 7)) is None
+    sizes, ranges = record[-1]
+    assert len(sizes) == D.dim and ranges == [(0, D.dim)]
+
+
 def _empty_stub(dim):
     """Field prime 7, unit e_0, counit e^0 and no tables."""
     return parse_hopf_text(

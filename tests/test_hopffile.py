@@ -98,12 +98,16 @@ def _edge_doc(field: str, body: str) -> str:
 
 NOT_INT = "f:4: {what} must be an integer, found {tok!r}"
 # the accepted value of each edge token, or None where it is refused
-EDGE_INDEX = {"+3": 3, "-0": 0, "007": 7, "1_0": 10, "3/0": None, "2/4": None, "0x1": None}
+EDGE_INDEX = {
+    "+3": 3, "-0": 0, "007": 7, "1_0": 10, "\u0665": 5, "3/0": None, "2/4": None, "0x1": None
+}
 EDGE_SCALAR = {
-    "prime 7": {"+3": 3, "-0": 0, "007": 0, "1_0": 3, "3/0": None, "2/4": None, "0x1": None},
+    "prime 7": {
+        "+3": 3, "-0": 0, "007": 0, "1_0": 3, "\u0665": 5, "3/0": None, "2/4": None, "0x1": None
+    },
     "rational": {
         "+3": Fraction(3), "-0": 0, "007": Fraction(7), "1_0": Fraction(10),
-        "3/0": None, "2/4": Fraction(1, 2), "0x1": None,
+        "\u0665": Fraction(5), "3/0": None, "2/4": Fraction(1, 2), "0x1": None,
     },
 }
 

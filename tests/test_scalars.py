@@ -88,6 +88,18 @@ def test_prime_field_parse_fmt():
         F.parse("2/3")
 
 
+def test_qq_parse_all_reads_integer_tokens_as_parse_does():
+    """Over QQ, integer tokens of every form int() accepts (a sign, leading
+    zeros, an underscore, non-ASCII digits) give Fraction(token), and a list
+    holding a fraction or an exponent is read token by token by parse."""
+    ints = ["+5", "-0", "00012", "1_0", "\u0665", "\u0661\u0662"]
+    got = QQ.parse_all(ints)
+    assert got == [Fraction(t) for t in ints] == [5, 0, 12, 10, 5, 12]
+    assert all(type(c) is Fraction for c in got)
+    mixed = ["3", "1/2", "1e3", "-7"]
+    assert QQ.parse_all(mixed) == [Fraction(t) for t in mixed]
+
+
 @pytest.mark.parametrize("field", [GF(7), QQ])
 def test_parse_all_is_parse_of_each_token(field):
     """parse_all reads a token list as parse reads each token, and a bad

@@ -4,13 +4,15 @@ function that only the tests call outside the paper-content API, no
 top-level function name defined in two modules, and no static
 constructor unreferenced through its class, one gate picks the int64
 engine, zero tests are truthiness tests, no matrix is a hand-filled grid,
-and numpy and scipy load only when that engine runs."""
+no sparse matrix has its rows sorted, and numpy and scipy load only when
+that engine runs."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -448,6 +450,20 @@ def test_grid_fill_scan_finds_each_form(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text(src, encoding="utf-8")
     assert _grid_fills(path) == [f"probe.py:{line}" for line in (2, 3, 5)]
+
+
+def test_no_sparse_rows_are_sorted():
+    """The two sides of an identity are compared as sorted int64 keys
+    (algebra.entry_keys, whose fallback sorts by cell with argsort), so no
+    module of src/hopfrob sorts the rows of a sparse matrix: neither
+    sort_indices nor sorted_indices appears there."""
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"\bsort(ed)?_indices\b", line)
+    ]
+    assert found == []
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
