@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
 from .errors import InternalCheckError, ShapeError, SingularError
-from .linalg import Matrix, basis_vec, mulmod, residues
+from .linalg import Matrix, basis_vec, csr_rows, mulmod, residues
 from .report import Report
 from .scalars import Field
 
@@ -559,13 +559,6 @@ def basis_rows(rows: Optional[Sequence], n: int):
 
     index = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     return sp.identity(n, dtype=np.int64, format="csr")[index], index
-
-
-def csr_rows(C):
-    """The row of each stored entry of the CSR matrix C, in storage order."""
-    import numpy as np
-
-    return np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
 
 
 def row_compact(keys, cols, vals, ncols: int) -> tuple:

@@ -10,25 +10,27 @@ canonical: the same input always yields byte-identical output.
 
 Two arithmetic engines exist, and machine_prime chooses between them from
 the field alone: over GF(p) with p < 2^31 large eliminations (rref, solve,
-solve_matrix, inverse), large products (Matrix.mul), the kernel of a stacked
-sparse operator (iterated_kernel_sparse) and the sparse identity checks in
-algebra and hopfcore, in blocks bounded by the one byte budget _BLOCK_BYTES,
-run on int64 numpy/scipy arrays, everything else on Python scalars.  A large
-inverse eliminates [A | I] as one int64 array.  A stacked operator comes in
-the form of its engine, an int64 CSR matrix reduced mod p or a dict of
-Python scalars, and iterated_kernel_sparse and annihilates read it as it
-comes.  Every int64 sum of products goes through mulmod, which is exact for
-any number of terms (its docstring bounds its intermediates), so results
-are identical to the generic path (property-tested).  mulmod alone picks
-how a product runs: two dense operands whose every partial sum stays below
-2^53, as with the small primes of the catalog and the doubles, go through
-float64 BLAS, which is exact there, the larger operand a block at a time;
-the others through int64, in 16-bit limbs when the plain product could pass
-2^63.  The Python-scalar loops test zeros by truthiness (scalars.Field) and
-skip zero operands.  The sparse identity checks also run over QQ:
-engine_primes, built on machine_prime, picks enough primes below 2^31 that
-an identity holding mod each of them holds in QQ (the bound is in its
-docstring), and residues reduces each rational exactly.
+solve_matrix, inverse), large products (Matrix.mul), the products of a
+sparse operator and the sparse identity checks in algebra and hopfcore, in
+blocks bounded by the one byte budget _BLOCK_BYTES, run on int64 numpy/scipy
+arrays, everything else on Python scalars.  A large inverse eliminates
+[A | I] as one int64 array.  A sparse operator comes in the form of its
+engine, an int64 CSR matrix mod p or a dict of Python scalars, and one exact
+routine finds its kernel in both (iterated_kernel_sparse: peel the
+coordinates forced to zero, refine K by S K); they differ only in reading it
+(_entries) and in S K (_product_rows).  Every int64 sum of products goes
+through mulmod, which is exact for any number of terms (its docstring bounds
+its intermediates), so results are identical to the generic path
+(property-tested).  mulmod alone picks how a product runs: two dense
+operands whose every partial sum stays below 2^53, as with the small primes
+of the catalog and the doubles, go through float64 BLAS, which is exact
+there, the larger operand a block at a time; the others through int64, in
+16-bit limbs when the plain product could pass 2^63.  The Python-scalar
+loops test zeros by truthiness (scalars.Field) and skip zero operands.  The
+sparse identity checks also run over QQ: engine_primes, built on
+machine_prime, picks enough primes below 2^31 that an identity holding mod
+each of them holds in QQ (the bound is in its docstring), and residues
+reduces each rational exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .errors import FieldMismatchError, ShapeError, SingularError
@@ -48,8 +52,8 @@ _LIMB_BITS = 16
 # The bytes one block of a sparse kernel may hold live.  A block counts 24
 # bytes (an int64 value and two int64 indices) for each entry of each of its
 # intermediates, products and re-lays included, with a product's entries
-# bounded by its terms (algebra.blocks); _iterated_kernel_modp counts 8 bytes
-# for each cell that the elimination of its dense block may write, and
+# bounded by its terms (algebra.blocks); _product_rows counts 8 bytes for
+# each cell of the dense product of a block of an operator's rows by K, and
 # _mulmod_float64 8 bytes for each float64 cell of a block and its product.
 # The counts bound from above, so a block holds less: at 16 MB the largest
 # block of any kernel on D(taft-4-5-2) peaks at 7.6 MB (tracemalloc), and
@@ -221,6 +225,13 @@ def _mulmod_float64(A, B, p: int):
     return out
 
 
+def csr_rows(C):
+    """The row of each stored entry of the CSR matrix C, in storage order."""
+    import numpy as np
+
+    return np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+
+
 def _term_slices(A):
     """CSR matrices A_s with A = sum A_s and at most 2^16 terms in each row:
     the entries of each row of A taken 2^16 at a time, in row order (at
@@ -229,8 +240,7 @@ def _term_slices(A):
     import scipy.sparse as sp
 
     A = sp.csr_matrix(A)
-    counts = np.diff(A.indptr)
-    rows = np.repeat(np.arange(A.shape[0]), counts)
+    counts, rows = np.diff(A.indptr), csr_rows(A)
     # the place of each entry in its row
     place = np.arange(A.nnz) - A.indptr[rows]
     width = 1 << _LIMB_BITS
@@ -565,109 +575,106 @@ def canonical_basis(field: Field, vectors: Iterable[Sequence]) -> tuple[tuple, .
 
 
 def iterated_kernel_sparse(field: Field, dim: int, S) -> tuple[tuple, ...]:
-    """Canonical basis of the kernel of the stacked operator S.
+    """Canonical basis of the kernel of a sparse operator S with dim columns
+    (hopfcore.integral_operator), an int64 CSR matrix read mod p over a
+    GF(p) that machine_prime admits, otherwise a dict {(row, col): scalar}.
 
-    S is sparse with dim columns: rows a*dim .. a*dim + dim - 1 are the a-th
-    dim x dim constraint, and the whole of S is built once.  Over a GF(p)
-    that machine_prime admits it is an int64 CSR matrix reduced mod p,
-    otherwise a dict {(row, col): scalar}.  The kernel is refined one block
-    of rows at a time from K, whose columns span the vectors every block so
-    far annihilates.
-
-    The generic engine reads one constraint (dim rows) at a time.  The
-    int64 engine keeps the rows of S that hold an entry (an empty row
-    constrains nothing and costs nothing), and each step multiplies the
-    next rows by K through mulmod, as many rows as keep the cells that the
-    elimination of their product may write within the byte budget
-    _BLOCK_BYTES (rows * cols(K)^2 cells of 8 bytes, at least one row: 319
-    rows while K is the identity at dim 81, and steps grow as K shrinks).  A block whose product vanishes holds on
-    all of K and costs no elimination; otherwise one elimination of that
-    product refines K to its null space.  The stop is exact: K is final once
-    every remaining row times K is zero, and that is the product itself,
-    not a sample.  The rows left after a refinement are multiplied in
-    budget-sized blocks rather than in one product, so memory stays flat
-    while K is still wide.
+    Peel: a row whose one nonzero entry c is at column j says c t_j = 0,
+    so t_j = 0; such columns go until no row has a single entry left.
+    Refine: K starts as the identity on the columns left (S K is S there);
+    while S K != 0, K becomes K times the kernel of its first nonzero rows,
+    at most cols(K).  Exact on every input: ker S stays in span K
+    (S K x = 0 for K x in ker S), each pass drops a column of K, and the
+    loop stops only when S K = 0.  The engines differ only in reading S
+    (_entries) and in S K (_product_rows).
     """
-    if machine_prime(field) is not None:
-        return _iterated_kernel_modp(field, dim, S)
-    z = field.zero()
-    constraints: dict = {}
-    for (r, c), val in S.items():
-        val = field.normalize(val)
-        if val:
-            constraints.setdefault(r // dim, []).append((r % dim, c, val))
-    # columns of K span the current candidate subspace
-    K = [basis_vec(field, dim, i) for i in range(dim)]
-    for a in sorted(constraints):
-        if not K:
-            break
-        # the nonzero entries of K at each coordinate
-        at = [[] for _ in range(dim)]
-        for t, v in enumerate(K):
-            for c, x in enumerate(v):
-                if x:
-                    at[c].append((t, x))
-        CK = Matrix.from_entries(
-            field, dim, len(K), (((r, t), val * x) for r, c, val in constraints[a] for t, x in at[c])
-        )
-        null = CK.kernel()
-        if len(null) == len(K):
-            continue
-        newK = []
-        for n in null:
-            w = [z] * dim
-            for t, coef in enumerate(n):
-                if coef:
-                    for d, x in enumerate(K[t]):
-                        if x:
-                            w[d] += coef * x
-            newK.append(tuple(field.normalize(x) for x in w))
-        K = newK
-    return canonical_basis(field, K)
-
-
-def _iterated_kernel_modp(field: PrimeField, dim: int, S) -> tuple[tuple, ...]:
     import numpy as np
 
-    p = field.p
-    # only the rows that hold an entry constrain K
-    A = S[np.flatnonzero(np.diff(S.indptr))]
-    K = np.eye(dim, dtype=np.int64)
-    r = 0
-    while r < A.shape[0] and K.shape[1]:
-        # the elimination of a block rewrites each of its int64 cells up to
-        # cols(K) times, so a step writes, and holds, at most the budget
-        step = max(1, _BLOCK_BYTES // (8 * K.shape[1] ** 2))
-        block = mulmod(A[r : r + step], K, p)
-        r += step
-        if block.any():
-            K = _refine(K, block, p)
-    return canonical_basis(field, K.T.tolist())
+    rows, cols, vals = _entries(field, S)
+    left, r, c = np.ones(dim, dtype=bool), rows, cols
+    while True:
+        r, c = r[left[c]], c[left[c]]
+        # an entry is alone in its row when neither neighbour shares it
+        edge = np.diff(r, prepend=-1, append=-1).astype(bool)
+        alone = edge[:-1] & edge[1:]
+        if not alone.any():
+            break
+        left[c[alone]] = False
+    keep = left[cols]
+    # S on the columns left, renumbered 0 .. w - 1, in which K is written
+    entries = rows, cols, vals = rows[keep], (np.cumsum(left) - 1)[cols[keep]], vals[keep]
+    free = np.flatnonzero(left).tolist()
+    number = np.cumsum(np.diff(rows, prepend=-1).astype(bool)) - 1
+    first = number < len(free)
+    cells = zip(zip(number[first].tolist(), cols[first].tolist()), vals[first].tolist())
+    block = Matrix.from_entries(field, len(free), len(free), cells)
+    block = Matrix(field, tuple(filter(any, block.rows)))
+    K = None  # the identity on the columns left
+    while block.rows:
+        null = Matrix(field, block.kernel())
+        if not null.rows:
+            return ()
+        K = null if K is None else null.mul(K)
+        block = Matrix(field, tuple(islice(_product_rows(field, entries, K.rows), K.nrows)))
+    basis = Matrix.identity(field, len(free)).rows if K is None else canonical_basis(field, K.rows)
+    # zero columns put between the columns left keep a reduced echelon form
+    cells = (((i, j), x) for i, v in enumerate(basis) for j, x in zip(free, v) if x)
+    return Matrix.from_entries(field, len(basis), dim, cells).rows
 
 
 def annihilates(field: Field, S, vec: Sequence) -> bool:
-    """Whether the operator S of iterated_kernel_sparse maps vec to zero:
-    over an admitted GF(p) one mulmod of S by vec, otherwise one pass over
-    the entries of the dict that skips the columns where vec is zero."""
-    p = machine_prime(field)
-    if p is not None:
-        return not mulmod(S, residues(vec, p).reshape(-1, 1), p).any()
-    acc: dict = {}
-    for (r, c), val in S.items():
-        if vec[c]:
-            acc[r] = acc.get(r, 0) + val * vec[c]
-    return not any(field.normalize(x) for x in acc.values())
+    """Whether the operator S of iterated_kernel_sparse maps vec to zero."""
+    return next(_product_rows(field, _entries(field, S), (tuple(vec),)), None) is None
 
 
-def _refine(K, block, p: int):
-    """The columns of K combined along the right kernel of block (= S K for
-    a block of rows S), mod p: the null vector of each free column f of the
-    reduced echelon form is e_f - sum_r red[r, f] e_pivot(r)."""
+def _entries(field: Field, S) -> tuple:
+    """The nonzero entries of an operator of iterated_kernel_sparse in row
+    order: arrays of rows, columns and values (int64, or Python scalars)."""
     import numpy as np
 
-    red, pivots = _rref_modp_numpy(block, p)
-    free = np.setdiff1d(np.arange(K.shape[1]), pivots)
-    return (K[:, free] - mulmod(K[:, pivots], red[: len(pivots), free], p)) % p
+    p = machine_prime(field)
+    if p is not None:
+        rows, cols, vals = csr_rows(S), S.indices, S.data % p
+    else:
+        keys = sorted(S)
+        rows, cols = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+        vals = np.array([field.normalize(S[k]) for k in keys], dtype=object)
+    keep = vals.astype(bool)
+    return rows[keep], cols[keep], vals[keep]
+
+
+def _product_rows(field: Field, entries: tuple, K: Sequence):
+    """The nonzero rows of S K in row order, lazily, for S given by its
+    entries (_entries) and K by its columns, reading the entries in K's
+    support only: on the int64 engine by mulmod, in blocks of rows whose
+    dense product (8 bytes a cell) fits _BLOCK_BYTES, so memory stays flat
+    however many rows S has; on the generic engine a row at a time."""
+    import numpy as np
+
+    # the nonzero (t, K[t][j]) at each coordinate j, K[t] the t-th column
+    at = [[(t, x) for t, x in enumerate(c) if x] for c in zip(*K)]
+    rows, cols, vals = (a[np.array(list(map(bool, at)))[entries[1]]] for a in entries)
+    number = np.cumsum(np.diff(rows, prepend=-1).astype(bool)) - 1
+    p = machine_prime(field)
+    if p is not None:
+        import scipy.sparse as sp
+
+        Kt = np.array(K, dtype=np.int64).T
+        n = int(number[-1]) + 1 if len(number) else 0
+        A = sp.csr_matrix((vals, (number, cols)), shape=(n, len(at)))
+        step = max(1, _BLOCK_BYTES // (8 * len(K)))
+        for r in range(0, n, step):
+            block = mulmod(A[r : r + step], Kt, p)
+            yield from map(tuple, block[block.any(axis=1)].tolist())
+        return
+    z, norm = field.zero(), field.normalize
+    for _, group in groupby(zip(number.tolist(), cols.tolist(), vals.tolist()), key=itemgetter(0)):
+        acc: dict = {}
+        for _, c, x in group:
+            for t, y in at[c]:
+                acc[t] = acc[t] + x * y if t in acc else x * y
+        if any(map(norm, acc.values())):
+            yield tuple(norm(acc[t]) if t in acc else z for t in range(len(K)))
 
 
 # -- elimination engines ---------------------------------------------------

@@ -679,9 +679,9 @@ def test_double_integral_stage_runs_few_eliminations_and_no_algebra_product(
 ):
     """Inside double_fh_check of `double taft-3-7-2.hopf`, unimodularity is
     read off S_right T, not an algebra product per basis vector (81), and
-    the two integral spaces of D(taft-3-7-2) run at most 8 int64
-    eliminations (6 with the default cell budget: three blocks per space),
-    not one per constraint (2 * 81)."""
+    the two integral spaces of D(taft-3-7-2) run at most 8 eliminations,
+    not one per constraint (2 * 81), none wider than dim H = 9 columns
+    (6 eliminations of 3 columns: the peel leaves 3 columns per space)."""
     path = emit(tmp_path, "taft-3-7-2")
     inside, products, eliminations = [], [], []
     fh_check = cli.double_fh_check
@@ -693,16 +693,16 @@ def test_double_integral_stage_runs_few_eliminations_and_no_algebra_product(
         finally:
             inside.pop()
 
-    def counting(calls, fn):
-        return lambda *args: (calls.append(1) if inside else None) or fn(*args)
+    def counting(calls, fn, mark=lambda *args: 1):
+        return lambda *args: (calls.append(mark(*args)) if inside else None) or fn(*args)
 
     monkeypatch.setattr(cli, "double_fh_check", traced)
     monkeypatch.setattr(
         StructureAlgebra, "multiply", counting(products, StructureAlgebra.multiply)
     )
-    monkeypatch.setattr(
-        linalg, "_rref_modp_numpy", counting(eliminations, linalg._rref_modp_numpy)
-    )
+    width = lambda field, rows: len(rows[0]) if rows else 0
+    monkeypatch.setattr(linalg, "_rref", counting(eliminations, linalg._rref, width))
     assert main(["double", str(path)]) == 0
     assert products == []
     assert 0 < len(eliminations) <= 8
+    assert max(eliminations) <= 9

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from conftest import count_calls, double_of, double_report_of, taft_over
 
-from hopfrob import algebra, double
+from hopfrob import algebra, double, linalg
 from hopfrob.algebra import (
     StructureAlgebra,
     multiplicative_failure,
@@ -230,6 +230,22 @@ def test_integral_structure(key):
     assert fh.dual_integral_dim == 1
     assert fh.integral_dim == 1
     assert fh.unimodular
+
+
+def test_integral_eliminations_of_the_d256_double_are_at_most_dim_h_wide(monkeypatch):
+    """Every elimination inside double_fh_check on D(taft-4-5-2) has at
+    most dim H = 16 columns (4 now: what the peel of each operator leaves),
+    so a kernel that refines a K as wide as D (256 columns) fails here,
+    not only on the clock."""
+    D = double_of("taft-4-5-2")
+    widths = []
+    rref = linalg._rref
+    monkeypatch.setattr(
+        linalg, "_rref", lambda field, rows: widths.append(len(rows[0]) if rows else 0) or rref(field, rows)
+    )
+    fh = double_fh_check(D)
+    assert (fh.dual_integral_dim, fh.integral_dim, fh.unimodular) == (1, 1, True)
+    assert widths and max(widths) <= 16
 
 
 def test_double_radford_and_modular_pair():

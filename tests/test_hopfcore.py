@@ -810,9 +810,16 @@ def test_engines_agree_on_the_d36_nakayama_automorphism_over_qq(
 MODP_KEYS = [k for k in names() if entry(k).hopf.field.characteristic]
 MODP_OBJECTS = MODP_KEYS + [f"D({k})" for k in MODP_KEYS if entry(k).hopf.dim ** 2 <= 81]
 SPACES = [(side, dual) for dual in (False, True) for side in ("left", "right")]
+# the integral operators of a group algebra have no row with a single entry
+# (the left and right ones of GF7[C16], the dual one of GF7[C16]*), so the
+# peel leaves all 16 columns to the refinement
+UNPEELED = ["GF7[C16]", "GF7[C16]*"]
 
 
 def _object(name):
+    if name in UNPEELED:
+        G = group_algebra(cyclic_table(16), GF(7), name="GF7[C16]")
+        return dual_hopf(G) if name.endswith("*") else G
     return double_of(name[2:-1]) if name.startswith("D(") else entry(name).hopf
 
 
@@ -857,7 +864,7 @@ def _decisions_agree(H, smallest_blocks, generic_engine):
 
 
 @pytest.mark.parametrize("kind", [None, "mul", "comul", "unit"])
-@pytest.mark.parametrize("name", MODP_OBJECTS)
+@pytest.mark.parametrize("name", MODP_OBJECTS + UNPEELED)
 def test_integral_spaces_agree_on_both_engines_and_any_block_size(
     name, kind, smallest_blocks, generic_engine
 ):
@@ -872,7 +879,7 @@ def test_integral_spaces_agree_on_both_engines_and_any_block_size(
 
 
 @pytest.mark.parametrize("at", range(4))
-@pytest.mark.parametrize("name", MODP_OBJECTS)
+@pytest.mark.parametrize("name", MODP_OBJECTS + UNPEELED)
 def test_integral_decisions_agree_on_moved_constants(name, at, smallest_blocks, generic_engine):
     """As above on a mutant with one structure constant moved by one, at
     one of two seeded positions of each table (mul first).  A mul mutant

@@ -751,3 +751,81 @@ def test_generic_engine_on_sparse_inputs_matches_dense_loops(field, seed, monkey
     stacked = [row for _ in range(nblocks) for row in _sparse_rows(rng, field, dim, dim)]
     S = {(r, c): x for r, row in enumerate(stacked) for c, x in enumerate(row) if x != z}
     assert linalg.iterated_kernel_sparse(field, dim, S) == _ref_kernel(field, stacked, dim)
+
+
+def _operator_forms(field, stacked):
+    """The operator whose rows are stacked, in the form of each engine: the
+    dict {(row, col): scalar} and the int64 CSR matrix reduced mod p."""
+    S = {(r, c): x for r, row in enumerate(stacked) for c, x in enumerate(row) if x}
+    rows, cols = [r for r, _ in S], [c for _, c in S]
+    values = np.array(list(S.values()), dtype=np.int64)
+    return S, sp.csr_matrix((values, (rows, cols)), shape=(len(stacked), len(stacked[0])))
+
+
+NEAR_2_31 = 2**31 - 1  # prime, the largest that machine_prime admits
+
+
+@pytest.mark.parametrize("p", [7, NEAR_2_31], ids=["GF7", "GF2^31-1"])
+@pytest.mark.parametrize("seed", range(40))
+def test_int64_kernel_of_stacked_operators_matches_the_reference(p, seed, generic_engine):
+    """iterated_kernel_sparse on the int64 CSR form of a random stacked
+    operator (blocks of at least 70 % zeros, some empty) equals the
+    reference kernel, as does the dict form on the Python-scalar engine;
+    annihilates holds on the kernel and, for a unit vector e_j, exactly
+    when column j is zero."""
+    field = GF(p)
+    rng = random.Random(seed)
+    dim, nblocks = rng.randint(1, 8), rng.randint(1, 4)
+    stacked = [row for _ in range(nblocks) for row in _sparse_rows(rng, field, dim, dim)]
+    want = _ref_kernel(field, stacked, dim)
+    S, csr = _operator_forms(field, stacked)
+    units = [basis_vec(field, dim, j) for j in range(dim)]
+    zero_columns = [not any(r[j] for r in stacked) for j in range(dim)]
+    for form in (csr, S):
+        if form is S:
+            generic_engine()
+        assert linalg.iterated_kernel_sparse(field, dim, form) == want
+        assert all(linalg.annihilates(field, form, v) for v in want)
+        assert [linalg.annihilates(field, form, e) for e in units] == zero_columns
+
+
+def _chain_rows(p):
+    """Row i holds 1 at columns 0 .. i, last row first: only row 0 has a
+    single entry, and each forced column leaves the next row one entry."""
+    return [[1 if j <= i else 0 for j in range(5)] for i in reversed(range(5))]
+
+
+def _two_pass_rows(p):
+    """No row has a single entry.  The first three rows are multiples of
+    e_0 - e_1, so the first pass leaves span{e_0 + e_1, e_2}; the fourth,
+    e_1 - e_2, is not zero there, so a second pass leaves e_0 + e_1 + e_2,
+    which the fifth row also annihilates."""
+    m = p - 1
+    return [[1, m, 0], [2, 2 * m % p, 0], [3, 3 * m % p, 0], [0, 1, m], [1, 1, p - 2]]
+
+
+@pytest.mark.parametrize("engine", ["int64", "generic"])
+@pytest.mark.parametrize("p", [7, NEAR_2_31], ids=["GF7", "GF2^31-1"])
+@pytest.mark.parametrize(
+    "rows, want, eliminations",
+    [(_chain_rows, (), 0), (_two_pass_rows, ((1, 1, 1),), 2)],
+    ids=["peel-forces-all", "two-passes"],
+)
+def test_kernel_peels_and_refines_on_both_engines(
+    rows, want, eliminations, p, engine, monkeypatch, generic_engine
+):
+    """An operator whose peel forces every coordinate needs no elimination,
+    and one whose first pass leaves a K that S does not annihilate takes a
+    second: the kernel is exact either way, on both engines."""
+    field = GF(p)
+    stacked = rows(p)
+    assert _ref_kernel(field, stacked, len(stacked[0])) == want
+    S, csr = _operator_forms(field, stacked)
+    if engine == "generic":
+        generic_engine()
+    calls = []
+    kernel = Matrix.kernel
+    monkeypatch.setattr(Matrix, "kernel", lambda self: calls.append(self.ncols) or kernel(self))
+    form = csr if engine == "int64" else S
+    assert linalg.iterated_kernel_sparse(field, len(stacked[0]), form) == want
+    assert len(calls) == eliminations

@@ -4,17 +4,20 @@ function that only the tests call outside the paper-content API, no
 top-level function name defined in two modules, and no static
 constructor unreferenced through its class, one gate picks the int64
 engine, zero tests are truthiness tests, no matrix is a hand-filled grid,
-no sparse matrix has its rows sorted, and numpy and scipy load only when
-that engine runs."""
+no sparse matrix has its rows sorted, numpy and scipy load only when
+that engine runs, and the docs name only attributes that exist."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -475,3 +478,99 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# a dotted chain of identifiers, and a private name (underscore and two or
+# more characters) not followed by a dot, a call or more of a word
+DOTTED = re.compile(r"(?<![\w.])([A-Za-z_]\w*)((?:\.[A-Za-z_]\w*)+)")
+PRIVATE = re.compile(r"(?<![\w.])(_[A-Za-z]\w+)(?![\w.(])")
+# a reference whose last part is one of these is a file name, not an attribute
+FILE_SUFFIXES = {"txt", "hopf", "mat", "mod", "json", "md", "py"}
+
+
+def _resolves(owner, parts) -> bool:
+    """Whether owner.parts[0].parts[1]... exists; a dataclass field counts."""
+    for part in parts:
+        if hasattr(owner, part):
+            owner = getattr(owner, part)
+        elif dataclasses.is_dataclass(owner):
+            return part in {f.name for f in dataclasses.fields(owner)}
+        else:
+            return False
+    return True
+
+
+def _stale_references(text: str, home=None) -> list:
+    """The references of text that name nothing: module.name chains over
+    hopfrob's modules and, when the text is the module home's own, Class.name
+    chains over its classes and bare private names, which must be home's or
+    one of its classes' attributes."""
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    stale = []
+    for m in DOTTED.finditer(text):
+        first, parts = m.group(1), m.group(2)[1:].split(".")
+        if parts[-1] in FILE_SUFFIXES:
+            continue
+        if first in modules:
+            owner = importlib.import_module(f"hopfrob.{first}")
+        elif home is not None and isinstance(getattr(home, first, None), type):
+            owner = getattr(home, first)
+        else:
+            continue
+        if not _resolves(owner, parts):
+            stale.append(m.group(0))
+    if home is not None:
+        classes = [c for c in vars(home).values() if isinstance(c, type)]
+        for m in PRIVATE.finditer(text):
+            name = m.group(1)
+            if not (hasattr(home, name) or any(hasattr(c, name) for c in classes)):
+                stale.append(name)
+    return stale
+
+
+def _docs_and_comments(path: Path):
+    """Each docstring (module, class, function) and comment of a module."""
+    source = path.read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield doc
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            yield tok.string
+
+
+def test_docs_name_only_what_exists():
+    """Every module.name (or Class.name) reference in the docstrings and
+    comments of src/hopfrob and in README.md, and every private name a
+    module's own docstrings and comments mention, names an attribute that
+    exists, so a deleted or renamed helper leaves no prose behind."""
+    stale = [
+        f"{path.name}: {ref}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for text in _docs_and_comments(path)
+        for ref in _stale_references(text, importlib.import_module(f"hopfrob.{path.stem}"))
+    ]
+    stale += [f"README.md: {ref}" for ref in _stale_references((ROOT / "README.md").read_text())]
+    assert stale == []
+
+
+def test_stale_reference_scan_finds_each_form():
+    """The scan above flags a missing module attribute, a missing class
+    attribute and a missing private name of the module whose text it is,
+    and passes file names, dataclass fields, math subscripts and names of
+    other objects (np.int64, self.rows)."""
+    from hopfrob import hopfcore, linalg
+
+    text = (
+        "linalg._no_such_helper, Matrix.no_such_method and _no_such_constant; "
+        "linalg.Matrix.from_entries, _BLOCK_BYTES, --report report.txt, "
+        "np.int64, self.rows, e_m, (x)_K and Matrix.field"
+    )
+    assert _stale_references(text, linalg) == [
+        "linalg._no_such_helper",
+        "Matrix.no_such_method",
+        "_no_such_constant",
+    ]
+    assert _stale_references("frobenius.IntegralData.gram, linalg.mulmod", hopfcore) == []
