@@ -4,10 +4,15 @@ The multiplication tensor is stored sparsely: mul maps a basis-index pair
 (i, j) to the expansion of e_i * e_j as a sorted tuple of (k, coeff) with
 zero coefficients omitted and missing keys meaning the zero product.  All
 scalars are stored normalized for the algebra's field, so structural
-equality of two algebras is plain equality of their tables.  The int64
-engine reads a table through its residue arrays (structure_arrays here,
-comul_arrays for a Hopf algebra's comul), built once per object and prime
-and kept on the object; every int64 consumer of a table takes them.
+equality of two algebras is plain equality of their tables.  numpy code
+reads a table through its table arrays (structure_arrays here, comul_arrays
+for a Hopf algebra's comul): int64 index columns and one value array, built
+once per object and key and kept on the object.  The key is a prime p, whose
+values are the int64 residues mod p, or None, linalg.machine_prime's answer
+on the Python-scalar engine, whose values are an object array of the
+table's own scalars; so the two engines differ there only in the dtype of
+the values.  What the checks read off the mul table besides (its product
+cover and the scale of its constants) is cached on the algebra as well.
 
 The quantified identities (associativity on every basis triple, "phi is an
 algebra map" on every basis pair, and in hopfcore Delta multiplicative and
@@ -118,8 +123,8 @@ class StructureAlgebra:
     mul: Mapping  # (i, j) -> SparseRow
     unit: tuple
     basis_names: tuple
-    # structure_arrays per prime, each built on first use
-    _residues: dict = dc_field(default_factory=dict, init=False, repr=False)
+    # structure_arrays per key (a prime, or None), each built on first use
+    _arrays: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
     def from_sparse(
@@ -145,6 +150,17 @@ class StructureAlgebra:
         if len(names) != dim:
             raise ShapeError("basis name count mismatch")
         return StructureAlgebra(field, dim, table, u, names)
+
+    @cached_property
+    def cover(self) -> Optional[tuple]:
+        """The generators of product_cover, or None when they are the basis."""
+        generators, _ = product_cover(self)
+        return generators if len(generators) < self.dim else None
+
+    @cached_property
+    def scale(self) -> tuple:
+        """linalg.scale_of the constants of the mul table."""
+        return linalg.scale_of(table_constants(self))
 
     # -- element-level operations -----------------------------------------
 
@@ -233,11 +249,9 @@ class StructureAlgebra:
 # -- axioms -----------------------------------------------------------------
 
 
-def verify_algebra(
-    A: StructureAlgebra, title: str = "algebra axioms", table: Optional[MulTable] = None
-) -> Report:
+def verify_algebra(A: StructureAlgebra, title: str = "algebra axioms") -> Report:
     """Unit law and associativity of A, the latter through A's product
-    cover (on_cover).  A caller that reads A's MulTable too passes it."""
+    cover (on_cover)."""
     rep = Report(title)
     bad_unit = unit_failure(A)
     rep.add(
@@ -246,13 +260,12 @@ def verify_algebra(
         "" if bad_unit is None else f"{bad_unit[0]} unit fails at basis {bad_unit[1]}",
     )
 
-    table = table or MulTable(A)
     bad_triple = on_cover(
-        table.cover,
+        A.cover,
         lambda rows: first_failure(
             A.field,
             A.dim,
-            lambda: table.scale,
+            lambda: A.scale,
             2,
             A.dim,
             lambda p: _associativity_failure(A, rows, p, structure_arrays(A, p)),
@@ -315,23 +328,6 @@ def on_cover(cover: Optional[Sequence], check):
     the whole basis: with product_cover's generators, that of check(None)."""
     bad = check(cover)
     return bad if bad is None or cover is None else check(None)
-
-
-class MulTable:
-    """What the checks of one verify read off A's mul table, each built on
-    first use: its cover and its scale."""
-
-    def __init__(self, A: StructureAlgebra):
-        self.A = A
-
-    @cached_property
-    def cover(self) -> Optional[tuple]:
-        generators, _ = product_cover(self.A)  # None when they are the basis
-        return generators if len(generators) < self.A.dim else None
-
-    @cached_property
-    def scale(self) -> tuple:
-        return linalg.scale_of(table_constants(self.A))
 
 
 def unit_failure(A: StructureAlgebra) -> Optional[tuple]:
@@ -402,8 +398,8 @@ def multiplicative_failure(
     return first_failure(
         dst.field,
         dim,
-        lambda: linalg.scale_of(
-            chain(table_constants(src), table_constants(dst), chain.from_iterable(phi.rows))
+        lambda: linalg.joint_scale(
+            src.scale, dst.scale, linalg.scale_of(chain.from_iterable(phi.rows))
         ),
         3,
         dim * dim,
@@ -497,37 +493,41 @@ def first_failure(
     return merge([kernel(p) for p in primes])
 
 
-def structure_arrays(A: StructureAlgebra, p: int) -> tuple:
-    """The mul table mod p as read-only int64 arrays (i, j, k, c): e_i e_j
-    has c != 0 at e_k.  Built once per algebra and prime, and kept on A."""
-    if p not in A._residues:
+def structure_arrays(A: StructureAlgebra, p: Optional[int]) -> tuple:
+    """The mul table as read-only arrays (i, j, k, c): e_i e_j has c != 0
+    at e_k, the values mod p, or A's own scalars for the key p = None
+    (table_arrays).  Built once per algebra and key, and kept on A."""
+    if p not in A._arrays:
         import numpy as np
 
         keys = np.fromiter(chain.from_iterable(A.mul), dtype=np.int64, count=2 * len(A.mul))
-        A._residues[p] = residue_arrays(A.field, p, keys.reshape(-1, 2), A.mul.values())
-    return A._residues[p]
+        A._arrays[p] = table_arrays(A.field, p, keys.reshape(-1, 2), A.mul.values())
+    return A._arrays[p]
 
 
-def comul_arrays(H, p: int) -> tuple:
-    """The comul table of the Hopf algebra H mod p as read-only int64 arrays
-    (m, u, v, d): Delta(e_m) has d != 0 at e_u (x) e_v.  Built once per Hopf
-    algebra and prime, and kept on H."""
-    if p not in H._residues:
+def comul_arrays(H, p: Optional[int]) -> tuple:
+    """The comul table of the Hopf algebra H as read-only arrays (m, u, v,
+    d): Delta(e_m) has d != 0 at e_u (x) e_v, the values mod p, or H's own
+    scalars for the key p = None (table_arrays).  Built once per Hopf
+    algebra and key, and kept on H."""
+    if p not in H._arrays:
         import numpy as np
 
         keys = np.fromiter(H.comul, dtype=np.int64, count=len(H.comul))
-        H._residues[p] = residue_arrays(H.field, p, keys.reshape(-1, 1), H.comul.values())
-    return H._residues[p]
+        H._arrays[p] = table_arrays(H.field, p, keys.reshape(-1, 1), H.comul.values())
+    return H._arrays[p]
 
 
-def residue_arrays(field: Field, p: int, keys, rows) -> tuple:
-    """The entries of a table as four read-only int64 arrays: the columns
+def table_arrays(field: Field, p: Optional[int], keys, rows) -> tuple:
+    """The entries of a table as four read-only arrays: the int64 columns
     of keys (the indices of each row's key, one line per row of rows)
-    repeated over the terms of the row, then the indices of each term and
-    its scalar mod p, the terms whose scalar vanishes mod p dropped.  Over
+    repeated over the terms of the row, then the int64 indices of each term
+    and its scalar, in table order.  For a prime p the scalars are int64
+    residues mod p, the terms whose scalar vanishes mod p dropped: over
     GF(p) itself each scalar is a nonzero residue already (tables are
-    canonical), so the terms are read in one flat pass; otherwise the
-    scalars go through linalg.residues."""
+    canonical), so the terms are read in one flat pass; otherwise they go
+    through linalg.residues.  For p = None the scalars are the table's own,
+    normalized and nonzero, in an object array."""
     import numpy as np
 
     counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(keys))
@@ -536,29 +536,23 @@ def residue_arrays(field: Field, p: int, keys, rows) -> tuple:
     width = 4 - keys.shape[1]
     if field.characteristic == p:
         body = np.fromiter(chain.from_iterable(terms), dtype=np.int64).reshape(-1, width)
+        arrays = (*index.T, *body.T)
     else:
         terms = list(terms)
-        body = np.empty((len(terms), width), dtype=np.int64)
-        body[:, :-1] = np.fromiter(
-            chain.from_iterable(t[:-1] for t in terms), dtype=np.int64
-        ).reshape(-1, width - 1)
-        body[:, -1] = residues((t[-1] for t in terms), p)
-        keep = body[:, -1] != 0
-        index, body = index[keep], body[keep]
-    arrays = tuple(np.ascontiguousarray(a) for a in (*index.T, *body.T))
+        at = np.fromiter(chain.from_iterable(t[:-1] for t in terms), dtype=np.int64)
+        at = at.reshape(-1, width - 1)
+        scalars = (t[-1] for t in terms)
+        if p is None:
+            vals = np.fromiter(scalars, dtype=object, count=len(terms))
+        else:
+            vals = residues(scalars, p)
+            keep = vals.astype(bool)
+            index, at, vals = index[keep], at[keep], vals[keep]
+        arrays = (*index.T, *at.T, vals)
+    arrays = tuple(np.ascontiguousarray(a) for a in arrays)
     for a in arrays:
         a.flags.writeable = False
     return arrays
-
-
-def basis_rows(rows: Optional[Sequence], n: int):
-    """The basis vectors at the indices rows (None: all n) as the rows of
-    an int64 CSR matrix, a slice of the identity, and their indices."""
-    import numpy as np
-    import scipy.sparse as sp
-
-    index = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    return sp.identity(n, dtype=np.int64, format="csr")[index], index
 
 
 def row_compact(keys, cols, vals, ncols: int) -> tuple:
@@ -673,9 +667,10 @@ def _associativity_failure(
     all), with e_i (e_j e_k) != (e_i e_j) e_k, or None, mod p on the
     structure_arrays mul of A, in blocks of r, g_r = e_{rows[r]}.
 
-    L = G Mu holds the products g_r e_m: row r, entry (a, m) at a*dim + m
-    for their coefficient at e_a; on the whole basis G is the identity, and
-    L is Mu itself, so no product of width dim^2 is formed.  The left side
+    L holds the products g_r e_m: row r, entry (a, m) at a*dim + m for
+    their coefficient at e_a.  That is row rows[r] of the table laid out as
+    Mu, picked by CSR row selection (on the whole basis, Mu itself), so no
+    product is formed for it.  The left side
     g_r (e_j e_k) = sum_m c(j, k; m) g_r e_m is L stacked as rows (r a),
     column m, times the table as row m, column (j k); the right side
     (g_r e_j) e_k = sum_m (g_r e_j)_m e_m e_k is L as rows (r j), column m,
@@ -687,7 +682,7 @@ def _associativity_failure(
     every m holds on both sides and takes no block.
 
     Bound: every product goes through linalg.mulmod, exact for any term
-    count; L is reduced mod p before it enters the others.
+    count; L's entries are the table's residues, reduced and nonzero.
     """
     import numpy as np
     import scipy.sparse as sp
@@ -695,9 +690,9 @@ def _associativity_failure(
     n = A.dim
     i, j, k, c = mul
     # row u: L_{e_u}
-    G, index = basis_rows(rows, n)
+    index = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
     Mu = sp.csr_matrix((c, (i, k * n + j)), shape=(n, n * n))
-    L = Mu if rows is None else mulmod(G, Mu, p)
+    L = Mu[index]
     lr, (la, lm) = csr_rows(L), np.divmod(L.indices.astype(np.int64), n)
     left, lkeys = row_compact(lr * n + la, lm, L.data, n)
     right, rkeys = row_compact(lr * n + lm, la, L.data, n)

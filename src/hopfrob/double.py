@@ -6,11 +6,13 @@ The straightening table of H is built once and every entry is replayed
 through honest products before anything else is assembled.  D's mul table
 is then a contraction over nonzero constants only: on D(taft-4-5-2) it
 makes 30,272 term updates, one per term of the table, where a sum over
-every index quadruple (a, i, b, j) visits 65,536.  Over a GF(p) that
-linalg.machine_prime admits it runs on int64 arrays (_double_mul_modp),
-otherwise on Python scalars, one block (i, b) of the straightening at a
-time (_double_mul).  The comul and the antipode's columns are summed over
-nonzero constants in Python.
+every index quadruple (a, i, b, j) visits 65,536.  It is one numpy routine
+(_double_mul) on H's table arrays under the key linalg.machine_prime gives,
+so the engines differ there only in the dtype of the values: int64
+residues over an admitted GF(p), an object array of Python scalars
+otherwise, each reduced by linalg.normalized and summed by linalg.summed.
+The comul and the antipode's columns are summed over nonzero constants in
+Python.
 
 Basis order: pair (a, i) with a indexing the dual factor and i indexing H,
 flattened row-major as a*dim(H) + i.
@@ -114,57 +116,23 @@ def _double_mul(H: HopfAlgebra, straighten) -> dict:
     """The mul table of D(H) in ascending key order: (f_a e_i)(f_b e_j) =
     sum c (f_a f_v)(e_s e_j) over the entries (v, s, c) of straighten[i][b],
     contracted over the nonzero products f_a f_v of each v and e_s e_j of
-    each s, so a row (a, j) is reached only through nonzero constants.  Only
-    the accumulators of one block (i, b) are live at a time."""
-    field = H.field
-    n = H.dim
-    zero = field.zero()
-    # f_a f_v = sum c f_k, read off the coproduct of e_k, indexed by v;
-    # e_s e_j = sum c e_m indexed by s
-    dual_by_v: dict = {}
-    for k in range(n):
-        for p, q, c in H.comul.get(k, ()):
-            dual_by_v.setdefault(q, []).append((p, k, c))
-    mul_by_s: dict = {}
-    for (s, j), terms in H.alg.mul.items():
-        for m, c in terms:
-            mul_by_s.setdefault(s, []).append((j, m, c))
-
-    rows: dict = {}
-    for i in range(n):
-        for b in range(n):
-            block: dict = {}
-            for v, s, c in straighten[i][b]:
-                for a, k, c2 in dual_by_v.get(v, ()):
-                    cc = c * c2
-                    for j, m, c3 in mul_by_s.get(s, ()):
-                        acc = block.get((a, j))
-                        if acc is None:
-                            acc = block[(a, j)] = {}
-                        key = k * n + m
-                        acc[key] = acc.get(key, zero) + cc * c3
-            for (a, j), acc in block.items():
-                row = nonzero_row(field, acc)
-                if row:
-                    rows[(a * n + i, b * n + j)] = row
-    return {key: rows[key] for key in sorted(rows)}
-
-
-def _double_mul_modp(H: HopfAlgebra, straighten, p: int) -> dict:
-    """_double_mul over GF(p) on int64 arrays, the same table in the same
-    key order, in blocks of the dual index a.
+    each s, so a row (a, j) is reached only through nonzero constants.  One
+    routine on the table arrays of H under the key linalg.machine_prime
+    gives, in blocks of the dual index a; the straightening scalars take the
+    dtype of their values, int64 residues or an object array of Python
+    scalars, and every reduction goes through linalg.normalized.
 
     A block expands each term (k; a, v, c2) of the coproducts of H with
     first leg a (f_a f_v = sum c2 f_k) over the straightening entries
     (i, b, v, s, c) of its v, then each of those over the products
     e_s e_j = c3 e_m of its s.  The term c c2 c3 lands at row
     r = (i b j), column (k m) of the block, whose row (a*n + i, b*n + j)
-    of the table is then in key order along r.  One sort of the keys
-    r*n^2 + (k m) and np.add.reduceat sum the repeated ones; the sums that
-    vanish mod p are dropped, as nonzero_row drops them, and each row of
-    the block goes into the table in one comprehension.
+    of the table is then in key order along r.  linalg.summed sums the
+    repeated keys r*n^2 + (k m) and drops the sums that vanish, as
+    nonzero_row drops them, and the rows of the block go into the table in
+    key order.
 
-    Bound: c c2 < p^2 < 2^62, reduced mod p, then times c3 < 2^62,
+    Bound (int64): c c2 < p^2 < 2^62, reduced mod p, then times c3 < 2^62,
     reduced mod p; a key sums one term per pair (v, s), fewer than 2^32
     residues below 2^31 for n < 2^16, so every sum stays below 2^63.  Every
     key is below n^3 n^2 = n^5, which int64 holds for n <= 6208 (D of dim
@@ -172,16 +140,19 @@ def _double_mul_modp(H: HopfAlgebra, straighten, p: int) -> dict:
     """
     import numpy as np
 
+    field = H.field
     n = H.dim
     N = n * n
+    p = linalg.machine_prime(field)
     m, u, v, d = comul_arrays(H, p)
     sj, jj, mm, c3 = structure_arrays(H.alg, p)
     # the straightening entries, (i b) = i*n + b, sorted by v
     counts = np.fromiter(map(len, chain.from_iterable(straighten)), dtype=np.int64, count=N)
     ent = chain.from_iterable(chain.from_iterable(chain.from_iterable(straighten)))
-    ent = np.fromiter(ent, dtype=np.int64, count=3 * int(counts.sum())).reshape(-1, 3)
-    order = np.argsort(ent[:, 0], kind="stable")
-    ib, (tv, ts, tc) = np.repeat(np.arange(N), counts)[order], ent[order].T
+    ent = np.fromiter(ent, dtype=d.dtype, count=3 * int(counts.sum())).reshape(-1, 3)
+    tv, ts = ent[:, 0].astype(np.int64), ent[:, 1].astype(np.int64)
+    order = np.argsort(tv, kind="stable")
+    ib, tv, ts, tc = np.repeat(np.arange(N), counts)[order], tv[order], ts[order], ent[order, 2]
     # the products e_s e_j sorted by s, the coproduct terms by first leg a
     order = np.argsort(sj, kind="stable")
     sj, jj, mm, c3 = sj[order], jj[order], mm[order], c3[order]
@@ -189,34 +160,24 @@ def _double_mul_modp(H: HopfAlgebra, straighten, p: int) -> dict:
     m, u, v, d = m[order], u[order], v[order], d[order]
     by_v, by_s, by_a = (np.searchsorted(x, np.arange(n + 1)) for x in (tv, sj, u))
 
-    rows: dict = {}
+    keys, rows = [], []
     for a in range(n):
         e0, e1 = by_a[a], by_a[a + 1]
         e, t = _expand(v[e0:e1], by_v)
         e += e0
-        cc = d[e] * tc[t] % p
+        cc = linalg.normalized(field, d[e] * tc[t])
         x, q = _expand(ts[t], by_s)
         key = (ib[t][x] * n + jj[q]) * N + m[e][x] * n + mm[q]
-        val = cc[x] * c3[q] % p
+        val = linalg.normalized(field, cc[x] * c3[q])
         del e, t, cc, x, q
-        order = np.argsort(key)
-        key, val = key[order], val[order]
-        first = np.flatnonzero(np.diff(key, prepend=-1))
-        if not len(first):
-            continue
-        val = np.add.reduceat(val, first) % p
-        keep = np.flatnonzero(val)
-        r, col = np.divmod(key[first[keep]], N)
-        terms = list(zip(col.tolist(), val[keep].tolist()))
+        key, val = linalg.summed(field, key, val)
+        r, col = np.divmod(key, N)
+        terms = list(zip(col.tolist(), val.tolist()))
         starts = np.flatnonzero(np.diff(r, prepend=-1))
         ends = [*starts[1:].tolist(), len(terms)]
-        rows.update(
-            {
-                (a * n + row // N, row % N): tuple(terms[s0:s1])
-                for row, s0, s1 in zip(r[starts].tolist(), starts.tolist(), ends)
-            }
-        )
-    return rows
+        keys.extend((a * n + row // N, row % N) for row in r[starts].tolist())
+        rows.extend(tuple(terms[s0:s1]) for s0, s1 in zip(starts.tolist(), ends))
+    return dict(zip(keys, rows))
 
 
 def _expand(groups, bounds) -> tuple:
@@ -235,11 +196,10 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
 
     Every straightening entry is replayed through the direct sandwich
     evaluation; a mismatch is a construction bug, not bad input, and raises
-    InternalCheckError naming the pair.  The mul table (_double_mul_modp or
-    _double_mul), comul and antipode are then summed over nonzero constants
-    only.  Every row leaves sorted, normalized and free of zeros, the form
-    the tables hold, so D is built by the dataclass constructors without a
-    second cleaning.
+    InternalCheckError naming the pair.  The mul table (_double_mul), comul
+    and antipode are then summed over nonzero constants only.  Every row
+    leaves sorted, normalized and free of zeros, the form the tables hold,
+    so D is built by the dataclass constructors without a second cleaning.
     """
     field = H.field
     n = H.dim
@@ -262,9 +222,7 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     names = tuple(
         f"{H.basis_names[a]}*.{H.basis_names[i]}" for a in range(n) for i in range(n)
     )
-    p = linalg.machine_prime(field)
-    mul = _double_mul(H, straighten) if p is None else _double_mul_modp(H, straighten, p)
-    alg = StructureAlgebra(field, N, mul, unit, names)
+    alg = StructureAlgebra(field, N, _double_mul(H, straighten), unit, names)
 
     # coproduct: opposite dual coproduct on the first factor
     mul_by_result: dict = {}

@@ -11,7 +11,7 @@ algebra.product_cover reads off the mul table (proof in its docstring), and
 on the whole basis only when they fail there, or for Delta when
 associativity fails, so a report names the first failing basis triple or
 pair.  Above algebra._SPARSE_DIM they run as sparse int64 identities mod
-each prime of linalg.engine_primes, their rows a slice of the identity;
+each prime of linalg.engine_primes, their rows picked out of the tables;
 below it, as Python loops over the same rows (algebra.first_failure).
 Delta multiplicative (_delta_failure) is laid out so that its right side is
 one product per block of j: with Delta(g_r) = sum_v w_{r,v} (x) e_v, the
@@ -39,31 +39,32 @@ sides sum at most dim^3 products of three constants (the antipode law's
 sum_{u,v,x} Delta_i(u,v) S(x,u) c(x,v;a)) among both tables, the counit,
 the unit and the antipode.
 
-Every int64 reader of H's tables (the kernels above, the integral
-operators, algebra's multiplicativity check) takes the residue arrays that
-H keeps for its comul and its algebra for its mul, built once per object
-and prime (algebra.comul_arrays, algebra.structure_arrays).  A Hopf algebra
-that shares its algebra with another, as a comul mutant does, shares those
-mul arrays too.  Over an admitted GF(p) an integral operator is an int64
-CSR matrix placed from those arrays, otherwise a dict of Python scalars.
-Its kernel peels the coordinates that single-entry rows force to zero (3
-to 6 of 81 to 1296 columns remain on the Taft doubles) and refines the
-rest (linalg.iterated_kernel_sparse); unimodularity and a supplied psi are
+Every numpy reader of H's tables (the kernels above, the integral
+operators, algebra's multiplicativity check, the double's mul table) takes
+the table arrays that H keeps for its comul and its algebra for its mul,
+built once per object and key (algebra.comul_arrays,
+algebra.structure_arrays).  A Hopf algebra that shares its algebra with
+another, as a comul mutant does, shares those mul arrays too.  The kernels
+read them mod each prime; an integral operator reads them under the key
+linalg.machine_prime gives, int64 residues over an admitted GF(p) and an
+object array of the field's scalars otherwise, so its one construction
+serves both engines, which differ there only in that dtype.  Its kernel
+peels the coordinates that single-entry rows force to zero (3 to 6 of 81
+to 1296 columns remain on the Taft doubles) and refines the rest
+(linalg.iterated_kernel_sparse); unimodularity and a supplied psi are
 checked by one product (linalg.annihilates).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cache, partial
+from functools import cached_property, partial
 from itertools import chain
 from typing import Optional, Sequence
 
 from .algebra import (
-    MulTable,
     StructureAlgebra,
     _clean_row,
-    basis_rows,
     blocks,
     by_item,
     comul_arrays,
@@ -99,8 +100,8 @@ class HopfAlgebra:
     antipode: Matrix
     name: str = ""
     _sbar: Optional[Matrix] = dc_field(default=None, repr=False)
-    # algebra.comul_arrays per prime, each built on first use
-    _residues: dict = dc_field(default_factory=dict, init=False, repr=False)
+    # algebra.comul_arrays per key (a prime, or None), each built on first use
+    _arrays: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
     def field(self) -> Field:
@@ -145,6 +146,11 @@ class HopfAlgebra:
         if antipode.field != field:
             raise ShapeError("antipode matrix over wrong field")
         return HopfAlgebra(alg, table, eps, antipode, name)
+
+    @cached_property
+    def comul_scale(self) -> tuple:
+        """linalg.scale_of the constants of the comul table."""
+        return linalg.scale_of(c for t in self.comul.values() for *_, c in t)
 
     # -- basic maps ---------------------------------------------------------
 
@@ -268,58 +274,40 @@ def is_grouplike(H: HopfAlgebra, v: Sequence) -> bool:
 # -- integrals ----------------------------------------------------------------
 
 
-def integral_operator(H: HopfAlgebra, side: str, dual: bool = False):
-    """The integral constraints of H (of H* if dual) as one sparse operator
-    S with dim^2 rows: row a*dim + k, column j holds the coefficient of e_k
-    in e_a e_j (side "left") or e_j e_a ("right"), less eps(e_a) on the
-    diagonal of block a.  So S t = 0 says exactly that t is a left (right)
-    integral: a t = eps(a) t (t a = eps(a) t) for all a.  H* multiplies by
-    the transpose of Delta and has the unit of H as its counit.
+def integral_operator(H: HopfAlgebra, side: str, dual: bool = False) -> tuple:
+    """The integral constraints of H (of H* if dual) as the nonzero entries
+    (rows, cols, vals), in row order, of one sparse operator S with dim^2
+    rows: row a*dim + k, column j holds the coefficient of e_k in e_a e_j
+    (side "left") or e_j e_a ("right"), less eps(e_a) on the diagonal of
+    block a.  So S t = 0 says exactly that t is a left (right) integral:
+    a t = eps(a) t (t a = eps(a) t) for all a.  H* multiplies by the
+    transpose of Delta and has the unit of H as its counit.
 
-    S is in the form of linalg.iterated_kernel_sparse for H's field: over a
-    GF(p) that linalg.machine_prime admits, an int64 CSR matrix read mod p,
-    placed by index arithmetic on the residue arrays of the table
-    (algebra.structure_arrays, algebra.comul_arrays) plus the -eps
-    diagonal; otherwise a dict {(row, col): c} of Python scalars.  Its
-    kernel peels and refines on every row, with no product cover, so it is
-    exact whether or not H is associative.
+    The entries are placed by index arithmetic on the table arrays of the
+    engine linalg.machine_prime chooses (algebra.structure_arrays,
+    algebra.comul_arrays), plus the -eps diagonal in the dtype of their
+    values; linalg.summed adds the two where they meet, reduces and drops
+    the zeros.  Its kernel (linalg.iterated_kernel_sparse) peels and
+    refines on every row, with no product cover, so it is exact whether or
+    not H is associative.
     """
-    dim, field = H.dim, H.field
-    eps = H.unit if dual else H.counit
-    p = linalg.machine_prime(field)
-    if p is not None:
-        import numpy as np
-        import scipy.sparse as sp
+    import numpy as np
 
-        # the comul arrays (m, u, v, d) as the dual's mul: f_u f_v has d at f_m
-        if dual:
-            k, i, j, c = comul_arrays(H, p)
-        else:
-            i, j, k, c = structure_arrays(H.alg, p)
-        a, b = (i, j) if side == "left" else (j, i)
-        # -eps(e_a) at (a*dim + d, d), summed with the table's entry there
-        e = residues(eps, p)
-        at, d = np.flatnonzero(e), np.arange(dim)
-        rows = np.concatenate((a * dim + k, (at[:, None] * dim + d).ravel()))
-        cols = np.concatenate((b, np.tile(d, len(at))))
-        vals = np.concatenate((c, np.repeat(p - e[at], dim)))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim, dim))
+    dim, p = H.dim, linalg.machine_prime(H.field)
+    # the comul arrays (m, u, v, d) as the dual's mul: f_u f_v has d at f_m
     if dual:
-        # f_u f_v = sum c f_k over the terms c e_u (x) e_v of Delta(e_k)
-        entries = ((u, v, k, c) for k, terms in H.comul.items() for u, v, c in terms)
+        k, i, j, c = comul_arrays(H, p)
     else:
-        entries = ((i, j, k, c) for (i, j), row in H.alg.mul.items() for k, c in row)
-    # the tables hold one entry per (i, j, k)
-    if side == "left":
-        S = {(i * dim + k, j): c for i, j, k, c in entries}
-    else:
-        S = {(j * dim + k, i): c for i, j, k, c in entries}
-    for a, e in enumerate(eps):
-        if e:
-            for d in range(dim):
-                key = (a * dim + d, d)
-                S[key] = S.get(key, 0) - e
-    return S
+        i, j, k, c = structure_arrays(H.alg, p)
+    a, b = (i, j) if side == "left" else (j, i)
+    # -eps(e_a) at (a*dim + d, d)
+    eps = np.array(H.unit if dual else H.counit, dtype=c.dtype)
+    at, d = np.flatnonzero(eps), np.arange(dim)
+    rows = np.concatenate((a * dim + k, (at[:, None] * dim + d).ravel()))
+    cols = np.concatenate((b, np.tile(d, len(at))))
+    vals = np.concatenate((c, np.repeat(-eps[at], dim)))
+    cells, vals = linalg.summed(H.field, rows * dim + cols, vals)
+    return *np.divmod(cells, dim), vals
 
 
 def integral_space(H: HopfAlgebra, side: str, dual: bool = False) -> tuple:
@@ -457,18 +445,15 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
     there (algebra.on_cover); Delta runs on the basis at once when
     associativity fails, as the cover decides it only for an associative H.
     Those two and the four axioms linear in Delta run on the engine that
-    algebra.first_failure chooses.  They read the residue arrays that H and
+    algebra.first_failure chooses.  They read the table arrays that H and
     its algebra keep per prime (algebra.structure_arrays, comul_arrays), and
-    the scale of each table is taken once.
+    the scale of each table, which H and its algebra keep too.
     """
     rep = Report(title or f"hopf axioms: {H.name or 'unnamed'}")
     field = H.field
     dim = H.dim
-    mul = MulTable(H.alg)
-    comul_scale = cache(lambda: linalg.scale_of(c for t in H.comul.values() for *_, c in t))
-
     # multiplication axioms
-    algebra_items = verify_algebra(H.alg, table=mul).items
+    algebra_items = verify_algebra(H.alg).items
     rep.items.extend(algebra_items)
     associative = next(it.ok for it in algebra_items if it.name == "associativity")
 
@@ -479,8 +464,8 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
         field,
         dim,
         lambda: linalg.joint_scale(
-            mul.scale,
-            comul_scale(),
+            H.alg.scale,
+            H.comul_scale,
             linalg.scale_of(chain(H.counit, H.unit, chain.from_iterable(H.antipode.rows))),
         ),
         3,
@@ -499,11 +484,11 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
 
     # Delta is an algebra map: Delta(e_i e_j) = Delta(e_i) Delta(e_j)
     bad = on_cover(
-        mul.cover if associative else None,
+        H.alg.cover if associative else None,
         lambda rows: first_failure(
             field,
             dim,
-            lambda: linalg.joint_scale(mul.scale, comul_scale()),
+            lambda: linalg.joint_scale(H.alg.scale, H.comul_scale),
             4,
             dim**4 + dim,
             lambda q: _delta_failure(H, rows, q, structure_arrays(H.alg, q), comul_arrays(H, q)),
@@ -795,18 +780,17 @@ def _delta_failure(
     n = H.dim
     i, j, k, c = mul
     m, u, v, d = comul
-    G, index = basis_rows(rows, n)
-    R = G.shape[0]
+    index = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    R = len(index)
     # row m: Delta(e_m), column (a b) at ab; row u: L_{e_u}, entry (a, s) at as_
     delta, ab = _compact(m, u * n + v, d, n)
     Mu, as_ = _compact(i, k * n + j, c, n)
-    # on the whole basis G is the identity, so G delta and G Mu are the tables
-    whole = rows is None
-    W, V, rs = _coproduct_operand(delta if whole else mulmod(G, delta, p), ab, Mu, as_, n, p)
+    # the rows g_r of both, picked by CSR row selection
+    W, V, rs = _coproduct_operand(delta[index], ab, Mu, as_, n, p)
     nv = len(V)
 
     # the products g_r e_s as rows (s r), column a
-    L = Mu if whole else mulmod(G, Mu, p)
+    L = Mu[index]
     la, ls = np.divmod(as_[L.indices], n)
     products, pkeys = row_compact(ls * R + csr_rows(L), la, L.data, n)
     # Delta(e_j) as rows (j s), column t

@@ -14,11 +14,15 @@ solve_matrix, inverse), large products (Matrix.mul), the products of a
 sparse operator and the sparse identity checks in algebra and hopfcore, in
 blocks bounded by the one byte budget _BLOCK_BYTES, run on int64 numpy/scipy
 arrays, everything else on Python scalars.  A large inverse eliminates
-[A | I] as one int64 array.  A sparse operator comes in the form of its
-engine, an int64 CSR matrix mod p or a dict of Python scalars, and one exact
-routine finds its kernel in both (iterated_kernel_sparse: peel the
-coordinates forced to zero, refine K by S K); they differ only in reading it
-(_entries) and in S K (_product_rows).  Every int64 sum of products goes
+[A | I] as one int64 array.  The numpy code that builds from a table (an
+integral operator, the double's mul table) is one routine for both engines,
+which differ there only in the dtype of the value array: int64 residues
+mod p, or an object array of Python scalars.  normalized reduces such an
+array (mod p, or field.normalize), and summed sums its repeated keys.  A
+sparse operator is the one form (rows, cols, vals) of its nonzero entries
+in row order, and one exact routine finds its kernel (iterated_kernel_sparse:
+peel the coordinates forced to zero, refine K by S K); the engines differ
+there only in S K (_product_rows).  Every int64 sum of products goes
 through mulmod, which is exact for any number of terms (its docstring bounds
 its intermediates), so results are identical to the generic path
 (property-tested).  mulmod alone picks how a product runs: two dense
@@ -574,10 +578,12 @@ def canonical_basis(field: Field, vectors: Iterable[Sequence]) -> tuple[tuple, .
     return tuple(tuple(rows[i]) for i in range(len(pivots)))
 
 
-def iterated_kernel_sparse(field: Field, dim: int, S) -> tuple[tuple, ...]:
-    """Canonical basis of the kernel of a sparse operator S with dim columns
-    (hopfcore.integral_operator), an int64 CSR matrix read mod p over a
-    GF(p) that machine_prime admits, otherwise a dict {(row, col): scalar}.
+def iterated_kernel_sparse(field: Field, dim: int, S: tuple) -> tuple[tuple, ...]:
+    """Canonical basis of the kernel of a sparse operator with dim columns,
+    given as S = (rows, cols, vals), its nonzero entries in row order
+    (hopfcore.integral_operator): int64 index arrays, and the values as
+    int64 residues mod p over a GF(p) that machine_prime admits, otherwise
+    as an object array of normalized scalars.
 
     Peel: a row whose one nonzero entry c is at column j says c t_j = 0,
     so t_j = 0; such columns go until no row has a single entry left.
@@ -585,12 +591,12 @@ def iterated_kernel_sparse(field: Field, dim: int, S) -> tuple[tuple, ...]:
     while S K != 0, K becomes K times the kernel of its first nonzero rows,
     at most cols(K).  Exact on every input: ker S stays in span K
     (S K x = 0 for K x in ker S), each pass drops a column of K, and the
-    loop stops only when S K = 0.  The engines differ only in reading S
-    (_entries) and in S K (_product_rows).
+    loop stops only when S K = 0.  The engines differ only in the dtype of
+    vals and in S K (_product_rows).
     """
     import numpy as np
 
-    rows, cols, vals = _entries(field, S)
+    rows, cols, vals = S
     left, r, c = np.ones(dim, dtype=bool), rows, cols
     while True:
         r, c = r[left[c]], c[left[c]]
@@ -622,33 +628,47 @@ def iterated_kernel_sparse(field: Field, dim: int, S) -> tuple[tuple, ...]:
     return Matrix.from_entries(field, len(basis), dim, cells).rows
 
 
-def annihilates(field: Field, S, vec: Sequence) -> bool:
+def annihilates(field: Field, S: tuple, vec: Sequence) -> bool:
     """Whether the operator S of iterated_kernel_sparse maps vec to zero."""
-    return next(_product_rows(field, _entries(field, S), (tuple(vec),)), None) is None
+    return next(_product_rows(field, S, (tuple(vec),)), None) is None
 
 
-def _entries(field: Field, S) -> tuple:
-    """The nonzero entries of an operator of iterated_kernel_sparse in row
-    order: arrays of rows, columns and values (int64, or Python scalars)."""
+def normalized(field: Field, vals):
+    """The values of a table array reduced on the engine machine_prime
+    chooses for field: int64 residues mod p, or each Python scalar of an
+    object array by field.normalize."""
     import numpy as np
 
     p = machine_prime(field)
-    if p is not None:
-        rows, cols, vals = csr_rows(S), S.indices, S.data % p
-    else:
-        keys = sorted(S)
-        rows, cols = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-        vals = np.array([field.normalize(S[k]) for k in keys], dtype=object)
+    if p is None:
+        return np.fromiter(map(field.normalize, vals), dtype=object, count=len(vals))
+    return vals % p
+
+
+def summed(field: Field, keys, vals) -> tuple:
+    """The entries (keys, vals) of a sparse table, int64 keys and values of
+    either engine, with the values of each repeated key summed: the
+    distinct keys ascending and their sums, normalized, those that vanish
+    dropped."""
+    import numpy as np
+
+    order = np.argsort(keys)
+    keys, vals = keys[order], vals[order]
+    if not len(keys):
+        return keys, vals
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    vals = normalized(field, np.add.reduceat(vals, first))
     keep = vals.astype(bool)
-    return rows[keep], cols[keep], vals[keep]
+    return keys[first][keep], vals[keep]
 
 
 def _product_rows(field: Field, entries: tuple, K: Sequence):
     """The nonzero rows of S K in row order, lazily, for S given by its
-    entries (_entries) and K by its columns, reading the entries in K's
-    support only: on the int64 engine by mulmod, in blocks of rows whose
-    dense product (8 bytes a cell) fits _BLOCK_BYTES, so memory stays flat
-    however many rows S has; on the generic engine a row at a time."""
+    entries (iterated_kernel_sparse) and K by its columns, reading the
+    entries in K's support only: on the int64 engine by mulmod, in blocks
+    of rows whose dense product (8 bytes a cell) fits _BLOCK_BYTES, so
+    memory stays flat however many rows S has; on the generic engine a row
+    at a time."""
     import numpy as np
 
     # the nonzero (t, K[t][j]) at each coordinate j, K[t] the t-th column

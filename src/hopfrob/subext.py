@@ -35,12 +35,13 @@ Lambda(a).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
-from .algebra import MulTable, check_automorphism, on_cover
-from .errors import InternalCheckError, InvalidInputError, SingularError
+from .algebra import check_automorphism, on_cover
+from .errors import InconclusiveSearchError, InternalCheckError, InvalidInputError, SingularError
 from .frobenius import IntegralData, build_integral_data, frobenius_system_from_norm
 from .frobenius import modular_inverse, nakayama_closed_form
 from .hopfcore import HopfAlgebra, convolution, hit_matrix, hopf_map_report
@@ -251,7 +252,19 @@ def free_module_basis(emb: SubalgebraEmbedding) -> tuple:
     """Greedy basis of H as a free right K-module.
 
     Accepts a candidate only when its K-orbit enlarges the span by a full
-    dim K, so the result is a genuine free basis of length dim H / dim K.
+    dim K, an exact rank test, so the result is a genuine free basis of
+    length dim H / dim K.  The candidates are the basis vectors of H, then
+    at most 50 integer combinations of them (_combinations).
+
+    Greedy extension never needs to backtrack.  H is free over K
+    (Nichols-Zoeller), and K, a finite-dimensional Hopf algebra, is
+    Frobenius, hence self-injective.  So the span F of the chosen orbits, a
+    free K-module, is injective and a direct summand: H = F + C, a direct
+    sum.  By Krull-Schmidt, H = K^r and F = K^s give C = K^(r-s), so while
+    s < r some x in C has a free orbit meeting F in 0, and F + xK is free
+    again.  Such x need not be a basis vector of H (for H*^cop in D(H) none
+    may be), which is why combinations follow.  Exhausting them proves
+    nothing about the pair, so it raises InconclusiveSearchError.
     """
     K, H, iota = emb.K, emb.H, emb.iota
     field = H.field
@@ -264,23 +277,35 @@ def free_module_basis(emb: SubalgebraEmbedding) -> tuple:
     def orbit(x):
         return [H.alg.multiply(x, iota.col(s)) for s in range(k)]
 
+    tries = 50
+
+    def candidates():
+        yield from (H.alg.basis_vector(i) for i in range(n))
+        yield from _combinations(field, n, tries)
+
     chosen: list = []
-    spanning: list = []
-    echelon: tuple = ()
-    for i in range(n):
+    echelon: tuple = ()  # a basis of the span of the chosen orbits
+    for cand in candidates():
         if len(chosen) * k == n:
             break
-        cand = H.alg.basis_vector(i)
-        trial = canonical_basis(field, spanning + orbit(cand))
+        trial = canonical_basis(field, [*echelon, *orbit(cand)])
         if len(trial) == len(echelon) + k:
             chosen.append(cand)
-            spanning.extend(orbit(cand))
             echelon = trial
     if len(chosen) * k != n:
-        raise InternalCheckError(
-            "greedy search over basis vectors found no free module basis"
+        raise InconclusiveSearchError(
+            f"no free module basis among the {n} basis vectors and {tries} integer "
+            "combinations tried"
         )
     return tuple(chosen)
+
+
+def _combinations(field, n: int, count: int):
+    """count vectors of n integer coefficients in [-3, 3], the same on every
+    call (a fixed seed), as scalars of field."""
+    rng = random.Random(0)
+    for _ in range(count):
+        yield tuple(field.normalize(rng.randint(-3, 3)) for _ in range(n))
 
 
 # -- finite modules over K ------------------------------------------------------
@@ -335,7 +360,7 @@ def _module_law_failure(A: HopfAlgebra, action: tuple, dim: int) -> Optional[str
                     return s, t
         return None
 
-    bad = on_cover(MulTable(A.alg).cover, first_pair)
+    bad = on_cover(A.alg.cover, first_pair)
     return None if bad is None else f"module action fails associativity at basis pair {bad}"
 
 
@@ -570,7 +595,7 @@ def induction_coinduction_check(
                 return t
         return None
 
-    bad = on_cover(MulTable(H.alg).cover if ind_failure is None else None, first_t)
+    bad = on_cover(H.alg.cover if ind_failure is None else None, first_t)
     rep.add(
         "comparison map respects the ambient action",
         bad is None,

@@ -9,13 +9,13 @@ import pytest
 
 from hopfrob import linalg
 from hopfrob.catalog import entry, taft
-from hopfrob.double import drinfeld_double, embed_algebra
+from hopfrob.double import drinfeld_double, embed_algebra, embed_dual
 from hopfrob.frobenius import (
     build_integral_data,
     frobenius_system_from_norm,
     nakayama_closed_form,
 )
-from hopfrob.hopfcore import verify_hopf
+from hopfrob.hopfcore import HopfAlgebra, dual_hopf, verify_hopf
 from hopfrob.linalg import Matrix, basis_vec
 from hopfrob.subext import (
     SubalgebraEmbedding,
@@ -100,6 +100,21 @@ def embedding_of(key: str) -> SubalgebraEmbedding:
     K, H = entry(kkey).hopf, entry(hkey).hopf
     cols = [basis_vec(H.field, H.dim, i) for i in positions]
     return SubalgebraEmbedding(K, H, Matrix.from_columns(H.field, cols))
+
+
+@functools.lru_cache(maxsize=None)
+def dual_cop_embedding_of(key: str) -> SubalgebraEmbedding:
+    """H*^cop inside D(H) for the catalog entry H, through double.embed_dual:
+    dual_hopf(H) with the legs of its comul swapped and S^-1 transposed as
+    its antipode, the antipode of H*^cop."""
+    H = entry(key).hopf
+    Hd = dual_hopf(H)
+    comul = {i: [(k, j, c) for j, k, c in terms] for i, terms in Hd.comul.items()}
+    K = HopfAlgebra.from_sparse(
+        Hd.alg, comul, Hd.counit, H.antipode_inv().transpose(), name=f"{H.name}*cop"
+    )
+    cols = [embed_dual(H, basis_vec(H.field, H.dim, a)) for a in range(H.dim)]
+    return SubalgebraEmbedding(K, double_of(key), Matrix.from_columns(H.field, cols))
 
 
 def embedding_report(emb: SubalgebraEmbedding):

@@ -7,7 +7,7 @@ from conftest import double_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrob import GF, QQ, InvalidInputError
+from hopfrob import GF, QQ, InvalidInputError, algebra
 from hopfrob.algebra import (
     StructureAlgebra,
     entry_keys,
@@ -307,3 +307,25 @@ def test_comparison_of_unsorted_sparse_matrices(seed):
     rs, cs = mismatches(lhs, rhs, shape[1], p)
     assert list(zip(rs.tolist(), cs.tolist())) == want
     assert first_mismatch(lhs, rhs, shape[1], p) == (want[0] if want else None)
+
+
+# -- table arrays ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", [*names(), "D(qs3)"])
+def test_table_arrays_of_the_scalar_engine_hold_each_table_in_order(key):
+    """Under the key None (the Python-scalar engine) the mul and comul
+    arrays hold each term of the table in table order: the int64 indices,
+    and the table's own scalars, none zero, as an object array.  They are
+    kept on the owner."""
+    H = double_of("qs3") if key == "D(qs3)" else entry(key).hopf
+    i, j, k, c = algebra.structure_arrays(H.alg, None)
+    mul = [(a, b, m, x) for (a, b), row in H.alg.mul.items() for m, x in row]
+    m, u, v, d = algebra.comul_arrays(H, None)
+    comul = [(a, b, e, x) for a, terms in H.comul.items() for b, e, x in terms]
+    for arrays, terms in (((i, j, k, c), mul), ((m, u, v, d), comul)):
+        assert [a.dtype for a in arrays] == [np.int64] * 3 + [object]
+        assert list(zip(*(a.tolist() for a in arrays))) == terms
+        assert all(arrays[3]) and not any(a.flags.writeable for a in arrays)
+    assert algebra.structure_arrays(H.alg, None) is algebra.structure_arrays(H.alg, None)
+    assert algebra.comul_arrays(H, None) is algebra.comul_arrays(H, None)

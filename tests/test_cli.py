@@ -3,8 +3,9 @@ and the pipelines behind each subcommand."""
 
 import sys
 
+import numpy as np
 import pytest
-from conftest import count_calls, double_of, embedding_of
+from conftest import count_calls, double_of, dual_cop_embedding_of, embedding_of
 
 from hopfrob import algebra, cli, frobenius, hopfcore, linalg, separability, subext
 from hopfrob.algebra import StructureAlgebra
@@ -385,7 +386,12 @@ def test_subcheck_rejects_field_mismatch(tmp_path, capsys):
     assert "over" in capsys.readouterr().err
 
 
-def test_subcheck_prime_field_pair(tmp_path):
+def test_subcheck_prime_field_pair(tmp_path, monkeypatch):
+    """f7c3 in taft-3-7-2 passes, and the product cover of each algebra is
+    read off its mul table once, however many checks go through it (10
+    times, 8 on H and 2 on K, when each check built its own)."""
+    covers = []
+    _spy_everywhere(monkeypatch, algebra, "product_cover", lambda args, out: covers.append(args[0]))
     taft = emit(tmp_path, "taft-3-7-2")
     f7c3 = emit(tmp_path, "f7c3")
     rows = ["0 0 0"] * 9
@@ -396,22 +402,62 @@ def test_subcheck_prime_field_pair(tmp_path):
     iota = tmp_path / "iota7.mat"
     iota.write_text("matrix v1\nfield prime 7\nshape 9 3\n" + "\n".join(rows) + "\nend\n")
     assert main(["subcheck", str(taft), str(f7c3), "--iota", str(iota)]) == 0
+    assert sorted(A.dim for A in covers) == [3, 9]
+
+
+def _pair_args(tmp_path, emb) -> list:
+    """The subcheck arguments of the pair emb, its files written to tmp_path."""
+    H, K = emb.H, emb.K
+    ambient, sub, iota = (tmp_path / name for name in ("ambient.hopf", "sub.hopf", "iota.mat"))
+    ambient.write_text(emit_hopf_text(H))
+    sub.write_text(emit_hopf_text(K))
+    rows = "\n".join(" ".join(H.field.fmt(c) for c in row) for row in emb.iota.rows)
+    iota.write_text(f"matrix v1\nfield {H.field.name}\nshape {H.dim} {K.dim}\n{rows}\nend\n")
+    return ["subcheck", str(ambient), str(sub), "--iota", str(iota)]
 
 
 @pytest.mark.parametrize("key", ("qc2", "f2c2", "f7c3", "qc3"))
 def test_subcheck_of_an_algebra_in_its_double(tmp_path, capsys, key):
     emb = embedding_of(f"{key}-double")
-    H, K = emb.H, emb.K
-    double = tmp_path / "double.hopf"
-    double.write_text(emit_hopf_text(H))
-    iota = tmp_path / "iota.mat"
-    rows = "\n".join(" ".join(H.field.fmt(c) for c in row) for row in emb.iota.rows)
-    iota.write_text(f"matrix v1\nfield {H.field.name}\nshape {H.dim} {K.dim}\n{rows}\nend\n")
     report = tmp_path / "sub.report"
-    sub = emit(tmp_path, key)
-    assert main(["subcheck", str(double), str(sub), "--iota", str(iota), "--report", str(report)]) == 0
+    assert main([*_pair_args(tmp_path, emb), "--report", str(report)]) == 0
     assert "[FAIL]" not in capsys.readouterr().out
     assert report.read_text().splitlines()[-1] == "overall PASS"
+
+
+SMALL_KEYS = [k for k in names() if entry(k).hopf.dim <= 9]
+
+
+@pytest.mark.parametrize("engine", ["default", "generic"])
+@pytest.mark.parametrize("key", SMALL_KEYS)
+def test_subcheck_of_the_dual_cop_in_the_double(
+    tmp_path, capsys, monkeypatch, generic_engine, key, engine
+):
+    """H*^cop in D(H) through double.embed_dual, for each catalog entry of
+    dim at most 9, on the default engines and on the Python-scalar one:
+    subcheck exits 0 with every item PASS.  The basis vectors of D(H) alone
+    give no free basis over H*^cop, so free_module_basis reaches its integer
+    combinations, once."""
+    if engine == "generic":
+        generic_engine()
+    fallback = count_calls(monkeypatch, subext, "_combinations")
+    report = tmp_path / "sub.report"
+    assert main([*_pair_args(tmp_path, dual_cop_embedding_of(key)), "--report", str(report)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert report.read_text().splitlines()[-1] == "overall PASS"
+    assert len(fallback) == 1
+
+
+def test_subcheck_reports_an_exhausted_free_basis_search(tmp_path, capsys, monkeypatch):
+    """With no combination to try, the search on sweedler*cop in D(sweedler)
+    runs out: subcheck exits 1 and names the bound, which proves nothing
+    about the pair (InconclusiveSearchError)."""
+    monkeypatch.setattr(subext, "_combinations", lambda field, n, count: iter(()))
+    assert main(_pair_args(tmp_path, dual_cop_embedding_of("sweedler"))) == 1
+    assert capsys.readouterr().err == (
+        "check failed: no free module basis among the 16 basis vectors and 50 integer "
+        "combinations tried\n"
+    )
 
 
 def test_dedekind_demo(tmp_path, capsys):
@@ -499,26 +545,37 @@ def _spy_everywhere(monkeypatch, module, name, record) -> None:
             monkeypatch.setattr(mod, name, spy)
 
 
-@pytest.mark.parametrize("cmd, key", [("double", "taft-3-7-2"), ("frobenius", "taft-4-5-2")])
+@pytest.mark.parametrize(
+    "cmd, key", [("double", "taft-3-7-2"), ("frobenius", "taft-4-5-2"), ("frobenius", "D(qs3)")]
+)
 def test_residue_tables_are_built_once_per_table_and_prime(cmd, key, tmp_path, monkeypatch):
-    """A `double` job (D(taft-3-7-2), dim 81 over GF(7)) and a `frobenius`
-    job (taft-4-5-2 and its dual, dim 16 over GF(5)) build the residue
-    arrays of each table once per algebra and prime, however many kernels,
-    integral operators and automorphism checks read them, and build every
-    integral operator as an int64 matrix, no dict."""
-    path = emit(tmp_path, key)
+    """A `double` job (D(taft-3-7-2), dim 81 over GF(7)), a `frobenius` job
+    (taft-4-5-2 and its dual, dim 16 over GF(5)) and a `frobenius` job over
+    QQ (D(qs3), dim 36) build the table arrays of each table once per
+    algebra and key, however many kernels, integral operators and
+    automorphism checks read them.  The key is the prime over GF(p); over
+    QQ it is None for the integral operators, whose values are then an
+    object array, and each prime of the kernels.  Every integral operator
+    is the one entry form, its values in the dtype of its engine."""
+    path = _d36(tmp_path) if key == "D(qs3)" else emit(tmp_path, key)
     asked, built, operators = [], [], []
     for name in ("structure_arrays", "comul_arrays"):
         # the owners are held, so no two of them share an id
         _spy_everywhere(monkeypatch, algebra, name, lambda args, out: asked.append(args))
-    _spy_everywhere(monkeypatch, algebra, "residue_arrays", lambda args, out: built.append(args))
+    _spy_everywhere(monkeypatch, algebra, "table_arrays", lambda args, out: built.append(args))
     _spy_everywhere(
         monkeypatch, hopfcore, "integral_operator", lambda args, out: operators.append(out)
     )
     assert main([cmd, str(path)]) == 0
     tables = {(id(owner), p) for owner, p in asked}
     assert len(built) == len(tables) < len(asked)
-    assert operators and not any(isinstance(S, dict) for S in operators)
+    generic = key == "D(qs3)"
+    assert operators and {vals.dtype for *_, vals in operators} == {
+        np.dtype(object if generic else np.int64)
+    }
+    owners = {owner for owner, p in tables if p is None}
+    assert bool(owners) == generic
+    assert sum(p is None for _, p, *_ in built) == len(owners)
 
 
 def _d36(tmp_path):

@@ -371,9 +371,11 @@ def _rows_spy(monkeypatch) -> list:
 
 
 def _whole_basis(monkeypatch):
-    """Make product_cover give every basis index as a generator, so that
-    verify_hopf checks the quadratic axioms on the whole basis."""
-    monkeypatch.setattr(algebra, "product_cover", lambda A: (tuple(range(A.dim)), ()))
+    """Put the whole basis in place of the product cover, so that
+    verify_hopf checks the quadratic axioms on the whole basis.  The cover
+    is a cached property of each algebra, so it is replaced by a property
+    of the class, which no cached value shadows."""
+    monkeypatch.setattr(StructureAlgebra, "cover", property(lambda A: None))
 
 
 def test_cover_checks_the_quadratic_axioms_on_every_field(monkeypatch):
@@ -449,7 +451,9 @@ def test_certified_verdict_fails_closed_on_corrupted_doubles(p, kind, monkeypatc
     calls = _rows_spy(monkeypatch)
     items = _items(verify_hopf(D))
     _whole_basis(monkeypatch)
+    first = len(calls)
     assert _items(verify_hopf(D)) == items
+    assert calls[first:] and all(rows is None for _, rows, _ in calls[first:])
     assert not all(ok for _, ok, _ in items)
     assoc, delta = QUADRATIC
     ran = [(name, rows, bad is None) for name, rows, bad in calls[:3]]
@@ -852,14 +856,16 @@ def _integral_decisions(H):
 
 def _decisions_agree(H, smallest_blocks, generic_engine):
     """The integral decisions of H on the int64 operators, the same with
-    one-row blocks, and on the Python-scalar engine are equal."""
+    one-row blocks, and on the Python-scalar engine are equal.  Both
+    engines build each operator in the one entry form, their values int64
+    residues or an object array of Python scalars."""
     assert linalg.machine_prime(H.field) is not None
     int64 = _integral_decisions(H)
-    assert not any(isinstance(integral_operator(H, side, dual), dict) for side, dual in SPACES)
+    assert all(integral_operator(H, side, dual)[2].dtype == np.int64 for side, dual in SPACES)
     smallest_blocks()
     assert _integral_decisions(H) == int64
     generic_engine()
-    assert isinstance(integral_operator(H, "left"), dict)
+    assert integral_operator(H, "left")[2].dtype == object
     assert _integral_decisions(H) == int64
 
 
@@ -1170,7 +1176,7 @@ def test_delta_operand_peaks_below_twice_its_own_arrays(monkeypatch):
     (i, j, k, c), (m, u, v, d) = _tables(D, p)
     delta, ab = hopfcore._compact(m, u * n + v, d, n)
     Mu, as_ = hopfcore._compact(i, k * n + j, c, n)
-    Dg = linalg.mulmod(algebra.basis_rows(None, n)[0], delta, p)
+    Dg = delta[np.arange(n)]  # every row, picked as _delta_failure picks them
     record = _recorded_blocks(monkeypatch)
     (W, _, _), peak = _peak(lambda: hopfcore._coproduct_operand(Dg, ab, Mu, as_, n, p))
     assert W.nnz == 698112

@@ -749,17 +749,17 @@ def test_generic_engine_on_sparse_inputs_matches_dense_loops(field, seed, monkey
     # a stacked operator of a few dim x dim blocks, some of them empty
     dim, nblocks = rng.randint(1, 6), rng.randint(1, 4)
     stacked = [row for _ in range(nblocks) for row in _sparse_rows(rng, field, dim, dim)]
-    S = {(r, c): x for r, row in enumerate(stacked) for c, x in enumerate(row) if x != z}
+    S = _operator(stacked, object)
     assert linalg.iterated_kernel_sparse(field, dim, S) == _ref_kernel(field, stacked, dim)
 
 
-def _operator_forms(field, stacked):
-    """The operator whose rows are stacked, in the form of each engine: the
-    dict {(row, col): scalar} and the int64 CSR matrix reduced mod p."""
-    S = {(r, c): x for r, row in enumerate(stacked) for c, x in enumerate(row) if x}
-    rows, cols = [r for r, _ in S], [c for _, c in S]
-    values = np.array(list(S.values()), dtype=np.int64)
-    return S, sp.csr_matrix((values, (rows, cols)), shape=(len(stacked), len(stacked[0])))
+def _operator(stacked, dtype):
+    """The operator whose rows are stacked, in the one form both engines
+    read: its nonzero entries in row order, int64 rows and columns, and the
+    values in the dtype of an engine, int64 residues or object scalars."""
+    cells = [(r, c, x) for r, row in enumerate(stacked) for c, x in enumerate(row) if x]
+    rows, cols = (np.array([cell[t] for cell in cells], dtype=np.int64) for t in (0, 1))
+    return rows, cols, np.array([x for *_, x in cells], dtype=dtype)
 
 
 NEAR_2_31 = 2**31 - 1  # prime, the largest that machine_prime admits
@@ -768,9 +768,9 @@ NEAR_2_31 = 2**31 - 1  # prime, the largest that machine_prime admits
 @pytest.mark.parametrize("p", [7, NEAR_2_31], ids=["GF7", "GF2^31-1"])
 @pytest.mark.parametrize("seed", range(40))
 def test_int64_kernel_of_stacked_operators_matches_the_reference(p, seed, generic_engine):
-    """iterated_kernel_sparse on the int64 CSR form of a random stacked
+    """iterated_kernel_sparse on the int64 entries of a random stacked
     operator (blocks of at least 70 % zeros, some empty) equals the
-    reference kernel, as does the dict form on the Python-scalar engine;
+    reference kernel, as do the object entries on the Python-scalar engine;
     annihilates holds on the kernel and, for a unit vector e_j, exactly
     when column j is zero."""
     field = GF(p)
@@ -778,12 +778,12 @@ def test_int64_kernel_of_stacked_operators_matches_the_reference(p, seed, generi
     dim, nblocks = rng.randint(1, 8), rng.randint(1, 4)
     stacked = [row for _ in range(nblocks) for row in _sparse_rows(rng, field, dim, dim)]
     want = _ref_kernel(field, stacked, dim)
-    S, csr = _operator_forms(field, stacked)
     units = [basis_vec(field, dim, j) for j in range(dim)]
     zero_columns = [not any(r[j] for r in stacked) for j in range(dim)]
-    for form in (csr, S):
-        if form is S:
+    for dtype in (np.int64, object):
+        if dtype is object:
             generic_engine()
+        form = _operator(stacked, dtype)
         assert linalg.iterated_kernel_sparse(field, dim, form) == want
         assert all(linalg.annihilates(field, form, v) for v in want)
         assert [linalg.annihilates(field, form, e) for e in units] == zero_columns
@@ -820,12 +820,11 @@ def test_kernel_peels_and_refines_on_both_engines(
     field = GF(p)
     stacked = rows(p)
     assert _ref_kernel(field, stacked, len(stacked[0])) == want
-    S, csr = _operator_forms(field, stacked)
     if engine == "generic":
         generic_engine()
     calls = []
     kernel = Matrix.kernel
     monkeypatch.setattr(Matrix, "kernel", lambda self: calls.append(self.ncols) or kernel(self))
-    form = csr if engine == "int64" else S
+    form = _operator(stacked, np.int64 if engine == "int64" else object)
     assert linalg.iterated_kernel_sparse(field, len(stacked[0]), form) == want
     assert len(calls) == eliminations

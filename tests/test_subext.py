@@ -13,9 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embedding_of, embedding_report, structure_of, subpair_of, twist_of
+from conftest import (
+    count_calls,
+    embedding_of,
+    embedding_report,
+    structure_of,
+    subpair_of,
+    twist_of,
+)
 from hopfrob import linalg, subext
-from hopfrob.algebra import MulTable, on_cover
+from hopfrob.algebra import on_cover
 from hopfrob.catalog import entry
 from hopfrob.errors import InternalCheckError, InvalidInputError
 from hopfrob.linalg import Matrix, basis_vec, canonical_basis, matrix_order
@@ -625,7 +632,7 @@ def _cover_case(key, engine, generic_engine):
     """(embedding, extension data, H's cover, a basis index off it, regular
     module of K, its induced module)."""
     emb, data = _structure(key, engine, generic_engine)
-    cover = MulTable(emb.H.alg).cover
+    cover = emb.H.alg.cover
     assert len(cover) == COVERS[key] < emb.H.dim
     M = regular_module(emb.K)
     off = next(t for t in range(emb.H.dim) if t not in cover)
@@ -789,6 +796,18 @@ def test_free_module_rank(key, rank):
     ]
     for orbit in (right, left):
         assert Matrix.from_columns(H.field, orbit).rank() == H.dim
+
+
+@pytest.mark.parametrize(
+    "key", ["qc2-sweedler", "f7c3-taft", "qc2-qs3", "qc2-double", "qs3-double", "taft-3-7-2-double"]
+)
+def test_free_module_basis_of_the_other_pairs_needs_no_combination(key, monkeypatch):
+    """The catalog pairs and H in D(H) find their free basis among the basis
+    vectors of H: only H*^cop in D(H) reaches the integer combinations."""
+    fallback = count_calls(monkeypatch, subext, "_combinations")
+    emb = embedding_of(key)
+    assert len(free_module_basis(emb)) * emb.K.dim == emb.H.dim
+    assert fallback == []
 
 
 def test_free_module_basis_of_trivial_pair():

@@ -5,7 +5,8 @@ top-level function name defined in two modules, and no static
 constructor unreferenced through its class, one gate picks the int64
 engine, zero tests are truthiness tests, no matrix is a hand-filled grid,
 no sparse matrix has its rows sorted, numpy and scipy load only when
-that engine runs, and the docs name only attributes that exist."""
+that engine runs, the table builders merged across engines keep one
+path, and the docs name only attributes that exist."""
 
 import ast
 import dataclasses
@@ -453,6 +454,61 @@ def test_grid_fill_scan_finds_each_form(tmp_path):
     path = tmp_path / "probe.py"
     path.write_text(src, encoding="utf-8")
     assert _grid_fills(path) == [f"probe.py:{line}" for line in (2, 3, 5)]
+
+
+def _engine_branches(path: Path, function=None) -> list:
+    """Each `is None` / `is not None` test and each dict display (literal
+    or comprehension) of a module, or of one of its top-level functions."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if function is not None:
+        (tree,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    found = []
+    for node in ast.walk(tree):
+        none_test = isinstance(node, ast.Compare) and any(
+            isinstance(op, (ast.Is, ast.IsNot)) and ast.unparse(x) == "None"
+            for op, x in zip(node.ops, node.comparators)
+        )
+        if none_test:
+            found.append((node.lineno, "None test"))
+        if isinstance(node, (ast.Dict, ast.DictComp)):
+            found.append((node.lineno, "dict display"))
+    return [f"{path.name}:{line}: {kind}" for line, kind in sorted(found)]
+
+
+def test_table_builders_keep_one_path():
+    """D(H)'s mul table and the integral operator are each one numpy
+    routine on the table arrays of both engines, which differ there only
+    in the dtype of the values.  So no engine branch can come back
+    unnoticed: double.py tests nothing against None (the engine gate's
+    answer on the Python-scalar engine), and neither the double's
+    contraction nor integral_operator tests against None or displays a
+    dict, the form of the per-engine builders they replaced.  The rest of
+    double.py (the straightening table, its cross-check and D's comul)
+    accumulates in dicts on both engines alike."""
+    found = [f for f in _engine_branches(PACKAGE / "double.py") if f.endswith("None test")]
+    found += _engine_branches(PACKAGE / "double.py", "_double_mul")
+    found += _engine_branches(PACKAGE / "hopfcore.py", "integral_operator")
+    assert found == []
+
+
+def test_engine_branch_scan_finds_each_form(tmp_path):
+    """The scan above sees both None tests, a dict literal, an empty dict
+    and a dict comprehension, and ignores an `is` test against another name
+    and a dict() call."""
+    src = (
+        "def f(p, q, v):\n"
+        "    a = p is None\n"
+        "    b = 1 if q is not None else 2\n"
+        "    c = {(0, 1): p}\n"
+        "    d = {}\n"
+        "    e = {k: k for k in v}\n"
+        "    return p is q, dict(v)\n"
+    )
+    path = tmp_path / "probe.py"
+    path.write_text(src, encoding="utf-8")
+    assert [s.split(": ", 1)[0] for s in _engine_branches(path, "f")] == [
+        f"probe.py:{line}" for line in (2, 3, 4, 5, 6)
+    ]
 
 
 def test_no_sparse_rows_are_sorted():
