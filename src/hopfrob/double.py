@@ -2,17 +2,15 @@
 multiplication by the straightening rule, assembled entirely from structure
 constants.
 
-The straightening table of H is built once and every entry is replayed
-through honest products before anything else is assembled.  D's mul table
-is then a contraction over nonzero constants only: on D(taft-4-5-2) it
-makes 30,272 term updates, one per term of the table, where a sum over
-every index quadruple (a, i, b, j) visits 65,536.  It is one numpy routine
-(_double_mul) on H's table arrays under the key linalg.machine_prime gives,
-so the engines differ there only in the dtype of the values: int64
-residues over an admitted GF(p), an object array of Python scalars
-otherwise, each reduced by linalg.normalized and summed by linalg.summed.
-The comul and the antipode's columns are summed over nonzero constants in
-Python.
+Every table of D is built from H's table arrays under the key
+linalg.machine_prime gives, so the engines differ only in the dtype of the
+values: int64 residues over an admitted GF(p), an object array of Python
+scalars otherwise.  The straightening (_straighten_table), the mul table
+(_double_mul, 30,272 term updates on D(taft-4-5-2) where a sum over every
+index quadruple visits 65,536), the comul and the antipode are joins on
+index arrays (linalg.join), each key summed once by linalg.summed.  Before
+anything is assembled the straightening is replayed through honest
+products of sparse rows (_straighten_direct), in Python.
 
 Basis order: pair (a, i) with a indexing the dual factor and i indexing H,
 flattened row-major as a*dim(H) + i.
@@ -21,7 +19,6 @@ flattened row-major as a*dim(H) + i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 from . import linalg
 from .algebra import StructureAlgebra, comul_arrays, nonzero_row, structure_arrays, vec_to_row
@@ -32,7 +29,7 @@ from .hopfcore import (
     integral_operator,
     left_integral_space,
 )
-from .linalg import Matrix, annihilates
+from .linalg import Matrix, annihilates, nonzero_entries
 from .report import Report
 
 
@@ -45,50 +42,41 @@ class DoubleReport:
     unimodular: bool
 
 
-def _sandwich_table(H: HopfAlgebra):
-    """pe2[(u, w)][b] = [(v, c), ...] with c the e_b-coefficient of
-    e_u e_v e_w."""
-    field = H.field
-    zero = field.zero()
-    table: dict = {}
-    for u in range(H.dim):
-        for v in range(H.dim):
-            uv = H.alg.mul.get((u, v), ())
-            for w in range(H.dim):
-                acc: dict = {}
-                for k, c in uv:
-                    for b, c2 in H.alg.mul.get((k, w), ()):
-                        acc[b] = acc.get(b, zero) + c * c2
-                for b, c in nonzero_row(field, acc):
-                    table.setdefault((u, w), {}).setdefault(b, []).append((v, c))
-    return table
+def _straighten_table(H: HopfAlgebra) -> tuple:
+    """The straightening of H as arrays (ib, v, s, c) in key order
+    ((ib n + v) n + s), ib = i n + b: the product of the embedded e_i with
+    the embedded dual basis functional f_b is sum c (f_v tensor e_s) over
+    the entries of ib.  c sums the e_b-coefficients of c' Sbar(e_t) e_v e_r
+    over the terms c' e_r e_s e_t of (Delta x id)Delta(e_i), made by four
+    joins on H's table arrays: Delta with Delta, then Sbar's entries (Sbar(e_t)
+    = sum x e_w), then the products e_w e_v = sum y e_k, then the products
+    e_k e_r = sum z e_b.
 
+    Bound (int64): each join multiplies two residues below p < 2^31 and
+    reduces (linalg.join); a key sums fewer terms than the last join holds,
+    so fewer than 2^32 residues below 2^31 unless its arrays pass 2^32
+    entries (32 GiB each), and every sum stays below 2^63.  Every key is
+    below n^4, which int64 holds for n < 2^15.
+    """
+    import numpy as np
 
-def _straighten_table(H: HopfAlgebra):
-    """straighten[i][b] = [(v, s, c), ...]: the product of the embedded e_i
-    with the embedded dual basis functional f_b, written back in the
-    dual-first order: sum c * (f_v tensor e_s)."""
-    field = H.field
-    zero = field.zero()
-    sbar = H.antipode_inv()
-    pe2 = _sandwich_table(H)
-    d2 = {i: H.delta2_row(i) for i in range(H.dim)}
-    table = []
-    for i in range(H.dim):
-        per_b = []
-        for b in range(H.dim):
-            acc: dict = {}
-            for r, s, t, c in d2[i]:
-                for u in range(H.dim):
-                    cu = sbar.rows[u][t]
-                    if not cu:
-                        continue
-                    for v, c2 in pe2.get((u, r), {}).get(b, ()):
-                        key = (v, s)
-                        acc[key] = acc.get(key, zero) + c * cu * c2
-            per_b.append([(v, s, c) for (v, s), c in nonzero_row(field, acc)])
-        table.append(per_b)
-    return table
+    field, n = H.field, H.dim
+    p = linalg.machine_prime(field)
+    m, u, v, d = comul_arrays(H, p)
+    i, j, k, c = structure_arrays(H.alg, p)
+    w, t, x = nonzero_entries(H.antipode_inv())
+    # Delta(e_a) = d e_u e_v, then Delta(e_u) = d' e_r e_s: (a; r, s, t = v)
+    lo, hi, val = linalg.join(field, (u, d), (m, d))
+    ia, r, s, tt = m[lo], u[hi], v[hi], v[lo]
+    lo, hi, val = linalg.join(field, (tt, val), (t, x.astype(d.dtype)))
+    ia, r, s, ww = ia[lo], r[lo], s[lo], w[hi]
+    lo, hi, val = linalg.join(field, (ww, val), (i, c))
+    ia, r, s, vv, kk = ia[lo], r[lo], s[lo], j[hi], k[hi]
+    lo, hi, val = linalg.join(field, (kk * n + r, val), (i * n + j, c))
+    key = ((ia[lo] * n + k[hi]) * n + vv[lo]) * n + s[lo]
+    key, val = linalg.summed(field, key, val)
+    ib, vs = np.divmod(key, n * n)
+    return (ib, *np.divmod(vs, n), val)
 
 
 def _straighten_direct(H: HopfAlgebra, i: int):
@@ -112,31 +100,40 @@ def _straighten_direct(H: HopfAlgebra, i: int):
     return [dict(nonzero_row(field, acc)) for acc in per_b]
 
 
-def _double_mul(H: HopfAlgebra, straighten) -> dict:
+def _check_straightening(H: HopfAlgebra, straighten: tuple) -> None:
+    """Compare the straightening arrays with _straighten_direct at every
+    pair (i, b); a mismatch is a construction bug, not bad input, and
+    raises InternalCheckError naming the pair."""
+    n = H.dim
+    ib, v, s, c = straighten
+    got = [{} for _ in range(n * n)]
+    for x, vs, val in zip(ib.tolist(), zip(v.tolist(), s.tolist()), c.tolist()):
+        got[x][vs] = val
+    for i in range(n):
+        for b, direct in enumerate(_straighten_direct(H, i)):
+            if got[i * n + b] != direct:
+                raise InternalCheckError(f"straightening forms disagree at pair {(i, b)}")
+
+
+def _double_mul(H: HopfAlgebra, straighten: tuple) -> dict:
     """The mul table of D(H) in ascending key order: (f_a e_i)(f_b e_j) =
-    sum c (f_a f_v)(e_s e_j) over the entries (v, s, c) of straighten[i][b],
-    contracted over the nonzero products f_a f_v of each v and e_s e_j of
-    each s, so a row (a, j) is reached only through nonzero constants.  One
-    routine on the table arrays of H under the key linalg.machine_prime
-    gives, in blocks of the dual index a; the straightening scalars take the
-    dtype of their values, int64 residues or an object array of Python
-    scalars, and every reduction goes through linalg.normalized.
+    sum c (f_a f_v)(e_s e_j) over the straightening entries (ib, v, s, c),
+    ib = i n + b, contracted over the nonzero products f_a f_v of each v
+    and e_s e_j of each s, in blocks of the dual index a.
 
     A block expands each term (k; a, v, c2) of the coproducts of H with
     first leg a (f_a f_v = sum c2 f_k) over the straightening entries
-    (i, b, v, s, c) of its v, then each of those over the products
-    e_s e_j = c3 e_m of its s.  The term c c2 c3 lands at row
-    r = (i b j), column (k m) of the block, whose row (a*n + i, b*n + j)
+    (ib, v, s, c) of its v, then each of those over the products
+    e_s e_j = c3 e_m of its s (linalg.join).  The term c c2 c3 lands at
+    row r = (i b j), column (k m) of the block, whose row (a*n + i, b*n + j)
     of the table is then in key order along r.  linalg.summed sums the
-    repeated keys r*n^2 + (k m) and drops the sums that vanish, as
-    nonzero_row drops them, and the rows of the block go into the table in
-    key order.
+    repeated keys r*n^2 + (k m) and drops the sums that vanish, and
+    linalg.table_rows turns the block into rows of the table in key order.
 
     Bound (int64): c c2 < p^2 < 2^62, reduced mod p, then times c3 < 2^62,
     reduced mod p; a key sums one term per pair (v, s), fewer than 2^32
     residues below 2^31 for n < 2^16, so every sum stays below 2^63.  Every
-    key is below n^3 n^2 = n^5, which int64 holds for n <= 6208 (D of dim
-    3.8e7, whose straightening table alone is n^2 Python lists).
+    key is below n^3 n^2 = n^5, which int64 holds for n <= 6208.
     """
     import numpy as np
 
@@ -146,75 +143,45 @@ def _double_mul(H: HopfAlgebra, straighten) -> dict:
     p = linalg.machine_prime(field)
     m, u, v, d = comul_arrays(H, p)
     sj, jj, mm, c3 = structure_arrays(H.alg, p)
-    # the straightening entries, (i b) = i*n + b, sorted by v
-    counts = np.fromiter(map(len, chain.from_iterable(straighten)), dtype=np.int64, count=N)
-    ent = chain.from_iterable(chain.from_iterable(chain.from_iterable(straighten)))
-    ent = np.fromiter(ent, dtype=d.dtype, count=3 * int(counts.sum())).reshape(-1, 3)
-    tv, ts = ent[:, 0].astype(np.int64), ent[:, 1].astype(np.int64)
-    order = np.argsort(tv, kind="stable")
-    ib, tv, ts, tc = np.repeat(np.arange(N), counts)[order], tv[order], ts[order], ent[order, 2]
-    # the products e_s e_j sorted by s, the coproduct terms by first leg a
-    order = np.argsort(sj, kind="stable")
-    sj, jj, mm, c3 = sj[order], jj[order], mm[order], c3[order]
+    ib, tv, ts, tc = straighten
+    # the coproduct terms by first leg a
     order = np.argsort(u, kind="stable")
-    m, u, v, d = m[order], u[order], v[order], d[order]
-    by_v, by_s, by_a = (np.searchsorted(x, np.arange(n + 1)) for x in (tv, sj, u))
+    m, v, d = m[order], v[order], d[order]
+    by_a = np.searchsorted(u[order], np.arange(n + 1))
 
     keys, rows = [], []
     for a in range(n):
-        e0, e1 = by_a[a], by_a[a + 1]
-        e, t = _expand(v[e0:e1], by_v)
-        e += e0
-        cc = linalg.normalized(field, d[e] * tc[t])
-        x, q = _expand(ts[t], by_s)
-        key = (ib[t][x] * n + jj[q]) * N + m[e][x] * n + mm[q]
-        val = linalg.normalized(field, cc[x] * c3[q])
+        block = slice(by_a[a], by_a[a + 1])
+        e, t, cc = linalg.join(field, (v[block], d[block]), (tv, tc))
+        x, q, val = linalg.join(field, (ts[t], cc), (sj, c3))
+        key = (ib[t][x] * n + jj[q]) * N + m[block][e][x] * n + mm[q]
         del e, t, cc, x, q
         key, val = linalg.summed(field, key, val)
         r, col = np.divmod(key, N)
-        terms = list(zip(col.tolist(), val.tolist()))
-        starts = np.flatnonzero(np.diff(r, prepend=-1))
-        ends = [*starts[1:].tolist(), len(terms)]
-        keys.extend((a * n + row // N, row % N) for row in r[starts].tolist())
-        rows.extend(tuple(terms[s0:s1]) for s0, s1 in zip(starts.tolist(), ends))
+        found, terms = linalg.table_rows(r, (col,), val)
+        keys.extend((a * n + row // N, row % N) for row in found)
+        rows.extend(terms)
     return dict(zip(keys, rows))
-
-
-def _expand(groups, bounds) -> tuple:
-    """(t, q): for each item t, in order, every member q of its group
-    groups[t], the members of group g being bounds[g] <= q < bounds[g+1]."""
-    import numpy as np
-
-    reps = bounds[groups + 1] - bounds[groups]
-    t = np.repeat(np.arange(len(groups)), reps)
-    offsets = np.cumsum(reps) - reps - bounds[groups]
-    return t, np.arange(len(t)) - np.repeat(offsets, reps)
 
 
 def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     """The double as a Hopf algebra on dim(H)^2 structure constants.
 
-    Every straightening entry is replayed through the direct sandwich
-    evaluation; a mismatch is a construction bug, not bad input, and raises
-    InternalCheckError naming the pair.  The mul table (_double_mul), comul
-    and antipode are then summed over nonzero constants only.  Every row
-    leaves sorted, normalized and free of zeros, the form the tables hold,
-    so D is built by the dataclass constructors without a second cleaning.
+    The straightening is checked against its direct evaluation at every
+    pair (_check_straightening) before anything is assembled.  The mul
+    table (_double_mul), comul and antipode are then built from nonzero
+    constants only.  Every row leaves sorted, normalized and free of zeros,
+    the form the tables hold, so D is built by the dataclass constructors
+    without a second cleaning.
     """
+    import numpy as np
+
     field = H.field
     n = H.dim
     N = n * n
-    zero = field.zero()
 
     straighten = _straighten_table(H)
-    for i in range(n):
-        direct = _straighten_direct(H, i)
-        for b in range(n):
-            got = {(v, s): c for v, s, c in straighten[i][b]}
-            if got != direct[b]:
-                raise InternalCheckError(
-                    f"straightening forms disagree at pair {(i, b)}"
-                )
+    _check_straightening(H, straighten)
 
     unit = tuple(
         field.normalize(H.counit[a] * H.unit[i]) for a in range(n) for i in range(n)
@@ -224,23 +191,19 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     )
     alg = StructureAlgebra(field, N, _double_mul(H, straighten), unit, names)
 
-    # coproduct: opposite dual coproduct on the first factor
-    mul_by_result: dict = {}
-    for (u, v), terms in H.alg.mul.items():
-        for a, c in terms:
-            mul_by_result.setdefault(a, []).append((u, v, c))
-    comul: dict = {}
-    for a in range(n):
-        pairs = mul_by_result.get(a, ())
-        for i in range(n):
-            acc: dict = {}
-            for u, v, c in pairs:
-                for s, t, c2 in H.comul.get(i, ()):
-                    key = (v * n + s, u * n + t)
-                    acc[key] = acc.get(key, zero) + c * c2
-            terms = tuple((jj, kk, c) for (jj, kk), c in nonzero_row(field, acc))
-            if terms:
-                comul[a * n + i] = terms
+    # coproduct: opposite dual coproduct on the first factor,
+    # Delta(f_a e_i) = sum c d (f_v e_s) (x) (f_u e_t) over every pair of
+    # e_u e_v = c e_a and Delta(e_i) = d e_s e_t, the outer product of the
+    # two tables (every pair meets at the one key 0).  Every key is below
+    # N^3 = n^6, which int64 holds for n <= 1448, and sums one term.
+    p = linalg.machine_prime(field)
+    mu, mv, ma, mc = structure_arrays(H.alg, p)
+    ci, cs, ct, cd = comul_arrays(H, p)
+    x, y, val = linalg.join(field, (np.zeros_like(ma), mc), (np.zeros_like(ci), cd))
+    key = ((ma[x] * n + ci[y]) * N + mv[x] * n + cs[y]) * N + mu[x] * n + ct[y]
+    key, val = linalg.summed(field, key, val)
+    row, col = np.divmod(key, N * N)
+    comul = dict(zip(*linalg.table_rows(row, np.divmod(col, N), val)))
     for k in range(N):
         comul.setdefault(k, ())
 
@@ -249,23 +212,16 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     )
 
     # antipode: S'(f_b tensor e_j) = (eps tensor S e_j) * (f_b o Sbar tensor 1),
-    # column b*n + j summed over the nonzero entries of S and Sbar
-    sbar = H.antipode_inv()
-    s_cols = [vec_to_row(field, H.antipode.col(j)) for j in range(n)]
-    sbar_rows = [vec_to_row(field, sbar.rows[b]) for b in range(n)]
-    antipode = Matrix.from_entries(
-        field,
-        N,
-        N,
-        (
-            ((vv * n + ss, b * n + j), ck * cv * c)
-            for b in range(n)
-            for j in range(n)
-            for k, ck in s_cols[j]
-            for v, cv in sbar_rows[b]
-            for vv, ss, c in straighten[k][v]
-        ),
-    )
+    # column b*n + j summed over the straightening entries (k v, vv, ss, c)
+    # joined on k with S(e_j) = sum ck e_k and on v with Sbar's entry cv at (b, v)
+    ib, vv, ss, c = straighten
+    k, j, ck = nonzero_entries(H.antipode)
+    b, v, cv = nonzero_entries(H.antipode_inv())
+    x, y, val = linalg.join(field, (ib // n, c), (k, ck.astype(c.dtype)))
+    x2, y2, val = linalg.join(field, (ib[x] % n, val), (v, cv.astype(c.dtype)))
+    rows = vv[x][x2] * n + ss[x][x2]
+    cols = b[y2] * n + j[y][x2]
+    antipode = Matrix.from_entries(field, N, N, zip(zip(rows.tolist(), cols.tolist()), val.tolist()))
 
     return HopfAlgebra(alg, comul, counit, antipode, name=f"D({H.name or 'H'})")
 

@@ -84,7 +84,7 @@ from .algebra import (
 )
 from . import linalg
 from .errors import InvalidInputError, ShapeError, SingularError
-from .linalg import Matrix, basis_vec, csr_rows, iterated_kernel_sparse, mulmod, residues
+from .linalg import Matrix, basis_vec, csr_rows, iterated_kernel_sparse, mulmod, nonzero_entries, residues
 from .report import Report
 from .scalars import Field
 
@@ -623,12 +623,8 @@ def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
     eps_ok = eps_ok and _first_row(E, _outer(eps, eps, p), p) is None
 
     # antipode law; S^T: row w, column x holds the coefficient of e_x in S(e_w)
-    # a row object that several rows share (the parse's all-zero row) is read once
-    distinct = {id(r): r for r in H.antipode.rows}
-    entries = {key: [(w, a) for w, a in enumerate(r) if a] for key, r in distinct.items()}
-    S = [(x * n + w, a) for x, r in enumerate(H.antipode.rows) for w, a in entries[id(r)]]
-    xw = np.fromiter((q for q, _ in S), dtype=np.int64, count=len(S))
-    ST = sp.csr_matrix((residues((a for _, a in S), p), (xw % n, xw // n)), shape=(n, n))
+    x, w, a = nonzero_entries(H.antipode)
+    ST = sp.csr_matrix((residues(a, p), (w, x)), shape=(n, n))
     sides = []
     # row x, column (v a): e_x e_v at e_a, so that row w of S^T times it is
     # S(e_w) e_v, at (u v) = (w v); then e_u e_x, so e_u S(e_w), at (u w)

@@ -15,12 +15,16 @@ sparse operator and the sparse identity checks in algebra and hopfcore, in
 blocks bounded by the one byte budget _BLOCK_BYTES, run on int64 numpy/scipy
 arrays, everything else on Python scalars.  A large inverse eliminates
 [A | I] as one int64 array.  The numpy code that builds from a table (an
-integral operator, the double's mul table) is one routine for both engines,
-which differ there only in the dtype of the value array: int64 residues
-mod p, or an object array of Python scalars.  normalized reduces such an
-array (mod p, or field.normalize), and summed sums its repeated keys.  A
-sparse operator is the one form (rows, cols, vals) of its nonzero entries
-in row order, and one exact routine finds its kernel (iterated_kernel_sparse:
+integral operator, every table of the double, subext's module transport) is
+one routine for both engines, which differ there only in the dtype of the
+value array: int64 residues mod p, or an object array of Python scalars.
+normalized reduces such an array (mod p, or field.normalize), join pairs
+the entries of two arrays with equal keys and reduces their products,
+summed sums repeated keys, and table_rows turns sorted entries back into a
+table's row tuples; nonzero_entries reads a Matrix's nonzero entries as
+such arrays, each distinct row object once.  A sparse operator is the one
+form (rows, cols, vals) of its nonzero entries in row order, and one
+exact routine finds its kernel (iterated_kernel_sparse:
 peel the coordinates forced to zero, refine K by S K); the engines differ
 there only in S K (_product_rows).  Every int64 sum of products goes
 through mulmod, which is exact for any number of terms (its docstring bounds
@@ -42,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -365,8 +369,12 @@ class Matrix:
 
     @cached_property
     def _nonzero(self) -> tuple:
-        """The (column, entry) pairs of each row where the entry is nonzero."""
-        return tuple([(j, x) for j, x in enumerate(r) if x] for r in self.rows)
+        """The (column, entry) pairs of each row where the entry is nonzero;
+        a row object that several rows share (the one zero tuple of
+        from_entries and of the parse) is read once."""
+        distinct = {id(r): r for r in self.rows}
+        read = {key: [(j, x) for j, x in enumerate(r) if x] for key, r in distinct.items()}
+        return tuple(read[id(r)] for r in self.rows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         """self @ other: one int64 mulmod when machine_prime admits the field
@@ -622,7 +630,11 @@ def iterated_kernel_sparse(field: Field, dim: int, S: tuple) -> tuple[tuple, ...
             return ()
         K = null if K is None else null.mul(K)
         block = Matrix(field, tuple(islice(_product_rows(field, entries, K.rows), K.nrows)))
-    basis = Matrix.identity(field, len(free)).rows if K is None else canonical_basis(field, K.rows)
+    if K is None:
+        basis = Matrix.identity(field, len(free)).rows
+    else:
+        # a kernel is canonical already; only a product of kernels is reduced
+        basis = K.rows if K is null else canonical_basis(field, K.rows)
     # zero columns put between the columns left keep a reduced echelon form
     cells = (((i, j), x) for i, v in enumerate(basis) for j, x in zip(free, v) if x)
     return Matrix.from_entries(field, len(basis), dim, cells).rows
@@ -660,6 +672,54 @@ def summed(field: Field, keys, vals) -> tuple:
     vals = normalized(field, np.add.reduceat(vals, first))
     keep = vals.astype(bool)
     return keys[first][keep], vals[keep]
+
+
+def join(field: Field, left: tuple, right: tuple) -> tuple:
+    """(l, r, vals): every pair of an entry l of left and an entry r of
+    right with the same key, each side given as (keys, vals), int64 keys
+    and the values of a table array of either engine (normalized); l
+    ascending, the r of each l in the order of right, and vals the products
+    reduced by normalized.
+
+    Bound (int64): both values are residues below p < 2^31, so each product
+    is below 2^62 before its reduction."""
+    import numpy as np
+
+    (lkeys, lvals), (rkeys, rvals) = left, right
+    order = np.argsort(rkeys, kind="stable")
+    rkeys = rkeys[order]
+    # each l repeated over its matches order[start : stop] in the sorted keys
+    start = np.searchsorted(rkeys, lkeys)
+    reps = np.searchsorted(rkeys, lkeys, side="right") - start
+    l = np.repeat(np.arange(len(lkeys)), reps)
+    r = order[np.arange(len(l)) - np.repeat(np.cumsum(reps) - reps - start, reps)]
+    return l, r, normalized(field, lvals[l] * rvals[r])
+
+
+def nonzero_entries(M: Matrix) -> tuple:
+    """(rows, cols, vals): the nonzero entries of M in row order (read off
+    M._nonzero, each distinct row object once), as int64 index arrays and an
+    object array of M's own scalars."""
+    import numpy as np
+
+    flat = list(chain.from_iterable(M._nonzero))
+    counts = np.fromiter(map(len, M._nonzero), dtype=np.int64, count=M.nrows)
+    cols = np.fromiter((j for j, _ in flat), dtype=np.int64, count=len(flat))
+    vals = np.fromiter((x for _, x in flat), dtype=object, count=len(flat))
+    return np.repeat(np.arange(M.nrows), counts), cols, vals
+
+
+def table_rows(rows, cols: tuple, vals) -> tuple:
+    """(keys, terms) of the entries of a table sorted by row, rows an int64
+    array, cols a tuple of index arrays and vals the values: the distinct
+    rows ascending, and for each the tuple of its terms (*col, val) in entry
+    order, all as Python scalars."""
+    import numpy as np
+
+    terms = list(zip(*(c.tolist() for c in cols), vals.tolist()))
+    starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+    ends = [*starts[1:], len(terms)]
+    return rows[starts].tolist(), [tuple(terms[s:e]) for s, e in zip(starts, ends)]
 
 
 def _product_rows(field: Field, entries: tuple, K: Sequence):

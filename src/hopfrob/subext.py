@@ -22,7 +22,8 @@ dim H / dim K, along one change of basis of H: the free right basis u_j
 and the left basis S(u_j).  Their tensors live in the d x n matrices over
 M (x) H, flattened row-major (module, H); H acts on them by right and left
 translation in H, which _translates makes by every basis element in one
-pass over the mul table, read back in the coordinates of M^r.
+join of the tensors' nonzero entries with the mul table's arrays, read back
+in the coordinates of M^r by a second join, on both engines alike.
 
 The module law rho(ab) = rho(b) rho(a) and the intertwining Lambda(a) theta =
 theta rho(a) of the comparison map, Lambda(a) phi = phi(a .), run on the
@@ -40,13 +41,13 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
 
-from .algebra import check_automorphism, on_cover
+from .algebra import check_automorphism, on_cover, structure_arrays
 from .errors import InconclusiveSearchError, InternalCheckError, InvalidInputError, SingularError
 from .frobenius import IntegralData, build_integral_data, frobenius_system_from_norm
 from .frobenius import modular_inverse, nakayama_closed_form
 from .hopfcore import HopfAlgebra, convolution, hit_matrix, hopf_map_report
 from . import linalg
-from .linalg import Matrix, basis_vec, canonical_basis, residues, vscale
+from .linalg import Matrix, basis_vec, canonical_basis, vscale
 from .report import Report
 
 
@@ -399,61 +400,45 @@ class CoinducedModule:
     action: tuple
 
 
-def _translates(alg, vecs, d: int, side: str, read: Matrix) -> tuple:
-    """read times the move of vecs by each basis element e_t of alg, in
-    order of t, where column v of the move by e_t is vecs[v] moved by e_t.
+def _translates(alg, vecs: Matrix, side: str, read: Matrix) -> tuple:
+    """read times the move of the rows of vecs by each basis element e_t of
+    alg, in order of t, where column v of the move by e_t is row v of vecs
+    moved by e_t.
 
     Each vector is a d x n matrix phi flattened row-major (module, H).  Side
     "right" moves m (x) h to m (x) h e_t, side "left" moves phi to
     phi(e_t .): the entry c at e_k of e_i e_j sends entry (a, i) of a vector
     to (a, k) of its move by e_j (right), and entry (a, k) to (a, j) of its
-    move by e_i (left).  All moves are made in one pass over alg.mul, side
-    by side (column t w + v for the w vectors), and read in one sparse
-    product, so the work follows the nonzero entries of vecs and read and
-    the mul entries they meet, not the cells of the side-by-side moves."""
-    field, n = alg.field, alg.dim
-    z, w = field.zero(), len(vecs)
-    width = n * w
-    # the nonzero entries of the vectors by H index, each with its offset
-    # (module row, vector) in the moves flattened row-major
-    reads: list = [[] for _ in range(n)]
-    for v, vec in enumerate(vecs):
-        for pos, c in enumerate(vec):
-            if c:
-                a, i = divmod(pos, n)
-                reads[i].append((a * n * width + v, c))
-    acc: dict = {}
-    for (i, j), row in alg.mul.items():
-        for k, m in row:
-            # (move, H index written, H index read)
-            t, dst, src = (j, k, i) if side == "right" else (i, j, k)
-            base = dst * width + t * w
-            for off, c in reads[src]:
-                key = off + base
-                acc[key] = acc.get(key, z) + c * m
-    p = linalg.machine_prime(field)
-    if p is not None and read.nrows * width >= linalg._NUMPY_CELLS:
-        import numpy as np
-        import scipy.sparse as sp
+    move by e_i (left).  The moves, side by side (row (a, written), column
+    t w + v for the w vectors), are one join of the vectors' nonzero entries
+    with alg's table arrays on the H index read, and read times them is a
+    second join on that row (linalg.join), so the work follows the nonzero
+    entries of vecs and read and the mul entries they meet.
 
-        keys = np.fromiter(acc, dtype=np.int64, count=len(acc))
-        moves = sp.csr_matrix((residues(acc.values(), p), np.divmod(keys, width)), shape=(d * n, width))
-        A = sp.csr_matrix(np.array(read.rows, dtype=np.int64) % p)
-        out = linalg.mulmod(A, moves, p).toarray().tolist()
-    else:
-        moves: list = [[] for _ in range(d * n)]
-        for key, x in acc.items():
-            r, c = divmod(key, width)
-            moves[r].append((c, x))
-        out = []
-        for row in read.rows:
-            sums = [z] * width
-            for r, a in enumerate(row):
-                if a:
-                    for c, x in moves[r]:
-                        sums[c] += a * x
-            out.append(tuple(map(field.normalize, sums)))
-    return tuple(Matrix(field, tuple(tuple(r[t * w : (t + 1) * w]) for r in out)) for t in range(n))
+    Bound (int64): a key (t, row of read, v) sums one reduced product per
+    row (a, written) and H index read, at most d n^2 residues below 2^31,
+    so below 2^63 for d n^2 < 2^32.  Every key is below n q w for the q
+    rows of read, with w, q <= d n.
+    """
+    import numpy as np
+
+    field, n = alg.field, alg.dim
+    w, q = vecs.nrows, read.nrows
+    i, j, k, c = structure_arrays(alg, linalg.machine_prime(field))
+    t, dst, src = (j, k, i) if side == "right" else (i, j, k)
+    vec, pos, x = linalg.nonzero_entries(vecs)
+    a, at = np.divmod(pos, n)
+    lo, hi, val = linalg.join(field, (at, x.astype(c.dtype)), (src, c))
+    moved, col = a[lo] * n + dst[hi], t[hi] * w + vec[lo]
+    r, rc, y = linalg.nonzero_entries(read)
+    lo, hi, val = linalg.join(field, (rc, y.astype(c.dtype)), (moved, val))
+    by_t, v = np.divmod(col[hi], w)
+    # the moves read, stacked in order of t: row t q + (row of read), column v
+    key, val = linalg.summed(field, (by_t * q + r[lo]) * w + v, val)
+    row, v = np.divmod(key, w)
+    cells = zip(zip(row.tolist(), v.tolist()), val.tolist())
+    stacked = Matrix.from_entries(field, n * q, w, cells).rows
+    return tuple(Matrix(field, stacked[t * q : (t + 1) * q]) for t in range(n))
 
 
 def _free_transport(emb: SubalgebraEmbedding, flat: Matrix, d: int, free, side: str) -> tuple:
@@ -486,7 +471,7 @@ def _free_transport(emb: SubalgebraEmbedding, flat: Matrix, d: int, free, side: 
     z = (field.zero(),) * n
     pure = Matrix(field, tuple(z * g + b + z * (d - 1 - g) for g in range(d) for b in free))
     embed, read = (pure, spread) if side == "left" else (spread, pure)
-    return embed, _translates(H.alg, embed.rows, d, "right" if side == "left" else "left", read)
+    return embed, _translates(H.alg, embed, "right" if side == "left" else "left", read)
 
 
 def induced_module(

@@ -202,12 +202,14 @@ def test_criterion_07_double_of_the_four_dimensional_algebra(capfd):
         assert rep.passed
         assert len(dual_left_integral_space(D)) == 1
         H = entry("sweedler").hopf
-        table = _straighten_table(H)
+        ib, v, s, c = (a.tolist() for a in _straighten_table(H))
+        fast = [{} for _ in range(H.dim**2)]
+        for x, vs, val in zip(ib, zip(v, s), c):
+            fast[x][vs] = val
         for i in range(H.dim):
             direct = _straighten_direct(H, i)
             for b in range(H.dim):
-                fast = {(v, s): c for v, s, c in table[i][b]}
-                assert fast == direct[b], (i, b)
+                assert fast[i * H.dim + b] == direct[b], (i, b)
 
     _verdict(capfd, 7, "Drinfeld double structure", body)
 

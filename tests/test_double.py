@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import count_calls, double_of, double_report_of, taft_over
 
@@ -17,6 +18,7 @@ from hopfrob.algebra import (
 from hopfrob.catalog import entry, names
 from hopfrob.cli import main
 from hopfrob.double import (
+    _straighten_direct,
     _straighten_table,
     double_fh_check,
     drinfeld_double,
@@ -26,7 +28,15 @@ from hopfrob.double import (
 from hopfrob.errors import InternalCheckError
 from hopfrob.hopffile import emit_hopf_text
 from hopfrob.frobenius import build_integral_data, verify_radford
-from hopfrob.hopfcore import HopfAlgebra, convolution, dual_hopf, verify_hopf
+from hopfrob.hopfcore import (
+    HopfAlgebra,
+    convolution,
+    dual_hopf,
+    dual_left_integral_space,
+    left_integral_space,
+    right_integral_space,
+    verify_hopf,
+)
 from hopfrob.linalg import Matrix, basis_vec
 from hopfrob.report import Report
 
@@ -311,12 +321,16 @@ def _double_by_definition(H: HopfAlgebra) -> HopfAlgebra:
     over the straightening entries (v, s, c) of (i, b), each pair (u, v) of
     Delta(f_a e_i) = sum c_uv^a (f_v e_(i)1) (x) (f_u e_(i)2) with
     e_u e_v = sum c_uv^a e_a, and each column of S(f_b e_j) = (eps e
-    S(e_j))(f_b o Sbar 1) as a dense vector."""
+    S(e_j))(f_b o Sbar 1) as a dense vector.  The straightening is the
+    direct evaluation through honest products, not the joins under test."""
     field = H.field
     n = H.dim
     N = n * n
     zero = field.zero()
-    straighten = _straighten_table(H)
+    straighten = [
+        [[(v, s, c) for (v, s), c in row.items()] for row in _straighten_direct(H, i)]
+        for i in range(n)
+    ]
 
     dual_rows: dict = {}
     for k in range(n):
@@ -424,14 +438,16 @@ def test_straightening_cross_check_fails_closed(key, monkeypatch, tmp_path, caps
     honest products disagrees: drinfeld_double raises InternalCheckError
     naming that pair, and `hopfrob double` exits 1 with it on stderr."""
     H = entry(key).hopf
-    table = _straighten_table(H)
-    i, b = max((i, b) for i in range(H.dim) for b in range(H.dim) if table[i][b])
+    ib = _straighten_table(H)[0]
+    # the first entry of the last pair that has entries
+    at = int(np.searchsorted(ib, ib[-1]))
+    i, b = divmod(int(ib[-1]), H.dim)
 
     def moved(H):
-        t = _straighten_table(H)
-        (v, s, c), *rest = t[i][b]
-        t[i][b] = [(v, s, H.field.normalize(c + H.field.one())), *rest]
-        return t
+        ib, v, s, c = _straighten_table(H)
+        c = c.copy()
+        c[at] = H.field.normalize(c.tolist()[at] + H.field.one())
+        return ib, v, s, c
 
     monkeypatch.setattr(double, "_straighten_table", moved)
     message = f"straightening forms disagree at pair {(i, b)}"
@@ -460,13 +476,12 @@ def test_double_build_work_guard(monkeypatch, generic_engine):
     """D(taft-4-5-2) is assembled from its nonzero structure constants one
     block at a time, and each row is cleaned once.
 
-    Its mul table is one contraction on the table arrays of H on both
-    engines, so nonzero_row cleans no row of it: beyond the straightening
-    and its cross-check (7,200 rows) it cleans only the 256 comul rows, on
-    the int64 engine (the default over GF(5)) and on the Python-scalar
-    engine alike.  The Python-scalar engine cleaned 18,720 rows when it
-    contracted in Python loops.  The traced peak of the build stays at most
-    6 MiB on both (4.1 MiB on each)."""
+    The straightening, D's mul table, comul and antipode are joins on the
+    table arrays of H on both engines, so outside the replay of the
+    straightening through honest products (_straighten_direct, 2,832 rows)
+    nonzero_row cleans no row, on the int64 engine (the default over GF(5))
+    and on the Python-scalar engine alike.  The traced peak of the build
+    stays at most 6 MiB on both (4.2 MiB on each)."""
     H = entry("taft-4-5-2").hopf
     H.antipode_inv()
     for engine in ("int64", "generic"):
@@ -475,11 +490,30 @@ def test_double_build_work_guard(monkeypatch, generic_engine):
         drinfeld_double(H)  # the table arrays of H for this engine, kept on it, built once
         with monkeypatch.context() as m:
             calls = count_calls(m, algebra, "nonzero_row")
-            double._straighten_table(H)
             for i in range(H.dim):
                 double._straighten_direct(H, i)
-            straightening = len(calls)
+            direct = len(calls)
         with monkeypatch.context() as m:
             cleaned, peak = _build_work(m, H)
-        assert cleaned == straightening + H.dim**2, engine
+        assert cleaned == direct, engine
         assert peak <= 6 * 2**20, f"{engine} peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("key,width", [("taft-3-7-2", 3), ("taft-4-5-2", 4)])
+def test_one_pass_integral_spaces_eliminate_twice(key, width, monkeypatch):
+    """Each integral space of these doubles is found in one pass of
+    linalg.iterated_kernel_sparse, whose K is then the block's kernel,
+    canonical already: two eliminations per space (the block, then its null
+    vectors in canonical_basis), and none to reduce K once more."""
+    D = double_of(key)
+    rref = linalg._rref
+    for space in (left_integral_space, right_integral_space, dual_left_integral_space):
+        shapes = []
+        with monkeypatch.context() as m:
+            m.setattr(
+                linalg,
+                "_rref",
+                lambda field, rows: shapes.append((len(rows), len(rows[0]))) or rref(field, rows),
+            )
+            space(D)
+        assert shapes == [(width, width), (1, width)], space.__name__

@@ -750,21 +750,20 @@ def test_transport_eliminates_at_most_dim_h_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("key", ("f7c3-taft", "f2c2-double", "f7c3-double"))
-def test_transport_sparse_product_matches_the_python_sum(key, monkeypatch):
-    """Above _NUMPY_CELLS cells _translates reads the moves through a sparse
-    int64 product; forced at every size it builds the modules and the
-    report of the Python sum that these small pairs take."""
+def test_transport_engines_agree(key, generic_engine):
+    """_translates is one pair of joins whose values are int64 residues on
+    the default engine over GF(p) and Python scalars on the other: both
+    build the same induced and co-induced actions and the same report."""
     emb, _, data = subpair_of(key)
 
     def build(M):
         ind, coi = induced_module(emb, data, M), coinduced_module(emb, data, M)
         return ind, coi, str(induction_coinduction_check(emb, data, M))
 
-    for M in _transport_modules(key, emb.K):
-        want = build(M)
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "_NUMPY_CELLS", 0)
-            assert build(M) == want
+    modules = _transport_modules(key, emb.K)
+    want = [build(M) for M in modules]
+    generic_engine()
+    assert [build(M) for M in modules] == want
 
 
 def test_transport_rejects_a_basis_that_is_not_free(monkeypatch):

@@ -476,18 +476,27 @@ def _engine_branches(path: Path, function=None) -> list:
 
 
 def test_table_builders_keep_one_path():
-    """D(H)'s mul table and the integral operator are each one numpy
-    routine on the table arrays of both engines, which differ there only
-    in the dtype of the values.  So no engine branch can come back
-    unnoticed: double.py tests nothing against None (the engine gate's
-    answer on the Python-scalar engine), and neither the double's
-    contraction nor integral_operator tests against None or displays a
-    dict, the form of the per-engine builders they replaced.  The rest of
-    double.py (the straightening table, its cross-check and D's comul)
-    accumulates in dicts on both engines alike."""
+    """Every table of D(H), the integral operator and the module transport
+    of subext are each one numpy routine on the table arrays of both
+    engines, which differ there only in the dtype of the values.  So no
+    engine branch can come back unnoticed: double.py tests nothing against
+    None (the engine gate's answer on the Python-scalar engine), and no
+    function of it displays a dict, the form of the per-engine builders
+    they replaced, nor do integral_operator and subext._translates test
+    against None or display a dict.  The exceptions are the independent
+    replay of the straightening through honest products
+    (_straighten_direct) and its comparison with the arrays
+    (_check_straightening), which keep their dicts on purpose."""
+    replay = ("_straighten_direct", "_check_straightening")
+    tree = ast.parse((PACKAGE / "double.py").read_text(encoding="utf-8"))
+    functions = [n.name for n in tree.body if isinstance(n, ast.FunctionDef)]
+    assert set(replay) <= set(functions)
     found = [f for f in _engine_branches(PACKAGE / "double.py") if f.endswith("None test")]
-    found += _engine_branches(PACKAGE / "double.py", "_double_mul")
+    for name in functions:
+        if name not in replay:
+            found += _engine_branches(PACKAGE / "double.py", name)
     found += _engine_branches(PACKAGE / "hopfcore.py", "integral_operator")
+    found += _engine_branches(PACKAGE / "subext.py", "_translates")
     assert found == []
 
 
