@@ -555,14 +555,34 @@ def table_arrays(field: Field, p: Optional[int], keys, rows) -> tuple:
     return arrays
 
 
-def row_compact(keys, cols, vals, ncols: int) -> tuple:
-    """The CSR matrix with vals at (keys, cols), its rows cut to the keys
-    that occur, and those keys in row order."""
+def compact(rows, cols, vals, shape: tuple) -> tuple:
+    """The CSR matrix (linalg.csr) of shape with vals at (rows, cols), the
+    one axis whose size is given as None cut to the keys that occur there,
+    and those keys ascending.  Cutting the rows takes one stable argsort of
+    the keys, whose order also lays the entries out row by row."""
     import numpy as np
-    import scipy.sparse as sp
 
-    kept, row = np.unique(keys, return_inverse=True)
-    return sp.csr_matrix((vals, (row, cols)), shape=(len(kept), ncols)), kept
+    if shape[0] is None:
+        order = np.argsort(rows, kind="stable")
+        keys = rows[order]
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))[: len(keys)]
+        kept = keys[new]
+        return linalg.csr(vals[order], np.cumsum(new) - 1, cols[order], (len(kept), shape[1])), kept
+    kept, col = np.unique(cols, return_inverse=True)
+    return linalg.csr(vals, rows, col, (shape[0], len(kept))), kept
+
+
+def picked(rows: Optional[Sequence], n: int, keys, arrays: tuple) -> tuple:
+    """index, the ascending basis indices rows (None: all n) as an array,
+    and the entries of the table arrays whose key is among them, the keys
+    replaced by their place in index and followed by the arrays."""
+    import numpy as np
+
+    index = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    at = np.full(n, -1)
+    at[index] = np.arange(len(index))
+    keep = at[keys] >= 0
+    return index, (at[keys[keep]], *(a[keep] for a in arrays))
 
 
 def by_item(Y, keys, nsub: int, first: int, shape, col, p: int):
@@ -667,9 +687,9 @@ def _associativity_failure(
     all), with e_i (e_j e_k) != (e_i e_j) e_k, or None, mod p on the
     structure_arrays mul of A, in blocks of r, g_r = e_{rows[r]}.
 
-    L holds the products g_r e_m: row r, entry (a, m) at a*dim + m for
-    their coefficient at e_a.  That is row rows[r] of the table laid out as
-    Mu, picked by CSR row selection (on the whole basis, Mu itself), so no
+    L holds the products g_r e_m: row r, entry (a, m) for their
+    coefficient at e_a.  Those are the table entries with i = rows[r],
+    picked out of the arrays (on the whole basis, all of them), so no
     product is formed for it.  The left side
     g_r (e_j e_k) = sum_m c(j, k; m) g_r e_m is L stacked as rows (r a),
     column m, times the table as row m, column (j k); the right side
@@ -685,25 +705,21 @@ def _associativity_failure(
     count; L's entries are the table's residues, reduced and nonzero.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     n = A.dim
     i, j, k, c = mul
-    # row u: L_{e_u}
-    index = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    Mu = sp.csr_matrix((c, (i, k * n + j)), shape=(n, n * n))
-    L = Mu[index]
-    lr, (la, lm) = csr_rows(L), np.divmod(L.indices.astype(np.int64), n)
-    left, lkeys = row_compact(lr * n + la, lm, L.data, n)
-    right, rkeys = row_compact(lr * n + lm, la, L.data, n)
-    by_product = sp.csr_matrix((c, (k, i * n + j)), shape=(n, n * n))
-    by_left = sp.csr_matrix((c, (i, j * n + k)), shape=(n, n * n))
+    index, (lr, la, lm, lc) = picked(rows, n, i, (k, j, c))
+    R = len(index)
+    left, lkeys = compact(lr * n + la, lm, lc, (None, n))
+    right, rkeys = compact(lr * n + lm, la, lc, (None, n))
+    by_product = linalg.csr(c, k, i * n + j, (n, n * n))
+    by_left = linalg.csr(c, i, j * n + k, (n, n * n))
     terms = np.bincount(
         lr,
         weights=np.bincount(k, minlength=n)[lm] + np.bincount(i, minlength=n)[la],
-        minlength=L.shape[0],
+        minlength=R,
     )
-    for r0, r1 in blocks(2 * (np.bincount(lr, minlength=L.shape[0]) + terms)):
+    for r0, r1 in blocks(2 * (np.bincount(lr, minlength=R) + terms)):
         shape = (r1 - r0, n**3)
         a0, a1 = np.searchsorted(lkeys, (r0 * n, r1 * n))
         lhs = by_item(
@@ -758,8 +774,8 @@ def _multiplicative_failure_modp(
     PT = P.T.tocsr()
     si, sj, sk, sc = structure_arrays(src, p)
     k, l, n, c = structure_arrays(dst, p)
-    products, pairs = row_compact(si * ds + sj, sk, sc, ds)
-    left = sp.csr_matrix((c, (k, n * dd + l)), shape=(dd, dd * dd))
+    products, pairs = compact(si * ds + sj, sk, sc, (None, ds))
+    left = linalg.csr(c, k, n * dd + l, (dd, dd * dd))
     # terms of T, of T times P and of the left side, for each i
     pi, pk, images = csr_rows(PT), PT.indices, np.diff(PT.indptr)
     t_terms = np.bincount(pi, weights=np.bincount(k, minlength=dd)[pk], minlength=ds)
@@ -776,9 +792,8 @@ def _multiplicative_failure_modp(
         )
         T = mulmod(PT[i0:i1], left, p)
         tn, tl = np.divmod(T.indices.astype(np.int64), dd)
-        keys, row = np.unique(csr_rows(T) * dd + tn, return_inverse=True)
-        T = sp.csr_matrix((T.data, (row, tl)), shape=(len(keys), dd))
-        del tn, tl, row
+        T, keys = compact(csr_rows(T) * dd + tn, tl, T.data, (None, dd))
+        del tn, tl
         rhs = by_item(mulmod(T, P, p), keys, dd, 0, shape, lambda j, m: j * dd + m, p)
         del T
         bad = first_mismatch(lhs, rhs, shape[1], p)

@@ -79,25 +79,29 @@ def _straighten_table(H: HopfAlgebra) -> tuple:
     return (ib, *np.divmod(vs, n), val)
 
 
-def _straighten_direct(H: HopfAlgebra, i: int):
-    """Row i of the same straightening computed the slow way, as one dict
-    {(v, s): c} per b: the functional y -> f_b(Sbar(e_t) y e_r) is
-    evaluated by two honest products of sparse rows, once per term and v,
-    and read at every b."""
+def _straighten_direct(H: HopfAlgebra, rows):
+    """The rows i in rows of the same straightening computed the slow way,
+    one at a time, each as one dict {(v, s): c} per b: the functional
+    y -> f_b(Sbar(e_t) y e_r) is evaluated by two honest products of sparse
+    rows and read at every b, Sbar(e_t) e_v once per (t, v) for all the
+    rows, then times e_r once per term and v."""
     field = H.field
     zero = field.zero()
     one = field.one()
     sbar = H.antipode_inv()
-    per_b = [{} for _ in range(H.dim)]
-    for r, s, t, c in H.delta2_row(i):
-        left = vec_to_row(field, sbar.col(t))
-        for v in range(H.dim):
-            w = H.alg.multiply_rows(left, ((v, one),))
-            w = H.alg.multiply_rows(w, ((r, one),))
-            for b, wb in w:
-                acc = per_b[b]
-                acc[(v, s)] = acc.get((v, s), zero) + c * wb
-    return [dict(nonzero_row(field, acc)) for acc in per_b]
+    products: dict = {}
+    for i in rows:
+        per_b = [{} for _ in range(H.dim)]
+        for r, s, t, c in H.delta2_row(i):
+            if t not in products:
+                left = vec_to_row(field, sbar.col(t))
+                products[t] = [H.alg.multiply_rows(left, ((v, one),)) for v in range(H.dim)]
+            for v, w in enumerate(products[t]):
+                w = H.alg.multiply_rows(w, ((r, one),))
+                for b, wb in w:
+                    acc = per_b[b]
+                    acc[(v, s)] = acc.get((v, s), zero) + c * wb
+        yield [dict(nonzero_row(field, acc)) for acc in per_b]
 
 
 def _check_straightening(H: HopfAlgebra, straighten: tuple) -> None:
@@ -109,8 +113,8 @@ def _check_straightening(H: HopfAlgebra, straighten: tuple) -> None:
     got = [{} for _ in range(n * n)]
     for x, vs, val in zip(ib.tolist(), zip(v.tolist(), s.tolist()), c.tolist()):
         got[x][vs] = val
-    for i in range(n):
-        for b, direct in enumerate(_straighten_direct(H, i)):
+    for i, row in enumerate(_straighten_direct(H, range(n))):
+        for b, direct in enumerate(row):
             if got[i * n + b] != direct:
                 raise InternalCheckError(f"straightening forms disagree at pair {(i, b)}")
 

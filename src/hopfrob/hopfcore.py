@@ -68,6 +68,8 @@ from .algebra import (
     blocks,
     by_item,
     comul_arrays,
+    compact,
+    entry_keys,
     first_failure,
     first_mismatch,
     is_augmentation,
@@ -76,7 +78,7 @@ from .algebra import (
     multiplicative_failure,
     nonzero_row,
     on_cover,
-    row_compact,
+    picked,
     smallest,
     structure_arrays,
     vec_to_row,
@@ -466,7 +468,7 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
         lambda: linalg.joint_scale(
             H.alg.scale,
             H.comul_scale,
-            linalg.scale_of(chain(H.counit, H.unit, chain.from_iterable(H.antipode.rows))),
+            linalg.scale_of(chain(H.counit, H.unit, nonzero_entries(H.antipode)[2])),
         ),
         3,
         dim**3,
@@ -572,75 +574,84 @@ def _linear_failures_loops(H: HopfAlgebra) -> tuple:
 
 
 def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
-    """_linear_failures_loops as four sparse identities mod p, on the
+    """_linear_failures_loops as sparse identities mod p, on the
     structure_arrays mul and the comul_arrays comul of H.
 
     Delta is laid out as row i, column (u v), over the pairs (u v) that
     occur.  Coassociativity is two products with Delta in blocks of i
-    (_coassociativity_failure).  The counit law is Delta times [(u v), u] =
-    eps(e_v) and times [(u v), v] = eps(e_u), against the identity.  The
-    antipode law is Delta times [(u v), a] = the coefficient of e_a in
-    S(e_u) e_v, and times the same for e_u S(e_v), each S^T times the mul
-    table, re-laid; both against eps (x) 1.  "Counit multiplicative" sums
-    c eps(e_k) over the mul entries e_i e_j = c e_k per (i, j), against
-    eps (x) eps, and checks eps(1) = 1.  eps (x) 1 and eps (x) eps come from
-    the nonzero entries of eps and 1 alone.  Each identity reports its
-    smallest failing row, the first failing basis index of its loop.
+    (_coassociativity_failure).  The counit law and the antipode law are
+    one product, Delta times [X1 | X2 | P1 | P2] against [I | I | T | T]:
+    X1[(u v), u] = eps(e_v) and X2[(u v), v] = eps(e_u) give the two hit
+    actions of eps, P1[(u v), a] the coefficient of e_a in S(e_u) e_v and
+    P2[(u v), a] that in e_u S(e_v), and T = eps (x) 1.  P1 and P2 come
+    from one product too, S^T times the mul table re-laid for each side
+    and set side by side; only the pairs (u v) where Delta has a column
+    meet Delta.  The counit law fails first at the smallest mismatching
+    row of the first 2 dim columns, the antipode law at the smallest of the
+    last 2 dim, the first failing basis index of each loop.  "Counit
+    multiplicative" sums c eps(e_k) over the mul entries e_i e_j = c e_k
+    per (i, j), against eps (x) eps, and checks eps(1) = 1.  eps (x) 1 and
+    eps (x) eps come from the nonzero entries of eps and 1 alone.
 
     Bound: every sum of products goes through linalg.mulmod, exact for any
     term count (those with Delta on the left sum as many as the largest
-    Delta(e_i) has terms), but the sum of c eps(e_k), whose terms are
-    reduced mod p first, so a cell of at most dim of them stays below
-    2^31 dim < 2^63.
+    Delta(e_i) has terms, whichever columns they fill), but the sum of
+    c eps(e_k), whose terms are reduced mod p first, so a cell of at most
+    dim of them stays below 2^31 dim < 2^63.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     n = H.dim
     i, j, k, c = mul
     m, u, v, d = comul
-    delta, uv = _compact(m, u * n + v, d, n)
+    delta, uv = compact(m, u * n + v, d, (n, None))
     eps, one = residues(H.counit, p), residues(H.unit, p)
 
     coassoc = _coassociativity_failure(comul, delta, uv, p)
 
-    # counit law: eps ⇀ e_i is Delta(e_i) with eps applied to the second
-    # leg, e_i ↼ eps with eps applied to the first
-    row = np.arange(len(uv))
-    ident = sp.identity(n, dtype=np.int64, format="csr")
-    counit = smallest(
-        _first_row(
-            mulmod(delta, sp.csr_matrix((eps[b], (row, a)), shape=(len(uv), n)), p), ident, p
-        )
-        for a, b in ((uv // n, uv % n), (uv % n, uv // n))
-    )
+    # counit multiplicative: the entries of each (i, j) are consecutive in
+    # table order, so each run is summed once
+    cells = i * n + j
+    start = np.flatnonzero(np.diff(cells, prepend=-1))
+    sums = np.add.reduceat(c * eps[k] % p, start) % p
+    lhs = entry_keys(cells[start][sums > 0], sums[sums > 0], n * n, p)
+    rhs = entry_keys(*_outer(eps, eps, p, n), n * n, p)
+    eps_ok = H.counit_of(H.unit) == H.field.one() and first_mismatch(lhs, rhs, n * n, p) is None
 
-    # counit multiplicative
-    E = sp.csr_matrix((c * eps[k] % p, (i, j)), shape=(n, n))
-    E.data %= p
-    E.eliminate_zeros()
-    eps_ok = H.counit_of(H.unit) == H.field.one()
-    eps_ok = eps_ok and _first_row(E, _outer(eps, eps, p), p) is None
-
-    # antipode law; S^T: row w, column x holds the coefficient of e_x in S(e_w)
+    # S^T: row w, column x holds the coefficient of e_x in S(e_w).  Row x,
+    # column (v a): e_x e_v at e_a, so that row w of S^T times it is
+    # S(e_w) e_v, at (u v) = (w v); beside it, column (n + u) n + a:
+    # e_u e_x, so e_u S(e_w), at (u w)
     x, w, a = nonzero_entries(H.antipode)
-    ST = sp.csr_matrix((residues(a, p), (w, x)), shape=(n, n))
-    sides = []
-    # row x, column (v a): e_x e_v at e_a, so that row w of S^T times it is
-    # S(e_w) e_v, at (u v) = (w v); then e_u e_x, so e_u S(e_w), at (u w)
-    for x, qa, right in ((i, j * n + k, False), (j, i * n + k, True)):
-        M, kept = _compact(x, qa, c, n)
-        Y = mulmod(ST, M, p).tocoo()
-        q, a = np.divmod(kept[Y.col], n)
-        pairs = q * n + Y.row if right else Y.row * n + q
-        # only the pairs (u v) where Delta has a column meet Delta
-        at = np.searchsorted(uv, pairs)
-        hit = at < len(uv)
-        hit[hit] = uv[at[hit]] == pairs[hit]
-        P = sp.csr_matrix((Y.data[hit], (at[hit], a[hit])), shape=(len(uv), n))
-        sides.append(mulmod(delta, P, p))
-    target = _outer(eps, one, p)
-    antipode = smallest(_first_row(side, target, p) for side in sides)
+    ST = linalg.csr(residues(a, p), w, x, (n, n))
+    M, kept = compact(np.r_[i, j], np.r_[j * n + k, (n + i) * n + k], np.r_[c, c], (n, None))
+    Y = mulmod(ST, M, p)
+    q, a = np.divmod(kept[Y.indices], n)
+    w = csr_rows(Y)
+    right = q >= n
+    pairs = np.where(right, (q - n) * n + w, w * n + q)
+    del M, kept, q, w
+    at = np.searchsorted(uv, pairs)
+    hit = at < len(uv)
+    hit[hit] = uv[at[hit]] == pairs[hit]
+    del pairs
+    # the counit factors at each pair (u v), then both antipode factors
+    fu, fv = np.divmod(uv, n)
+    t = np.arange(len(uv))
+    Z = linalg.csr(
+        np.r_[eps[fv], eps[fu], Y.data[hit]],
+        np.r_[t, t, at[hit]],
+        np.r_[fu, n + fv, (2 + right[hit]) * n + a[hit]],
+        (len(uv), 4 * n),
+    )
+    del Y, a, right, at, hit
+    # [I | I | T | T]
+    xy, val = _outer(eps, one, p, 4 * n)
+    diag = np.arange(n) * (4 * n + 1)
+    rhs = np.r_[diag, diag + n, xy + 2 * n, xy + 3 * n], np.r_[np.ones(2 * n, np.int64), val, val]
+    lhs = matrix_keys(mulmod(delta, Z, p), p)
+    rows, cols = mismatches(lhs, entry_keys(*rhs, 4 * n * n, p), 4 * n, p)
+    counit, antipode = (smallest(rows[s][:1].tolist()) for s in (cols < 2 * n, cols >= 2 * n))
     return coassoc, counit, eps_ok, antipode
 
 
@@ -661,8 +672,8 @@ def _coassociativity_failure(comul: tuple, delta, uv, p: int) -> Optional[int]:
 
     m, u, v, d = comul
     n = delta.shape[0]
-    left, lkeys = row_compact(m * n + v, u, d, n)
-    right, rkeys = row_compact(m * n + u, v, d, n)
+    left, lkeys = compact(m * n + v, u, d, (None, n))
+    right, rkeys = compact(m * n + u, v, d, (None, n))
     terms = np.diff(delta.indptr)
     sizes = 2 * np.bincount(m, weights=1 + terms[u] + terms[v], minlength=n)
     for i0, i1 in blocks(sizes):
@@ -693,31 +704,13 @@ def _coassociativity_failure(comul: tuple, delta, uv, p: int) -> Optional[int]:
     return None
 
 
-def _compact(rows, keys, vals, nrows: int) -> tuple:
-    """The CSR matrix with vals at (rows, keys), its columns cut to the keys
-    that occur, and those keys in column order."""
+def _outer(x, y, p: int, width: int) -> tuple:
+    """The entries of x (x) y mod p as flat cells row*width + col and their
+    values, from the nonzero entries of the residue vectors x and y alone."""
     import numpy as np
-    import scipy.sparse as sp
-
-    kept, col = np.unique(keys, return_inverse=True)
-    return sp.csr_matrix((vals, (rows, col)), shape=(nrows, len(kept))), kept
-
-
-def _outer(x, y, p: int):
-    """x (x) y mod p as a sparse square matrix, from the nonzero entries of
-    the residue vectors x and y alone."""
-    import numpy as np
-    import scipy.sparse as sp
 
     a, b = np.nonzero(x)[0], np.nonzero(y)[0]
-    val = np.outer(x[a], y[b]).ravel() % p
-    return sp.csr_matrix((val, (np.repeat(a, len(b)), np.tile(b, len(a)))), shape=(len(x), len(y)))
-
-
-def _first_row(lhs, rhs, p: int) -> Optional[int]:
-    """Smallest row where two reduced sparse matrices mod p differ, or None."""
-    bad = first_mismatch(matrix_keys(lhs, p), matrix_keys(rhs, p), lhs.shape[1], p)
-    return None if bad is None else bad[0]
+    return np.add.outer(a * width, b).ravel(), np.outer(x[a], y[b]).ravel() % p
 
 
 def _delta_failure_loops(H: HopfAlgebra, rows: Optional[Sequence] = None) -> Optional[tuple]:
@@ -761,41 +754,37 @@ def _delta_failure(
     budget (algebra.blocks),
     and the failure reported is the smallest r*dim + j over all blocks.
     The pair columns (a b) of Delta and (a s) of the left multiplications
-    are cut to the pairs that occur (_compact), v to the second legs that
-    occur and r in W to the rows with Delta(g_r) != 0, so empty tables build
-    no dim^2-wide array.  W is kept whole: blocking r as well would rebuild
-    F once per block of r.
+    are cut to the pairs that occur (algebra.compact), v to the second
+    legs that occur and r in W to the rows with Delta(g_r) != 0, so empty
+    tables build no dim^2-wide array.  W is kept whole: blocking r as well
+    would rebuild F once per block of r.
 
     Bound: every product goes through linalg.mulmod, exact for any term
     count.  All but F W sum at most dim products per entry; F W sums at
     most the largest column count of W.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     n = H.dim
     i, j, k, c = mul
     m, u, v, d = comul
-    index = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
-    R = len(index)
     # row m: Delta(e_m), column (a b) at ab; row u: L_{e_u}, entry (a, s) at as_
-    delta, ab = _compact(m, u * n + v, d, n)
-    Mu, as_ = _compact(i, k * n + j, c, n)
-    # the rows g_r of both, picked by CSR row selection
-    W, V, rs = _coproduct_operand(delta[index], ab, Mu, as_, n, p)
+    delta, ab = compact(m, u * n + v, d, (n, None))
+    Mu, as_ = compact(i, k * n + j, c, (n, None))
+    # the terms of Delta(g_r) and the products g_r e_s, picked out of the tables
+    index, dg = picked(rows, n, m, (u, v, d))
+    W, V, rs = _coproduct_operand(dg, Mu, as_, n, p)
     nv = len(V)
+    R = len(index)
 
     # the products g_r e_s as rows (s r), column a
-    L = Mu[index]
-    la, ls = np.divmod(as_[L.indices], n)
-    products, pkeys = row_compact(ls * R + csr_rows(L), la, L.data, n)
+    _, (lr, la, ls, lc) = picked(rows, n, i, (k, j, c))
+    products, pkeys = compact(ls * R + lr, la, lc, (None, n))
     # Delta(e_j) as rows (j s), column t
-    terms, tkeys = row_compact(m * n + u, v, d, n)
+    terms, tkeys = compact(m * n + u, v, d, (None, n))
     # row t, column (x b): coefficient of e_b in e_{V[x]} e_t
-    at = np.full(n, -1)
-    at[V] = np.arange(nv)
-    keep = at[i] >= 0
-    B = sp.csr_matrix((c[keep], (j[keep], at[i[keep]] * n + k[keep])), shape=(n, nv * n))
+    _, (x, bt, bb, bc) = picked(V, n, i, (j, k, c))
+    B = linalg.csr(bc, bt, x * n + bb, (n, nv * n))
 
     # for each j, the entries of both operands, the terms of the left side
     # and of F (its product and its re-lay), and F W's terms: a term (s, t)
@@ -813,7 +802,7 @@ def _delta_failure(
         + 2 * np.bincount(ls, weights=np.diff(delta.indptr)[la], minlength=n)
         + 2 * np.bincount(m, weights=in_b[v] + reach, minlength=n)
     )
-    del L, la, ls
+    del lr, la, ls, lc, x, bt, bb, bc
     best = None
     for j0, j1 in blocks(sizes):
         shape = (j1 - j0, R * n * n)
@@ -838,7 +827,7 @@ def _delta_failure(
         x *= n
         x += s
         del s, b
-        F, fkeys = row_compact(jj, x, Y.data, nv * n)
+        F, fkeys = compact(jj, x, Y.data, (None, nv * n))
         del Y, jj, x
         # F W: rows (j b), column (y a) for r = rs[y]
         rhs = by_item(
@@ -858,11 +847,12 @@ def _delta_failure(
     return int(index[r]), j
 
 
-def _coproduct_operand(Dg, ab, Mu, as_, n: int, p: int) -> tuple:
+def _coproduct_operand(terms: tuple, Mu, as_, n: int, p: int) -> tuple:
     """W of _delta_failure, with V (the second legs v that occur, W's row
     (x s) standing for v = V[x]) and rs (the rows r with Delta(g_r) != 0,
-    W's column (y a) standing for r = rs[y]), from Dg: row r, Delta(g_r) at
-    the columns ab of _delta_failure, and its left multiplications Mu.
+    W's column (y a) standing for r = rs[y]), from the terms (r, u, v, d)
+    of Delta(g_r) = sum d e_u (x) e_v and the left multiplications Mu of
+    _delta_failure, entry (a, s) at as_.
 
     Delta(g_r) as rows (x y), column u, times Mu gives w_{r,v} e_s at
     column (a s).  That product is taken in blocks of x (algebra.blocks),
@@ -875,18 +865,18 @@ def _coproduct_operand(Dg, ab, Mu, as_, n: int, p: int) -> tuple:
     import numpy as np
     import scipy.sparse as sp
 
-    gu, gv = np.divmod(ab[Dg.indices], n)
+    r, gu, gv, gd = terms
     V, x = np.unique(gv, return_inverse=True)
-    rs, y = np.unique(csr_rows(Dg), return_inverse=True)
+    rs, y = np.unique(r, return_inverse=True)
     nv, nr = len(V), len(rs)
-    D, keys = row_compact(x * nr + y, gu, Dg.data, n)
-    del gu, gv, x, y
+    D, keys = compact(x * nr + y, gu, gd, (None, n))
+    del x, y
     index = np.int32 if max(nv, nr) * n < 2**31 else np.int64
     a, s = (t.astype(index) for t in np.divmod(as_, n))
-    # each term of the product adds an entry to it, to its coordinates and
-    # to their construction
+    # each term of the product adds an entry to it, to its coordinates, to
+    # their construction and to its sort by row
     sizes = np.bincount(
-        keys[csr_rows(D)] // nr, weights=3 * np.diff(Mu.indptr)[D.indices], minlength=nv
+        keys[csr_rows(D)] // nr, weights=4 * np.diff(Mu.indptr)[D.indices], minlength=nv
     )
     indptr = np.zeros(nv * n + 1, dtype=index)
     data, cols = [], []
@@ -901,8 +891,10 @@ def _coproduct_operand(Dg, ab, Mu, as_, n: int, p: int) -> tuple:
         xs += s[Y.indices]
         ys *= n
         ys += a[Y.indices]
-        block = sp.csr_matrix((Y.data, (xs, ys)), shape=((x1 - x0) * n, nr * n))
-        del Y, counts, xs, ys
+        vals = Y.data  # Y's indices go before the sort
+        del Y, counts
+        block = linalg.csr(vals, xs, ys, ((x1 - x0) * n, nr * n))
+        del vals, xs, ys
         indptr[1 + x0 * n : 1 + x1 * n] = np.diff(block.indptr)
         data.append(block.data)
         cols.append(block.indices.astype(index, copy=False))

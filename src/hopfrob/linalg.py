@@ -13,7 +13,8 @@ the field alone: over GF(p) with p < 2^31 large eliminations (rref, solve,
 solve_matrix, inverse), large products (Matrix.mul), the products of a
 sparse operator and the sparse identity checks in algebra and hopfcore, in
 blocks bounded by the one byte budget _BLOCK_BYTES, run on int64 numpy/scipy
-arrays, everything else on Python scalars.  A large inverse eliminates
+arrays (each sparse operand laid out from index arrays by csr), everything
+else on Python scalars.  A large inverse eliminates
 [A | I] as one int64 array.  The numpy code that builds from a table (an
 integral operator, every table of the double, subext's module transport) is
 one routine for both engines, which differ there only in the dtype of the
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, groupby, islice
+from itertools import chain, count, groupby, islice
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -65,8 +66,8 @@ _LIMB_BITS = 16
 # _mulmod_float64 8 bytes for each float64 cell of a block and its product.
 # The counts bound from above, so a block holds less: at 16 MB the largest
 # block of any kernel on D(taft-4-5-2) peaks at 7.6 MB (tracemalloc), and
-# every kernel on D(taft-3-7-2) runs in one block but Delta's (two), 20
-# mulmod calls for a full verify_hopf where 2^14-entry blocks made 66.
+# every kernel on D(taft-3-7-2) runs in one block, 10 mulmod calls for a
+# full verify_hopf where 2^14-entry blocks made 66.
 _BLOCK_BYTES = 1 << 24
 
 
@@ -133,10 +134,10 @@ def engine_primes(
         if most is not None and (bound.bit_length() - 1) // 31 + 1 > most:
             return ()
         primes, product = [], 1
-        for p in range(2**31 - 1, 1, -1):
+        for p in _descending_primes():
             if product > bound:
                 break
-            if den % p and _is_prime(p):
+            if den % p:
                 if machine_prime(GF(p)) is None or len(primes) == most:
                     return ()
                 primes.append(p)
@@ -144,6 +145,18 @@ def engine_primes(
         return tuple(primes)
     p = machine_prime(field)
     return () if p is None else (p,)
+
+
+_PRIMES = [2**31 - 1]  # the primes below 2^31 found so far, descending
+
+
+def _descending_primes():
+    """The primes below 2^31, descending, each number tested once per
+    process: the search resumes below the last of the primes kept."""
+    for t in count():
+        if t == len(_PRIMES):
+            _PRIMES.append(next(q for q in range(_PRIMES[-1] - 1, 1, -1) if _is_prime(q)))
+        yield _PRIMES[t]
 
 
 def residues(values: Iterable, p: int):
@@ -233,6 +246,24 @@ def _mulmod_float64(A, B, p: int):
     return out
 
 
+def csr(vals, rows, cols, shape: tuple):
+    """The CSR matrix of shape with vals at (rows, cols), its triple built
+    straight from the arrays: the entries put in row order by one stable
+    argsort only when rows do not ascend, indptr by searchsorted, int32
+    indices where they fit.  A repeated (row, col) is kept as two entries,
+    which a product sums like any other terms."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    index = np.int32 if max(*shape, len(rows)) < 2**31 else np.int64
+    if (rows[1:] < rows[:-1]).any():
+        order = np.argsort(rows, kind="stable")
+        vals, cols, rows = vals[order], cols[order], rows[order]
+        del order
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(index)
+    return sp.csr_matrix((vals, np.asarray(cols, dtype=index), indptr), shape=shape)
+
+
 def csr_rows(C):
     """The row of each stored entry of the CSR matrix C, in storage order."""
     import numpy as np
@@ -254,7 +285,7 @@ def _term_slices(A):
     width = 1 << _LIMB_BITS
     for s in range(0, max(1, int(counts.max(initial=0))), width):
         keep = (place >= s) & (place < s + width)
-        yield sp.csr_matrix((A.data[keep], (rows[keep], A.indices[keep])), shape=A.shape)
+        yield csr(A.data[keep], rows[keep], A.indices[keep], A.shape)
 
 
 def _reduce(C, p: int):
@@ -320,7 +351,8 @@ class Matrix:
         every entry ((i, j), c): each cell an entry names is normalized
         once, and every row that no entry names is one shared zero tuple.
         A key outside the shape raises ShapeError; the row keys are checked
-        once, and the column keys once per named row."""
+        once, and the column keys once per named row.  _nonzero is seeded
+        from the named cells, so reading it costs no scan of the rest."""
         by_row: dict = {}
         for (i, j), c in entries:
             cells = by_row.get(i)
@@ -334,6 +366,7 @@ class Matrix:
             raise ShapeError(f"row key outside {nrows} rows")
         zeros = (field.zero(),) * ncols
         rows = [zeros] * nrows
+        nonzero: list = [[]] * nrows
         normalize = field.normalize
         for i, cells in by_row.items():
             if min(cells) < 0 or max(cells) >= ncols:
@@ -342,7 +375,10 @@ class Matrix:
             for j, c in cells.items():
                 row[j] = normalize(c)
             rows[i] = tuple(row)
-        return Matrix(field, tuple(rows))
+            nonzero[i] = [(j, row[j]) for j in sorted(cells) if row[j]]
+        M = Matrix(field, tuple(rows))
+        vars(M)["_nonzero"] = tuple(nonzero)
+        return M
 
     @staticmethod
     def from_columns(field: Field, cols: Iterable[Iterable]) -> "Matrix":
@@ -737,11 +773,9 @@ def _product_rows(field: Field, entries: tuple, K: Sequence):
     number = np.cumsum(np.diff(rows, prepend=-1).astype(bool)) - 1
     p = machine_prime(field)
     if p is not None:
-        import scipy.sparse as sp
-
         Kt = np.array(K, dtype=np.int64).T
         n = int(number[-1]) + 1 if len(number) else 0
-        A = sp.csr_matrix((vals, (number, cols)), shape=(n, len(at)))
+        A = csr(vals, number, cols, (n, len(at)))
         step = max(1, _BLOCK_BYTES // (8 * len(K)))
         for r in range(0, n, step):
             block = mulmod(A[r : r + step], Kt, p)

@@ -206,8 +206,7 @@ def test_criterion_07_double_of_the_four_dimensional_algebra(capfd):
         fast = [{} for _ in range(H.dim**2)]
         for x, vs, val in zip(ib, zip(v, s), c):
             fast[x][vs] = val
-        for i in range(H.dim):
-            direct = _straighten_direct(H, i)
+        for i, direct in enumerate(_straighten_direct(H, range(H.dim))):
             for b in range(H.dim):
                 assert fast[i * H.dim + b] == direct[b], (i, b)
 

@@ -949,6 +949,39 @@ def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, gen
     assert ran == primes + [None]
 
 
+def _counit_and_antipode_moved(H, x, y):
+    """H with eps(e_x) and the entry (y, y) of the antipode moved by one."""
+    F = H.field
+    counit = list(H.counit)
+    counit[x] = F.normalize(counit[x] + 1)
+    rows = [list(r) for r in H.antipode.rows]
+    rows[y][y] = F.normalize(rows[y][y] + 1)
+    return HopfAlgebra.from_sparse(H.alg, H.comul, tuple(counit), Matrix.from_rows(F, rows))
+
+
+@pytest.mark.parametrize("name", ["taft-4-5-2", "D(qs3)"])
+def test_fused_counit_and_antipode_laws_match_the_loops(name):
+    """The counit law and the antipode law, read off one product of Delta
+    with their four factors side by side, fail at the same first basis
+    index as their loops on copies where the two laws first fail at
+    different indices, either first: over GF(5) and over QQ (merged over
+    the primes of the bound)."""
+    H = _object(name)
+    n = H.dim
+    orders = set()
+    for x, y in ((n - 1, 0), (n // 2, n - 1)):
+        M = _counit_and_antipode_moved(H, x, y)
+        primes = engine_primes_of(M.field, _linear_constants(M), 3, n**3)
+        got = hopfcore._merge_linear(
+            [hopfcore._linear_failures(M, p, *_tables(M, p)) for p in primes]
+        )
+        assert got == hopfcore._linear_failures_loops(M)
+        _, counit, _, antipode = got
+        assert None not in (counit, antipode)
+        orders.add(counit < antipode)
+    assert orders == {False, True}
+
+
 def _comul_moved(D, seed):
     """D with three seeded comul terms moved by a nonzero residue each."""
     rng = random.Random(seed)
@@ -1054,14 +1087,14 @@ def _recorded_blocks(monkeypatch) -> list:
 
 def test_default_budget_checks_the_d81_double_in_few_products(monkeypatch):
     """At the default block budget, verify_hopf on the full basis of
-    D(taft-3-7-2) makes at most 20 mulmod calls (66 at 2^14-entry blocks)
+    D(taft-3-7-2) makes at most 10 mulmod calls (66 at 2^14-entry blocks)
     and check_automorphism on its Nakayama automorphism at most 12 (123):
     the blocks follow the entries the kernels hold, not dim."""
     D = _double_over(7)[1]
     nu = _nakayama(D)
     calls = count_calls(monkeypatch, linalg, "mulmod")
     assert verify_hopf(D).passed
-    assert 0 < len(calls) <= 20
+    assert 0 < len(calls) <= 10
     calls.clear()
     algebra.check_automorphism(D.alg, nu, "Nakayama matrix")
     assert 0 < len(calls) <= 12
@@ -1097,7 +1130,7 @@ def test_empty_tables_cost_the_same_products_at_any_dim(monkeypatch):
         H = _empty_stub(dim)
         mul, comul = _tables(H, 7)
         m, u, v, d = comul
-        delta, uv = hopfcore._compact(m, u * dim + v, d, dim)
+        delta, uv = algebra.compact(m, u * dim + v, d, (dim, None))
         calls.clear()
         assert algebra._associativity_failure(H.alg, None, 7, mul) is None
         assert hopfcore._coassociativity_failure(comul, delta, uv, 7) is None
@@ -1174,11 +1207,9 @@ def test_delta_operand_peaks_below_twice_its_own_arrays(monkeypatch):
     D = double_of("taft-4-5-2")
     p, n = D.field.p, D.dim
     (i, j, k, c), (m, u, v, d) = _tables(D, p)
-    delta, ab = hopfcore._compact(m, u * n + v, d, n)
-    Mu, as_ = hopfcore._compact(i, k * n + j, c, n)
-    Dg = delta[np.arange(n)]  # every row, picked as _delta_failure picks them
+    Mu, as_ = algebra.compact(i, k * n + j, c, (n, None))
     record = _recorded_blocks(monkeypatch)
-    (W, _, _), peak = _peak(lambda: hopfcore._coproduct_operand(Dg, ab, Mu, as_, n, p))
+    (W, _, _), peak = _peak(lambda: hopfcore._coproduct_operand((m, u, v, d), Mu, as_, n, p))
     assert W.nnz == 698112
     assert peak <= 2 * (W.data.nbytes + W.indices.nbytes + W.indptr.nbytes)
     ((sizes, ranges),) = record

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from unittest import mock
 
 import numpy as np
@@ -268,6 +268,44 @@ def test_from_entries_is_a_dense_accumulation(field, seed):
     assert all(r == (field.zero(),) * n for r in untouched)
 
 
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("seed", range(10))
+def test_from_entries_seeds_the_nonzero_entries_it_fills(field, seed):
+    """The _nonzero that from_entries seeds from its named cells equals the
+    one a scan of the rows reads, cells whose entries sum to zero and
+    rows no entry names included."""
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 7), rng.randint(1, 7)
+    entries = []
+    for _ in range(rng.randint(0, 3 * m * n)):
+        key, c = (rng.randrange(m), rng.randrange(n)), rng.randint(-9, 9)
+        entries += [(key, c), (key, -c)] if rng.random() < 0.3 else [(key, c)]
+    rng.shuffle(entries)
+    M = Matrix.from_entries(field, m, n, entries)
+    seeded = vars(M)["_nonzero"]
+    assert seeded == Matrix(field, M.rows)._nonzero
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_csr_matches_the_coo_build(seed):
+    """linalg.csr gives the matrix and the value dtype of scipy's COO build
+    on random entries with unsorted rows, repeated cells and empty rows,
+    and int32 indices at these shapes."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    nnz = int(rng.integers(0, 3 * m * n))
+    # rows drawn from a part of the range, so that some rows stay empty
+    rows = rng.integers(0, max(1, m // 2), nnz) * 2
+    cols = rng.integers(0, n, nnz)
+    vals = rng.integers(1, 7, nnz)
+    got = linalg.csr(vals, rows, cols, (m, n))
+    want = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
+    assert got.shape == want.shape and got.data.dtype == want.data.dtype == np.int64
+    assert got.indices.dtype == got.indptr.dtype == np.int32
+    assert np.array_equal(got.toarray(), want.toarray())
+    assert np.array_equal(np.diff(got.indptr), np.bincount(rows, minlength=m))
+
+
 @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (3, 0), (0, 4), (7, 9), (1, -4)])
 def test_from_entries_rejects_keys_outside_the_shape(key):
     """A negative or too large row or column key raises, where a list
@@ -386,14 +424,35 @@ def test_engine_primes_give_none_past_the_cutoff():
     primes = engine_primes_of(QQ, constants, 1, 1)
     assert len(primes) == 3
     assert engine_primes_of(QQ, constants, 1, 1, 3) == primes
-    tested = []
-    is_prime = linalg._is_prime
-    with mock.patch.object(linalg, "_is_prime", lambda p: tested.append(p) or is_prime(p)):
+    # the primes the search draws (kept once found, so no longer retested)
+    drawn = []
+    descending = linalg._descending_primes
+
+    def spy():
+        for p in descending():
+            drawn.append(p)
+            yield p
+
+    with mock.patch.object(linalg, "_descending_primes", spy):
         assert engine_primes_of(QQ, constants, 1, 1, 2) == ()
-        assert len(tested) > 0
-        tested.clear()
+        assert len(drawn) > 0
+        drawn.clear()
         assert engine_primes_of(QQ, constants, 1, 1, 1) == ()
-        assert tested == []
+        assert drawn == []
+
+
+def test_descending_primes_are_kept_once_found():
+    """The primes below 2^31 come largest first, with every number between
+    two of them composite, and a second search draws the primes the first
+    found without testing a number again."""
+    first = list(islice(linalg._descending_primes(), 5))
+    assert first[0] == MERSENNE_31
+    assert all(
+        linalg._is_prime(p) and not any(map(linalg._is_prime, range(q + 1, p)))
+        for p, q in zip(first, first[1:])
+    )
+    with mock.patch.object(linalg, "_is_prime", lambda p: pytest.fail(f"{p} tested again")):
+        assert list(islice(linalg._descending_primes(), 5)) == first
 
 
 @settings(max_examples=60, deadline=None)

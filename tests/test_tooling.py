@@ -456,6 +456,58 @@ def test_grid_fill_scan_finds_each_form(tmp_path):
     assert _grid_fills(path) == [f"probe.py:{line}" for line in (2, 3, 5)]
 
 
+def _coo_builds(path: Path) -> list:
+    """Each sparse construction of a module that goes through COO: a
+    csr_matrix((vals, (rows, cols))), any coo_matrix, a .tocoo() and an
+    sp.identity (scipy's identity, not Matrix.identity)."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name == "coo_matrix" or name == "tocoo":
+            found.append(node.lineno)
+        elif name == "identity" and ast.unparse(node.value) in ("sp", "scipy.sparse"):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("csr_matrix"):
+            arg = node.args[0] if node.args else None
+            coo = isinstance(arg, ast.Tuple) and len(arg.elts) == 2
+            if coo and isinstance(arg.elts[1], ast.Tuple):
+                found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_sparse_operands_are_built_as_csr_triples():
+    """Every sparse operand of src/hopfrob is built from its index arrays
+    by linalg.csr, straight as its CSR triple, or comes out of a product:
+    no module goes through COO, with its duplicate sums, index sorts and
+    index dtype scans."""
+    found = [s for path in sorted(PACKAGE.glob("*.py")) for s in _coo_builds(path)]
+    assert found == []
+
+
+def test_coo_build_scan_finds_each_form(tmp_path):
+    """The scan above sees a COO-style csr_matrix under any module alias,
+    coo_matrix called or named, .tocoo() and sp.identity, nested in a
+    function, and ignores the CSR triple form, a dense csr_matrix and
+    Matrix.identity."""
+    src = (
+        "import scipy.sparse as sp\n"
+        "def f(v, r, c, p, M, F, n):\n"
+        "    a = sp.csr_matrix((v, (r, c)), shape=(2, 2))\n"
+        "    b = scipy.sparse.coo_matrix((v, (r, c)))\n"
+        "    def g():\n"
+        "        return M.tocoo()\n"
+        "    d = sp.identity(n, format='csr')\n"
+        "    e = coo_matrix\n"
+        "    t = sp.csr_matrix((v, c, p), shape=(2, 2))\n"
+        "    u = sp.csr_matrix(M)\n"
+        "    w = Matrix.identity(F, n)\n"
+        "    return a, b, d, e, t, u, w\n"
+    )
+    path = tmp_path / "probe.py"
+    path.write_text(src, encoding="utf-8")
+    assert _coo_builds(path) == [f"probe.py:{line}" for line in (3, 4, 6, 7, 8)]
+
+
 def _engine_branches(path: Path, function=None) -> list:
     """Each `is None` / `is not None` test and each dict display (literal
     or comprehension) of a module, or of one of its top-level functions."""
