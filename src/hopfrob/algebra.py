@@ -11,8 +11,10 @@ once per object and key and kept on the object.  The key is a prime p, whose
 values are the int64 residues mod p, or None, linalg.machine_prime's answer
 on the Python-scalar engine, whose values are an object array of the
 table's own scalars; so the two engines differ there only in the dtype of
-the values.  What the checks read off the mul table besides (its product
-cover and the scale of its constants) is cached on the algebra as well.
+the values.  A table that arrives as arrays (a TableView, as hopffile and
+the double hand them over) keeps them for its key.  What the checks read
+off the mul table besides (its product cover and the scale of its
+constants) is cached on the algebra as well.
 
 The quantified identities (associativity on every basis triple, "phi is an
 algebra map" on every basis pair, and in hopfcore Delta multiplicative and
@@ -26,14 +28,16 @@ when it holds mod each of them.  For associativity each
 side sums dim products of two structure constants; for phi, dim^2 products
 of three constants among phi's entries and both tables.  Otherwise, and
 over every other field, they run as Python loops.  The crossover is
-_SPARSE_DIM = 12, and dim 40 (hopfcore._LINEAR_MODP_DIM) for the linear
-Hopf axioms over GF(p), whose loops on Python ints stay cheap longer
-(timings next to _SPARSE_DIM).  Over QQ the kernels run once per prime, so when engine_primes asks for more
-than ceil(dim^2 / _DIM2_PER_PRIME) of them, a count beyond which the loops
-of every identity measured cost less, the loops run instead.  Both engines
-report the same first failing index: over QQ the failing set is the union
-of the failing sets mod each prime, so its first item is the smallest of
-the first items mod each prime.
+_SPARSE_DIM = 12, and _LINEAR_MODP_DIM = 40 over GF(p) for the identities
+linear in the tables (the unit law here, the unit's coproduct and the
+linear Hopf axioms in hopfcore), whose loops on Python ints stay cheap
+longer (timings next to _SPARSE_DIM); above both, all_on_kernels holds.
+Over QQ the kernels run once per prime, so when engine_primes asks for
+more than ceil(dim^2 / _DIM2_PER_PRIME) of them, a count beyond which the
+loops of every identity measured cost less, the loops run instead.  Both
+engines report the same first failing index: over QQ the failing set is
+the union of the failing sets mod each prime, so its first item is the
+smallest of the first items mod each prime.
 """
 
 from __future__ import annotations
@@ -48,29 +52,36 @@ from . import linalg
 from .errors import InternalCheckError, ShapeError, SingularError
 from .linalg import Matrix, basis_vec, csr_rows, mulmod, residues
 from .report import Report
-from .scalars import Field
+from .scalars import GF, Field
 
 SparseRow = tuple  # tuple[(basis_index, scalar), ...] sorted by index
 
 # The crossover from the Python loops to the int64 kernels: a whole warm
-# verify_hopf (best of 7, 2-vCPU VM) with this choice, with every identity
-# on the kernels, and with every identity on the loops (the quadratic ones
-# over the product cover), on each catalog entry and double up to dim 36.
-# - The kernels cost about 5 ms whatever the input (scipy constructions):
-#   at dim 9 and below the loops win everywhere (0.15-3.6 ms, kernels
-#   5.3-7.1 ms).
+# verify_hopf (best of 7 in each of two runs, 2-vCPU VM) with this choice,
+# with every identity on the kernels, and with every identity on the loops
+# (the quadratic ones over the product cover), on each catalog entry and
+# double up to dim 36.
+# - The kernels cost about 2.5-3.2 ms whatever the input up to dim 25
+#   (scipy constructions; about 5 ms when these constants were set): at dim
+#   9 and below the loops win on every entry but one (0.14-1.7 ms, kernels
+#   2.5-2.9 ms); on D(qc3), dim 9 over QQ, the kernels win (3.2 ms, loops
+#   3.9 ms) but not by enough to move the crossover below the GF(p) ones.
 # - Quadratic identities: at dim 16 the fields split.  Over GF(p) the loops
-#   win (taft-4-5-2: loops 1.7 ms, this choice with the quadratic ones on
-#   the kernels 4.1 ms), over QQ the kernels (D(sweedler): 9.3 ms, loops
-#   15.8 ms); at dim 25 the kernels win over GF(p) too (D(f5c5): 5.1 ms,
-#   loops 7.1 ms), and at dim 36 over QQ by far (D(qs3): 11.3 ms, 77 ms).
+#   win (taft-4-5-2: loops 1.6 ms, this choice with the quadratic ones on
+#   the kernels 2.2 ms), over QQ the kernels (D(sweedler): 4.0 ms, loops
+#   16.6 ms); at dim 25 the kernels win over GF(p) too (D(f5c5): 3.7 ms,
+#   loops 9.3 ms), and at dim 36 over QQ by far (D(qs3): 4.0 ms, 82 ms).
 #   So one crossover, _SPARSE_DIM, serves both fields.
-# - The four Hopf axioms linear in Delta: over GF(p) their loops on Python
-#   ints still win at dim 16 (taft-4-5-2: 4.1 ms, with them on their kernel
-#   too 6.2 ms) and dim 25 (D(f5c5): 5.1 ms, 6.3 ms), so there they cross at
-#   hopfcore._LINEAR_MODP_DIM = 40; over QQ, on Fractions, they cross with
-#   the quadratic ones, at _SPARSE_DIM.
+# - The identities linear in the tables (the four Hopf axioms linear in
+#   Delta, the unit law, the unit's coproduct): over GF(p) their loops on
+#   Python ints still win at dim 16 (taft-4-5-2: 2.2 ms, all on the kernels
+#   2.7 ms) but no longer at dim 25 (D(f5c5): 3.7 ms, all on the kernels
+#   2.9 ms; they won there at 5 ms a kernel), so they now cross between 16
+#   and 25.  _LINEAR_MODP_DIM stays 40: it also gates hopffile's array
+#   reader (all_on_kernels), which is measured above it only.  Over QQ, on
+#   Fractions, they cross with the quadratic ones, at _SPARSE_DIM.
 _SPARSE_DIM = 12
+_LINEAR_MODP_DIM = 40
 # Over QQ the kernels run once per prime of linalg.engine_primes.  The
 # loops cost a multiple of one prime that grows with dim; the largest
 # multiple measured (warm, loops over one kernel call) is 10.7 at dim 16
@@ -116,6 +127,62 @@ def vec_to_row(field: Field, vec: Sequence) -> SparseRow:
     return tuple((k, c) for k, c in enumerate(vec) if c)
 
 
+class TableView(Mapping):
+    """A read-only table {key: row}, as mul or comul holds it, kept as its
+    table arrays (structure_arrays, comul_arrays) under the key p of their
+    values.  The arrays hold width key columns (two for mul, whose keys are
+    pairs (i, j) below dim, one for comul), then the term columns and the
+    values, in table order.  The table's keys are those of the entries in
+    that order, or the list keys when it is given (so a key may have an
+    empty row), then every index below `every` not yet among them,
+    ascending, with an empty row.  The tuple rows are built on first read by
+    one linalg.table_rows; numpy readers take the arrays and never need
+    them."""
+
+    def __init__(self, arrays: tuple, p, width: int, dim: int, keys=None, every=None):
+        self.arrays, self.p = arrays, p
+        self._layout = (width, dim, keys, every)
+        self._rows: Optional[dict] = None
+
+    def _table(self) -> dict:
+        if self._rows is None:
+            width, dim, keys, every = self._layout
+            head, cols = self.arrays[:width], self.arrays[width:-1]
+            flat = head[0] if width == 1 else head[0] * dim + head[1]
+            found, rows = linalg.table_rows(flat, cols, self.arrays[-1])
+            if width == 2:
+                found = [divmod(x, dim) for x in found]
+            table = dict(zip(found, rows))
+            if keys is not None:
+                table = {k: table.get(k, ()) for k in keys}
+            for i in range(every or 0):
+                table.setdefault(i, ())
+            self._rows = table
+        return self._rows
+
+    def __getitem__(self, key):
+        return self._table()[key]
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self):
+        return len(self._table())
+
+    # the dict's own reads, not Mapping's, which go through __getitem__
+    def __contains__(self, key):
+        return key in self._table()
+
+    def get(self, key, default=None):
+        return self._table().get(key, default)
+
+    def items(self):
+        return self._table().items()
+
+    def values(self):
+        return self._table().values()
+
+
 @dataclass(frozen=True, eq=False)
 class StructureAlgebra:
     field: Field
@@ -124,7 +191,12 @@ class StructureAlgebra:
     unit: tuple
     basis_names: tuple
     # structure_arrays per key (a prime, or None), each built on first use
+    # or handed over by a TableView mul
     _arrays: dict = dc_field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if isinstance(self.mul, TableView):
+            self._arrays[self.mul.p] = self.mul.arrays
 
     @staticmethod
     def from_sparse(
@@ -286,7 +358,8 @@ def product_cover(A: StructureAlgebra) -> tuple:
     generator, and whenever a single-term product e_a e_b = c e_k (c != 0)
     has a and b reached, k is reached by the step (k, a, b), listed in the
     order taken.  Each single-term product is looked at once per factor as
-    that factor is reached: O(entries of mul).
+    that factor is reached: O(entries of mul).  Where all_on_kernels holds,
+    the single-term products are read off the table arrays.
 
     Why an identity on the generators decides it on the basis: S = {a :
     (ab)c = a(bc) for all b, c} is a subspace closed under products, as for
@@ -297,14 +370,23 @@ def product_cover(A: StructureAlgebra) -> tuple:
     intertwining check.  If the generators lie in such a set, each step puts
     e_k = c^-1 e_a e_b in it, so every basis vector does, over every field."""
     n = A.dim
+    if all_on_kernels(A.field, n):
+        import numpy as np
+
+        # the single-term rows of the table arrays, in table order
+        i, j, k, _ = structure_arrays(A, linalg.machine_prime(A.field))
+        new = np.flatnonzero(np.diff(i * n + j, prepend=-1, append=-1))
+        at = new[:-1][np.diff(new) == 1]
+        singles = zip(k[at].tolist(), i[at].tolist(), j[at].tolist())
+    else:
+        singles = ((row[0][0], a, b) for (a, b), row in A.mul.items() if len(row) == 1)
     # the single-term products by each of their factors
     by_factor: list = [[] for _ in range(n)]
-    for (a, b), row in A.mul.items():
-        if len(row) == 1:
-            step = (row[0][0], a, b)
-            by_factor[a].append(step)
-            if b != a:
-                by_factor[b].append(step)
+    for step in singles:
+        _, a, b = step
+        by_factor[a].append(step)
+        if b != a:
+            by_factor[b].append(step)
     reached = [False] * n
     generators, steps = [], []
     for g in range(n):
@@ -332,16 +414,58 @@ def on_cover(cover: Optional[Sequence], check):
 
 def unit_failure(A: StructureAlgebra) -> Optional[tuple]:
     """First (side, i) with 1 e_i != e_i (side "left") or e_i 1 != e_i
-    ("right"), left tested first at each i, or None."""
+    ("right"), left tested first at each i, or None, on the engine that
+    first_failure chooses for an identity linear in the table: each side
+    sums dim products of two constants, a unit coordinate and one of mul."""
+    bad = first_failure(
+        A.field,
+        A.dim,
+        lambda: linalg.joint_scale(A.scale, linalg.scale_of(A.unit)),
+        2,
+        A.dim,
+        lambda p: _unit_failure(A, p, structure_arrays(A, p)),
+        partial(_unit_failure_loops, A),
+        linear=True,
+    )
+    return None if bad is None else (("left", "right")[bad[1]], bad[0])
+
+
+def _unit_failure_loops(A: StructureAlgebra) -> Optional[tuple]:
+    """The first (i, side) of unit_failure, side 0 left and 1 right, as
+    Python loops over the basis."""
     unit = vec_to_row(A.field, A.unit)
     one = A.field.one()
     for i in range(A.dim):
         e = ((i, one),)
         if A.multiply_rows(unit, e) != e:
-            return ("left", i)
+            return (i, 0)
         if A.multiply_rows(e, unit) != e:
-            return ("right", i)
+            return (i, 1)
     return None
+
+
+def _unit_failure(A: StructureAlgebra, p: int, mul: tuple) -> Optional[tuple]:
+    """_unit_failure_loops mod p on the structure_arrays mul of A: the
+    entries e_i e_j = c e_k with u_i != 0 sum u_i c at row j, column k of
+    L_1, those with u_j != 0 at row i, column k of R_1 (summed_keys), and
+    each is compared with the identity; the first failure is the smallest
+    mismatching row of either, left first.
+
+    Bound: each u c is reduced mod p before a cell sums at most dim of them,
+    below 2^31 dim < 2^63."""
+    import numpy as np
+
+    n = A.dim
+    i, j, k, c = mul
+    u = residues(A.unit, p)
+    diag = np.arange(n) * (n + 1)
+    bad = []
+    for side, (x, y) in enumerate(((i, j), (j, i))):
+        keep = u[x] != 0
+        lhs = summed_keys(y[keep] * n + k[keep], u[x[keep]] * c[keep] % p, n * n, p)
+        rows, _ = mismatches(lhs, entry_keys(diag.copy(), np.ones(n, np.int64), n * n, p), n, p)
+        bad.extend((int(r), side) for r in rows[:1])
+    return min(bad, default=None)
 
 
 def _associativity_failure_loops(
@@ -461,7 +585,7 @@ def first_failure(
     count: int,
     kernel,
     loops,
-    modp_dim: Optional[int] = None,
+    linear: bool = False,
     merge=smallest,
 ):
     """The first failing item of a quantified identity of a dim-dimensional
@@ -477,13 +601,14 @@ def first_failure(
     prime, or when it asks for more than ceil(dim^2 / _DIM2_PER_PRIME), the
     Python loops: loops().
 
-    The crossover is _SPARSE_DIM, or modp_dim over an admitted GF(p) when
-    it is given (the linear Hopf axioms give hopfcore._LINEAR_MODP_DIM);
-    both, and the prime cutoff, are measured next to _SPARSE_DIM.
+    The crossover is _SPARSE_DIM, or _LINEAR_MODP_DIM over an admitted
+    GF(p) for an identity linear in the tables (linear: the unit law, the
+    unit's coproduct and the Hopf axioms linear in Delta); both, and the
+    prime cutoff, are measured next to _SPARSE_DIM.
     """
     crossover = _SPARSE_DIM
-    if modp_dim is not None and linalg.machine_prime(field) is not None:
-        crossover = modp_dim
+    if linear and linalg.machine_prime(field) is not None:
+        crossover = _LINEAR_MODP_DIM
     if dim <= crossover:
         return loops()
     most = math.ceil(dim * dim / _DIM2_PER_PRIME)
@@ -491,6 +616,16 @@ def first_failure(
     if not primes:
         return loops()
     return merge([kernel(p) for p in primes])
+
+
+def all_on_kernels(field: Field, dim: int) -> bool:
+    """Whether first_failure runs every identity of verify_hopf on the int64
+    kernels for an algebra of dim over field: over an admitted GF(p) above
+    _LINEAR_MODP_DIM (over QQ the prime count decides).  There hopffile
+    reads a file straight into table arrays, and the readers of verify_hopf
+    outside its kernels (product_cover, the unit law, the unit's coproduct)
+    read those arrays, so a verify builds no tuple row."""
+    return dim > _LINEAR_MODP_DIM and linalg.machine_prime(field) is not None
 
 
 def structure_arrays(A: StructureAlgebra, p: Optional[int]) -> tuple:
@@ -549,6 +684,14 @@ def table_arrays(field: Field, p: Optional[int], keys, rows) -> tuple:
             keep = vals.astype(bool)
             index, at, vals = index[keep], at[keep], vals[keep]
         arrays = (*index.T, *at.T, vals)
+    return read_only(arrays)
+
+
+def read_only(arrays) -> tuple:
+    """The arrays as contiguous read-only arrays, the form every table
+    array is kept in."""
+    import numpy as np
+
     arrays = tuple(np.ascontiguousarray(a) for a in arrays)
     for a in arrays:
         a.flags.writeable = False
@@ -632,6 +775,13 @@ def entry_keys(cells, vals, ncells: int, p: int):
         return cells
     order = np.argsort(cells)
     return np.stack((cells[order], np.asarray(vals, dtype=np.int64)[order]), axis=1)
+
+
+def summed_keys(cells, vals, ncells: int, p: int):
+    """The entry_keys of the matrix whose every cell holds the sum mod p of
+    the residues vals at that cell of cells (each below ncells), the cells
+    whose sum vanishes dropped (linalg.summed over GF(p))."""
+    return entry_keys(*linalg.summed(GF(p), cells, vals), ncells, p)
 
 
 def mismatches(lhs, rhs, width: int, p: int) -> tuple:

@@ -21,7 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import StructureAlgebra, comul_arrays, nonzero_row, structure_arrays, vec_to_row
+from .algebra import (
+    StructureAlgebra,
+    TableView,
+    comul_arrays,
+    nonzero_row,
+    read_only,
+    structure_arrays,
+    vec_to_row,
+)
 from .errors import InternalCheckError
 from .hopfcore import (
     HopfAlgebra,
@@ -119,11 +127,12 @@ def _check_straightening(H: HopfAlgebra, straighten: tuple) -> None:
                 raise InternalCheckError(f"straightening forms disagree at pair {(i, b)}")
 
 
-def _double_mul(H: HopfAlgebra, straighten: tuple) -> dict:
-    """The mul table of D(H) in ascending key order: (f_a e_i)(f_b e_j) =
-    sum c (f_a f_v)(e_s e_j) over the straightening entries (ib, v, s, c),
-    ib = i n + b, contracted over the nonzero products f_a f_v of each v
-    and e_s e_j of each s, in blocks of the dual index a.
+def _double_mul(H: HopfAlgebra, straighten: tuple) -> tuple:
+    """The mul table of D(H) as its table arrays (I, J, K, c) in ascending
+    key order: (f_a e_i)(f_b e_j) = sum c (f_a f_v)(e_s e_j) over the
+    straightening entries (ib, v, s, c), ib = i n + b, contracted over the
+    nonzero products f_a f_v of each v and e_s e_j of each s, in blocks of
+    the dual index a.
 
     A block expands each term (k; a, v, c2) of the coproducts of H with
     first leg a (f_a f_v = sum c2 f_k) over the straightening entries
@@ -131,13 +140,14 @@ def _double_mul(H: HopfAlgebra, straighten: tuple) -> dict:
     e_s e_j = c3 e_m of its s (linalg.join).  The term c c2 c3 lands at
     row r = (i b j), column (k m) of the block, whose row (a*n + i, b*n + j)
     of the table is then in key order along r.  linalg.summed sums the
-    repeated keys r*n^2 + (k m) and drops the sums that vanish, and
-    linalg.table_rows turns the block into rows of the table in key order.
+    repeated keys r*n^2 + (k m) and drops the sums that vanish, so each
+    block's entries follow the last block's in key order.
 
     Bound (int64): c c2 < p^2 < 2^62, reduced mod p, then times c3 < 2^62,
     reduced mod p; a key sums one term per pair (v, s), fewer than 2^32
     residues below 2^31 for n < 2^16, so every sum stays below 2^63.  Every
-    key is below n^3 n^2 = n^5, which int64 holds for n <= 6208.
+    key of the table, (a n + i) N^2 + (b n + j) N + (k m) with N = n^2, is
+    below N^3 = n^6, which int64 holds for n <= 1448.
     """
     import numpy as np
 
@@ -153,7 +163,7 @@ def _double_mul(H: HopfAlgebra, straighten: tuple) -> dict:
     m, v, d = m[order], v[order], d[order]
     by_a = np.searchsorted(u[order], np.arange(n + 1))
 
-    keys, rows = [], []
+    keys, vals = [], []
     for a in range(n):
         block = slice(by_a[a], by_a[a + 1])
         e, t, cc = linalg.join(field, (v[block], d[block]), (tv, tc))
@@ -161,11 +171,11 @@ def _double_mul(H: HopfAlgebra, straighten: tuple) -> dict:
         key = (ib[t][x] * n + jj[q]) * N + m[block][e][x] * n + mm[q]
         del e, t, cc, x, q
         key, val = linalg.summed(field, key, val)
-        r, col = np.divmod(key, N)
-        found, terms = linalg.table_rows(r, (col,), val)
-        keys.extend((a * n + row // N, row % N) for row in found)
-        rows.extend(terms)
-    return dict(zip(keys, rows))
+        keys.append(key + a * n * N * N)
+        vals.append(val)
+    # (a n + i) N^2 + (b n + j) N + (k m) = ((a n + i) N + b n + j) N + k m
+    ij, k = np.divmod(np.concatenate(keys), N)
+    return (*np.divmod(ij, N), k, np.concatenate(vals))
 
 
 def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
@@ -193,23 +203,22 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     names = tuple(
         f"{H.basis_names[a]}*.{H.basis_names[i]}" for a in range(n) for i in range(n)
     )
-    alg = StructureAlgebra(field, N, _double_mul(H, straighten), unit, names)
+    p = linalg.machine_prime(field)
+    mul = TableView(read_only(_double_mul(H, straighten)), p, 2, N)
+    alg = StructureAlgebra(field, N, mul, unit, names)
 
     # coproduct: opposite dual coproduct on the first factor,
     # Delta(f_a e_i) = sum c d (f_v e_s) (x) (f_u e_t) over every pair of
     # e_u e_v = c e_a and Delta(e_i) = d e_s e_t, the outer product of the
     # two tables (every pair meets at the one key 0).  Every key is below
     # N^3 = n^6, which int64 holds for n <= 1448, and sums one term.
-    p = linalg.machine_prime(field)
     mu, mv, ma, mc = structure_arrays(H.alg, p)
     ci, cs, ct, cd = comul_arrays(H, p)
     x, y, val = linalg.join(field, (np.zeros_like(ma), mc), (np.zeros_like(ci), cd))
     key = ((ma[x] * n + ci[y]) * N + mv[x] * n + cs[y]) * N + mu[x] * n + ct[y]
     key, val = linalg.summed(field, key, val)
     row, col = np.divmod(key, N * N)
-    comul = dict(zip(*linalg.table_rows(row, np.divmod(col, N), val)))
-    for k in range(N):
-        comul.setdefault(k, ())
+    comul = TableView(read_only((row, *np.divmod(col, N), val)), p, 1, N, every=N)
 
     counit = tuple(
         field.normalize(H.unit[a] * H.counit[i]) for a in range(n) for i in range(n)

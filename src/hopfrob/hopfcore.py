@@ -33,18 +33,23 @@ multiplicative, antipode law) are one more call of algebra.first_failure:
 as one sparse identity each (_linear_failures) mod each prime, or as
 Python loops over the basis (_linear_failures_loops).  Their loops on
 Python ints are cheap, so over GF(p) the kernel takes over only above
-_LINEAR_MODP_DIM; over QQ, on Fractions, it wins from dim 16 and takes over
-above algebra._SPARSE_DIM (measurements next to that constant).  Their
-sides sum at most dim^3 products of three constants (the antipode law's
+algebra._LINEAR_MODP_DIM; over QQ, on Fractions, above
+algebra._SPARSE_DIM (measurements next to that constant).  Their sides sum
+at most dim^3 products of three constants (the antipode law's
 sum_{u,v,x} Delta_i(u,v) S(x,u) c(x,v;a)) among both tables, the counit,
-the unit and the antipode.
+the unit and the antipode.  Delta(1) = 1 (x) 1 is one more identity linear
+in the tables, with the same crossovers, and so is the unit law
+(algebra.unit_failure); above both crossovers (algebra.all_on_kernels) a
+verify_hopf reads no tuple row of either table.
 
 Every numpy reader of H's tables (the kernels above, the integral
 operators, algebra's multiplicativity check, the double's mul table) takes
 the table arrays that H keeps for its comul and its algebra for its mul,
 built once per object and key (algebra.comul_arrays,
-algebra.structure_arrays).  A Hopf algebra that shares its algebra with
-another, as a comul mutant does, shares those mul arrays too.  The kernels
+algebra.structure_arrays), or handed over with a TableView table, as
+hopffile's array reader and the double hand them.  A Hopf algebra that
+shares its algebra with another, as a comul mutant does, shares those mul
+arrays too.  The kernels
 read them mod each prime; an integral operator reads them under the key
 linalg.machine_prime gives, int64 residues over an admitted GF(p) and an
 object array of the field's scalars otherwise, so its one construction
@@ -60,10 +65,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .algebra import (
     StructureAlgebra,
+    TableView,
     _clean_row,
     blocks,
     by_item,
@@ -81,6 +87,7 @@ from .algebra import (
     picked,
     smallest,
     structure_arrays,
+    summed_keys,
     vec_to_row,
     verify_algebra,
 )
@@ -90,20 +97,22 @@ from .linalg import Matrix, basis_vec, csr_rows, iterated_kernel_sparse, mulmod,
 from .report import Report
 from .scalars import Field
 
-# Over an admitted GF(p) the four linear axioms run on their kernel only
-# above this dimension (measured next to algebra._SPARSE_DIM).
-_LINEAR_MODP_DIM = 40
 
 @dataclass(eq=False)
 class HopfAlgebra:
     alg: StructureAlgebra
-    comul: dict  # i -> tuple[(j, k, c), ...]
+    comul: Mapping  # i -> tuple[(j, k, c), ...]
     counit: tuple
     antipode: Matrix
     name: str = ""
     _sbar: Optional[Matrix] = dc_field(default=None, repr=False)
-    # algebra.comul_arrays per key (a prime, or None), each built on first use
+    # algebra.comul_arrays per key (a prime, or None), each built on first
+    # use or handed over by a TableView comul
     _arrays: dict = dc_field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if isinstance(self.comul, TableView):
+            self._arrays[self.comul.p] = self.comul.arrays
 
     @property
     def field(self) -> Field:
@@ -474,14 +483,24 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
         dim**3,
         lambda q: _linear_failures(H, q, structure_arrays(H.alg, q), comul_arrays(H, q)),
         partial(_linear_failures_loops, H),
-        modp_dim=_LINEAR_MODP_DIM,
+        linear=True,
         merge=_merge_linear,
     )
     at_basis("coassociativity", coassoc)
     at_basis("counit law", counit)
 
-    # unit is group-like, counit of unit is 1
-    unit_ok = is_grouplike(H, H.unit)
+    # unit is group-like: eps(1) = 1 and Delta(1) = 1 (x) 1, whose sides sum
+    # dim products of two constants (a unit coordinate and one of comul)
+    unit_ok = H.counit_of(H.unit) == field.one() and first_failure(
+        field,
+        dim,
+        lambda: linalg.joint_scale(H.comul_scale, linalg.scale_of(H.unit)),
+        2,
+        dim,
+        lambda q: _unit_coproduct_failure(H, q, comul_arrays(H, q)),
+        partial(_unit_coproduct_failure_loops, H),
+        linear=True,
+    ) is None
     rep.add("coproduct and counit of identity", unit_ok)
 
     # Delta is an algebra map: Delta(e_i e_j) = Delta(e_i) Delta(e_j)
@@ -514,6 +533,29 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
         rep.add("antipode invertible", False, "antipode matrix is singular")
 
     return rep
+
+
+def _unit_coproduct_failure_loops(H: HopfAlgebra) -> Optional[tuple]:
+    """The smallest (a, b) where Delta(1) and 1 (x) 1 differ at e_a (x) e_b,
+    or None, as Python loops."""
+    lhs, rhs = H.delta_vec(H.unit), _outer_sum(H.field, [(H.unit, H.unit)])
+    differ = (key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
+    return min(differ, default=None)
+
+
+def _unit_coproduct_failure(H: HopfAlgebra, p: int, comul: tuple) -> Optional[tuple]:
+    """_unit_coproduct_failure_loops mod p on the comul_arrays comul of H:
+    the terms d e_u (x) e_v of Delta(e_m) with u_m != 0 sum u_m d at cell
+    (u, v), against the outer product of the unit with itself.
+
+    Bound: each u_m d is reduced mod p before a cell sums at most dim of
+    them, below 2^31 dim < 2^63."""
+    n = H.dim
+    m, u, v, d = comul
+    one = residues(H.unit, p)
+    keep = one[m] != 0
+    lhs = summed_keys(u[keep] * n + v[keep], one[m[keep]] * d[keep] % p, n * n, p)
+    return first_mismatch(lhs, entry_keys(*_outer(one, one, p, n), n * n, p), n, p)
 
 
 def _merge_linear(results) -> tuple:
@@ -609,12 +651,8 @@ def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
 
     coassoc = _coassociativity_failure(comul, delta, uv, p)
 
-    # counit multiplicative: the entries of each (i, j) are consecutive in
-    # table order, so each run is summed once
-    cells = i * n + j
-    start = np.flatnonzero(np.diff(cells, prepend=-1))
-    sums = np.add.reduceat(c * eps[k] % p, start) % p
-    lhs = entry_keys(cells[start][sums > 0], sums[sums > 0], n * n, p)
+    # counit multiplicative
+    lhs = summed_keys(i * n + j, c * eps[k] % p, n * n, p)
     rhs = entry_keys(*_outer(eps, eps, p, n), n * n, p)
     eps_ok = H.counit_of(H.unit) == H.field.one() and first_mismatch(lhs, rhs, n * n, p) is None
 

@@ -31,7 +31,21 @@ sparse row sorted by key, its scalars normalized and nonzero, each key once.
 emit_hopf_text writes the rows as they are held, in a fixed line order, so
 emission is canonical and emit -> parse -> emit is byte-identical.
 
-A hopf-algebra file is read in one pass, a line at a time.  Each sparse body
+A hopf-algebra file has two readers, and algebra.all_on_kernels, the
+crossover above which every identity of verify_hopf runs on the int64
+kernels (an admitted GF(p), dim > 40), chooses between them after the
+header.  Above it the array reader (_read_arrays) reads the body straight
+into the table arrays that structure_arrays and comul_arrays would build
+from the rows: every token but the directives and the ':' goes through one
+int pass, and range, repeated lines and canonical rows are checked on the
+arrays.  mul and comul become views over them (algebra.TableView), whose
+tuple rows are built on first read, so a verify builds none.  A body it
+cannot take whole (a bad token, an integer beyond int64, an index out of
+range, a repeated line, a row unsorted or holding a zero, any line out of
+place or missing) goes to the line reader, as does every file below the
+crossover or over QQ; so every error and every cleaned row comes from it.
+
+The line reader reads the body in one pass, a line at a time.  Each sparse body
 line is split once; its scalars are converted by one Field.parse_all (over
 GF(p) a map of int reduced mod p, over QQ a map of Field.parse), its head
 and payload indices by one map(int, ...), range-checked by min and max.  A
@@ -48,9 +62,17 @@ Parse errors carry "label:line:" positions and raise InvalidInputError.
 
 from __future__ import annotations
 
+from itertools import chain, compress
 from operator import lt
 
-from .algebra import StructureAlgebra, _clean_row, default_names
+from .algebra import (
+    StructureAlgebra,
+    TableView,
+    _clean_row,
+    all_on_kernels,
+    default_names,
+    read_only,
+)
 from .errors import InvalidInputError
 from .hopfcore import HopfAlgebra
 from .linalg import Matrix
@@ -225,6 +247,11 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
     except (MemoryError, OverflowError):
         raise rd.error(lineno, f"dimension {dim} is too large to allocate") from None
 
+    if all_on_kernels(field, dim):
+        H = _read_arrays(rd, field, zeros, name)
+        if H is not None:
+            return H
+
     parse_all = field.parse_all
     tables: dict = {head: {} for head in _ROW_LINES}
     # directive -> (its table, head count, group width, offset of the first
@@ -279,23 +306,113 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
         rd.next("a body line or 'end'")  # no 'end' line: raises
     rd.done()
 
-    vectors = []
     for head in ("unit", "counit"):
         if () not in tables[head]:
             raise _err(label, rd.last_lineno, f"missing {head!r} line")
-        vec = zeros.copy()
-        for k, c in tables[head][()]:
-            vec[k] = c
-        vectors.append(tuple(vec))
     mul = {key: row for key, row in tables["mul"].items() if row}
     comul = {i: row for (i,), row in tables["comul"].items()}
     for i in range(dim):
         comul.setdefault(i, ())
-    antipode = Matrix.from_entries(
-        field, dim, dim, (((i, j), c) for (j,), col in tables["antipode"].items() for i, c in col)
-    )
+    antipode = (((i, j), c) for (j,), col in tables["antipode"].items() for i, c in col)
+    rows = (tables["unit"][()], tables["counit"][()])
+    return _assemble(field, zeros, name, basis_names, mul, comul, rows, antipode)
+
+
+def _assemble(field: Field, zeros: list, name: str, basis_names, mul, comul, rows, antipode):
+    """The Hopf algebra of read tables, of dim len(zeros): rows the (k, c)
+    pairs of the unit and of the counit, each filled into a copy of zeros,
+    antipode the ((i, j), c) entries of its matrix."""
+    dim = len(zeros)
+    vectors = []
+    for row in rows:
+        vec = zeros.copy()
+        for k, c in row:
+            vec[k] = c
+        vectors.append(tuple(vec))
     alg = StructureAlgebra(field, dim, mul, vectors[0], basis_names or default_names(dim))
+    antipode = Matrix.from_entries(field, dim, dim, antipode)
     return HopfAlgebra(alg, comul, vectors[1], antipode, name)
+
+
+def _read_arrays(rd: _Reader, field: Field, zeros: list, name: str):
+    """The Hopf algebra, of dim len(zeros), of the body lines of rd read
+    straight into table arrays (_line_arrays), mul and comul TableViews over
+    them, or None for a body the arrays cannot take whole (the module
+    docstring says which), which the line reader then reads."""
+    dim = len(zeros)
+    lines: dict = {head: [] for head in _ROW_LINES}
+    basis_names = None
+    for _, line in rd.rows[rd.pos : -1]:
+        toks = line.split()
+        group = lines.get(toks[0])
+        if group is not None:
+            group.append(toks)
+        elif toks[0] == "basis" and basis_names is None and len(toks) == dim + 1:
+            basis_names = tuple(toks[1:])
+        else:
+            return None
+    if rd.rows[-1][1] != "end":
+        return None
+    tables = {}
+    for head, group in lines.items():
+        nhead, width, *_ = _ROW_LINES[head]
+        tables[head] = _line_arrays(group, nhead, width, dim, field.p)
+        if tables[head] is None or (nhead == 0 and len(group) != 1):
+            return None
+
+    rows = [zip(k.tolist(), c.tolist()) for _, (k, c) in (tables["unit"], tables["counit"])]
+    _, (j, i, c) = tables["antipode"]
+    antipode = zip(zip(i.tolist(), j.tolist()), c.tolist())
+    mul = TableView(tables["mul"][1], field.p, 2, dim)
+    (heads,), arrays = tables["comul"]
+    comul = TableView(arrays, field.p, 1, dim, keys=heads.tolist(), every=dim)
+    return _assemble(field, zeros, name, basis_names, mul, comul, rows, antipode)
+
+
+def _line_arrays(lines: list, nhead: int, width: int, dim: int, p: int):
+    """(heads, entries) of the split sparse body lines of one directive, or
+    None when they are not all well formed, in range, distinct and
+    canonical: heads the int64 arrays of the head indices of each line,
+    entries the read-only table arrays of its entries in file order (the
+    head indices of each entry's line, its width - 1 payload indices, its
+    scalar mod p).  Every token but the directives and the ':' goes through
+    one int pass."""
+    import numpy as np
+
+    sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    groups, rest = np.divmod(sizes - nhead - 2, width)
+    if len(lines) and (groups.min() < 0 or rest.any()):
+        return None
+    flat = list(chain.from_iterable(lines))
+    starts = np.cumsum(sizes) - sizes
+    skip = np.zeros(len(flat), dtype=bool)
+    skip[starts] = skip[starts + nhead + 1] = True
+    if not set(map(flat.__getitem__, (starts + nhead + 1).tolist())) <= {":"}:
+        return None
+    try:
+        nums = np.fromiter(map(int, compress(flat, (~skip).tolist())), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    # the heads of each line, then its payload as rows of width
+    first = starts - 2 * np.arange(len(lines))
+    heads = [nums[first + h] for h in range(nhead)]
+    payload = np.ones(len(nums), dtype=bool)
+    for h in range(nhead):
+        payload[first + h] = False
+    body = nums[payload].reshape(-1, width)
+    index, vals = body[:, :-1], body[:, -1] % p
+    if any(a.min(initial=0) < 0 or a.max(initial=0) >= dim for a in (*heads, index)):
+        return None
+    at = np.repeat(np.arange(len(lines)), groups)
+    keys = index[:, 0] if width == 2 else index[:, 0] * dim + index[:, 1]
+    line_keys = heads[0] * dim + heads[1] if nhead == 2 else heads[0] if nhead else at[:0]
+    if (
+        not vals.all()
+        or len(np.unique(line_keys)) != len(line_keys)
+        or ((np.diff(keys) <= 0) & (np.diff(at) == 0)).any()
+    ):
+        return None
+    return heads, read_only((*(h[at] for h in heads), *index.T, vals))
 
 
 def emit_hopf_text(H: HopfAlgebra) -> str:
@@ -312,9 +429,7 @@ def emit_hopf_text(H: HopfAlgebra) -> str:
     lines.append(f"field {field.name}")
     lines.append(f"dim {H.dim}")
     lines.append("basis " + " ".join(H.basis_names))
-    mul = H.alg.mul
-    for i, j in sorted(mul):
-        row = mul[(i, j)]
+    for (i, j), row in sorted(H.alg.mul.items()):
         if row:
             lines.append(f"mul {i} {j} : " + " ".join(f"{k} {fmt(c)}" for k, c in row))
     lines.append("unit : " + " ".join(f"{k} {fmt(c)}" for k, c in enumerate(H.unit) if c))

@@ -86,9 +86,10 @@ def machine_prime(field: Field) -> Optional[int]:
 def scale_of(constants: Iterable) -> tuple:
     """(D, A) for rational constants: D their common denominator and A the
     largest |a| among them written a/D (0 when there are none).  A zero
-    changes neither, so the zeros are skipped before any is hashed."""
-    values = set(filter(None, constants))
-    den = math.lcm(*(c.denominator for c in values))
+    changes neither, so the zeros are skipped; D is the lcm of the set of
+    denominators, plain ints, so no Fraction is hashed."""
+    values = list(filter(None, constants))
+    den = math.lcm(*{c.denominator for c in values})
     return den, max((abs(c.numerator) * (den // c.denominator) for c in values), default=0)
 
 
@@ -746,10 +747,10 @@ def nonzero_entries(M: Matrix) -> tuple:
 
 
 def table_rows(rows, cols: tuple, vals) -> tuple:
-    """(keys, terms) of the entries of a table sorted by row, rows an int64
-    array, cols a tuple of index arrays and vals the values: the distinct
-    rows ascending, and for each the tuple of its terms (*col, val) in entry
-    order, all as Python scalars."""
+    """(keys, terms) of the entries of a table grouped by row (each row's
+    entries consecutive), rows an int64 array, cols a tuple of index arrays
+    and vals the values: the distinct rows in entry order, and for each the
+    tuple of its terms (*col, val) in entry order, all as Python scalars."""
     import numpy as np
 
     terms = list(zip(*(c.tolist() for c in cols), vals.tolist()))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import count_calls, double_of, dual_cop_embedding_of, embedding_of
 
-from hopfrob import algebra, cli, frobenius, hopfcore, linalg, separability, subext
+from hopfrob import algebra, cli, frobenius, hopfcore, hopffile, linalg, separability, subext
 from hopfrob.algebra import StructureAlgebra
 from hopfrob.catalog import entry, names
 from hopfrob.cli import main
@@ -553,7 +553,9 @@ def test_residue_tables_are_built_once_per_table_and_prime(cmd, key, tmp_path, m
     (taft-4-5-2 and its dual, dim 16 over GF(5)) and a `frobenius` job over
     QQ (D(qs3), dim 36) build the table arrays of each table once per
     algebra and key, however many kernels, integral operators and
-    automorphism checks read them.  The key is the prime over GF(p); over
+    automorphism checks read them, or take them from the TableView that
+    the double hands its tables (only D's own, at the prime, are handed
+    over).  The key is the prime over GF(p); over
     QQ it is None for the integral operators, whose values are then an
     object array, and each prime of the kernels.  Every integral operator
     is the one entry form, its values in the dtype of its engine."""
@@ -561,14 +563,22 @@ def test_residue_tables_are_built_once_per_table_and_prime(cmd, key, tmp_path, m
     asked, built, operators = [], [], []
     for name in ("structure_arrays", "comul_arrays"):
         # the owners are held, so no two of them share an id
-        _spy_everywhere(monkeypatch, algebra, name, lambda args, out: asked.append(args))
+        _spy_everywhere(monkeypatch, algebra, name, lambda args, out: asked.append((*args, out)))
     _spy_everywhere(monkeypatch, algebra, "table_arrays", lambda args, out: built.append(args))
     _spy_everywhere(
         monkeypatch, hopfcore, "integral_operator", lambda args, out: operators.append(out)
     )
     assert main([cmd, str(path)]) == 0
-    tables = {(id(owner), p) for owner, p in asked}
-    assert len(built) == len(tables) < len(asked)
+    tables: dict = {}
+    for owner, p, out in asked:
+        assert tables.setdefault((id(owner), p), out) is out
+    handed = {
+        (id(owner), p)
+        for owner, p, out in asked
+        if out is getattr(owner.mul if hasattr(owner, "mul") else owner.comul, "arrays", None)
+    }
+    assert bool(handed) == (cmd == "double")
+    assert len(built) == len(tables) - len(handed) < len(asked)
     generic = key == "D(qs3)"
     assert operators and {vals.dtype for *_, vals in operators} == {
         np.dtype(object if generic else np.int64)
@@ -625,6 +635,45 @@ def _d81(tmp_path):
     path = tmp_path / "d81.hopf"
     path.write_text(emit_hopf_text(double_of("taft-3-7-2")))
     return path
+
+
+def test_verify_path_builds_no_tuple_row_on_d81(tmp_path, monkeypatch):
+    """The dim-81 GF(7) file is read straight into table arrays, and
+    `verify` on it, and a `frobenius` that rejects a copy with a scaled
+    unit, build no tuple row: the line reader cleans none and no table
+    builds its rows (linalg.table_rows).  A `frobenius` that accepts builds
+    the rows of each table of H, mul and comul, at most once."""
+    path = _d81(tmp_path)
+    lines = path.read_text().splitlines()
+    unit = next(t for t, line in enumerate(lines) if line.startswith("unit "))
+    lines[unit] = lines[unit].replace(" 1", " 3")
+    bad = tmp_path / "d81-bad.hopf"
+    bad.write_text("\n".join(lines) + "\n")
+    built = count_calls(monkeypatch, linalg, "table_rows")
+    cleaned = count_calls(monkeypatch, hopffile, "_canonical_row")
+    assert main(["verify", str(path)]) == 0
+    assert main(["verify", str(bad)]) == 1
+    assert main(["frobenius", str(bad)]) == 1
+    assert (built, cleaned) == ([], [])
+    assert main(["frobenius", str(path)]) == 0
+    assert len(built) <= 2 and cleaned == []
+
+
+def test_double_without_output_builds_no_tuple_row_of_d(tmp_path, monkeypatch):
+    """`double` on taft-4-5-2 hands D(taft-4-5-2) the table arrays of its
+    construction: without -o no table of D builds its rows, and the only
+    tables read into arrays from rows are the two of H (dim 16); with -o
+    each table of D builds its rows once, to be written."""
+    path = emit(tmp_path, "taft-4-5-2")
+    rows = count_calls(monkeypatch, linalg, "table_rows")
+    arrays = []
+    _spy_everywhere(
+        monkeypatch, algebra, "table_arrays", lambda args, out: arrays.append(len(args[2]))
+    )
+    assert main(["double", str(path)]) == 0
+    assert (rows, sorted(arrays)) == ([], [16, len(entry("taft-4-5-2").hopf.alg.mul)])
+    assert main(["double", str(path), "-o", str(tmp_path / "d256.hopf")]) == 0
+    assert len(rows) == 2
 
 
 def test_verify_d81_runs_no_tensor_loop(tmp_path, monkeypatch):

@@ -928,7 +928,7 @@ def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, gen
     each prime of their bound, p on every GF(p) object and enough primes
     over QQ, and the Python loops, which run only on the generic engine,
     give the same items, valid or corrupted."""
-    monkeypatch.setattr(hopfcore, "_LINEAR_MODP_DIM", 0)
+    monkeypatch.setattr(algebra, "_LINEAR_MODP_DIM", 0)
     monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
     H = _double_over(2146560523)[1] if name.startswith("D(taft(") else _object(name)
     if kind is not None:
@@ -1237,3 +1237,59 @@ def test_smallest_blocks_hold_one_item_each(monkeypatch, smallest_blocks):
     for sizes, ranges in record:
         assert [b - a for a, b in ranges] == [1] * len(ranges)
         assert [a for a, _ in ranges] == list(np.flatnonzero(sizes))
+
+
+def _unit_mutant(H, kind):
+    """H with one constant that the unit identities read moved by one: the
+    first term of the middle nonzero product e_u e_j ("left") or e_j e_u
+    ("right"), or of Delta(e_u) ("comul"), u the first index of the unit's
+    support; or its unit doubled ("unit")."""
+    if kind in (None, "unit"):
+        return H if kind is None else _corrupted(H, "unit")
+    F = H.field
+    u = next(i for i, c in enumerate(H.unit) if c)
+    if kind == "comul":
+        comul = dict(H.comul)
+        (j, k, c), *rest = comul[u]
+        comul[u] = ((j, k, F.normalize(c + 1)), *rest)
+        return HopfAlgebra.from_sparse(H.alg, comul, H.counit, H.antipode)
+    mul = dict(H.alg.mul)
+    keys = sorted(key for key in mul if key[kind == "right"] == u)
+    key = keys[len(keys) // 2]
+    (k, c), *rest = mul[key]
+    mul[key] = ((k, F.normalize(c + 1)), *rest)
+    alg = StructureAlgebra.from_sparse(F, H.dim, mul, H.unit, H.basis_names)
+    return HopfAlgebra.from_sparse(alg, H.comul, H.counit, H.antipode)
+
+
+@pytest.mark.parametrize("kind", [None, "unit", "left", "right", "comul"])
+@pytest.mark.parametrize("name", MODP_OBJECTS + ["D(taft(3, 2146560523))"] + QQ_OBJECTS + UNPEELED)
+def test_unit_identities_agree_on_both_engines(name, kind, monkeypatch, generic_engine):
+    """The unit law and Delta(1) = 1 (x) 1, valid or corrupted, with both
+    crossovers at 0: their kernels mod each prime of their bound give the
+    first failing item of their loops, which run only on the generic
+    engine, and the product cover read off the table arrays is the one read
+    off the rows."""
+    monkeypatch.setattr(algebra, "_LINEAR_MODP_DIM", 0)
+    monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
+    H = _double_over(2146560523)[1] if name.startswith("D(taft(") else _object(name)
+    H = _unit_mutant(H, kind)
+    ran = []
+    unit_kernel, delta_kernel = algebra._unit_failure, hopfcore._unit_coproduct_failure
+    monkeypatch.setattr(
+        algebra, "_unit_failure", lambda A, p, t: ran.append(p) or unit_kernel(A, p, t)
+    )
+    constants = [*H.unit, *(c for t in H.comul.values() for *_, c in t)]
+    primes = engine_primes_of(H.field, constants, 2, H.dim)
+    deltas = (delta_kernel(H, q, algebra.comul_arrays(H, q)) for q in primes)
+    delta = min((x for x in deltas if x is not None), default=None)
+    unit = algebra.unit_failure(H.alg)
+    cover = product_cover(H.alg)
+    assert ran
+    assert delta == hopfcore._unit_coproduct_failure_loops(H)
+    assert kind is not None or (unit, delta) == (None, None)
+    assert kind != "comul" or delta is not None
+    assert kind not in ("left", "right") or unit is not None
+    generic_engine()
+    assert algebra.unit_failure(H.alg) == unit
+    assert product_cover(H.alg) == cover

@@ -2,16 +2,28 @@
 line, the tokens it accepts, and the canonical tables it builds from rows
 written in any order or form."""
 
+import functools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from conftest import double_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrob.algebra import StructureAlgebra
+from hopfrob import hopffile
+from hopfrob.algebra import (
+    StructureAlgebra,
+    TableView,
+    all_on_kernels,
+    comul_arrays,
+    structure_arrays,
+)
+from hopfrob.catalog import cyclic_table, entry, group_algebra, names, taft
+from hopfrob.double import drinfeld_double
 from hopfrob.errors import InvalidInputError
 from hopfrob.hopfcore import HopfAlgebra
-from hopfrob.hopffile import parse_hopf_text
+from hopfrob.hopffile import emit_hopf_text, parse_hopf_text
 from hopfrob.linalg import Matrix
 from hopfrob.scalars import GF, QQ, PrimeField
 
@@ -282,3 +294,147 @@ def test_parse_normalizes_entries_not_cells(monkeypatch):
     H = parse_hopf_text(text)
     assert H.antipode.rows[0][0] == 1 and H.antipode.nrows == dim
     assert len(calls) <= 4 * dim
+
+
+# -- the array reader ------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _array_object_text(name: str) -> str:
+    """The emitted text of one object the array reader takes (admitted GF(p),
+    dim above algebra._LINEAR_MODP_DIM)."""
+    if name == "GF7[C64]":
+        H = group_algebra(cyclic_table(64), GF(7), name=name)
+    elif name == "D(taft(5, 11, 3))":
+        H = drinfeld_double(taft(5, 11, 3))
+    else:
+        H = double_of(name[2:-1])
+    return emit_hopf_text(H)
+
+
+def _mutated(text: str, kind: str) -> str:
+    """text with one change of the given kind, made on the middle mul line
+    of at least two terms (of one, a second term added, when there is
+    none), the middle comul line, the unit line or the last antipode line,
+    or on the order of the mul, comul and antipode lines."""
+    lines = text.splitlines()
+    dim = int(next(line.split()[1] for line in lines if line.startswith("dim ")))
+    muls = [t for t, line in enumerate(lines) if line.startswith("mul ")]
+    muls = [t for t in muls if len(lines[t].split()) >= 8] or muls
+    at = muls[len(muls) // 2]
+    toks = lines[at].split()
+    head, groups = toks[:4], list(zip(toks[4::2], toks[5::2]))
+    if len(groups) == 1:
+        groups.append((str((int(groups[0][0]) + 1) % dim), "1"))
+    (k1, c1), (k2, c2) = sorted(groups[:2], key=lambda g: int(g[0]))
+    rest = [t for g in groups[2:] for t in g]
+    if kind == "scaled unit":
+        unit = next(t for t, line in enumerate(lines) if line.startswith("unit "))
+        u = lines[unit].split()
+        scaled = [x if g % 2 == 0 else str(3 * int(x)) for g, x in enumerate(u[2:])]
+        lines[unit] = " ".join(u[:2] + scaled)
+    elif kind == "dropped antipode line":
+        del lines[max(t for t, line in enumerate(lines) if line.startswith("antipode "))]
+    elif kind == "missing end":
+        del lines[-1]
+    elif kind == "repeated mul line":
+        lines.insert(at, lines[at])
+    elif kind == "empty comul line":
+        comuls = [t for t, line in enumerate(lines) if line.startswith("comul ")]
+        lines[comuls[len(comuls) // 2]] = " ".join(lines[comuls[len(comuls) // 2]].split()[:3])
+    elif kind == "body lines reversed":
+        rows = ("mul", "comul", "antipode")
+        body = [t for t, line in enumerate(lines) if line.split()[0] in rows]
+        for t, line in zip(body, reversed([lines[t] for t in body])):
+            lines[t] = line
+    else:
+        payload = {
+            "zero scalar": [k1, "0", k2, c2, *rest],
+            "unsorted row": [k2, c2, k1, c1, *rest],
+            "repeated key": [k1, c1, k2, c2, *rest, k1, c1],
+            "empty mul line": [],
+            "out-of-range index": [str(dim), c1, k2, c2, *rest],
+            "non-integer token": [k1, "x", k2, c2, *rest],
+            "integer beyond int64": [k1, str(2**63 + int(c1)), k2, c2, *rest],
+        }[kind]
+        lines[at] = " ".join(head + payload)
+    return "\n".join(lines) + "\n"
+
+
+ARRAY_OBJECTS = ["D(taft-3-7-2)", "D(taft-4-5-2)", "D(taft(5, 11, 3))", "GF7[C64]"]
+# each kind, and whether the array reader takes the file whole
+MUTANTS = {
+    None: True,
+    "scaled unit": True,
+    "dropped antipode line": True,
+    "empty mul line": True,
+    "empty comul line": True,
+    "body lines reversed": True,
+    "zero scalar": False,
+    "unsorted row": False,
+    "repeated key": False,
+    "repeated mul line": False,
+    "out-of-range index": False,
+    "non-integer token": False,
+    "integer beyond int64": False,
+    "missing end": False,
+}
+
+
+def _parsed(text: str):
+    """The Hopf algebra of text, or the message of its InvalidInputError."""
+    try:
+        return parse_hopf_text(text, label="f.hopf")
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def _assert_same_object(A, B) -> None:
+    """A and B have the same rows in the same key order, unit, counit,
+    antipode and names, and equal table arrays: dtype, order, read-only."""
+    assert list(A.alg.mul.items()) == list(B.alg.mul.items())
+    assert list(A.comul.items()) == list(B.comul.items())
+    assert (A.unit, A.counit, A.basis_names, A.name) == (B.unit, B.counit, B.basis_names, B.name)
+    assert A.antipode == B.antipode and A.antipode._nonzero == B.antipode._nonzero
+    p = A.field.p
+    tables = [(structure_arrays(H.alg, p), comul_arrays(H, p)) for H in (A, B)]
+    for x, y in zip(*tables):
+        assert len(x) == len(y)
+        for a, b in zip(x, y):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+            assert not a.flags.writeable and not b.flags.writeable
+
+
+@pytest.mark.parametrize("kind", list(MUTANTS))
+@pytest.mark.parametrize("name", ARRAY_OBJECTS)
+def test_array_reader_gives_the_line_readers_object_or_error(name, kind, monkeypatch):
+    """Above the crossover a file is read straight into table arrays when
+    the array reader can take it whole; on every object and mutant the
+    result is the line reader's: the same HopfAlgebra, its tables read from
+    arrays equal to those structure_arrays and comul_arrays build from the
+    rows, or the same error message."""
+    text = _array_object_text(name)
+    if kind is not None:
+        text = _mutated(text, kind)
+    got = _parsed(text)
+    assert isinstance(got, HopfAlgebra) and isinstance(got.alg.mul, TableView) or not MUTANTS[kind]
+    monkeypatch.setattr(hopffile, "all_on_kernels", lambda field, dim: False)
+    want = _parsed(text)
+    assert not isinstance(getattr(getattr(want, "alg", None), "mul", None), TableView)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        _assert_same_object(got, want)
+
+
+@pytest.mark.parametrize("key", [*names(), "D(qs3)", "D(f5c5)", "D(taft-3-7-2)"])
+def test_array_reader_runs_above_the_crossover_only(key, monkeypatch):
+    """The array reader runs on an admitted GF(p) above the crossover only:
+    never on the catalog entries and their doubles up to D(qs3) (dim 36
+    over QQ) or D(f5c5) (dim 25 over GF(5)); on D(taft-3-7-2) it does."""
+    H = double_of(key[2:-1]) if key.startswith("D(") else entry(key).hopf
+    ran = []
+    read = hopffile._read_arrays
+    monkeypatch.setattr(hopffile, "_read_arrays", lambda *args: ran.append(1) or read(*args))
+    assert parse_hopf_text(emit_hopf_text(H)) == H
+    assert bool(ran) == all_on_kernels(H.field, H.dim) == (key == "D(taft-3-7-2)")

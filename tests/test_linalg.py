@@ -492,6 +492,30 @@ def test_scale_of_is_unchanged_by_zeros(constants, zeros):
     assert linalg.scale_of([Fraction(0)] * zeros) == (1, 0)
 
 
+def _scale_of_set(constants) -> tuple:
+    """The set-based scale_of: the nonzero constants hashed into a set."""
+    values = set(filter(None, constants))
+    den = math.lcm(*(c.denominator for c in values))
+    return den, max((abs(c.numerator) * (den // c.denominator) for c in values), default=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.fractions(max_denominator=2**30), st.integers(-(2**40), 2**40)), max_size=30
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_scale_of_matches_the_set_reference(constants, rng):
+    """scale_of, which hashes only the denominators, gives the (D, A) of
+    the set-based reference on Fractions and ints mixed, zeros, negatives
+    and repeats included."""
+    values = constants + constants[: len(constants) // 2] + [0, Fraction(0)]
+    rng.shuffle(values)
+    assert linalg.scale_of(values) == _scale_of_set(values)
+    assert linalg.scale_of(iter(values)) == _scale_of_set(values)
+
+
 def test_residues_reduce_each_rational_exactly():
     """1/2 becomes (p + 1)/2, not the 0 that an int64 cast of the Fraction
     gives; every residue r of n/d satisfies d r = n mod p."""
