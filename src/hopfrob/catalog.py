@@ -296,204 +296,33 @@ class CatalogEntry:
     expected: dict
 
 
-def _group_entry(key, table, field, names, display, expected) -> CatalogEntry:
-    H = group_algebra(table, field, names, display)
-    return CatalogEntry(key, {"table": table, "field": field.name}, H, expected)
+def _cyclic(n: int, field: Field, key: str) -> tuple:
+    """The params and the group algebra, named key, of the cyclic group of
+    order n over field, on the basis 1, g, g2, ..."""
+    table = cyclic_table(n)
+    names = ("1", "g", *(f"g{i}" for i in range(2, n)))
+    return {"table": table, "field": field.name}, group_algebra(table, field, names, key)
 
 
-_BUILDERS = {}
+_PROPERTIES = ("dim", "commutative", "cocommutative", "separable", "unimodular", "antipode_order")
 
-
-def _register(key):
-    def deco(fn):
-        _BUILDERS[key] = fn
-        return fn
-
-    return deco
-
-
-@_register("qc2")
-def _qc2():
-    return _group_entry(
-        "qc2",
-        cyclic_table(2),
-        QQ,
-        ("1", "g"),
-        "qc2",
-        {
-            "dim": 2,
-            "commutative": True,
-            "cocommutative": True,
-            "separable": True,
-            "unimodular": True,
-            "antipode_order": 1,
-        },
-    )
-
-
-@_register("qc3")
-def _qc3():
-    return _group_entry(
-        "qc3",
-        cyclic_table(3),
-        QQ,
-        ("1", "g", "g2"),
-        "qc3",
-        {
-            "dim": 3,
-            "commutative": True,
-            "cocommutative": True,
-            "separable": True,
-            "unimodular": True,
-            "antipode_order": 2,
-        },
-    )
-
-
-@_register("f2c2")
-def _f2c2():
-    return _group_entry(
-        "f2c2",
-        cyclic_table(2),
-        GF(2),
-        ("1", "g"),
-        "f2c2",
-        {
-            "dim": 2,
-            "commutative": True,
-            "cocommutative": True,
-            "separable": False,
-            "unimodular": True,
-            "antipode_order": 1,
-        },
-    )
-
-
-@_register("f3c3")
-def _f3c3():
-    return _group_entry(
-        "f3c3",
-        cyclic_table(3),
-        GF(3),
-        ("1", "g", "g2"),
-        "f3c3",
-        {
-            "dim": 3,
-            "commutative": True,
-            "cocommutative": True,
-            "separable": False,
-            "unimodular": True,
-            "antipode_order": 2,
-        },
-    )
-
-
-@_register("f5c5")
-def _f5c5():
-    return _group_entry(
-        "f5c5",
-        cyclic_table(5),
-        GF(5),
-        tuple(["1"] + [f"g{i}" if i > 1 else "g" for i in range(1, 5)]),
-        "f5c5",
-        {
-            "dim": 5,
-            "commutative": True,
-            "cocommutative": True,
-            "separable": False,
-            "unimodular": True,
-            "antipode_order": 2,
-        },
-    )
-
-
-@_register("f7c3")
-def _f7c3():
-    return _group_entry(
-        "f7c3",
-        cyclic_table(3),
-        GF(7),
-        ("1", "g", "g2"),
-        "f7c3",
-        {
-            "dim": 3,
-            "commutative": True,
-            "cocommutative": True,
-            "separable": True,
-            "unimodular": True,
-            "antipode_order": 2,
-        },
-    )
-
-
-@_register("qs3")
-def _qs3():
-    return _group_entry(
-        "qs3",
-        s3_table(),
-        QQ,
-        None,
-        "qs3",
-        {
-            "dim": 6,
-            "commutative": False,
-            "cocommutative": True,
-            "separable": True,
-            "unimodular": True,
-            "antipode_order": 2,
-        },
-    )
-
-
-@_register("sweedler")
-def _sweedler_entry():
-    return CatalogEntry(
-        "sweedler",
-        {"field": "rational"},
-        sweedler(),
-        {
-            "dim": 4,
-            "commutative": False,
-            "cocommutative": False,
-            "separable": False,
-            "unimodular": False,
-            "antipode_order": 4,
-        },
-    )
-
-
-@_register("taft-3-7-2")
-def _taft372():
-    return CatalogEntry(
-        "taft-3-7-2",
-        {"n": 3, "p": 7, "q": 2},
-        taft(3, 7, 2),
-        {
-            "dim": 9,
-            "commutative": False,
-            "cocommutative": False,
-            "separable": False,
-            "unimodular": False,
-            "antipode_order": 6,
-        },
-    )
-
-
-@_register("taft-4-5-2")
-def _taft452():
-    return CatalogEntry(
-        "taft-4-5-2",
-        {"n": 4, "p": 5, "q": 2},
-        taft(4, 5, 2),
-        {
-            "dim": 16,
-            "commutative": False,
-            "cocommutative": False,
-            "separable": False,
-            "unimodular": False,
-            "antipode_order": 8,
-        },
-    )
+# key -> (the builder of its params and Hopf algebra, the expected values of
+# _PROPERTIES)
+_BUILDERS = {
+    "qc2": (lambda: _cyclic(2, QQ, "qc2"), (2, True, True, True, True, 1)),
+    "qc3": (lambda: _cyclic(3, QQ, "qc3"), (3, True, True, True, True, 2)),
+    "f2c2": (lambda: _cyclic(2, GF(2), "f2c2"), (2, True, True, False, True, 1)),
+    "f3c3": (lambda: _cyclic(3, GF(3), "f3c3"), (3, True, True, False, True, 2)),
+    "f5c5": (lambda: _cyclic(5, GF(5), "f5c5"), (5, True, True, False, True, 2)),
+    "f7c3": (lambda: _cyclic(3, GF(7), "f7c3"), (3, True, True, True, True, 2)),
+    "qs3": (
+        lambda: ({"table": s3_table(), "field": QQ.name}, group_algebra(s3_table(), QQ, None, "qs3")),
+        (6, False, True, True, True, 2),
+    ),
+    "sweedler": (lambda: ({"field": QQ.name}, sweedler()), (4, False, False, False, False, 4)),
+    "taft-3-7-2": (lambda: ({"n": 3, "p": 7, "q": 2}, taft(3, 7, 2)), (9, False, False, False, False, 6)),
+    "taft-4-5-2": (lambda: ({"n": 4, "p": 5, "q": 2}, taft(4, 5, 2)), (16, False, False, False, False, 8)),
+}
 
 
 def names() -> tuple:
@@ -504,12 +333,13 @@ def names() -> tuple:
 def entry(key: str) -> CatalogEntry:
     if key not in _BUILDERS:
         raise InvalidInputError(f"unknown catalog entry {key!r}")
-    ent = _BUILDERS[key]()
-    rep = verify_hopf(ent.hopf, title=f"axioms: {key}")
+    build, expected = _BUILDERS[key]
+    params, H = build()
+    rep = verify_hopf(H, title=f"axioms: {key}")
     if not rep.passed:
         failed = ", ".join(it.name for it in rep.failures())
         raise InternalCheckError(f"catalog entry {key} fails axioms: {failed}")
-    return ent
+    return CatalogEntry(key, params, H, dict(zip(_PROPERTIES, expected)))
 
 
 def entries() -> tuple:

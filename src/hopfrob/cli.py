@@ -4,9 +4,10 @@ pipelines, and emit derived objects.
 Exit codes are the machine contract: 0 when every check passes, 1 when a
 mathematical check fails (axiom violation, failed identity, failed
 certificate), 2 for invalid input (unreadable or malformed files, unknown
-catalog keys, field mismatches).  Report text is human-oriented; pass
---report FILE to also write a stable machine summary, one "key PASS|FAIL"
-line per named check plus a final "overall" line.
+catalog keys, field mismatches, an input too large for memory).  Report
+text is human-oriented; pass --report FILE to also write a stable machine
+summary, one "key PASS|FAIL" line per named check plus a final "overall"
+line.
 
 File formats are documented in hopffile: "hopf-algebra v1" for algebras,
 "matrix v1" for the inclusion matrix of subcheck, and "module v1" (one
@@ -391,6 +392,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidInputError, ShapeError, FieldMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory in {args.command}: the input is too large", file=sys.stderr)
         return 2
     except HopfrobError as exc:
         print(f"check failed: {exc}", file=sys.stderr)

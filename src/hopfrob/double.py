@@ -12,6 +12,13 @@ index arrays (linalg.join), each key summed once by linalg.summed.  Before
 anything is assembled the straightening is replayed through honest
 products of sparse rows (_straighten_direct), in Python.
 
+S_D and its inverse come from one join each (_antipode_entries, with S and
+Sbar swapped for the inverse T).  One exact sparse product checks
+S_D T = I (_is_inverse); over a field a one-sided inverse of a square
+matrix is two-sided, so T is S_D^-1 and D keeps it for antipode_inv.  When
+the check fails (H is no Hopf algebra) D keeps nothing, and antipode_inv
+eliminates S_D as for any parsed algebra.
+
 Basis order: pair (a, i) with a indexing the dual factor and i indexing H,
 flattened row-major as a*dim(H) + i.
 """
@@ -224,19 +231,52 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
         field.normalize(H.unit[a] * H.counit[i]) for a in range(n) for i in range(n)
     )
 
-    # antipode: S'(f_b tensor e_j) = (eps tensor S e_j) * (f_b o Sbar tensor 1),
-    # column b*n + j summed over the straightening entries (k v, vv, ss, c)
-    # joined on k with S(e_j) = sum ck e_k and on v with Sbar's entry cv at (b, v)
-    ib, vv, ss, c = straighten
-    k, j, ck = nonzero_entries(H.antipode)
-    b, v, cv = nonzero_entries(H.antipode_inv())
-    x, y, val = linalg.join(field, (ib // n, c), (k, ck.astype(c.dtype)))
-    x2, y2, val = linalg.join(field, (ib[x] % n, val), (v, cv.astype(c.dtype)))
-    rows = vv[x][x2] * n + ss[x][x2]
-    cols = b[y2] * n + j[y][x2]
-    antipode = Matrix.from_entries(field, N, N, zip(zip(rows.tolist(), cols.tolist()), val.tolist()))
+    # S_D, and its inverse T kept once S_D T = I proves it (module docstring)
+    S, Sbar = H.antipode, H.antipode_inv()
+    antipode = _antipode_entries(H, straighten, S, Sbar)
+    inverse = _antipode_entries(H, straighten, Sbar, S)
+    D = HopfAlgebra(alg, comul, counit, _matrix(field, N, antipode), name=f"D({H.name or 'H'})")
+    if _is_inverse(field, N, antipode, inverse):
+        D._sbar = _matrix(field, N, inverse)
+    return D
 
-    return HopfAlgebra(alg, comul, counit, antipode, name=f"D({H.name or 'H'})")
+
+def _antipode_entries(H: HopfAlgebra, straighten: tuple, S: Matrix, Sbar: Matrix) -> tuple:
+    """(rows, cols, vals), a cell possibly repeated, of the map of D(H)
+    f_b (x) e_j -> (eps (x) S e_j)(f_b o Sbar (x) 1): its column b n + j
+    sums the straightening entries (k v, vv, ss, c) joined on k with
+    S(e_j) = sum ck e_k and on v with Sbar's entry cv at (b, v).  With S
+    and Sbar the antipode of H and its inverse this is the antipode S_D;
+    with the two swapped it is (eps (x) Sbar e_j)(f_b o S (x) 1), which is
+    S_D^-1 when H is a Hopf algebra, S_D being anti-multiplicative and
+    inverted on each factor."""
+    n = H.dim
+    ib, vv, ss, c = straighten
+    k, j, ck = nonzero_entries(S)
+    b, v, cv = nonzero_entries(Sbar)
+    x, y, val = linalg.join(H.field, (ib // n, c), (k, ck.astype(c.dtype)))
+    x2, y2, val = linalg.join(H.field, (ib[x] % n, val), (v, cv.astype(c.dtype)))
+    return vv[x][x2] * n + ss[x][x2], b[y2] * n + j[y][x2], val
+
+
+def _matrix(field, N: int, entries: tuple) -> Matrix:
+    """The N x N Matrix of entries (rows, cols, vals), repeated cells summed."""
+    rows, cols, vals = entries
+    return Matrix.from_entries(field, N, N, zip(zip(rows.tolist(), cols.tolist()), vals.tolist()))
+
+
+def _is_inverse(field, N: int, left: tuple, right: tuple) -> bool:
+    """Whether the N x N matrices of the entries left and right (rows,
+    cols, vals, a cell possibly repeated) multiply to the identity, exactly:
+    their product's terms by one linalg.join of left's columns with right's
+    rows, each cell summed by linalg.summed.  Every cell is below N^2,
+    which int64 holds for N < 2^31."""
+    import numpy as np
+
+    (lr, lc, lv), (rr, rc, rv) = left, right
+    x, y, val = linalg.join(field, (lc, lv), (rr, rv))
+    cells, val = linalg.summed(field, lr[x] * N + rc[y], val)
+    return np.array_equal(cells, np.arange(N) * (N + 1)) and bool((val == field.one()).all())
 
 
 def embed_algebra(H: HopfAlgebra, v) -> tuple:

@@ -165,9 +165,6 @@ class HopfAlgebra:
 
     # -- basic maps ---------------------------------------------------------
 
-    def comul_row(self, i: int) -> tuple:
-        return self.comul.get(i, ())
-
     def delta_vec(self, v: Sequence) -> dict:
         """Delta(v) as a sparse tensor {(j, k): c}."""
         field = self.field

@@ -28,8 +28,10 @@ module v1
 
 Canonical rows.  The tables of StructureAlgebra and HopfAlgebra hold every
 sparse row sorted by key, its scalars normalized and nonzero, each key once.
-emit_hopf_text writes the rows as they are held, in a fixed line order, so
-emission is canonical and emit -> parse -> emit is byte-identical.
+emit_hopf_text writes them from their table arrays (structure_arrays,
+comul_arrays, the antipode's nonzero_entries), never from tuple rows, in a
+fixed line order, so emission is canonical and emit -> parse -> emit is
+byte-identical.
 
 A hopf-algebra file has two readers, and algebra.all_on_kernels, the
 crossover above which every identity of verify_hopf runs on the int64
@@ -62,20 +64,23 @@ Parse errors carry "label:line:" positions and raise InvalidInputError.
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from operator import lt
 
+from . import linalg
 from .algebra import (
     StructureAlgebra,
     TableView,
     _clean_row,
     all_on_kernels,
+    comul_arrays,
     default_names,
     read_only,
+    structure_arrays,
 )
 from .errors import InvalidInputError
 from .hopfcore import HopfAlgebra
-from .linalg import Matrix
+from .linalg import Matrix, nonzero_entries
 from .scalars import Field, field_from_name
 
 HOPF_HEADER = "hopf-algebra v1"
@@ -416,34 +421,119 @@ def _line_arrays(lines: list, nhead: int, width: int, dim: int, p: int):
 
 
 def emit_hopf_text(H: HopfAlgebra) -> str:
-    """The canonical text of H.  Its rows are written as the tables hold
-    them, which is already sorted, normalized and free of zeros."""
-    field = H.field
-    fmt = field.fmt
+    """The canonical text of H, its tables written by _render from their
+    table arrays under linalg.machine_prime's key (structure_arrays,
+    comul_arrays, the antipode's nonzero_entries by column), whose entries
+    are sorted, normalized and free of zeros already."""
+    import numpy as np
+
+    field, dim = H.field, H.dim
     for nm in H.basis_names:
         if not nm or any(ch.isspace() for ch in nm):
             raise InvalidInputError(f"basis name {nm!r} is not a whitespace-free token")
-    lines = [HOPF_HEADER]
-    if H.name:
-        lines.append(f"name {H.name}")
-    lines.append(f"field {field.name}")
-    lines.append(f"dim {H.dim}")
-    lines.append("basis " + " ".join(H.basis_names))
-    for (i, j), row in sorted(H.alg.mul.items()):
-        if row:
-            lines.append(f"mul {i} {j} : " + " ".join(f"{k} {fmt(c)}" for k, c in row))
-    lines.append("unit : " + " ".join(f"{k} {fmt(c)}" for k, c in enumerate(H.unit) if c))
-    lines.append("counit : " + " ".join(f"{k} {fmt(c)}" for k, c in enumerate(H.counit) if c))
-    for i in range(H.dim):
-        row = H.comul_row(i)
-        if row:
-            lines.append(f"comul {i} : " + " ".join(f"{j} {k} {fmt(c)}" for j, k, c in row))
-    for j, col in enumerate(zip(*H.antipode.rows)):
-        payload = " ".join(f"{i} {fmt(c)}" for i, c in enumerate(col) if c)
-        if payload:
-            lines.append(f"antipode {j} : {payload}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    head = [HOPF_HEADER, f"name {H.name}"] if H.name else [HOPF_HEADER]
+    head += [f"field {field.name}", f"dim {dim}", "basis " + " ".join(H.basis_names)]
+    p = linalg.machine_prime(field)
+    i, j, k, c = structure_arrays(H.alg, p)
+    tables = [("mul", (i, j), (k,), c)]
+    for name, vec in (("unit", H.unit), ("counit", H.counit)):
+        vec = np.array(vec, dtype=c.dtype)
+        tables.append((name, (), (np.flatnonzero(vec),), vec[vec.astype(bool)]))
+    m, u, v, d = comul_arrays(H, p)
+    # the antipode by columns, each column's rows ascending
+    rows, cols, vals = nonzero_entries(H.antipode)
+    order = np.argsort(cols, kind="stable")
+    antipode = ("antipode", (cols[order],), (rows[order],), vals[order].astype(c.dtype))
+    tables += [("comul", (m,), (u, v), d), antipode]
+    body = _render(tables, dim, field.fmt)
+    # unit and counit have their line even when they vanish
+    body[1:3] = [text or f"{name} : " for text, name in zip(body[1:3], ("unit", "counit"))]
+    return "\n".join([*head, *filter(None, body), "end"]) + "\n"
+
+
+def _render(tables: list, dim: int, fmt) -> list:
+    """The body lines "directive h.. : t.. v t.. v ..." of each table
+    (directive, heads, terms, vals), one text per table: heads the index
+    columns naming each entry's line (none for unit and counit, whose
+    entries make one line), terms its other index columns, vals its
+    scalars, the entries of a line consecutive and in order.
+
+    All tables are laid out as one grid, a row per entry, table by table:
+    two head cells, two term cells and the scalar's, each group filled
+    from the right.  The lines come in key order after one stable argsort
+    of the rows, only when they are not in it already.  The cells that
+    write something, read in row order, are the tokens of the text: each
+    writes its separator, then its token, into one uint8 buffer of spaces
+    at offsets that are running sums of those lengths.  Every index, and
+    every scalar below 2^31 (int64 residues), is written by its decimal
+    digits, vectorised; only an object scalar (the generic engine's) goes
+    through fmt.  A line opens with a newline and the byte 1, which the
+    decoded text of each table replaces by its directive."""
+    import numpy as np
+
+    counts = [len(t[3]) for t in tables]
+    bounds = list(accumulate(counts, initial=0))
+    grid = np.zeros((bounds[-1], 5), dtype=np.int32)
+    # the separator code of each cell, on the rows after a line's first and
+    # on that first row: 0 for none (an empty cell, or a head of a line
+    # begun), 1 for " " before an index, 2 for " " before the scalar, 3 for
+    # " : " before the first term, 4 for the opening "\n\1 " of a line, 5
+    # for "\n\1 : " opening a line of no head
+    pattern = []
+    for t, (_, heads, terms, _) in enumerate(tables):
+        h, f = 2 - len(heads), 4 - len(terms)
+        for col, x in zip([*range(h, 2), *range(f, 4)], (*heads, *terms)):
+            grid[bounds[t] : bounds[t + 1], col] = x
+        first = [0] * h + [4] + [1] * (1 - h) if heads else [0, 0]
+        first += [0] * (f - 2) + [3 if heads else 5] + [1] * (3 - f) + [2]
+        pattern.append([[0] * f + [1] * (4 - f) + [2], first])
+    pattern = np.array(pattern, dtype=np.uint8)
+    vals = np.concatenate([t[3] for t in tables])
+    table = np.repeat(np.arange(len(tables)), counts)
+    key = (table * dim + grid[:, 0]) * dim + grid[:, 1]
+    if (key[1:] < key[:-1]).any():
+        order = np.argsort(key, kind="stable")
+        key, grid, vals = key[order], grid[order], vals[order]
+    text = vals.dtype == object
+    if not text:
+        grid[:, 4] = vals
+    new = np.concatenate(([True], key[1:] != key[:-1]))
+    code = pattern[table, new.view(np.uint8)]
+    shown = code.astype(bool)
+    # the tokens in text order, and the place of each row's scalar among them
+    tok, code = grid[shown], code[shown]
+    scalar = np.flatnonzero(code == 2)
+    del grid, shown, key, table
+    size = np.array([0, 1, 1, 3, 3, 5], dtype=np.int32)[code] + 1
+    for e in range(1, len(str(tok.max(initial=0)))):
+        size += tok >= 10**e
+    if text:
+        strs = list(map(fmt, vals.tolist()))
+        size[scalar] += np.fromiter(map(len, strs), dtype=np.int32, count=len(strs)) - 1
+    ends = np.cumsum(size, dtype=np.int64)
+    out = np.full(int(ends[-1]) if len(ends) else 0, 32, dtype=np.uint8)
+    rare = code >= 3
+    at, code = (ends - size)[rare], code[rare]
+    opens, colons = code >= 4, code != 4
+    out[at[opens]] = 10
+    out[at[opens] + 1] = 1
+    out[at[colons] + code[colons] - 2] = 58
+    # each digit token written from its last digit back
+    digit = np.ones(len(tok), dtype=bool)
+    digit[scalar] = not text
+    last, x = (ends - 1)[digit], tok[digit]
+    while len(x):
+        x, d = np.divmod(x, 10)
+        out[last] = d + 48
+        keep = x.astype(bool)
+        last, x = last[keep] - 1, x[keep]
+    if text:
+        lens = size[scalar] - 1
+        at = np.repeat(ends[scalar] - np.cumsum(lens), lens) + np.arange(lens.sum())
+        out[at] = np.frombuffer("".join(strs).encode("ascii"), dtype=np.uint8)
+    body = out.tobytes().decode("ascii")
+    starts = [int(ends[scalar[r - 1]]) if r else 0 for r in bounds]
+    return [body[a + 1 : b].replace("\1", t[0]) for t, a, b in zip(tables, starts, starts[1:])]
 
 
 def _read_text(path: str) -> str:

@@ -1,7 +1,10 @@
 """End-to-end command-line behavior: exit codes, file formats, round trips,
 and the pipelines behind each subcommand."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -661,19 +664,20 @@ def test_verify_path_builds_no_tuple_row_on_d81(tmp_path, monkeypatch):
 
 def test_double_without_output_builds_no_tuple_row_of_d(tmp_path, monkeypatch):
     """`double` on taft-4-5-2 hands D(taft-4-5-2) the table arrays of its
-    construction: without -o no table of D builds its rows, and the only
-    tables read into arrays from rows are the two of H (dim 16); with -o
-    each table of D builds its rows once, to be written."""
+    construction: with or without -o no table of D builds its rows, as the
+    file is written from the arrays too, and the only tables read into
+    arrays from rows are the two of H (dim 16)."""
     path = emit(tmp_path, "taft-4-5-2")
     rows = count_calls(monkeypatch, linalg, "table_rows")
     arrays = []
     _spy_everywhere(
         monkeypatch, algebra, "table_arrays", lambda args, out: arrays.append(len(args[2]))
     )
+    want = [16, len(entry("taft-4-5-2").hopf.alg.mul)]
     assert main(["double", str(path)]) == 0
-    assert (rows, sorted(arrays)) == ([], [16, len(entry("taft-4-5-2").hopf.alg.mul)])
+    assert (rows, sorted(arrays)) == ([], want)
     assert main(["double", str(path), "-o", str(tmp_path / "d256.hopf")]) == 0
-    assert len(rows) == 2
+    assert (rows, sorted(arrays)) == ([], sorted(want * 2))
 
 
 def test_verify_d81_runs_no_tensor_loop(tmp_path, monkeypatch):
@@ -812,3 +816,26 @@ def test_double_integral_stage_runs_few_eliminations_and_no_algebra_product(
     assert products == []
     assert 0 < len(eliminations) <= 8
     assert max(eliminations) <= 9
+
+
+def test_out_of_memory_is_one_error_line(tmp_path):
+    """`hopfrob double` on the emitted D(taft-3-7-2) (dim 81, a double of
+    dim 6561) runs out of memory in a process that lowers its own address
+    space to 400 MiB (one BLAS thread): exit 2 and one error line naming
+    the subcommand, no traceback."""
+    path = tmp_path / "d81.hopf"
+    path.write_text(emit_hopf_text(double_of("taft-3-7-2")))
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from hopfrob.cli import main\n"
+        f"sys.exit(main(['double', {str(path)!r}]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr == "error: out of memory in double: the input is too large\n"

@@ -517,3 +517,68 @@ def test_one_pass_integral_spaces_eliminate_twice(key, width, monkeypatch):
             )
             space(D)
         assert shapes == [(width, width), (1, width)], space.__name__
+
+
+@pytest.mark.parametrize("key", names())
+def test_double_keeps_the_inverse_antipode_its_construction_proves(key, generic_engine):
+    """drinfeld_double builds S_D^-1 by the joins that build S_D, with S
+    and Sbar swapped, and keeps it as antipode_inv once S_D T = I: on every
+    catalog double, up to D(taft-4-5-2), it is Matrix.inverse(S_D), built
+    on the int64 engine and on the Python-scalar engine alike."""
+    D = double_of(key)
+    want = D.antipode.inverse()
+    assert D._sbar == want
+    generic_engine()
+    assert drinfeld_double(entry(key).hopf)._sbar == want
+
+
+def test_double_of_d256_runs_no_elimination_as_wide_as_d(tmp_path, monkeypatch):
+    """`hopfrob double` on taft-4-5-2 finds "antipode invertible" in the
+    inverse its construction proved: no elimination has 256 rows, as the
+    one of Matrix.inverse(S_D) would."""
+    path = tmp_path / "taft.hopf"
+    path.write_text(emit_hopf_text(entry("taft-4-5-2").hopf))
+    rows = []
+    rref, rref_modp = linalg._rref, linalg._rref_modp_numpy
+    monkeypatch.setattr(linalg, "_rref", lambda field, a: rows.append(len(a)) or rref(field, a))
+    monkeypatch.setattr(linalg, "_rref_modp_numpy", lambda a, p: rows.append(len(a)) or rref_modp(a, p))
+    assert main(["double", str(path)]) == 0
+    assert rows and max(rows) < 256
+
+
+def _corrupted_taft(kind: str) -> HopfAlgebra:
+    """taft-4-5-2 with column 0 of its antipode doubled, or with its unit
+    tripled, as the corrupted copy of the modp-d256 benchmark scales it."""
+    H = entry("taft-4-5-2").hopf
+    field = H.field
+    if kind == "antipode column":
+        rows = [(field.normalize(2 * r[0]), *r[1:]) for r in H.antipode.rows]
+        return HopfAlgebra(H.alg, H.comul, H.counit, Matrix.from_rows(field, rows), H.name)
+    unit = tuple(field.normalize(3 * u) for u in H.unit)
+    alg = StructureAlgebra(field, H.dim, H.alg.mul, unit, H.basis_names)
+    return HopfAlgebra(alg, H.comul, H.counit, H.antipode, H.name)
+
+
+@pytest.mark.parametrize("kind, proved", [("antipode column", False), ("scaled unit", True)])
+def test_corrupted_double_reports_as_the_elimination_does(kind, proved, tmp_path, monkeypatch, capsys):
+    """With column 0 of S doubled, S_D T = I fails, so D keeps no inverse
+    and antipode_inv eliminates S_D, as before the construction proved
+    any; with the unit tripled T is proved and kept.  Either way `double`
+    prints and reports the bytes it does when D's inverse antipode comes
+    from Matrix.inverse alone."""
+    H = _corrupted_taft(kind)
+    assert (drinfeld_double(H)._sbar is not None) == proved
+    path, report = tmp_path / "taft-bad.hopf", tmp_path / "report.txt"
+    path.write_text(emit_hopf_text(H))
+    runs = []
+    for kept in (True, False):
+        with monkeypatch.context() as m:
+            if not kept:
+                m.setattr(double, "_is_inverse", lambda *args: False)
+            inverted = []
+            inverse = Matrix.inverse
+            m.setattr(Matrix, "inverse", lambda M: inverted.append(M.nrows) or inverse(M))
+            assert main(["double", str(path), "--report", str(report)]) == 1
+            runs.append((capsys.readouterr().out, report.read_text(), 256 in inverted))
+    assert runs[0][:2] == runs[1][:2]
+    assert [eliminated for *_, eliminated in runs] == [not proved, True]

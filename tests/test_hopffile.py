@@ -7,11 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import double_of
+from conftest import double_of, taft_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrob import hopffile
+from hopfrob import hopffile, linalg
 from hopfrob.algebra import (
     StructureAlgebra,
     TableView,
@@ -22,8 +22,8 @@ from hopfrob.algebra import (
 from hopfrob.catalog import cyclic_table, entry, group_algebra, names, taft
 from hopfrob.double import drinfeld_double
 from hopfrob.errors import InvalidInputError
-from hopfrob.hopfcore import HopfAlgebra
-from hopfrob.hopffile import emit_hopf_text, parse_hopf_text
+from hopfrob.hopfcore import HopfAlgebra, dual_hopf
+from hopfrob.hopffile import HOPF_HEADER, emit_hopf_text, parse_hopf_text
 from hopfrob.linalg import Matrix
 from hopfrob.scalars import GF, QQ, PrimeField
 
@@ -438,3 +438,105 @@ def test_array_reader_runs_above_the_crossover_only(key, monkeypatch):
     monkeypatch.setattr(hopffile, "_read_arrays", lambda *args: ran.append(1) or read(*args))
     assert parse_hopf_text(emit_hopf_text(H)) == H
     assert bool(ran) == all_on_kernels(H.field, H.dim) == (key == "D(taft-3-7-2)")
+
+
+# -- emission ----------------------------------------------------------------------
+
+
+def _emit_by_rows(H: HopfAlgebra) -> str:
+    """The reference for emit_hopf_text: every line formatted from the
+    tables' tuple rows and the antipode's dense columns, one token at a
+    time through Field.fmt."""
+    field = H.field
+    fmt = field.fmt
+    for nm in H.basis_names:
+        if not nm or any(ch.isspace() for ch in nm):
+            raise InvalidInputError(f"basis name {nm!r} is not a whitespace-free token")
+    lines = [HOPF_HEADER]
+    if H.name:
+        lines.append(f"name {H.name}")
+    lines.append(f"field {field.name}")
+    lines.append(f"dim {H.dim}")
+    lines.append("basis " + " ".join(H.basis_names))
+    for (i, j), row in sorted(H.alg.mul.items()):
+        if row:
+            lines.append(f"mul {i} {j} : " + " ".join(f"{k} {fmt(c)}" for k, c in row))
+    lines.append("unit : " + " ".join(f"{k} {fmt(c)}" for k, c in enumerate(H.unit) if c))
+    lines.append("counit : " + " ".join(f"{k} {fmt(c)}" for k, c in enumerate(H.counit) if c))
+    for i in range(H.dim):
+        row = H.comul.get(i, ())
+        if row:
+            lines.append(f"comul {i} : " + " ".join(f"{j} {k} {fmt(c)}" for j, k, c in row))
+    for j, col in enumerate(zip(*H.antipode.rows)):
+        payload = " ".join(f"{i} {fmt(c)}" for i, c in enumerate(col) if c)
+        if payload:
+            lines.append(f"antipode {j} : {payload}")
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+# the group algebra of C2 over GF(7), its mul, comul and antipode lines out
+# of key order
+SHUFFLED_FILE = """\
+hopf-algebra v1
+field prime 7
+dim 2
+antipode 1 : 1 1
+mul 1 1 : 0 1
+comul 1 : 1 1 1
+mul 0 1 : 1 1
+mul 1 0 : 1 1
+mul 0 0 : 0 1
+unit : 0 1
+counit : 0 1 1 1
+comul 0 : 0 0 1
+antipode 0 : 0 1
+end
+"""
+
+EMITTED = [
+    *names(),
+    *(f"{key}*" for key in names()),
+    *(f"D({key})" for key in names()),
+    "taft(3, 2^31 - 1)",
+    "shuffled file",
+    "zero counit",
+]
+
+
+def _emitted_object(name: str) -> HopfAlgebra:
+    if name == "taft(3, 2^31 - 1)":  # residues of ten digits
+        return taft_over(3, 2**31 - 1)
+    if name == "shuffled file":
+        return parse_hopf_text(SHUFFLED_FILE)
+    if name == "zero counit":  # its line is still written, with no entry
+        return parse_hopf_text(SHUFFLED_FILE.replace("counit : 0 1 1 1", "counit :"))
+    if name.startswith("D("):
+        return double_of(name[2:-1])
+    if name.endswith("*"):
+        return dual_hopf(entry(name[:-1]).hopf)
+    return entry(name).hopf
+
+
+@pytest.mark.parametrize("engine", ["int64", "generic"])
+@pytest.mark.parametrize("name", EMITTED)
+def test_emit_matches_the_row_by_row_reference(name, engine, monkeypatch, generic_engine):
+    """emit_hopf_text, written from the table arrays, gives the bytes of
+    the row-by-row reference on every catalog entry, its dual and its
+    double (D(qs3) over QQ, up to D(taft-4-5-2)), a Taft algebra over
+    2^31 - 1, a file whose lines come out of key order and the same with
+    its counit zero, on both engines;
+    and again on the object each reader makes of that text (the array
+    reader on an admitted GF(p), the line reader on every field), whose
+    arrays come in file order."""
+    H = _emitted_object(name)
+    if engine == "generic":
+        generic_engine()
+    text = emit_hopf_text(H)
+    assert text == _emit_by_rows(H)
+    readers = [False, *([True] if linalg.machine_prime(H.field) is not None else [])]
+    for arrays in readers:
+        monkeypatch.setattr(hopffile, "all_on_kernels", lambda field, dim: arrays)
+        again = parse_hopf_text(text)
+        assert isinstance(again.alg.mul, TableView) == arrays
+        assert emit_hopf_text(again) == _emit_by_rows(again) == text

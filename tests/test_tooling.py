@@ -6,7 +6,8 @@ constructor unreferenced through its class, one gate picks the int64
 engine, zero tests are truthiness tests, no matrix is a hand-filled grid,
 no sparse matrix has its rows sorted, numpy and scipy load only when
 that engine runs, the table builders merged across engines keep one
-path, and the docs name only attributes that exist."""
+path, the file emitter reads table arrays only, and the docs name only
+attributes that exist."""
 
 import ast
 import dataclasses
@@ -138,8 +139,7 @@ def test_package_has_no_unreferenced_functions():
     each is referenced from src/hopfrob, wrapped in bench/spans.py, or paper
     content on PAPER_API: a function that only the tests call, restating a
     primitive they could call instead, is deleted too.  Dunders are called
-    by the language, and the catalog builders by the registry their
-    @_register decorator files them in."""
+    by the language."""
     used = set().union(*map(_referenced_names, [*PACKAGE.glob("*.py"), ROOT / "bench" / "spans.py"]))
     others = [*(ROOT / "tests").glob("*.py"), *(ROOT / "bench").glob("*.py")]
     referenced = used.union(*map(_referenced_names, others))
@@ -149,13 +149,9 @@ def test_package_has_no_unreferenced_functions():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             dunder = node.name.startswith("__") and node.name.endswith("__")
-            registered = any(
-                isinstance(d, ast.Call) and ast.unparse(d.func) == "_register"
-                for d in node.decorator_list
-            )
-            if not (dunder or registered or node.name in referenced):
+            if not (dunder or node.name in referenced):
                 dead.append(f"{path.name}:{node.lineno}: {node.name}")
-            elif not (dunder or registered or node.name in used):
+            elif not (dunder or node.name in used):
                 test_only.add(f"{path.stem}.{node.name}")
     assert not dead, "functions nothing references:\n" + "\n".join(dead)
     # PAPER_API names neither a function the package now calls nor one gone
@@ -662,7 +658,9 @@ def test_docs_name_only_what_exists():
     """Every module.name (or Class.name) reference in the docstrings and
     comments of src/hopfrob and in README.md, and every private name a
     module's own docstrings and comments mention, names an attribute that
-    exists, so a deleted or renamed helper leaves no prose behind."""
+    exists, and so does every module.name reference in the docstrings and
+    comments of the tests, so a deleted or renamed helper leaves no prose
+    behind."""
     stale = [
         f"{path.name}: {ref}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -670,6 +668,12 @@ def test_docs_name_only_what_exists():
         for ref in _stale_references(text, importlib.import_module(f"hopfrob.{path.stem}"))
     ]
     stale += [f"README.md: {ref}" for ref in _stale_references((ROOT / "README.md").read_text())]
+    stale += [
+        f"{path.name}: {ref}"
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for text in _docs_and_comments(path)
+        for ref in _stale_references(text)
+    ]
     assert stale == []
 
 
@@ -691,3 +695,18 @@ def test_stale_reference_scan_finds_each_form():
         "_no_such_constant",
     ]
     assert _stale_references("frobenius.IntegralData.gram, linalg.mulmod", hopfcore) == []
+    # a removed method, named from another module's prose
+    assert _stale_references("hopfcore.HopfAlgebra.comul_row") == ["hopfcore.HopfAlgebra.comul_row"]
+
+
+def test_emit_reads_only_table_arrays():
+    """emit_hopf_text and its renderer read H's tables only as table arrays
+    (structure_arrays, comul_arrays, the antipode's nonzero_entries): no
+    tuple row of mul or comul (their .items(), .values(), .get(), the
+    comul_row helper it replaced, or the tables themselves) and no dense
+    grid of the antipode (.rows)."""
+    tree = ast.parse((PACKAGE / "hopffile.py").read_text(encoding="utf-8"))
+    emit = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name in ("emit_hopf_text", "_render")]
+    reads = {n.attr for fn in emit for n in ast.walk(fn) if isinstance(n, ast.Attribute)}
+    assert len(emit) == 2
+    assert reads & {"rows", "comul_row", "items", "values", "get", "mul", "comul"} == set()
