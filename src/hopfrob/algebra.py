@@ -1,20 +1,20 @@
 """Finite-dimensional associative unital algebras by structure constants.
 
 The multiplication tensor is stored sparsely: mul maps a basis-index pair
-(i, j) to the expansion of e_i * e_j as a sorted tuple of (k, coeff) with
-zero coefficients omitted and missing keys meaning the zero product.  All
-scalars are stored normalized for the algebra's field, so structural
-equality of two algebras is plain equality of their tables.  numpy code
-reads a table through its table arrays (structure_arrays here, comul_arrays
-for a Hopf algebra's comul): int64 index columns and one value array, built
-once per object and key and kept on the object.  The key is a prime p, whose
-values are the int64 residues mod p, or None, linalg.machine_prime's answer
-on the Python-scalar engine, whose values are an object array of the
-table's own scalars; so the two engines differ there only in the dtype of
-the values.  A table that arrives as arrays (a TableView, as hopffile and
-the double hand them over) keeps them for its key.  What the checks read
-off the mul table besides (its product cover and the scale of its
-constants) is cached on the algebra as well.
+(i, j) to the expansion of e_i * e_j as a sorted tuple of (k, coeff), zero
+coefficients omitted; a zero product has no key, in mul as in a Hopf
+algebra's comul.  All scalars are stored normalized for the algebra's field,
+so structural equality of two algebras is plain equality of their tables.
+numpy code reads a table through its table arrays (structure_arrays here,
+comul_arrays for a Hopf algebra's comul): int64 index columns and one value
+array, built once per object and key and kept on the object.  The key is a
+prime p, whose values are the int64 residues mod p, or None,
+linalg.machine_prime's answer on the Python-scalar engine, whose values are
+an object array of the table's own scalars; so the two engines differ there
+only in the dtype of the values.  A table that arrives as arrays (a
+TableView, as hopffile, the double and the dual hand them over) keeps them
+for its key.  What the checks read off the mul table besides (its product
+cover and the scale of its constants) is cached on the algebra as well.
 
 The quantified identities (associativity on every basis triple, "phi is an
 algebra map" on every basis pair, and in hopfcore Delta multiplicative and
@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
@@ -130,34 +130,25 @@ def vec_to_row(field: Field, vec: Sequence) -> SparseRow:
 class TableView(Mapping):
     """A read-only table {key: row}, as mul or comul holds it, kept as its
     table arrays (structure_arrays, comul_arrays) under the key p of their
-    values.  The arrays hold width key columns (two for mul, whose keys are
-    pairs (i, j) below dim, one for comul), then the term columns and the
-    values, in table order.  The table's keys are those of the entries in
-    that order, or the list keys when it is given (so a key may have an
-    empty row), then every index below `every` not yet among them,
-    ascending, with an empty row.  The tuple rows are built on first read by
-    one linalg.table_rows; numpy readers take the arrays and never need
-    them."""
+    values: width key columns (two for mul, pairs (i, j) below dim, one for
+    comul), the term columns and the values, each key's entries consecutive,
+    so no row is empty.  The tuple rows are built on first read by one
+    linalg.table_rows; numpy readers take the arrays and never need them."""
 
-    def __init__(self, arrays: tuple, p, width: int, dim: int, keys=None, every=None):
+    def __init__(self, arrays: tuple, p, width: int, dim: int):
         self.arrays, self.p = arrays, p
-        self._layout = (width, dim, keys, every)
+        self._layout = (width, dim)
         self._rows: Optional[dict] = None
 
     def _table(self) -> dict:
         if self._rows is None:
-            width, dim, keys, every = self._layout
+            width, dim = self._layout
             head, cols = self.arrays[:width], self.arrays[width:-1]
             flat = head[0] if width == 1 else head[0] * dim + head[1]
             found, rows = linalg.table_rows(flat, cols, self.arrays[-1])
             if width == 2:
                 found = [divmod(x, dim) for x in found]
-            table = dict(zip(found, rows))
-            if keys is not None:
-                table = {k: table.get(k, ()) for k in keys}
-            for i in range(every or 0):
-                table.setdefault(i, ())
-            self._rows = table
+            self._rows = dict(zip(found, rows))
         return self._rows
 
     def __getitem__(self, key):
@@ -271,15 +262,17 @@ class StructureAlgebra:
         """Matrix of x -> x*a in the structure basis (columns are e_j*a)."""
         return self._mult_matrix(a, "right")
 
-    def _mult_matrix(self, a: Sequence, side: str) -> Matrix:
-        """L_a (side "left") or R_a ("right") from one pass over mul: the
-        entry c at e_k of e_i e_j adds a_i c to L_a[k][j], a_j c to R_a[k][i]."""
+    def _mult_matrix(self, a: Sequence, side: str, transposed: bool = False) -> Matrix:
+        """L_a (side "left") or R_a ("right"), or its transpose, in one pass
+        over mul: e_i e_j = c e_k adds a_i c to L_a[k][j], a_j c to R_a[k][i]."""
         if len(a) != self.dim:
             raise ShapeError("vector length mismatch")
         if side == "left":
             entries = (((k, j), a[i] * c) for (i, j), row in self.mul.items() if a[i] for k, c in row)
         else:
             entries = (((k, i), a[j] * c) for (i, j), row in self.mul.items() if a[j] for k, c in row)
+        if transposed:
+            entries = ((cell[::-1], c) for cell, c in entries)
         return Matrix.from_entries(self.field, self.dim, self.dim, entries)
 
     def basis_vector(self, i: int) -> tuple:
@@ -498,17 +491,20 @@ def _associativity_failure_loops(
 def is_augmentation(A: StructureAlgebra, eps: Sequence) -> bool:
     """Does the covector eps define a one-dimensional representation?
 
-    eps(e_i e_j) = eps_i eps_j on each pair of mul, one pass; a pair absent
-    from mul has e_i e_j = 0, so it holds there exactly when eps_i eps_j = 0,
-    which only the pairs of nonzero entries of eps can break."""
+    eps(e_i e_j) = eps_i eps_j on each pair of mul, one pass, each side from
+    the nonzero entries of eps alone (hopfcore.is_grouplike passes a sparse
+    eps over every row of H*); a pair absent from mul has e_i e_j = 0, which
+    only the pairs of nonzero entries of eps can break."""
     field = A.field
     norm = field.normalize
-    if norm(sum(c * e for c, e in zip(A.unit, eps))) != field.one():
+    live = [bool(norm(e)) for e in eps]
+    support = list(compress(range(A.dim), live))
+    if norm(sum(A.unit[k] * eps[k] for k in support)) != field.one():
         return False
     for (i, j), row in A.mul.items():
-        if norm(sum(c * eps[k] for k, c in row)) != norm(eps[i] * eps[j]):
+        terms = [c * eps[k] for k, c in row if live[k]]
+        if (terms or live[i] and live[j]) and norm(sum(terms)) != norm(eps[i] * eps[j]):
             return False
-    support = [i for i, e in enumerate(eps) if norm(e)]
     return all((i, j) in A.mul for i in support for j in support)
 
 

@@ -40,7 +40,7 @@ from .frobenius import (
     orders,
     verify_radford,
 )
-from .hopfcore import dual_hopf, eval_cov, verify_hopf
+from .hopfcore import eval_cov, verify_hopf
 from .hopffile import (
     emit_hopf_text,
     read_hopf_file,
@@ -219,7 +219,7 @@ def cmd_double(args) -> int:
 
 def cmd_dual(args) -> int:
     H = _load_hopf(args.file, args.field)
-    K = dual_hopf(H)
+    K = H.dual
     rep = verify_hopf(K, title=f"axioms of the dual of {_display(H, args.file)}")
     if args.out:
         write_hopf_file(args.out, K)

@@ -225,7 +225,7 @@ def drinfeld_double(H: HopfAlgebra) -> HopfAlgebra:
     key = ((ma[x] * n + ci[y]) * N + mv[x] * n + cs[y]) * N + mu[x] * n + ct[y]
     key, val = linalg.summed(field, key, val)
     row, col = np.divmod(key, N * N)
-    comul = TableView(read_only((row, *np.divmod(col, N), val)), p, 1, N, every=N)
+    comul = TableView(read_only((row, *np.divmod(col, N), val)), p, 1, N)
 
     counit = tuple(
         field.normalize(H.unit[a] * H.counit[i]) for a in range(n) for i in range(n)

@@ -32,7 +32,6 @@ from .errors import InternalCheckError, InvalidInputError, SingularError
 from .hopfcore import (
     HopfAlgebra,
     _outer_sum,
-    dual_hopf,
     dual_left_integral_space,
     eval_cov,
     hit_matrix,
@@ -395,7 +394,7 @@ def dual_frobenius_check(H: HopfAlgebra, data: IntegralData) -> Report:
     """
     field = H.field
     rep = Report("dual Frobenius structure")
-    K = dual_hopf(H)
+    K = H.dual
     # evaluation at N is data.norm as a covector on H*, a left integral of
     # H* since N is one of H = (H*)*; (a) reads its Gram matrix, (f) its m,
     # which is invariant under rescaling, as every left integral is psi(T) N
@@ -409,10 +408,9 @@ def dual_frobenius_check(H: HopfAlgebra, data: IntegralData) -> Report:
     rep.add("psi ⇀ N = 1", one_vec == H.unit)
 
     # (e^a * e^k)(N) is the (a, k) coefficient of Delta(N), so the dual
-    # antipode is Delta(psi) Delta(N)^T, each coproduct as a matrix; the
-    # (i, k) coefficient of Delta(psi) in H* is psi(e_i e_k), the Gram matrix
-    delta_n = Matrix.from_entries(field, H.dim, H.dim, H.delta_vec(data.norm).items())
-    dual_s = data.gram.mul(delta_n.transpose())
+    # antipode is Delta(psi) Delta(N)^T, each coproduct as a matrix: the Gram
+    # matrices [psi(e_i e_k)] of psi on H and [N(e^i e^k)] of N on H*
+    dual_s = data.gram.mul(dual_data.gram.transpose())
     rep.add(
         "dual antipode from the integral pair equals transpose(S)",
         dual_s == H.antipode.transpose(),

@@ -42,30 +42,31 @@ in the tables, with the same crossovers, and so is the unit law
 (algebra.unit_failure); above both crossovers (algebra.all_on_kernels) a
 verify_hopf reads no tuple row of either table.
 
-Every numpy reader of H's tables (the kernels above, the integral
-operators, algebra's multiplicativity check, the double's mul table) takes
+Every numpy reader of H's tables (the kernels above, the integral operators,
+algebra's multiplicativity check, the double's mul table, the dual) takes
 the table arrays that H keeps for its comul and its algebra for its mul,
 built once per object and key (algebra.comul_arrays,
 algebra.structure_arrays), or handed over with a TableView table, as
-hopffile's array reader and the double hand them.  A Hopf algebra that
-shares its algebra with another, as a comul mutant does, shares those mul
-arrays too.  The kernels
-read them mod each prime; an integral operator reads them under the key
-linalg.machine_prime gives, int64 residues over an admitted GF(p) and an
+hopffile's array reader, the double and the dual (dual_hopf, built once per
+Hopf algebra as H.dual) hand them.  A Hopf algebra that shares its algebra
+with another, as a comul mutant does, shares those mul arrays too.  The
+kernels read them mod each prime; an integral operator reads them under the
+key linalg.machine_prime gives, int64 residues over an admitted GF(p) and an
 object array of the field's scalars otherwise, so its one construction
 serves both engines, which differ there only in that dtype.  Its kernel
-peels the coordinates that single-entry rows force to zero (3 to 6 of 81
-to 1296 columns remain on the Taft doubles) and refines the rest
+peels the coordinates that single-entry rows force to zero (3 to 6 of 81 to
+1296 columns remain on the Taft doubles) and refines the rest
 (linalg.iterated_kernel_sparse); unimodularity and a supplied psi are
 checked by one product (linalg.annihilates).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
 from itertools import chain
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .algebra import (
     StructureAlgebra,
@@ -85,6 +86,7 @@ from .algebra import (
     nonzero_row,
     on_cover,
     picked,
+    read_only,
     smallest,
     structure_arrays,
     summed_keys,
@@ -93,7 +95,7 @@ from .algebra import (
 )
 from . import linalg
 from .errors import InvalidInputError, ShapeError, SingularError
-from .linalg import Matrix, basis_vec, csr_rows, iterated_kernel_sparse, mulmod, nonzero_entries, residues
+from .linalg import Matrix, csr_rows, iterated_kernel_sparse, mulmod, nonzero_entries, residues
 from .report import Report
 from .scalars import Field
 
@@ -109,6 +111,9 @@ class HopfAlgebra:
     # algebra.comul_arrays per key (a prime, or None), each built on first
     # use or handed over by a TableView comul
     _arrays: dict = dc_field(default_factory=dict, init=False, repr=False)
+    # a call giving H* once built; on an H* that dual_hopf built, a weak
+    # reference to its H, as a strong one would make a cycle only gc frees
+    _dual: Optional[Callable] = dc_field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.comul, TableView):
@@ -146,9 +151,8 @@ class HopfAlgebra:
             terms = [((j, k), c) for j, k, c in triples]
             if any(not (0 <= j < alg.dim and 0 <= k < alg.dim) for (j, k), _ in terms):
                 raise ShapeError(f"comul tensor index out of range at basis {i}")
-            table[i] = tuple((j, k, c) for (j, k), c in _clean_row(field, terms))
-        for i in range(alg.dim):
-            table.setdefault(i, ())
+            if row := tuple((j, k, c) for (j, k), c in _clean_row(field, terms)):
+                table[i] = row
         eps = tuple(field.normalize(c) for c in counit)
         if len(eps) != alg.dim:
             raise ShapeError("counit length mismatch")
@@ -157,6 +161,14 @@ class HopfAlgebra:
         if antipode.field != field:
             raise ShapeError("antipode matrix over wrong field")
         return HopfAlgebra(alg, table, eps, antipode, name)
+
+    @property
+    def dual(self) -> "HopfAlgebra":
+        """H*, built once by dual_hopf; the dual of that H* is H, while H lives."""
+        if self._dual is None or self._dual() is None:
+            K = dual_hopf(self)
+            self._dual = lambda: K
+        return self._dual()
 
     @cached_property
     def comul_scale(self) -> tuple:
@@ -193,6 +205,10 @@ class HopfAlgebra:
         return eval_cov(self.field, self.counit, v)
 
     def antipode_inv(self) -> Matrix:
+        """S^-1, kept: (S^T)^-1 = (S^-1)^T from a built dual, else eliminated."""
+        dual = self._dual and self._dual()
+        if self._sbar is None and dual is not None and dual._sbar is not None:
+            self._sbar = dual._sbar.transpose()
         if self._sbar is None:
             try:
                 self._sbar = self.antipode.inverse()
@@ -249,34 +265,21 @@ def tensor_mult(H: HopfAlgebra, t1: dict, t2: dict) -> dict:
 
 
 def convolution(H: HopfAlgebra, f: Sequence, g: Sequence) -> tuple:
-    """Product of covectors dual to Delta: (f*g)(a) = sum f(a_(1)) g(a_(2))."""
-    field = H.field
-    out = []
-    for k in range(H.dim):
-        acc = field.zero()
-        for j, l, c in H.comul.get(k, ()):
-            acc = acc + c * f[j] * g[l]
-        out.append(field.normalize(acc))
-    return tuple(out)
+    """The product of H*: (f*g)(a) = sum f(a_(1)) g(a_(2))."""
+    return H.dual.alg.multiply(f, g)
 
 
 def hit_matrix(H: HopfAlgebra, f: Sequence, side: str) -> Matrix:
     """Matrix of the hit action of the covector f: a -> f ⇀ a =
     sum a_(1) f(a_(2)) (side "left") or a -> a ↼ f = sum f(a_(1)) a_(2)
-    ("right"), one pass over comul.  Column i is the action on e_i; for
-    side "right", row i is f * e^i."""
-    if side == "left":
-        entries = (((j, i), c * f[k]) for i, terms in H.comul.items() for j, k, c in terms if f[k])
-    else:
-        entries = (((k, i), c * f[j]) for i, terms in H.comul.items() for j, k, c in terms if f[j])
-    return Matrix.from_entries(H.field, H.dim, H.dim, entries)
+    ("right"), the transposed multiplication by f in H* on the other side.
+    Column i is the action on e_i; for side "right", row i is f * e^i."""
+    return H.dual.alg._mult_matrix(f, "right" if side == "left" else "left", transposed=True)
 
 
 def is_grouplike(H: HopfAlgebra, v: Sequence) -> bool:
-    """eps(v) = 1 and Delta(v) = v (x) v."""
-    if H.counit_of(v) != H.field.one():
-        return False
-    return H.delta_vec(v) == _outer_sum(H.field, [(v, v)])
+    """eps(v) = 1 and Delta(v) = v (x) v: v is a character of H*."""
+    return is_augmentation(H.dual.alg, v)
 
 
 # -- integrals ----------------------------------------------------------------
@@ -374,29 +377,32 @@ def hopf_module_decompose(H: HopfAlgebra) -> HopfModuleDecomposition:
 
 
 def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
-    """Hopf structure on H*: product dual to Delta, coproduct dual to mul,
-    antipode the transpose of S.  When H has inverted its antipode already,
-    H* takes the transpose of that inverse, as (S^T)^-1 = (S^-1)^T."""
-    field = H.field
-    dual_mul: dict = {}
-    for k in range(H.dim):
-        for u, v, c in H.comul.get(k, ()):
-            dual_mul.setdefault((u, v), []).append((k, c))
-    dual_comul: dict = {}
-    for (i, j), row in H.alg.mul.items():
-        for k, c in row:
-            dual_comul.setdefault(k, []).append((i, j, c))
-    names = tuple(f"{n}*" for n in H.basis_names)
-    alg = StructureAlgebra.from_sparse(field, H.dim, dual_mul, H.counit, names)
-    K = HopfAlgebra.from_sparse(
+    """Hopf structure on H*, read as H.dual: product dual to Delta, coproduct
+    dual to mul, unit eps, counit 1, antipode the transpose of S.  Its
+    tables relabel H's table arrays under linalg.machine_prime's key: mul
+    (u, v, m, d) from comul (m, u, v, d), comul (k, i, j, c) from mul (i, j,
+    k, c).  H's are in table order (file order for a parsed file), so one
+    lexsort on the index columns puts each in canonical key-and-term order."""
+    import numpy as np
+
+    p, n = linalg.machine_prime(H.field), H.dim
+
+    def relabelled(arrays: tuple, width: int) -> TableView:
+        order = np.lexsort(arrays[-2::-1])
+        return TableView(read_only(a[order] for a in arrays), p, width, n)
+
+    m, u, v, d = comul_arrays(H, p)
+    i, j, k, c = structure_arrays(H.alg, p)
+    names = tuple(f"{name}*" for name in H.basis_names)
+    alg = StructureAlgebra(H.field, n, relabelled((u, v, m, d), 2), H.counit, names)
+    K = HopfAlgebra(
         alg,
-        dual_comul,
+        relabelled((k, i, j, c), 1),
         H.unit,
         H.antipode.transpose(),
-        name=f"{H.name}*" if H.name else "",
+        f"{H.name}*" if H.name else "",
     )
-    if H._sbar is not None:
-        K._sbar = H._sbar.transpose()
+    K._dual = weakref.ref(H)
     return K
 
 
@@ -584,10 +590,14 @@ def _linear_failures_loops(H: HopfAlgebra) -> tuple:
             coassoc = i
             break
 
-    # counit law on each basis vector: both hit actions of eps are the identity
-    left, right = (hit_matrix(H, H.counit, side).transpose() for side in ("left", "right"))
+    # counit law on each basis vector: (id x eps)Delta(e_i) = e_i = (eps x id)Delta(e_i)
+    def counit_side(i: int, leg: int) -> tuple:  # eps on the tensor leg leg
+        terms = H.comul.get(i, ())
+        return _clean_row(field, ((t[1 - leg], t[2] * H.counit[t[leg]]) for t in terms))
+
+    one = field.one()
     counit = next(
-        (i for i in range(dim) if not left.row(i) == basis_vec(field, dim, i) == right.row(i)),
+        (i for i in range(dim) if not counit_side(i, 1) == ((i, one),) == counit_side(i, 0)),
         None,
     )
 
@@ -598,9 +608,9 @@ def _linear_failures_loops(H: HopfAlgebra) -> tuple:
         left: dict = {}
         right: dict = {}
         for j, k, c in H.comul.get(i, ()):
-            for m, d in H.alg.multiply_rows(scols[j], ((k, field.one()),)):
+            for m, d in H.alg.multiply_rows(scols[j], ((k, one),)):
                 left[m] = left.get(m, z) + c * d
-            for m, d in H.alg.multiply_rows(((j, field.one()),), scols[k]):
+            for m, d in H.alg.multiply_rows(((j, one),), scols[k]):
                 right[m] = right.get(m, z) + c * d
         target = vec_to_row(
             field, tuple(field.normalize(H.counit[i] * u) for u in H.unit)

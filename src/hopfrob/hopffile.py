@@ -27,7 +27,8 @@ module v1
     validate the module law separately.
 
 Canonical rows.  The tables of StructureAlgebra and HopfAlgebra hold every
-sparse row sorted by key, its scalars normalized and nonzero, each key once.
+sparse row sorted by key, its scalars normalized and nonzero, each key once,
+and no empty row: a line whose terms are none or cancel reads as no line.
 emit_hopf_text writes them from their table arrays (structure_arrays,
 comul_arrays, the antipode's nonzero_entries), never from tuple rows, in a
 fixed line order, so emission is canonical and emit -> parse -> emit is
@@ -315,9 +316,7 @@ def parse_hopf_text(text: str, label: str = "<input>") -> HopfAlgebra:
         if () not in tables[head]:
             raise _err(label, rd.last_lineno, f"missing {head!r} line")
     mul = {key: row for key, row in tables["mul"].items() if row}
-    comul = {i: row for (i,), row in tables["comul"].items()}
-    for i in range(dim):
-        comul.setdefault(i, ())
+    comul = {i: row for (i,), row in tables["comul"].items() if row}
     antipode = (((i, j), c) for (j,), col in tables["antipode"].items() for i, c in col)
     rows = (tables["unit"][()], tables["counit"][()])
     return _assemble(field, zeros, name, basis_names, mul, comul, rows, antipode)
@@ -365,23 +364,20 @@ def _read_arrays(rd: _Reader, field: Field, zeros: list, name: str):
         if tables[head] is None or (nhead == 0 and len(group) != 1):
             return None
 
-    rows = [zip(k.tolist(), c.tolist()) for _, (k, c) in (tables["unit"], tables["counit"])]
-    _, (j, i, c) = tables["antipode"]
+    rows = [zip(k.tolist(), c.tolist()) for k, c in (tables["unit"], tables["counit"])]
+    j, i, c = tables["antipode"]
     antipode = zip(zip(i.tolist(), j.tolist()), c.tolist())
-    mul = TableView(tables["mul"][1], field.p, 2, dim)
-    (heads,), arrays = tables["comul"]
-    comul = TableView(arrays, field.p, 1, dim, keys=heads.tolist(), every=dim)
+    mul = TableView(tables["mul"], field.p, 2, dim)
+    comul = TableView(tables["comul"], field.p, 1, dim)
     return _assemble(field, zeros, name, basis_names, mul, comul, rows, antipode)
 
 
 def _line_arrays(lines: list, nhead: int, width: int, dim: int, p: int):
-    """(heads, entries) of the split sparse body lines of one directive, or
-    None when they are not all well formed, in range, distinct and
-    canonical: heads the int64 arrays of the head indices of each line,
-    entries the read-only table arrays of its entries in file order (the
-    head indices of each entry's line, its width - 1 payload indices, its
-    scalar mod p).  Every token but the directives and the ':' goes through
-    one int pass."""
+    """The read-only table arrays of the entries of the split sparse body
+    lines of one directive, in file order (the head indices of each entry's
+    line, its width - 1 payload indices, its scalar mod p), or None when
+    the lines are not all well formed, in range, distinct and canonical.
+    Every token but the directives and the ':' goes through one int pass."""
     import numpy as np
 
     sizes = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
@@ -417,7 +413,7 @@ def _line_arrays(lines: list, nhead: int, width: int, dim: int, p: int):
         or ((np.diff(keys) <= 0) & (np.diff(at) == 0)).any()
     ):
         return None
-    return heads, read_only((*(h[at] for h in heads), *index.T, vals))
+    return read_only((*(h[at] for h in heads), *index.T, vals))
 
 
 def emit_hopf_text(H: HopfAlgebra) -> str:

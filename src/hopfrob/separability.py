@@ -18,7 +18,7 @@ from .frobenius import (
     build_integral_data,
     frobenius_system_from_norm,
 )
-from .hopfcore import HopfAlgebra, _outer_sum, dual_hopf, eval_cov
+from .hopfcore import HopfAlgebra, _outer_sum, eval_cov
 from .linalg import Matrix
 from .report import Report
 
@@ -185,7 +185,7 @@ def etingof_gelaki_check(H: HopfAlgebra, data: IntegralData, sep: bool) -> Repor
     if field.characteristic == 2:
         rep.add("characteristic 2 flagged", True, "2 is a zero divisor here")
 
-    K = dual_hopf(H)
+    K = H.dual
     cosep, _ = is_separable_hopf(K, build_integral_data(K))
     rep.add("separability decided", True, f"separable={sep}, coseparable={cosep}")
 

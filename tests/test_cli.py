@@ -557,9 +557,9 @@ def test_residue_tables_are_built_once_per_table_and_prime(cmd, key, tmp_path, m
     QQ (D(qs3), dim 36) build the table arrays of each table once per
     algebra and key, however many kernels, integral operators and
     automorphism checks read them, or take them from the TableView that
-    the double hands its tables (only D's own, at the prime, are handed
-    over).  The key is the prime over GF(p); over
-    QQ it is None for the integral operators, whose values are then an
+    the double and the dual hand their tables: D's own at the prime, or
+    H*'s, relabelled from H's under the key of the engine.  The key is the prime over GF(p); over QQ it is
+    None for the integral operators and the dual, whose values are then an
     object array, and each prime of the kernels.  Every integral operator
     is the one entry form, its values in the dtype of its engine."""
     path = _d36(tmp_path) if key == "D(qs3)" else emit(tmp_path, key)
@@ -580,15 +580,16 @@ def test_residue_tables_are_built_once_per_table_and_prime(cmd, key, tmp_path, m
         for owner, p, out in asked
         if out is getattr(owner.mul if hasattr(owner, "mul") else owner.comul, "arrays", None)
     }
-    assert bool(handed) == (cmd == "double")
-    assert len(built) == len(tables) - len(handed) < len(asked)
     generic = key == "D(qs3)"
+    engine = {"taft-3-7-2": 7, "taft-4-5-2": 5, "D(qs3)": None}[key]
+    assert handed and {p for _, p in handed} == {engine}
+    assert len(built) == len(tables) - len(handed) < len(asked)
     assert operators and {vals.dtype for *_, vals in operators} == {
         np.dtype(object if generic else np.int64)
     }
     owners = {owner for owner, p in tables if p is None}
     assert bool(owners) == generic
-    assert sum(p is None for _, p, *_ in built) == len(owners)
+    assert sum(p is None for _, p, *_ in built) == len(owners) - len(handed) * generic
 
 
 def _d36(tmp_path):
@@ -645,21 +646,58 @@ def test_verify_path_builds_no_tuple_row_on_d81(tmp_path, monkeypatch):
     `verify` on it, and a `frobenius` that rejects a copy with a scaled
     unit, build no tuple row: the line reader cleans none and no table
     builds its rows (linalg.table_rows).  A `frobenius` that accepts builds
-    the rows of each table of H, mul and comul, at most once."""
+    the rows of each of its four tables, mul and comul of H and of H*, at
+    most once, and cleans no row (algebra._clean_row): H*'s tables are
+    H's arrays relabelled, handed over as they are."""
     path = _d81(tmp_path)
     lines = path.read_text().splitlines()
     unit = next(t for t, line in enumerate(lines) if line.startswith("unit "))
     lines[unit] = lines[unit].replace(" 1", " 3")
     bad = tmp_path / "d81-bad.hopf"
     bad.write_text("\n".join(lines) + "\n")
-    built = count_calls(monkeypatch, linalg, "table_rows")
+    # the value array of each table whose rows are built, held so ids stay distinct
+    built = []
+    _spy_everywhere(monkeypatch, linalg, "table_rows", lambda args, out: built.append(args[2]))
     cleaned = count_calls(monkeypatch, hopffile, "_canonical_row")
+    rows_cleaned = count_calls(monkeypatch, algebra, "_clean_row")
     assert main(["verify", str(path)]) == 0
     assert main(["verify", str(bad)]) == 1
     assert main(["frobenius", str(bad)]) == 1
     assert (built, cleaned) == ([], [])
     assert main(["frobenius", str(path)]) == 0
-    assert len(built) <= 2 and cleaned == []
+    assert len({id(vals) for vals in built}) == len(built) <= 4
+    assert cleaned == rows_cleaned == []
+
+
+def test_dual_is_built_once_per_job_by_relabelling_on_d81(tmp_path, monkeypatch):
+    """`frobenius` and `separable` on the array-read D(taft-3-7-2) each
+    build H* once (hopfcore.dual_hopf, behind HopfAlgebra.dual), however
+    many hit matrices, convolutions and group-like tests read it, and
+    neither cleans a row (algebra._clean_row) nor goes through a from_sparse
+    constructor: H*'s tables are H's arrays relabelled.  `dual -o` on that
+    file builds no tuple row of H or H*: the dual's axioms run on the
+    kernels and its file is written from its arrays.  `verify` builds no
+    dual, on the kernels or on the loops (taft-4-5-2, dim 16)."""
+    path = _d81(tmp_path)
+    duals = count_calls(monkeypatch, hopfcore, "dual_hopf")
+    for checked in (path, emit(tmp_path, "taft-4-5-2")):
+        assert main(["verify", str(checked)]) == 0
+    assert duals == []
+    cleaned = count_calls(monkeypatch, algebra, "_clean_row")
+    built = count_calls(monkeypatch, linalg, "table_rows")
+    constructed = []
+    for cls in (algebra.StructureAlgebra, hopfcore.HopfAlgebra):
+        orig = cls.from_sparse
+        spy = lambda *args, orig=orig, **kw: constructed.append(1) or orig(*args, **kw)
+        monkeypatch.setattr(cls, "from_sparse", staticmethod(spy))
+    for cmd in ("frobenius", "separable"):
+        duals.clear()
+        assert main([cmd, str(path)]) == 0
+        assert len(duals) == 1, cmd
+    assert cleaned == constructed == []
+    built.clear()
+    assert main(["dual", str(path), "-o", str(tmp_path / "d81-dual.hopf")]) == 0
+    assert built == []
 
 
 def test_double_without_output_builds_no_tuple_row_of_d(tmp_path, monkeypatch):

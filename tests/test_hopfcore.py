@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_cover_corpus import _moved, _sampled
 
-from hopfrob import GF, QQ, InvalidInputError, algebra, hopfcore, linalg
+from hopfrob import GF, QQ, InvalidInputError, algebra, hopfcore, hopffile, linalg
 from hopfrob.algebra import StructureAlgebra, multiplicative_failure, product_cover
 from hopfrob.catalog import cyclic_table, entry, group_algebra, names
 from hopfrob.double import double_fh_check, drinfeld_double
@@ -37,7 +37,7 @@ from hopfrob.hopfcore import (
     tensor_mult,
     verify_hopf,
 )
-from hopfrob.hopffile import parse_hopf_text
+from hopfrob.hopffile import emit_hopf_text, parse_hopf_text
 from hopfrob.linalg import Matrix, annihilates, basis_vec
 
 ALL_KEYS = (
@@ -121,6 +121,140 @@ def test_double_dual_is_identity():
     for key in ALL_KEYS:
         H = H_(key)
         assert dual_hopf(dual_hopf(H)) == H
+
+
+def _dual_by_loops(H: HopfAlgebra) -> HopfAlgebra:
+    """The reference for dual_hopf: H's comul and mul copied into dicts
+    row by row and cleaned again by the from_sparse constructors, the
+    inverse antipode the transpose of H's when H has one."""
+    field = H.field
+    dual_mul: dict = {}
+    for k in range(H.dim):
+        for u, v, c in H.comul.get(k, ()):
+            dual_mul.setdefault((u, v), []).append((k, c))
+    dual_comul: dict = {}
+    for (i, j), row in H.alg.mul.items():
+        for k, c in row:
+            dual_comul.setdefault(k, []).append((i, j, c))
+    names = tuple(f"{n}*" for n in H.basis_names)
+    alg = StructureAlgebra.from_sparse(field, H.dim, dual_mul, H.counit, names)
+    K = HopfAlgebra.from_sparse(
+        alg, dual_comul, H.unit, H.antipode.transpose(), name=f"{H.name}*" if H.name else ""
+    )
+    if H._sbar is not None:
+        K._sbar = H._sbar.transpose()
+    return K
+
+
+def _shuffled(text: str, seed: int) -> str:
+    """text with the lines between its basis line and its end line in a
+    seeded random order: mul and comul lines out of key order."""
+    lines = text.splitlines()
+    start = next(t for t, line in enumerate(lines) if line.startswith("basis ")) + 1
+    body = lines[start:-1]
+    random.Random(seed).shuffle(body)
+    return "\n".join([*lines[:start], *body, lines[-1]]) + "\n"
+
+
+# the group algebra of C3 over GF(7) by hand, its mul and comul lines out of
+# key order and the three terms of each comul row of its dual met out of
+# term order
+HAND_FILE = """\
+hopf-algebra v1
+field prime 7
+dim 3
+mul 2 2 : 1 1
+comul 2 : 2 2 1
+mul 1 2 : 0 1
+mul 0 2 : 2 1
+comul 0 : 0 0 1
+mul 2 0 : 2 1
+mul 1 1 : 2 1
+mul 2 1 : 0 1
+mul 0 0 : 0 1
+mul 1 0 : 1 1
+mul 0 1 : 1 1
+comul 1 : 1 1 1
+unit : 0 1
+counit : 0 1 1 1 2 1
+antipode 0 : 0 1
+antipode 2 : 1 1
+antipode 1 : 2 1
+end
+"""
+
+DUAL_OBJECTS = [
+    *names(),
+    *(f"D({key})" for key in names()),
+    "taft(3, 2^31 - 1)",
+    "taft(3, 2^31 + 11)",
+    "array-read D(taft-3-7-2)",
+    "hand file, line reader",
+    "hand file, array reader",
+    "shuffled taft-3-7-2, line reader",
+    "shuffled taft-3-7-2, array reader",
+]
+
+
+def _dual_object(name: str, monkeypatch) -> HopfAlgebra:
+    if name.startswith("taft(3, "):  # a prime near 2^31, below it or above it
+        return taft_over(3, 2**31 - 1 if "- 1" in name else 2**31 + 11)
+    if name == "array-read D(taft-3-7-2)":
+        H = parse_hopf_text(emit_hopf_text(double_of("taft-3-7-2")))
+        assert isinstance(H.alg.mul, algebra.TableView)
+        return H
+    if name.startswith(("hand", "shuffled")):
+        arrays = name.endswith("array reader")
+        monkeypatch.setattr(hopffile, "all_on_kernels", lambda field, dim: arrays)
+        text = HAND_FILE if name.startswith("hand") else _shuffled(emit_hopf_text(H_("taft-3-7-2")), 5)
+        H = parse_hopf_text(text)
+        assert isinstance(H.alg.mul, algebra.TableView) == arrays
+        assert list(H.alg.mul) != sorted(H.alg.mul) and list(H.comul) != sorted(H.comul)
+        return H
+    if name.startswith("D("):
+        return double_of(name[2:-1])
+    return H_(name)
+
+
+def _assert_canonical(table) -> None:
+    """Keys ascending, each row's terms in strictly ascending key order,
+    every scalar nonzero, no empty row."""
+    assert list(table) == sorted(table)
+    for row in table.values():
+        keys = [t[:-1] for t in row]
+        assert row and keys == sorted(set(keys)) and all(t[-1] for t in row)
+
+
+@pytest.mark.parametrize("name", DUAL_OBJECTS)
+def test_dual_matches_the_dict_loop_reference(name, monkeypatch):
+    """dual_hopf, H's table arrays relabelled, gives the dual that the dict
+    loops and the from_sparse constructors build: on every catalog entry,
+    the doubles up to D(taft-4-5-2), taft(3, p, q) at a prime below 2^31
+    (the int64 engine) and above it (the generic engine on a prime field),
+    the array-read D(taft-3-7-2), and files whose mul and comul lines come
+    out of key order, read by either reader.  The same rows, canonical,
+    unit, counit, antipode, inverse antipode (the transpose of H's, with no
+    elimination), names and file bytes; the dual of the dual is H, and the
+    dual that H keeps (H.dual) keeps H as its own."""
+    H = _dual_object(name, monkeypatch)
+    H.antipode_inv()
+    want = _dual_by_loops(H)
+    got = dual_hopf(H)
+    assert isinstance(got.alg.mul, algebra.TableView) and isinstance(got.comul, algebra.TableView)
+    assert dict(got.alg.mul) == dict(want.alg.mul) and dict(got.comul) == dict(want.comul)
+    _assert_canonical(got.alg.mul)
+    _assert_canonical(got.comul)
+    assert (got.unit, got.counit, got.antipode) == (want.unit, want.counit, want.antipode)
+    assert (got.basis_names, got.name) == (want.basis_names, want.name)
+    inverses = []
+    inverse = linalg.Matrix.inverse
+    monkeypatch.setattr(linalg.Matrix, "inverse", lambda M: inverses.append(1) or inverse(M))
+    assert got.antipode_inv() == want._sbar and inverses == []
+    assert emit_hopf_text(got) == emit_hopf_text(want)
+    assert H.dual.dual is H and got.dual is H
+    again = dual_hopf(got)
+    assert dict(again.alg.mul) == dict(H.alg.mul) and dict(again.comul) == dict(H.comul)
+    assert again == H
 
 
 def test_dual_antipode_is_transpose():

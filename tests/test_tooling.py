@@ -530,9 +530,12 @@ def test_table_builders_keep_one_path():
     engine branch can come back unnoticed: double.py tests nothing against
     None (the engine gate's answer on the Python-scalar engine), and no
     function of it displays a dict, the form of the per-engine builders
-    they replaced, nor do integral_operator and subext._translates test
-    against None or display a dict.  The exceptions are the independent
-    replay of the straightening through honest products
+    they replaced, nor do integral_operator, subext._translates and
+    hopfcore.dual_hopf test against None or display a dict.  dual_hopf, H's
+    table arrays relabelled, has no loop over table rows either: no for
+    statement, no comprehension over a table or its items, and no call of
+    a cleaning constructor (from_sparse, _clean_row).  The exceptions are
+    the independent replay of the straightening through honest products
     (_straighten_direct) and its comparison with the arrays
     (_check_straightening), which keep their dicts on purpose."""
     replay = ("_straighten_direct", "_check_straightening")
@@ -545,7 +548,16 @@ def test_table_builders_keep_one_path():
             found += _engine_branches(PACKAGE / "double.py", name)
     found += _engine_branches(PACKAGE / "hopfcore.py", "integral_operator")
     found += _engine_branches(PACKAGE / "subext.py", "_translates")
+    found += _engine_branches(PACKAGE / "hopfcore.py", "dual_hopf")
     assert found == []
+    tree = ast.parse((PACKAGE / "hopfcore.py").read_text(encoding="utf-8"))
+    (dual,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "dual_hopf"]
+    for node in ast.walk(dual):
+        assert not isinstance(node, (ast.For, ast.While)), node.lineno
+        if isinstance(node, ast.comprehension):
+            assert not re.search(r"\b(mul|comul|items|values)\b", ast.unparse(node.iter)), node
+        if isinstance(node, ast.Call):
+            assert ast.unparse(node.func).split(".")[-1] not in ("from_sparse", "_clean_row")
 
 
 def test_engine_branch_scan_finds_each_form(tmp_path):
