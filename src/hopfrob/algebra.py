@@ -18,7 +18,7 @@ cover and the scale of its constants) is cached on the algebra as well.
 
 The quantified identities (associativity on every basis triple, "phi is an
 algebra map" on every basis pair, and in hopfcore Delta multiplicative and
-the four Hopf axioms linear in Delta) have two engines, and first_failure
+the five Hopf axioms linear in the tables) have two engines, and first_failure
 alone chooses between them; the two quadratic ones (associativity, Delta
 multiplicative) run on the generators of product_cover first (on_cover).
 Above a crossover dimension they run as sparse int64 identities mod each
@@ -29,9 +29,10 @@ side sums dim products of two structure constants; for phi, dim^2 products
 of three constants among phi's entries and both tables.  Otherwise, and
 over every other field, they run as Python loops.  The crossover is
 _SPARSE_DIM = 12, and _LINEAR_MODP_DIM = 40 over GF(p) for the identities
-linear in the tables (the unit law here, the unit's coproduct and the
-linear Hopf axioms in hopfcore), whose loops on Python ints stay cheap
-longer (timings next to _SPARSE_DIM); above both, all_on_kernels holds.
+linear in the tables (the unit law here, and in hopfcore the linear Hopf
+axioms, the unit's coproduct among them), whose loops on Python ints stay
+cheap longer (timings next to _SPARSE_DIM); above both, all_on_kernels
+holds.
 Over QQ the kernels run once per prime, so when engine_primes asks for
 more than ceil(dim^2 / _DIM2_PER_PRIME) of them, a count beyond which the
 loops of every identity measured cost less, the loops run instead.  Both
@@ -72,14 +73,15 @@ SparseRow = tuple  # tuple[(basis_index, scalar), ...] sorted by index
 #   16.6 ms); at dim 25 the kernels win over GF(p) too (D(f5c5): 3.7 ms,
 #   loops 9.3 ms), and at dim 36 over QQ by far (D(qs3): 4.0 ms, 82 ms).
 #   So one crossover, _SPARSE_DIM, serves both fields.
-# - The identities linear in the tables (the four Hopf axioms linear in
-#   Delta, the unit law, the unit's coproduct): over GF(p) their loops on
-#   Python ints still win at dim 16 (taft-4-5-2: 2.2 ms, all on the kernels
-#   2.7 ms) but no longer at dim 25 (D(f5c5): 3.7 ms, all on the kernels
-#   2.9 ms; they won there at 5 ms a kernel), so they now cross between 16
-#   and 25.  _LINEAR_MODP_DIM stays 40: it also gates hopffile's array
-#   reader (all_on_kernels), which is measured above it only.  Over QQ, on
-#   Fractions, they cross with the quadratic ones, at _SPARSE_DIM.
+# - The identities linear in the tables (the unit law, and the Hopf axioms
+#   linear in the tables, the unit's coproduct among them): over GF(p)
+#   their loops on Python ints still win at dim 16 (taft-4-5-2: 2.2 ms,
+#   all on the kernels 2.7 ms) but no longer at dim 25 (D(f5c5): 3.7 ms,
+#   all on the kernels 2.9 ms; they won there at 5 ms a kernel), so they
+#   now cross between 16 and 25.  _LINEAR_MODP_DIM stays 40: it also
+#   gates hopffile's array reader (all_on_kernels), which is measured above
+#   it only.  Over QQ, on Fractions, they cross with the quadratic ones, at
+#   _SPARSE_DIM.
 _SPARSE_DIM = 12
 _LINEAR_MODP_DIM = 40
 # Over QQ the kernels run once per prime of linalg.engine_primes.  The
@@ -314,10 +316,10 @@ class StructureAlgebra:
 # -- axioms -----------------------------------------------------------------
 
 
-def verify_algebra(A: StructureAlgebra, title: str = "algebra axioms") -> Report:
+def verify_algebra(A: StructureAlgebra) -> Report:
     """Unit law and associativity of A, the latter through A's product
     cover (on_cover)."""
-    rep = Report(title)
+    rep = Report("algebra axioms")
     bad_unit = unit_failure(A)
     rep.add(
         "unit law",
@@ -598,9 +600,9 @@ def first_failure(
     Python loops: loops().
 
     The crossover is _SPARSE_DIM, or _LINEAR_MODP_DIM over an admitted
-    GF(p) for an identity linear in the tables (linear: the unit law, the
-    unit's coproduct and the Hopf axioms linear in Delta); both, and the
-    prime cutoff, are measured next to _SPARSE_DIM.
+    GF(p) for an identity linear in the tables (linear: the unit law, and
+    the Hopf axioms linear in the tables, the unit's coproduct among them);
+    both, and the prime cutoff, are measured next to _SPARSE_DIM.
     """
     crossover = _SPARSE_DIM
     if linear and linalg.machine_prime(field) is not None:
@@ -619,8 +621,8 @@ def all_on_kernels(field: Field, dim: int) -> bool:
     kernels for an algebra of dim over field: over an admitted GF(p) above
     _LINEAR_MODP_DIM (over QQ the prime count decides).  There hopffile
     reads a file straight into table arrays, and the readers of verify_hopf
-    outside its kernels (product_cover, the unit law, the unit's coproduct)
-    read those arrays, so a verify builds no tuple row."""
+    outside its kernels (product_cover, the unit law) read those arrays, so
+    a verify builds no tuple row."""
     return dim > _LINEAR_MODP_DIM and linalg.machine_prime(field) is not None
 
 

@@ -40,7 +40,7 @@ from .hopfcore import (
     left_integral_space,
     pairing_matrix,
 )
-from .linalg import Matrix, annihilates, basis_vec, canonical_basis, is_zero_vec, matrix_order
+from .linalg import Matrix, annihilates, basis_vec, canonical_basis, matrix_order
 from .report import Report
 
 
@@ -123,7 +123,7 @@ def build_integral_data(H: HopfAlgebra, psi: Optional[Sequence] = None) -> Integ
         psi = tuple(field.normalize(c) for c in psi)
         if not annihilates(field, integral_operator(H, "left", dual=True), psi):
             raise InvalidInputError("supplied functional is not a left integral")
-        if is_zero_vec(field, psi):
+        if not any(psi):
             raise InvalidInputError("supplied functional is zero")
 
     gram = pairing_matrix(H.alg, psi)

@@ -28,19 +28,20 @@ comul, two mul), so the primes cover 2 (dim^4 + dim) max(A, D)^4 for the
 constants a/D, |a| <= A, of both tables; the scale of each table is taken
 once per verify_hopf.
 
-The four axioms linear in Delta (coassociativity, counit law, counit
-multiplicative, antipode law) are one more call of algebra.first_failure:
-as one sparse identity each (_linear_failures) mod each prime, or as
-Python loops over the basis (_linear_failures_loops).  Their loops on
-Python ints are cheap, so over GF(p) the kernel takes over only above
-algebra._LINEAR_MODP_DIM; over QQ, on Fractions, above
-algebra._SPARSE_DIM (measurements next to that constant).  Their sides sum
-at most dim^3 products of three constants (the antipode law's
-sum_{u,v,x} Delta_i(u,v) S(x,u) c(x,v;a)) among both tables, the counit,
-the unit and the antipode.  Delta(1) = 1 (x) 1 is one more identity linear
-in the tables, with the same crossovers, and so is the unit law
-(algebra.unit_failure); above both crossovers (algebra.all_on_kernels) a
-verify_hopf reads no tuple row of either table.
+The five identities linear in the tables (coassociativity, counit law,
+counit multiplicative, antipode law, Delta(1) = 1 (x) 1) are one more call
+of algebra.first_failure: as one sparse identity each (_linear_failures)
+mod each prime, or as Python loops over the basis
+(_linear_failures_loops).  Their loops on Python ints are cheap, so over
+GF(p) the kernel takes over only above algebra._LINEAR_MODP_DIM; over QQ,
+on Fractions, above algebra._SPARSE_DIM (measurements next to that
+constant).  Their sides sum at most dim^3 products of three constants
+(the antipode law's sum_{u,v,x} Delta_i(u,v) S(x,u) c(x,v;a)) among both
+tables, the counit, the unit and the antipode.  So verify_hopf makes two
+engine calls of its own, this one and Delta multiplicative, beside the
+two of algebra.verify_algebra (the unit law and associativity); above
+both crossovers (algebra.all_on_kernels) it reads no tuple row of either
+table.
 
 Every numpy reader of H's tables (the kernels above, the integral operators,
 algebra's multiplicativity check, the double's mul table, the dual) takes
@@ -107,7 +108,8 @@ class HopfAlgebra:
     counit: tuple
     antipode: Matrix
     name: str = ""
-    _sbar: Optional[Matrix] = dc_field(default=None, repr=False)
+    # S^-1, kept by antipode_inv, or set by the double that builds it
+    _sbar: Optional[Matrix] = dc_field(default=None, init=False, repr=False)
     # algebra.comul_arrays per key (a prime, or None), each built on first
     # use or handed over by a TableView comul
     _arrays: dict = dc_field(default_factory=dict, init=False, repr=False)
@@ -458,8 +460,10 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
     product cover of H's mul table, and on the whole basis when they fail
     there (algebra.on_cover); Delta runs on the basis at once when
     associativity fails, as the cover decides it only for an associative H.
-    Those two and the four axioms linear in Delta run on the engine that
-    algebra.first_failure chooses.  They read the table arrays that H and
+    Those two and the five identities linear in the tables, Delta(1) = 1
+    (x) 1 among them, run on the engine that algebra.first_failure
+    chooses: one call for the five, one for Delta multiplicative, and the
+    two of verify_algebra.  They read the table arrays that H and
     its algebra keep per prime (algebra.structure_arrays, comul_arrays), and
     the scale of each table, which H and its algebra keep too.
     """
@@ -474,7 +478,7 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
     def at_basis(name, bad):
         rep.add(name, bad is None, "" if bad is None else f"fails at basis {bad}")
 
-    coassoc, counit, eps_ok, antipode = first_failure(
+    coassoc, counit, eps_ok, antipode, delta_one = first_failure(
         field,
         dim,
         lambda: linalg.joint_scale(
@@ -491,20 +495,9 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
     )
     at_basis("coassociativity", coassoc)
     at_basis("counit law", counit)
-
-    # unit is group-like: eps(1) = 1 and Delta(1) = 1 (x) 1, whose sides sum
-    # dim products of two constants (a unit coordinate and one of comul)
-    unit_ok = H.counit_of(H.unit) == field.one() and first_failure(
-        field,
-        dim,
-        lambda: linalg.joint_scale(H.comul_scale, linalg.scale_of(H.unit)),
-        2,
-        dim,
-        lambda q: _unit_coproduct_failure(H, q, comul_arrays(H, q)),
-        partial(_unit_coproduct_failure_loops, H),
-        linear=True,
-    ) is None
-    rep.add("coproduct and counit of identity", unit_ok)
+    # eps(1) = 1, read once, is part of both counit items
+    eps_one = H.counit_of(H.unit) == field.one()
+    rep.add("coproduct and counit of identity", eps_one and delta_one)
 
     # Delta is an algebra map: Delta(e_i e_j) = Delta(e_i) Delta(e_j)
     bad = on_cover(
@@ -525,7 +518,7 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
         "" if bad is None else f"fails at pair {bad}",
     )
 
-    rep.add("counit is multiplicative", eps_ok)
+    rep.add("counit is multiplicative", eps_one and eps_ok)
     at_basis("antipode law", antipode)
 
     # antipode bijective
@@ -538,42 +531,20 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
     return rep
 
 
-def _unit_coproduct_failure_loops(H: HopfAlgebra) -> Optional[tuple]:
-    """The smallest (a, b) where Delta(1) and 1 (x) 1 differ at e_a (x) e_b,
-    or None, as Python loops."""
-    lhs, rhs = H.delta_vec(H.unit), _outer_sum(H.field, [(H.unit, H.unit)])
-    differ = (key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
-    return min(differ, default=None)
-
-
-def _unit_coproduct_failure(H: HopfAlgebra, p: int, comul: tuple) -> Optional[tuple]:
-    """_unit_coproduct_failure_loops mod p on the comul_arrays comul of H:
-    the terms d e_u (x) e_v of Delta(e_m) with u_m != 0 sum u_m d at cell
-    (u, v), against the outer product of the unit with itself.
-
-    Bound: each u_m d is reduced mod p before a cell sums at most dim of
-    them, below 2^31 dim < 2^63."""
-    n = H.dim
-    m, u, v, d = comul
-    one = residues(H.unit, p)
-    keep = one[m] != 0
-    lhs = summed_keys(u[keep] * n + v[keep], one[m[keep]] * d[keep] % p, n * n, p)
-    return first_mismatch(lhs, entry_keys(*_outer(one, one, p, n), n * n, p), n, p)
-
-
 def _merge_linear(results) -> tuple:
-    """The results of _linear_failures at several primes as one: each
+    """The five results of _linear_failures at several primes as one: each
     failing basis index the smallest over the primes, and the counit
-    multiplicative where it is mod every prime."""
-    coassoc, counit, eps_ok, antipode = zip(*results)
-    return smallest(coassoc), smallest(counit), all(eps_ok), smallest(antipode)
+    multiplicative and Delta(1) = 1 (x) 1 where they hold mod every prime."""
+    coassoc, counit, eps_ok, antipode, delta_one = zip(*results)
+    return smallest(coassoc), smallest(counit), all(eps_ok), smallest(antipode), all(delta_one)
 
 
 def _linear_failures_loops(H: HopfAlgebra) -> tuple:
     """The axioms linear in Delta as Python loops over the basis: the first
     basis index where coassociativity fails, the first where the counit law
-    fails, whether the counit is multiplicative, and the first basis index
-    where the antipode law fails (None where an axiom holds)."""
+    fails, whether the counit is multiplicative (is_augmentation, which
+    reads eps(1) = 1 too), the first basis index where the antipode law
+    fails (None where an axiom holds), and whether Delta(1) = 1 (x) 1."""
     field = H.field
     dim = H.dim
     z = field.zero()
@@ -619,7 +590,8 @@ def _linear_failures_loops(H: HopfAlgebra) -> tuple:
             antipode = i
             break
 
-    return coassoc, counit, is_augmentation(H.alg, H.counit), antipode
+    delta_one = H.delta_vec(H.unit) == _outer_sum(field, [(H.unit, H.unit)])
+    return coassoc, counit, is_augmentation(H.alg, H.counit), antipode, delta_one
 
 
 def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
@@ -639,14 +611,22 @@ def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
     row of the first 2 dim columns, the antipode law at the smallest of the
     last 2 dim, the first failing basis index of each loop.  "Counit
     multiplicative" sums c eps(e_k) over the mul entries e_i e_j = c e_k
-    per (i, j), against eps (x) eps, and checks eps(1) = 1.  eps (x) 1 and
-    eps (x) eps come from the nonzero entries of eps and 1 alone.
+    per (i, j), against eps (x) eps; eps(1) = 1, which both counit items
+    of verify_hopf need, verify_hopf reads once itself.  Delta(1) = 1 (x) 1
+    sums u_m d over the comul terms d e_u (x) e_v of Delta(e_m) with
+    u_m != 0 at (u, v), u the unit, against 1 (x) 1.  eps (x) 1, eps (x)
+    eps and 1 (x) 1 come from the nonzero entries of eps and 1 alone.
 
     Bound: every sum of products goes through linalg.mulmod, exact for any
     term count (those with Delta on the left sum as many as the largest
-    Delta(e_i) has terms, whichever columns they fill), but the sum of
-    c eps(e_k), whose terms are reduced mod p first, so a cell of at most
-    dim of them stays below 2^31 dim < 2^63.
+    Delta(e_i) has terms, whichever columns they fill), but the sums of
+    c eps(e_k) and of u_m d, whose terms are reduced mod p first, so a cell
+    of at most dim of them stays below 2^31 dim < 2^63.  Over QQ the primes
+    that first_failure gives for sides of at most dim^3 products of three
+    constants among the mul, comul, counit, unit and antipode entries also
+    decide Delta(1), whose sides sum at most dim products of two (a unit
+    coordinate and a comul constant): so with the other four it is decided
+    exactly, and past the prime cutoff it runs on the loops with them.
     """
     import numpy as np
 
@@ -660,8 +640,12 @@ def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
 
     # counit multiplicative
     lhs = summed_keys(i * n + j, c * eps[k] % p, n * n, p)
-    rhs = entry_keys(*_outer(eps, eps, p, n), n * n, p)
-    eps_ok = H.counit_of(H.unit) == H.field.one() and first_mismatch(lhs, rhs, n * n, p) is None
+    eps_ok = first_mismatch(lhs, entry_keys(*_outer(eps, eps, p, n), n * n, p), n * n, p) is None
+
+    # Delta(1) = 1 (x) 1
+    keep = one[m] != 0
+    lhs = summed_keys(u[keep] * n + v[keep], one[m[keep]] * d[keep] % p, n * n, p)
+    delta_one = first_mismatch(lhs, entry_keys(*_outer(one, one, p, n), n * n, p), n, p) is None
 
     # S^T: row w, column x holds the coefficient of e_x in S(e_w).  Row x,
     # column (v a): e_x e_v at e_a, so that row w of S^T times it is
@@ -697,7 +681,7 @@ def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:
     lhs = matrix_keys(mulmod(delta, Z, p), p)
     rows, cols = mismatches(lhs, entry_keys(*rhs, 4 * n * n, p), 4 * n, p)
     counit, antipode = (smallest(rows[s][:1].tolist()) for s in (cols < 2 * n, cols >= 2 * n))
-    return coassoc, counit, eps_ok, antipode
+    return coassoc, counit, eps_ok, antipode, delta_one
 
 
 def _coassociativity_failure(comul: tuple, delta, uv, p: int) -> Optional[int]:

@@ -320,10 +320,6 @@ def vscale(field: Field, c, v: Sequence) -> tuple:
     return tuple(field.normalize(c * a) if a else a for a in v)
 
 
-def is_zero_vec(field: Field, v: Sequence) -> bool:
-    return not any(v)
-
-
 @dataclass(frozen=True)
 class Matrix:
     field: Field
@@ -442,9 +438,6 @@ class Matrix:
             out.append(tuple(row))
         return Matrix(field, tuple(out))
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.mul(other)
-
     def apply(self, vec: Sequence) -> tuple:
         """self @ vec, summing each row over the nonzero entries of vec at
         which the row is nonzero."""
@@ -462,7 +455,17 @@ class Matrix:
         return Matrix(self.field, tuple(vscale(self.field, c, r) for r in self.rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, tuple(zip(*self.rows)) if self.rows else ())
+        """The transpose.  A _nonzero already known (seeded by from_entries
+        or a transpose, or read once) is transposed with it, in
+        O(nonzeros), so reading the transpose's costs no scan."""
+        T = Matrix(self.field, tuple(zip(*self.rows)) if self.rows else ())
+        if "_nonzero" in vars(self):
+            cols: list = [[] for _ in range(self.ncols)]
+            for i, row in enumerate(self._nonzero):
+                for j, x in row:
+                    cols[j].append((i, x))
+            vars(T)["_nonzero"] = tuple(cols)
+        return T
 
     def is_identity(self) -> bool:
         if self.nrows != self.ncols:
@@ -546,8 +549,8 @@ class Matrix:
         if n != self.ncols:
             raise ShapeError("inverse of non-square matrix")
         # a zero row or column is singular without the n x 2n elimination
-        zero_line = any(is_zero_vec(self.field, r) for r in self.rows)
-        if zero_line or any(is_zero_vec(self.field, c) for c in zip(*self.rows)):
+        zero_line = any(not any(r) for r in self.rows)
+        if zero_line or any(not any(c) for c in zip(*self.rows)):
             raise SingularError("matrix not invertible")
         p = machine_prime(self.field)
         if p is not None and 2 * n * n >= _NUMPY_CELLS:

@@ -813,7 +813,7 @@ def test_crt_bound_covers_every_constant_of_the_linear_axioms(monkeypatch, gener
     }
     for name in ("antipode + p1", "counit + p1"):
         H = variants[name]
-        assert hopfcore._linear_failures(H, p1, *_tables(H, p1)) == (None, None, True, None)
+        assert hopfcore._linear_failures(H, p1, *_tables(H, p1)) == (None, None, True, None, True)
     primes = {
         name: engine_primes_of(QQ, _linear_constants(H), 3, H.dim**3)
         for name, H in variants.items()
@@ -1043,8 +1043,10 @@ def test_unimodularity_from_the_right_operator_matches_the_product_loop(key):
     assert double_fh_check(D).unimodular == _unimodular_by_products(D) is True
 
 
-# mul, comul and antipode moved by 1 and by 2; "unit" takes no shift
-LINEAR_CASES = [(None, 0), ("unit", 0)] + [
+# mul, comul and antipode moved by 1 and by 2; "unit" (the unit doubled)
+# and "Delta(1)" (_unit_mutant's "comul" copy, where of the unit identities
+# Delta(1) = 1 (x) 1 alone fails) take no shift
+LINEAR_CASES = [(None, 0), ("unit", 0), ("Delta(1)", 0)] + [
     (kind, shift) for kind in ("mul", "comul", "antipode") for shift in (1, 2)
 ]
 
@@ -1054,19 +1056,34 @@ QQ_KEYS = [k for k in names() if not entry(k).hopf.field.characteristic]
 QQ_OBJECTS = QQ_KEYS + [f"D({k})" for k in QQ_KEYS if entry(k).hopf.dim ** 2 <= 36]
 
 
+def _unit_coproduct_failure_loops(H):
+    """The reference for Delta(1) = 1 (x) 1: the smallest (a, b) where
+    Delta(1) and 1 (x) 1 differ at e_a (x) e_b, or None, as Python loops."""
+    lhs, rhs = H.delta_vec(H.unit), hopfcore._outer_sum(H.field, [(H.unit, H.unit)])
+    differ = (key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
+    return min(differ, default=None)
+
+
 @pytest.mark.parametrize("kind, shift", LINEAR_CASES)
-@pytest.mark.parametrize("name", MODP_OBJECTS + ["D(taft(3, 2146560523))"] + QQ_OBJECTS)
+@pytest.mark.parametrize("name", MODP_OBJECTS + ["D(taft(3, 2146560523))"] + QQ_OBJECTS + UNPEELED)
 def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, generic_engine):
     """With both crossovers at 0, coassociativity, the counit law, "counit
-    is multiplicative" and the antipode law run as sparse identities mod
-    each prime of their bound, p on every GF(p) object and enough primes
-    over QQ, and the Python loops, which run only on the generic engine,
-    give the same items, valid or corrupted."""
+    is multiplicative", the antipode law and Delta(1) = 1 (x) 1 run as
+    sparse identities mod each prime of their bound, p on every GF(p)
+    object and enough primes over QQ, and the Python loops, which run only
+    on the generic engine, give the same items, valid or corrupted.  The
+    item "coproduct and counit of identity" is eps(1) = 1 and the
+    reference loops' Delta(1) = 1 (x) 1 on both."""
     monkeypatch.setattr(algebra, "_LINEAR_MODP_DIM", 0)
     monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
     H = _double_over(2146560523)[1] if name.startswith("D(taft(") else _object(name)
-    if kind is not None:
+    if kind == "Delta(1)":
+        H = _unit_mutant(H, "comul")
+    elif kind is not None:
         H = _corrupted(H, kind, shift)
+    unit_ok = H.counit_of(H.unit) == H.field.one() and _unit_coproduct_failure_loops(H) is None
+    if kind in (None, "unit", "Delta(1)"):
+        assert unit_ok == (kind is None)
     primes = list(engine_primes_of(H.field, _linear_constants(H), 3, H.dim**3))
     assert primes
     ran = []
@@ -1078,9 +1095,30 @@ def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, gen
     monkeypatch.setattr(hopfcore, "_linear_failures_loops", lambda H: ran.append(None) or loops(H))
     kernels = _items(verify_hopf(H))
     assert ran == primes
+    assert ("coproduct and counit of identity", unit_ok, "") in kernels
     generic_engine()
     assert _items(verify_hopf(H)) == kernels
     assert ran == primes + [None]
+
+
+@pytest.mark.parametrize("name", ["D(qs3)", "array-read D(taft-3-7-2)"])
+def test_verify_hopf_makes_one_linear_and_one_quadratic_engine_call(name, monkeypatch):
+    """verify_hopf calls first_failure four times on a valid H: the unit
+    law and associativity through verify_algebra, then the five axioms
+    linear in the tables, Delta(1) = 1 (x) 1 among them, and Delta
+    multiplicative, each verify function one linear call and one not."""
+    H = _dual_object(name, monkeypatch) if name.startswith("array") else _object(name)
+    flags = []
+    first_failure = algebra.first_failure
+
+    def spy(*args, linear=False, **kwargs):
+        flags.append(linear)
+        return first_failure(*args, linear=linear, **kwargs)
+
+    monkeypatch.setattr(algebra, "first_failure", spy)
+    monkeypatch.setattr(hopfcore, "first_failure", spy)
+    assert verify_hopf(H).passed
+    assert flags == [True, False, True, False]
 
 
 def _counit_and_antipode_moved(H, x, y):
@@ -1110,7 +1148,7 @@ def test_fused_counit_and_antipode_laws_match_the_loops(name):
             [hopfcore._linear_failures(M, p, *_tables(M, p)) for p in primes]
         )
         assert got == hopfcore._linear_failures_loops(M)
-        _, counit, _, antipode = got
+        _, counit, _, antipode, _ = got
         assert None not in (counit, antipode)
         orders.add(counit < antipode)
     assert orders == {False, True}
@@ -1322,7 +1360,7 @@ def _peak(f):
 
 def test_d256_kernels_stay_within_8_mb():
     """On D(taft-4-5-2) the Delta kernel on the generators of the product
-    cover and the kernels of the four linear axioms each peak at no more
+    cover and the kernels of the five linear axioms each peak at no more
     than 8 MB (tracemalloc) at the default block budget."""
     D = double_of("taft-4-5-2")
     cover, _ = product_cover(D.alg)
@@ -1331,7 +1369,7 @@ def test_d256_kernels_stay_within_8_mb():
     bad, peak = _peak(lambda: hopfcore._delta_failure(D, cover, p, *tables))
     assert bad is None and peak <= 8e6
     linear, peak = _peak(lambda: hopfcore._linear_failures(D, p, *tables))
-    assert linear == (None, None, True, None) and peak <= 8e6
+    assert linear == (None, None, True, None, True) and peak <= 8e6
 
 
 def test_delta_operand_peaks_below_twice_its_own_arrays(monkeypatch):
@@ -1399,31 +1437,26 @@ def _unit_mutant(H, kind):
 @pytest.mark.parametrize("kind", [None, "unit", "left", "right", "comul"])
 @pytest.mark.parametrize("name", MODP_OBJECTS + ["D(taft(3, 2146560523))"] + QQ_OBJECTS + UNPEELED)
 def test_unit_identities_agree_on_both_engines(name, kind, monkeypatch, generic_engine):
-    """The unit law and Delta(1) = 1 (x) 1, valid or corrupted, with both
-    crossovers at 0: their kernels mod each prime of their bound give the
-    first failing item of their loops, which run only on the generic
-    engine, and the product cover read off the table arrays is the one read
-    off the rows."""
+    """The unit law, valid or corrupted, with both crossovers at 0: its
+    kernel mod each prime of its bound gives the first failing item of its
+    loops, which run only on the generic engine, and the product cover
+    read off the table arrays is the one read off the rows.  The "comul"
+    copy leaves both as they are; Delta(1) = 1 (x) 1, which it breaks, is
+    decided with the linear axioms (test_linear_axioms_agree_on_both_engines)."""
     monkeypatch.setattr(algebra, "_LINEAR_MODP_DIM", 0)
     monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
     H = _double_over(2146560523)[1] if name.startswith("D(taft(") else _object(name)
     H = _unit_mutant(H, kind)
     ran = []
-    unit_kernel, delta_kernel = algebra._unit_failure, hopfcore._unit_coproduct_failure
+    unit_kernel = algebra._unit_failure
     monkeypatch.setattr(
         algebra, "_unit_failure", lambda A, p, t: ran.append(p) or unit_kernel(A, p, t)
     )
-    constants = [*H.unit, *(c for t in H.comul.values() for *_, c in t)]
-    primes = engine_primes_of(H.field, constants, 2, H.dim)
-    deltas = (delta_kernel(H, q, algebra.comul_arrays(H, q)) for q in primes)
-    delta = min((x for x in deltas if x is not None), default=None)
     unit = algebra.unit_failure(H.alg)
     cover = product_cover(H.alg)
-    assert ran
-    assert delta == hopfcore._unit_coproduct_failure_loops(H)
-    assert kind is not None or (unit, delta) == (None, None)
-    assert kind != "comul" or delta is not None
-    assert kind not in ("left", "right") or unit is not None
+    constants = [*algebra.table_constants(H.alg), *H.unit]
+    assert ran == list(engine_primes_of(H.field, constants, 2, H.dim))
+    assert (unit is None) == (kind in (None, "comul"))
     generic_engine()
     assert algebra.unit_failure(H.alg) == unit
     assert product_cover(H.alg) == cover

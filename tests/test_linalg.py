@@ -7,11 +7,12 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import engine_primes_of
+from conftest import double_of, engine_primes_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfrob import GF, QQ, ShapeError, SingularError, linalg
+from hopfrob.catalog import entry, names
 from hopfrob.linalg import (
     Matrix,
     basis_vec,
@@ -284,6 +285,28 @@ def test_from_entries_seeds_the_nonzero_entries_it_fills(field, seed):
     M = Matrix.from_entries(field, m, n, entries)
     seeded = vars(M)["_nonzero"]
     assert seeded == Matrix(field, M.rows)._nonzero
+
+
+@pytest.mark.parametrize("name", [*names(), "D(taft-3-7-2)*", "zero rows"])
+def test_transpose_keeps_the_nonzero_seed(name):
+    """A matrix whose _nonzero is known (read once, or seeded by
+    from_entries) hands its transpose a seeded _nonzero, equal to the one a
+    scan of the transposed rows reads: every catalog antipode, the antipode
+    of the dual of D(taft-3-7-2) (dual_hopf transposes it) and a
+    from_entries matrix with zero rows.  One not yet read hands none."""
+    if name == "zero rows":
+        M = Matrix.from_entries(F7, 5, 3, [((1, 2), 3), ((3, 0), 1), ((3, 0), 6)])
+    elif name.endswith("*"):
+        M = double_of(name[2:-2]).dual.antipode
+        assert "_nonzero" in vars(M)
+    else:
+        M = entry(name).hopf.antipode
+        assert "_nonzero" not in vars(Matrix(M.field, M.rows).transpose())
+        M._nonzero
+    T = M.transpose()
+    assert "_nonzero" in vars(T)
+    assert vars(T)["_nonzero"] == Matrix(T.field, T.rows)._nonzero
+    assert T.transpose().rows == M.rows
 
 
 @pytest.mark.parametrize("seed", range(20))

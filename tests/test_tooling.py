@@ -3,8 +3,9 @@ the package carries no unused imports, no unreferenced functions, no
 function that only the tests call outside the paper-content API, no
 top-level function name defined in two modules, and no static
 constructor unreferenced through its class, one gate picks the int64
-engine, zero tests are truthiness tests, no matrix is a hand-filled grid,
-no sparse matrix has its rows sorted, numpy and scipy load only when
+engine, each verify function makes one linear engine call and one other,
+zero tests are truthiness tests, no matrix is a hand-filled grid, no
+sparse matrix has its rows sorted, numpy and scipy load only when
 that engine runs, the table builders merged across engines keep one
 path, the file emitter reads table arrays only, and the docs name only
 attributes that exist."""
@@ -313,6 +314,42 @@ def _first_failure_arguments(path: Path, function: str) -> set:
         for n in ast.walk(arg)
         if isinstance(n, ast.Name)
     }
+
+
+def _first_failure_call(linear: bool):
+    """A match for each first_failure call that passes linear=True, or for
+    each that does not."""
+    return lambda node: (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "first_failure"
+        and any(k.arg == "linear" and ast.unparse(k.value) == "True" for k in node.keywords)
+        == linear
+    )
+
+
+def test_each_verify_makes_one_linear_and_one_other_engine_call():
+    """The engine calls of the package: verify_algebra makes the unit law's
+    (in unit_failure, linear) and associativity's; verify_hopf makes the
+    one of the five identities linear in the tables, Delta(1) = 1 (x) 1
+    among them, and Delta multiplicative's; and multiplicative_failure
+    ("phi is an algebra map") makes one, not linear.  No separate path for
+    the unit's coproduct is left."""
+    modules = sorted(PACKAGE.glob("*.py"))
+    linear = [s for path in modules for s in _scopes(path, _first_failure_call(True))]
+    other = [s for path in modules for s in _scopes(path, _first_failure_call(False))]
+    assert linear == ["algebra.unit_failure", "hopfcore.verify_hopf"]
+    assert other == [
+        "algebra.verify_algebra",
+        "algebra.multiplicative_failure",
+        "hopfcore.verify_hopf",
+    ]
+    defined = [
+        node.name
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert not [name for name in defined if name.startswith("_unit_coproduct_failure")]
 
 
 def test_one_quadratic_axiom_path():
