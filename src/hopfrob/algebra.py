@@ -491,18 +491,20 @@ def _associativity_failure_loops(
 
 
 def is_augmentation(A: StructureAlgebra, eps: Sequence) -> bool:
-    """Does the covector eps define a one-dimensional representation?
+    """Does the covector eps define a one-dimensional representation:
+    eps(1) = 1 and eps multiplicative on every pair (is_multiplicative)?"""
+    one = sum(u * e for u, e in zip(A.unit, eps) if u and e)
+    return A.field.normalize(one) == A.field.one() and is_multiplicative(A, eps)
 
-    eps(e_i e_j) = eps_i eps_j on each pair of mul, one pass, each side from
-    the nonzero entries of eps alone (hopfcore.is_grouplike passes a sparse
-    eps over every row of H*); a pair absent from mul has e_i e_j = 0, which
-    only the pairs of nonzero entries of eps can break."""
-    field = A.field
-    norm = field.normalize
+
+def is_multiplicative(A: StructureAlgebra, eps: Sequence) -> bool:
+    """eps(e_i e_j) = eps_i eps_j on each pair of mul, one pass, each side
+    from the nonzero entries of eps alone (hopfcore.is_grouplike passes a
+    sparse eps over every row of H*); a pair absent from mul has e_i e_j =
+    0, which only the pairs of nonzero entries of eps can break."""
+    norm = A.field.normalize
     live = [bool(norm(e)) for e in eps]
     support = list(compress(range(A.dim), live))
-    if norm(sum(A.unit[k] * eps[k] for k in support)) != field.one():
-        return False
     for (i, j), row in A.mul.items():
         terms = [c * eps[k] for k, c in row if live[k]]
         if (terms or live[i] and live[j]) and norm(sum(terms)) != norm(eps[i] * eps[j]):

@@ -5,7 +5,7 @@ Conventions, fixed package-wide:
   * psi is the canonical echelon generator of the left integrals in H*,
     left unnormalized; every derived quantity except the norm is invariant
     under rescaling psi (tested).
-  * Gram matrix G[i][k] = psi(e_i e_k); the left norm solves G N = counit.
+  * Gram matrix G[i][k] = psi(e_i e_k); the left norm is N = G^{-1} counit.
   * modular_fn is the character m with N a = m(a) N; modular_elt is the
     group-like b with psi * f = f(b) psi in the convolution algebra.  Both
     are factors of a rank-one matrix built in one pass over one table: the
@@ -16,9 +16,9 @@ Conventions, fixed package-wide:
   * convolution inverses of characters are taken as composition with S,
     never solved for, and so is the inverse of the group-like b: b^{-1} =
     S(b).
-  * IntegralData keeps the Gram matrix of psi; every later reader of that
-    matrix (the Nakayama solve, the translate by b, the coproduct of psi in
-    H*) takes it from there.
+  * IntegralData keeps the Gram matrix G of psi and its inverse, G's one
+    elimination; every later reader (nu = (G^{-1})^T G, the translate by b,
+    the coproduct of psi in H*) takes them from there.
 """
 
 from __future__ import annotations
@@ -48,14 +48,15 @@ from .report import Report
 class IntegralData:
     """psi: generator of the left integrals in H*; norm: its left norm N;
     modular_fn: the character m with N a = m(a) N; modular_elt: the
-    group-like b with psi * f = f(b) psi; gram: the Gram matrix
-    [psi(e_i e_k)] that N was solved from (left out of equality)."""
+    group-like b with psi * f = f(b) psi; gram: G = [psi(e_i e_k)] and
+    gram_inv: G^{-1}, N = G^{-1} eps (both left out of equality)."""
 
     psi: tuple
     norm: tuple
     modular_fn: tuple
     modular_elt: tuple
     gram: Matrix = dc_field(compare=False, repr=False)
+    gram_inv: Matrix = dc_field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -127,32 +128,32 @@ def build_integral_data(H: HopfAlgebra, psi: Optional[Sequence] = None) -> Integ
             raise InvalidInputError("supplied functional is zero")
 
     gram = pairing_matrix(H.alg, psi)
-    norm = gram.solve(H.counit)
-    if norm is None or gram.rank() < H.dim:
-        raise InvalidInputError("Gram matrix singular: algebra is not Frobenius")
+    try:
+        gram_inv = gram.inverse()
+    except SingularError as exc:
+        raise InvalidInputError("Gram matrix singular: algebra is not Frobenius") from exc
+    norm = gram_inv.apply(H.counit)
 
     # column j of L_N is N e_j = m(e_j) N, so L_N = N m^T
-    left = H.alg.left_mult_matrix(norm).transpose().rows
+    left = H.alg._mult_matrix(norm, "left", transposed=True).rows
     m = _factor(field, left, norm, "N e_{} is not proportional to N")
     # row i of R_psi is psi * e^i = e^i(b) psi, so R_psi = b psi^T
     right = hit_matrix(H, psi, "right").rows
     b = _factor(field, right, psi, "psi * e^{} is not proportional to psi")
 
-    result = IntegralData(psi, norm, m, b, gram)
+    result = IntegralData(psi, norm, m, b, gram, gram_inv)
     _check_integral_data(H, result)
     return result
 
 
 def _check_integral_data(H: HopfAlgebra, data: IntegralData) -> None:
-    """The defining identities of the data not proved while reading it off,
-    as matrix identities on R_N, whose column i is e_i N.  N e_i = m(e_i) N
-    is not among them: _factor proved it on every column of L_N."""
+    """The defining identities of the data not proved while reading it off:
+    N a left integral (on R_N, whose column i is e_i N), m a character, b
+    group-like.  psi(e_i N) = eps(e_i) is row i of G N = eps, exact for
+    N = G^{-1} eps, and _factor proved N e_i = m(e_i) N on every column of L_N."""
     field = H.field
-    psi, norm, m, b = data.psi, data.norm, data.modular_fn, data.modular_elt
+    norm, m, b = data.norm, data.modular_fn, data.modular_elt
     R = H.alg.right_mult_matrix(norm)
-    # psi(e_i N) = eps(e_i): R_N^T psi = eps
-    if R.transpose().apply(psi) != H.counit:
-        raise InternalCheckError("norm identity psi(a N) = eps(a) fails")
     # e_i N = eps(e_i) N: R_N = N eps^T
     norm_eps = _outer_sum(field, [(norm, H.counit)]).items()
     if R != Matrix.from_entries(field, H.dim, H.dim, norm_eps):
@@ -203,17 +204,15 @@ def _dual_bases_from_coproduct(H: HopfAlgebra, t: Sequence) -> tuple:
 
 
 def frobenius_system_from_norm(H: HopfAlgebra, data: IntegralData) -> FrobeniusSystem:
-    """Dual bases read off the coproduct of the norm, Nakayama solved from
-    the Gram matrix of data; all identities verified before returning."""
+    """Dual bases read off the coproduct of the norm and checked against
+    data's Gram matrix G; Nakayama nu = (G^T)^{-1} G = (G^{-1})^T G, a
+    product, checked an automorphism before returning."""
     xs, ys = _dual_bases_from_coproduct(H, data.norm)
     ok, detail = dual_basis_identities_hold(data.gram, xs, ys)
     if not ok:
         raise InternalCheckError(f"dual basis identities fail: {detail}")
 
-    gram = data.gram
-    nu = gram.transpose().solve_matrix(gram)
-    if nu is None:
-        raise InvalidInputError("Gram matrix singular: algebra is not Frobenius")
+    nu = data.gram_inv.transpose().mul(data.gram)
     check_automorphism(H.alg, nu, "Nakayama matrix")
     one = H.field.one()
     return FrobeniusSystem(data.psi, xs, ys, nu, one, one)
@@ -262,12 +261,10 @@ def compare_systems(
     H: HopfAlgebra, sys: FrobeniusSystem, sys2: FrobeniusSystem
 ) -> ComparisonResult:
     """Recover the invertible derivative d with psi' = psi d, and verify the
-    dual bases and Nakayama transforms it induces."""
+    dual bases and Nakayama transforms it induces.  a = sum_i x_i psi(y_i a)
+    gives psi' = psi d for d = sum_i psi'(x_i) y_i, read off sys's dual bases."""
     field = H.field
-    gram = pairing_matrix(H.alg, sys.psi)
-    d = gram.transpose().solve(sys2.psi)
-    if d is None:
-        raise InvalidInputError("systems not comparable: no derivative solves psi' = psi d")
+    d = Matrix.from_columns(field, sys.ys).apply([eval_cov(field, sys2.psi, x) for x in sys.xs])
     L = H.alg.left_mult_matrix(d)
     try:
         Linv = L.inverse()

@@ -81,6 +81,7 @@ from .algebra import (
     first_failure,
     first_mismatch,
     is_augmentation,
+    is_multiplicative,
     matrix_keys,
     mismatches,
     multiplicative_failure,
@@ -542,9 +543,9 @@ def _merge_linear(results) -> tuple:
 def _linear_failures_loops(H: HopfAlgebra) -> tuple:
     """The axioms linear in Delta as Python loops over the basis: the first
     basis index where coassociativity fails, the first where the counit law
-    fails, whether the counit is multiplicative (is_augmentation, which
-    reads eps(1) = 1 too), the first basis index where the antipode law
-    fails (None where an axiom holds), and whether Delta(1) = 1 (x) 1."""
+    fails, whether eps(e_i e_j) = eps(e_i) eps(e_j) on every pair (eps(1) is
+    verify_hopf's), the first basis index where the antipode law fails (None
+    where an axiom holds), and whether Delta(1) = 1 (x) 1."""
     field = H.field
     dim = H.dim
     z = field.zero()
@@ -591,7 +592,7 @@ def _linear_failures_loops(H: HopfAlgebra) -> tuple:
             break
 
     delta_one = H.delta_vec(H.unit) == _outer_sum(field, [(H.unit, H.unit)])
-    return coassoc, counit, is_augmentation(H.alg, H.counit), antipode, delta_one
+    return coassoc, counit, is_multiplicative(H.alg, H.counit), antipode, delta_one
 
 
 def _linear_failures(H: HopfAlgebra, p: int, mul: tuple, comul: tuple) -> tuple:

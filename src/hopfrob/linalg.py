@@ -476,18 +476,18 @@ class Matrix:
         )
 
     def pow_(self, k: int) -> "Matrix":
+        """self^k by squaring, the first factor being the lowest power of two
+        in k: popcount(k) + floor(log2 k) - 1 products; self^0 is I."""
         if self.nrows != self.ncols:
             raise ShapeError("power of non-square matrix")
-        acc = Matrix.identity(self.field, self.nrows)
-        base = self
+        acc, base = None, self
         while k:
             if k & 1:
-                acc = acc.mul(base)
-            base_needed = k >> 1
-            if base_needed:
+                acc = base if acc is None else acc.mul(base)
+            k >>= 1
+            if k:
                 base = base.mul(base)
-            k = base_needed
-        return acc
+        return Matrix.identity(self.field, self.nrows) if acc is None else acc
 
     # -- elimination ------------------------------------------------------
 

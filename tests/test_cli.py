@@ -605,31 +605,59 @@ def _count_inverses(monkeypatch) -> list:
     return calls
 
 
+def _count_eliminations(monkeypatch, dim: int) -> list:
+    """The row counts of every elimination of at least dim rows, on either
+    engine (linalg._rref_generic and _rref_modp_numpy)."""
+    calls = []
+    for name, at in (("_rref_generic", 1), ("_rref_modp_numpy", 0)):
+        orig = getattr(linalg, name)
+
+        def spy(*args, orig=orig, at=at):
+            if len(args[at]) >= dim:
+                calls.append(len(args[at]))
+            return orig(*args)
+
+        monkeypatch.setattr(linalg, name, spy)
+    return calls
+
+
 def test_frobenius_d36_builds_each_derived_object_once(tmp_path, monkeypatch):
     """`frobenius` on D(qs3) eliminates for two integral spaces (psi of H
-    and the left integrals of H, which are the dual's), inverts two
-    matrices (S in verify_hopf and nu in its automorphism check: H* takes
-    the transpose of S^-1, and b^-1 is S(b)) and builds two Gram matrices
-    (the integral data of H and of H*, the latter on the norm N of H).
-    Both dual-basis checks read theirs from that data.  The job took 3, 4
-    and 6 when each stage built its own, and 2, 2 and 4 when each
-    dual-basis check built its Gram matrix again."""
+    and the left integrals of H, which are the dual's), inverts four
+    matrices (S in verify_hopf, the Gram matrices of H and of H*, and nu in
+    its automorphism check: H* takes the transpose of S^-1, and b^-1 is
+    S(b)) and builds two Gram matrices (the integral data of H and of H*,
+    the latter on the norm N of H).  Those four inverses are its only
+    eliminations of dim rows: each Gram inverse gives N, and nu is a
+    product with it, where a solve for N, a rank and a solve for nu on H
+    and a solve and a rank on H* took 7 eliminations and 2 inverses.  Both
+    dual-basis checks read their Gram matrix from that data.  The job took
+    3, 4 and 6 kernels, inverses and Gram matrices when each stage built
+    its own, and 2, 2 and 4 when each dual-basis check built its Gram
+    matrix again."""
     path = _d36(tmp_path)
     kernels = count_calls(monkeypatch, linalg, "iterated_kernel_sparse")
     grams = count_calls(monkeypatch, hopfcore, "pairing_matrix")
     inverses = _count_inverses(monkeypatch)
+    eliminations = _count_eliminations(monkeypatch, 36)
     assert main(["frobenius", str(path)]) == 0
-    assert (len(kernels), len(inverses), len(grams)) == (2, 2, 2)
+    assert (len(kernels), len(inverses), len(grams)) == (2, 4, 2)
+    assert len(eliminations) == 4
 
 
 def test_separable_d36_inverts_four_matrices(tmp_path, monkeypatch):
-    """`separable` on D(qs3) inverts S, the Nakayama matrices of H and of H*
-    (their automorphism checks) and the Kanzaki trace element; the inverse
-    antipode of H* is the transpose of that of H (5 inverses before)."""
+    """`separable` on D(qs3) inverts S, the Gram and Nakayama matrices of H
+    and of H* (the Gram inverses give N and nu, the Nakayama ones are their
+    automorphism checks) and the Kanzaki trace element; the inverse
+    antipode of H* is the transpose of that of H.  Those six inverses are
+    its only eliminations of dim rows (10 when N and nu were solved for and
+    each Gram matrix's rank taken, with 4 inverses; 5 inverses before
+    that)."""
     path = _d36(tmp_path)
     inverses = _count_inverses(monkeypatch)
+    eliminations = _count_eliminations(monkeypatch, 36)
     assert main(["separable", str(path)]) == 0
-    assert len(inverses) == 4
+    assert len(inverses) == len(eliminations) == 6
 
 
 # -- the quantified identities of D(taft-3-7-2) run on the sparse kernels ------
@@ -667,6 +695,19 @@ def test_verify_path_builds_no_tuple_row_on_d81(tmp_path, monkeypatch):
     assert main(["frobenius", str(path)]) == 0
     assert len({id(vals) for vals in built}) == len(built) <= 4
     assert cleaned == rows_cleaned == []
+
+
+@pytest.mark.parametrize("cmd", ["frobenius", "separable"])
+def test_frobenius_layer_inverts_each_gram_matrix_once_on_d81(cmd, tmp_path, monkeypatch):
+    """`frobenius` and `separable` on the array-read D(taft-3-7-2) eliminate
+    dim rows four times, each on the int64 engine: S, the Gram matrices of
+    H and of H* (N is G^-1 eps and nu = (G^-1)^T G), and nu in its
+    automorphism check.  They took 7 when N and nu were solved for and each
+    Gram matrix's rank taken."""
+    path = _d81(tmp_path)
+    eliminations = _count_eliminations(monkeypatch, 81)
+    assert main([cmd, str(path)]) == 0
+    assert len(eliminations) == 4
 
 
 def test_dual_is_built_once_per_job_by_relabelling_on_d81(tmp_path, monkeypatch):

@@ -734,6 +734,20 @@ def test_integral_layer_matches_the_definitions(name, engine, generic_engine):
         build_integral_data(H, H.counit)
 
 
+@pytest.mark.parametrize("engine", ["int64", "generic"])
+@pytest.mark.parametrize("name", _LAYER_OBJECTS)
+def test_integral_data_keeps_the_inverse_of_its_gram_matrix(name, engine, generic_engine):
+    """gram_inv is the inverse of gram, G G^-1 = 1 = G^-1 G, and the norm is
+    G^-1 eps."""
+    if engine == "generic":
+        generic_engine()
+    H = _layer_object(name)
+    data = build_integral_data(H)
+    assert data.gram.mul(data.gram_inv).is_identity()
+    assert data.gram_inv.mul(data.gram).is_identity()
+    assert data.gram.apply(data.norm) == H.counit
+
+
 def test_radford_with_a_wrong_modular_function_fails_as_the_reference():
     """On taft-3-7-2 m is not the counit, so data carrying the counit as m
     fails Radford's formula, at the same items as the per-basis loop."""

@@ -1101,6 +1101,21 @@ def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, gen
     assert ran == primes + [None]
 
 
+@pytest.mark.parametrize("name", MODP_OBJECTS + QQ_OBJECTS)
+def test_linear_results_agree_on_both_engines_with_the_unit_doubled(name):
+    """With the unit doubled, eps(1) != 1 while eps(e_i e_j) = eps(e_i)
+    eps(e_j) on every pair: the loops' five results equal the kernel's,
+    merged over the primes of its bound, the third included, which reads
+    the pairs alone on both engines (verify_hopf reads eps(1) itself)."""
+    H = _corrupted(_object(name), "unit")
+    primes = engine_primes_of(H.field, _linear_constants(H), 3, H.dim**3)
+    kernels = [
+        hopfcore._linear_failures(H, p, algebra.structure_arrays(H.alg, p), algebra.comul_arrays(H, p))
+        for p in primes
+    ]
+    assert hopfcore._linear_failures_loops(H) == hopfcore._merge_linear(kernels)
+
+
 @pytest.mark.parametrize("name", ["D(qs3)", "array-read D(taft-3-7-2)"])
 def test_verify_hopf_makes_one_linear_and_one_quadratic_engine_call(name, monkeypatch):
     """verify_hopf calls first_failure four times on a valid H: the unit

@@ -224,6 +224,22 @@ def test_pow():
     assert A.pow_(7) == A
 
 
+@pytest.mark.parametrize("key", names())
+def test_pow_squares_from_the_first_power(key):
+    """pow_(k) on a catalog antipode makes popcount(k) + floor(log2 k) - 1
+    products, none by the identity, and equals S times itself k times."""
+    S = entry(key).hopf.antipode
+    want = Matrix.identity(S.field, S.nrows)
+    mul = Matrix.mul
+    for k in range(9):
+        calls = []
+        with mock.patch.object(Matrix, "mul", lambda a, b: calls.append(1) or mul(a, b)):
+            got = S.pow_(k)
+        assert got == want
+        assert len(calls) == (bin(k).count("1") + k.bit_length() - 2 if k else 0)
+        want = want.mul(S)
+
+
 def test_shape_errors():
     with pytest.raises(ShapeError):
         Matrix.from_rows(QQ, [[1, 2], [3]])

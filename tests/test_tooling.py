@@ -541,6 +541,46 @@ def test_coo_build_scan_finds_each_form(tmp_path):
     assert _coo_builds(path) == [f"probe.py:{line}" for line in (3, 4, 6, 7, 8)]
 
 
+def _solves(path: Path) -> list:
+    """Each .solve, .solve_matrix or .rank of a module, called or not: an
+    elimination besides the one inverse of each Gram matrix."""
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("solve", "solve_matrix", "rank")
+    ]
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_frobenius_layer_eliminates_each_gram_matrix_once():
+    """build_integral_data inverts the Gram matrix G once; N = G^-1 eps, the
+    Nakayama matrix (G^-1)^T G and the derivative of two systems, read off
+    the dual bases, are products, so frobenius.py solves no system and
+    takes no rank."""
+    assert _solves(PACKAGE / "frobenius.py") == []
+
+
+def test_solve_scan_finds_each_form(tmp_path):
+    """The scan above sees .solve, .solve_matrix and .rank on any
+    expression, called or only named, nested in a function, and ignores
+    .inverse(), a bare solve(...) and names that only start alike."""
+    src = (
+        "def f(M, v):\n"
+        "    x = M.solve(v)\n"
+        "    y = M.transpose().solve_matrix(M)\n"
+        "    def g():\n"
+        "        return M.rank()\n"
+        "    h = M.solve\n"
+        "    i = M.inverse()\n"
+        "    j = solve(M, v)\n"
+        "    k = M.ranked, M.solved()\n"
+        "    return x, y, h, i, j, k\n"
+    )
+    path = tmp_path / "probe.py"
+    path.write_text(src, encoding="utf-8")
+    assert _solves(path) == [f"probe.py:{line}" for line in (2, 3, 5, 6)]
+
+
 def _engine_branches(path: Path, function=None) -> list:
     """Each `is None` / `is not None` test and each dict display (literal
     or comprehension) of a module, or of one of its top-level functions."""
