@@ -62,22 +62,24 @@ SparseRow = tuple  # tuple[(basis_index, scalar), ...] sorted by index
 # with every identity on the kernels, and with every identity on the loops
 # (the quadratic ones over the product cover), on each catalog entry and
 # double up to dim 36.
-# - The kernels cost about 2.5-3.2 ms whatever the input up to dim 25
-#   (scipy constructions; about 5 ms when these constants were set): at dim
-#   9 and below the loops win on every entry but one (0.14-1.7 ms, kernels
-#   2.5-2.9 ms); on D(qc3), dim 9 over QQ, the kernels win (3.2 ms, loops
-#   3.9 ms) but not by enough to move the crossover below the GF(p) ones.
-# - Quadratic identities: at dim 16 the fields split.  Over GF(p) the loops
-#   win (taft-4-5-2: loops 1.6 ms, this choice with the quadratic ones on
-#   the kernels 2.2 ms), over QQ the kernels (D(sweedler): 4.0 ms, loops
-#   16.6 ms); at dim 25 the kernels win over GF(p) too (D(f5c5): 3.7 ms,
-#   loops 9.3 ms), and at dim 36 over QQ by far (D(qs3): 4.0 ms, 82 ms).
+# - The kernels cost about 1.2-1.5 ms whatever the input up to dim 25
+#   (compiled products on CSR triples; 2.2-2.5 ms through scipy's sparse
+#   objects, about 5 ms when these constants were set): at dim 9 and below
+#   the loops win on every entry but two (0.09-1.0 ms, kernels 1.2-1.4 ms);
+#   over QQ the kernels win on D(qc3), dim 9 (1.4 ms, loops 3.2 ms), and
+#   narrowly on qs3, dim 6 (1.3 ms, loops 1.4-1.5 ms), but the crossover
+#   stays above the GF(p) ones.
+# - Quadratic identities: at dim 16 the kernels win over both fields, over
+#   GF(p) narrowly (taft-4-5-2: this choice with the quadratic ones on the
+#   kernels 1.2 ms, loops 1.4 ms; through scipy's objects 1.9 ms), over QQ
+#   by far (D(sweedler): 2.1 ms, loops 14 ms); at dim 25 (D(f5c5): 2.2 ms,
+#   loops 7.7 ms) and at dim 36 over QQ (D(qs3): 2.1 ms, 71-77 ms) too.
 #   So one crossover, _SPARSE_DIM, serves both fields.
 # - The identities linear in the tables (the unit law, and the Hopf axioms
 #   linear in the tables, the unit's coproduct among them): over GF(p)
-#   their loops on Python ints still win at dim 16 (taft-4-5-2: 2.2 ms,
-#   all on the kernels 2.7 ms) but no longer at dim 25 (D(f5c5): 3.7 ms,
-#   all on the kernels 2.9 ms; they won there at 5 ms a kernel), so they
+#   their loops on Python ints still win at dim 16 (taft-4-5-2: 1.2 ms,
+#   all on the kernels 1.4 ms) but no longer at dim 25 (D(f5c5): 2.2 ms,
+#   all on the kernels 1.4 ms; they won there at 5 ms a kernel), so they
 #   now cross between 16 and 25.  _LINEAR_MODP_DIM stays 40: it also
 #   gates hopffile's array reader (all_on_kernels), which is measured above
 #   it only.  Over QQ, on Fractions, they cross with the quadratic ones, at
@@ -749,8 +751,7 @@ def by_item(Y, keys, nsub: int, first: int, shape, col, p: int):
 
 
 def matrix_keys(M, p: int):
-    """The entries of the reduced sparse matrix M mod p as entry_keys."""
-    M = M.tocsr()
+    """The entries of the reduced CSR matrix M mod p as entry_keys."""
     return entry_keys(csr_rows(M) * M.shape[1] + M.indices, M.data, M.shape[0] * M.shape[1], p)
 
 
@@ -917,11 +918,10 @@ def _multiplicative_failure_modp(
     count; each intermediate is reduced mod p before the next product.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     ds, dd = src.dim, dst.dim
-    P = sp.csr_matrix(residues(chain.from_iterable(phi.rows), p).reshape(-1, ds))
-    PT = P.T.tocsr()
+    P = residues(chain.from_iterable(phi.rows), p).reshape(-1, ds)
+    P, PT = linalg.dense_csr(P), linalg.dense_csr(P.T)
     si, sj, sk, sc = structure_arrays(src, p)
     k, l, n, c = structure_arrays(dst, p)
     products, pairs = compact(si * ds + sj, sk, sc, (None, ds))

@@ -893,7 +893,6 @@ def _coproduct_operand(terms: tuple, Mu, as_, n: int, p: int) -> tuple:
     own arrays plus one block.
     """
     import numpy as np
-    import scipy.sparse as sp
 
     r, gu, gv, gd = terms
     V, x = np.unique(gv, return_inverse=True)
@@ -930,7 +929,7 @@ def _coproduct_operand(terms: tuple, Mu, as_, n: int, p: int) -> tuple:
         cols.append(block.indices.astype(index, copy=False))
         del block
     np.cumsum(indptr, out=indptr)
-    W = sp.csr_matrix((_joined(data), _joined(cols), indptr), shape=(nv * n, nr * n))
+    W = linalg.CSR(_joined(data), _joined(cols).astype(index, copy=False), indptr, (nv * n, nr * n))
     return W, V, rs
 
 

@@ -12,9 +12,12 @@ Two arithmetic engines exist, and machine_prime chooses between them from
 the field alone: over GF(p) with p < 2^31 large eliminations (rref, solve,
 solve_matrix, inverse), large products (Matrix.mul), the products of a
 sparse operator and the sparse identity checks in algebra and hopfcore, in
-blocks bounded by the one byte budget _BLOCK_BYTES, run on int64 numpy/scipy
-arrays (each sparse operand laid out from index arrays by csr), everything
-else on Python scalars.  A large inverse eliminates
+blocks bounded by the one byte budget _BLOCK_BYTES, run on int64 numpy
+arrays, everything else on Python scalars.  The one sparse form is CSR, the
+triple (data, indices, indptr) with its shape, laid out from index arrays by
+csr; a block of its rows is a view, and mulmod multiplies it by one call to
+scipy's compiled CSR routines (imported in _sparsetools alone), so no scipy
+sparse object is built.  A large inverse eliminates
 [A | I] as one int64 array.  The numpy code that builds from a table (an
 integral operator, every table of the double, subext's module transport) is
 one routine for both engines, which differ there only in the dtype of the
@@ -174,9 +177,10 @@ def residues(values: Iterable, p: int):
 
 def mulmod(A, B, p: int):
     """A @ B mod p, exact, for int64 operands with entries in [0, p) and
-    p < 2^31: both dense numpy arrays, both scipy.sparse matrices (a sparse
-    result comes back with its zeros eliminated), or a sparse A times a
-    dense B (a dense result).
+    p < 2^31: both dense numpy arrays, both CSR (a CSR result, its zeros
+    dropped), or a CSR A times a dense B (a dense result).  A product with
+    a CSR A runs in scipy's compiled CSR routines alone (_product), so no
+    scipy sparse object is built.
 
     Bound: an entry of A @ B sums at most `terms` products, where terms is
     the inner dimension for a dense A, the largest row count of a sparse A,
@@ -190,37 +194,44 @@ def mulmod(A, B, p: int):
     (p-1)^2 * terms < 2^63, the plain int64 product is exact and is reduced
     once.  Otherwise B = B_hi * 2^16 + B_lo is split into 16-bit limbs, and
     each partial sum of up to 2^16 terms stays below 2^31 * 2^16 * 2^16 =
-    2^63.  Above 2^16 terms A is cut into slices of at most 2^16 terms per
-    row (_term_slices), and the reduced products of the slices are summed
-    and reduced once: fewer than 2^32 slices, so fewer than 2^48 terms, of
-    residues below 2^31 stay below 2^63.
+    2^63; the two reduced limb products are combined below 2^31 * 2^16 +
+    2^31 < 2^63.  Above 2^16 terms A is cut into slices of at most 2^16
+    terms per row (_term_slices), and the reduced products of the slices
+    are summed and reduced once: fewer than 2^32 slices, so fewer than 2^48
+    terms, of residues below 2^31 stay below 2^63.  Sparse limb and slice
+    products may differ in pattern (the compiled product drops zero sums),
+    so they are added by their cells (_added), not by their value arrays.
     """
     import numpy as np
 
+    if A.shape[1] != B.shape[0]:
+        raise ShapeError(f"{A.shape} @ {B.shape}")
     dense = isinstance(B, np.ndarray)
     if isinstance(A, np.ndarray):
         terms = A.shape[1]
         if dense and (p - 1) ** 2 * terms < 2**53:
             return _mulmod_float64(A, B, p)
     else:
-        terms = int(A.getnnz(axis=1).max(initial=0))
+        terms = int(np.diff(A.indptr).max(initial=0))
         # B's column counts cost a pass over B; read them only when they can matter
         if not dense and (p - 1) ** 2 * terms >= 2**63:
-            terms = min(terms, int(B.getnnz(axis=0).max(initial=0)))
+            cols = B.indices[B.indptr[0] : B.indptr[-1]]
+            terms = min(terms, int(np.bincount(cols, minlength=1).max()))
     if (p - 1) ** 2 * terms < 2**63:
-        return _reduce(A @ B, p)
+        return _reduce(_product(A, B), p)
     if p >= 2**31:
         raise ValueError(f"mulmod: the limb bound needs p < 2^31, not {p}")
     if terms > 1 << _LIMB_BITS:
-        return _reduce(sum(mulmod(a, B, p) for a in _term_slices(A)), p)
+        return _added([mulmod(a, B, p) for a in _term_slices(A)], p)
     mask = (1 << _LIMB_BITS) - 1
     if dense:
         hi, lo = B >> _LIMB_BITS, B & mask
     else:
-        hi, lo = B.copy(), B.copy()
-        hi.data >>= _LIMB_BITS
-        lo.data &= mask
-    return _reduce(_reduce(A @ hi, p) * (1 << _LIMB_BITS) + _reduce(A @ lo, p), p)
+        hi, lo = (CSR(d, B.indices, B.indptr, B.shape) for d in (B.data >> _LIMB_BITS, B.data & mask))
+    hi, lo = (_reduce(_product(A, limb), p) for limb in (hi, lo))
+    shifted = hi if dense else hi.data
+    shifted <<= _LIMB_BITS
+    return _added([hi, lo], p)
 
 
 def _mulmod_float64(A, B, p: int):
@@ -247,14 +258,35 @@ def _mulmod_float64(A, B, p: int):
     return out
 
 
-def csr(vals, rows, cols, shape: tuple):
+class CSR:
+    """A sparse matrix of shape (rows, cols) as its CSR triple, the one
+    sparse form of the int64 engine: row i holds the entries indptr[i] ..
+    indptr[i+1] - 1 of data (int64 values) and indices (their columns, of
+    indptr's dtype).  indptr need not start at 0, so that a block of rows
+    X[a0:a1] is a view, a slice of indptr over the same data and indices;
+    a block of every row is X itself."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+
+    def __init__(self, data, indices, indptr, shape: tuple):
+        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
+
+    def __getitem__(self, rows: slice) -> "CSR":
+        m, n = self.shape
+        a0, a1, _ = rows.indices(m)
+        if a0 == 0 and a1 == m:
+            return self
+        a1 = max(a0, a1)
+        return CSR(self.data, self.indices, self.indptr[a0 : a1 + 1], (a1 - a0, n))
+
+
+def csr(vals, rows, cols, shape: tuple) -> CSR:
     """The CSR matrix of shape with vals at (rows, cols), its triple built
     straight from the arrays: the entries put in row order by one stable
     argsort only when rows do not ascend, indptr by searchsorted, int32
     indices where they fit.  A repeated (row, col) is kept as two entries,
     which a product sums like any other terms."""
     import numpy as np
-    import scipy.sparse as sp
 
     index = np.int32 if max(*shape, len(rows)) < 2**31 else np.int64
     if (rows[1:] < rows[:-1]).any():
@@ -262,7 +294,15 @@ def csr(vals, rows, cols, shape: tuple):
         vals, cols, rows = vals[order], cols[order], rows[order]
         del order
     indptr = np.searchsorted(rows, np.arange(shape[0] + 1)).astype(index)
-    return sp.csr_matrix((vals, np.asarray(cols, dtype=index), indptr), shape=shape)
+    return CSR(vals, np.asarray(cols, dtype=index), indptr, shape)
+
+
+def dense_csr(X) -> CSR:
+    """The CSR matrix of the nonzero entries of the dense array X."""
+    import numpy as np
+
+    rows, cols = np.nonzero(X)
+    return csr(X[rows, cols], rows, cols, X.shape)
 
 
 def csr_rows(C):
@@ -272,33 +312,117 @@ def csr_rows(C):
     return np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
 
 
+def _sparsetools():
+    """scipy's compiled CSR routines.  scipy.sparse._sparsetools is private,
+    and this is the one place the package imports it.  The routines trust
+    their arguments: every index array of one call must have one dtype (a
+    mix crashes them), the values are int64, and outputs are preallocated."""
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
+
+
+def _one_dtype(indexes: tuple, top: int) -> list:
+    """The index arrays of one compiled call at the one dtype it needs:
+    int32 when all of them are int32 and top, the largest dimension or
+    entry count of the call, is below 2^31, otherwise int64."""
+    import numpy as np
+
+    narrow = top < 2**31 and all(a.dtype == np.int32 for a in indexes)
+    return [np.asarray(a, dtype=np.int32 if narrow else np.int64) for a in indexes]
+
+
+def _product(A, B):
+    """A @ B, unreduced: numpy's for a dense A; for a CSR A and a dense B
+    one compiled csr_matvecs into a zero int64 array; for two CSR operands
+    one csr_matmat_maxnnz, which bounds the result's entries, and one
+    csr_matmat into buffers of that size (Gustavson's row-by-row product,
+    which drops the sums that come to 0)."""
+    import numpy as np
+
+    if isinstance(A, np.ndarray):
+        return A @ B
+    tools = _sparsetools()
+    (m, k), n = A.shape, B.shape[1]
+    dense = isinstance(B, np.ndarray)
+    indexes = (A.indptr, A.indices) if dense else (A.indptr, A.indices, B.indptr, B.indices)
+    Ap, Aj, *Bpj = _one_dtype(indexes, max(m, k, n))
+    Ax = np.asarray(A.data, dtype=np.int64)
+    if dense:
+        out = np.zeros((m, n), dtype=np.int64)
+        X = np.ascontiguousarray(B, dtype=np.int64)
+        tools.csr_matvecs(m, k, n, Ap, Aj, Ax, X.ravel(), out.ravel())
+        return out
+    Bp, Bj = Bpj
+    nnz = tools.csr_matmat_maxnnz(m, n, Ap, Aj, Bp, Bj)
+    Ap, Aj, Bp, Bj = _one_dtype((Ap, Aj, Bp, Bj), nnz)
+    C = CSR(np.empty(nnz, np.int64), np.empty(nnz, Ap.dtype), np.empty(m + 1, Ap.dtype), (m, n))
+    Bx = np.asarray(B.data, dtype=np.int64)
+    tools.csr_matmat(m, n, Ap, Aj, Ax, Bp, Bj, Bx, C.indptr, C.indices, C.data)
+    return C
+
+
 def _term_slices(A):
     """CSR matrices A_s with A = sum A_s and at most 2^16 terms in each row:
-    the entries of each row of A taken 2^16 at a time, in row order (at
-    least one slice, so that a sum of their products has A @ B's shape)."""
+    the entries of each row of A (dense or CSR) taken 2^16 at a time, in
+    row order (at least one slice, so that a sum of their products has
+    A @ B's shape)."""
     import numpy as np
-    import scipy.sparse as sp
 
-    A = sp.csr_matrix(A)
+    if isinstance(A, np.ndarray):
+        A = dense_csr(A)
+    start, stop = A.indptr[0], A.indptr[-1]
     counts, rows = np.diff(A.indptr), csr_rows(A)
+    data, cols = A.data[start:stop], A.indices[start:stop]
     # the place of each entry in its row
-    place = np.arange(A.nnz) - A.indptr[rows]
+    place = np.arange(start, stop) - A.indptr[rows]
     width = 1 << _LIMB_BITS
     for s in range(0, max(1, int(counts.max(initial=0))), width):
         keep = (place >= s) & (place < s + width)
-        yield csr(A.data[keep], rows[keep], A.indices[keep], A.shape)
+        yield csr(data[keep], rows[keep], cols[keep], A.shape)
 
 
 def _reduce(C, p: int):
-    """C mod p for a dense array, or in place for a sparse result."""
+    """C mod p for a dense product, or in place for a CSR product of
+    _product: its zeros dropped by the compiled csr_eliminate_zeros, and
+    its arrays cut to the entries kept, copied when those fill less than
+    half the buffer (as scipy prunes its own), so a sparse result
+    holds no more than twice its entries."""
     import numpy as np
 
     if isinstance(C, np.ndarray):
-        return C % p
-    C = C.tocsr()
+        C %= p
+        return C
     C.data %= p
-    C.eliminate_zeros()
+    _sparsetools().csr_eliminate_zeros(C.shape[0], C.shape[1], C.indptr, C.indices, C.data)
+    nnz = int(C.indptr[-1])
+    if nnz < len(C.data) // 2:
+        C.data, C.indices = C.data[:nnz].copy(), C.indices[:nnz].copy()
+    else:
+        C.data, C.indices = C.data[:nnz], C.indices[:nnz]
     return C
+
+
+def _added(parts: list, p: int):
+    """The sum mod p of reduced products of one shape: dense arrays summed
+    cell by cell; CSR matrices, whose patterns may differ, one pair at a
+    time by the compiled csr_plus_csr, which matches their cells in any
+    column order and drops the sums that come to 0, each sum (two residues,
+    below 2^32) reduced by _reduce before the next."""
+    import numpy as np
+
+    if isinstance(parts[0], np.ndarray):
+        return sum(parts) % p
+    tools = _sparsetools()
+    total = parts[0]
+    for C in parts[1:]:
+        (m, n), nnz = total.shape, len(total.data) + len(C.data)
+        indexes = (total.indptr, total.indices, C.indptr, C.indices)
+        Ap, Aj, Bp, Bj = _one_dtype(indexes, max(m, n, nnz))
+        S = CSR(np.empty(nnz, np.int64), np.empty(nnz, Ap.dtype), np.empty(m + 1, Ap.dtype), (m, n))
+        tools.csr_plus_csr(m, n, Ap, Aj, total.data, Bp, Bj, C.data, S.indptr, S.indices, S.data)
+        total = _reduce(S, p)
+    return total
 
 
 def zero_vec(field: Field, n: int) -> tuple:
@@ -526,12 +650,18 @@ class Matrix:
         return None if x is None else Matrix(self.field, x)
 
     def _solve_rows(self, rhs_rows: Sequence, width: int) -> Optional[tuple]:
-        """Rows of X from one elimination of [self | rhs]: pivot rows read
-        off, free rows zero; None when a pivot lands in the rhs block."""
+        """Rows of X from one elimination of [self | rhs], rhs normalized
+        once here (_solved)."""
         if len(rhs_rows) != self.nrows:
             raise ShapeError("rhs length mismatch")
+        norm = self.field.normalize
+        return self._solved([[*r, *map(norm, s)] for r, s in zip(self.rows, rhs_rows)], width)
+
+    def _solved(self, aug: list, width: int) -> Optional[tuple]:
+        """Rows of X from one elimination of aug = [self | rhs], rhs width
+        columns of normalized entries: pivot rows read off, free rows zero;
+        None when a pivot lands in the rhs block."""
         field, n = self.field, self.ncols
-        aug = [list(r) + [field.normalize(b) for b in s] for r, s in zip(self.rows, rhs_rows)]
         rows, pivots = _rref(field, aug)
         if pivots and pivots[-1] >= n:
             return None
@@ -544,7 +674,9 @@ class Matrix:
         """The inverse, read off the reduced echelon form of [self | I].
         Over an admitted GF(p), from _NUMPY_CELLS cells of [self | I] on,
         that is one int64 array eliminated by _rref_modp_numpy and read off
-        once; the matrix is singular unless the pivots are 0 .. n-1."""
+        once; the matrix is singular unless the pivots are 0 .. n-1.  On
+        the Python-scalar engine [self | I] is laid out once, I from the
+        field's own zero and one, which need no normalizing."""
         n = self.nrows
         if n != self.ncols:
             raise ShapeError("inverse of non-square matrix")
@@ -561,7 +693,9 @@ class Matrix:
             if pivots != list(range(n)):
                 raise SingularError("matrix not invertible")
             return Matrix(self.field, tuple(map(tuple, red[:, n:].tolist())))
-        x = self._solve_rows(Matrix.identity(self.field, n).rows, n)
+        z, o = self.field.zero(), self.field.one()
+        zeros = [z] * n
+        x = self._solved([[*r, *zeros[:i], o, *zeros[i + 1 :]] for i, r in enumerate(self.rows)], n)
         if x is None:
             raise SingularError("matrix not invertible")
         return Matrix(self.field, x)
@@ -777,7 +911,8 @@ def _product_rows(field: Field, entries: tuple, K: Sequence):
     number = np.cumsum(np.diff(rows, prepend=-1).astype(bool)) - 1
     p = machine_prime(field)
     if p is not None:
-        Kt = np.array(K, dtype=np.int64).T
+        # C-ordered once, as the compiled product reads it
+        Kt = np.array(K, dtype=np.int64).T.copy()
         n = int(number[-1]) + 1 if len(number) else 0
         A = csr(vals, number, cols, (n, len(at)))
         step = max(1, _BLOCK_BYTES // (8 * len(K)))

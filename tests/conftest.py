@@ -26,6 +26,17 @@ from hopfrob.subext import (
 )
 
 
+def csr_dense(C):
+    """The dense int64 array of a linalg.CSR matrix or a view of its rows,
+    repeated cells summed."""
+    import numpy as np
+
+    out = np.zeros(C.shape, dtype=np.int64)
+    a, b = C.indptr[0], C.indptr[-1]
+    np.add.at(out, (linalg.csr_rows(C), C.indices[a:b]), C.data[a:b])
+    return out
+
+
 def count_calls(monkeypatch, module, name) -> list:
     """Count the calls of module.name, through every hopfrob module that
     imports it."""

@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from conftest import double_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfrob import GF, QQ, InvalidInputError, algebra
+from hopfrob import GF, QQ, InvalidInputError, algebra, linalg
 from hopfrob.algebra import (
     StructureAlgebra,
     entry_keys,
@@ -278,13 +277,12 @@ def test_packed_comparison_at_its_bound(past):
 
 
 def _unsorted_csr(M, rng):
-    """The dense matrix M as a CSR matrix whose rows hold their columns in
-    a random order."""
-    C = sp.csr_matrix(M)
+    """The dense matrix M as a linalg.CSR matrix whose rows hold their
+    columns in a random order."""
+    C = linalg.dense_csr(M)
     for a, b in zip(C.indptr[:-1], C.indptr[1:]):
         perm = a + rng.permutation(b - a)
         C.indices[a:b], C.data[a:b] = C.indices[perm], C.data[perm]
-    C.has_sorted_indices = False
     return C
 
 

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import double_of, engine_primes_of
+from conftest import csr_dense, double_of, engine_primes_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -341,7 +341,7 @@ def test_csr_matches_the_coo_build(seed):
     want = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
     assert got.shape == want.shape and got.data.dtype == want.data.dtype == np.int64
     assert got.indices.dtype == got.indptr.dtype == np.int32
-    assert np.array_equal(got.toarray(), want.toarray())
+    assert np.array_equal(csr_dense(got), want.toarray())
     assert np.array_equal(np.diff(got.indptr), np.bincount(rows, minlength=m))
 
 
@@ -576,9 +576,9 @@ def test_mulmod_worst_case_row_times_column(sparse):
         A = np.full((1, n), p - 1, dtype=np.int64)
         B = np.full((n, 1), p - 1, dtype=np.int64)
         if sparse:
-            A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+            A, B = linalg.dense_csr(A), linalg.dense_csr(B)
         C = mulmod(A, B, p)
-        got = int(C[0, 0])
+        got = int((csr_dense(C) if sparse else C)[0, 0])
         assert got == (p - 1) ** 2 * n % p, n
 
 
@@ -590,17 +590,26 @@ def test_mulmod_refuses_a_prime_above_the_limb_bound():
         mulmod(np.full((1, 2), p - 1, dtype=np.int64), np.full((2, 1), p - 1, dtype=np.int64), p)
 
 
+def _csr_with(X, index):
+    """The nonzero entries of the dense array X as a linalg.CSR whose index
+    arrays have dtype index."""
+    C = linalg.dense_csr(X)
+    return linalg.CSR(C.data, C.indices.astype(index), C.indptr.astype(index), C.shape)
+
+
 @given(
     p=st.sampled_from([13, 65521, 2146560523, MERSENNE_31]),
     shape=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 5)),
     seed=st.integers(0, 2**32 - 1),
     sparse=st.booleans(),
     limb_bits=st.sampled_from([16, 1]),
+    index=st.sampled_from([np.int32, np.int64]),
 )
 @settings(max_examples=80, deadline=None)
-def test_mulmod_matches_python_integers(p, shape, seed, sparse, limb_bits):
+def test_mulmod_matches_python_integers(p, shape, seed, sparse, limb_bits, index):
     """Exact on every shape; with 1-bit limbs a product of more than two
-    terms per entry is a sum of slices of two terms each."""
+    terms per entry is a sum of slices of two terms each.  Sparse operands
+    carry int32 or int64 index arrays."""
     rng = np.random.default_rng(seed)
     m, k, n = shape
 
@@ -616,7 +625,7 @@ def test_mulmod_matches_python_integers(p, shape, seed, sparse, limb_bits):
     ]
     with mock.patch.object(linalg, "_LIMB_BITS", limb_bits):
         if sparse:
-            got = mulmod(sp.csr_matrix(A), sp.csr_matrix(B), p).toarray()
+            got = csr_dense(mulmod(_csr_with(A, index), _csr_with(B, index), p))
         else:
             got = mulmod(A, B, p)
     assert got.tolist() == want
@@ -627,12 +636,14 @@ def test_mulmod_matches_python_integers(p, shape, seed, sparse, limb_bits):
     shape=st.tuples(st.integers(1, 5), st.integers(1, 6), st.integers(1, 5)),
     seed=st.integers(0, 2**32 - 1),
     limb_bits=st.sampled_from([16, 1]),
+    index=st.sampled_from([np.int32, np.int64]),
 )
 @settings(max_examples=60, deadline=None)
-def test_mulmod_sparse_times_dense_matches_python_integers(p, shape, seed, limb_bits):
+def test_mulmod_sparse_times_dense_matches_python_integers(p, shape, seed, limb_bits, index):
     """A sparse left operand times a dense right one, as the iterated kernel
     multiplies its stacked operator by K, gives a dense exact product, also
-    summed from slices of two terms per row with 1-bit limbs."""
+    summed from slices of two terms per row with 1-bit limbs, with int32 or
+    int64 index arrays."""
     rng = np.random.default_rng(seed)
     m, k, n = shape
     A, B = (
@@ -644,9 +655,50 @@ def test_mulmod_sparse_times_dense_matches_python_integers(p, shape, seed, limb_
         for i in range(m)
     ]
     with mock.patch.object(linalg, "_LIMB_BITS", limb_bits):
-        got = mulmod(sp.csr_matrix(A), B, p)
+        got = mulmod(_csr_with(A, index), B, p)
     assert isinstance(got, np.ndarray)
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("limb_bits", [16, 1])
+@pytest.mark.parametrize("indexes", [(np.int32, np.int32), (np.int64, np.int64), (np.int32, np.int64)])
+@pytest.mark.parametrize("p", [7, MERSENNE_31])
+@pytest.mark.parametrize("seed", range(5))
+def test_mulmod_compiled_products_match_matrix_mul(seed, p, indexes, limb_bits):
+    """The compiled CSR x CSR and CSR x dense products of seeded operands
+    equal the generic Matrix.mul on: int32, int64 and mixed index arrays;
+    empty rows and columns on both sides; a row whose terms all cancel mod
+    p; p = 7 and 2^31 - 1 (the limb branch, also summed from slices of two
+    terms per row with 1-bit limbs); and as views, a block of only empty
+    rows and the first, a middle and the last block of rows.  A sparse
+    result stores each nonzero cell once, a residue in [1, p), in arrays
+    cut to its entries."""
+    rng = np.random.default_rng(seed)
+    m, k, n = (int(x) for x in rng.integers(7, 12, size=3))
+    A, B = (rng.integers(1, p, size=s) * (rng.random(s) < 0.4) for s in ((m, k), (k, n)))
+    A[:2] = 0  # a block of empty rows
+    A[:, -1] = 0  # an empty column of A, facing B's last row
+    B[:, 0] = 0
+    B[1] = 0
+    # row 2 of A B is x B[3] + (p - x) B[3] = p B[3]: every term cancels mod p
+    B[3] = B[4]
+    A[2] = 0
+    A[2, 3], A[2, 4] = 3, p - 3
+    F = GF(p)
+    with mock.patch.object(linalg, "machine_prime", lambda field: None):
+        want = np.array(Matrix.from_rows(F, A.tolist()).mul(Matrix.from_rows(F, B.tolist())).rows)
+    assert not want[2].any() and want[:, 0].tolist() == [0] * m
+    left, right = _csr_with(A, indexes[0]), _csr_with(B, indexes[1])
+    assert left[0:m] is left
+    with mock.patch.object(linalg, "_LIMB_BITS", limb_bits):
+        for a0, a1 in ((0, m), (0, 2), (0, 3), (3, m - 2), (m - 3, m)):
+            C = mulmod(left[a0:a1], right, p)
+            assert C.shape == (a1 - a0, n) and C.indptr[0] == 0
+            assert len(C.data) == len(C.indices) == C.indptr[-1]
+            assert ((C.data > 0) & (C.data < p)).all()
+            assert np.array_equal(csr_dense(C), want[a0:a1])
+            assert np.count_nonzero(want[a0:a1]) == C.indptr[-1]
+            assert mulmod(left[a0:a1], B, p).tolist() == want[a0:a1].tolist()
 
 
 def _mul_reference(A, B):

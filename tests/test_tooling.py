@@ -5,7 +5,8 @@ top-level function name defined in two modules, and no static
 constructor unreferenced through its class, one gate picks the int64
 engine, each verify function makes one linear engine call and one other,
 zero tests are truthiness tests, no matrix is a hand-filled grid, no
-sparse matrix has its rows sorted, numpy and scipy load only when
+sparse matrix has its rows sorted, only linalg imports scipy.sparse,
+numpy and scipy load only when
 that engine runs, the table builders merged across engines keep one
 path, the file emitter reads table arrays only, and the docs name only
 attributes that exist."""
@@ -489,56 +490,56 @@ def test_grid_fill_scan_finds_each_form(tmp_path):
     assert _grid_fills(path) == [f"probe.py:{line}" for line in (2, 3, 5)]
 
 
-def _coo_builds(path: Path) -> list:
-    """Each sparse construction of a module that goes through COO: a
-    csr_matrix((vals, (rows, cols))), any coo_matrix, a .tocoo() and an
-    sp.identity (scipy's identity, not Matrix.identity)."""
+def _scipy_sparse_imports(path: Path) -> list:
+    """Each place a module imports scipy.sparse or anything in it, in any
+    form (import scipy.sparse, as an alias or with a submodule, from
+    scipy.sparse or a submodule import a name, from scipy import sparse),
+    or reaches it as the attribute chain scipy.sparse."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-        if name == "coo_matrix" or name == "tocoo":
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)]
+        else:
+            continue
+        if any(n == "scipy.sparse" or n.startswith("scipy.sparse.") for n in names):
             found.append(node.lineno)
-        elif name == "identity" and ast.unparse(node.value) in ("sp", "scipy.sparse"):
-            found.append(node.lineno)
-        elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("csr_matrix"):
-            arg = node.args[0] if node.args else None
-            coo = isinstance(arg, ast.Tuple) and len(arg.elts) == 2
-            if coo and isinstance(arg.elts[1], ast.Tuple):
-                found.append(node.lineno)
-    return [f"{path.name}:{line}" for line in sorted(found)]
+    return [f"{path.name}:{line}" for line in sorted(set(found))]
 
 
-def test_sparse_operands_are_built_as_csr_triples():
-    """Every sparse operand of src/hopfrob is built from its index arrays
-    by linalg.csr, straight as its CSR triple, or comes out of a product:
-    no module goes through COO, with its duplicate sums, index sorts and
-    index dtype scans."""
-    found = [s for path in sorted(PACKAGE.glob("*.py")) for s in _coo_builds(path)]
-    assert found == []
+def test_only_linalg_imports_scipy_sparse():
+    """No module of src/hopfrob but linalg imports scipy.sparse, and linalg
+    imports it in one place: every sparse operand is linalg's CSR triple,
+    multiplied by scipy's compiled routines behind linalg.mulmod."""
+    found = [s for path in sorted(PACKAGE.glob("*.py")) for s in _scipy_sparse_imports(path)]
+    assert len(found) == 1 and found[0].startswith("linalg.py:")
 
 
-def test_coo_build_scan_finds_each_form(tmp_path):
-    """The scan above sees a COO-style csr_matrix under any module alias,
-    coo_matrix called or named, .tocoo() and sp.identity, nested in a
-    function, and ignores the CSR triple form, a dense csr_matrix and
-    Matrix.identity."""
+def test_scipy_sparse_import_scan_finds_each_form(tmp_path):
+    """The scan above sees scipy.sparse imported plain, under an alias,
+    with a submodule, by name from it or a submodule, as the name sparse
+    from scipy, and as the chain scipy.sparse, nested in a function, and
+    ignores other scipy modules and relative imports."""
     src = (
+        "import scipy.sparse\n"
         "import scipy.sparse as sp\n"
-        "def f(v, r, c, p, M, F, n):\n"
-        "    a = sp.csr_matrix((v, (r, c)), shape=(2, 2))\n"
-        "    b = scipy.sparse.coo_matrix((v, (r, c)))\n"
-        "    def g():\n"
-        "        return M.tocoo()\n"
-        "    d = sp.identity(n, format='csr')\n"
-        "    e = coo_matrix\n"
-        "    t = sp.csr_matrix((v, c, p), shape=(2, 2))\n"
-        "    u = sp.csr_matrix(M)\n"
-        "    w = Matrix.identity(F, n)\n"
-        "    return a, b, d, e, t, u, w\n"
+        "import scipy.sparse._sparsetools\n"
+        "def f():\n"
+        "    from scipy.sparse import csr_matrix\n"
+        "    from scipy.sparse._sparsetools import csr_matmat\n"
+        "    from scipy import sparse\n"
+        "    return scipy.sparse.csr_matrix\n"
+        "import scipy.linalg\n"
+        "from scipy import linalg\n"
+        "from . import sparse\n"
+        "import numpy as sparse_np\n"
     )
     path = tmp_path / "probe.py"
     path.write_text(src, encoding="utf-8")
-    assert _coo_builds(path) == [f"probe.py:{line}" for line in (3, 4, 6, 7, 8)]
+    assert _scipy_sparse_imports(path) == [f"probe.py:{line}" for line in (1, 2, 3, 5, 6, 7, 8)]
 
 
 def _solves(path: Path) -> list:
