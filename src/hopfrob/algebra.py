@@ -16,23 +16,21 @@ TableView, as hopffile, the double and the dual hand them over) keeps them
 for its key.  What the checks read off the mul table besides (its product
 cover and the scale of its constants) is cached on the algebra as well.
 
-The quantified identities (associativity on every basis triple, "phi is an
-algebra map" on every basis pair, and in hopfcore Delta multiplicative and
-the five Hopf axioms linear in the tables) have two engines, and first_failure
-alone chooses between them; the two quadratic ones (associativity, Delta
-multiplicative) run on the generators of product_cover first (on_cover).
-Above a crossover dimension they run as sparse int64 identities mod each
-prime of linalg.engine_primes: the field's p over an admitted GF(p), and
-over QQ enough primes below 2^31 that the identity holds in QQ exactly
-when it holds mod each of them.  For associativity each
-side sums dim products of two structure constants; for phi, dim^2 products
-of three constants among phi's entries and both tables.  Otherwise, and
-over every other field, they run as Python loops.  The crossover is
-_SPARSE_DIM = 12, and _LINEAR_MODP_DIM = 40 over GF(p) for the identities
-linear in the tables (the unit law here, and in hopfcore the linear Hopf
-axioms, the unit's coproduct among them), whose loops on Python ints stay
-cheap longer (timings next to _SPARSE_DIM); above both, all_on_kernels
-holds.
+The quantified identities (the unit law, associativity on every basis
+triple, "phi is an algebra map" on every basis pair, and in hopfcore Delta
+multiplicative and the five Hopf axioms linear in the tables) have two
+engines, and first_failure alone chooses between them; the two quadratic
+ones (associativity, Delta multiplicative) run on the generators of
+product_cover first (on_cover).  Above the one crossover, _SPARSE_DIM = 12
+for every identity over every field (timings next to it), they run as
+sparse int64 identities mod each prime of linalg.engine_primes: the
+field's p over an admitted GF(p), and over QQ enough primes below 2^31
+that the identity holds in QQ exactly when it holds mod each of them.  For
+associativity each side sums dim products of two structure constants; for
+phi, dim^2 products of three constants among phi's entries and both
+tables.  Otherwise, and over every other field, they run as Python loops.
+Above it over an admitted GF(p) all_on_kernels holds, and hopffile's
+array reader and product_cover's array path take over there too.
 Over QQ the kernels run once per prime, so when engine_primes asks for
 more than ceil(dim^2 / _DIM2_PER_PRIME) of them, a count beyond which the
 loops of every identity measured cost less, the loops run instead.  Both
@@ -50,42 +48,40 @@ from itertools import chain, compress
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
-from .errors import InternalCheckError, ShapeError, SingularError
+from .errors import InternalCheckError, ShapeError
 from .linalg import Matrix, basis_vec, csr_rows, mulmod, residues
 from .report import Report
 from .scalars import GF, Field
 
 SparseRow = tuple  # tuple[(basis_index, scalar), ...] sorted by index
 
-# The crossover from the Python loops to the int64 kernels: a whole warm
-# verify_hopf (best of 7 in each of two runs, 2-vCPU VM) with this choice,
-# with every identity on the kernels, and with every identity on the loops
-# (the quadratic ones over the product cover), on each catalog entry and
-# double up to dim 36.
-# - The kernels cost about 1.2-1.5 ms whatever the input up to dim 25
-#   (compiled products on CSR triples; 2.2-2.5 ms through scipy's sparse
-#   objects, about 5 ms when these constants were set): at dim 9 and below
-#   the loops win on every entry but two (0.09-1.0 ms, kernels 1.2-1.4 ms);
-#   over QQ the kernels win on D(qc3), dim 9 (1.4 ms, loops 3.2 ms), and
-#   narrowly on qs3, dim 6 (1.3 ms, loops 1.4-1.5 ms), but the crossover
-#   stays above the GF(p) ones.
-# - Quadratic identities: at dim 16 the kernels win over both fields, over
-#   GF(p) narrowly (taft-4-5-2: this choice with the quadratic ones on the
-#   kernels 1.2 ms, loops 1.4 ms; through scipy's objects 1.9 ms), over QQ
-#   by far (D(sweedler): 2.1 ms, loops 14 ms); at dim 25 (D(f5c5): 2.2 ms,
-#   loops 7.7 ms) and at dim 36 over QQ (D(qs3): 2.1 ms, 71-77 ms) too.
-#   So one crossover, _SPARSE_DIM, serves both fields.
-# - The identities linear in the tables (the unit law, and the Hopf axioms
-#   linear in the tables, the unit's coproduct among them): over GF(p)
-#   their loops on Python ints still win at dim 16 (taft-4-5-2: 1.2 ms,
-#   all on the kernels 1.4 ms) but no longer at dim 25 (D(f5c5): 2.2 ms,
-#   all on the kernels 1.4 ms; they won there at 5 ms a kernel), so they
-#   now cross between 16 and 25.  _LINEAR_MODP_DIM stays 40: it also
-#   gates hopffile's array reader (all_on_kernels), which is measured above
-#   it only.  Over QQ, on Fractions, they cross with the quadratic ones, at
-#   _SPARSE_DIM.
+# The one crossover from the Python loops to the int64 kernels, for every
+# identity over every field, and (all_on_kernels) for hopffile's array
+# reader and product_cover's array path.  Warm verify_hopf on a freshly
+# parsed object, its table arrays built inside the timing, best of 9 in
+# each of three runs (2-vCPU VM), every identity on the kernels against
+# every identity on the loops (the quadratic ones over the product cover):
+# - dim 9 over GF(p): the loops win (taft-3-7-2, D(f3c3), D(f7c3): 0.7-1.0
+#   ms, kernels 1.6-2.3 ms).
+# - over QQ the kernels win from dim 9 (D(qc3): 1.9-3.3 ms, loops 3.6-6.1
+#   ms in the same runs) and lose at dim 6 (qs3: 3.0-3.2 ms, loops 2.7-2.9
+#   ms); a QQ crossover below this one would need a second constant, so
+#   the one value stays.
+# - dim 16: even over GF(5) (taft-4-5-2: kernels 2.5-2.7 ms, loops 1.9-2.9
+#   ms), the kernels by far over QQ (D(sweedler): 3.6 ms, loops 16 ms).
+# - dim 25 and 36: the kernels (D(f5c5): 1.9 ms, loops 7.5 ms; D(qs3) over
+#   QQ: 3.6 ms, loops 74 ms).
+# Keeping GF(p)'s identities linear in the tables on their loops up to dim
+# 40 costs `dual -o` on taft-4-5-2 5.3 ms and `verify` on D(f5c5) 3.8 ms,
+# against 3.5 and 2.9 ms with this one crossover alone.
+# The array reader loses to the line reader on small files (dim 9: 410-440
+# us against 220-340 us) and wins from dim 16 (taft-4-5-2: 600-660 against
+# 760 us; D(f5c5): 650-670 against 760-780 us), so this crossover serves
+# it too.  linalg._NUMPY_CELLS is a separate gate: it sends a dense Matrix
+# product or elimination to numpy by its cells, not an identity by dim,
+# and lowered to 256 it slows `frobenius` and `separable` at dims 16-25
+# (taft-4-5-2: 6.3 -> 7.1 ms; D(f5c5): 7.5 -> 8.8 ms).
 _SPARSE_DIM = 12
-_LINEAR_MODP_DIM = 40
 # Over QQ the kernels run once per prime of linalg.engine_primes.  The
 # loops cost a multiple of one prime that grows with dim; the largest
 # multiple measured (warm, loops over one kernel call) is 10.7 at dim 16
@@ -412,8 +408,8 @@ def on_cover(cover: Optional[Sequence], check):
 def unit_failure(A: StructureAlgebra) -> Optional[tuple]:
     """First (side, i) with 1 e_i != e_i (side "left") or e_i 1 != e_i
     ("right"), left tested first at each i, or None, on the engine that
-    first_failure chooses for an identity linear in the table: each side
-    sums dim products of two constants, a unit coordinate and one of mul."""
+    first_failure chooses: each side sums dim products of two constants, a
+    unit coordinate and one of mul."""
     bad = first_failure(
         A.field,
         A.dim,
@@ -422,7 +418,6 @@ def unit_failure(A: StructureAlgebra) -> Optional[tuple]:
         A.dim,
         lambda p: _unit_failure(A, p, structure_arrays(A, p)),
         partial(_unit_failure_loops, A),
-        linear=True,
     )
     return None if bad is None else (("left", "right")[bad[1]], bad[0])
 
@@ -553,12 +548,12 @@ def _multiplicative_failure_loops(
 
 
 def check_automorphism(A: StructureAlgebra, M: Matrix, name: str) -> None:
-    """Raise InternalCheckError, naming M, unless the matrix M is an algebra
-    automorphism of A: invertible, fixing the unit, multiplicative."""
-    try:
-        M.inverse()
-    except SingularError as exc:
-        raise InternalCheckError(f"{name} is singular") from exc
+    """Raise InternalCheckError, naming M, unless the matrix M, invertible
+    by its construction, is an algebra endomorphism of A: fixing the unit,
+    multiplicative.  So no elimination runs here, and each caller proves M
+    invertible: the Nakayama matrix nu = (G^-1)^T G is a product of
+    invertible factors, with nu^-1 = G^-1 G^T (frobenius_system_from_norm),
+    and subext.relative_nakayama proves its twist invertible."""
     if M.apply(A.unit) != A.unit:
         raise InternalCheckError(f"{name} does not fix the unit")
     bad = multiplicative_failure(A, A, M)
@@ -587,31 +582,23 @@ def first_failure(
     count: int,
     kernel,
     loops,
-    linear: bool = False,
     merge=smallest,
 ):
     """The first failing item of a quantified identity of a dim-dimensional
     algebra, or None, from the one engine choice of the package.
 
-    Above the crossover, at the linalg.engine_primes of an identity whose
+    Above _SPARSE_DIM, at the linalg.engine_primes of an identity whose
     sides sum at most count products of at most degree constants, scale()
     giving their linalg.scale_of: the smallest of the first failing items
     kernel(p) over those primes, which is kernel(p) itself over GF(p) and
     the first failing item in QQ (the primes meet the engine_primes bound).
     A group of identities checked together combines its per-prime results
-    with merge instead.  Below the crossover, when engine_primes gives no
-    prime, or when it asks for more than ceil(dim^2 / _DIM2_PER_PRIME), the
-    Python loops: loops().
-
-    The crossover is _SPARSE_DIM, or _LINEAR_MODP_DIM over an admitted
-    GF(p) for an identity linear in the tables (linear: the unit law, and
-    the Hopf axioms linear in the tables, the unit's coproduct among them);
-    both, and the prime cutoff, are measured next to _SPARSE_DIM.
+    with merge instead.  At or below _SPARSE_DIM, when engine_primes gives
+    no prime, or when it asks for more than ceil(dim^2 / _DIM2_PER_PRIME),
+    the Python loops: loops().  The crossover and the prime cutoff are
+    measured next to _SPARSE_DIM.
     """
-    crossover = _SPARSE_DIM
-    if linear and linalg.machine_prime(field) is not None:
-        crossover = _LINEAR_MODP_DIM
-    if dim <= crossover:
+    if dim <= _SPARSE_DIM:
         return loops()
     most = math.ceil(dim * dim / _DIM2_PER_PRIME)
     primes = linalg.engine_primes(field, scale, degree, count, most)
@@ -623,11 +610,11 @@ def first_failure(
 def all_on_kernels(field: Field, dim: int) -> bool:
     """Whether first_failure runs every identity of verify_hopf on the int64
     kernels for an algebra of dim over field: over an admitted GF(p) above
-    _LINEAR_MODP_DIM (over QQ the prime count decides).  There hopffile
-    reads a file straight into table arrays, and the readers of verify_hopf
-    outside its kernels (product_cover, the unit law) read those arrays, so
-    a verify builds no tuple row."""
-    return dim > _LINEAR_MODP_DIM and linalg.machine_prime(field) is not None
+    _SPARSE_DIM (over QQ the prime count decides).  There hopffile reads a
+    file straight into table arrays, and the readers of verify_hopf outside
+    its kernels (product_cover, the unit law) read those arrays, so a
+    verify builds no tuple row."""
+    return dim > _SPARSE_DIM and linalg.machine_prime(field) is not None
 
 
 def structure_arrays(A: StructureAlgebra, p: Optional[int]) -> tuple:

@@ -29,19 +29,17 @@ constants a/D, |a| <= A, of both tables; the scale of each table is taken
 once per verify_hopf.
 
 The five identities linear in the tables (coassociativity, counit law,
-counit multiplicative, antipode law, Delta(1) = 1 (x) 1) are one more call
-of algebra.first_failure: as one sparse identity each (_linear_failures)
-mod each prime, or as Python loops over the basis
-(_linear_failures_loops).  Their loops on Python ints are cheap, so over
-GF(p) the kernel takes over only above algebra._LINEAR_MODP_DIM; over QQ,
-on Fractions, above algebra._SPARSE_DIM (measurements next to that
-constant).  Their sides sum at most dim^3 products of three constants
-(the antipode law's sum_{u,v,x} Delta_i(u,v) S(x,u) c(x,v;a)) among both
-tables, the counit, the unit and the antipode.  So verify_hopf makes two
-engine calls of its own, this one and Delta multiplicative, beside the
-two of algebra.verify_algebra (the unit law and associativity); above
-both crossovers (algebra.all_on_kernels) it reads no tuple row of either
-table.
+counit multiplicative, antipode law, Delta(1) = 1 (x) 1) are one more
+call of algebra.first_failure: above the one crossover
+algebra._SPARSE_DIM, over every field, as one sparse identity each
+(_linear_failures) mod each prime, and otherwise as Python loops over the
+basis (_linear_failures_loops).  Their sides sum at most dim^3 products
+of three constants (the antipode law's sum_{u,v,x} Delta_i(u,v) S(x,u)
+c(x,v;a)) among both tables, the counit, the unit and the antipode.  So
+verify_hopf makes two engine calls of its own, this one and Delta
+multiplicative, beside the two of algebra.verify_algebra (the unit law
+and associativity); above the crossover over an admitted GF(p)
+(algebra.all_on_kernels) it reads no tuple row of either table.
 
 Every numpy reader of H's tables (the kernels above, the integral operators,
 algebra's multiplicativity check, the double's mul table, the dual) takes
@@ -491,7 +489,6 @@ def verify_hopf(H: HopfAlgebra, title: Optional[str] = None) -> Report:
         dim**3,
         lambda q: _linear_failures(H, q, structure_arrays(H.alg, q), comul_arrays(H, q)),
         partial(_linear_failures_loops, H),
-        linear=True,
         merge=_merge_linear,
     )
     at_basis("coassociativity", coassoc)

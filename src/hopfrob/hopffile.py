@@ -36,7 +36,7 @@ byte-identical.
 
 A hopf-algebra file has two readers, and algebra.all_on_kernels, the
 crossover above which every identity of verify_hopf runs on the int64
-kernels (an admitted GF(p), dim > 40), chooses between them after the
+kernels (an admitted GF(p), dim > 12), chooses between them after the
 header.  Above it the array reader (_read_arrays) reads the body straight
 into the table arrays that structure_arrays and comul_arrays would build
 from the rows: every token but the directives and the ':' goes through one

@@ -680,9 +680,10 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise ShapeError("inverse of non-square matrix")
-        # a zero row or column is singular without the n x 2n elimination
-        zero_line = any(not any(r) for r in self.rows)
-        if zero_line or any(not any(c) for c in zip(*self.rows)):
+        # a zero row or column is singular without the n x 2n elimination,
+        # read off _nonzero (seeded by from_entries) rather than every cell
+        nonzero = self._nonzero
+        if not all(nonzero) or len({j for r in nonzero for j, _ in r}) < n:
             raise SingularError("matrix not invertible")
         p = machine_prime(self.field)
         if p is not None and 2 * n * n >= _NUMPY_CELLS:

@@ -100,6 +100,13 @@ def relative_nakayama(
     are the integral data of K and H, nu_H the Nakayama automorphism of H
     and embedding_report the verify_embedding report; a failing report
     raises.
+
+    Route one is invertible, so check_automorphism need not eliminate it:
+    iota is injective (SubalgebraEmbedding checks its rank), so the pulled
+    matrix X, which solves iota X = nu_H^-1 iota, is injective and square;
+    and a -> Sbar^2(m_K ⇀ a) is invertible, as Sbar is and as m_K is a
+    character (build_integral_data proved it), so that m_K ⇀ · has the
+    inverse (m_K o S) ⇀ ·.
     """
     K, H, iota = emb.K, emb.H, emb.iota
     if not embedding_report.passed:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import count_calls, double_of, dual_cop_embedding_of, embedding_of
 
-from hopfrob import algebra, cli, frobenius, hopfcore, hopffile, linalg, separability, subext
+from hopfrob import algebra, cli, double, frobenius, hopfcore, hopffile, linalg, separability, subext
 from hopfrob.algebra import StructureAlgebra
 from hopfrob.catalog import entry, names
 from hopfrob.cli import main
@@ -623,14 +623,15 @@ def _count_eliminations(monkeypatch, dim: int) -> list:
 
 def test_frobenius_d36_builds_each_derived_object_once(tmp_path, monkeypatch):
     """`frobenius` on D(qs3) eliminates for two integral spaces (psi of H
-    and the left integrals of H, which are the dual's), inverts four
-    matrices (S in verify_hopf, the Gram matrices of H and of H*, and nu in
-    its automorphism check: H* takes the transpose of S^-1, and b^-1 is
-    S(b)) and builds two Gram matrices (the integral data of H and of H*,
-    the latter on the norm N of H).  Those four inverses are its only
-    eliminations of dim rows: each Gram inverse gives N, and nu is a
-    product with it, where a solve for N, a rank and a solve for nu on H
-    and a solve and a rank on H* took 7 eliminations and 2 inverses.  Both
+    and the left integrals of H, which are the dual's), inverts three
+    matrices (S in verify_hopf and the Gram matrices of H and of H*: H*
+    takes the transpose of S^-1, and b^-1 is S(b)) and builds two Gram
+    matrices (the integral data of H and of H*, the latter on the norm N
+    of H).  Those three inverses are its only eliminations of dim rows:
+    each Gram inverse gives N, and nu is a product with it, invertible as
+    its factors are, so its automorphism check inverts nothing (it took a
+    fourth inverse); a solve for N, a rank and a solve for nu on H and a
+    solve and a rank on H* took 7 eliminations and 2 inverses.  Both
     dual-basis checks read their Gram matrix from that data.  The job took
     3, 4 and 6 kernels, inverses and Gram matrices when each stage built
     its own, and 2, 2 and 4 when each dual-basis check built its Gram
@@ -641,23 +642,24 @@ def test_frobenius_d36_builds_each_derived_object_once(tmp_path, monkeypatch):
     inverses = _count_inverses(monkeypatch)
     eliminations = _count_eliminations(monkeypatch, 36)
     assert main(["frobenius", str(path)]) == 0
-    assert (len(kernels), len(inverses), len(grams)) == (2, 4, 2)
-    assert len(eliminations) == 4
+    assert (len(kernels), len(inverses), len(grams)) == (2, 3, 2)
+    assert len(eliminations) == 3
 
 
 def test_separable_d36_inverts_four_matrices(tmp_path, monkeypatch):
-    """`separable` on D(qs3) inverts S, the Gram and Nakayama matrices of H
-    and of H* (the Gram inverses give N and nu, the Nakayama ones are their
-    automorphism checks) and the Kanzaki trace element; the inverse
-    antipode of H* is the transpose of that of H.  Those six inverses are
-    its only eliminations of dim rows (10 when N and nu were solved for and
-    each Gram matrix's rank taken, with 4 inverses; 5 inverses before
-    that)."""
+    """`separable` on D(qs3) inverts S, the Gram matrices of H and of H*
+    (their inverses give N and nu) and the Kanzaki trace element; the
+    inverse antipode of H* is the transpose of that of H, and the
+    automorphism checks of the two Nakayama matrices invert nothing.
+    Those four inverses are its only eliminations of dim rows (6 when each
+    automorphism check inverted its matrix; 10 when N and nu were solved
+    for and each Gram matrix's rank taken, with 4 inverses; 5 inverses
+    before that)."""
     path = _d36(tmp_path)
     inverses = _count_inverses(monkeypatch)
     eliminations = _count_eliminations(monkeypatch, 36)
     assert main(["separable", str(path)]) == 0
-    assert len(inverses) == len(eliminations) == 6
+    assert len(inverses) == len(eliminations) == 4
 
 
 # -- the quantified identities of D(taft-3-7-2) run on the sparse kernels ------
@@ -700,14 +702,15 @@ def test_verify_path_builds_no_tuple_row_on_d81(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cmd", ["frobenius", "separable"])
 def test_frobenius_layer_inverts_each_gram_matrix_once_on_d81(cmd, tmp_path, monkeypatch):
     """`frobenius` and `separable` on the array-read D(taft-3-7-2) eliminate
-    dim rows four times, each on the int64 engine: S, the Gram matrices of
-    H and of H* (N is G^-1 eps and nu = (G^-1)^T G), and nu in its
-    automorphism check.  They took 7 when N and nu were solved for and each
-    Gram matrix's rank taken."""
+    dim rows three times, each on the int64 engine: S and the Gram matrices
+    of H and of H* (N is G^-1 eps and nu = (G^-1)^T G, invertible as its
+    factors are, so its automorphism check eliminates nothing).  They took
+    4 when that check inverted nu, and 7 when N and nu were solved for and
+    each Gram matrix's rank taken."""
     path = _d81(tmp_path)
     eliminations = _count_eliminations(monkeypatch, 81)
     assert main([cmd, str(path)]) == 0
-    assert len(eliminations) == 4
+    assert len(eliminations) == 3
 
 
 def test_dual_is_built_once_per_job_by_relabelling_on_d81(tmp_path, monkeypatch):
@@ -718,10 +721,10 @@ def test_dual_is_built_once_per_job_by_relabelling_on_d81(tmp_path, monkeypatch)
     constructor: H*'s tables are H's arrays relabelled.  `dual -o` on that
     file builds no tuple row of H or H*: the dual's axioms run on the
     kernels and its file is written from its arrays.  `verify` builds no
-    dual, on the kernels or on the loops (taft-4-5-2, dim 16)."""
+    dual, on the kernels or on the loops (taft-3-7-2, dim 9)."""
     path = _d81(tmp_path)
     duals = count_calls(monkeypatch, hopfcore, "dual_hopf")
-    for checked in (path, emit(tmp_path, "taft-4-5-2")):
+    for checked in (path, emit(tmp_path, "taft-3-7-2")):
         assert main(["verify", str(checked)]) == 0
     assert duals == []
     cleaned = count_calls(monkeypatch, algebra, "_clean_row")
@@ -741,22 +744,53 @@ def test_dual_is_built_once_per_job_by_relabelling_on_d81(tmp_path, monkeypatch)
     assert built == []
 
 
+@pytest.mark.parametrize("key", ["taft-4-5-2", "D(f5c5)"])
+def test_verify_and_dual_build_no_tuple_row_above_the_crossover(key, tmp_path, monkeypatch):
+    """A GF(p) file of dim 16 (taft-4-5-2) or 25 (D(f5c5)) lies above the one
+    crossover (algebra.all_on_kernels), so each job reads it straight into
+    table arrays (hopffile._read_arrays), and `verify` and `dual -o` on it
+    build no tuple row (linalg.table_rows): every identity of H and of H*
+    runs on the kernels, and H*'s file is written from its arrays."""
+    path = tmp_path / "h.hopf"
+    H = double_of(key[2:-1]) if key.startswith("D(") else entry(key).hopf
+    path.write_text(emit_hopf_text(H))
+    read = count_calls(monkeypatch, hopffile, "_read_arrays")
+    built = count_calls(monkeypatch, linalg, "table_rows")
+    assert main(["verify", str(path)]) == 0
+    assert main(["dual", str(path), "-o", str(tmp_path / "dual.hopf")]) == 0
+    assert (len(read), built) == (2, [])
+
+
 def test_double_without_output_builds_no_tuple_row_of_d(tmp_path, monkeypatch):
-    """`double` on taft-4-5-2 hands D(taft-4-5-2) the table arrays of its
-    construction: with or without -o no table of D builds its rows, as the
-    file is written from the arrays too, and the only tables read into
-    arrays from rows are the two of H (dim 16)."""
+    """`double` on taft-4-5-2 (dim 16 over GF(5), so read straight into
+    table arrays) hands D(taft-4-5-2) the table arrays of its construction:
+    with or without -o no table of D builds its rows, as the file is
+    written from the arrays too, and no table is read into arrays from
+    rows.  The only tuple rows built are those of H's two tables, once
+    each, which the Python replay of the straightening
+    (double._straighten_direct) reads."""
     path = emit(tmp_path, "taft-4-5-2")
-    rows = count_calls(monkeypatch, linalg, "table_rows")
-    arrays = []
-    _spy_everywhere(
-        monkeypatch, algebra, "table_arrays", lambda args, out: arrays.append(len(args[2]))
-    )
-    want = [16, len(entry("taft-4-5-2").hopf.alg.mul)]
-    assert main(["double", str(path)]) == 0
-    assert (rows, sorted(arrays)) == ([], want)
-    assert main(["double", str(path), "-o", str(tmp_path / "d256.hopf")]) == 0
-    assert (rows, sorted(arrays)) == ([], sorted(want * 2))
+    built = []
+
+    def record(args, out):
+        frames = sys._getframe()
+        names = []
+        while frames is not None:
+            names.append(frames.f_code.co_name)
+            frames = frames.f_back
+        built.append((args[2], "_straighten_direct" in names))
+
+    _spy_everywhere(monkeypatch, linalg, "table_rows", record)
+    arrays = count_calls(monkeypatch, algebra, "table_arrays")
+    doubled = []
+    _spy_everywhere(monkeypatch, double, "drinfeld_double", lambda args, out: doubled.append(args[0]))
+    for argv in (["double", str(path)], ["double", str(path), "-o", str(tmp_path / "d256.hopf")]):
+        built.clear()
+        assert main(argv) == 0
+        H = doubled[-1]
+        tables = {id(H.alg.mul.arrays[-1]), id(H.comul.arrays[-1])}
+        assert sorted((id(vals), replay) for vals, replay in built) == sorted((t, True) for t in tables)
+        assert arrays == []
 
 
 def test_verify_d81_runs_no_tensor_loop(tmp_path, monkeypatch):

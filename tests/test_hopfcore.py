@@ -1067,14 +1067,13 @@ def _unit_coproduct_failure_loops(H):
 @pytest.mark.parametrize("kind, shift", LINEAR_CASES)
 @pytest.mark.parametrize("name", MODP_OBJECTS + ["D(taft(3, 2146560523))"] + QQ_OBJECTS + UNPEELED)
 def test_linear_axioms_agree_on_both_engines(name, kind, shift, monkeypatch, generic_engine):
-    """With both crossovers at 0, coassociativity, the counit law, "counit
+    """With the crossover at 0, coassociativity, the counit law, "counit
     is multiplicative", the antipode law and Delta(1) = 1 (x) 1 run as
     sparse identities mod each prime of their bound, p on every GF(p)
     object and enough primes over QQ, and the Python loops, which run only
     on the generic engine, give the same items, valid or corrupted.  The
     item "coproduct and counit of identity" is eps(1) = 1 and the
     reference loops' Delta(1) = 1 (x) 1 on both."""
-    monkeypatch.setattr(algebra, "_LINEAR_MODP_DIM", 0)
     monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
     H = _double_over(2146560523)[1] if name.startswith("D(taft(") else _object(name)
     if kind == "Delta(1)":
@@ -1121,19 +1120,25 @@ def test_verify_hopf_makes_one_linear_and_one_quadratic_engine_call(name, monkey
     """verify_hopf calls first_failure four times on a valid H: the unit
     law and associativity through verify_algebra, then the five axioms
     linear in the tables, Delta(1) = 1 (x) 1 among them, and Delta
-    multiplicative, each verify function one linear call and one not."""
+    multiplicative, each verify function one linear call and one not (the
+    loops each call names, as every call takes the one crossover)."""
     H = _dual_object(name, monkeypatch) if name.startswith("array") else _object(name)
-    flags = []
+    loops = []
     first_failure = algebra.first_failure
 
-    def spy(*args, linear=False, **kwargs):
-        flags.append(linear)
-        return first_failure(*args, linear=linear, **kwargs)
+    def spy(*args, **kwargs):
+        loops.append(args[6].func.__name__)
+        return first_failure(*args, **kwargs)
 
     monkeypatch.setattr(algebra, "first_failure", spy)
     monkeypatch.setattr(hopfcore, "first_failure", spy)
     assert verify_hopf(H).passed
-    assert flags == [True, False, True, False]
+    assert loops == [
+        "_unit_failure_loops",
+        "_associativity_failure_loops",
+        "_linear_failures_loops",
+        "_delta_failure_loops",
+    ]
 
 
 def _counit_and_antipode_moved(H, x, y):
@@ -1488,13 +1493,12 @@ def _unit_mutant(H, kind):
 @pytest.mark.parametrize("kind", [None, "unit", "left", "right", "comul"])
 @pytest.mark.parametrize("name", MODP_OBJECTS + ["D(taft(3, 2146560523))"] + QQ_OBJECTS + UNPEELED)
 def test_unit_identities_agree_on_both_engines(name, kind, monkeypatch, generic_engine):
-    """The unit law, valid or corrupted, with both crossovers at 0: its
+    """The unit law, valid or corrupted, with the crossover at 0: its
     kernel mod each prime of its bound gives the first failing item of its
     loops, which run only on the generic engine, and the product cover
     read off the table arrays is the one read off the rows.  The "comul"
     copy leaves both as they are; Delta(1) = 1 (x) 1, which it breaks, is
     decided with the linear axioms (test_linear_axioms_agree_on_both_engines)."""
-    monkeypatch.setattr(algebra, "_LINEAR_MODP_DIM", 0)
     monkeypatch.setattr(algebra, "_SPARSE_DIM", 0)
     H = _double_over(2146560523)[1] if name.startswith("D(taft(") else _object(name)
     H = _unit_mutant(H, kind)

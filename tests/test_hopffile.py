@@ -303,7 +303,7 @@ def test_parse_normalizes_entries_not_cells(monkeypatch):
 @functools.lru_cache(maxsize=None)
 def _array_object_text(name: str) -> str:
     """The emitted text of one object the array reader takes (admitted GF(p),
-    dim above algebra._LINEAR_MODP_DIM)."""
+    dim above algebra._SPARSE_DIM)."""
     if name == "GF7[C64]":
         H = group_algebra(cyclic_table(64), GF(7), name=name)
     elif name == "D(taft(5, 11, 3))":
@@ -431,14 +431,16 @@ def test_array_reader_gives_the_line_readers_object_or_error(name, kind, monkeyp
 @pytest.mark.parametrize("key", [*names(), "D(qs3)", "D(f5c5)", "D(taft-3-7-2)"])
 def test_array_reader_runs_above_the_crossover_only(key, monkeypatch):
     """The array reader runs on an admitted GF(p) above the crossover only:
-    never on the catalog entries and their doubles up to D(qs3) (dim 36
-    over QQ) or D(f5c5) (dim 25 over GF(5)); on D(taft-3-7-2) it does."""
+    on taft-4-5-2 (dim 16 over GF(5)), D(f5c5) (dim 25) and D(taft-3-7-2)
+    (dim 81), and never on the other catalog entries, which are over QQ or
+    of dim 9 at most, nor on D(qs3) (dim 36 over QQ)."""
     H = double_of(key[2:-1]) if key.startswith("D(") else entry(key).hopf
     ran = []
     read = hopffile._read_arrays
     monkeypatch.setattr(hopffile, "_read_arrays", lambda *args: ran.append(1) or read(*args))
     assert parse_hopf_text(emit_hopf_text(H)) == H
-    assert bool(ran) == all_on_kernels(H.field, H.dim) == (key == "D(taft-3-7-2)")
+    above = key in ("taft-4-5-2", "D(f5c5)", "D(taft-3-7-2)")
+    assert bool(ran) == all_on_kernels(H.field, H.dim) == above
 
 
 # -- emission ----------------------------------------------------------------------

@@ -153,9 +153,17 @@ def test_inverse_singular_raises():
 
 @pytest.mark.parametrize("rows", [[[1, 2], [0, 0]], [[1, 0], [2, 0]], [[0] * 80] * 80])
 def test_inverse_of_a_zero_line_raises_before_elimination(rows, monkeypatch):
+    """A zero row or column is found without eliminating, on _nonzero as
+    from_entries seeds it and as an unseeded Matrix(field, rows) reads it."""
     monkeypatch.setattr(linalg, "_rref", None)  # any elimination would raise TypeError
-    with pytest.raises(SingularError):
-        Matrix.from_rows(F7, rows).inverse()
+    monkeypatch.setattr(linalg, "_rref_modp_numpy", None)
+    n = len(rows)
+    entries = [((i, j), x) for i, r in enumerate(rows) for j, x in enumerate(r) if x]
+    seeded = Matrix.from_entries(F7, n, n, entries)
+    assert "_nonzero" in vars(seeded)
+    for M in (Matrix.from_rows(F7, rows), Matrix(F7, tuple(map(tuple, rows))), seeded):
+        with pytest.raises(SingularError):
+            M.inverse()
 
 
 def _invertible_rows(rng, p, n):

@@ -317,33 +317,45 @@ def _first_failure_arguments(path: Path, function: str) -> set:
     }
 
 
-def _first_failure_call(linear: bool):
-    """A match for each first_failure call that passes linear=True, or for
-    each that does not."""
-    return lambda node: (
-        isinstance(node, ast.Call)
-        and ast.unparse(node.func) == "first_failure"
-        and any(k.arg == "linear" and ast.unparse(k.value) == "True" for k in node.keywords)
-        == linear
-    )
-
-
 def test_each_verify_makes_one_linear_and_one_other_engine_call():
-    """The engine calls of the package: verify_algebra makes the unit law's
-    (in unit_failure, linear) and associativity's; verify_hopf makes the
-    one of the five identities linear in the tables, Delta(1) = 1 (x) 1
-    among them, and Delta multiplicative's; and multiplicative_failure
-    ("phi is an algebra map") makes one, not linear.  No separate path for
-    the unit's coproduct is left."""
+    """The engine calls of the package, each one first_failure call:
+    verify_algebra makes associativity's, unit_failure the unit law's (for
+    verify_algebra), multiplicative_failure "phi is an algebra map"'s, and
+    verify_hopf the one of the five identities linear in the tables,
+    Delta(1) = 1 (x) 1 among them, and Delta multiplicative's.  None tells
+    first_failure more than the identity's size, its two engines and a
+    merge: its parameters carry no crossover of their own, so every
+    identity switches at the one crossover _SPARSE_DIM, and algebra keeps
+    no second one for GF(p)'s linear identities.  No separate path for the
+    unit's coproduct is left."""
+    from hopfrob import algebra
+
     modules = sorted(PACKAGE.glob("*.py"))
-    linear = [s for path in modules for s in _scopes(path, _first_failure_call(True))]
-    other = [s for path in modules for s in _scopes(path, _first_failure_call(False))]
-    assert linear == ["algebra.unit_failure", "hopfcore.verify_hopf"]
-    assert other == [
+    calls = [
+        s
+        for path in modules
+        for s in _scopes(
+            path, lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "first_failure"
+        )
+    ]
+    assert calls == [
         "algebra.verify_algebra",
+        "algebra.unit_failure",
         "algebra.multiplicative_failure",
         "hopfcore.verify_hopf",
+        "hopfcore.verify_hopf",
     ]
+    assert list(inspect.signature(algebra.first_failure).parameters) == [
+        "field",
+        "dim",
+        "scale",
+        "degree",
+        "count",
+        "kernel",
+        "loops",
+        "merge",
+    ]
+    assert not hasattr(algebra, "_LINEAR_MODP_DIM")
     defined = [
         node.name
         for path in modules
