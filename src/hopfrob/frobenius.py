@@ -175,11 +175,14 @@ def dual_basis_identities_hold(gram: Matrix, xs, ys):
     With G[i][k] = psi(e_i e_k) and T[j][k] the coefficients of
     sum_i x_i (x) y_i, sum_i psi(e_t x_i) y_i = sum_j G[t][j] T[j] is row t
     of G T, and sum_i x_i psi(y_i e_t) = sum_k T[.][k] G[k][t] is column t of
-    T G: the identities are G T = 1 = T G.
+    T G: the identities are G T = 1 = T G, and for the square G the first
+    makes T its inverse, so T G is formed only to name a failure.
     """
     field, n = gram.field, gram.nrows
     T = Matrix.from_entries(field, n, n, _outer_sum(field, zip(xs, ys)).items())
-    left, right = gram.mul(T), T.mul(gram)
+    if (left := gram.mul(T)).is_identity():
+        return True, ""
+    right = T.mul(gram)
     for t in range(n):
         e = basis_vec(field, n, t)
         if left.row(t) != e:

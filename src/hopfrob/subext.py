@@ -17,6 +17,10 @@ certified per instance: the bimodule law on all basis triples and both
 reconstruction identities on every basis vector, each as matrix identities
 read column by column, and freeness of H over K by explicit basis search.
 
+Each inverse depends on the pair alone, so it is taken once per pair:
+beta's by RelativeFrobeniusData.beta_inv, each free basis's coordinates in
+beta_frobenius_structure; nu_H^-1 is a product of its proven factors.
+
 Induction M (x)_K H and co-induction Hom_K(H, M_beta) are both M^r, r =
 dim H / dim K, along one change of basis of H: the free right basis u_j
 and the left basis S(u_j).  Their tensors live in the d x n matrices over
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional
 
 from .algebra import check_automorphism, on_cover, structure_arrays
@@ -86,43 +90,41 @@ def verify_embedding(emb: SubalgebraEmbedding, nu_H: Matrix) -> Report:
 
 
 def relative_nakayama(
-    emb: SubalgebraEmbedding,
-    data_K: IntegralData,
-    data_H: IntegralData,
-    nu_H: Matrix,
-    embedding_report: Report,
+    emb: SubalgebraEmbedding, data_K: IntegralData, data_H: IntegralData, embedding_report: Report
 ) -> Matrix:
     """Twist beta on K, by two routes that must agree entrywise.
 
     Route one conjugates through the inclusion: beta = nu_K o (nu_H^-1
     restricted to iota(K)).  Route two evaluates the convolution character
     m_K * (m_H^-1 o iota) and lets it hit from the right.  data_K and data_H
-    are the integral data of K and H, nu_H the Nakayama automorphism of H
-    and embedding_report the verify_embedding report; a failing report
-    raises.
+    are the integral data of K and H and embedding_report the
+    verify_embedding report; a failing report raises.
 
-    Route one is invertible, so check_automorphism need not eliminate it:
-    iota is injective (SubalgebraEmbedding checks its rank), so the pulled
-    matrix X, which solves iota X = nu_H^-1 iota, is injective and square;
-    and a -> Sbar^2(m_K ⇀ a) is invertible, as Sbar is and as m_K is a
-    character (build_integral_data proved it), so that m_K ⇀ · has the
-    inverse (m_K o S) ⇀ ·.
+    No step eliminates a Nakayama matrix.  For a character m, as
+    build_integral_data proved m_K and m_H are, m o S is the convolution
+    inverse of m, so (m o S) ⇀ · inverts m ⇀ ·.  So nu_H^-1 is the product
+    ((m_H o S) ⇀ ·) o S^2 of the inverted factors of nu_H =
+    Sbar^2 o (m_H ⇀ ·) (nakayama_closed_form, whose factor orders agree).
+    And route one is invertible, so check_automorphism need not eliminate
+    it: iota is injective (SubalgebraEmbedding checks its rank), so the
+    pulled matrix X, which solves iota X = nu_H^-1 iota, is injective and
+    square, and a -> Sbar^2(m_K ⇀ a) is invertible as Sbar and m_K ⇀ · are.
     """
     K, H, iota = emb.K, emb.H, emb.iota
     if not embedding_report.passed:
         failed = ", ".join(it.name for it in embedding_report.failures())
         raise InvalidInputError(f"not a Hopf subalgebra embedding: {failed}")
 
-    pulled = iota.solve_matrix(nu_H.inverse().mul(iota))
+    m_inv = modular_inverse(H, data_H.modular_fn)
+    nu_inv = hit_matrix(H, m_inv, "left").mul(H.antipode.pow_(2))
+    pulled = iota.solve_matrix(nu_inv.mul(iota))
     if pulled is None:
         raise InvalidInputError(
             "ambient Nakayama automorphism does not preserve the subalgebra"
         )
     via_pullback = nakayama_closed_form(K, data_K).mul(pulled)
 
-    chi = convolution(
-        K, data_K.modular_fn, iota.transpose().apply(modular_inverse(H, data_H.modular_fn))
-    )
+    chi = convolution(K, data_K.modular_fn, iota.transpose().apply(m_inv))
     via_character = hit_matrix(K, chi, "left")
 
     if via_pullback != via_character:
@@ -142,13 +144,22 @@ class RelativeFrobeniusData:
 
     E is the conditional expectation H -> K (rows are K coordinates);
     us, vs are dual bases in H with x = sum_i u_i iota(E(v_i x)) and the
-    beta-twisted mirror x = sum_i iota(beta^-1(E(x u_i))) v_i.
+    beta-twisted mirror x = sum_i iota(beta^-1(E(x u_i))) v_i.  left and
+    right are (b_j, _free_coordinates of b_j) for the free bases S(u_j)
+    and u_j of H over K on that side: S is an anti-automorphism with S o
+    iota = iota o S_K, so H is the direct sum of the iota(K) S(u_j).
     """
 
     beta: Matrix
     E: Matrix
     us: tuple
     vs: tuple
+    left: tuple
+    right: tuple
+
+    @cached_property
+    def beta_inv(self) -> Matrix:
+        return self.beta.inverse()
 
 
 def beta_frobenius_structure(
@@ -194,7 +205,12 @@ def beta_frobenius_structure(
     if vs is None:
         raise InternalCheckError("dual basis system is inconsistent")
 
-    data = RelativeFrobeniusData(beta, E, tuple(free), vs.transpose().rows)
+    us = tuple(free)
+    left = H.antipode.mul(Matrix.from_columns(field, us)).transpose().rows
+    data = RelativeFrobeniusData(
+        beta, E, us, vs.transpose().rows,
+        (left, _free_coordinates(emb, left, "left")), (us, _free_coordinates(emb, us, "right")),
+    )
     ok, detail = extension_identities_hold(emb, data)
     if not ok:
         raise InternalCheckError(f"dual basis identities fail: {detail}")
@@ -210,7 +226,7 @@ def extension_identities_hold(
     H, iota, alg = emb.H, emb.iota, emb.H.alg
     field, n = H.field, H.dim
     iE = iota.mul(data.E)
-    iBE = iota.mul(data.beta.inverse()).mul(data.E)
+    iBE = iota.mul(data.beta_inv).mul(data.E)
     first = mirror = Matrix.zeros(field, n, n)
     for u, v in zip(data.us, data.vs):
         first = first.add(alg.left_mult_matrix(u).mul(iE).mul(alg.left_mult_matrix(v)))
@@ -448,48 +464,48 @@ def _translates(alg, vecs: Matrix, side: str, read: Matrix) -> tuple:
     return tuple(Matrix(field, stacked[t * q : (t + 1) * q]) for t in range(n))
 
 
-def _free_transport(emb: SubalgebraEmbedding, flat: Matrix, d: int, free, side: str) -> tuple:
-    """(embed, action) of M^r over H on the basis (g, j), along the free
-    basis free = (b_j) of H over K on the given side.
-
-    C inverts the matrix with column (j, s) iota(e_s) b_j ("left") or
-    b_j iota(e_s) ("right"); flat has column s the d x d matrix A_s
-    flattened, and flat times C laid out as rows s gives spread, with row
-    (g, j) and column (a, i) sum_s C[(j s), i] A_s[g][a].  pure has row
-    (g, j) the flattened m_g (x) b_j.  Left, A_s the action of e_s: spread
-    is the quotient map, m_a (x) e_i = sum C[(j s), i] (m_a . e_s) (x) b_j,
-    and pure its section.  Right, A_s transposed: spread holds the maps with
-    phi(b_j) = m_g, phi(e_i) = sum C[(j s), i] A_s^T phi(b_j), and pure
-    evaluates at the b_j."""
-    H, iota, field = emb.H, emb.iota, emb.H.field
-    n, k, r = H.dim, emb.K.dim, len(free)
+def _free_coordinates(emb: SubalgebraEmbedding, free, side: str) -> Matrix:
+    """The inverse C of the matrix with column (j, s) iota(e_s) b_j ("left")
+    or b_j iota(e_s) ("right"), for the free basis free = (b_j) of H over K
+    on that side, laid out with row s and column (j, i) C[(j s), i]."""
+    H, field, k, r = emb.H, emb.H.field, emb.K.dim, len(free)
     mult = H.alg.right_mult_matrix if side == "left" else H.alg.left_mult_matrix
-    cols = [c for b in free for c in mult(b).mul(iota).transpose().rows]
+    cols = [c for b in free for c in mult(b).mul(emb.iota).transpose().rows]
     try:
         C = Matrix.from_columns(field, cols).inverse().rows
     except SingularError as exc:
         raise InternalCheckError(f"{side} basis is not a free basis of H over K") from exc
-    laid = Matrix(field, tuple(tuple(x for j in range(r) for x in C[j * k + s]) for s in range(k)))
+    return Matrix(field, tuple(tuple(x for j in range(r) for x in C[j * k + s]) for s in range(k)))
+
+
+def _free_transport(emb: SubalgebraEmbedding, flat: Matrix, d: int, basis, side: str) -> tuple:
+    """(embed, action) of M^r over H on the basis (g, j), along basis =
+    (free, laid), a side of RelativeFrobeniusData.
+
+    flat has column s the d x d matrix A_s flattened, and flat times laid
+    gives spread, with row (g, j) and column (a, i) sum_s C[(j s), i]
+    A_s[g][a].  pure has row (g, j) the flattened m_g (x) b_j.  Left, A_s
+    the action of e_s: spread is the quotient map, m_a (x) e_i = sum C[(j
+    s), i] (m_a . e_s) (x) b_j, and pure its section.  Right, A_s
+    transposed: spread holds the maps with phi(b_j) = m_g, phi(e_i) = sum
+    C[(j s), i] A_s^T phi(b_j), and pure evaluates at the b_j."""
+    (free, laid), field, n = basis, emb.H.field, emb.H.dim
     X = flat.mul(laid).rows
     spread = Matrix(field, tuple(
         tuple(x for row in X[g * d : (g + 1) * d] for x in row[j * n : (j + 1) * n])
-        for g in range(d) for j in range(r)
+        for g in range(d) for j in range(len(free))
     ))
     z = (field.zero(),) * n
     pure = Matrix(field, tuple(z * g + b + z * (d - 1 - g) for g in range(d) for b in free))
     embed, read = (pure, spread) if side == "left" else (spread, pure)
-    return embed, _translates(H.alg, embed, "right" if side == "left" else "left", read)
+    return embed, _translates(emb.H.alg, embed, "right" if side == "left" else "left", read)
 
 
 def induced_module(
     emb: SubalgebraEmbedding, data: RelativeFrobeniusData, M: KModule
 ) -> InducedModule:
-    """M (x)_K H on the left free basis S(u_j) of the right one u_j in data:
-    S is an anti-automorphism with S o iota = iota o S_K, so H is the direct
-    sum of the iota(K) S(u_j)."""
-    H = emb.H
-    free = H.antipode.mul(Matrix.from_columns(H.field, data.us)).transpose().rows
-    embed, action = _free_transport(emb, _flat_actions(M.field, M.mats), M.dim, free, "left")
+    """M (x)_K H on the left free basis S(u_j) in data."""
+    embed, action = _free_transport(emb, _flat_actions(M.field, M.mats), M.dim, data.left, "left")
     return InducedModule(embed.nrows, action, embed.transpose())
 
 
@@ -498,8 +514,8 @@ def coinduced_module(
 ) -> CoinducedModule:
     """Hom_K(H, M_beta) on the right free basis u_j in data, through the
     transposed actions of the beta^-1(e_s)."""
-    flat = _flat_actions(M.field, [m.transpose() for m in M.mats]).mul(data.beta.inverse())
-    embed, action = _free_transport(emb, flat, M.dim, data.us, "right")
+    flat = _flat_actions(M.field, [m.transpose() for m in M.mats]).mul(data.beta_inv)
+    embed, action = _free_transport(emb, flat, M.dim, data.right, "right")
     return CoinducedModule(embed.nrows, embed.rows, action)
 
 
@@ -517,7 +533,7 @@ def _comparison_map(
     mult = Matrix.from_entries(
         field, n, n * n, (((m, i * n + x), c) for (i, x), prod in H.alg.mul.items() for m, c in prod)
     )
-    Z = data.beta.inverse().mul(data.E).mul(mult)
+    Z = data.beta_inv.mul(data.E).mul(mult)
     P = _flat_actions(field, M.mats).mul(Z).rows
     return Matrix(
         field,
@@ -608,7 +624,7 @@ def extension_report(emb: SubalgebraEmbedding) -> tuple:
     data_K = build_integral_data(K)
     # both constructors below raise InternalCheckError unless their own
     # checks pass, so the two items recorded as PASS cannot fail here
-    beta = relative_nakayama(emb, data_K, data_H, nu_H, rep)
+    beta = relative_nakayama(emb, data_K, data_H, rep)
     rep.add("two computations of the relative twist agree", True)
     free = free_module_basis(emb)
     data = beta_frobenius_structure(emb, beta, data_K, data_H, free)

@@ -138,7 +138,7 @@ def twist_of(emb: SubalgebraEmbedding):
     """relative_nakayama of emb, with the data it takes built here."""
     data_K, data_H = build_integral_data(emb.K), build_integral_data(emb.H)
     nu_H = nakayama_closed_form(emb.H, data_H)
-    return relative_nakayama(emb, data_K, data_H, nu_H, verify_embedding(emb, nu_H))
+    return relative_nakayama(emb, data_K, data_H, verify_embedding(emb, nu_H))
 
 
 def structure_of(emb: SubalgebraEmbedding, beta):

@@ -533,6 +533,39 @@ def test_subcheck_computes_each_stage_once(tmp_path, monkeypatch):
     assert {key: len(c) for key, c in calls.items()} == want
 
 
+@pytest.mark.parametrize("with_module", (False, True))
+def test_subcheck_inverts_each_subext_matrix_once(with_module, tmp_path, monkeypatch):
+    """subext inverts beta once (RelativeFrobeniusData.beta_inv) and the
+    coordinate matrix of each free basis once (_free_coordinates), however
+    many modules are transported, and reads nu_H^-1 off its factors: 7
+    inverses per job on sweedler and qc2, with the two Gram matrices and
+    the two inverse antipodes (14 when each module inverted beta twice and
+    both coordinate matrices again, and nu_H was inverted; 18 with a third
+    module)."""
+    h4 = emit(tmp_path, "sweedler")
+    qc2 = emit(tmp_path, "qc2")
+    iota = tmp_path / "iota.mat"
+    iota.write_text(IOTA_QC2_IN_SWEEDLER)
+    args = ["subcheck", str(h4), str(qc2), "--iota", str(iota)]
+    if with_module:
+        mod = tmp_path / "sign.mod"
+        mod.write_text(SIGN_MODULE)
+        args += ["--module", str(mod)]
+    callers = []
+    inverse = linalg.Matrix.inverse
+
+    def spy(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return inverse(self)
+
+    monkeypatch.setattr(linalg.Matrix, "inverse", spy)
+    assert main(args) == 0
+    by_caller = {name: callers.count(name) for name in set(callers)}
+    assert by_caller.get("relative_nakayama", 0) == 0
+    assert (by_caller.get("beta_inv"), by_caller.get("_free_coordinates")) == (1, 2)
+    assert len(callers) == 7
+
+
 def _spy_everywhere(monkeypatch, module, name, record) -> None:
     """Pass the arguments and the result of every call of module.name, through
     every hopfrob module that imports it, to record."""
@@ -647,19 +680,21 @@ def test_frobenius_d36_builds_each_derived_object_once(tmp_path, monkeypatch):
 
 
 def test_separable_d36_inverts_four_matrices(tmp_path, monkeypatch):
-    """`separable` on D(qs3) inverts S, the Gram matrices of H and of H*
-    (their inverses give N and nu) and the Kanzaki trace element; the
-    inverse antipode of H* is the transpose of that of H, and the
-    automorphism checks of the two Nakayama matrices invert nothing.
-    Those four inverses are its only eliminations of dim rows (6 when each
-    automorphism check inverted its matrix; 10 when N and nu were solved
-    for and each Gram matrix's rank taken, with 4 inverses; 5 inverses
-    before that)."""
+    """`separable` on D(qs3) eliminates four matrices of dim rows: it
+    inverts S and the Gram matrices of H and of H* (their inverses give N
+    and nu), and solves u x = 1 on L_u for the inverse of the Kanzaki
+    trace element u, with no inverse; the inverse antipode of H* is the
+    transpose of that of H, and the automorphism checks of the two
+    Nakayama matrices invert nothing.  Those are its only eliminations of
+    dim rows (6 when each automorphism check inverted its matrix; 10 when
+    N and nu were solved for and each Gram matrix's rank taken; 4
+    inverses while L_u was inverted, 5 before that)."""
     path = _d36(tmp_path)
     inverses = _count_inverses(monkeypatch)
     eliminations = _count_eliminations(monkeypatch, 36)
     assert main(["separable", str(path)]) == 0
-    assert len(inverses) == len(eliminations) == 4
+    assert len(inverses) == 3
+    assert len(eliminations) == 4
 
 
 # -- the quantified identities of D(taft-3-7-2) run on the sparse kernels ------
@@ -711,6 +746,25 @@ def test_frobenius_layer_inverts_each_gram_matrix_once_on_d81(cmd, tmp_path, mon
     eliminations = _count_eliminations(monkeypatch, 81)
     assert main([cmd, str(path)]) == 0
     assert len(eliminations) == 3
+
+
+def test_frobenius_on_d81_makes_nineteen_full_size_products(tmp_path, monkeypatch):
+    """`frobenius` on D(taft-3-7-2) makes 19 products of two matrices of at
+    least 81 x 81: dual_basis_identities_hold forms G T for each system it
+    checks and T G only when G T is not the identity (21 when it formed
+    both on every call)."""
+    path = _d81(tmp_path)
+    products = []
+    mul = linalg.Matrix.mul
+
+    def spy(a, b):
+        if min(a.nrows, a.ncols, b.nrows, b.ncols) >= 81:
+            products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(linalg.Matrix, "mul", spy)
+    assert main(["frobenius", str(path)]) == 0
+    assert len(products) == 19
 
 
 def test_dual_is_built_once_per_job_by_relabelling_on_d81(tmp_path, monkeypatch):

@@ -300,6 +300,22 @@ def test_dual_basis_matrix_identities_match_the_loop(key):
     assert failures == {"", "sum psi(a x_i) y_i != a", "sum x_i psi(y_i a) != a"}
 
 
+def test_dual_basis_identities_form_t_g_only_on_failure(monkeypatch):
+    """G is square, so G T = 1 makes T its two-sided inverse: a valid system
+    takes the one product G T, a failing one also T G, to name the failure."""
+    products = []
+    mul = Matrix.mul
+    monkeypatch.setattr(Matrix, "mul", lambda a, b: products.append(1) or mul(a, b))
+    verdicts = set()
+    for alg, psi, xs, ys in _dual_basis_cases(entry("taft-3-7-2").hopf):
+        gram = pairing_matrix(alg, psi)
+        products.clear()
+        ok, _ = dual_basis_identities_hold(gram, xs, ys)
+        assert len(products) == (1 if ok else 2)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("key", ALL_KEYS)
 def test_system_scalars_frozen_to_one(key):
     H = entry(key).hopf

@@ -8,6 +8,7 @@ Oracle values worked by hand:
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -25,14 +26,16 @@ from hopfrob import linalg, subext
 from hopfrob.algebra import on_cover
 from hopfrob.catalog import entry
 from hopfrob.errors import InternalCheckError, InvalidInputError
+from hopfrob.frobenius import build_integral_data, modular_inverse, nakayama_closed_form
+from hopfrob.hopfcore import hit_matrix
 from hopfrob.linalg import Matrix, basis_vec, canonical_basis, matrix_order
 from hopfrob.subext import (
     InducedModule,
     KModule,
-    RelativeFrobeniusData,
     SubalgebraEmbedding,
     _comparison_map,
     _module_law_failure,
+    beta_frobenius_structure,
     check_expectation_bimodule,
     check_module,
     coinduced_module,
@@ -422,6 +425,25 @@ def test_dual_bases_reconstruct_both_sides(key):
     assert ok, detail
 
 
+def test_a_copy_with_another_twist_inverts_its_own():
+    """beta_inv is derived once per instance: a copy that changes beta does
+    not inherit the original's inverse."""
+    emb, beta, data = subpair_of("f7c3-taft")
+    assert data.beta_inv == beta.inverse() and data.beta_inv is data.beta_inv
+    identity = Matrix.identity(emb.K.field, emb.K.dim)
+    assert replace(data, beta=identity).beta_inv.is_identity()
+
+
+@pytest.mark.parametrize("key", PAIRS + DOUBLE_PAIRS + ("sweedler-double",))
+def test_inverse_nakayama_is_read_off_its_factors(key):
+    """((m_H o S) ⇀ ·) o S^2, the nu_H^-1 of relative_nakayama, inverts
+    the closed form Sbar^2 o (m_H ⇀ ·) of the ambient algebra."""
+    H = embedding_of(key).H
+    data = build_integral_data(H)
+    factors = hit_matrix(H, modular_inverse(H, data.modular_fn), "left").mul(H.antipode.pow_(2))
+    assert factors == nakayama_closed_form(H, data).inverse()
+
+
 @pytest.mark.parametrize("key", PAIRS)
 def test_reconstruction_on_random_vectors(key):
     emb, _, data = subpair_of(key)
@@ -525,13 +547,13 @@ def test_extension_checks_match_the_loops(key, engine, generic_engine):
     emb, data = _structure(key, engine, generic_engine)
     E = data.E
     cases = [data] + [
-        RelativeFrobeniusData(data.beta, _moved(E, r, c), data.us, data.vs)
+        replace(data, E=_moved(E, r, c))
         for r in range(E.nrows)
         for c in range(E.ncols)
     ]
     if key == "qc2-sweedler":
         identity = Matrix.identity(emb.K.field, emb.K.dim)
-        cases.append(RelativeFrobeniusData(identity, E, data.us, data.vs))
+        cases.append(replace(data, beta=identity))
     bimodule = [check_expectation_bimodule(emb, case) for case in cases]
     identities = [extension_identities_hold(emb, case) for case in cases]
     assert bimodule == [_bimodule_by_definition(emb, case) for case in cases]
@@ -566,7 +588,7 @@ def test_transport_identities_match_the_loops(key, engine, generic_engine):
     emb, data = _structure(key, engine, generic_engine)
     K, H = emb.K, emb.H
     field, n = H.field, H.dim
-    corrupted = RelativeFrobeniusData(data.beta, _moved(data.E, 0, n - 1), data.us, data.vs)
+    corrupted = replace(data, E=_moved(data.E, 0, n - 1))
     for M in _transport_modules(key, K):
         d = M.dim
         # the co-induced basis spans the maps the linearity rows cut out
@@ -731,10 +753,14 @@ def test_transport_actions_match_the_definitions(key, engine, generic_engine):
 
 
 def test_transport_eliminates_at_most_dim_h_rows(monkeypatch):
-    """Both transported modules come from one change of basis of H: no
-    elimination while they are built has more rows than dim H (the
-    k d n relation rows of the regular module here would be 81)."""
-    emb, _, data = subpair_of("qc3-double")
+    """Both transported modules come from one change of basis of H per
+    side, made with the extension data: no elimination while the data and
+    both modules are built has more rows than dim H (the k d n relation
+    rows of the regular module here would be 81), and the modules
+    themselves eliminate nothing."""
+    emb, beta, _ = subpair_of("qc3-double")
+    data_K, data_H = build_integral_data(emb.K), build_integral_data(emb.H)
+    free = free_module_basis(emb)
     M = regular_module(emb.K)
     heights = []
     rref = linalg._rref
@@ -744,9 +770,12 @@ def test_transport_eliminates_at_most_dim_h_rows(monkeypatch):
         return rref(field, rows)
 
     monkeypatch.setattr(linalg, "_rref", spy)
+    data = beta_frobenius_structure(emb, beta, data_K, data_H, free)
+    built = len(heights)
     induced_module(emb, data, M)
     coinduced_module(emb, data, M)
     assert heights and max(heights) <= emb.H.dim
+    assert len(heights) == built
 
 
 @pytest.mark.parametrize("key", ("f7c3-taft", "f2c2-double", "f7c3-double"))
@@ -767,14 +796,17 @@ def test_transport_engines_agree(key, generic_engine):
 
 
 def test_transport_rejects_a_basis_that_is_not_free(monkeypatch):
-    """With S(u_1) = S(u_0) the left coordinate matrix is singular."""
-    emb, _, data = subpair_of("qc2-sweedler")
+    """With S(u_1) = S(u_0) the left coordinate matrix is singular.  The
+    structure is built afresh under the patched antipode, from integral
+    data built before it, so no basis of the cached pair is read."""
+    emb, beta, data = subpair_of("qc2-sweedler")
     H = emb.H
+    data_K, data_H = build_integral_data(emb.K), build_integral_data(H)
     u0, u1 = (next(i for i, c in enumerate(u) if c != H.field.zero()) for u in data.us[:2])
     cols = [H.antipode.col(u0 if i == u1 else i) for i in range(H.dim)]
     monkeypatch.setattr(H, "antipode", Matrix.from_columns(H.field, cols))
     with pytest.raises(InternalCheckError, match="left basis is not a free basis of H over K"):
-        induced_module(emb, data, trivial_module(emb.K))
+        beta_frobenius_structure(emb, beta, data_K, data_H, data.us)
 
 
 # -- freeness --------------------------------------------------------------------

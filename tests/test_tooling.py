@@ -594,6 +594,52 @@ def test_solve_scan_finds_each_form(tmp_path):
     assert _solves(path) == [f"probe.py:{line}" for line in (2, 3, 5, 6)]
 
 
+def _inverses(path: Path) -> list:
+    """The innermost function (or <module>) around each .inverse of a
+    module, called or not, in order of line."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "inverse":
+                found.append((child.lineno, scope))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return [f"{path.name}:{scope}" for _, scope in sorted(found)]
+
+
+def test_subext_inverts_only_beta_and_the_free_coordinates():
+    """subext inverts beta once per extension data (the cached beta_inv)
+    and the coordinate matrix of each free basis once per pair
+    (_free_coordinates); nu_H^-1 is read off its factors.  separability
+    inverts nothing: u^-1 solves u x = 1."""
+    assert _inverses(PACKAGE / "subext.py") == ["subext.py:beta_inv", "subext.py:_free_coordinates"]
+    assert _inverses(PACKAGE / "separability.py") == []
+
+
+def test_inverse_scan_names_each_enclosing_function(tmp_path):
+    """The scan above sees .inverse on any expression, called or only
+    named, in a method, a nested function, a lambda (under its def) and
+    at module level, and ignores a bare inverse(...) and names that only
+    start alike."""
+    src = (
+        "class C:\n"
+        "    def f(self, M):\n"
+        "        return M.inverse()\n"
+        "def g(M):\n"
+        "    def h():\n"
+        "        return M.T.inverse\n"
+        "    k = lambda: M.inverse()\n"
+        "    return h, k, M.inverse_of(), inverse(M), M.inv()\n"
+        "X = M.inverse()\n"
+    )
+    path = tmp_path / "probe.py"
+    path.write_text(src, encoding="utf-8")
+    assert _inverses(path) == ["probe.py:f", "probe.py:h", "probe.py:g", "probe.py:<module>"]
+
+
 def _engine_branches(path: Path, function=None) -> list:
     """Each `is None` / `is not None` test and each dict display (literal
     or comprehension) of a module, or of one of its top-level functions."""
